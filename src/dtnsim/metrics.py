@@ -82,10 +82,13 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
         (transfers - delivered) / delivered if delivered else None
     )
 
-    control_bytes = sum(trace.bytes_of(kind, PKT_TRANSMITTED) for kind in CONTROL_KINDS)
-    control_packets = sum(trace.count(kind, PKT_TRANSMITTED) for kind in CONTROL_KINDS)
-    data_bytes = trace.bytes_of(KIND_DATA, PKT_TRANSMITTED)
-    data_packets = trace.count(KIND_DATA, PKT_TRANSMITTED)
+    # Both derived from the per-pair counters: read each once.
+    packet_counts, packet_bytes = trace.packet_counts, trace.packet_bytes
+    sent = [(kind, PKT_TRANSMITTED) for kind in CONTROL_KINDS]
+    control_bytes = sum(packet_bytes[key] for key in sent)
+    control_packets = sum(packet_counts[key] for key in sent)
+    data_bytes = packet_bytes[(KIND_DATA, PKT_TRANSMITTED)]
+    data_packets = packet_counts[(KIND_DATA, PKT_TRANSMITTED)]
     total_bytes = control_bytes + data_bytes
     control_byte_fraction = control_bytes / total_bytes if total_bytes else 0.0
     header_byte_fraction = (
@@ -99,7 +102,7 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
         drops[f"msg_{rec.cause}"] += 1
     for outcome in PKT_DROP_OUTCOMES:
         drops[f"pkt_{outcome}"] = sum(
-            n for (kind, out), n in trace.packet_counts.items() if out == outcome
+            n for (kind, out), n in packet_counts.items() if out == outcome
         )
 
     return RunReport(

@@ -38,37 +38,28 @@ EVENT_TRAFFIC = "traffic_generation"
 IP_UDP_HEADER_BYTES = 20 + 8
 
 
-@dataclass(slots=True)
-class SimEvent:
-    time: int
-    sequence: int
-    kind: str
-    fn: Callable[[], None]
-
-
 class Simulator:
     """Event heap with deterministic (time, sequence) ordering."""
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self.events_run = 0
 
-    def schedule(self, time_us: int, kind: str, fn: Callable[[], None]) -> SimEvent:
+    def schedule(self, time_us: int, kind: str, fn: Callable[[], None]) -> None:
+        """Run `fn` at `time_us`; `kind` labels the event for observers only."""
         if time_us < self.now:
             raise ValueError(f"cannot schedule at {time_us} before now {self.now}")
-        event = SimEvent(time_us, self._seq, kind, fn)
-        heapq.heappush(self._heap, (time_us, self._seq, event))
+        heapq.heappush(self._heap, (time_us, self._seq, fn))
         self._seq += 1
-        return event
 
     def run(self, end_us: int) -> None:
         """Execute events with time <= end_us; leaves now at end_us."""
-        while self._heap and self._heap[0][0] <= end_us:
-            _, _, event = heapq.heappop(self._heap)
-            self.now = event.time
-            event.fn()
+        heap = self._heap
+        while heap and heap[0][0] <= end_us:
+            self.now, _, fn = heapq.heappop(heap)
+            fn()
             self.events_run += 1
         self.now = end_us
 
@@ -101,7 +92,7 @@ class LinkModel:
             raise ValueError("propagation_delay_s must be non-negative")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """One link-layer packet; msg_dst mirrors the encapsulated IP destination."""
 
@@ -110,11 +101,25 @@ class Packet:
     port: int
     data: bytes
     kind: str
-    msg_dst: int | None = None
+    msg_dst: int | None
+    size: int  # on-air bytes: data plus the IPv4/UDP encapsulation
 
-    @property
-    def size(self) -> int:
-        return len(self.data) + IP_UDP_HEADER_BYTES
+    def __init__(
+        self,
+        src: int,
+        dst: int | None,
+        port: int,
+        data: bytes,
+        kind: str,
+        msg_dst: int | None = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.port = port
+        self.data = data
+        self.kind = kind
+        self.msg_dst = msg_dst
+        self.size = len(data) + IP_UDP_HEADER_BYTES
 
 
 @dataclass(slots=True)
@@ -126,9 +131,6 @@ class DeviceQueue:
     fifo: deque[tuple[Packet, int]] = field(default_factory=deque)
     used_bytes: int = 0
     busy: bool = False
-
-    def fits(self, size: int) -> bool:
-        return self.used_bytes + size <= self.capacity_bytes
 
 
 class RadioNetwork:
@@ -149,17 +151,26 @@ class RadioNetwork:
         self.trajectories = trajectories
         self.trace = trace
         self._loss_rng = loss_rng
+        self._loss = link.loss_probability
+        self._rate = int(round(link.data_rate_bps))
+        if self._rate <= 0:
+            raise ValueError("data_rate must be positive")
         self._prop_us = int(round(link.propagation_delay_s * 1_000_000))
         self._range_sq = link.radio_range_m * link.radio_range_m
         self._queues = [
             DeviceQueue(queue_capacity_bytes, queue_residency_us)
             for _ in trajectories
         ]
+        # One transmission-complete callback per node, made once.
+        self._completions = [
+            (lambda n=node: self._complete(n)) for node in range(len(trajectories))
+        ]
         # address -> packet handler(sender_addr, port, data, msg_dst, now)
         self._handlers: dict[int, Callable[[int, int, bytes, int | None, int], None]] = {}
-        # Deliveries scheduled but not yet executed (propagation in flight).
-        self._in_flight: dict[int, tuple[Packet, int]] = {}
-        self._in_flight_seq = 0
+        # (packet, receiver) of deliveries scheduled but not yet executed.
+        # Every delivery lands a fixed propagation delay after it was
+        # scheduled, so they execute in the order they were scheduled.
+        self._in_flight: deque[tuple[Packet, int]] = deque()
         # Test hook: called as tap(event, packet, receiver_or_None, now).
         self.taps: list[Callable[[str, Packet, int | None, int], None]] = []
 
@@ -176,43 +187,43 @@ class RadioNetwork:
             raise ValueError(f"duplicate node address {address}")
         self._handlers[address] = handler
 
-    def position(self, node: int, t_us: int) -> tuple[float, float]:
-        return self.trajectories[node].position_at(t_us / 1_000_000)
-
     def in_range(self, a: int, b: int, t_us: int) -> bool:
-        ax, ay = self.position(a, t_us)
-        bx, by = self.position(b, t_us)
+        t = t_us / 1_000_000
+        ax, ay = self.trajectories[a].position_at(t)
+        bx, by = self.trajectories[b].position_at(t)
         dx, dy = ax - bx, ay - by
         return dx * dx + dy * dy <= self._range_sq
 
     def submit(self, packet: Packet) -> None:
         """Place a packet on its sender's device queue (tail-drop on overflow)."""
         now = self.sim.now
-        self.trace.packet_event(
-            packet.kind, PKT_SUBMITTED, packet.size, packet.src, packet.dst
-        )
+        size = packet.size
+        self.trace.packet_event(packet.kind, PKT_SUBMITTED, size, packet.src, packet.dst)
         queue = self._queues[packet.src]
-        if not queue.fits(packet.size):
+        if queue.used_bytes + size > queue.capacity_bytes:
             self._drop(packet, PKT_OVERFLOW, now)
             return
         queue.fifo.append((packet, now))
-        queue.used_bytes += packet.size
+        queue.used_bytes += size
         if not queue.busy:
             self._serve(packet.src)
 
     def _serve(self, node: int) -> None:
         queue = self._queues[node]
+        fifo = queue.fifo
         now = self.sim.now
-        while queue.fifo:
-            packet, enqueued_at = queue.fifo[0]
+        while fifo:
+            packet, enqueued_at = fifo[0]
             if now - enqueued_at > queue.residency_limit_us:
-                queue.fifo.popleft()
+                fifo.popleft()
                 queue.used_bytes -= packet.size
                 self._drop(packet, PKT_RESIDENCY, now)
                 continue
             queue.busy = True
-            done = now + service_time_us(packet.size, self.link.data_rate_bps)
-            self.sim.schedule(done, EVENT_TIMER, lambda n=node: self._complete(n))
+            # service_time_us, with the rate converted once per network.
+            rate = self._rate
+            done = now + (packet.size * 8_000_000 + rate - 1) // rate
+            self.sim.schedule(done, EVENT_TIMER, self._completions[node])
             return
         queue.busy = False
 
@@ -227,7 +238,8 @@ class RadioNetwork:
         )
         for tap in self.taps:
             tap("transmit", packet, None, now)
-        if packet.dst is None:
+        dst = packet.dst
+        if dst is None:
             receivers = [
                 other
                 for other in range(self.node_count)
@@ -235,29 +247,21 @@ class RadioNetwork:
             ]
             for receiver in receivers:
                 self._try_deliver(packet, receiver, now)
+        elif self.in_range(node, dst, now):
+            self._try_deliver(packet, dst, now)
         else:
-            if self.in_range(node, packet.dst, now):
-                self._try_deliver(packet, packet.dst, now)
-            else:
-                self._drop(packet, PKT_OUT_OF_RANGE, now, receiver=packet.dst)
+            self._drop(packet, PKT_OUT_OF_RANGE, now, receiver=dst)
         self._serve(node)
 
     def _try_deliver(self, packet: Packet, receiver: int, now: int) -> None:
-        if self.link.loss_probability > 0.0:
-            if self._loss_rng.random() < self.link.loss_probability:
-                self._drop(packet, PKT_LOSS, now, receiver=receiver)
-                return
-        token = self._in_flight_seq
-        self._in_flight_seq += 1
-        self._in_flight[token] = (packet, receiver)
-        self.sim.schedule(
-            now + self._prop_us,
-            EVENT_PACKET_DELIVERY,
-            lambda t=token: self._deliver(t),
-        )
+        if self._loss > 0.0 and self._loss_rng.random() < self._loss:
+            self._drop(packet, PKT_LOSS, now, receiver=receiver)
+            return
+        self._in_flight.append((packet, receiver))
+        self.sim.schedule(now + self._prop_us, EVENT_PACKET_DELIVERY, self._deliver)
 
-    def _deliver(self, token: int) -> None:
-        packet, receiver = self._in_flight.pop(token)
+    def _deliver(self) -> None:
+        packet, receiver = self._in_flight.popleft()
         now = self.sim.now
         self.trace.packet_event(
             packet.kind, PKT_DELIVERED, packet.size, packet.src, receiver
@@ -284,7 +288,7 @@ class RadioNetwork:
                 self._drop(packet, PKT_UNSENT_AT_END, now)
             queue.fifo.clear()
             queue.used_bytes = 0
-        for packet, receiver in self._in_flight.values():
+        for packet, receiver in self._in_flight:
             self._drop(packet, PKT_IN_FLIGHT_AT_END, now, receiver=receiver)
         self._in_flight.clear()
 

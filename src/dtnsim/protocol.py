@@ -37,6 +37,7 @@ from .buffer import (
 from .records import (
     KIND_ACK,
     KIND_BEACON,
+    KIND_CONTROL,
     KIND_DATA,
     KIND_REPLY,
     KIND_REPLY_BACK,
@@ -56,17 +57,16 @@ from .records import (
     TransferCompleted,
 )
 from .wire import (
-    DATA_PACKET_SIZE,
-    EPIDEMIC_SIZE,
+    DATA_HEADERS_SIZE,
     SUMMARY_HEAD_SIZE,
     AckHeader,
-    DataPacketHeader,
-    EpidemicHeader,
     MessageId,
     MessageTypeHeader,
     MsgType,
     SummaryVectorHeader,
     WireError,
+    decode_data_headers,
+    encode_data_packets,
     make_message_id,
 )
 
@@ -250,13 +250,10 @@ class EpidemicNode:
     def handle_packet(
         self, sender_addr: int, port: int, data: bytes, msg_dst: int | None, now: int
     ) -> None:
+        if port == PORT_DATA:
+            self.on_data_packet(data, sender_addr, msg_dst, now)
+            return
         try:
-            if port == PORT_DATA:
-                epi = EpidemicHeader.decode(data)
-                dph = DataPacketHeader.decode(data[EPIDEMIC_SIZE:])
-                payload = data[EPIDEMIC_SIZE + DATA_PACKET_SIZE :]
-                self.on_data_packet(epi, dph, payload, sender_addr, msg_dst, now)
-                return
             mth = MessageTypeHeader.decode(data)
             rest = data[3:]
             if mth.msg_type is MsgType.BEACON:
@@ -270,10 +267,10 @@ class EpidemicNode:
             else:
                 self.on_ack(AckHeader.decode(rest), sender_addr, now)
         except WireError:
-            kind = KIND_DATA if port == PORT_DATA else "control"
-            self.trace.packet_event(
-                kind, PKT_MALFORMED, len(data), sender_addr, self.node_id
-            )
+            self._malformed(KIND_CONTROL, len(data), sender_addr)
+
+    def _malformed(self, kind: str, size: int, sender_addr: int) -> None:
+        self.trace.packet_event(kind, PKT_MALFORMED, size, sender_addr, self.node_id)
 
     # -- discovery --------------------------------------------------------
 
@@ -373,17 +370,10 @@ class EpidemicNode:
         nb.session = SESSION_IDLE
 
     def _send_message(self, nb: NeighborRecord, entry: QueueEntry) -> None:
-        epi = EpidemicHeader(entry.message_id, entry.hop_budget).encode()
-        total = entry.packet_total
-        for index, payload in enumerate(entry.packets):
-            dph = DataPacketHeader(entry.message_id, self.node_id, total, index).encode()
-            self.transport.unicast(
-                nb.address,
-                PORT_DATA,
-                b"".join((epi, dph, payload)),
-                KIND_DATA,
-                msg_dst=entry.destination,
-            )
+        for data in encode_data_packets(
+            entry.message_id, entry.hop_budget, self.node_id, entry.packets
+        ):
+            self.transport.unicast(nb.address, PORT_DATA, data, KIND_DATA, entry.destination)
 
     def on_ack(self, ack: AckHeader, sender_addr: int, now: int) -> None:
         nb = self._touch_neighbor(ack.node_id, sender_addr, now)
@@ -403,40 +393,44 @@ class EpidemicNode:
     # -- reception ------------------------------------------------------------
 
     def on_data_packet(
-        self,
-        epi: EpidemicHeader,
-        dph: DataPacketHeader,
-        payload: bytes,
-        sender_addr: int,
-        msg_dst: int | None,
-        now: int,
+        self, data: bytes, sender_addr: int, msg_dst: int | None, now: int
     ) -> None:
-        if epi.message_id != dph.message_id or msg_dst is None:
-            self.trace.packet_event(
-                KIND_DATA, PKT_MALFORMED, len(payload), sender_addr, self.node_id
-            )
+        """Add one data packet to its sender's reception buffer.
+
+        The receive checks and their accounting are those of
+        docs/wire-format.md: a packet failing one is counted once as
+        data/malformed and changes no reception state.
+        """
+        try:
+            epi_raw, hop_count, raw, last_hop, total, index = decode_data_headers(data)
+        except WireError:
+            self._malformed(KIND_DATA, len(data), sender_addr)
             return
-        nb = self._touch_neighbor(dph.last_hop, sender_addr, now)
-        rx = self.reception.get(nb.node_id)
+        payload = data[DATA_HEADERS_SIZE:]
+        if epi_raw != raw or msg_dst is None:
+            self._malformed(KIND_DATA, len(payload), sender_addr)
+            return
+        nb = self._touch_neighbor(last_hop, sender_addr, now)
+        rx = self.reception.get(last_hop)
         if rx is None:
-            rx = ReceptionBuffer(nb.node_id)
-            self.reception[nb.node_id] = rx
-        if rx.message_id is not None and rx.message_id != dph.message_id:
+            rx = self.reception[last_hop] = ReceptionBuffer(last_hop)
+        current = rx.message_id
+        if current is not None and current.raw != raw:
             # One message per neighbor: a new id supersedes the partial one.
-            self._drop_msg(now, rx.message_id, MSG_PARTIAL_RESET)
+            self._drop_msg(now, current, MSG_PARTIAL_RESET)
             rx.reset()
-        if rx.message_id is None:
-            rx.message_id = dph.message_id
-            rx.packet_total = dph.packet_total
-            rx.hop_count = epi.hop_count
+            current = None
+        if current is None:
+            rx.message_id = MessageId(raw)
+            rx.packet_total = total
+            rx.hop_count = hop_count
             rx.msg_dst = msg_dst
-        elif rx.packet_total != dph.packet_total:
-            self.trace.packet_event(
-                KIND_DATA, PKT_MALFORMED, len(payload), sender_addr, self.node_id
-            )
+        elif rx.packet_total != total:
+            self._malformed(KIND_DATA, len(payload), sender_addr)
             return
-        rx.received[dph.packet_index] = payload
-        if len(rx.received) == rx.packet_total:
+        received = rx.received
+        received[index] = payload
+        if len(received) == total:
             self._complete_message(nb, rx, now)
 
     def _complete_message(self, nb: NeighborRecord, rx: ReceptionBuffer, now: int) -> None:

@@ -1,13 +1,13 @@
 """Simulation trace records and the per-run trace accumulator.
 
 Message-level events are kept as individual records; per-packet outcomes
-are folded into counters keyed by packet kind and by (src, dst) pair so
-large runs stay cheap while conservation audits remain possible.
+are folded into counters keyed by (src, dst, kind, outcome), from which
+the per-kind totals are derived, so large runs stay cheap while
+conservation audits remain possible.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,6 +19,8 @@ KIND_REPLY = "reply"
 KIND_REPLY_BACK = "reply_back"
 KIND_ACK = "ack"
 KIND_DATA = "data"
+# Kind of a malformed packet that arrived on the control channel.
+KIND_CONTROL = "control"
 
 CONTROL_KINDS = (KIND_BEACON, KIND_REPLY, KIND_REPLY_BACK, KIND_ACK)
 
@@ -113,15 +115,15 @@ class RunTrace:
         self.deliveries: list[MessageDelivered] = []
         self.transfers: list[TransferCompleted] = []
         self.message_drops: list[MessageDropped] = []
-        # (kind, outcome) -> packet count / byte total
-        self.packet_counts: Counter[tuple[str, str]] = Counter()
-        self.packet_bytes: Counter[tuple[str, str]] = Counter()
-        # (src, dst, kind, outcome) -> packet count; dst is None for
-        # broadcast outcomes with no specific receiver.
-        self.pair_counts: Counter[tuple[int, int | None, str, str]] = Counter()
-        # Order-sensitive digest of the packet event sequence, so two
-        # traces with equal aggregates but different histories differ.
-        self._digest = hashlib.blake2b(digest_size=16)
+        # (src, dst, kind, outcome) -> [packets, bytes, code]; dst is None
+        # for broadcast outcomes with no specific receiver. The code numbers
+        # the keys in first-seen order, for the stream fold below.
+        self._pairs: dict[tuple[int, int | None, str, str], list[int]] = {}
+        # Order-sensitive fold of the packet event sequence, so two traces
+        # with equal aggregates but different histories differ. Only ints
+        # are hashed, so the fold is the same in every process: str hashes
+        # are salted per process, and so is the hash of None on Python 3.11.
+        self._fold = 0
 
     def message_generated(self, rec: MessageGenerated) -> None:
         self.generated.append(rec)
@@ -138,12 +140,34 @@ class RunTrace:
     def packet_event(
         self, kind: str, outcome: str, size: int, src: int, dst: int | None
     ) -> None:
-        self.packet_counts[(kind, outcome)] += 1
-        self.packet_bytes[(kind, outcome)] += size
-        self.pair_counts[(src, dst, kind, outcome)] += 1
-        self._digest.update(
-            f"{kind}|{outcome}|{size}|{src}|{dst};".encode()
-        )
+        key = (src, dst, kind, outcome)
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = [0, 0, len(self._pairs)]
+        pair[0] += 1
+        pair[1] += size
+        self._fold = hash((self._fold, pair[2], size))
+
+    @property
+    def pair_counts(self) -> Counter[tuple[int, int | None, str, str]]:
+        """(src, dst, kind, outcome) -> packet count."""
+        return Counter({key: pair[0] for key, pair in self._pairs.items()})
+
+    @property
+    def packet_counts(self) -> Counter[tuple[str, str]]:
+        """(kind, outcome) -> packet count."""
+        return self._by_kind(0)
+
+    @property
+    def packet_bytes(self) -> Counter[tuple[str, str]]:
+        """(kind, outcome) -> total on-air bytes."""
+        return self._by_kind(1)
+
+    def _by_kind(self, field: int) -> Counter[tuple[str, str]]:
+        totals: Counter[tuple[str, str]] = Counter()
+        for (_, _, kind, outcome), pair in self._pairs.items():
+            totals[(kind, outcome)] += pair[field]
+        return totals
 
     def count(self, kind: str, outcome: str) -> int:
         return self.packet_counts[(kind, outcome)]
@@ -157,8 +181,9 @@ class RunTrace:
         lines += [repr(r) for r in self.deliveries]
         lines += [repr(r) for r in self.transfers]
         lines += [repr(r) for r in self.message_drops]
+        packet_bytes = self.packet_bytes
         lines += [
-            f"packets {kind}/{outcome}: n={n} bytes={self.packet_bytes[(kind, outcome)]}"
+            f"packets {kind}/{outcome}: n={n} bytes={packet_bytes[(kind, outcome)]}"
             for (kind, outcome), n in sorted(self.packet_counts.items())
         ]
         lines += [
@@ -167,5 +192,5 @@ class RunTrace:
                 self.pair_counts.items(), key=lambda kv: (str(kv[0]), kv[1])
             )
         ]
-        lines.append(f"packet stream digest: {self._digest.hexdigest()}")
+        lines.append(f"packet stream digest: {self._fold & 0xFFFFFFFFFFFFFFFF:016x}")
         return "\n".join(lines)

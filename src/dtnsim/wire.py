@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 NODE_ID_MAX = 0xFFFF
@@ -30,7 +31,6 @@ HOP_COUNT_MAX = 0xFFFFFFFF
 STATUS_MAX = 0xFFFF
 
 ACK_STATUS_SUCCESS = 1
-ACK_STATUS_FAILURE = 0
 
 
 class WireError(ValueError):
@@ -91,6 +91,8 @@ _ACK = struct.Struct(">QHH")
 _EPIDEMIC = struct.Struct(">QI")
 _SUMMARY_HEAD = struct.Struct(">HH")
 _ID = struct.Struct(">Q")
+# EpidemicHeader then DataPacketHeader: the two headers of every data packet.
+_DATA_HEADERS = struct.Struct(">QIQHII")
 
 MESSAGE_TYPE_SIZE = _MESSAGE_TYPE.size  # 3
 DATA_PACKET_SIZE = _DATA_PACKET.size  # 18
@@ -99,7 +101,7 @@ EPIDEMIC_SIZE = _EPIDEMIC.size  # 12
 SUMMARY_HEAD_SIZE = _SUMMARY_HEAD.size  # 4
 
 # Headers prepended to every data packet payload.
-DATA_HEADERS_SIZE = EPIDEMIC_SIZE + DATA_PACKET_SIZE  # 30
+DATA_HEADERS_SIZE = _DATA_HEADERS.size  # 30 = EPIDEMIC_SIZE + DATA_PACKET_SIZE
 
 
 def _require(data: bytes, size: int, name: str) -> None:
@@ -261,6 +263,53 @@ class SummaryVectorHeader:
             for i in range(length)
         )
         return cls(frag_block, ids)
+
+
+def encode_data_packets(
+    message_id: MessageId, hop_count: int, last_hop: int, payloads: Sequence[bytes]
+) -> list[bytes]:
+    """Every data packet of one message, in index order.
+
+    Packet i is EpidemicHeader(message_id, hop_count), then
+    DataPacketHeader(message_id, last_hop, len(payloads), i), then
+    payloads[i]: the bytes the two header classes encode, with the
+    fields validated once for the whole message.
+    """
+    _check_node(last_hop, "last_hop")
+    if not 0 <= hop_count <= HOP_COUNT_MAX:
+        raise ValueError(f"hop_count out of 32-bit range: {hop_count}")
+    total = len(payloads)
+    if not 1 <= total <= 0xFFFFFFFF:
+        raise ValueError(f"packet_total out of range: {total}")
+    raw = message_id.raw
+    pack = _DATA_HEADERS.pack
+    return [
+        pack(raw, hop_count, raw, last_hop, total, index) + payload
+        for index, payload in enumerate(payloads)
+    ]
+
+
+def decode_data_headers(data: bytes) -> tuple[int, int, int, int, int, int]:
+    """Both headers of a data packet, as plain ints.
+
+    Returns (epidemic message_id, hop_count, data message_id, last_hop,
+    packet_total, packet_index); the payload starts at DATA_HEADERS_SIZE.
+    Makes the checks of EpidemicHeader.decode and DataPacketHeader.decode:
+    TruncatedHeaderError below 30 bytes, HeaderFormatError for a
+    packet_total of 0 or a packet_index not below it. Whether the two
+    message_id copies agree is the receiver's check.
+    """
+    if len(data) < DATA_HEADERS_SIZE:
+        raise TruncatedHeaderError(
+            f"data packet headers need {DATA_HEADERS_SIZE} bytes, got {len(data)}"
+        )
+    fields = _DATA_HEADERS.unpack_from(data)
+    total, index = fields[4], fields[5]
+    if total < 1:
+        raise HeaderFormatError("packet_total must be at least 1")
+    if index >= total:
+        raise HeaderFormatError(f"packet_index {index} not below total {total}")
+    return fields
 
 
 Header = (

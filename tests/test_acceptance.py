@@ -6,6 +6,7 @@ takes a few minutes; everything else is fast.
 """
 
 import filecmp
+import hashlib
 import math
 import random
 import time
@@ -503,6 +504,23 @@ class TestCriterion10OverheadEnvelopes:
                 f"per-seed {sorted(round(h, 5) for h in header)}"
             )
         report(10, "control and header byte fractions inside envelopes on every cell")
+
+
+class TestGoldenOutputs:
+    """Outputs pinned to their recorded values: a faster path must not move them."""
+
+    def test_desk_seed1_report(self, desk_results):
+        results, _ = desk_results
+        (r,) = [r for r in results[("buffer", DESK_FIXED_BUFFER)] if r.seed == 1]
+        assert (r.data_packets_sent, r.control_packets_sent) == (172_452, 8_256)
+        assert (r.generated, r.delivered, r.transfers) == (200, 164, 4_083)
+        assert r.mdr == 164 / 200
+        assert r.bytes_transmitted == 256_861_540
+
+    def test_mini_runs_csv_sha256(self, tmp_path):
+        assert cli_main(["run", "scenarios/mini.cfg", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+        assert digest == "09025c828f3b2e4331e36c10a938a98b383363755cdcec7739545feef201d1e1"
 
 
 class TestCriterion11Determinism:

@@ -1,7 +1,11 @@
 """End-to-end simulations over scripted contacts."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,6 +350,26 @@ class TestFullPipelineReplay:
         _, first = run_once(scenario, 1)
         _, second = run_once(scenario, 2)
         assert first.dump() != second.dump()
+
+    def test_identical_trace_across_hash_seeds(self):
+        # str hashing is salted per process; the dump must not depend on it.
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "from dtnsim.runner import run_once\n"
+            "from dtnsim.scenario import load_scenario\n"
+            "print(run_once(load_scenario('scenarios/mini.cfg'), 3)[1].dump())\n"
+        )
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        dumps = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            result = subprocess.run(
+                [sys.executable, "-c", code], cwd=root, env=env,
+                capture_output=True, text=True, check=True,
+            )
+            dumps.append(result.stdout)
+        assert dumps[0] == dumps[1]
+        assert "packet stream digest" in dumps[0]
 
 
 class TestWrappedRawPacketDifferential:

@@ -241,6 +241,37 @@ class TestDeviceQueue:
         assert trace.count("data", PKT_DELIVERED) == 0
         assert trace.count("data", "in_flight_at_end") == 1
 
+    def test_overlapping_propagation_pairs_each_packet_with_its_receiver(self):
+        # Packets from several senders, unicast and broadcast, are in
+        # flight at once; each must reach its own receiver, one delay
+        # after its transmission completes.
+        sim = Simulator()
+        trace = RunTrace()
+        net = RadioNetwork(
+            sim,
+            LinkModel(12e6, 100.0, propagation_delay_s=0.01),
+            static_nodes((0, 0), (10, 0), (20, 0)),
+            1_000_000,
+            10 * SEC,
+            random.Random(1),
+            trace,
+        )
+        got = []
+        for i in range(3):
+            net.attach(i, lambda src, port, data, msg_dst, now, i=i: got.append((now, src, i, data)))
+        net.submit(Packet(0, 1, 1, b"a" * 1472, "data"))  # on air 0..1000 us
+        net.submit(Packet(2, None, 1, b"b" * 722, "beacon"))  # 0..500 us
+        net.submit(Packet(1, 0, 1, b"c" * 1472, "data"))  # 0..1000 us
+        net.submit(Packet(0, 2, 1, b"d" * 1472, "data"))  # 1000..2000 us
+        sim.run(SEC)
+        assert sorted(got) == [
+            (10_500, 2, 0, b"b" * 722),
+            (10_500, 2, 1, b"b" * 722),
+            (11_000, 0, 1, b"a" * 1472),
+            (11_000, 1, 0, b"c" * 1472),
+            (12_000, 0, 2, b"d" * 1472),
+        ]
+
     def test_conservation_per_pair(self):
         sim, net, trace = make_net(
             [(0, 0), (10, 0)], loss=0.2, queue_capacity=6000, seed=9

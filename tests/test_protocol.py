@@ -1,5 +1,7 @@
 """Epidemic node state machine: beaconing, exchange, transfer, liveness."""
 
+import struct
+
 import pytest
 from conftest import (
     feed_beacon,
@@ -337,14 +339,56 @@ class TestOnDataPacket:
         assert [d.cause for d in trace.message_drops] == [MSG_ARRIVAL_EXPIRED]
         assert len(transport.sent_of_kind(KIND_ACK)) == 1
 
-    def test_mismatched_header_ids_dropped_as_malformed(self):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "truncated",
+            "zero_total",
+            "bad_index",
+            "ids_differ",
+            "no_msg_dst",
+            "total_differs",
+        ],
+    )
+    def test_mismatched_header_ids_dropped_as_malformed(self, case):
+        # Each receive check of docs/wire-format.md: the packet is counted
+        # once as data/malformed, with len(data) when the headers do not
+        # decode and len(payload) otherwise, and nothing is adopted.
         node, transport, trace = make_node(node_id=2)
-        e = make_entry(1, 10)
-        epi = EpidemicHeader(make_message_id(1, 11), e.hop_budget).encode()
-        dph = DataPacketHeader(e.message_id, 1, e.packet_total, 0).encode()
-        node.handle_packet(1, PORT_DATA, epi + dph + e.packets[0], e.destination, 1000)
+        e = make_entry(1, 10)  # 3 packets of 10 bytes
+        raw, payload = e.message_id.raw, e.packets[1]
+        epi = EpidemicHeader(e.message_id, e.hop_budget).encode()
+        good = epi + DataPacketHeader(e.message_id, 1, 3, 1).encode() + payload
+        msg_dst = e.destination
+        if case == "truncated":
+            data = good[:29]
+        elif case == "zero_total":
+            data = epi + struct.pack(">QHII", raw, 1, 0, 0) + payload
+        elif case == "bad_index":
+            data = epi + struct.pack(">QHII", raw, 1, 3, 3) + payload
+        elif case == "ids_differ":
+            other = EpidemicHeader(make_message_id(1, 11), e.hop_budget).encode()
+            data = other + good[12:]
+        elif case == "no_msg_dst":
+            data, msg_dst = good, None
+        else:
+            # Packet 0 starts reassembly with total 3; packet 1 claims 4.
+            first = epi + DataPacketHeader(e.message_id, 1, 3, 0).encode() + e.packets[0]
+            node.handle_packet(1, PORT_DATA, first, msg_dst, 900)
+            data = epi + DataPacketHeader(e.message_id, 1, 4, 1).encode() + payload
+        node.handle_packet(1, PORT_DATA, data, msg_dst, 1000)
+        undecodable = case in ("truncated", "zero_total", "bad_index")
         assert trace.count(KIND_DATA, PKT_MALFORMED) == 1
-        assert node.reception == {}  # nothing adopted
+        assert trace.bytes_of(KIND_DATA, PKT_MALFORMED) == (
+            len(data) if undecodable else len(payload)
+        )
+        assert trace.pair_counts[(1, 2, KIND_DATA, PKT_MALFORMED)] == 1
+        assert len(node.buffer) == 0 and transport.sent == []
+        if case == "total_differs":
+            rx = node.reception[1]
+            assert rx.packet_total == 3 and list(rx.received) == [0]
+        else:
+            assert node.reception == {}  # nothing adopted
 
     def test_data_packet_refreshes_liveness(self):
         node, _, _ = make_node(node_id=2)

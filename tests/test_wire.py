@@ -14,7 +14,9 @@ from dtnsim.wire import (
     SummaryVectorHeader,
     TruncatedHeaderError,
     WireError,
+    decode_data_headers,
     decode_header,
+    encode_data_packets,
     encode_header,
     make_message_id,
 )
@@ -194,3 +196,50 @@ def test_fixed_header_decode_tolerates_trailing_payload():
 def test_decode_header_by_name():
     hdr = MessageTypeHeader(MsgType.REPLY, 3)
     assert decode_header("message_type", hdr.encode()) == hdr
+
+
+class TestDataPacketCodec:
+    """The per-message data codec matches the two header classes byte for byte."""
+
+    @given(
+        st.integers(0, (1 << 64) - 1),
+        st.integers(0, 0xFFFFFFFF),
+        st.integers(0, 0xFFFF),
+        st.lists(st.binary(max_size=8), min_size=1, max_size=5),
+    )
+    def test_encode_matches_header_classes(self, raw, hops, last_hop, payloads):
+        mid = MessageId(raw)
+        total = len(payloads)
+        expected = [
+            EpidemicHeader(mid, hops).encode()
+            + DataPacketHeader(mid, last_hop, total, index).encode()
+            + payload
+            for index, payload in enumerate(payloads)
+        ]
+        packets = encode_data_packets(mid, hops, last_hop, payloads)
+        assert packets == expected
+        for index, data in enumerate(packets):
+            assert decode_data_headers(data) == (raw, hops, raw, last_hop, total, index)
+
+    @given(st.binary(max_size=40))
+    def test_decode_agrees_with_header_classes(self, data):
+        try:
+            epi = EpidemicHeader.decode(data)
+            dph = DataPacketHeader.decode(data[12:])
+        except WireError as exc:
+            with pytest.raises(type(exc)):
+                decode_data_headers(data)
+            return
+        assert decode_data_headers(data) == (
+            epi.message_id.raw, epi.hop_count, dph.message_id.raw,
+            dph.last_hop, dph.packet_total, dph.packet_index,
+        )
+
+    def test_encode_validates_once_per_message(self):
+        mid = MessageId(1)
+        with pytest.raises(ValueError):
+            encode_data_packets(mid, 1, 0x10000, [b"x"])
+        with pytest.raises(ValueError):
+            encode_data_packets(mid, 1 << 32, 1, [b"x"])
+        with pytest.raises(ValueError):
+            encode_data_packets(mid, 1, 1, [])
