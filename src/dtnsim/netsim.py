@@ -64,12 +64,13 @@ class Simulator:
         self.now = end_us
 
 
-def service_time_us(size_bytes: int, data_rate_bps: float) -> int:
-    """Transmission time for a packet, rounded up to whole microseconds."""
-    rate = int(round(data_rate_bps))
-    if rate <= 0:
-        raise ValueError("data_rate must be positive")
-    return (size_bytes * 8 * 1_000_000 + rate - 1) // rate
+def service_time_us(size_bytes: int, rate_bps: int) -> int:
+    """Transmission time for a packet, rounded up to whole microseconds.
+
+    rate_bps is the positive integer data rate (LinkModel.data_rate_bps
+    rounded to an int).
+    """
+    return (size_bytes * 8_000_000 + rate_bps - 1) // rate_bps
 
 
 @dataclass(slots=True)
@@ -220,9 +221,7 @@ class RadioNetwork:
                 self._drop(packet, PKT_RESIDENCY, now)
                 continue
             queue.busy = True
-            # service_time_us, with the rate converted once per network.
-            rate = self._rate
-            done = now + (packet.size * 8_000_000 + rate - 1) // rate
+            done = now + service_time_us(packet.size, self._rate)
             self.sim.schedule(done, EVENT_TIMER, self._completions[node])
             return
         queue.busy = False

@@ -8,6 +8,7 @@ conservation audits remain possible.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -119,10 +120,12 @@ class RunTrace:
         # for broadcast outcomes with no specific receiver. The code numbers
         # the keys in first-seen order, for the stream fold below.
         self._pairs: dict[tuple[int, int | None, str, str], list[int]] = {}
-        # Order-sensitive fold of the packet event sequence, so two traces
-        # with equal aggregates but different histories differ. Only ints
-        # are hashed, so the fold is the same in every process: str hashes
-        # are salted per process, and so is the hash of None on Python 3.11.
+        # Order-sensitive fold of the (code, size) sequence. Together with
+        # the first-seen key order, which maps each code back to its key, it
+        # pins the whole packet history, so two traces with equal aggregates
+        # but different histories differ. Only ints are hashed, so the fold
+        # is the same in every process: str hashes are salted per process,
+        # and so is the hash of None on Python 3.11.
         self._fold = 0
 
     def message_generated(self, rec: MessageGenerated) -> None:
@@ -192,5 +195,9 @@ class RunTrace:
                 self.pair_counts.items(), key=lambda kv: (str(kv[0]), kv[1])
             )
         ]
-        lines.append(f"packet stream digest: {self._fold & 0xFFFFFFFFFFFFFFFF:016x}")
+        digest = hashlib.blake2b(
+            f"{self._fold & 0xFFFFFFFFFFFFFFFF:016x}|{list(self._pairs)!r}".encode(),
+            digest_size=16,
+        )
+        lines.append(f"packet stream digest: {digest.hexdigest()}")
         return "\n".join(lines)

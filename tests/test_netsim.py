@@ -87,14 +87,14 @@ class TestKernel:
 
 class TestServiceTime:
     def test_1500_bytes_at_12mbps_is_one_millisecond(self):
-        assert service_time_us(1500, 12e6) == 1000
+        assert service_time_us(1500, 12_000_000) == 1000
 
     def test_rounds_up(self):
         # 1030 bytes at 12 Mbps = 686.67 us exactly -> 687.
-        assert service_time_us(1030, 12e6) == 687
+        assert service_time_us(1030, 12_000_000) == 687
 
     def test_small_packet_nonzero(self):
-        assert service_time_us(3, 54e6) >= 1
+        assert service_time_us(3, 54_000_000) >= 1
 
 
 class TestRange:

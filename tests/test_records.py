@@ -50,3 +50,14 @@ def test_counts_and_bytes():
     assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 0
     assert trace.pair_counts[(1, None, KIND_BEACON, PKT_TRANSMITTED)] == 1
     assert trace.pair_counts[(0, 1, KIND_DATA, PKT_SUBMITTED)] == 2
+
+
+def test_swapped_keys_of_equal_size_change_dump():
+    # Both histories number their keys [0, 1] and have the same sizes, so
+    # only the identity of each key tells them apart.
+    a_to_b = (KIND_DATA, PKT_SUBMITTED, 100, 0, 1)
+    b_to_a = (KIND_DATA, PKT_SUBMITTED, 100, 1, 0)
+    forward, backward = trace_of([a_to_b, b_to_a]), trace_of([b_to_a, a_to_b])
+    assert forward.pair_counts == backward.pair_counts
+    assert forward.packet_bytes == backward.packet_bytes
+    assert forward.dump() != backward.dump()
