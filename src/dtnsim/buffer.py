@@ -24,7 +24,6 @@ class QueueEntry:
     message_id: MessageId
     destination: int
     packets: tuple[bytes, ...]
-    packet_payload_size: int
     hop_budget: int
     byte_size: int = field(init=False)
 
@@ -33,8 +32,6 @@ class QueueEntry:
             raise ValueError("a message has at least one packet")
         if not 0 <= self.destination <= NODE_ID_MAX:
             raise ValueError(f"destination out of 16-bit range: {self.destination}")
-        if self.packet_payload_size < 1:
-            raise ValueError("packet_payload_size must be positive")
         if self.hop_budget < 0:
             raise ValueError("hop_budget must be non-negative")
         self.byte_size = sum(len(p) for p in self.packets)

@@ -5,6 +5,11 @@ replication overhead counts completed hop-by-hop transfers beyond those
 deliveries, per delivery. Byte fractions are taken over all transmitted
 bytes. Reports serialize to CSV, with a seed-aggregate companion carrying
 means and 95% confidence intervals.
+
+The confidence interval's Student-t critical value is computed here with
+the standard library: the two-sided mass P(|T| <= t) for an integer number
+of degrees of freedom is the finite series of Abramowitz & Stegun 26.7.3
+(odd df) and 26.7.4 (even df), bisected for 0.95.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from scipy import stats
 
 from .records import (
     CONTROL_KINDS,
@@ -123,6 +126,35 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
     )
 
 
+def _t_central_mass(t: float, df: int) -> float:
+    """P(|T| <= t) for df degrees of freedom (A&S 26.7.3 odd, 26.7.4 even)."""
+    theta = math.atan(t / math.sqrt(df))
+    cos2 = df / (df + t * t)
+    term = series = 1.0
+    for k in range(1 + df % 2, df - 1, 2):
+        term *= cos2 * k / (k + 1)
+        series += term
+    if df % 2 == 0:
+        return math.sin(theta) * series
+    if df == 1:
+        return 2 * theta / math.pi
+    return 2 / math.pi * (theta + math.sin(theta) * math.cos(theta) * series)
+
+
+def t_critical_95(df: int) -> float:
+    """Two-sided 95% Student-t critical value for df >= 1 degrees of freedom."""
+    # df = 1 has the largest value, tan(0.475 pi) = 12.706...
+    lo, hi = 0.0, 13.0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        if _t_central_mass(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+
+
 def mean_ci95(values: list[float]) -> tuple[float, float]:
     """Sample mean and Student-t 95% confidence half-width."""
     n = len(values)
@@ -130,7 +162,7 @@ def mean_ci95(values: list[float]) -> tuple[float, float]:
     if n < 2:
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = float(stats.t.ppf(0.975, n - 1)) * math.sqrt(var / n)
+    half = t_critical_95(n - 1) * math.sqrt(var / n)
     return mean, half
 
 

@@ -148,7 +148,6 @@ class RadioNetwork:
         trace: RunTrace,
     ) -> None:
         self.sim = sim
-        self.link = link
         self.trajectories = trajectories
         self.trace = trace
         self._loss_rng = loss_rng

@@ -156,7 +156,6 @@ class NeighborRecord:
 class ReceptionBuffer:
     """Per-neighbor reassembly state; holds at most one message."""
 
-    from_neighbor: int
     message_id: MessageId | None = None
     packet_total: int = 0
     received: dict[int, bytes] = field(default_factory=dict)
@@ -413,7 +412,7 @@ class EpidemicNode:
         nb = self._touch_neighbor(last_hop, sender_addr, now)
         rx = self.reception.get(last_hop)
         if rx is None:
-            rx = self.reception[last_hop] = ReceptionBuffer(last_hop)
+            rx = self.reception[last_hop] = ReceptionBuffer()
         current = rx.message_id
         if current is not None and current.raw != raw:
             # One message per neighbor: a new id supersedes the partial one.
@@ -458,7 +457,7 @@ class EpidemicNode:
                 if destination != self.node_id:
                     self._drop_msg(now, mid, MSG_HOP_EXHAUSTED)
             else:
-                entry = QueueEntry(mid, destination, packets, len(packets[0]), budget)
+                entry = QueueEntry(mid, destination, packets, budget)
                 self._record_enqueue(self.buffer.enqueue(entry, now), mid, now)
         self._send_ack(nb, mid)
 
@@ -484,7 +483,7 @@ class EpidemicNode:
         """Wrap a headerless packet as a one-packet message and store it."""
         source = self.node_id if source_node is None else source_node
         mid = make_message_id(source, now)
-        entry = QueueEntry(mid, destination, (payload,), len(payload), self.config.hop_limit)
+        entry = QueueEntry(mid, destination, (payload,), self.config.hop_limit)
         self.originate(entry, now)
         return mid
 

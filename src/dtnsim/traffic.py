@@ -57,7 +57,7 @@ def generate_message(
             raise IdCollisionError(f"duplicate message id {mid}")
         seen_ids.add(mid)
     packets = message_payloads(spec.size_bytes, spec.packet_payload)
-    return QueueEntry(mid, spec.destination, packets, spec.packet_payload, hop_limit)
+    return QueueEntry(mid, spec.destination, packets, hop_limit)
 
 
 def build_schedule(

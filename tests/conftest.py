@@ -63,7 +63,7 @@ def make_entry(source, gen_us, *, size=30, payload=10, destination=99, hop_budge
         bytes([source % 256]) * min(payload, size - off)
         for off in range(0, size, payload)
     )
-    return QueueEntry(mid, destination, payloads, payload, hop_budget)
+    return QueueEntry(mid, destination, payloads, hop_budget)
 
 
 def feed_message(node, entry, sender_node, sender_addr, now, budget=None):

@@ -522,6 +522,11 @@ class TestGoldenOutputs:
         digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
         assert digest == "09025c828f3b2e4331e36c10a938a98b383363755cdcec7739545feef201d1e1"
 
+    def test_mini_aggregate_csv_sha256(self, tmp_path):
+        assert cli_main(["run", "scenarios/mini.cfg", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "aggregate.csv").read_bytes()).hexdigest()
+        assert digest == "5ac6efc6bd52f77c1e7f0f4ca3ff1abe14a7fdfd2632a67fa14930b5bacf8f9e"
+
 
 class TestCriterion11Determinism:
     def test_sweep_is_byte_identical(self, tmp_path):

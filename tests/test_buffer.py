@@ -20,12 +20,12 @@ TTL_US = 1_000_000
 
 def entry(source, gen_us, size=10, destination=99, hop_budget=5):
     mid = make_message_id(source, gen_us)
-    return QueueEntry(mid, destination, (bytes(size),), size, hop_budget)
+    return QueueEntry(mid, destination, (bytes(size),), hop_budget)
 
 
 def multi_packet_entry(source, gen_us, payloads):
     mid = make_message_id(source, gen_us)
-    return QueueEntry(mid, 99, tuple(payloads), len(payloads[0]), 5)
+    return QueueEntry(mid, 99, tuple(payloads), 5)
 
 
 class TestEnqueue:
@@ -233,4 +233,4 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         MessageBuffer(10, 0)
     with pytest.raises(ValueError):
-        QueueEntry(make_message_id(1, 0), 99, (), 10, 5)
+        QueueEntry(make_message_id(1, 0), 99, (), 5)

@@ -1,6 +1,10 @@
 """CLI commands: run, sweep, overrides, and failure handling."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,17 @@ class TestSweepCommand:
             ]
         )
         assert code != 0
+
+
+def test_cli_import_loads_no_scipy_or_numpy():
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys, dtnsim.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"

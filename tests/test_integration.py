@@ -390,9 +390,7 @@ class TestWrappedRawPacketDifferential:
             from dtnsim.buffer import QueueEntry
             from dtnsim.wire import make_message_id
 
-            entry = QueueEntry(
-                make_message_id(0, 0), 1, (payload,), len(payload), config.hop_limit
-            )
+            entry = QueueEntry(make_message_id(0, 0), 1, (payload,), config.hop_limit)
             start_all(sim, nodes, [(nodes[0], entry, 0)])
         sim.run(5 * SEC)
         net.finalize()

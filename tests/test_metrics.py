@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dtnsim.metrics import aggregate, compute, mean_ci95
+from dtnsim.metrics import aggregate, compute, mean_ci95, t_critical_95
 from dtnsim.records import (
     KIND_ACK,
     KIND_BEACON,
@@ -109,6 +109,27 @@ class TestAggregate:
         assert mean == pytest.approx(2.5)
         sem = math.sqrt(5 / 3) / 2
         assert half == pytest.approx(3.1824 * sem, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "df, expected",
+        [
+            (1, 12.7062047361747),  # tan(0.475 pi)
+            (2, 4.30265272974946),
+            (3, 3.18244630528371),
+            (10, 2.22813885198627),
+            (30, 2.04227245630124),
+            (1000, 1.96233908082641),
+        ],
+    )
+    def test_t_critical_95_pinned(self, df, expected):
+        assert t_critical_95(df) == pytest.approx(expected, rel=1e-13)
+
+    def test_t_critical_95_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in range(1, 501):
+            assert t_critical_95(df) == pytest.approx(
+                float(stats.t.ppf(0.975, df)), rel=1e-12
+            ), df
 
     def test_single_value_zero_halfwidth(self):
         assert mean_ci95([5.0]) == (5.0, 0.0)

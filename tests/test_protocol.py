@@ -492,7 +492,7 @@ class TestWrapRawPacket:
         mid = node.wrap_raw_packet(b"payload", destination=7, now=500)
         wrapped = node.buffer.get(mid)
         explicit = QueueEntry(
-            make_message_id(3, 500), 7, (b"payload",), 7, node.config.hop_limit
+            make_message_id(3, 500), 7, (b"payload",), node.config.hop_limit
         )
         assert (
             wrapped.message_id,
