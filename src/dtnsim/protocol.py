@@ -6,14 +6,22 @@ a record only once it has gone stale, which is what restarts the summary
 exchange on an otherwise idle contact and prevents re-exchanges on a busy
 one.
 
+Contacts: a node keeps one NeighborRecord per live neighbor, and that
+record holds all of the contact's state: the summary being reassembled,
+the messages queued toward the neighbor and the one in flight, and the
+message being received from it. The record is made by the first packet
+heard from the neighbor; removing it (liveness timeout, or a beacon on a
+stale record) ends the contact, and a partly received message goes with
+it.
+
 Anti-entropy: on a new contact the side with the lower address sends its
 buffer summary (REPLY, fragmented); the higher side answers with its own
 summary (REPLY_BACK) and both sides then send the messages the peer
 lacks, one complete message per neighbor at a time, gated by hop-by-hop
-ACKs. Receivers keep one reception buffer per neighbor; a reassembled
-message has its hop budget decremented, is dropped when expired or out of
-hops, and is otherwise stored (and counted as delivered at its
-destination).
+ACKs. Receivers reassemble one message per neighbor at a time; a
+reassembled message has its hop budget decremented, is dropped when
+expired or out of hops, and is otherwise stored (and counted as
+delivered at its destination).
 
 Control and data packets travel on distinct logical channels, standing in
 for the two UDP ports of an IP convergence layer.
@@ -72,10 +80,6 @@ from .wire import (
 
 PORT_CONTROL = 1
 PORT_DATA = 2
-
-SESSION_IDLE = "idle"
-SESSION_AWAITING_REPLY_BACK = "awaiting_reply_back"
-SESSION_EXCHANGING = "exchanging"
 
 _REJECT_CAUSE = {
     REJECT_DUPLICATE: MSG_DUPLICATE,
@@ -144,41 +148,39 @@ def build_summary_fragments(
 
 
 @dataclass(slots=True)
+class ReceptionBuffer:
+    """Reassembly of the one message being received from a neighbor."""
+
+    message_id: MessageId
+    packet_total: int
+    hop_count: int
+    msg_dst: int
+    received: dict[int, bytes] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
 class NeighborRecord:
+    """All state of the contact with one live neighbor.
+
+    A node holds exactly one record per live neighbor; deleting the
+    record ends the contact. `pending` and `in_flight` are the messages
+    queued toward the neighbor (one in flight at a time, until its ACK);
+    `rx` is the message being received from it, if any.
+    """
+
     node_id: int
     address: int
     last_heard: int
-    session: str = SESSION_IDLE
     summary_accum: list[MessageId] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class ReceptionBuffer:
-    """Per-neighbor reassembly state; holds at most one message."""
-
-    message_id: MessageId | None = None
-    packet_total: int = 0
-    received: dict[int, bytes] = field(default_factory=dict)
-    hop_count: int = 0
-    msg_dst: int | None = None
-
-    def reset(self) -> None:
-        self.message_id = None
-        self.packet_total = 0
-        self.received = {}
-        self.hop_count = 0
-        self.msg_dst = None
-
-
-@dataclass(slots=True)
-class SendPipeline:
-    """Messages queued toward one neighbor; one in flight at a time."""
-
     pending: deque[MessageId] = field(default_factory=deque)
     in_flight: MessageId | None = None
+    rx: ReceptionBuffer | None = None
 
 
 class Transport(Protocol):
+    @property
+    def now(self) -> int: ...
+
     def broadcast(self, port: int, data: bytes, kind: str) -> None: ...
 
     def unicast(
@@ -208,8 +210,6 @@ class EpidemicNode:
         self._rng = beacon_rng
         self.buffer = MessageBuffer(config.buffer_capacity, config.message_ttl_us)
         self.neighbors: dict[int, NeighborRecord] = {}
-        self.reception: dict[int, ReceptionBuffer] = {}
-        self.pipelines: dict[int, SendPipeline] = {}
         self.delivered_ids: set[MessageId] = set()
         self._interval_us = config.beacon_interval_us
         self._liveness_us = 2 * config.beacon_interval_us
@@ -241,8 +241,7 @@ class EpidemicNode:
             if now - nb.last_heard >= self._liveness_us
         ]
         for nb in stale:
-            self._teardown_session(nb, now)
-            del self.neighbors[nb.node_id]
+            self._end_contact(nb, now)
 
     # -- packet dispatch --------------------------------------------------
 
@@ -279,13 +278,11 @@ class EpidemicNode:
         if existing is not None and now - existing.last_heard < self._liveness_us:
             return
         if existing is not None:
-            self._teardown_session(existing, now)
-            del self.neighbors[hdr.node_id]
+            self._end_contact(existing, now)
         nb = NeighborRecord(hdr.node_id, sender_addr, last_heard=now)
         self.neighbors[hdr.node_id] = nb
         if self._leads(sender_addr, hdr.node_id):
             self._send_summary(MsgType.REPLY, nb, now)
-            nb.session = SESSION_AWAITING_REPLY_BACK
 
     def _leads(self, other_addr: int, other_node: int) -> bool:
         # Lower address leads the exchange; node id breaks address ties.
@@ -301,13 +298,11 @@ class EpidemicNode:
             nb.address = sender_addr
         return nb
 
-    def _teardown_session(self, nb: NeighborRecord, now: int) -> None:
-        rx = self.reception.pop(nb.node_id, None)
-        if rx is not None and rx.message_id is not None:
-            self._drop_msg(now, rx.message_id, MSG_PARTIAL_DISCONNECT)
-        self.pipelines.pop(nb.node_id, None)
-        nb.summary_accum.clear()
-        nb.session = SESSION_IDLE
+    def _end_contact(self, nb: NeighborRecord, now: int) -> None:
+        """Delete a neighbor's record; a partly received message is dropped."""
+        if nb.rx is not None:
+            self._drop_msg(now, nb.rx.message_id, MSG_PARTIAL_DISCONNECT)
+        del self.neighbors[nb.node_id]
 
     # -- anti-entropy exchange ---------------------------------------------
 
@@ -347,26 +342,22 @@ class EpidemicNode:
             self.transport.unicast(nb.address, PORT_CONTROL, envelope + frag.encode(), kind)
 
     def _load_pipeline(self, nb: NeighborRecord, remote: set[MessageId], now: int) -> None:
-        pipeline = self.pipelines.setdefault(nb.node_id, SendPipeline())
-        pipeline.pending = deque(self.buffer.find_disjoint(remote))
-        nb.session = SESSION_EXCHANGING
+        nb.pending = deque(self.buffer.find_disjoint(remote))
         self._advance_pipeline(nb, now)
 
     # -- message transfer ---------------------------------------------------
 
     def _advance_pipeline(self, nb: NeighborRecord, now: int) -> None:
-        pipeline = self.pipelines.get(nb.node_id)
-        if pipeline is None or pipeline.in_flight is not None:
+        if nb.in_flight is not None:
             return
-        while pipeline.pending:
-            mid = pipeline.pending.popleft()
+        while nb.pending:
+            mid = nb.pending.popleft()
             entry = self.buffer.get(mid)
             if entry is None:
                 continue  # evicted or expired since the pipeline was built
             self._send_message(nb, entry)
-            pipeline.in_flight = mid
+            nb.in_flight = mid
             return
-        nb.session = SESSION_IDLE
 
     def _send_message(self, nb: NeighborRecord, entry: QueueEntry) -> None:
         for data in encode_data_packets(
@@ -376,10 +367,9 @@ class EpidemicNode:
 
     def on_ack(self, ack: AckHeader, sender_addr: int, now: int) -> None:
         nb = self._touch_neighbor(ack.node_id, sender_addr, now)
-        pipeline = self.pipelines.get(ack.node_id)
-        if pipeline is None or pipeline.in_flight != ack.message_id:
+        if nb.in_flight != ack.message_id:
             return  # stale or unknown ACK
-        pipeline.in_flight = None
+        nb.in_flight = None
         self._advance_pipeline(nb, now)
 
     def _send_ack(self, nb: NeighborRecord, mid: MessageId) -> None:
@@ -410,20 +400,13 @@ class EpidemicNode:
             self._malformed(KIND_DATA, len(payload), sender_addr)
             return
         nb = self._touch_neighbor(last_hop, sender_addr, now)
-        rx = self.reception.get(last_hop)
-        if rx is None:
-            rx = self.reception[last_hop] = ReceptionBuffer()
-        current = rx.message_id
-        if current is not None and current.raw != raw:
+        rx = nb.rx
+        if rx is not None and rx.message_id.raw != raw:
             # One message per neighbor: a new id supersedes the partial one.
-            self._drop_msg(now, current, MSG_PARTIAL_RESET)
-            rx.reset()
-            current = None
-        if current is None:
-            rx.message_id = MessageId(raw)
-            rx.packet_total = total
-            rx.hop_count = hop_count
-            rx.msg_dst = msg_dst
+            self._drop_msg(now, rx.message_id, MSG_PARTIAL_RESET)
+            rx = None
+        if rx is None:
+            rx = nb.rx = ReceptionBuffer(MessageId(raw), total, hop_count, msg_dst)
         elif rx.packet_total != total:
             self._malformed(KIND_DATA, len(payload), sender_addr)
             return
@@ -433,12 +416,11 @@ class EpidemicNode:
             self._complete_message(nb, rx, now)
 
     def _complete_message(self, nb: NeighborRecord, rx: ReceptionBuffer, now: int) -> None:
+        nb.rx = None
         mid = rx.message_id
-        assert mid is not None
         packets = tuple(rx.received[i] for i in range(rx.packet_total))
         destination = rx.msg_dst
         budget = rx.hop_count - 1 if rx.hop_count > 0 else 0
-        rx.reset()
         self.trace.transfer_completed(
             TransferCompleted(now, mid, nb.node_id, self.node_id)
         )

@@ -103,7 +103,6 @@ _SCHEMA: dict[str, tuple] = {
 }
 
 _REQUIRED = ("trace", "duration")
-_OPTIONAL_DEFAULTS = ("queue_capacity", "queue_residency", "traffic_end")
 
 
 def parse_scenario_text(text: str) -> dict[str, str]:

@@ -310,36 +310,3 @@ def decode_data_headers(data: bytes) -> tuple[int, int, int, int, int, int]:
     if index >= total:
         raise HeaderFormatError(f"packet_index {index} not below total {total}")
     return fields
-
-
-Header = (
-    MessageTypeHeader
-    | DataPacketHeader
-    | AckHeader
-    | EpidemicHeader
-    | SummaryVectorHeader
-)
-
-_HEADER_KINDS = {
-    "message_type": MessageTypeHeader,
-    "data_packet": DataPacketHeader,
-    "ack": AckHeader,
-    "epidemic": EpidemicHeader,
-    "summary_vector": SummaryVectorHeader,
-}
-
-
-def encode_header(header: Header) -> bytes:
-    """Serialize any header to its wire bytes."""
-    return header.encode()
-
-
-def decode_header(kind: str | type, data: bytes) -> Header:
-    """Decode `data` as the named header kind.
-
-    `kind` is a header class or one of: message_type, data_packet, ack,
-    epidemic, summary_vector. Raises TruncatedHeaderError on short input
-    and HeaderFormatError on invalid field values.
-    """
-    cls = _HEADER_KINDS[kind] if isinstance(kind, str) else kind
-    return cls.decode(data)

@@ -181,9 +181,9 @@ class TestExchange:
         svh = SummaryVectorHeader.decode(backs[0][2][3:])
         assert set(svh.ids) == {e.message_id for e in entries.values()}
         # Pipeline holds the disjoint set in generation order; A is in flight.
-        pipeline = node.pipelines[1]
-        assert pipeline.in_flight == entries["a"].message_id
-        assert list(pipeline.pending) == [entries["c"].message_id]
+        nb = node.neighbors[1]
+        assert nb.in_flight == entries["a"].message_id
+        assert list(nb.pending) == [entries["c"].message_id]
         sent = decoded_data_packets(transport)
         assert {p[1].message_id for p in sent} == {entries["a"].message_id}
 
@@ -210,8 +210,8 @@ class TestExchange:
             results.append(
                 (
                     [p[2].message_id for p in decoded_data_packets(transport)],
-                    list(node.pipelines[1].pending),
-                    node.pipelines[1].in_flight,
+                    list(node.neighbors[1].pending),
+                    node.neighbors[1].in_flight,
                 )
             )
         assert results[0] == results[1]
@@ -265,7 +265,7 @@ class TestSendMessage:
         feed_summary(node, MsgType.REPLY, 1, 1, [(0, [kept.message_id])], now=200)
         # The disjoint set is empty, so nothing is in flight or pending.
         assert transport.sent_of_kind(KIND_DATA) == []
-        assert node.pipelines[1].in_flight is None
+        assert node.neighbors[1].in_flight is None
 
 
 class TestOnDataPacket:
@@ -385,10 +385,11 @@ class TestOnDataPacket:
         assert trace.pair_counts[(1, 2, KIND_DATA, PKT_MALFORMED)] == 1
         assert len(node.buffer) == 0 and transport.sent == []
         if case == "total_differs":
-            rx = node.reception[1]
+            rx = node.neighbors[1].rx
             assert rx.packet_total == 3 and list(rx.received) == [0]
         else:
-            assert node.reception == {}  # nothing adopted
+            # Nothing adopted.
+            assert all(nb.rx is None for nb in node.neighbors.values())
 
     def test_data_packet_refreshes_liveness(self):
         node, _, _ = make_node(node_id=2)
@@ -410,10 +411,10 @@ class TestOnAck:
 
     def test_ack_advances_to_next_message(self):
         node, transport, a, b = self._node_with_pipeline()
-        assert node.pipelines[1].in_flight == a.message_id
+        assert node.neighbors[1].in_flight == a.message_id
         ack = MessageTypeHeader(MsgType.ACK, 1).encode() + AckHeader(a.message_id, 1).encode()
         node.handle_packet(1, PORT_CONTROL, ack, None, 300)
-        assert node.pipelines[1].in_flight == b.message_id
+        assert node.neighbors[1].in_flight == b.message_id
         sent = {p[1].message_id for p in decoded_data_packets(transport)}
         assert sent == {a.message_id, b.message_id}
 
@@ -424,7 +425,7 @@ class TestOnAck:
         ).encode()
         before = len(transport.sent)
         node.handle_packet(1, PORT_CONTROL, stray, None, 300)
-        assert node.pipelines[1].in_flight == a.message_id
+        assert node.neighbors[1].in_flight == a.message_id
         assert len(transport.sent) == before
 
     def test_final_ack_empties_pipeline(self):
@@ -432,9 +433,8 @@ class TestOnAck:
         for mid in (a.message_id, b.message_id):
             ack = MessageTypeHeader(MsgType.ACK, 1).encode() + AckHeader(mid, 1).encode()
             node.handle_packet(1, PORT_CONTROL, ack, None, 300)
-        assert node.pipelines[1].in_flight is None
-        assert not node.pipelines[1].pending
-        assert node.neighbors[1].session == "idle"
+        assert node.neighbors[1].in_flight is None
+        assert not node.neighbors[1].pending
 
 
 class TestConnectionCheck:
@@ -458,14 +458,32 @@ class TestConnectionCheck:
         epi = EpidemicHeader(e.message_id, 5).encode()
         dph = DataPacketHeader(e.message_id, 1, 3, 0).encode()
         node.handle_packet(1, PORT_DATA, epi + dph + e.packets[0], 99, 0)
-        node.pipelines.setdefault(1, None)
+        node.neighbors[1].pending.append(make_message_id(0, 5))
         node.check_connections(3 * SEC)
         assert node.neighbors == {}
-        assert node.reception == {}
-        assert node.pipelines == {}
         assert [d.cause for d in trace.message_drops] == [MSG_PARTIAL_DISCONNECT]
         # A partial never reaches the buffer, so no summary can carry it.
         assert node.buffer.summary() == []
+
+    def test_beacon_on_stale_contact_restarts_it(self):
+        node, transport, trace = make_node(node_id=0)
+        a = make_entry(0, 10, destination=50)
+        node.buffer.enqueue(a, 0)
+        feed_beacon(node, 1, 1, now=0)
+        feed_summary(node, MsgType.REPLY_BACK, 1, 1, [(0, [])], now=0)
+        assert node.neighbors[1].in_flight == a.message_id
+        e = make_entry(1, 10, size=30, payload=10)
+        epi = EpidemicHeader(e.message_id, 5).encode()
+        dph = DataPacketHeader(e.message_id, 1, 3, 0).encode()
+        node.handle_packet(1, PORT_DATA, epi + dph + e.packets[0], 99, 0)
+        feed_beacon(node, 1, 1, now=2 * SEC)
+        assert [d.cause for d in trace.message_drops] == [MSG_PARTIAL_DISCONNECT]
+        assert len(transport.sent_of_kind(KIND_REPLY)) == 2
+        # The old transfer ended with the contact: its ACK sends nothing more.
+        data_sent = len(transport.sent_of_kind(KIND_DATA))
+        ack = MessageTypeHeader(MsgType.ACK, 1).encode() + AckHeader(a.message_id, 1).encode()
+        node.handle_packet(1, PORT_CONTROL, ack, None, 2 * SEC)
+        assert len(transport.sent_of_kind(KIND_DATA)) == data_sent
 
 
 class TestWrapRawPacket:

@@ -15,9 +15,7 @@ from dtnsim.wire import (
     TruncatedHeaderError,
     WireError,
     decode_data_headers,
-    decode_header,
     encode_data_packets,
-    encode_header,
     make_message_id,
 )
 
@@ -166,11 +164,6 @@ def test_round_trip_identity(header):
     assert type(header).decode(header.encode()) == header
 
 
-@given(header_strategy)
-def test_generic_dispatch_round_trip(header):
-    assert decode_header(type(header), encode_header(header)) == header
-
-
 @given(st.binary(max_size=64))
 def test_fuzz_decode_never_crashes(data):
     for cls in (
@@ -191,11 +184,6 @@ def test_fuzz_decode_never_crashes(data):
 def test_fixed_header_decode_tolerates_trailing_payload():
     hdr = DataPacketHeader(MessageId(77), 1, 3, 0)
     assert DataPacketHeader.decode(hdr.encode() + b"payload") == hdr
-
-
-def test_decode_header_by_name():
-    hdr = MessageTypeHeader(MsgType.REPLY, 3)
-    assert decode_header("message_type", hdr.encode()) == hdr
 
 
 class TestDataPacketCodec:
