@@ -10,11 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .wire import NODE_ID_MAX, MessageId
+from .wire import NODE_ID_MAX, TIMESTAMP_MAX, MessageId
 
 REJECT_DUPLICATE = "duplicate"
 REJECT_EXPIRED = "expired"
 REJECT_TOO_LARGE = "too_large"
+
+# Oldest generation time of an empty buffer: later than any 48-bit timestamp.
+_NONE_STORED = TIMESTAMP_MAX + 1
 
 
 @dataclass(slots=True)
@@ -55,8 +58,9 @@ class EnqueueOutcome:
     evicted: list[MessageId] = field(default_factory=list)
 
 
-def _age_order(entry: QueueEntry) -> tuple[int, int]:
-    return (entry.generated_at, entry.message_id.raw)
+def _age_order(mid: MessageId) -> int:
+    """Sort key ordering ids exactly as (generation time, raw id)."""
+    return ((mid & TIMESTAMP_MAX) << 16) | (mid >> 48)
 
 
 class MessageBuffer:
@@ -71,6 +75,9 @@ class MessageBuffer:
         self.ttl_us = ttl_us
         self._entries: dict[MessageId, QueueEntry] = {}
         self._used = 0
+        # At most the generation time of every stored entry, so an expiry
+        # check with now - _oldest <= ttl_us can have nothing to drop.
+        self._oldest = _NONE_STORED
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -90,13 +97,15 @@ class MessageBuffer:
 
     def drop_expired(self, now: int) -> list[MessageId]:
         """Remove every entry older than ttl; returns the dropped ids."""
-        dropped = [
-            mid
-            for mid, entry in self._entries.items()
-            if now - entry.generated_at > self.ttl_us
-        ]
+        ttl = self.ttl_us
+        if now - self._oldest <= ttl:
+            return []
+        dropped = [mid for mid in self._entries if now - (mid & TIMESTAMP_MAX) > ttl]
         for mid in dropped:
             self._remove(mid)
+        self._oldest = min(
+            (mid & TIMESTAMP_MAX for mid in self._entries), default=_NONE_STORED
+        )
         return dropped
 
     def enqueue(self, entry: QueueEntry, now: int) -> EnqueueOutcome:
@@ -108,13 +117,16 @@ class MessageBuffer:
         expired = self.drop_expired(now)
         if entry.message_id in self._entries:
             return EnqueueOutcome(False, REJECT_DUPLICATE, expired)
-        if now - entry.generated_at > self.ttl_us:
+        generated_at = entry.generated_at
+        if now - generated_at > self.ttl_us:
             return EnqueueOutcome(False, REJECT_EXPIRED, expired)
         if entry.byte_size > self.capacity_bytes:
             return EnqueueOutcome(False, REJECT_TOO_LARGE, expired)
         evicted = self._purge_for(entry.byte_size)
         self._entries[entry.message_id] = entry
         self._used += entry.byte_size
+        if generated_at < self._oldest:
+            self._oldest = generated_at
         return EnqueueOutcome(True, None, expired, evicted)
 
     def summary(self) -> list[MessageId]:
@@ -124,18 +136,18 @@ class MessageBuffer:
     def find_disjoint(self, remote: Iterable[MessageId]) -> list[MessageId]:
         """Stored ids absent from `remote`, oldest generation first."""
         remote_set = set(remote)
-        mine = [e for e in self._entries.values() if e.message_id not in remote_set]
+        mine = [mid for mid in self._entries if mid not in remote_set]
         mine.sort(key=_age_order)
-        return [e.message_id for e in mine]
+        return mine
 
     def _purge_for(self, needed: int) -> list[MessageId]:
         free = self.capacity_bytes - self._used
         if needed <= free:
             return []
         victims = []
-        for entry in sorted(self._entries.values(), key=_age_order):
-            victims.append(entry.message_id)
-            free += entry.byte_size
+        for mid in sorted(self._entries, key=_age_order):
+            victims.append(mid)
+            free += self._entries[mid].byte_size
             if needed <= free:
                 break
         for mid in victims:

@@ -190,6 +190,10 @@ class RadioNetwork:
     def in_range(self, a: int, b: int, t_us: int) -> bool:
         t = t_us / 1_000_000
         ax, ay = self.trajectories[a].position_at(t)
+        return self._reaches(ax, ay, b, t)
+
+    def _reaches(self, ax: float, ay: float, b: int, t: float) -> bool:
+        """Whether node b is within radio range of (ax, ay) at t seconds."""
         bx, by = self.trajectories[b].position_at(t)
         dx, dy = ax - bx, ay - by
         return dx * dx + dy * dy <= self._range_sq
@@ -238,10 +242,13 @@ class RadioNetwork:
             tap("transmit", packet, None, now)
         dst = packet.dst
         if dst is None:
+            # The sender's position is looked up once per transmission.
+            t = now / 1_000_000
+            ax, ay = self.trajectories[node].position_at(t)
             receivers = [
                 other
                 for other in range(self.node_count)
-                if other != node and self.in_range(node, other, now)
+                if other != node and self._reaches(ax, ay, other, t)
             ]
             for receiver in receivers:
                 self._try_deliver(packet, receiver, now)

@@ -401,7 +401,7 @@ class EpidemicNode:
             return
         nb = self._touch_neighbor(last_hop, sender_addr, now)
         rx = nb.rx
-        if rx is not None and rx.message_id.raw != raw:
+        if rx is not None and rx.message_id != raw:
             # One message per neighbor: a new id supersedes the partial one.
             self._drop_msg(now, rx.message_id, MSG_PARTIAL_RESET)
             rx = None

@@ -79,7 +79,14 @@ def run_once(scenario: Scenario, seed: int) -> tuple[RunReport, RunTrace]:
     sim, network, _, trace = build_run(scenario, seed)
     sim.run(scenario.duration_us)
     network.finalize()
-    return compute(trace, seed), trace
+    report = compute(trace, seed)
+    # Break the world's reference cycles (pending callbacks and packet
+    # handlers hold the nodes, which hold the network), so reference
+    # counting frees the run here instead of the cyclic collector later.
+    sim._heap.clear()
+    network._handlers.clear()
+    network._completions.clear()
+    return report, trace
 
 
 def run_seeds(scenario: Scenario, seeds: tuple[int, ...] | None = None) -> list[RunReport]:

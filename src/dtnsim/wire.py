@@ -12,7 +12,7 @@ All multi-byte fields are big-endian (network order). Five header layouts:
 A message id packs a 16-bit source node id into the top bits and a 48-bit
 microsecond generation timestamp into the low bits, so ids sort by source
 then by age, and two messages from one node at distinct microseconds never
-collide.
+collide. A MessageId is that u64 as an int.
 
 Decoding a fixed-size header tolerates trailing bytes (the rest of the
 packet); a summary vector must match its declared length exactly.
@@ -24,6 +24,7 @@ import enum
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 NODE_ID_MAX = 0xFFFF
 TIMESTAMP_MAX = (1 << 48) - 1
@@ -54,26 +55,38 @@ class MsgType(enum.IntEnum):
     ACK = 4
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MessageId:
-    """64-bit message identity: (source_node << 48) | timestamp_us."""
+class MessageId(int):
+    """64-bit message identity: (source_node << 48) | timestamp_us.
 
-    raw: int
+    An int whose value is the raw u64, so hashing, equality and ordering
+    are the int's own.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.raw <= 0xFFFFFFFFFFFFFFFF:
-            raise ValueError(f"message id out of 64-bit range: {self.raw}")
+    __slots__ = ()
+
+    def __new__(cls, raw: int) -> "MessageId":
+        if not 0 <= raw <= 0xFFFFFFFFFFFFFFFF:
+            raise ValueError(f"message id out of 64-bit range: {raw}")
+        return int.__new__(cls, raw)
+
+    @property
+    def raw(self) -> int:
+        return int(self)
 
     @property
     def source_node(self) -> int:
-        return self.raw >> 48
+        return self >> 48
 
     @property
     def timestamp_us(self) -> int:
-        return self.raw & TIMESTAMP_MAX
+        return self & TIMESTAMP_MAX
 
     def __repr__(self) -> str:
         return f"MessageId({self.source_node}@{self.timestamp_us})"
+
+
+# A MessageId from a decoded u64, which is in range by construction.
+_decoded_id = partial(int.__new__, MessageId)
 
 
 def make_message_id(source_node: int, timestamp_us: int) -> MessageId:
@@ -90,7 +103,6 @@ _DATA_PACKET = struct.Struct(">QHII")
 _ACK = struct.Struct(">QHH")
 _EPIDEMIC = struct.Struct(">QI")
 _SUMMARY_HEAD = struct.Struct(">HH")
-_ID = struct.Struct(">Q")
 # EpidemicHeader then DataPacketHeader: the two headers of every data packet.
 _DATA_HEADERS = struct.Struct(">QIQHII")
 
@@ -162,7 +174,7 @@ class DataPacketHeader:
 
     def encode(self) -> bytes:
         return _DATA_PACKET.pack(
-            self.message_id.raw, self.last_hop, self.packet_total, self.packet_index
+            self.message_id, self.last_hop, self.packet_total, self.packet_index
         )
 
     @classmethod
@@ -175,7 +187,7 @@ class DataPacketHeader:
             raise HeaderFormatError(
                 f"packet_index {index} not below total {total}"
             )
-        return cls(MessageId(raw), last_hop, total, index)
+        return cls(_decoded_id(raw), last_hop, total, index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,13 +204,13 @@ class AckHeader:
             raise ValueError(f"status out of 16-bit range: {self.status}")
 
     def encode(self) -> bytes:
-        return _ACK.pack(self.message_id.raw, self.node_id, self.status)
+        return _ACK.pack(self.message_id, self.node_id, self.status)
 
     @classmethod
     def decode(cls, data: bytes) -> "AckHeader":
         _require(data, ACK_SIZE, "AckHeader")
         raw, node_id, status = _ACK.unpack_from(data)
-        return cls(MessageId(raw), node_id, status)
+        return cls(_decoded_id(raw), node_id, status)
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,13 +225,13 @@ class EpidemicHeader:
             raise ValueError(f"hop_count out of 32-bit range: {self.hop_count}")
 
     def encode(self) -> bytes:
-        return _EPIDEMIC.pack(self.message_id.raw, self.hop_count)
+        return _EPIDEMIC.pack(self.message_id, self.hop_count)
 
     @classmethod
     def decode(cls, data: bytes) -> "EpidemicHeader":
         _require(data, EPIDEMIC_SIZE, "EpidemicHeader")
         raw, hops = _EPIDEMIC.unpack_from(data)
-        return cls(MessageId(raw), hops)
+        return cls(_decoded_id(raw), hops)
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,9 +255,8 @@ class SummaryVectorHeader:
         return len(self.ids)
 
     def encode(self) -> bytes:
-        parts = [_SUMMARY_HEAD.pack(self.frag_block, len(self.ids))]
-        parts.extend(_ID.pack(mid.raw) for mid in self.ids)
-        return b"".join(parts)
+        n = len(self.ids)
+        return struct.pack(f">HH{n}Q", self.frag_block, n, *self.ids)
 
     @classmethod
     def decode(cls, data: bytes) -> "SummaryVectorHeader":
@@ -258,11 +269,8 @@ class SummaryVectorHeader:
             raise HeaderFormatError(
                 f"summary vector declares {length} ids ({expected} bytes), got {len(data)} bytes"
             )
-        ids = tuple(
-            MessageId(_ID.unpack_from(data, SUMMARY_HEAD_SIZE + 8 * i)[0])
-            for i in range(length)
-        )
-        return cls(frag_block, ids)
+        ids = struct.unpack_from(f">{length}Q", data, SUMMARY_HEAD_SIZE)
+        return cls(frag_block, tuple(map(_decoded_id, ids)))
 
 
 def encode_data_packets(
@@ -281,10 +289,9 @@ def encode_data_packets(
     total = len(payloads)
     if not 1 <= total <= 0xFFFFFFFF:
         raise ValueError(f"packet_total out of range: {total}")
-    raw = message_id.raw
     pack = _DATA_HEADERS.pack
     return [
-        pack(raw, hop_count, raw, last_hop, total, index) + payload
+        pack(message_id, hop_count, message_id, last_hop, total, index) + payload
         for index, payload in enumerate(payloads)
     ]
 

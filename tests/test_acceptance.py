@@ -527,6 +527,27 @@ class TestGoldenOutputs:
         digest = hashlib.sha256((tmp_path / "aggregate.csv").read_bytes()).hexdigest()
         assert digest == "5ac6efc6bd52f77c1e7f0f4ca3ff1abe14a7fdfd2632a67fa14930b5bacf8f9e"
 
+    def test_control_heavy_run_dump_sha256(self, tmp_path):
+        # Many one-packet messages in small long-lived buffers: summaries of
+        # up to 62 ids in fragments of 12, expiry and eviction, 2% loss.
+        path = tmp_path / "gossip.ns"
+        path.write_text(generate_random_waypoint_trace(12, 150, 150, 1, 5, 30, seed="gossip"))
+        scenario = Scenario(
+            trace_path=path,
+            duration_s=30.0,
+            seeds=(1,),
+            protocol=ProtocolConfig(1.0, 0.1, 16_000, 15.0, 50, 100),
+            link=LinkModel(6e6, 50.0, 0.02),
+            traffic=TrafficParams(150, 256, 1460, 0.0, 20.0),
+            queue_capacity=1_000_000,
+            queue_residency_s=2.0,
+        )
+        rep, trace = run_once(scenario, 1)
+        assert (rep.drops["msg_expired"], rep.drops["msg_evicted"]) == (401, 1469)
+        assert rep.drops["pkt_loss"] == 208
+        digest = hashlib.sha256(trace.dump().encode()).hexdigest()
+        assert digest == "c152a56b5e57a553b275855e50a2b4256f31abedfe475139d599ee82e6e857d9"
+
 
 class TestCriterion11Determinism:
     def test_sweep_is_byte_identical(self, tmp_path):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.buffer import (
     REJECT_DUPLICATE,
@@ -13,7 +13,7 @@ from dtnsim.buffer import (
     MessageBuffer,
     QueueEntry,
 )
-from dtnsim.wire import make_message_id
+from dtnsim.wire import MessageId, make_message_id
 
 TTL_US = 1_000_000
 
@@ -129,6 +129,18 @@ class TestDropExpired:
         assert len(buf.drop_expired(TTL_US + 10)) == 3
         assert len(buf) == 0
 
+    def test_later_entry_expires_after_oldest_was_evicted(self):
+        buf = MessageBuffer(20, 100)
+        a, b, c = entry(1, 0, size=10), entry(2, 50, size=10), entry(3, 60, size=10)
+        buf.enqueue(a, 0)
+        buf.enqueue(b, 50)
+        assert buf.enqueue(c, 60).evicted == [a.message_id]
+        assert buf.drop_expired(150) == []
+        assert buf.drop_expired(151) == [b.message_id]
+        assert buf.drop_expired(160) == []
+        assert buf.drop_expired(161) == [c.message_id]
+        assert len(buf) == 0 and buf.drop_expired(10_000) == []
+
 
 class TestSummary:
     def test_sorted_by_raw_id(self):
@@ -181,6 +193,117 @@ class TestFindDisjoint:
         for i in range(4):
             buf.enqueue(entry(i + 1, i), 5)
         assert buf.find_disjoint(buf.summary()) == []
+
+
+class TestAgeOrder:
+    """Purge and disjoint order is (generation time, raw id), ties included."""
+
+    stamps = st.lists(
+        st.tuples(st.integers(0, 0xFFFF), st.integers(0, 3)), min_size=1, max_size=12,
+        unique=True,
+    )
+
+    @staticmethod
+    def oracle(ids):
+        return sorted(ids, key=lambda m: (m.timestamp_us, m.raw))
+
+    def test_equal_timestamps_order_by_source(self):
+        buf = MessageBuffer(100, TTL_US)
+        for source in (7, 2, 300, 5):
+            buf.enqueue(entry(source, 4), 4)
+        buf.enqueue(entry(9, 3), 4)
+        assert [(m.source_node, m.timestamp_us) for m in buf.find_disjoint(())] == [
+            (9, 3), (2, 4), (5, 4), (7, 4), (300, 4)
+        ]
+
+    @given(stamps)
+    def test_find_disjoint_order(self, stamps):
+        buf = MessageBuffer(1000, TTL_US)
+        ids = [make_message_id(source, ts) for source, ts in stamps]
+        for mid in ids:
+            buf.enqueue(QueueEntry(mid, 99, (bytes(10),), 5), 10)
+        assert buf.find_disjoint(()) == self.oracle(ids)
+        assert buf.find_disjoint(ids[::2]) == self.oracle(ids[1::2])
+
+    @given(stamps)
+    def test_purge_order(self, stamps):
+        capacity = 10 * len(stamps)
+        buf = MessageBuffer(capacity, TTL_US)
+        ids = [make_message_id(source, ts) for source, ts in stamps]
+        for mid in ids:
+            buf.enqueue(QueueEntry(mid, 99, (bytes(10),), 5), 10)
+        outcome = buf.enqueue(entry(0x10000 - 1, 10, size=capacity), 10)
+        assert outcome.accepted
+        assert outcome.evicted == self.oracle(ids)
+
+
+class ReferenceBuffer:
+    """Brute-force model: every expiry check scans every entry."""
+
+    def __init__(self, capacity, ttl):
+        self.capacity, self.ttl = capacity, ttl
+        self.entries = {}  # raw id -> (generated_at, size), in insertion order
+
+    def drop_expired(self, now):
+        dropped = [r for r, (gen, _) in self.entries.items() if now - gen > self.ttl]
+        for r in dropped:
+            del self.entries[r]
+        return dropped
+
+    def enqueue(self, raw, gen, size, now):
+        expired = self.drop_expired(now)
+        if raw in self.entries or now - gen > self.ttl or size > self.capacity:
+            return False, expired, []
+        free = self.capacity - sum(s for _, s in self.entries.values())
+        evicted = []
+        for r in sorted(self.entries, key=lambda r: (self.entries[r][0], r)):
+            if size <= free:
+                break
+            evicted.append(r)
+            free += self.entries[r][1]
+        for r in evicted:
+            del self.entries[r]
+        self.entries[raw] = (gen, size)
+        return True, expired, evicted
+
+
+buffer_ops = st.lists(
+    st.tuples(
+        # "evict" enqueues an entry large enough to purge older ones.
+        st.sampled_from(["enqueue", "evict", "expire"]),
+        st.integers(0, 5),  # source
+        st.integers(0, 80),  # age at arrival (ttl is 50)
+        st.integers(0, 30),  # time step before the operation
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300)
+@given(buffer_ops)
+@example([("enqueue", 1, 0, 0), ("enqueue", 2, 0, 20), ("evict", 3, 0, 10),
+          ("expire", 0, 0, 41), ("expire", 0, 0, 10)])
+def test_expiry_and_eviction_match_brute_force(op_list):
+    buf = MessageBuffer(40, 50)
+    ref = ReferenceBuffer(40, 50)
+    now = 0
+    for op, source, age, step in op_list:
+        now += step
+        if op == "expire":
+            assert buf.drop_expired(now) == ref.drop_expired(now)
+        else:
+            gen = max(now - age, 0)
+            size = 25 if op == "evict" else 10
+            outcome = buf.enqueue(entry(source, gen, size=size), now)
+            accepted, expired, evicted = ref.enqueue(
+                make_message_id(source, gen), gen, size, now
+            )
+            assert (outcome.accepted, outcome.expired, outcome.evicted) == (
+                accepted, expired, evicted
+            )
+        assert [
+            (e.message_id, e.generated_at, e.byte_size) for e in buf.entries()
+        ] == [(MessageId(r), gen, size) for r, (gen, size) in ref.entries.items()]
 
 
 ops = st.lists(

@@ -1,5 +1,6 @@
 """End-to-end simulations over scripted contacts."""
 
+import gc
 import math
 import os
 import random
@@ -370,6 +371,21 @@ class TestFullPipelineReplay:
             dumps.append(result.stdout)
         assert dumps[0] == dumps[1]
         assert "packet stream digest" in dumps[0]
+
+    def test_finished_run_is_freed_by_reference_counting(self):
+        scenario = load_scenario("scenarios/mini.cfg")
+        gc.collect()
+        gc.disable()
+        try:
+            run_once(scenario, 1)
+            alive = [
+                type(o).__name__
+                for o in gc.get_objects()
+                if isinstance(o, (EpidemicNode, RadioNetwork, Simulator))
+            ]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 class TestWrappedRawPacketDifferential:

@@ -1,5 +1,7 @@
 """Wire header encode/decode: exact layouts, round-trips, malformed input."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +51,27 @@ class TestMessageId:
         assert mid.source_node == node
         assert mid.timestamp_us == ts
         assert mid.raw == (node << 48) | ts
+
+    @pytest.mark.parametrize("raw", [-1, 1 << 64])
+    def test_raw_out_of_range_rejected(self, raw):
+        with pytest.raises(ValueError):
+            MessageId(raw)
+
+    def test_raw_range_ends_accepted(self):
+        assert MessageId(0).raw == 0
+        assert MessageId((1 << 64) - 1).raw == (1 << 64) - 1
+
+    @given(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
+    def test_hash_equality_and_order_are_the_raw_u64s(self, a, b):
+        ma, mb = MessageId(a), MessageId(b)
+        assert isinstance(ma, int) and type(ma.raw) is int and ma.raw == a
+        assert hash(ma) == hash(a)
+        assert (ma == mb, ma < mb, ma <= mb) == (a == b, a < b, a <= b)
+        assert sorted([mb, ma]) == [MessageId(r) for r in sorted([b, a])]
+
+    def test_repr_names_node_and_timestamp(self):
+        assert repr(make_message_id(5, 1_000_000)) == "MessageId(5@1000000)"
+        assert str(MessageId(3)) == "MessageId(0@3)"
 
 
 class TestExactEncodings:
@@ -179,6 +202,34 @@ def test_fuzz_decode_never_crashes(data):
             continue
         # A successful decode re-encodes to a prefix of the input.
         assert header.encode() == data[: len(header.encode())]
+
+
+class TestSummaryVectorCodec:
+    """The one-call summary codec against a per-id `>Q` reference."""
+
+    @staticmethod
+    def reference(frag, raws):
+        return struct.pack(">HH", frag, len(raws)) + b"".join(
+            struct.pack(">Q", raw) for raw in raws
+        )
+
+    @given(st.integers(0, 1), st.lists(st.integers(0, (1 << 64) - 1), max_size=40))
+    def test_encode_matches_per_id_reference(self, frag, raws):
+        assert SummaryVectorHeader(frag, mids(raws)).encode() == self.reference(frag, raws)
+
+    @given(st.integers(0, 1), st.lists(st.integers(0, (1 << 64) - 1), max_size=40))
+    def test_decode_returns_message_ids(self, frag, raws):
+        decoded = SummaryVectorHeader.decode(self.reference(frag, raws))
+        assert decoded.frag_block == frag
+        assert all(type(mid) is MessageId for mid in decoded.ids)
+        assert [mid.raw for mid in decoded.ids] == raws
+
+    @pytest.mark.parametrize("extra", [-8, -1, 1, 8])
+    def test_decode_rejects_length_mismatch(self, extra):
+        data = self.reference(0, [1, 2, 3])
+        bad = data[:extra] if extra < 0 else data + bytes(extra)
+        with pytest.raises(HeaderFormatError):
+            SummaryVectorHeader.decode(bad)
 
 
 def test_fixed_header_decode_tolerates_trailing_payload():
