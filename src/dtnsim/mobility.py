@@ -8,8 +8,8 @@ Accepted lines:
     $ns_ at 10.0 "$node_(3) setdest 50.0 40.0 2.5"
 
 Position between waypoints is linear at the given speed and clamps at the
-destination. Node indices must be contiguous from 0 and every node needs
-an initial X_ and Y_.
+destination. Node indices must be contiguous from 0, every node needs an
+initial X_ and Y_, and every time, coordinate and speed must be finite.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ class _Segment:
     t1: float
     x1: float
     y1: float
+
+    def speed(self) -> float:
+        """Speed in m/s; infinite for a jump (moves in zero time)."""
+        dist = math.hypot(self.x1 - self.x0, self.y1 - self.y0)
+        if dist == 0.0:
+            return 0.0
+        duration = self.t1 - self.t0
+        return dist / duration if duration > 0.0 else math.inf
 
 
 class Trajectory:
@@ -75,6 +83,27 @@ class Trajectory:
         frac = (t - seg.t0) / (seg.t1 - seg.t0)
         return (seg.x0 + (seg.x1 - seg.x0) * frac, seg.y0 + (seg.y1 - seg.y0) * frac)
 
+    def max_speed(self) -> float:
+        """Largest segment speed in m/s: 0 if the node never moves, and
+        infinite if it jumps (a segment that moves in zero time)."""
+        return max((seg.speed() for seg in self._segments), default=0.0)
+
+    def error_scale(self) -> float:
+        """A magnitude whose machine epsilon bounds position_at's rounding.
+
+        position_at is exact to a few ulps of the largest coordinate the
+        node visits and, on a moving segment, of its speed times its end
+        time (a rounded query time shifts the interpolated point by about
+        speed * ulp(t)). Infinite if the node jumps.
+        """
+        scale = max(abs(self.initial[0]), abs(self.initial[1]))
+        for seg in self._segments:
+            scale = max(scale, abs(seg.x1), abs(seg.y1))
+            speed = seg.speed()
+            if speed > 0.0:  # then seg.t1 is finite
+                scale = max(scale, speed * seg.t1 if speed < math.inf else speed)
+        return scale
+
 
 def parse_ns2_trace(text: str) -> list[Trajectory]:
     """Parse trace text into trajectories indexed by node id."""
@@ -88,11 +117,16 @@ def parse_ns2_trace(text: str) -> list[Trajectory]:
         if m:
             node, axis, value = int(m.group(1)), m.group(2), m.group(3)
             try:
-                initials.setdefault(node, {})[axis] = float(value)
+                coord = float(value)
             except ValueError:
                 raise TraceParseError(
                     f"line {lineno}: bad coordinate {value!r}"
                 ) from None
+            if not math.isfinite(coord):
+                raise TraceParseError(
+                    f"line {lineno}: non-finite coordinate {value!r}"
+                )
+            initials.setdefault(node, {})[axis] = coord
             continue
         m = _WAYPOINT_RE.match(line)
         if m:
@@ -102,6 +136,10 @@ def parse_ns2_trace(text: str) -> list[Trajectory]:
                 x, y, speed = (float(m.group(k)) for k in (3, 4, 5))
             except ValueError:
                 raise TraceParseError(f"line {lineno}: bad waypoint numbers") from None
+            if not all(map(math.isfinite, (t, x, y, speed))):
+                raise TraceParseError(
+                    f"line {lineno}: non-finite time, coordinate or speed in waypoint"
+                )
             if t < 0 or speed < 0:
                 raise TraceParseError(
                     f"line {lineno}: negative time or speed in waypoint"

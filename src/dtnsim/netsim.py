@@ -5,11 +5,23 @@ microseconds. Each node owns one FIFO device queue with a byte capacity
 and a residency time-limit; service time is bytes * 8 / data_rate and a
 transmission reaches every in-range receiver (one for unicast), subject
 to an optional per-receiver Bernoulli loss draw.
+
+Range is decided when a transmission completes. The exact check
+interpolates both positions and tests dx*dx + dy*dy <= R*R. Each pair
+also keeps a certificate: after an exact check at t0 finds distance d0,
+the answer holds while V * |t - t0| < |R - d0| - margin, where V is twice
+the fastest segment speed of any trajectory. The margin is far above the
+rounding of the positions and of the check, so a certified answer equals
+the exact one and outputs are those of checking every packet; near the
+boundary the exact check runs. Certificates are off (every check exact)
+when nothing moves or a node jumps. Trajectories must not change after
+the network is built.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,6 +48,12 @@ EVENT_TRAFFIC = "traffic_generation"
 # Every simulated packet rides in one IPv4/UDP datagram; on-air sizes,
 # queue occupancy, and byte counters all include this encapsulation.
 IP_UDP_HEADER_BYTES = 20 + 8
+
+# The distance a range certificate keeps from the boundary, relative to
+# the largest magnitude in the position arithmetic (see RadioNetwork).
+CERT_MARGIN_REL = 1e-9
+# Longest certificate, in microseconds (keeps its bounds finite ints).
+CERT_MAX_US = float(1 << 62)
 
 
 class Simulator:
@@ -156,7 +174,20 @@ class RadioNetwork:
         if self._rate <= 0:
             raise ValueError("data_rate must be positive")
         self._prop_us = int(round(link.propagation_delay_s * 1_000_000))
+        self._range = link.radio_range_m
         self._range_sq = link.radio_range_m * link.radio_range_m
+        self._n = len(trajectories)
+        # Relative speed bound of any pair; certificates are off (0) when
+        # nothing moves or some node jumps.
+        speed = 2.0 * max((tr.max_speed() for tr in trajectories), default=0.0)
+        self._speed_bound = speed if 0.0 < speed < math.inf else 0.0
+        self._margin = CERT_MARGIN_REL * max(
+            1.0, link.radio_range_m, *(tr.error_scale() for tr in trajectories)
+        )
+        # Range certificate per ordered pair a * n + b, the same object for
+        # (a, b) and (b, a): (since_us, until_us, inside). The answer is
+        # `inside` at any t_us with since_us < t_us < until_us.
+        self._certs: list[tuple[int, int, bool]] = [(0, 0, False)] * (self._n * self._n)
         self._queues = [
             DeviceQueue(queue_capacity_bytes, queue_residency_us)
             for _ in trajectories
@@ -174,10 +205,6 @@ class RadioNetwork:
         # Test hook: called as tap(event, packet, receiver_or_None, now).
         self.taps: list[Callable[[str, Packet, int | None, int], None]] = []
 
-    @property
-    def node_count(self) -> int:
-        return len(self.trajectories)
-
     def attach(
         self,
         address: int,
@@ -188,15 +215,36 @@ class RadioNetwork:
         self._handlers[address] = handler
 
     def in_range(self, a: int, b: int, t_us: int) -> bool:
+        """Whether nodes a and b are within radio range at t_us."""
+        since, until, inside = self._certs[a * self._n + b]
+        if since < t_us < until:
+            return inside
+        return self._exact_in_range(a, b, t_us)
+
+    def _exact_in_range(self, a: int, b: int, t_us: int) -> bool:
+        """The range formula; also renews the pair's certificate.
+
+        Seen from the exact check at t0 at distance d0, the pair's
+        distance moves by at most V * |t - t0|, so the answer cannot change
+        while that stays below |R - d0| - margin. The margin exceeds the
+        rounding of position_at and of this check, so the certified answer
+        is the one this check would compute.
+        """
         t = t_us / 1_000_000
         ax, ay = self.trajectories[a].position_at(t)
-        return self._reaches(ax, ay, b, t)
-
-    def _reaches(self, ax: float, ay: float, b: int, t: float) -> bool:
-        """Whether node b is within radio range of (ax, ay) at t seconds."""
         bx, by = self.trajectories[b].position_at(t)
         dx, dy = ax - bx, ay - by
-        return dx * dx + dy * dy <= self._range_sq
+        dist_sq = dx * dx + dy * dy
+        inside = dist_sq <= self._range_sq
+        if self._speed_bound:
+            slack = abs(self._range - math.sqrt(dist_sq)) - self._margin
+            # An infinite slack means dx * dx + dy * dy overflowed: no bound.
+            if 0.0 < slack < math.inf:
+                reach = math.ceil(min(slack / self._speed_bound * 1e6, CERT_MAX_US))
+                cert = (t_us - reach, t_us + reach, inside)
+                n = self._n
+                self._certs[a * n + b] = self._certs[b * n + a] = cert
+        return inside
 
     def submit(self, packet: Packet) -> None:
         """Place a packet on its sender's device queue (tail-drop on overflow)."""
@@ -242,16 +290,9 @@ class RadioNetwork:
             tap("transmit", packet, None, now)
         dst = packet.dst
         if dst is None:
-            # The sender's position is looked up once per transmission.
-            t = now / 1_000_000
-            ax, ay = self.trajectories[node].position_at(t)
-            receivers = [
-                other
-                for other in range(self.node_count)
-                if other != node and self._reaches(ax, ay, other, t)
-            ]
-            for receiver in receivers:
-                self._try_deliver(packet, receiver, now)
+            for other in range(self._n):
+                if other != node and self.in_range(node, other, now):
+                    self._try_deliver(packet, other, now)
         elif self.in_range(node, dst, now):
             self._try_deliver(packet, dst, now)
         else:

@@ -85,6 +85,9 @@ class MessageId(int):
         return f"MessageId({self.source_node}@{self.timestamp_us})"
 
 
+# Message type by wire code.
+_MSG_TYPES = {t.value: t for t in MsgType}
+
 # A MessageId from a decoded u64, which is in range by construction.
 _decoded_id = partial(int.__new__, MessageId)
 
@@ -147,11 +150,15 @@ class MessageTypeHeader:
     def decode(cls, data: bytes) -> "MessageTypeHeader":
         _require(data, MESSAGE_TYPE_SIZE, "MessageTypeHeader")
         code, node_id = _MESSAGE_TYPE.unpack_from(data)
-        try:
-            msg_type = MsgType(code)
-        except ValueError:
-            raise HeaderFormatError(f"unknown msg_type code {code}") from None
-        return cls(msg_type, node_id)
+        msg_type = _MSG_TYPES.get(code)
+        if msg_type is None:
+            raise HeaderFormatError(f"unknown msg_type code {code}")
+        # A known code and a u16 are valid fields, so the constructor's
+        # checks are skipped.
+        hdr = object.__new__(cls)
+        object.__setattr__(hdr, "msg_type", msg_type)
+        object.__setattr__(hdr, "node_id", node_id)
+        return hdr
 
 
 @dataclass(frozen=True, slots=True)

@@ -92,6 +92,56 @@ class TestParseErrors:
         with pytest.raises(TraceParseError):
             parse_ns2_trace("\n# nothing\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    def test_non_finite_initial_coordinate(self, axis, value):
+        text = "$node_(0) set X_ 1.0\n$node_(0) set Y_ 1.0\n" + (
+            f"$node_(0) set {axis}_ {value}\n"
+        )
+        with pytest.raises(TraceParseError, match="line 3: non-finite coordinate"):
+            parse_ns2_trace(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["time", "x", "y", "speed"])
+    def test_non_finite_waypoint_number(self, field, value):
+        numbers = {"time": "1.0", "x": "10.0", "y": "0.0", "speed": "2.0"}
+        numbers[field] = value
+        text = BASIC + (
+            f'$ns_ at {numbers["time"]} "$node_(1) setdest '
+            f'{numbers["x"]} {numbers["y"]} {numbers["speed"]}"\n'
+        )
+        with pytest.raises(TraceParseError, match="line 6: non-finite"):
+            parse_ns2_trace(text)
+
+
+class TestMotionBounds:
+    def test_max_speed_of_segments(self):
+        text = BASIC + '$ns_ at 20.0 "$node_(0) setdest 0.0 0.0 4.0"\n'
+        trajs = parse_ns2_trace(text)
+        assert trajs[0].max_speed() == pytest.approx(4.0)
+        assert trajs[1].max_speed() == 0.0  # never moves
+
+    def test_truncated_segment_keeps_its_speed(self):
+        text = BASIC + '$ns_ at 5.0 "$node_(0) setdest 5.0 10.0 2.0"\n'
+        trajs = parse_ns2_trace(text)
+        assert trajs[0].max_speed() == pytest.approx(2.0)
+
+    def test_jump_is_infinitely_fast(self):
+        # 10 m at 1e300 m/s arrives at t + 1e-299 == t: a zero-duration move.
+        text = BASIC + '$ns_ at 20.0 "$node_(1) setdest 0.0 50.0 1e300"\n'
+        trajs = parse_ns2_trace(text)
+        assert trajs[1].position_at(20.0) == (0.0, 50.0)
+        assert trajs[1].max_speed() == float("inf")
+        assert trajs[1].error_scale() == float("inf")
+
+    def test_error_scale_covers_coordinates_and_speed_times_time(self):
+        text = (
+            "$node_(0) set X_ -300.0\n$node_(0) set Y_ 2.0\n"
+            '$ns_ at 1000.0 "$node_(0) setdest -290.0 2.0 0.5"\n'
+        )
+        traj = parse_ns2_trace(text)[0]
+        assert traj.error_scale() == pytest.approx(max(300.0, 0.5 * 1020.0))
+
 
 class TestGenerator:
     def test_deterministic_and_parseable(self):

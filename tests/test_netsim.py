@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dtnsim.mobility import parse_ns2_trace
+from dtnsim.mobility import Trajectory, parse_ns2_trace
 from dtnsim.netsim import (
     EVENT_TIMER,
     LinkModel,
@@ -103,6 +104,191 @@ class TestRange:
         assert net.in_range(0, 0, 0)  # distance zero
         assert net.in_range(0, 1, 0)  # distance exactly the radius
         assert not net.in_range(0, 2, 0)
+
+
+def exact_in_range(trajectories, radio_range, a, b, t_us):
+    """The brute-force range check: both positions, then the closed ball."""
+    t = t_us / 1_000_000
+    ax, ay = trajectories[a].position_at(t)
+    bx, by = trajectories[b].position_at(t)
+    dx, dy = ax - bx, ay - by
+    return dx * dx + dy * dy <= radio_range * radio_range
+
+
+def build_trajectories(nodes):
+    """nodes: [(x, y, [(t, x, y, speed), ...]), ...], waypoints in time order."""
+    trajectories = []
+    for x, y, waypoints in nodes:
+        trajectory = Trajectory(x, y)
+        for t, wx, wy, speed in waypoints:
+            trajectory.add_waypoint(t, wx, wy, speed)
+        trajectories.append(trajectory)
+    return trajectories
+
+
+# A coordinate offset: 0, or millions of metres where a coordinate's ulp
+# is about 1e-10 m.
+_OFFSETS = st.sampled_from([0.0, 1e6, -3e6 + 0.1])
+# Coordinates and speeds in units of the radio range, so that pairs cross
+# the radius often. Speeds are often the same top speed, so that pairs
+# close at the relative speed bound.
+_UNITS = st.floats(-2.0, 2.0)
+_SPEEDS = st.one_of(st.just(2.0), st.floats(0.001, 5.0))
+# A speed that makes a zero-duration jump.
+_JUMP = 1e300
+
+
+@st.composite
+def range_scenes(draw):
+    base = draw(_OFFSETS)
+    radio_range = draw(st.floats(0.5, 150.0))
+    speeds = st.one_of(_SPEEDS, st.just(_JUMP)) if draw(st.booleans()) else _SPEEDS
+
+    def at(unit):
+        return base + unit * radio_range
+
+    nodes = []
+    for _ in range(draw(st.integers(2, 4))):
+        waypoints = sorted(
+            draw(
+                st.lists(
+                    st.tuples(st.floats(0.0, 1.0), _UNITS, _UNITS, speeds),
+                    max_size=3,
+                )
+            )
+        )
+        nodes.append(
+            (
+                at(draw(_UNITS)),
+                at(draw(_UNITS)),
+                [(t, at(x), at(y), v * radio_range) for t, x, y, v in waypoints],
+            )
+        )
+    # Nondecreasing query times: repeats, microsecond steps and steps of
+    # up to 0.2 s.
+    steps = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 50), st.floats(0.0, 0.2).map(lambda s: int(s * SEC))
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    times = []
+    now = 1
+    for step in steps:
+        now += step
+        times.append(now)
+    return nodes, radio_range, times
+
+
+def _head_on():
+    # Both nodes run at the top speed towards each other, so the pair
+    # closes at exactly the relative speed bound: out at 14 s, in at 16 s.
+    nodes = [
+        (-20.0, 0.0, [(0.0, 20.0, 0.0, 1.0)]),
+        (20.0, 0.0, [(0.0, -20.0, 0.0, 1.0)]),
+    ]
+    return nodes, 10.0, [1, 14_000_000, 16_000_000, 20_000_000]
+
+
+def _jump():
+    # Node 1 jumps next to node 0 at 1 s; node 2 makes the speed bound finite.
+    nodes = [
+        (0.0, 0.0, []),
+        (100.0, 0.0, [(1.0, 5.0, 0.0, _JUMP)]),
+        (500.0, 500.0, [(0.0, 600.0, 500.0, 1.0)]),
+    ]
+    return nodes, 10.0, [1, 500_000, 2_000_000, 3_000_000]
+
+
+def _exactly_radius():
+    # Node 1 closes on node 0 and is exactly at the radius at t = 100 s.
+    nodes = [(0.0, 0.0, []), (200.0, 0.0, [(0.0, 0.0, 0.0, 1.0)])]
+    times = [1, 50_000_000, 75_000_000, 99_999_999, 100_000_000, 100_000_001]
+    return nodes, 100.0, times
+
+
+def _stationary():
+    # Nothing moves: the speed bound is 0 and every check is exact.
+    nodes = [(0.0, 0.0, []), (100.0, 0.0, []), (100.5, 0.0, [])]
+    return nodes, 100.0, [1, 2, 1_000_000]
+
+
+def _head_on_far_out():
+    # The head-on approach about 1e6 m out, where a coordinate's ulp is
+    # 1.2e-10 m: the pair starts about 2 mm plus one ulp outside the
+    # radius and closes at 2 m/s, and at 1000 us the interpolated
+    # positions round to exactly the radius. Without the margin the
+    # certificate from 1 us would still answer "out" there.
+    xa, xb = 1000000.1, 1000010.1020000001
+    nodes = [
+        (xa, 0.5, [(0.0, xa + 1000.0, 0.5, 1.0)]),
+        (xb, 0.5, [(0.0, xb - 1000.0, 0.5, 1.0)]),
+    ]
+    return nodes, 10.0, [1, 999, 1000, 1001]
+
+
+class TestRangeCertificate:
+    """Certified answers equal the exact check, for unicast and broadcast."""
+
+    @given(range_scenes())
+    @example(_head_on())
+    @example(_jump())
+    @example(_exactly_radius())
+    @example(_stationary())
+    @example(_head_on_far_out())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, scene):
+        nodes, radio_range, times = scene
+        trajectories = build_trajectories(nodes)
+        n = len(trajectories)
+        sim = Simulator()
+        # 1 Tbps: a 29-byte broadcast is on the air for one microsecond.
+        net = RadioNetwork(
+            sim,
+            LinkModel(1e12, radio_range),
+            trajectories,
+            1_000_000,
+            10 * SEC,
+            random.Random(1),
+            RunTrace(),
+        )
+        transmitted, received = [], {}
+
+        def tap(event, packet, receiver, now):
+            if event == "transmit":
+                transmitted.append((packet, now))
+            elif event == "deliver":
+                received.setdefault(id(packet), set()).add(receiver)
+
+        net.taps.append(tap)
+        mismatches = []
+
+        def query(i, t_us):
+            for a in range(n):
+                for b in range(n):
+                    got = net.in_range(a, b, t_us)
+                    if got != exact_in_range(trajectories, radio_range, a, b, t_us):
+                        mismatches.append(("unicast", a, b, t_us, got))
+            net.submit(Packet(i % n, None, 1, b"x", "beacon"))
+
+        for i, t_us in enumerate(times):
+            sim.schedule(t_us, EVENT_TIMER, lambda i=i, t_us=t_us: query(i, t_us))
+        sim.run(times[-1] + 10 * n * len(times))
+        assert len(transmitted) == len(times)
+        for packet, now in transmitted:
+            expected = {
+                b
+                for b in range(n)
+                if b != packet.src
+                and exact_in_range(trajectories, radio_range, packet.src, b, now)
+            }
+            got = received.get(id(packet), set())
+            if got != expected:
+                mismatches.append(("broadcast", packet.src, now, got, expected))
+        assert mismatches == []
 
 
 class TestTransmission:

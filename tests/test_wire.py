@@ -116,6 +116,21 @@ class TestDecodeErrors:
         with pytest.raises(HeaderFormatError):
             MessageTypeHeader.decode(bytes([0x09, 0x00, 0x01]))
 
+    def test_constructor_checks_message_type_and_node(self):
+        with pytest.raises(ValueError, match="unknown message type"):
+            MessageTypeHeader(9, 1)
+        with pytest.raises(ValueError, match="node_id"):
+            MessageTypeHeader(MsgType.ACK, 0x10000)
+
+    @pytest.mark.parametrize("msg_type", list(MsgType))
+    def test_decoded_header_equals_constructed(self, msg_type):
+        hdr = MessageTypeHeader.decode(bytes([msg_type, 0xFF, 0xFF]))
+        assert hdr == MessageTypeHeader(msg_type, 0xFFFF)
+        assert hdr.msg_type is msg_type
+        assert hash(hdr) == hash(MessageTypeHeader(msg_type, 0xFFFF))
+        with pytest.raises(AttributeError):
+            hdr.node_id = 1  # frozen like a constructed header
+
     def test_summary_vector_declared_length_mismatch(self):
         ids = (MessageId(1), MessageId(2))
         good = SummaryVectorHeader(0, ids).encode()
