@@ -10,11 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .records import MSG_ARRIVAL_EXPIRED, MSG_DUPLICATE, MSG_TOO_LARGE
 from .wire import NODE_ID_MAX, TIMESTAMP_MAX, MessageId
-
-REJECT_DUPLICATE = "duplicate"
-REJECT_EXPIRED = "expired"
-REJECT_TOO_LARGE = "too_large"
 
 # Oldest generation time of an empty buffer: later than any 48-bit timestamp.
 _NONE_STORED = TIMESTAMP_MAX + 1
@@ -53,7 +50,7 @@ class EnqueueOutcome:
     """Result of an enqueue: acceptance plus what was removed to decide it."""
 
     accepted: bool
-    reason: str | None = None
+    reason: str | None = None  # a rejection's message drop cause (MSG_*)
     expired: list[MessageId] = field(default_factory=list)
     evicted: list[MessageId] = field(default_factory=list)
 
@@ -116,12 +113,12 @@ class MessageBuffer:
         """
         expired = self.drop_expired(now)
         if entry.message_id in self._entries:
-            return EnqueueOutcome(False, REJECT_DUPLICATE, expired)
+            return EnqueueOutcome(False, MSG_DUPLICATE, expired)
         generated_at = entry.generated_at
         if now - generated_at > self.ttl_us:
-            return EnqueueOutcome(False, REJECT_EXPIRED, expired)
+            return EnqueueOutcome(False, MSG_ARRIVAL_EXPIRED, expired)
         if entry.byte_size > self.capacity_bytes:
-            return EnqueueOutcome(False, REJECT_TOO_LARGE, expired)
+            return EnqueueOutcome(False, MSG_TOO_LARGE, expired)
         evicted = self._purge_for(entry.byte_size)
         self._entries[entry.message_id] = entry
         self._used += entry.byte_size

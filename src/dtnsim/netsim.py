@@ -16,6 +16,12 @@ the exact one and outputs are those of checking every packet; near the
 boundary the exact check runs. Certificates are off (every check exact)
 when nothing moves or a node jumps. Trajectories must not change after
 the network is built.
+
+The run's RunTrace is the radio's only observer: every packet outcome
+(submitted, transmitted, delivered, or the drop that ends it) is one
+`trace.packet_event` call, and the per-packet path holds no other
+observer code. Tests observe a run by substituting a RunTrace subclass,
+or a NodeTransport subclass to see packet contents.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ EVENT_TRAFFIC = "traffic_generation"
 # Every simulated packet rides in one IPv4/UDP datagram; on-air sizes,
 # queue occupancy, and byte counters all include this encapsulation.
 IP_UDP_HEADER_BYTES = 20 + 8
+# Largest payload of one such datagram (its total length is a u16).
+MAX_DATAGRAM_PAYLOAD = 0xFFFF - IP_UDP_HEADER_BYTES
 
 # The distance a range certificate keeps from the boundary, relative to
 # the largest magnitude in the position arithmetic (see RadioNetwork).
@@ -202,8 +210,6 @@ class RadioNetwork:
         # Every delivery lands a fixed propagation delay after it was
         # scheduled, so they execute in the order they were scheduled.
         self._in_flight: deque[tuple[Packet, int]] = deque()
-        # Test hook: called as tap(event, packet, receiver_or_None, now).
-        self.taps: list[Callable[[str, Packet, int | None, int], None]] = []
 
     def attach(
         self,
@@ -253,7 +259,7 @@ class RadioNetwork:
         self.trace.packet_event(packet.kind, PKT_SUBMITTED, size, packet.src, packet.dst)
         queue = self._queues[packet.src]
         if queue.used_bytes + size > queue.capacity_bytes:
-            self._drop(packet, PKT_OVERFLOW, now)
+            self.trace.packet_event(packet.kind, PKT_OVERFLOW, size, packet.src, packet.dst)
             return
         queue.fifo.append((packet, now))
         queue.used_bytes += size
@@ -269,7 +275,9 @@ class RadioNetwork:
             if now - enqueued_at > queue.residency_limit_us:
                 fifo.popleft()
                 queue.used_bytes -= packet.size
-                self._drop(packet, PKT_RESIDENCY, now)
+                self.trace.packet_event(
+                    packet.kind, PKT_RESIDENCY, packet.size, packet.src, packet.dst
+                )
                 continue
             queue.busy = True
             done = now + service_time_us(packet.size, self._rate)
@@ -286,8 +294,6 @@ class RadioNetwork:
         self.trace.packet_event(
             packet.kind, PKT_TRANSMITTED, packet.size, packet.src, packet.dst
         )
-        for tap in self.taps:
-            tap("transmit", packet, None, now)
         dst = packet.dst
         if dst is None:
             for other in range(self._n):
@@ -296,12 +302,14 @@ class RadioNetwork:
         elif self.in_range(node, dst, now):
             self._try_deliver(packet, dst, now)
         else:
-            self._drop(packet, PKT_OUT_OF_RANGE, now, receiver=dst)
+            self.trace.packet_event(
+                packet.kind, PKT_OUT_OF_RANGE, packet.size, packet.src, dst
+            )
         self._serve(node)
 
     def _try_deliver(self, packet: Packet, receiver: int, now: int) -> None:
         if self._loss > 0.0 and self._loss_rng.random() < self._loss:
-            self._drop(packet, PKT_LOSS, now, receiver=receiver)
+            self.trace.packet_event(packet.kind, PKT_LOSS, packet.size, packet.src, receiver)
             return
         self._in_flight.append((packet, receiver))
         self.sim.schedule(now + self._prop_us, EVENT_PACKET_DELIVERY, self._deliver)
@@ -312,30 +320,23 @@ class RadioNetwork:
         self.trace.packet_event(
             packet.kind, PKT_DELIVERED, packet.size, packet.src, receiver
         )
-        for tap in self.taps:
-            tap("deliver", packet, receiver, now)
         handler = self._handlers.get(receiver)
         if handler is not None:
             handler(packet.src, packet.port, packet.data, packet.msg_dst, now)
 
-    def _drop(
-        self, packet: Packet, outcome: str, now: int, receiver: int | None = None
-    ) -> None:
-        dst = receiver if receiver is not None else packet.dst
-        self.trace.packet_event(packet.kind, outcome, packet.size, packet.src, dst)
-        for tap in self.taps:
-            tap(outcome, packet, receiver, now)
-
     def finalize(self) -> None:
         """Account packets still queued or still propagating at run end."""
-        now = self.sim.now
         for queue in self._queues:
             for packet, _ in queue.fifo:
-                self._drop(packet, PKT_UNSENT_AT_END, now)
+                self.trace.packet_event(
+                    packet.kind, PKT_UNSENT_AT_END, packet.size, packet.src, packet.dst
+                )
             queue.fifo.clear()
             queue.used_bytes = 0
         for packet, receiver in self._in_flight:
-            self._drop(packet, PKT_IN_FLIGHT_AT_END, now, receiver=receiver)
+            self.trace.packet_event(
+                packet.kind, PKT_IN_FLIGHT_AT_END, packet.size, packet.src, receiver
+            )
         self._in_flight.clear()
 
 

@@ -34,14 +34,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .buffer import (
-    REJECT_DUPLICATE,
-    REJECT_EXPIRED,
-    REJECT_TOO_LARGE,
-    EnqueueOutcome,
-    MessageBuffer,
-    QueueEntry,
-)
+from .buffer import EnqueueOutcome, MessageBuffer, QueueEntry
+from .netsim import MAX_DATAGRAM_PAYLOAD
 from .records import (
     KIND_ACK,
     KIND_BEACON,
@@ -50,13 +44,11 @@ from .records import (
     KIND_REPLY,
     KIND_REPLY_BACK,
     MSG_ARRIVAL_EXPIRED,
-    MSG_DUPLICATE,
     MSG_EVICTED,
     MSG_EXPIRED,
     MSG_HOP_EXHAUSTED,
     MSG_PARTIAL_DISCONNECT,
     MSG_PARTIAL_RESET,
-    MSG_TOO_LARGE,
     PKT_MALFORMED,
     MessageDelivered,
     MessageDropped,
@@ -66,6 +58,7 @@ from .records import (
 )
 from .wire import (
     DATA_HEADERS_SIZE,
+    MESSAGE_TYPE_SIZE,
     SUMMARY_HEAD_SIZE,
     AckHeader,
     MessageId,
@@ -81,11 +74,9 @@ from .wire import (
 PORT_CONTROL = 1
 PORT_DATA = 2
 
-_REJECT_CAUSE = {
-    REJECT_DUPLICATE: MSG_DUPLICATE,
-    REJECT_EXPIRED: MSG_ARRIVAL_EXPIRED,
-    REJECT_TOO_LARGE: MSG_TOO_LARGE,
-}
+# Largest summary fragment: with its 3-byte envelope it fills one
+# IPv4/UDP datagram, so it holds at most 8,187 ids.
+MAX_CONTROL_PAYLOAD = MAX_DATAGRAM_PAYLOAD - MESSAGE_TYPE_SIZE
 
 
 @dataclass(slots=True)
@@ -112,6 +103,11 @@ class ProtocolConfig:
             raise ValueError("hop_limit must be positive")
         if self.max_control_payload < SUMMARY_HEAD_SIZE + 8:
             raise ValueError("max_control_payload must fit at least one id (12 bytes)")
+        if self.max_control_payload > MAX_CONTROL_PAYLOAD:
+            raise ValueError(
+                f"max_control_payload must be at most {MAX_CONTROL_PAYLOAD} bytes "
+                "(a fragment and its envelope fill one UDP datagram)"
+            )
 
     @property
     def beacon_interval_us(self) -> int:
@@ -256,14 +252,13 @@ class EpidemicNode:
             rest = data[3:]
             if mth.msg_type is MsgType.BEACON:
                 self.on_beacon(mth, sender_addr, now)
-            elif mth.msg_type is MsgType.REPLY:
-                self.on_reply(mth.node_id, sender_addr, SummaryVectorHeader.decode(rest), now)
-            elif mth.msg_type is MsgType.REPLY_BACK:
-                self.on_reply_back(
-                    mth.node_id, sender_addr, SummaryVectorHeader.decode(rest), now
-                )
-            else:
+            elif mth.msg_type is MsgType.ACK:
                 self.on_ack(AckHeader.decode(rest), sender_addr, now)
+            else:
+                self.on_summary(
+                    mth.msg_type, mth.node_id, sender_addr,
+                    SummaryVectorHeader.decode(rest), now,
+                )
         except WireError:
             self._malformed(KIND_CONTROL, len(data), sender_addr)
 
@@ -306,29 +301,29 @@ class EpidemicNode:
 
     # -- anti-entropy exchange ---------------------------------------------
 
-    def on_reply(
-        self, sender_node: int, sender_addr: int, frag: SummaryVectorHeader, now: int
+    def on_summary(
+        self,
+        msg_type: MsgType,
+        sender_node: int,
+        sender_addr: int,
+        frag: SummaryVectorHeader,
+        now: int,
     ) -> None:
-        nb = self._touch_neighbor(sender_node, sender_addr, now)
-        if self._leads(sender_addr, sender_node):
-            return  # REPLY is sent by the leading side; ignore on violation
-        nb.summary_accum.extend(frag.ids)
-        if frag.frag_block == 0:
-            remote = set(nb.summary_accum)
-            nb.summary_accum.clear()
-            self._send_summary(MsgType.REPLY_BACK, nb, now)
-            self._load_pipeline(nb, remote, now)
+        """One fragment of the peer's REPLY or REPLY_BACK summary.
 
-    def on_reply_back(
-        self, sender_node: int, sender_addr: int, frag: SummaryVectorHeader, now: int
-    ) -> None:
+        A complete summary loads the pipeline toward the peer; a complete
+        REPLY is first answered with this node's REPLY_BACK.
+        """
         nb = self._touch_neighbor(sender_node, sender_addr, now)
-        if not self._leads(sender_addr, sender_node):
-            return
+        is_reply = msg_type is MsgType.REPLY
+        if self._leads(sender_addr, sender_node) is is_reply:
+            return  # only the leading side sends REPLY; ignore on violation
         nb.summary_accum.extend(frag.ids)
         if frag.frag_block == 0:
             remote = set(nb.summary_accum)
             nb.summary_accum.clear()
+            if is_reply:
+                self._send_summary(MsgType.REPLY_BACK, nb, now)
             self._load_pipeline(nb, remote, now)
 
     def _send_summary(self, msg_type: MsgType, nb: NeighborRecord, now: int) -> None:
@@ -478,7 +473,7 @@ class EpidemicNode:
             self._drop_msg(now, dropped, MSG_EVICTED)
         if not outcome.accepted:
             assert outcome.reason is not None
-            self._drop_msg(now, mid, _REJECT_CAUSE[outcome.reason])
+            self._drop_msg(now, mid, outcome.reason)
 
     def _drop_msg(self, now: int, mid: MessageId, cause: str) -> None:
         self.trace.message_dropped(MessageDropped(now, self.node_id, mid, cause))

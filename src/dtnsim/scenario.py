@@ -78,7 +78,8 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-# key -> parser; None marks a required key.
+# key -> (parser, default). The required keys are _REQUIRED; an optional
+# key whose default is None is resolved in build_scenario.
 _SCHEMA: dict[str, tuple] = {
     "trace": (str, None),
     "duration": (_parse_float, None),

@@ -1,8 +1,11 @@
-"""Shared test helpers: fake transport and message factories."""
+"""Shared test helpers: fake transport, message factories, and small
+simulated worlds whose trace and transports record what happens."""
 
 import random
 
 from dtnsim.buffer import QueueEntry
+from dtnsim.mobility import parse_ns2_trace
+from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator
 from dtnsim.protocol import PORT_CONTROL, PORT_DATA, EpidemicNode, ProtocolConfig
 from dtnsim.records import RunTrace
 from dtnsim.wire import (
@@ -89,3 +92,83 @@ def feed_summary(node, msg_type, sender_node, sender_addr, fragments, now):
     for frag_block, ids in fragments:
         data = envelope + SummaryVectorHeader(frag_block, tuple(ids)).encode()
         node.handle_packet(sender_addr, PORT_CONTROL, data, None, now)
+
+
+class RecordingTrace(RunTrace):
+    """A RunTrace that also logs every packet outcome, in report order,
+    as (kind, outcome, src, dst, now)."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self._sim = sim
+        self.events = []
+
+    def packet_event(self, kind, outcome, size, src, dst):
+        super().packet_event(kind, outcome, size, src, dst)
+        self.events.append((kind, outcome, src, dst, self._sim.now))
+
+
+class RecordingTransport(NodeTransport):
+    """A NodeTransport that logs each packet its node hands to the radio,
+    as (src, dst, kind, data, now); dst None = broadcast.
+
+    The radio reports a handed packet as submitted before the call
+    returns, so the k-th entry of a shared log is the packet of the k-th
+    `submitted` event of the run's trace.
+    """
+
+    def __init__(self, network, node_id, log):
+        super().__init__(network, node_id)
+        self._log = log
+
+    def broadcast(self, port, data, kind):
+        self._log.append((self._node_id, None, kind, data, self.now))
+        super().broadcast(port, data, kind)
+
+    def unicast(self, dst, port, data, kind, msg_dst=None):
+        self._log.append((self._node_id, dst, kind, data, self.now))
+        super().unicast(dst, port, data, kind, msg_dst)
+
+
+def build_world(
+    trace_text,
+    config,
+    link,
+    seed=1,
+    queue_capacity=None,
+    residency_s=None,
+    handed=None,
+):
+    """A simulated world with a RecordingTrace; given a `handed` list,
+    every node's transport is a RecordingTransport logging into it."""
+    sim = Simulator()
+    trace = RecordingTrace(sim)
+    trajectories = parse_ns2_trace(trace_text)
+    net = RadioNetwork(
+        sim,
+        link,
+        trajectories,
+        queue_capacity if queue_capacity is not None else config.buffer_capacity,
+        int((residency_s if residency_s is not None else 2 * config.beacon_interval) * 1_000_000),
+        random.Random(f"{seed}:loss"),
+        trace,
+    )
+    nodes = []
+    for i in range(len(trajectories)):
+        transport = (
+            NodeTransport(net, i) if handed is None else RecordingTransport(net, i, handed)
+        )
+        node = EpidemicNode(
+            i, i, config, transport, trace, random.Random(f"{seed}:beacon:{i}")
+        )
+        net.attach(i, node.handle_packet)
+        nodes.append(node)
+    return sim, net, nodes, trace
+
+
+def static_trace(*positions):
+    lines = []
+    for i, (x, y) in enumerate(positions):
+        lines.append(f"$node_({i}) set X_ {x}")
+        lines.append(f"$node_({i}) set Y_ {y}")
+    return "\n".join(lines)

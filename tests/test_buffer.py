@@ -6,13 +6,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dtnsim.buffer import (
-    REJECT_DUPLICATE,
-    REJECT_EXPIRED,
-    REJECT_TOO_LARGE,
-    MessageBuffer,
-    QueueEntry,
-)
+from dtnsim.buffer import MessageBuffer, QueueEntry
+from dtnsim.records import MSG_ARRIVAL_EXPIRED, MSG_DUPLICATE, MSG_TOO_LARGE
 from dtnsim.wire import MessageId, make_message_id
 
 TTL_US = 1_000_000
@@ -40,7 +35,7 @@ class TestEnqueue:
         e = entry(1, 0)
         assert buf.enqueue(e, 0).accepted
         dup = buf.enqueue(entry(1, 0), 0)
-        assert not dup.accepted and dup.reason == REJECT_DUPLICATE
+        assert not dup.accepted and dup.reason == MSG_DUPLICATE
         assert len(buf) == 1
 
     def test_oldest_evicted_first(self):
@@ -57,12 +52,12 @@ class TestEnqueue:
     def test_expired_at_enqueue_rejected(self):
         buf = MessageBuffer(100, TTL_US)
         outcome = buf.enqueue(entry(1, 0), now=TTL_US + 1)
-        assert not outcome.accepted and outcome.reason == REJECT_EXPIRED
+        assert not outcome.accepted and outcome.reason == MSG_ARRIVAL_EXPIRED
 
     def test_larger_than_capacity_rejected(self):
         buf = MessageBuffer(5, TTL_US)
         outcome = buf.enqueue(entry(1, 0, size=6), 0)
-        assert not outcome.accepted and outcome.reason == REJECT_TOO_LARGE
+        assert not outcome.accepted and outcome.reason == MSG_TOO_LARGE
 
     def test_final_packet_may_be_smaller(self):
         e = multi_packet_entry(1, 0, [bytes(10), bytes(10), bytes(4)])

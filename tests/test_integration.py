@@ -3,60 +3,40 @@
 import gc
 import math
 import os
-import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import build_world, static_trace
 
 from dtnsim.metrics import compute
-from dtnsim.mobility import parse_ns2_trace
-from dtnsim.netsim import LinkModel, NodeTransport, RadioNetwork, Simulator
+from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
+from dtnsim.netsim import LinkModel, RadioNetwork, Simulator
 from dtnsim.protocol import EpidemicNode, ProtocolConfig
 from dtnsim.records import (
     KIND_ACK,
+    KIND_BEACON,
     KIND_DATA,
+    PKT_DELIVERED,
+    PKT_DROP_OUTCOMES,
+    PKT_IN_FLIGHT_AT_END,
+    PKT_LOSS,
+    PKT_MALFORMED,
+    PKT_OUT_OF_RANGE,
+    PKT_OVERFLOW,
+    PKT_RESIDENCY,
+    PKT_SUBMITTED,
     PKT_TRANSMITTED,
-    RunTrace,
+    PKT_UNSENT_AT_END,
 )
 from dtnsim.runner import run_once
-from dtnsim.scenario import load_scenario
+from dtnsim.scenario import Scenario, TrafficParams, load_scenario
 from dtnsim.traffic import MessageSpec, generate_message
 from dtnsim.wire import EpidemicHeader
 
 SEC = 1_000_000
-
-
-def build_world(trace_text, config, link, seed=1, queue_capacity=None, residency_s=None):
-    sim = Simulator()
-    trace = RunTrace()
-    trajectories = parse_ns2_trace(trace_text)
-    net = RadioNetwork(
-        sim,
-        link,
-        trajectories,
-        queue_capacity if queue_capacity is not None else config.buffer_capacity,
-        int((residency_s if residency_s is not None else 2 * config.beacon_interval) * SEC),
-        random.Random(f"{seed}:loss"),
-        trace,
-    )
-    nodes = []
-    for i in range(len(trajectories)):
-        node = EpidemicNode(
-            i, i, config, NodeTransport(net, i), trace, random.Random(f"{seed}:beacon:{i}")
-        )
-        net.attach(i, node.handle_packet)
-        nodes.append(node)
-    return sim, net, nodes, trace
-
-
-def static_trace(*positions):
-    lines = []
-    for i, (x, y) in enumerate(positions):
-        lines.append(f"$node_({i}) set X_ {x}")
-        lines.append(f"$node_({i}) set Y_ {y}")
-    return "\n".join(lines)
 
 
 def start_all(sim, nodes, entries=()):
@@ -206,7 +186,10 @@ class TestAntiEntropyUnion:
     def test_no_data_sent_for_shared_ids(self):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
         link = LinkModel(12e6, 100.0)
-        sim, net, nodes, _ = build_world(static_trace((0, 0), (50, 0)), config, link)
+        handed = []
+        sim, net, nodes, trace = build_world(
+            static_trace((0, 0), (50, 0)), config, link, handed=handed
+        )
         shared_ids = set()
         for source, t in [(3, 0), (3, 1), (3, 2)]:
             e = generate_message(MessageSpec(source, 9, 2000, 500, t), config.hop_limit)
@@ -217,46 +200,54 @@ class TestAntiEntropyUnion:
             e = generate_message(MessageSpec(source, 9, 2000, 500, t), config.hop_limit)
             nodes[0].buffer.enqueue(e, t)
 
-        sent_ids = []
-
-        def tap(event, packet, receiver, now):
-            if event == "transmit" and packet.kind == KIND_DATA:
-                sent_ids.append(EpidemicHeader.decode(packet.data).message_id)
-
-        net.taps.append(tap)
         start_all(sim, nodes)
         sim.run(20 * SEC)
-        assert not (set(sent_ids) & shared_ids)
-        assert len(sent_ids) > 0  # the disjoint ones did move
+        # No data packet of a shared id is even handed to the radio.
+        sent_ids = {
+            EpidemicHeader.decode(data).message_id
+            for _, _, kind, data, _ in handed
+            if kind == KIND_DATA
+        }
+        assert not (sent_ids & shared_ids)
+        assert trace.count(KIND_DATA, PKT_TRANSMITTED) > 0  # the disjoint ones did move
 
 
 class TestAckGating:
     def test_one_message_in_flight_and_no_interleaving(self):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
         link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
+        handed = []
+        sim, net, nodes, trace = build_world(
+            static_trace((0, 0), (50, 0)), config, link, handed=handed
+        )
         entries = [
             generate_message(MessageSpec(0, 1, 20_000, 1000, t), config.hop_limit)
             for t in (0, 1, 2)
         ]
-        events = []  # interleaved record of data transmissions and ack deliveries
-
-        def tap(event, packet, receiver, now):
-            if event == "transmit" and packet.kind == KIND_DATA:
-                events.append(("data", EpidemicHeader.decode(packet.data).message_id))
-            elif event == "deliver" and packet.kind == KIND_ACK:
-                events.append(("ack", None))
-
-        net.taps.append(tap)
         start_all(sim, nodes, [(nodes[0], e, e.generated_at) for e in entries])
         sim.run(6 * SEC)
         net.finalize()
 
+        # Interleave data submissions (the k-th one carries the k-th data
+        # packet handed to the radio) with ack deliveries, in report order.
+        handed_ids = iter(
+            [EpidemicHeader.decode(data).message_id for _, _, kind, data, _ in handed
+             if kind == KIND_DATA]
+        )
+        events = []
+        for kind, outcome, *_ in trace.events:
+            if (kind, outcome) == (KIND_DATA, PKT_SUBMITTED):
+                events.append(("data", next(handed_ids)))
+            elif (kind, outcome) == (KIND_ACK, PKT_DELIVERED):
+                events.append(("ack", None))
+
         # Messages travel whole and strictly one at a time: the data
         # stream is three contiguous single-id blocks, and a new block
-        # starts only after the previous message's ack came back.
+        # is handed to the radio only after the previous message's ack
+        # came back.
         data_ids = [mid for kind, mid in events if kind == "data"]
         assert len(data_ids) == 60  # 3 messages x 20 packets, no re-sends
+        assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 60
         acks_seen = 0
         blocks_started = 0
         current = None
@@ -337,6 +328,59 @@ class TestChaosInvariants:
                     )
                 )
                 assert submitted == accounted, (pair, by_outcome)
+
+
+class TestPacketConservation:
+    def test_every_key_balances(self, tmp_path):
+        # Six moving nodes, 5% loss, a 2 ms propagation delay, a device
+        # queue of about two messages and a 0.1 s residency limit, with
+        # traffic until the end: every drop outcome but malformed occurs.
+        trace_file = tmp_path / "conservation.ns"
+        trace_file.write_text(
+            generate_random_waypoint_trace(6, 150, 150, 5, 15, 40, seed="conservation")
+        )
+        scenario = Scenario(
+            trace_path=trace_file,
+            duration_s=40.0,
+            seeds=(1,),
+            protocol=ProtocolConfig(1.0, 0.1, 500_000, 25.0, 3, 60),
+            link=LinkModel(2e6, 60.0, loss_probability=0.05, propagation_delay_s=2e-3),
+            traffic=TrafficParams(20, 15_000, 1200, 1.0, 40.0),
+            queue_capacity=30_000,
+            queue_residency_s=0.1,
+        )
+        _, trace = run_once(scenario, 1)
+        counts = trace.pair_counts
+        by_outcome = Counter()
+        for (_, _, _, outcome), n in counts.items():
+            by_outcome[outcome] += n
+        assert by_outcome[PKT_MALFORMED] == 0
+        for outcome in set(PKT_DROP_OUTCOMES) - {PKT_MALFORMED}:
+            assert by_outcome[outcome] > 0, outcome
+
+        def n(src, dst, kind, *outcomes):
+            return sum(counts[(src, dst, kind, o)] for o in outcomes)
+
+        keys = {(src, dst, kind) for src, dst, kind, _ in counts}
+        for src, dst, kind in keys:
+            # Every packet handed to a device queue leaves it exactly once.
+            assert n(src, dst, kind, PKT_SUBMITTED) == n(
+                src, dst, kind, PKT_TRANSMITTED, PKT_OVERFLOW, PKT_RESIDENCY, PKT_UNSENT_AT_END
+            ), (src, dst, kind)
+            if dst is None:
+                continue
+            if kind == KIND_BEACON:
+                # A broadcast reaches each receiver at most once.
+                assert n(src, dst, kind, PKT_DELIVERED, PKT_LOSS, PKT_IN_FLIGHT_AT_END) <= n(
+                    src, None, kind, PKT_TRANSMITTED
+                ), (src, dst, kind)
+                assert n(src, dst, kind, PKT_OUT_OF_RANGE) == 0
+            else:
+                # Every transmitted unicast packet has exactly one fate.
+                assert n(src, dst, kind, PKT_TRANSMITTED) == n(
+                    src, dst, kind, PKT_DELIVERED, PKT_LOSS, PKT_OUT_OF_RANGE,
+                    PKT_IN_FLIGHT_AT_END,
+                ), (src, dst, kind)
 
 
 class TestFullPipelineReplay:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import RecordingTrace
 from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.mobility import Trajectory, parse_ns2_trace
@@ -245,6 +246,7 @@ class TestRangeCertificate:
         trajectories = build_trajectories(nodes)
         n = len(trajectories)
         sim = Simulator()
+        trace = RecordingTrace(sim)
         # 1 Tbps: a 29-byte broadcast is on the air for one microsecond.
         net = RadioNetwork(
             sim,
@@ -253,17 +255,8 @@ class TestRangeCertificate:
             1_000_000,
             10 * SEC,
             random.Random(1),
-            RunTrace(),
+            trace,
         )
-        transmitted, received = [], {}
-
-        def tap(event, packet, receiver, now):
-            if event == "transmit":
-                transmitted.append((packet, now))
-            elif event == "deliver":
-                received.setdefault(id(packet), set()).add(receiver)
-
-        net.taps.append(tap)
         mismatches = []
 
         def query(i, t_us):
@@ -277,17 +270,27 @@ class TestRangeCertificate:
         for i, t_us in enumerate(times):
             sim.schedule(t_us, EVENT_TIMER, lambda i=i, t_us=t_us: query(i, t_us))
         sim.run(times[-1] + 10 * n * len(times))
+        # A broadcast is named by (sender, end of transmission): a sender
+        # transmits one packet at a time, and with no propagation delay
+        # its deliveries are reported at that same instant.
+        transmitted, received = [], {}
+        for _, outcome, src, dst, now in trace.events:
+            if outcome == PKT_TRANSMITTED:
+                transmitted.append((src, now))
+            elif outcome == PKT_DELIVERED:
+                received.setdefault((src, now), set()).add(dst)
         assert len(transmitted) == len(times)
-        for packet, now in transmitted:
+        assert len(set(transmitted)) == len(transmitted)
+        assert set(received) <= set(transmitted)
+        for src, now in transmitted:
             expected = {
                 b
                 for b in range(n)
-                if b != packet.src
-                and exact_in_range(trajectories, radio_range, packet.src, b, now)
+                if b != src and exact_in_range(trajectories, radio_range, src, b, now)
             }
-            got = received.get(id(packet), set())
+            got = received.get((src, now), set())
             if got != expected:
-                mismatches.append(("broadcast", packet.src, now, got, expected))
+                mismatches.append(("broadcast", src, now, got, expected))
         assert mismatches == []
 
 

@@ -11,7 +11,9 @@ from conftest import (
     make_node,
 )
 
+from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD
 from dtnsim.protocol import (
+    MAX_CONTROL_PAYLOAD,
     PORT_CONTROL,
     PORT_DATA,
     ProtocolConfig,
@@ -33,6 +35,7 @@ from dtnsim.wire import (
     AckHeader,
     DataPacketHeader,
     EpidemicHeader,
+    MESSAGE_TYPE_SIZE,
     MessageTypeHeader,
     MsgType,
     SummaryVectorHeader,
@@ -537,6 +540,23 @@ class TestConfigValidation:
             ProtocolConfig(hop_limit=0)
         with pytest.raises(ValueError):
             ProtocolConfig(max_control_payload=11)
+
+    def test_largest_control_payload_fills_one_datagram(self):
+        config = ProtocolConfig(max_control_payload=MAX_CONTROL_PAYLOAD)
+        assert MAX_CONTROL_PAYLOAD + MESSAGE_TYPE_SIZE == MAX_DATAGRAM_PAYLOAD == 65_507
+        # More ids than one fragment's u16 count could hold: every
+        # fragment encodes, and with its envelope fits one datagram.
+        ids = [make_message_id(1, t) for t in range(70_000)]
+        frags = build_summary_fragments(ids, config.max_control_payload)
+        assert [m for f in frags for m in f.ids] == ids
+        for frag in frags:
+            assert MESSAGE_TYPE_SIZE + len(frag.encode()) <= MAX_DATAGRAM_PAYLOAD
+        assert max(f.length for f in frags) == 8_187
+
+    @pytest.mark.parametrize("cap", [MAX_CONTROL_PAYLOAD + 1, 10**6])
+    def test_control_payload_beyond_one_datagram_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_control_payload"):
+            ProtocolConfig(max_control_payload=cap)
 
     def test_zero_randomness_allowed(self):
         assert ProtocolConfig(beacon_randomness=0.0).beacon_randomness_us == 0

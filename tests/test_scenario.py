@@ -105,6 +105,11 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             load_scenario(scenario_dir / "bad.cfg")
 
+    def test_oversized_control_payload_rejected_at_load(self, scenario_dir):
+        (scenario_dir / "bad.cfg").write_text(MINIMAL + "max_control_payload = 1e6\n")
+        with pytest.raises(ScenarioError, match="max_control_payload"):
+            load_scenario(scenario_dir / "bad.cfg")
+
 
 class TestOverrides:
     def test_override_applied(self, scenario_dir):
