@@ -19,7 +19,11 @@ _NONE_STORED = TIMESTAMP_MAX + 1
 
 @dataclass(slots=True)
 class QueueEntry:
-    """One complete message: ordered packet payloads plus routing state."""
+    """One complete message: ordered packet payloads plus routing state.
+
+    The payloads are `bytes`, shared by reference with every other copy
+    of the message in the run.
+    """
 
     message_id: MessageId
     destination: int
@@ -34,7 +38,13 @@ class QueueEntry:
             raise ValueError(f"destination out of 16-bit range: {self.destination}")
         if self.hop_budget < 0:
             raise ValueError("hop_budget must be non-negative")
-        self.byte_size = sum(len(p) for p in self.packets)
+        # Shared payloads must be immutable.
+        size = 0
+        for p in self.packets:
+            if type(p) is not bytes:
+                raise TypeError(f"packet payloads must be bytes, got {type(p).__name__}")
+            size += len(p)
+        self.byte_size = size
 
     @property
     def packet_total(self) -> int:

@@ -17,6 +17,13 @@ boundary the exact check runs. Certificates are off (every check exact)
 when nothing moves or a node jumps. Trajectories must not change after
 the network is built.
 
+A packet is its `data` bytes plus an optional `payload` bytes object
+carried by reference: the datagram it stands for is `data + payload`,
+and its on-air size counts both. A data packet's `data` is its header
+block and its `payload` the very bytes object its sender stores, so
+every node holding a message shares one payload object per packet
+instead of a copy per hop. Control packets have an empty payload.
+
 The run's RunTrace is the radio's only observer: every packet outcome
 (submitted, transmitted, delivered, or the drop that ends it) is one
 `trace.packet_event` call, and the per-packet path holds no other
@@ -129,7 +136,8 @@ class Packet:
     data: bytes
     kind: str
     msg_dst: int | None
-    size: int  # on-air bytes: data plus the IPv4/UDP encapsulation
+    payload: bytes
+    size: int  # on-air bytes: data, payload and the IPv4/UDP encapsulation
 
     def __init__(
         self,
@@ -139,6 +147,7 @@ class Packet:
         data: bytes,
         kind: str,
         msg_dst: int | None = None,
+        payload: bytes = b"",
     ) -> None:
         self.src = src
         self.dst = dst
@@ -146,7 +155,8 @@ class Packet:
         self.data = data
         self.kind = kind
         self.msg_dst = msg_dst
-        self.size = len(data) + IP_UDP_HEADER_BYTES
+        self.payload = payload
+        self.size = len(data) + len(payload) + IP_UDP_HEADER_BYTES
 
 
 @dataclass(slots=True)
@@ -204,8 +214,8 @@ class RadioNetwork:
         self._completions = [
             (lambda n=node: self._complete(n)) for node in range(len(trajectories))
         ]
-        # address -> packet handler(sender_addr, port, data, msg_dst, now)
-        self._handlers: dict[int, Callable[[int, int, bytes, int | None, int], None]] = {}
+        # address -> packet handler(sender_addr, port, data, msg_dst, now, payload)
+        self._handlers: dict[int, Callable[[int, int, bytes, int | None, int, bytes], None]] = {}
         # (packet, receiver) of deliveries scheduled but not yet executed.
         # Every delivery lands a fixed propagation delay after it was
         # scheduled, so they execute in the order they were scheduled.
@@ -214,7 +224,7 @@ class RadioNetwork:
     def attach(
         self,
         address: int,
-        handler: Callable[[int, int, bytes, int | None, int], None],
+        handler: Callable[[int, int, bytes, int | None, int, bytes], None],
     ) -> None:
         if address in self._handlers:
             raise ValueError(f"duplicate node address {address}")
@@ -322,7 +332,9 @@ class RadioNetwork:
         )
         handler = self._handlers.get(receiver)
         if handler is not None:
-            handler(packet.src, packet.port, packet.data, packet.msg_dst, now)
+            handler(
+                packet.src, packet.port, packet.data, packet.msg_dst, now, packet.payload
+            )
 
     def finalize(self) -> None:
         """Account packets still queued or still propagating at run end."""
@@ -351,10 +363,16 @@ class NodeTransport:
         self._network.submit(Packet(self._node_id, None, port, data, kind))
 
     def unicast(
-        self, dst: int, port: int, data: bytes, kind: str, msg_dst: int | None = None
+        self,
+        dst: int,
+        port: int,
+        data: bytes,
+        kind: str,
+        msg_dst: int | None = None,
+        payload: bytes = b"",
     ) -> None:
         self._network.submit(
-            Packet(self._node_id, dst, port, data, kind, msg_dst)
+            Packet(self._node_id, dst, port, data, kind, msg_dst, payload)
         )
 
     def schedule(self, time_us: int, fn: Callable[[], None]) -> None:

@@ -24,7 +24,10 @@ expired or out of hops, and is otherwise stored (and counted as
 delivered at its destination).
 
 Control and data packets travel on distinct logical channels, standing in
-for the two UDP ports of an IP convergence layer.
+for the two UDP ports of an IP convergence layer. A data packet is handed
+over as its header block plus a reference to the stored payload bytes,
+which the receiver stores as they are: every copy of a message shares the
+originator's payload objects.
 """
 
 from __future__ import annotations
@@ -77,6 +80,9 @@ PORT_DATA = 2
 # Largest summary fragment: with its 3-byte envelope it fills one
 # IPv4/UDP datagram, so it holds at most 8,187 ids.
 MAX_CONTROL_PAYLOAD = MAX_DATAGRAM_PAYLOAD - MESSAGE_TYPE_SIZE
+# Largest data packet payload: with its 30-byte header block it fills one
+# IPv4/UDP datagram.
+MAX_PACKET_PAYLOAD = MAX_DATAGRAM_PAYLOAD - DATA_HEADERS_SIZE
 
 
 @dataclass(slots=True)
@@ -180,7 +186,13 @@ class Transport(Protocol):
     def broadcast(self, port: int, data: bytes, kind: str) -> None: ...
 
     def unicast(
-        self, dst: int, port: int, data: bytes, kind: str, msg_dst: int | None = None
+        self,
+        dst: int,
+        port: int,
+        data: bytes,
+        kind: str,
+        msg_dst: int | None = None,
+        payload: bytes = b"",
     ) -> None: ...
 
     def schedule(self, time_us: int, fn) -> None: ...
@@ -242,10 +254,21 @@ class EpidemicNode:
     # -- packet dispatch --------------------------------------------------
 
     def handle_packet(
-        self, sender_addr: int, port: int, data: bytes, msg_dst: int | None, now: int
+        self,
+        sender_addr: int,
+        port: int,
+        data: bytes,
+        msg_dst: int | None,
+        now: int,
+        payload: bytes = b"",
     ) -> None:
+        """One received datagram, `data + payload`.
+
+        A data packet's `data` is its header block (or the whole datagram
+        if shorter) and `payload` the rest; a control packet is all `data`.
+        """
         if port == PORT_DATA:
-            self.on_data_packet(data, sender_addr, msg_dst, now)
+            self.on_data_packet(data, payload, sender_addr, msg_dst, now)
             return
         try:
             mth = MessageTypeHeader.decode(data)
@@ -355,10 +378,13 @@ class EpidemicNode:
             return
 
     def _send_message(self, nb: NeighborRecord, entry: QueueEntry) -> None:
-        for data in encode_data_packets(
-            entry.message_id, entry.hop_budget, self.node_id, entry.packets
-        ):
-            self.transport.unicast(nb.address, PORT_DATA, data, KIND_DATA, entry.destination)
+        packets = entry.packets
+        headers = encode_data_packets(
+            entry.message_id, entry.hop_budget, self.node_id, len(packets)
+        )
+        unicast = self.transport.unicast
+        for header, payload in zip(headers, packets):
+            unicast(nb.address, PORT_DATA, header, KIND_DATA, entry.destination, payload)
 
     def on_ack(self, ack: AckHeader, sender_addr: int, now: int) -> None:
         nb = self._touch_neighbor(ack.node_id, sender_addr, now)
@@ -377,20 +403,21 @@ class EpidemicNode:
     # -- reception ------------------------------------------------------------
 
     def on_data_packet(
-        self, data: bytes, sender_addr: int, msg_dst: int | None, now: int
+        self, data: bytes, payload: bytes, sender_addr: int, msg_dst: int | None, now: int
     ) -> None:
         """Add one data packet to its sender's reception buffer.
 
-        The receive checks and their accounting are those of
-        docs/wire-format.md: a packet failing one is counted once as
-        data/malformed and changes no reception state.
+        `data` is the packet's header block and `payload` the bytes after
+        it, which are stored as they are (not copied). The receive checks
+        and their accounting are those of docs/wire-format.md: a packet
+        failing one is counted once as data/malformed and changes no
+        reception state.
         """
         try:
             epi_raw, hop_count, raw, last_hop, total, index = decode_data_headers(data)
         except WireError:
-            self._malformed(KIND_DATA, len(data), sender_addr)
+            self._malformed(KIND_DATA, len(data) + len(payload), sender_addr)
             return
-        payload = data[DATA_HEADERS_SIZE:]
         if epi_raw != raw or msg_dst is None:
             self._malformed(KIND_DATA, len(payload), sender_addr)
             return

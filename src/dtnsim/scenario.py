@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .mobility import Trajectory, parse_ns2_trace
 from .netsim import LinkModel
-from .protocol import ProtocolConfig
+from .protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
 
 
 class ScenarioError(ValueError):
@@ -191,6 +191,11 @@ def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
         raise ScenarioError("traffic window must lie within [0, duration]")
     if traffic.message_size < 1 or traffic.packet_payload < 1:
         raise ScenarioError("message_size and packet_payload must be positive")
+    if traffic.packet_payload > MAX_PACKET_PAYLOAD:
+        raise ScenarioError(
+            f"packet_payload must be at most {MAX_PACKET_PAYLOAD} bytes "
+            "(a data packet and its headers fill one UDP datagram)"
+        )
 
     queue_capacity = values["queue_capacity"]
     queue_residency = values["queue_residency"]

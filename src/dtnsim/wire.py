@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -115,7 +114,7 @@ ACK_SIZE = _ACK.size  # 12
 EPIDEMIC_SIZE = _EPIDEMIC.size  # 12
 SUMMARY_HEAD_SIZE = _SUMMARY_HEAD.size  # 4
 
-# Headers prepended to every data packet payload.
+# The header block in front of every data packet payload.
 DATA_HEADERS_SIZE = _DATA_HEADERS.size  # 30 = EPIDEMIC_SIZE + DATA_PACKET_SIZE
 
 
@@ -281,25 +280,24 @@ class SummaryVectorHeader:
 
 
 def encode_data_packets(
-    message_id: MessageId, hop_count: int, last_hop: int, payloads: Sequence[bytes]
+    message_id: MessageId, hop_count: int, last_hop: int, packet_total: int
 ) -> list[bytes]:
-    """Every data packet of one message, in index order.
+    """The header blocks of every data packet of one message, in index order.
 
-    Packet i is EpidemicHeader(message_id, hop_count), then
-    DataPacketHeader(message_id, last_hop, len(payloads), i), then
-    payloads[i]: the bytes the two header classes encode, with the
-    fields validated once for the whole message.
+    Block i is EpidemicHeader(message_id, hop_count), then
+    DataPacketHeader(message_id, last_hop, packet_total, i): the bytes the
+    two header classes encode, with the fields validated once for the
+    whole message. Packet i on the wire is block i followed by payload i.
     """
     _check_node(last_hop, "last_hop")
     if not 0 <= hop_count <= HOP_COUNT_MAX:
         raise ValueError(f"hop_count out of 32-bit range: {hop_count}")
-    total = len(payloads)
-    if not 1 <= total <= 0xFFFFFFFF:
-        raise ValueError(f"packet_total out of range: {total}")
+    if not 1 <= packet_total <= 0xFFFFFFFF:
+        raise ValueError(f"packet_total out of range: {packet_total}")
     pack = _DATA_HEADERS.pack
     return [
-        pack(message_id, hop_count, message_id, last_hop, total, index) + payload
-        for index, payload in enumerate(payloads)
+        pack(message_id, hop_count, message_id, last_hop, packet_total, index)
+        for index in range(packet_total)
     ]
 
 
@@ -307,7 +305,8 @@ def decode_data_headers(data: bytes) -> tuple[int, int, int, int, int, int]:
     """Both headers of a data packet, as plain ints.
 
     Returns (epidemic message_id, hop_count, data message_id, last_hop,
-    packet_total, packet_index); the payload starts at DATA_HEADERS_SIZE.
+    packet_total, packet_index) from the packet's header block; the
+    payload that follows it is not read.
     Makes the checks of EpidemicHeader.decode and DataPacketHeader.decode:
     TruncatedHeaderError below 30 bytes, HeaderFormatError for a
     packet_total of 0 or a packet_index not below it. Whether the two

@@ -9,6 +9,7 @@ from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator
 from dtnsim.protocol import PORT_CONTROL, PORT_DATA, EpidemicNode, ProtocolConfig
 from dtnsim.records import RunTrace
 from dtnsim.wire import (
+    DATA_HEADERS_SIZE,
     DataPacketHeader,
     EpidemicHeader,
     MessageTypeHeader,
@@ -19,18 +20,21 @@ from dtnsim.wire import (
 
 
 class FakeTransport:
-    """Collects emissions and timer requests instead of simulating them."""
+    """Collects emissions and timer requests instead of simulating them.
+
+    A sent packet is recorded as its whole datagram, `data + payload`.
+    """
 
     def __init__(self):
-        self.sent = []  # (dst, port, data, kind, msg_dst); dst None = broadcast
+        self.sent = []  # (dst, port, datagram, kind, msg_dst); dst None = broadcast
         self.timers = []  # (time_us, fn)
         self.now = 0
 
     def broadcast(self, port, data, kind):
         self.sent.append((None, port, data, kind, None))
 
-    def unicast(self, dst, port, data, kind, msg_dst=None):
-        self.sent.append((dst, port, data, kind, msg_dst))
+    def unicast(self, dst, port, data, kind, msg_dst=None, payload=b""):
+        self.sent.append((dst, port, data + payload, kind, msg_dst))
 
     def schedule(self, time_us, fn):
         self.timers.append((time_us, fn))
@@ -70,15 +74,30 @@ def make_entry(source, gen_us, *, size=30, payload=10, destination=99, hop_budge
 
 
 def feed_message(node, entry, sender_node, sender_addr, now, budget=None):
-    """Deliver all data packets of a message into a node, in index order."""
+    """Deliver all data packets of a message into a node, in index order,
+    each as its header block plus the entry's own payload object."""
     hop = entry.hop_budget if budget is None else budget
     epi = EpidemicHeader(entry.message_id, hop).encode()
     total = entry.packet_total
     for index, payload in enumerate(entry.packets):
         dph = DataPacketHeader(entry.message_id, sender_node, total, index).encode()
         node.handle_packet(
-            sender_addr, PORT_DATA, epi + dph + payload, entry.destination, now
+            sender_addr, PORT_DATA, epi + dph, entry.destination, now, payload
         )
+
+
+def feed_datagram(node, sender_addr, datagram, msg_dst, now):
+    """Hand a crafted contiguous data-channel datagram to a node, split as
+    the radio carries it: the header block (the whole datagram if shorter)
+    and the payload after it."""
+    node.handle_packet(
+        sender_addr,
+        PORT_DATA,
+        datagram[:DATA_HEADERS_SIZE],
+        msg_dst,
+        now,
+        datagram[DATA_HEADERS_SIZE:],
+    )
 
 
 def feed_beacon(node, sender_node, sender_addr, now):
@@ -110,7 +129,8 @@ class RecordingTrace(RunTrace):
 
 class RecordingTransport(NodeTransport):
     """A NodeTransport that logs each packet its node hands to the radio,
-    as (src, dst, kind, data, now); dst None = broadcast.
+    as (src, dst, kind, datagram, now), the datagram being data + payload;
+    dst None = broadcast.
 
     The radio reports a handed packet as submitted before the call
     returns, so the k-th entry of a shared log is the packet of the k-th
@@ -125,9 +145,9 @@ class RecordingTransport(NodeTransport):
         self._log.append((self._node_id, None, kind, data, self.now))
         super().broadcast(port, data, kind)
 
-    def unicast(self, dst, port, data, kind, msg_dst=None):
-        self._log.append((self._node_id, dst, kind, data, self.now))
-        super().unicast(dst, port, data, kind, msg_dst)
+    def unicast(self, dst, port, data, kind, msg_dst=None, payload=b""):
+        self._log.append((self._node_id, dst, kind, data + payload, self.now))
+        super().unicast(dst, port, data, kind, msg_dst, payload)
 
 
 def build_world(

@@ -352,3 +352,17 @@ def test_constructor_validation():
         MessageBuffer(10, 0)
     with pytest.raises(ValueError):
         QueueEntry(make_message_id(1, 0), 99, (), 5)
+
+
+@pytest.mark.parametrize(
+    "mutable", [bytearray(b"abc"), memoryview(bytearray(b"abc")), [97, 98, 99]]
+)
+def test_entry_payloads_must_be_immutable_bytes(mutable):
+    # Every copy of a message shares its payload objects, so one mutable
+    # payload would let a change at one node reach every node.
+    mid = make_message_id(1, 0)
+    with pytest.raises(TypeError, match="bytes"):
+        QueueEntry(mid, 2, (mutable,), 3)
+    with pytest.raises(TypeError, match="bytes"):
+        QueueEntry(mid, 2, (b"ok", mutable), 3)
+    assert QueueEntry(mid, 2, (b"abc", b""), 3).byte_size == 3

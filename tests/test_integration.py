@@ -146,6 +146,34 @@ class TestStoreAndHaulRelay:
         assert report.drops["msg_hop_exhausted"] >= 1
 
 
+class TestSharedPayloads:
+    def test_every_copy_holds_the_originators_payload_objects(self):
+        # A chain 0 - 1 - 2 - 3: each node reaches only its neighbours, so
+        # every copy beyond the first neighbour has been relayed.
+        config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
+        link = LinkModel(12e6, 60.0)
+        sim, net, nodes, trace = build_world(
+            static_trace((0, 0), (50, 0), (100, 0), (150, 0)), config, link
+        )
+        originals = [
+            (nodes[0], generate_message(MessageSpec(0, 3, 5_000, 1_000, 0), config.hop_limit)),
+            (nodes[0], generate_message(MessageSpec(0, 2, 2_500, 1_000, 1), config.hop_limit)),
+            (nodes[3], generate_message(MessageSpec(3, 0, 1_500, 1_000, 0), config.hop_limit)),
+        ]
+        start_all(sim, nodes, [(node, e, e.generated_at) for node, e in originals])
+        sim.run(20 * SEC)
+        net.finalize()
+        assert compute(trace).delivered == 3
+        for _, original in originals:
+            copies = [node.buffer.get(original.message_id) for node in nodes]
+            assert None not in copies  # all four nodes hold the message
+            for copy in copies:
+                assert len(copy.packets) == original.packet_total
+                assert all(
+                    mine is theirs for mine, theirs in zip(copy.packets, original.packets)
+                )
+
+
 class TestAntiEntropyUnion:
     def run_union(self, ids_a, ids_b, shared=(), payload_cap=1400, seed=3):
         """Prefill two buffers, run one contact, return final id sets."""

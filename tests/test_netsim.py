@@ -299,7 +299,7 @@ class TestTransmission:
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
         net.attach(0, lambda *a: None)
-        net.attach(1, lambda src, port, data, msg_dst, now: got.append((data, now)))
+        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append((data, now)))
         for i in range(5):
             net.submit(Packet(0, 1, 1, bytes(1472), "data"))
         sim.run(10 * SEC)
@@ -309,11 +309,34 @@ class TestTransmission:
         assert [t for _, t in got] == [1000 * (i + 1) for i in range(5)]
         assert trace.count("data", PKT_DELIVERED) == 5
 
+    def test_payload_delivered_by_reference(self):
+        sim, net, trace = make_net([(0, 0), (10, 0)])
+        got = []
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
+            (data, payload, msg_dst, now)
+        ))
+        data, payload = bytes(30), bytes(range(256)) * 5 + bytes(162)
+        packet = Packet(0, 1, 2, data, "data", 7, payload)
+        assert packet.size == len(data) + len(payload) + 28 == 1500
+        net.submit(packet)
+        sim.run(SEC)
+        assert len(got) == 1
+        got_data, got_payload, msg_dst, now = got[0]
+        assert got_data is data and got_payload is payload and msg_dst == 7
+        # The payload is on the air too: 1500 B at 12 Mbps take 1 ms.
+        assert now == 1000
+        assert trace.bytes_of("data", PKT_DELIVERED) == 1500
+
+    def test_control_packet_has_empty_payload(self):
+        packet = Packet(0, None, 1, b"abc", "beacon")
+        assert packet.payload == b"" and packet.size == 3 + 28
+
     def test_broadcast_reaches_all_in_range(self):
         sim, net, trace = make_net([(0, 0), (10, 0), (20, 0), (500, 0)])
         got = []
         for i in range(4):
-            net.attach(i, lambda src, port, data, msg_dst, now, i=i: got.append(i))
+            net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append(i))
         net.submit(Packet(0, None, 1, b"abc", "beacon"))
         sim.run(SEC)
         assert sorted(got) == [1, 2]  # node 3 out of range, sender excluded
@@ -447,7 +470,7 @@ class TestDeviceQueue:
         )
         got = []
         for i in range(3):
-            net.attach(i, lambda src, port, data, msg_dst, now, i=i: got.append((now, src, i, data)))
+            net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append((now, src, i, data)))
         net.submit(Packet(0, 1, 1, b"a" * 1472, "data"))  # on air 0..1000 us
         net.submit(Packet(2, None, 1, b"b" * 722, "beacon"))  # 0..500 us
         net.submit(Packet(1, 0, 1, b"c" * 1472, "data"))  # 0..1000 us

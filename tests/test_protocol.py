@@ -5,6 +5,7 @@ import struct
 import pytest
 from conftest import (
     feed_beacon,
+    feed_datagram,
     feed_message,
     feed_summary,
     make_entry,
@@ -15,7 +16,6 @@ from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD
 from dtnsim.protocol import (
     MAX_CONTROL_PAYLOAD,
     PORT_CONTROL,
-    PORT_DATA,
     ProtocolConfig,
     build_summary_fragments,
 )
@@ -290,7 +290,7 @@ class TestOnDataPacket:
         y = make_entry(1, 20, size=10, payload=10)
         epi = EpidemicHeader(x.message_id, x.hop_budget).encode()
         dph = DataPacketHeader(x.message_id, 1, 3, 0).encode()
-        node.handle_packet(1, PORT_DATA, epi + dph + x.packets[0], x.destination, 1000)
+        feed_datagram(node, 1, epi + dph + x.packets[0], x.destination, 1000)
         feed_message(node, y, 1, 1, now=1100)
         assert x.message_id not in node.buffer
         assert y.message_id in node.buffer
@@ -377,9 +377,9 @@ class TestOnDataPacket:
         else:
             # Packet 0 starts reassembly with total 3; packet 1 claims 4.
             first = epi + DataPacketHeader(e.message_id, 1, 3, 0).encode() + e.packets[0]
-            node.handle_packet(1, PORT_DATA, first, msg_dst, 900)
+            feed_datagram(node, 1, first, msg_dst, 900)
             data = epi + DataPacketHeader(e.message_id, 1, 4, 1).encode() + payload
-        node.handle_packet(1, PORT_DATA, data, msg_dst, 1000)
+        feed_datagram(node, 1, data, msg_dst, 1000)
         undecodable = case in ("truncated", "zero_total", "bad_index")
         assert trace.count(KIND_DATA, PKT_MALFORMED) == 1
         assert trace.bytes_of(KIND_DATA, PKT_MALFORMED) == (
@@ -460,7 +460,7 @@ class TestConnectionCheck:
         e = make_entry(1, 10, size=30, payload=10)
         epi = EpidemicHeader(e.message_id, 5).encode()
         dph = DataPacketHeader(e.message_id, 1, 3, 0).encode()
-        node.handle_packet(1, PORT_DATA, epi + dph + e.packets[0], 99, 0)
+        feed_datagram(node, 1, epi + dph + e.packets[0], 99, 0)
         node.neighbors[1].pending.append(make_message_id(0, 5))
         node.check_connections(3 * SEC)
         assert node.neighbors == {}
@@ -478,7 +478,7 @@ class TestConnectionCheck:
         e = make_entry(1, 10, size=30, payload=10)
         epi = EpidemicHeader(e.message_id, 5).encode()
         dph = DataPacketHeader(e.message_id, 1, 3, 0).encode()
-        node.handle_packet(1, PORT_DATA, epi + dph + e.packets[0], 99, 0)
+        feed_datagram(node, 1, epi + dph + e.packets[0], 99, 0)
         feed_beacon(node, 1, 1, now=2 * SEC)
         assert [d.cause for d in trace.message_drops] == [MSG_PARTIAL_DISCONNECT]
         assert len(transport.sent_of_kind(KIND_REPLY)) == 2

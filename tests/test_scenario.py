@@ -2,12 +2,15 @@
 
 import pytest
 
+from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD
+from dtnsim.protocol import MAX_PACKET_PAYLOAD
 from dtnsim.scenario import (
     ScenarioError,
     apply_overrides,
     load_scenario,
     parse_scenario_text,
 )
+from dtnsim.wire import DATA_HEADERS_SIZE
 
 MINIMAL = """\
 trace = trace.ns_movements
@@ -109,6 +112,20 @@ class TestParsing:
         (scenario_dir / "bad.cfg").write_text(MINIMAL + "max_control_payload = 1e6\n")
         with pytest.raises(ScenarioError, match="max_control_payload"):
             load_scenario(scenario_dir / "bad.cfg")
+
+    def test_largest_packet_payload_fills_one_datagram(self, scenario_dir):
+        # 65,477 payload bytes + 30 header bytes = 65,507, one UDP datagram.
+        s = load_scenario(scenario_dir / "scenario.cfg", {"packet_payload": "65477"})
+        assert s.traffic.packet_payload == MAX_PACKET_PAYLOAD == 65_477
+        assert MAX_PACKET_PAYLOAD + DATA_HEADERS_SIZE == MAX_DATAGRAM_PAYLOAD
+
+    @pytest.mark.parametrize("value", ["65478", "100000"])
+    def test_packet_payload_beyond_one_datagram_rejected(self, scenario_dir, value):
+        with pytest.raises(ScenarioError, match="packet_payload"):
+            load_scenario(
+                scenario_dir / "scenario.cfg",
+                {"packet_payload": value, "message_size": "100000"},
+            )
 
 
 class TestOverrides:

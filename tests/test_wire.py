@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtnsim.wire import (
+    DATA_HEADERS_SIZE,
     AckHeader,
     DataPacketHeader,
     EpidemicHeader,
@@ -270,9 +271,10 @@ class TestDataPacketCodec:
             + payload
             for index, payload in enumerate(payloads)
         ]
-        packets = encode_data_packets(mid, hops, last_hop, payloads)
-        assert packets == expected
-        for index, data in enumerate(packets):
+        headers = encode_data_packets(mid, hops, last_hop, total)
+        assert [header + payload for header, payload in zip(headers, payloads)] == expected
+        assert [len(header) for header in headers] == [DATA_HEADERS_SIZE] * total
+        for index, data in enumerate(headers):
             assert decode_data_headers(data) == (raw, hops, raw, last_hop, total, index)
 
     @given(st.binary(max_size=40))
@@ -292,8 +294,8 @@ class TestDataPacketCodec:
     def test_encode_validates_once_per_message(self):
         mid = MessageId(1)
         with pytest.raises(ValueError):
-            encode_data_packets(mid, 1, 0x10000, [b"x"])
+            encode_data_packets(mid, 1, 0x10000, 1)
         with pytest.raises(ValueError):
-            encode_data_packets(mid, 1 << 32, 1, [b"x"])
+            encode_data_packets(mid, 1 << 32, 1, 1)
         with pytest.raises(ValueError):
-            encode_data_packets(mid, 1, 1, [])
+            encode_data_packets(mid, 1, 1, 0)
