@@ -38,7 +38,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .mobility import Trajectory
 from .records import (
@@ -97,6 +97,11 @@ class Simulator:
         self.now = end_us
 
 
+def to_us(seconds: float) -> int:
+    """A time in seconds as the nearest whole simulated microsecond."""
+    return int(round(seconds * 1_000_000))
+
+
 def service_time_us(size_bytes: int, rate_bps: int) -> int:
     """Transmission time for a packet, rounded up to whole microseconds.
 
@@ -110,14 +115,14 @@ def service_time_us(size_bytes: int, rate_bps: int) -> int:
 class LinkModel:
     """Radio abstraction: shared rate, unit-disk range, optional loss."""
 
-    data_rate_bps: float
-    radio_range_m: float
+    data_rate_bps: float = 12e6
+    radio_range_m: float = 100.0
     loss_probability: float = 0.0
     propagation_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.data_rate_bps <= 0:
-            raise ValueError("data_rate_bps must be positive")
+        if round(self.data_rate_bps) < 1:
+            raise ValueError("data_rate_bps must be at least 1 bit/s")
         if self.radio_range_m <= 0:
             raise ValueError("radio_range_m must be positive")
         if not 0.0 <= self.loss_probability < 1.0:
@@ -177,7 +182,7 @@ class RadioNetwork:
         self,
         sim: Simulator,
         link: LinkModel,
-        trajectories: list[Trajectory],
+        trajectories: Sequence[Trajectory],
         queue_capacity_bytes: int,
         queue_residency_us: int,
         loss_rng: random.Random,
@@ -189,9 +194,7 @@ class RadioNetwork:
         self._loss_rng = loss_rng
         self._loss = link.loss_probability
         self._rate = int(round(link.data_rate_bps))
-        if self._rate <= 0:
-            raise ValueError("data_rate must be positive")
-        self._prop_us = int(round(link.propagation_delay_s * 1_000_000))
+        self._prop_us = to_us(link.propagation_delay_s)
         self._range = link.radio_range_m
         self._range_sq = link.radio_range_m * link.radio_range_m
         self._n = len(trajectories)
@@ -337,7 +340,13 @@ class RadioNetwork:
             )
 
     def finalize(self) -> None:
-        """Account packets still queued or still propagating at run end."""
+        """End the run: account packets still queued or still propagating.
+
+        Also drops the pending events, packet handlers and completion
+        callbacks. They hold the nodes, which hold the network, so breaking
+        these cycles lets reference counting free the run here instead of
+        the cyclic collector later. Nothing may run on the network after.
+        """
         for queue in self._queues:
             for packet, _ in queue.fifo:
                 self.trace.packet_event(
@@ -350,6 +359,9 @@ class RadioNetwork:
                 packet.kind, PKT_IN_FLIGHT_AT_END, packet.size, packet.src, receiver
             )
         self._in_flight.clear()
+        self.sim._heap.clear()
+        self._handlers.clear()
+        self._completions.clear()
 
 
 class NodeTransport:

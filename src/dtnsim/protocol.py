@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .buffer import EnqueueOutcome, MessageBuffer, QueueEntry
-from .netsim import MAX_DATAGRAM_PAYLOAD
+from .netsim import MAX_DATAGRAM_PAYLOAD, to_us
 from .records import (
     KIND_ACK,
     KIND_BEACON,
@@ -97,14 +97,16 @@ class ProtocolConfig:
     max_control_payload: int = 1400
 
     def __post_init__(self) -> None:
-        if self.beacon_interval <= 0:
-            raise ValueError("beacon_interval must be positive")
+        # Times are whole microseconds: a beacon interval that rounds to 0
+        # would fire beacons at one instant forever.
+        if self.beacon_interval_us < 1:
+            raise ValueError("beacon_interval must be at least 1 µs")
         if self.beacon_randomness < 0:
             raise ValueError("beacon_randomness must be non-negative")
         if self.buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
-        if self.message_ttl <= 0:
-            raise ValueError("message_ttl must be positive")
+        if self.message_ttl_us < 1:
+            raise ValueError("message_ttl must be at least 1 µs")
         if self.hop_limit <= 0:
             raise ValueError("hop_limit must be positive")
         if self.max_control_payload < SUMMARY_HEAD_SIZE + 8:
@@ -117,15 +119,15 @@ class ProtocolConfig:
 
     @property
     def beacon_interval_us(self) -> int:
-        return int(round(self.beacon_interval * 1_000_000))
+        return to_us(self.beacon_interval)
 
     @property
     def beacon_randomness_us(self) -> int:
-        return int(round(self.beacon_randomness * 1_000_000))
+        return to_us(self.beacon_randomness)
 
     @property
     def message_ttl_us(self) -> int:
-        return int(round(self.message_ttl * 1_000_000))
+        return to_us(self.message_ttl)
 
 
 def build_summary_fragments(

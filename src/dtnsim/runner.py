@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .metrics import RunReport, compute
-from .netsim import EVENT_TRAFFIC, NodeTransport, RadioNetwork, Simulator
+from .netsim import EVENT_TRAFFIC, NodeTransport, RadioNetwork, Simulator, to_us
 from .protocol import EpidemicNode
 from .records import RunTrace
 from .scenario import Scenario
@@ -20,7 +20,7 @@ from .traffic import build_schedule, generate_message
 def build_run(
     scenario: Scenario, seed: int
 ) -> tuple[Simulator, RadioNetwork, list[EpidemicNode], RunTrace]:
-    trajectories = scenario.load_trajectories()
+    trajectories = scenario.trajectories
     node_count = len(trajectories)
     sim = Simulator()
     trace = RunTrace()
@@ -29,7 +29,7 @@ def build_run(
         scenario.link,
         trajectories,
         scenario.queue_capacity,
-        int(round(scenario.queue_residency_s * 1_000_000)),
+        to_us(scenario.queue_residency_s),
         random.Random(f"{seed}:loss"),
         trace,
     )
@@ -48,10 +48,7 @@ def build_run(
 
     traffic = scenario.traffic
     if traffic.message_count:
-        window = (
-            int(round(traffic.start_s * 1_000_000)),
-            int(round(traffic.end_s * 1_000_000)),
-        )
+        window = (to_us(traffic.start_s), to_us(traffic.end_s))
         specs = build_schedule(
             node_count,
             traffic.message_count,
@@ -79,14 +76,7 @@ def run_once(scenario: Scenario, seed: int) -> tuple[RunReport, RunTrace]:
     sim, network, _, trace = build_run(scenario, seed)
     sim.run(scenario.duration_us)
     network.finalize()
-    report = compute(trace, seed)
-    # Break the world's reference cycles (pending callbacks and packet
-    # handlers hold the nodes, which hold the network), so reference
-    # counting frees the run here instead of the cyclic collector later.
-    sim._heap.clear()
-    network._handlers.clear()
-    network._completions.clear()
-    return report, trace
+    return compute(trace, seed), trace
 
 
 def run_seeds(scenario: Scenario, seeds: tuple[int, ...] | None = None) -> list[RunReport]:

@@ -1,7 +1,14 @@
 """Scenario files: line-oriented `key = value` text.
 
-Unknown keys are rejected. The mobility trace path is resolved relative
-to the scenario file. Example:
+Each key sets one field of `ProtocolConfig`, `LinkModel`, `TrafficParams`
+or the `Scenario` itself (`_SCHEMA`). Those classes hold the only defaults
+and bounds; `build_scenario` adds the two rules that span several keys:
+the traffic window lies within the duration, and the device queue
+defaults to the buffer capacity and two beacon intervals. Unknown keys
+and non-finite numbers are rejected. The mobility trace path is resolved
+relative to the scenario file, and the trace is read and parsed once, at
+load: every seed and sweep run of the scenario shares its trajectories.
+Example:
 
     trace = mini_trace.ns_movements
     duration = 30
@@ -14,11 +21,12 @@ to the scenario file. Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .mobility import Trajectory, parse_ns2_trace
-from .netsim import LinkModel
+from .netsim import LinkModel, to_us
 from .protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
 
 
@@ -34,37 +42,59 @@ class TrafficParams:
     start_s: float = 0.0
     end_s: float | None = None  # defaults to the scenario duration
 
+    def __post_init__(self) -> None:
+        if self.message_count < 0:
+            raise ValueError("message_count must be non-negative")
+        if self.message_size < 1 or self.packet_payload < 1:
+            raise ValueError("message_size and packet_payload must be positive")
+        if self.packet_payload > MAX_PACKET_PAYLOAD:
+            raise ValueError(
+                f"packet_payload must be at most {MAX_PACKET_PAYLOAD} bytes "
+                "(a data packet and its headers fill one UDP datagram)"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    trace_path: Path
+    """A loaded scenario; its runs share, and never modify, its trajectories."""
+
+    trajectories: tuple[Trajectory, ...]
     duration_s: float
-    seeds: tuple[int, ...]
     protocol: ProtocolConfig
     link: LinkModel
     traffic: TrafficParams
     queue_capacity: int  # bytes
     queue_residency_s: float
+    seeds: tuple[int, ...] = (1,)
+
+    def __post_init__(self) -> None:
+        if self.duration_s <= 0:
+            raise ValueError("duration must be positive")
+        if self.queue_capacity <= 0 or self.queue_residency_s <= 0:
+            raise ValueError("queue capacity and residency must be positive")
 
     @property
     def duration_us(self) -> int:
-        return int(round(self.duration_s * 1_000_000))
+        return to_us(self.duration_s)
 
-    def load_trajectories(self) -> list[Trajectory]:
-        try:
-            text = self.trace_path.read_text()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read trace file {self.trace_path}: {exc}") from exc
-        return parse_ns2_trace(text)
+    def load_trajectories(self) -> tuple[Trajectory, ...]:
+        return self.trajectories
 
 
 def _parse_float(value: str) -> float:
-    return float(value)
+    f = float(value)
+    if not math.isfinite(f):
+        raise ValueError(f"expected a finite number, got {value}")
+    return f
 
 
 def _parse_int(value: str) -> int:
+    try:
+        return int(value)  # exact, however many digits
+    except ValueError:
+        pass
     # Accept scientific notation for byte counts (e.g. 5e6).
-    f = float(value)
+    f = _parse_float(value)
     i = int(round(f))
     if abs(f - i) > 1e-9:
         raise ValueError(f"expected an integer, got {value}")
@@ -78,29 +108,29 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-# key -> (parser, default). The required keys are _REQUIRED; an optional
-# key whose default is None is resolved in build_scenario.
+# key -> (parser, the object it configures, the keyword it sets there).
+# The trace path becomes the scenario's trajectories in build_scenario.
 _SCHEMA: dict[str, tuple] = {
-    "trace": (str, None),
-    "duration": (_parse_float, None),
-    "seeds": (_parse_seeds, (1,)),
-    "beacon_interval": (_parse_float, 1.0),
-    "beacon_randomness": (_parse_float, 0.1),
-    "buffer_capacity": (_parse_int, 5_000_000),
-    "message_ttl": (_parse_float, 3600.0),
-    "hop_limit": (_parse_int, 50),
-    "max_control_payload": (_parse_int, 1400),
-    "data_rate": (_parse_float, 12e6),
-    "radio_range": (_parse_float, 100.0),
-    "loss_probability": (_parse_float, 0.0),
-    "propagation_delay": (_parse_float, 0.0),
-    "queue_capacity": (_parse_int, None),  # defaults to buffer_capacity
-    "queue_residency": (_parse_float, None),  # defaults to 2 * beacon_interval
-    "message_count": (_parse_int, 0),
-    "message_size": (_parse_int, 100_000),
-    "packet_payload": (_parse_int, 1460),
-    "traffic_start": (_parse_float, 0.0),
-    "traffic_end": (_parse_float, None),  # defaults to duration
+    "trace": (str, "scenario", "trajectories"),
+    "duration": (_parse_float, "scenario", "duration_s"),
+    "seeds": (_parse_seeds, "scenario", "seeds"),
+    "beacon_interval": (_parse_float, "protocol", "beacon_interval"),
+    "beacon_randomness": (_parse_float, "protocol", "beacon_randomness"),
+    "buffer_capacity": (_parse_int, "protocol", "buffer_capacity"),
+    "message_ttl": (_parse_float, "protocol", "message_ttl"),
+    "hop_limit": (_parse_int, "protocol", "hop_limit"),
+    "max_control_payload": (_parse_int, "protocol", "max_control_payload"),
+    "data_rate": (_parse_float, "link", "data_rate_bps"),
+    "radio_range": (_parse_float, "link", "radio_range_m"),
+    "loss_probability": (_parse_float, "link", "loss_probability"),
+    "propagation_delay": (_parse_float, "link", "propagation_delay_s"),
+    "queue_capacity": (_parse_int, "scenario", "queue_capacity"),
+    "queue_residency": (_parse_float, "scenario", "queue_residency_s"),
+    "message_count": (_parse_int, "traffic", "message_count"),
+    "message_size": (_parse_int, "traffic", "message_size"),
+    "packet_payload": (_parse_int, "traffic", "packet_payload"),
+    "traffic_start": (_parse_float, "traffic", "start_s"),
+    "traffic_end": (_parse_float, "traffic", "end_s"),
 }
 
 _REQUIRED = ("trace", "duration")
@@ -135,85 +165,40 @@ def apply_overrides(raw: dict[str, str], overrides: dict[str, str]) -> dict[str,
 
 
 def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
-    """Validate raw values and assemble a Scenario."""
+    """Validate raw values, read and parse the trace, and assemble a Scenario."""
     for key in _REQUIRED:
         if key not in raw:
             raise ScenarioError(f"missing required key {key!r}")
-    values: dict = {}
-    for key, (parser, default) in _SCHEMA.items():
-        if key in raw:
-            try:
-                values[key] = parser(raw[key])
-            except ValueError as exc:
-                raise ScenarioError(f"bad value for {key!r}: {exc}") from exc
-        else:
-            values[key] = default
+    kwargs: dict[str, dict] = {"scenario": {}, "protocol": {}, "link": {}, "traffic": {}}
+    for key, value in raw.items():
+        parser, target, name = _SCHEMA[key]
+        try:
+            kwargs[target][name] = parser(value)
+        except ValueError as exc:
+            raise ScenarioError(f"bad value for {key!r}: {exc}") from exc
 
-    duration = values["duration"]
-    if duration <= 0:
-        raise ScenarioError("duration must be positive")
-
-    trace_path = (base_dir / values["trace"]).resolve()
-    if not trace_path.is_file():
-        raise ScenarioError(f"trace file not found: {trace_path}")
+    fields = kwargs["scenario"]
+    trace_path = (base_dir / fields["trajectories"]).resolve()
+    try:
+        text = trace_path.read_text()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read trace file {trace_path}: {exc}") from exc
+    fields["trajectories"] = tuple(parse_ns2_trace(text))
 
     try:
-        protocol = ProtocolConfig(
-            beacon_interval=values["beacon_interval"],
-            beacon_randomness=values["beacon_randomness"],
-            buffer_capacity=values["buffer_capacity"],
-            message_ttl=values["message_ttl"],
-            hop_limit=values["hop_limit"],
-            max_control_payload=values["max_control_payload"],
-        )
-        link = LinkModel(
-            data_rate_bps=values["data_rate"],
-            radio_range_m=values["radio_range"],
-            loss_probability=values["loss_probability"],
-            propagation_delay_s=values["propagation_delay"],
+        protocol = ProtocolConfig(**kwargs["protocol"])
+        traffic = TrafficParams(**{"end_s": fields["duration_s"], **kwargs["traffic"]})
+        fields.setdefault("queue_capacity", protocol.buffer_capacity)
+        fields.setdefault("queue_residency_s", 2 * protocol.beacon_interval)
+        scenario = Scenario(
+            protocol=protocol, link=LinkModel(**kwargs["link"]), traffic=traffic, **fields
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-
-    traffic_end = values["traffic_end"]
-    traffic = TrafficParams(
-        message_count=values["message_count"],
-        message_size=values["message_size"],
-        packet_payload=values["packet_payload"],
-        start_s=values["traffic_start"],
-        end_s=duration if traffic_end is None else traffic_end,
-    )
-    if traffic.message_count < 0:
-        raise ScenarioError("message_count must be non-negative")
-    if traffic.message_count and (
-        traffic.start_s < 0 or traffic.end_s > duration or traffic.end_s < traffic.start_s
+    if traffic.message_count and not (
+        0 <= traffic.start_s <= traffic.end_s <= scenario.duration_s
     ):
         raise ScenarioError("traffic window must lie within [0, duration]")
-    if traffic.message_size < 1 or traffic.packet_payload < 1:
-        raise ScenarioError("message_size and packet_payload must be positive")
-    if traffic.packet_payload > MAX_PACKET_PAYLOAD:
-        raise ScenarioError(
-            f"packet_payload must be at most {MAX_PACKET_PAYLOAD} bytes "
-            "(a data packet and its headers fill one UDP datagram)"
-        )
-
-    queue_capacity = values["queue_capacity"]
-    queue_residency = values["queue_residency"]
-    scenario = Scenario(
-        trace_path=trace_path,
-        duration_s=duration,
-        seeds=values["seeds"],
-        protocol=protocol,
-        link=link,
-        traffic=traffic,
-        queue_capacity=protocol.buffer_capacity if queue_capacity is None else queue_capacity,
-        queue_residency_s=(
-            2 * protocol.beacon_interval if queue_residency is None else queue_residency
-        ),
-    )
-    if scenario.queue_capacity <= 0 or scenario.queue_residency_s <= 0:
-        raise ScenarioError("queue capacity and residency must be positive")
-    scenario.load_trajectories()  # validates the trace parses
     return scenario
 
 

@@ -16,7 +16,7 @@ from conftest import build_world, static_trace
 
 from dtnsim.cli import main as cli_main
 from dtnsim.metrics import compute, mean_ci95
-from dtnsim.mobility import generate_random_waypoint_trace
+from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
 from dtnsim.netsim import IP_UDP_HEADER_BYTES, LinkModel
 from dtnsim.protocol import MAX_CONTROL_PAYLOAD, ProtocolConfig
 from dtnsim.records import (
@@ -277,7 +277,7 @@ class TestCriterion07TtlSafety:
                 generate_random_waypoint_trace(10, 250, 250, 5, 15, 60, seed=f"ttl{seed}")
             )
             scenario = Scenario(
-                trace_path=trace_file,
+                trajectories=tuple(parse_ns2_trace(trace_file.read_text())),
                 duration_s=60.0,
                 seeds=(seed,),
                 protocol=ProtocolConfig(1.0, 0.1, 2_000_000, ttl, 8, 1400),
@@ -402,7 +402,7 @@ def desk_results(tmp_path_factory):
         reports = []
         for seed in DESK_SEEDS:
             scenario = Scenario(
-                trace_path=trace_for(seed),
+                trajectories=tuple(parse_ns2_trace(trace_for(seed).read_text())),
                 duration_s=90.0,
                 seeds=(seed,),
                 protocol=ProtocolConfig(0.5, 0.05, buffer_bytes, 30.0, 4, 1400),
@@ -492,7 +492,7 @@ class TestGoldenOutputs:
         path = tmp_path / "gossip.ns"
         path.write_text(generate_random_waypoint_trace(12, 150, 150, 1, 5, 30, seed="gossip"))
         scenario = Scenario(
-            trace_path=path,
+            trajectories=tuple(parse_ns2_trace(path.read_text())),
             duration_s=30.0,
             seeds=(1,),
             protocol=ProtocolConfig(1.0, 0.1, 16_000, 15.0, 50, 100),

@@ -161,14 +161,19 @@ class TestSweepCommand:
             row.pop("data_rate")
         assert point == plain
 
-    def test_bad_cell_fails_others_complete(self, workdir, capsys):
+    @pytest.mark.parametrize(
+        "axis",
+        ["buffer_capacity=1e6,-1,5e6", "hop_limit=4,inf,8", "radio_range=50,nan,100"],
+        ids=["negative_buffer", "infinite_hop_limit", "nan_radio_range"],
+    )
+    def test_bad_cell_fails_others_complete(self, workdir, capsys, axis):
         out = workdir / "faulty"
         code = main(
             [
                 "sweep",
                 str(workdir / "two_node.cfg"),
                 "--axis",
-                "buffer_capacity=1e6,-1,5e6",
+                axis,
                 "--out",
                 str(out),
             ]

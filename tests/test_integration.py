@@ -316,7 +316,7 @@ class TestChaosInvariants:
             ttl = 25.0
             hop_limit = 3
             scenario = Scenario(
-                trace_path=trace_file,
+                trajectories=tuple(parse_ns2_trace(trace_file.read_text())),
                 duration_s=60.0,
                 seeds=(seed,),
                 protocol=ProtocolConfig(1.0, 0.1, 500_000, ttl, hop_limit, 60),
@@ -368,7 +368,7 @@ class TestPacketConservation:
             generate_random_waypoint_trace(6, 150, 150, 5, 15, 40, seed="conservation")
         )
         scenario = Scenario(
-            trace_path=trace_file,
+            trajectories=tuple(parse_ns2_trace(trace_file.read_text())),
             duration_s=40.0,
             seeds=(1,),
             protocol=ProtocolConfig(1.0, 0.1, 500_000, 25.0, 3, 60),

@@ -1,11 +1,16 @@
 """Scenario file parsing, validation, and overrides."""
 
+import sys
+
 import pytest
 
-from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD
-from dtnsim.protocol import MAX_PACKET_PAYLOAD
+from dtnsim import mobility
+from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD, LinkModel
+from dtnsim.protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
+from dtnsim.runner import run_seeds
 from dtnsim.scenario import (
     ScenarioError,
+    TrafficParams,
     apply_overrides,
     load_scenario,
     parse_scenario_text,
@@ -126,6 +131,58 @@ class TestParsing:
                 scenario_dir / "scenario.cfg",
                 {"packet_payload": value, "message_size": "100000"},
             )
+
+    def test_only_required_keys_give_the_class_defaults(self, scenario_dir):
+        s = load_scenario(scenario_dir / "scenario.cfg")
+        assert s.protocol == ProtocolConfig()
+        assert s.link == LinkModel()
+        assert s.traffic == TrafficParams(end_s=10.0)
+        assert (s.queue_capacity, s.queue_residency_s, s.seeds) == (5_000_000, 2.0, (1,))
+
+    NUMERIC_KEYS = (
+        "duration", "seeds", "beacon_interval", "beacon_randomness", "buffer_capacity",
+        "message_ttl", "hop_limit", "max_control_payload", "data_rate", "radio_range",
+        "loss_probability", "propagation_delay", "queue_capacity", "queue_residency",
+        "message_count", "message_size", "packet_payload", "traffic_start", "traffic_end",
+    )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_non_finite_number_rejected_naming_its_key(self, scenario_dir, key, value):
+        with pytest.raises(ScenarioError, match=f"'{key}'"):
+            load_scenario(scenario_dir / "scenario.cfg", {key: value})
+
+    def test_big_integer_is_exact(self, scenario_dir):
+        # 2**53 + 1 has no float: a float round trip would give ...992.
+        s = load_scenario(scenario_dir / "scenario.cfg", {"buffer_capacity": "9007199254740993"})
+        assert s.protocol.buffer_capacity == 9_007_199_254_740_993
+        assert s.queue_capacity == 9_007_199_254_740_993
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beacon_interval", "1e-7"), ("message_ttl", "1e-7"), ("data_rate", "0.4")],
+    )
+    def test_value_rounding_to_zero_rejected_at_load(self, scenario_dir, key, value):
+        # Only loads: a 0 µs beacon interval would never let a run finish.
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(scenario_dir / "scenario.cfg", {key: value, "beacon_randomness": "0"})
+
+
+def test_trace_parsed_once_per_load(monkeypatch):
+    original = mobility.parse_ns2_trace
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dtnsim") and getattr(module, "parse_ns2_trace", None) is original:
+            monkeypatch.setattr(module, "parse_ns2_trace", counting)
+    scenario = load_scenario("scenarios/mini.cfg")
+    reports = run_seeds(scenario)
+    assert [r.seed for r in reports] == [1, 2, 3]
+    assert len(calls) == 1
 
 
 class TestOverrides:
