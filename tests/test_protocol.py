@@ -22,6 +22,7 @@ from dtnsim.protocol import (
 from dtnsim.records import (
     KIND_ACK,
     KIND_BEACON,
+    KIND_CONTROL,
     KIND_DATA,
     KIND_REPLY,
     KIND_REPLY_BACK,
@@ -438,6 +439,73 @@ class TestOnAck:
             node.handle_packet(1, PORT_CONTROL, ack, None, 300)
         assert node.neighbors[1].in_flight is None
         assert not node.neighbors[1].pending
+
+
+def _control_packet(case):
+    """One malformed control packet per row of the receive checks in
+    docs/wire-format.md, sent as node 1."""
+    reply = MessageTypeHeader(MsgType.REPLY, 1).encode()
+    ack = MessageTypeHeader(MsgType.ACK, 1).encode()
+    two_ids = SummaryVectorHeader(0, (make_message_id(1, 1), make_message_id(1, 2))).encode()
+    return {
+        "empty": b"",
+        "envelope_short": bytes([MsgType.BEACON, 0x00]),
+        "msg_type_0": bytes([0, 0x00, 0x01]),
+        "msg_type_5": bytes([5, 0x00, 0x01]),
+        "ack_short": ack + AckHeader(make_message_id(9, 10), 1).encode()[:11],
+        "frag_block_2": reply + bytes([0x00, 0x02, 0x00, 0x00]),
+        "summary_head_short": reply + bytes([0x00, 0x00]),
+        "summary_short": reply + two_ids[:-8],
+        "summary_long": reply + two_ids + bytes(8),
+    }[case]
+
+
+class TestControlReceiveChecks:
+    def _node_mid_exchange(self):
+        # Node 9 holds two messages: node 1's summary has put one in
+        # flight and queued the other, and node 2 is mid-summary.
+        node, transport, trace = make_node(node_id=9)
+        for gen in (10, 20):
+            node.buffer.enqueue(make_entry(9, gen, destination=50), 100)
+        feed_summary(node, MsgType.REPLY, 1, 1, [(0, [])], now=200)
+        feed_summary(node, MsgType.REPLY, 2, 2, [(1, [make_message_id(2, 5)])], now=200)
+        return node, transport, trace
+
+    @staticmethod
+    def _state(node):
+        return {
+            nid: (nb.address, nb.last_heard, list(nb.summary_accum),
+                  list(nb.pending), nb.in_flight, nb.rx)
+            for nid, nb in node.neighbors.items()
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "empty",
+            "envelope_short",
+            "msg_type_0",
+            "msg_type_5",
+            "ack_short",
+            "frag_block_2",
+            "summary_head_short",
+            "summary_short",
+            "summary_long",
+        ],
+    )
+    def test_malformed_control_packet_counted_and_ignored(self, case):
+        # Each receive check of docs/wire-format.md: the packet is counted
+        # once as control/malformed with len(data) bytes, and no neighbor
+        # record, summary or pipeline changes.
+        node, transport, trace = self._node_mid_exchange()
+        before, sent = self._state(node), list(transport.sent)
+        data = _control_packet(case)
+        node.handle_packet(1, PORT_CONTROL, data, None, 500)
+        assert trace.count(KIND_CONTROL, PKT_MALFORMED) == 1
+        assert trace.bytes_of(KIND_CONTROL, PKT_MALFORMED) == len(data)
+        assert trace.pair_counts[(1, 9, KIND_CONTROL, PKT_MALFORMED)] == 1
+        assert self._state(node) == before
+        assert transport.sent == sent
 
 
 class TestConnectionCheck:
