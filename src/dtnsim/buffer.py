@@ -8,7 +8,7 @@ drive the anti-entropy exchange.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Container, Iterator
 
 from .records import MSG_ARRIVAL_EXPIRED, MSG_DUPLICATE, MSG_TOO_LARGE
 from .wire import NODE_ID_MAX, TIMESTAMP_MAX, MessageId
@@ -140,10 +140,12 @@ class MessageBuffer:
         """All stored ids, ascending by raw id."""
         return sorted(self._entries)
 
-    def find_disjoint(self, remote: Iterable[MessageId]) -> list[MessageId]:
-        """Stored ids absent from `remote`, oldest generation first."""
-        remote_set = set(remote)
-        mine = [mid for mid in self._entries if mid not in remote_set]
+    def find_disjoint(self, remote: Container[int]) -> list[MessageId]:
+        """Stored ids absent from `remote`, oldest generation first.
+
+        `remote` is tested once per stored id, as it is: pass a set.
+        """
+        mine = [mid for mid in self._entries if mid not in remote]
         mine.sort(key=_age_order)
         return mine
 

@@ -63,19 +63,28 @@ from .wire import (
     DATA_HEADERS_SIZE,
     MESSAGE_TYPE_SIZE,
     SUMMARY_HEAD_SIZE,
-    AckHeader,
     MessageId,
     MessageTypeHeader,
     MsgType,
-    SummaryVectorHeader,
     WireError,
+    _decoded_id,
+    decode_ack,
     decode_data_headers,
+    decode_envelope,
+    decode_summary,
+    encode_ack_packet,
     encode_data_packets,
+    encode_summary,
     make_message_id,
 )
 
 PORT_CONTROL = 1
 PORT_DATA = 2
+
+# Control packet kinds as the int codes handle_packet dispatches on.
+_BEACON = MsgType.BEACON.value
+_REPLY = MsgType.REPLY.value
+_ACK = MsgType.ACK.value
 
 # Largest summary fragment: with its 3-byte envelope it fills one
 # IPv4/UDP datagram, so it holds at most 8,187 ids.
@@ -130,10 +139,8 @@ class ProtocolConfig:
         return to_us(self.message_ttl)
 
 
-def build_summary_fragments(
-    ids: list[MessageId], max_control_payload: int
-) -> list[SummaryVectorHeader]:
-    """Split a summary into fragments whose encodings fit the payload cap.
+def build_summary_fragments(ids: list[MessageId], max_control_payload: int) -> list[bytes]:
+    """Split a summary into encoded fragments of at most the payload cap.
 
     Order is preserved; every fragment except the last carries
     frag_block=1. An empty summary still yields one (empty) fragment so
@@ -142,12 +149,10 @@ def build_summary_fragments(
     per_fragment = (max_control_payload - SUMMARY_HEAD_SIZE) // 8
     if per_fragment < 1:
         raise ValueError("max_control_payload too small for one id")
-    if not ids:
-        return [SummaryVectorHeader(0, ())]
-    chunks = [ids[i : i + per_fragment] for i in range(0, len(ids), per_fragment)]
+    n = len(ids)
     return [
-        SummaryVectorHeader(1 if i < len(chunks) - 1 else 0, tuple(chunk))
-        for i, chunk in enumerate(chunks)
+        encode_summary(1 if i + per_fragment < n else 0, ids[i : i + per_fragment])
+        for i in range(0, max(n, 1), per_fragment)
     ]
 
 
@@ -175,7 +180,7 @@ class NeighborRecord:
     node_id: int
     address: int
     last_heard: int
-    summary_accum: list[MessageId] = field(default_factory=list)
+    summary_accum: list[int] = field(default_factory=list)
     pending: deque[MessageId] = field(default_factory=deque)
     in_flight: MessageId | None = None
     rx: ReceptionBuffer | None = None
@@ -224,6 +229,10 @@ class EpidemicNode:
         self._interval_us = config.beacon_interval_us
         self._liveness_us = 2 * config.beacon_interval_us
         self._ttl_us = config.message_ttl_us
+        # Envelopes of the control packets this node sends, packed once.
+        self._beacon = MessageTypeHeader(MsgType.BEACON, node_id).encode()
+        self._reply = MessageTypeHeader(MsgType.REPLY, node_id).encode()
+        self._reply_back = MessageTypeHeader(MsgType.REPLY_BACK, node_id).encode()
 
     # -- timers ----------------------------------------------------------
 
@@ -240,8 +249,7 @@ class EpidemicNode:
         self.check_connections(now)
         for mid in self.buffer.drop_expired(now):
             self._drop_msg(now, mid, MSG_EXPIRED)
-        beacon = MessageTypeHeader(MsgType.BEACON, self.node_id).encode()
-        self.transport.broadcast(PORT_CONTROL, beacon, KIND_BEACON)
+        self.transport.broadcast(PORT_CONTROL, self._beacon, KIND_BEACON)
         self.transport.schedule(now + self._interval_us + self._jitter_us(), self._beacon_tick)
 
     def check_connections(self, now: int) -> None:
@@ -268,22 +276,22 @@ class EpidemicNode:
 
         A data packet's `data` is its header block (or the whole datagram
         if shorter) and `payload` the rest; a control packet is all `data`.
+        A control packet failing a receive check of docs/wire-format.md is
+        counted once as control/malformed and changes no state.
         """
         if port == PORT_DATA:
             self.on_data_packet(data, payload, sender_addr, msg_dst, now)
             return
         try:
-            mth = MessageTypeHeader.decode(data)
-            rest = data[3:]
-            if mth.msg_type is MsgType.BEACON:
-                self.on_beacon(mth, sender_addr, now)
-            elif mth.msg_type is MsgType.ACK:
-                self.on_ack(AckHeader.decode(rest), sender_addr, now)
-            else:
-                self.on_summary(
-                    mth.msg_type, mth.node_id, sender_addr,
-                    SummaryVectorHeader.decode(rest), now,
-                )
+            code, node_id = decode_envelope(data)
+            if code == _BEACON:
+                self.on_beacon(node_id, sender_addr, now)
+            elif code == _ACK:
+                message_id, ack_node, _status = decode_ack(data, MESSAGE_TYPE_SIZE)
+                self.on_ack(ack_node, message_id, sender_addr, now)
+            else:  # REPLY or REPLY_BACK
+                frag_block, ids = decode_summary(data, MESSAGE_TYPE_SIZE)
+                self.on_summary(code, node_id, sender_addr, frag_block, ids, now)
         except WireError:
             self._malformed(KIND_CONTROL, len(data), sender_addr)
 
@@ -292,17 +300,17 @@ class EpidemicNode:
 
     # -- discovery --------------------------------------------------------
 
-    def on_beacon(self, hdr: MessageTypeHeader, sender_addr: int, now: int) -> None:
+    def on_beacon(self, node_id: int, sender_addr: int, now: int) -> None:
         """A beacon starts an exchange only on new or stale connections."""
-        existing = self.neighbors.get(hdr.node_id)
+        existing = self.neighbors.get(node_id)
         if existing is not None and now - existing.last_heard < self._liveness_us:
             return
         if existing is not None:
             self._end_contact(existing, now)
-        nb = NeighborRecord(hdr.node_id, sender_addr, last_heard=now)
-        self.neighbors[hdr.node_id] = nb
-        if self._leads(sender_addr, hdr.node_id):
-            self._send_summary(MsgType.REPLY, nb, now)
+        nb = NeighborRecord(node_id, sender_addr, last_heard=now)
+        self.neighbors[node_id] = nb
+        if self._leads(sender_addr, node_id):
+            self._send_summary(self._reply, KIND_REPLY, nb, now)
 
     def _leads(self, other_addr: int, other_node: int) -> bool:
         # Lower address leads the exchange; node id breaks address ties.
@@ -328,40 +336,41 @@ class EpidemicNode:
 
     def on_summary(
         self,
-        msg_type: MsgType,
+        msg_type: int,
         sender_node: int,
         sender_addr: int,
-        frag: SummaryVectorHeader,
+        frag_block: int,
+        ids: tuple[int, ...],
         now: int,
     ) -> None:
         """One fragment of the peer's REPLY or REPLY_BACK summary.
 
-        A complete summary loads the pipeline toward the peer; a complete
-        REPLY is first answered with this node's REPLY_BACK.
+        `msg_type` is the REPLY or REPLY_BACK code, and `ids` the
+        fragment's message ids as ints. A complete summary loads the
+        pipeline toward the peer; a complete REPLY is first answered with
+        this node's REPLY_BACK.
         """
         nb = self._touch_neighbor(sender_node, sender_addr, now)
-        is_reply = msg_type is MsgType.REPLY
+        is_reply = msg_type == _REPLY
         if self._leads(sender_addr, sender_node) is is_reply:
             return  # only the leading side sends REPLY; ignore on violation
-        nb.summary_accum.extend(frag.ids)
-        if frag.frag_block == 0:
+        nb.summary_accum.extend(ids)
+        if frag_block == 0:
             remote = set(nb.summary_accum)
             nb.summary_accum.clear()
             if is_reply:
-                self._send_summary(MsgType.REPLY_BACK, nb, now)
+                self._send_summary(self._reply_back, KIND_REPLY_BACK, nb, now)
             self._load_pipeline(nb, remote, now)
 
-    def _send_summary(self, msg_type: MsgType, nb: NeighborRecord, now: int) -> None:
+    def _send_summary(self, envelope: bytes, kind: str, nb: NeighborRecord, now: int) -> None:
         for mid in self.buffer.drop_expired(now):
             self._drop_msg(now, mid, MSG_EXPIRED)
-        kind = KIND_REPLY if msg_type is MsgType.REPLY else KIND_REPLY_BACK
-        envelope = MessageTypeHeader(msg_type, self.node_id).encode()
         for frag in build_summary_fragments(
             self.buffer.summary(), self.config.max_control_payload
         ):
-            self.transport.unicast(nb.address, PORT_CONTROL, envelope + frag.encode(), kind)
+            self.transport.unicast(nb.address, PORT_CONTROL, envelope + frag, kind)
 
-    def _load_pipeline(self, nb: NeighborRecord, remote: set[MessageId], now: int) -> None:
+    def _load_pipeline(self, nb: NeighborRecord, remote: set[int], now: int) -> None:
         nb.pending = deque(self.buffer.find_disjoint(remote))
         self._advance_pipeline(nb, now)
 
@@ -388,18 +397,15 @@ class EpidemicNode:
         for header, payload in zip(headers, packets):
             unicast(nb.address, PORT_DATA, header, KIND_DATA, entry.destination, payload)
 
-    def on_ack(self, ack: AckHeader, sender_addr: int, now: int) -> None:
-        nb = self._touch_neighbor(ack.node_id, sender_addr, now)
-        if nb.in_flight != ack.message_id:
+    def on_ack(self, node_id: int, message_id: int, sender_addr: int, now: int) -> None:
+        nb = self._touch_neighbor(node_id, sender_addr, now)
+        if nb.in_flight != message_id:
             return  # stale or unknown ACK
         nb.in_flight = None
         self._advance_pipeline(nb, now)
 
     def _send_ack(self, nb: NeighborRecord, mid: MessageId) -> None:
-        data = (
-            MessageTypeHeader(MsgType.ACK, self.node_id).encode()
-            + AckHeader(mid, self.node_id).encode()
-        )
+        data = encode_ack_packet(self.node_id, mid)
         self.transport.unicast(nb.address, PORT_CONTROL, data, KIND_ACK)
 
     # -- reception ------------------------------------------------------------
@@ -430,7 +436,7 @@ class EpidemicNode:
             self._drop_msg(now, rx.message_id, MSG_PARTIAL_RESET)
             rx = None
         if rx is None:
-            rx = nb.rx = ReceptionBuffer(MessageId(raw), total, hop_count, msg_dst)
+            rx = nb.rx = ReceptionBuffer(_decoded_id(raw), total, hop_count, msg_dst)
         elif rx.packet_total != total:
             self._malformed(KIND_DATA, len(payload), sender_addr)
             return

@@ -2,10 +2,11 @@
 
 Each key sets one field of `ProtocolConfig`, `LinkModel`, `TrafficParams`
 or the `Scenario` itself (`_SCHEMA`). Those classes hold the only defaults
-and bounds; `build_scenario` adds the two rules that span several keys:
-the traffic window lies within the duration, and the device queue
-defaults to the buffer capacity and two beacon intervals. Unknown keys
-and non-finite numbers are rejected. The mobility trace path is resolved
+and bounds; `build_scenario` adds the rules that span several keys: the
+traffic window lies within the duration, a message fits a node's
+buffer, and the device queue defaults to the buffer capacity and two
+beacon intervals. Unknown keys, non-finite numbers and repeated seeds
+are rejected. The mobility trace path is resolved
 relative to the scenario file, and the trace is read and parsed once, at
 load: every seed and sweep run of the scenario shares its trajectories.
 Example:
@@ -72,6 +73,9 @@ class Scenario:
             raise ValueError("duration must be positive")
         if self.queue_capacity <= 0 or self.queue_residency_s <= 0:
             raise ValueError("queue capacity and residency must be positive")
+        # Each seed is one independent run of the aggregate's sample.
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {' '.join(map(str, self.seeds))}")
 
     @property
     def duration_us(self) -> int:
@@ -199,6 +203,12 @@ def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
         0 <= traffic.start_s <= traffic.end_s <= scenario.duration_s
     ):
         raise ScenarioError("traffic window must lie within [0, duration]")
+    # A larger message could only be dropped as too large by its source.
+    if traffic.message_count and traffic.message_size > protocol.buffer_capacity:
+        raise ScenarioError(
+            f"message_size {traffic.message_size} exceeds buffer_capacity "
+            f"{protocol.buffer_capacity}: no node could store a message"
+        )
     return scenario
 
 

@@ -16,6 +16,11 @@ collide. A MessageId is that u64 as an int.
 
 Decoding a fixed-size header tolerates trailing bytes (the rest of the
 packet); a summary vector must match its declared length exactly.
+
+The simulator's per-packet paths do not build header objects: the flat
+codecs at the end of this module pack or parse a whole packet's headers
+with one Struct and return plain ints. The control header classes decode
+through them, so each control receive check is written once.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import enum
 import struct
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 NODE_ID_MAX = 0xFFFF
 TIMESTAMP_MAX = (1 << 48) - 1
@@ -107,6 +113,8 @@ _EPIDEMIC = struct.Struct(">QI")
 _SUMMARY_HEAD = struct.Struct(">HH")
 # EpidemicHeader then DataPacketHeader: the two headers of every data packet.
 _DATA_HEADERS = struct.Struct(">QIQHII")
+# MessageTypeHeader then AckHeader: a whole ACK packet.
+_ACK_PACKET = struct.Struct(">BHQHH")
 
 MESSAGE_TYPE_SIZE = _MESSAGE_TYPE.size  # 3
 DATA_PACKET_SIZE = _DATA_PACKET.size  # 18
@@ -118,16 +126,28 @@ SUMMARY_HEAD_SIZE = _SUMMARY_HEAD.size  # 4
 DATA_HEADERS_SIZE = _DATA_HEADERS.size  # 30 = EPIDEMIC_SIZE + DATA_PACKET_SIZE
 
 
-def _require(data: bytes, size: int, name: str) -> None:
-    if len(data) < size:
+def _require(data: bytes, size: int, name: str, offset: int = 0) -> None:
+    if len(data) - offset < size:
         raise TruncatedHeaderError(
-            f"{name} needs {size} bytes, got {len(data)}"
+            f"{name} needs {size} bytes, got {len(data) - offset}"
         )
 
 
 def _check_node(node_id: int, name: str) -> None:
     if not 0 <= node_id <= NODE_ID_MAX:
         raise ValueError(f"{name} out of 16-bit range: {node_id}")
+
+
+def _check_status(status: int) -> None:
+    if not 0 <= status <= STATUS_MAX:
+        raise ValueError(f"status out of 16-bit range: {status}")
+
+
+def _check_fragment(frag_block: int, length: int) -> None:
+    if frag_block not in (0, 1):
+        raise ValueError(f"frag_block must be 0 or 1: {frag_block}")
+    if length > 0xFFFF:
+        raise ValueError(f"too many ids for one fragment: {length}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +158,7 @@ class MessageTypeHeader:
     node_id: int
 
     def __post_init__(self) -> None:
-        if self.msg_type not in MsgType.__members__.values():
+        if self.msg_type not in _MSG_TYPES:
             raise ValueError(f"unknown message type: {self.msg_type}")
         _check_node(self.node_id, "node_id")
 
@@ -147,15 +167,11 @@ class MessageTypeHeader:
 
     @classmethod
     def decode(cls, data: bytes) -> "MessageTypeHeader":
-        _require(data, MESSAGE_TYPE_SIZE, "MessageTypeHeader")
-        code, node_id = _MESSAGE_TYPE.unpack_from(data)
-        msg_type = _MSG_TYPES.get(code)
-        if msg_type is None:
-            raise HeaderFormatError(f"unknown msg_type code {code}")
+        code, node_id = decode_envelope(data)
         # A known code and a u16 are valid fields, so the constructor's
         # checks are skipped.
         hdr = object.__new__(cls)
-        object.__setattr__(hdr, "msg_type", msg_type)
+        object.__setattr__(hdr, "msg_type", _MSG_TYPES[code])
         object.__setattr__(hdr, "node_id", node_id)
         return hdr
 
@@ -206,16 +222,14 @@ class AckHeader:
 
     def __post_init__(self) -> None:
         _check_node(self.node_id, "node_id")
-        if not 0 <= self.status <= STATUS_MAX:
-            raise ValueError(f"status out of 16-bit range: {self.status}")
+        _check_status(self.status)
 
     def encode(self) -> bytes:
         return _ACK.pack(self.message_id, self.node_id, self.status)
 
     @classmethod
     def decode(cls, data: bytes) -> "AckHeader":
-        _require(data, ACK_SIZE, "AckHeader")
-        raw, node_id, status = _ACK.unpack_from(data)
+        raw, node_id, status = decode_ack(data)
         return cls(_decoded_id(raw), node_id, status)
 
 
@@ -251,31 +265,18 @@ class SummaryVectorHeader:
     ids: tuple[MessageId, ...]
 
     def __post_init__(self) -> None:
-        if self.frag_block not in (0, 1):
-            raise ValueError(f"frag_block must be 0 or 1: {self.frag_block}")
-        if len(self.ids) > 0xFFFF:
-            raise ValueError(f"too many ids for one fragment: {len(self.ids)}")
+        _check_fragment(self.frag_block, len(self.ids))
 
     @property
     def length(self) -> int:
         return len(self.ids)
 
     def encode(self) -> bytes:
-        n = len(self.ids)
-        return struct.pack(f">HH{n}Q", self.frag_block, n, *self.ids)
+        return encode_summary(self.frag_block, self.ids)
 
     @classmethod
     def decode(cls, data: bytes) -> "SummaryVectorHeader":
-        _require(data, SUMMARY_HEAD_SIZE, "SummaryVectorHeader")
-        frag_block, length = _SUMMARY_HEAD.unpack_from(data)
-        if frag_block not in (0, 1):
-            raise HeaderFormatError(f"frag_block must be 0 or 1: {frag_block}")
-        expected = SUMMARY_HEAD_SIZE + 8 * length
-        if len(data) != expected:
-            raise HeaderFormatError(
-                f"summary vector declares {length} ids ({expected} bytes), got {len(data)} bytes"
-            )
-        ids = struct.unpack_from(f">{length}Q", data, SUMMARY_HEAD_SIZE)
+        frag_block, ids = decode_summary(data)
         return cls(frag_block, tuple(map(_decoded_id, ids)))
 
 
@@ -323,3 +324,65 @@ def decode_data_headers(data: bytes) -> tuple[int, int, int, int, int, int]:
     if index >= total:
         raise HeaderFormatError(f"packet_index {index} not below total {total}")
     return fields
+
+
+def decode_envelope(data: bytes) -> tuple[int, int]:
+    """The MessageTypeHeader of a control packet, as plain ints.
+
+    Returns (msg_type code, node_id); the code is one of MsgType's.
+    TruncatedHeaderError below 3 bytes, HeaderFormatError for any other
+    code. The control payload that follows is not read.
+    """
+    _require(data, MESSAGE_TYPE_SIZE, "MessageTypeHeader")
+    fields = _MESSAGE_TYPE.unpack_from(data)
+    if fields[0] not in _MSG_TYPES:
+        raise HeaderFormatError(f"unknown msg_type code {fields[0]}")
+    return fields
+
+
+def encode_ack_packet(
+    node_id: int, message_id: MessageId, status: int = ACK_STATUS_SUCCESS
+) -> bytes:
+    """A whole ACK packet: MessageTypeHeader(ACK, node_id), then
+    AckHeader(message_id, node_id, status), packed in one call."""
+    _check_node(node_id, "node_id")
+    _check_status(status)
+    return _ACK_PACKET.pack(MsgType.ACK, node_id, message_id, node_id, status)
+
+
+def decode_ack(data: bytes, offset: int = 0) -> tuple[int, int, int]:
+    """The AckHeader at `offset`, as plain ints (message_id, node_id, status).
+
+    TruncatedHeaderError if fewer than 12 bytes follow `offset`; bytes
+    after the header are not read.
+    """
+    _require(data, ACK_SIZE, "AckHeader", offset)
+    return _ACK.unpack_from(data, offset)
+
+
+def encode_summary(frag_block: int, ids: Sequence[int]) -> bytes:
+    """One summary fragment: frag_block, the id count, then the ids."""
+    n = len(ids)
+    _check_fragment(frag_block, n)
+    return struct.pack(f">HH{n}Q", frag_block, n, *ids)
+
+
+def decode_summary(data: bytes, offset: int = 0) -> tuple[int, tuple[int, ...]]:
+    """The summary fragment filling `data` from `offset`, as plain ints.
+
+    Returns (frag_block, ids) with the ids in wire order.
+    TruncatedHeaderError if fewer than 4 bytes follow `offset`,
+    HeaderFormatError for a frag_block other than 0 or 1, or a declared
+    length that does not match the bytes that follow exactly.
+    """
+    _require(data, SUMMARY_HEAD_SIZE, "SummaryVectorHeader", offset)
+    frag_block, length = _SUMMARY_HEAD.unpack_from(data, offset)
+    if frag_block > 1:
+        raise HeaderFormatError(f"frag_block must be 0 or 1: {frag_block}")
+    expected = SUMMARY_HEAD_SIZE + 8 * length
+    size = len(data) - offset
+    if size != expected:
+        raise HeaderFormatError(
+            f"summary vector declares {length} ids ({expected} bytes), got {size} bytes"
+        )
+    return frag_block, struct.unpack_from(f">{length}Q", data, offset + SUMMARY_HEAD_SIZE)

@@ -109,6 +109,19 @@ class TestRunCommand:
         assert code != 0
         assert "missing.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [("message_size=1e12", "exceeds buffer_capacity"), ("seeds=2 2 2", "seeds must be distinct")],
+        ids=["oversize_message", "repeated_seed"],
+    )
+    def test_rejected_at_load_exits_2(self, workdir, capsys, override, message):
+        out = workdir / "rejected"
+        code = main(["run", str(workdir / "two_node.cfg"), "--set", override, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_product_of_axes(self, workdir):
@@ -163,8 +176,13 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "axis",
-        ["buffer_capacity=1e6,-1,5e6", "hop_limit=4,inf,8", "radio_range=50,nan,100"],
-        ids=["negative_buffer", "infinite_hop_limit", "nan_radio_range"],
+        [
+            "buffer_capacity=1e6,-1,5e6",
+            "hop_limit=4,inf,8",
+            "radio_range=50,nan,100",
+            "message_size=5000,1e12,6000",
+        ],
+        ids=["negative_buffer", "infinite_hop_limit", "nan_radio_range", "oversize_message"],
     )
     def test_bad_cell_fails_others_complete(self, workdir, capsys, axis):
         out = workdir / "faulty"

@@ -144,23 +144,31 @@ class TestOnBeacon:
         assert higher_transport.sent_of_kind(KIND_REPLY) == []
 
 
+def decoded_fragments(ids, max_control_payload):
+    return [
+        SummaryVectorHeader.decode(data)
+        for data in build_summary_fragments(ids, max_control_payload)
+    ]
+
+
 class TestSummaryFragments:
     def test_three_ids_two_per_fragment(self):
         ids = [make_message_id(1, t) for t in (1, 2, 3)]
-        frags = build_summary_fragments(ids, max_control_payload=20)
+        encoded = build_summary_fragments(ids, max_control_payload=20)
+        assert all(len(data) <= 20 for data in encoded)
+        frags = decoded_fragments(ids, max_control_payload=20)
         assert [f.length for f in frags] == [2, 1]
         assert [f.frag_block for f in frags] == [1, 0]
         assert [m for f in frags for m in f.ids] == ids
-        assert all(len(f.encode()) <= 20 for f in frags)
 
     def test_empty_summary_single_empty_fragment(self):
-        frags = build_summary_fragments([], max_control_payload=20)
+        frags = decoded_fragments([], max_control_payload=20)
         assert len(frags) == 1
         assert frags[0].length == 0 and frags[0].frag_block == 0
 
     def test_all_fit_one_fragment(self):
         ids = [make_message_id(1, t) for t in range(5)]
-        frags = build_summary_fragments(ids, max_control_payload=1400)
+        frags = decoded_fragments(ids, max_control_payload=1400)
         assert len(frags) == 1 and frags[0].frag_block == 0
         assert frags[0].ids == tuple(ids)
 
@@ -615,10 +623,11 @@ class TestConfigValidation:
         # More ids than one fragment's u16 count could hold: every
         # fragment encodes, and with its envelope fits one datagram.
         ids = [make_message_id(1, t) for t in range(70_000)]
-        frags = build_summary_fragments(ids, config.max_control_payload)
+        encoded = build_summary_fragments(ids, config.max_control_payload)
+        for data in encoded:
+            assert MESSAGE_TYPE_SIZE + len(data) <= MAX_DATAGRAM_PAYLOAD
+        frags = decoded_fragments(ids, config.max_control_payload)
         assert [m for f in frags for m in f.ids] == ids
-        for frag in frags:
-            assert MESSAGE_TYPE_SIZE + len(frag.encode()) <= MAX_DATAGRAM_PAYLOAD
         assert max(f.length for f in frags) == 8_187
 
     @pytest.mark.parametrize("cap", [MAX_CONTROL_PAYLOAD + 1, 10**6])

@@ -9,11 +9,13 @@ from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD, LinkModel
 from dtnsim.protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
 from dtnsim.runner import run_seeds
 from dtnsim.scenario import (
+    Scenario,
     ScenarioError,
     TrafficParams,
     apply_overrides,
     load_scenario,
     parse_scenario_text,
+    with_seeds,
 )
 from dtnsim.wire import DATA_HEADERS_SIZE
 
@@ -107,6 +109,36 @@ class TestParsing:
         )
         with pytest.raises(ScenarioError, match="window"):
             load_scenario(scenario_dir / "bad.cfg")
+
+    @pytest.mark.parametrize("size", ["1000001", "1e12"])
+    def test_message_larger_than_buffer_rejected_at_load(self, scenario_dir, size):
+        # Such a message could only be dropped as too large by its source,
+        # and a huge one would be built in memory first.
+        overrides = {"message_count": "1", "buffer_capacity": "1e6", "message_size": size}
+        with pytest.raises(ScenarioError, match="message_size .* exceeds buffer_capacity"):
+            load_scenario(scenario_dir / "scenario.cfg", overrides)
+
+    def test_message_filling_the_buffer_accepted(self, scenario_dir):
+        overrides = {"message_count": "1", "buffer_capacity": "1e6", "message_size": "1e6"}
+        s = load_scenario(scenario_dir / "scenario.cfg", overrides)
+        assert s.traffic.message_size == s.protocol.buffer_capacity == 1_000_000
+        # Without traffic no message is built, so the sizes need not fit.
+        s = load_scenario(scenario_dir / "scenario.cfg", {"buffer_capacity": "1000"})
+        assert s.traffic.message_size > s.protocol.buffer_capacity
+
+    @pytest.mark.parametrize("seeds", ["2 2 2", "1 2 1"])
+    def test_repeated_seeds_rejected(self, scenario_dir, seeds):
+        with pytest.raises(ScenarioError, match="seeds must be distinct"):
+            load_scenario(scenario_dir / "scenario.cfg", {"seeds": seeds})
+
+    def test_repeated_seeds_rejected_on_every_construction(self, scenario_dir):
+        s = load_scenario(scenario_dir / "scenario.cfg", {"seeds": "1 2"})
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            with_seeds(s, (3, 3))
+        fields = {name: getattr(s, name) for name in Scenario.__dataclass_fields__}
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            Scenario(**{**fields, "seeds": (1, 2, 2)})
+        assert with_seeds(s, (2, 1)).seeds == (2, 1)
 
     def test_invalid_protocol_value_surfaces(self, scenario_dir):
         (scenario_dir / "bad.cfg").write_text(MINIMAL + "buffer_capacity = -5\n")

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtnsim.wire import (
+    ACK_SIZE,
     DATA_HEADERS_SIZE,
+    MESSAGE_TYPE_SIZE,
     AckHeader,
     DataPacketHeader,
     EpidemicHeader,
@@ -17,8 +19,13 @@ from dtnsim.wire import (
     SummaryVectorHeader,
     TruncatedHeaderError,
     WireError,
+    decode_ack,
     decode_data_headers,
+    decode_envelope,
+    decode_summary,
+    encode_ack_packet,
     encode_data_packets,
+    encode_summary,
     make_message_id,
 )
 
@@ -299,3 +306,61 @@ class TestDataPacketCodec:
             encode_data_packets(mid, 1 << 32, 1, 1)
         with pytest.raises(ValueError):
             encode_data_packets(mid, 1, 1, 0)
+
+
+class TestControlCodecs:
+    """The flat control codecs: the header classes' bytes, plain ints out."""
+
+    @given(st.integers(0, (1 << 64) - 1), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+    def test_ack_packet_matches_header_classes(self, raw, node, status):
+        data = encode_ack_packet(node, MessageId(raw), status)
+        assert data == (
+            MessageTypeHeader(MsgType.ACK, node).encode()
+            + AckHeader(MessageId(raw), node, status).encode()
+        )
+        assert len(data) == MESSAGE_TYPE_SIZE + ACK_SIZE == 15
+        assert decode_envelope(data) == (MsgType.ACK, node)
+        assert decode_ack(data, 3) == (raw, node, status)
+
+    def test_ack_packet_validates_its_fields(self):
+        with pytest.raises(ValueError, match="node_id"):
+            encode_ack_packet(0x10000, MessageId(1))
+        with pytest.raises(ValueError, match="status"):
+            encode_ack_packet(1, MessageId(1), 0x10000)
+
+    @given(st.binary(max_size=6))
+    def test_envelope_decodes_only_known_codes(self, data):
+        if len(data) < 3:
+            with pytest.raises(TruncatedHeaderError):
+                decode_envelope(data)
+        elif data[0] not in (1, 2, 3, 4):
+            with pytest.raises(HeaderFormatError):
+                decode_envelope(data)
+        else:
+            assert decode_envelope(data) == (data[0], int.from_bytes(data[1:3], "big"))
+
+    @given(
+        st.binary(max_size=5),
+        st.integers(0, 1),
+        st.lists(st.integers(0, (1 << 64) - 1), max_size=20),
+    )
+    def test_summary_at_offset_gives_plain_ints(self, prefix, frag, raws):
+        data = prefix + encode_summary(frag, raws)
+        frag_block, ids = decode_summary(data, len(prefix))
+        assert (frag_block, list(ids)) == (frag, raws)
+        assert all(type(mid) is int for mid in ids)
+
+    def test_checks_count_from_the_offset(self):
+        envelope = MessageTypeHeader(MsgType.ACK, 1).encode()
+        with pytest.raises(TruncatedHeaderError, match="got 11"):
+            decode_ack(envelope + bytes(11), 3)
+        with pytest.raises(TruncatedHeaderError, match="got 3"):
+            decode_summary(envelope + bytes(3), 3)
+        with pytest.raises(HeaderFormatError):
+            decode_summary(envelope + encode_summary(0, [1]) + bytes(1), 3)
+
+    def test_encode_summary_validates_the_fragment(self):
+        with pytest.raises(ValueError, match="frag_block"):
+            encode_summary(2, [])
+        with pytest.raises(ValueError, match="too many ids"):
+            encode_summary(0, range(0x10000))
