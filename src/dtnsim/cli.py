@@ -24,6 +24,7 @@ from .metrics import (
 from .mobility import TraceParseError
 from .runner import run_seeds
 from .scenario import ScenarioError, load_scenario, with_seeds
+from .traffic import IdCollisionError
 
 
 def _parse_assignment(text: str, flag: str) -> tuple[str, str]:
@@ -147,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except (ScenarioError, TraceParseError) as exc:
+    except (ScenarioError, TraceParseError, IdCollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

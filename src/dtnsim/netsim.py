@@ -1,8 +1,9 @@
 """Deterministic discrete-event kernel with a unit-disk radio model.
 
 Events execute in (time, sequence) order; time is 64-bit unsigned
-microseconds. Each node owns one FIFO device queue with a byte capacity
-and a residency time-limit; service time is bytes * 8 / data_rate and a
+microseconds. Each node owns one FIFO device queue; all nodes share its
+byte capacity and residency time-limit. The head of a non-empty FIFO is
+the packet in service. Service time is bytes * 8 / data_rate and a
 transmission reaches every in-range receiver (one for unicast), subject
 to an optional per-receiver Bernoulli loss draw.
 
@@ -37,7 +38,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .mobility import Trajectory
@@ -164,17 +165,6 @@ class Packet:
         self.size = len(data) + len(payload) + IP_UDP_HEADER_BYTES
 
 
-@dataclass(slots=True)
-class DeviceQueue:
-    """FIFO link-layer queue with byte capacity and residency time-limit."""
-
-    capacity_bytes: int
-    residency_limit_us: int
-    fifo: deque[tuple[Packet, int]] = field(default_factory=deque)
-    used_bytes: int = 0
-    busy: bool = False
-
-
 class RadioNetwork:
     """Binds trajectories, device queues, and protocol nodes to the kernel."""
 
@@ -209,10 +199,11 @@ class RadioNetwork:
         # (a, b) and (b, a): (since_us, until_us, inside). The answer is
         # `inside` at any t_us with since_us < t_us < until_us.
         self._certs: list[tuple[int, int, bool]] = [(0, 0, False)] * (self._n * self._n)
-        self._queues = [
-            DeviceQueue(queue_capacity_bytes, queue_residency_us)
-            for _ in trajectories
-        ]
+        self._capacity = queue_capacity_bytes
+        self._residency_us = queue_residency_us
+        # Per node: FIFO of (packet, enqueued_at) and its queued bytes.
+        self._fifos: list[deque[tuple[Packet, int]]] = [deque() for _ in trajectories]
+        self._queued = [0] * self._n
         # One transmission-complete callback per node, made once.
         self._completions = [
             (lambda n=node: self._complete(n)) for node in range(len(trajectories))
@@ -267,42 +258,39 @@ class RadioNetwork:
 
     def submit(self, packet: Packet) -> None:
         """Place a packet on its sender's device queue (tail-drop on overflow)."""
-        now = self.sim.now
+        src = packet.src
         size = packet.size
-        self.trace.packet_event(packet.kind, PKT_SUBMITTED, size, packet.src, packet.dst)
-        queue = self._queues[packet.src]
-        if queue.used_bytes + size > queue.capacity_bytes:
-            self.trace.packet_event(packet.kind, PKT_OVERFLOW, size, packet.src, packet.dst)
+        self.trace.packet_event(packet.kind, PKT_SUBMITTED, size, src, packet.dst)
+        if self._queued[src] + size > self._capacity:
+            self.trace.packet_event(packet.kind, PKT_OVERFLOW, size, src, packet.dst)
             return
-        queue.fifo.append((packet, now))
-        queue.used_bytes += size
-        if not queue.busy:
-            self._serve(packet.src)
+        fifo = self._fifos[src]
+        fifo.append((packet, self.sim.now))
+        self._queued[src] += size
+        # Nothing submits during _serve or _complete, so an idle queue is
+        # an empty one: a lone packet starts service now.
+        if len(fifo) == 1:
+            self._serve(src)
 
     def _serve(self, node: int) -> None:
-        queue = self._queues[node]
-        fifo = queue.fifo
+        """Schedule the head's transmission, dropping heads past residency."""
+        fifo = self._fifos[node]
         now = self.sim.now
         while fifo:
             packet, enqueued_at = fifo[0]
-            if now - enqueued_at > queue.residency_limit_us:
-                fifo.popleft()
-                queue.used_bytes -= packet.size
-                self.trace.packet_event(
-                    packet.kind, PKT_RESIDENCY, packet.size, packet.src, packet.dst
-                )
-                continue
-            queue.busy = True
-            done = now + service_time_us(packet.size, self._rate)
-            self.sim.schedule(done, EVENT_TIMER, self._completions[node])
-            return
-        queue.busy = False
+            if now - enqueued_at <= self._residency_us:
+                done = now + service_time_us(packet.size, self._rate)
+                self.sim.schedule(done, EVENT_TIMER, self._completions[node])
+                return
+            fifo.popleft()
+            self._queued[node] -= packet.size
+            self.trace.packet_event(
+                packet.kind, PKT_RESIDENCY, packet.size, packet.src, packet.dst
+            )
 
     def _complete(self, node: int) -> None:
-        queue = self._queues[node]
-        packet, _ = queue.fifo.popleft()
-        queue.used_bytes -= packet.size
-        queue.busy = False
+        packet, _ = self._fifos[node].popleft()
+        self._queued[node] -= packet.size
         now = self.sim.now
         self.trace.packet_event(
             packet.kind, PKT_TRANSMITTED, packet.size, packet.src, packet.dst
@@ -347,13 +335,13 @@ class RadioNetwork:
         these cycles lets reference counting free the run here instead of
         the cyclic collector later. Nothing may run on the network after.
         """
-        for queue in self._queues:
-            for packet, _ in queue.fifo:
+        for fifo in self._fifos:
+            for packet, _ in fifo:
                 self.trace.packet_event(
                     packet.kind, PKT_UNSENT_AT_END, packet.size, packet.src, packet.dst
                 )
-            queue.fifo.clear()
-            queue.used_bytes = 0
+            fifo.clear()
+        self._queued = [0] * self._n
         for packet, receiver in self._in_flight:
             self.trace.packet_event(
                 packet.kind, PKT_IN_FLIGHT_AT_END, packet.size, packet.src, receiver

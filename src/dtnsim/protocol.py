@@ -61,6 +61,7 @@ from .records import (
 )
 from .wire import (
     DATA_HEADERS_SIZE,
+    HOP_COUNT_MAX,
     MESSAGE_TYPE_SIZE,
     SUMMARY_HEAD_SIZE,
     MessageId,
@@ -116,8 +117,9 @@ class ProtocolConfig:
             raise ValueError("buffer_capacity must be positive")
         if self.message_ttl_us < 1:
             raise ValueError("message_ttl must be at least 1 µs")
-        if self.hop_limit <= 0:
-            raise ValueError("hop_limit must be positive")
+        # Every data packet carries the hop count in a u32 field.
+        if not 0 < self.hop_limit <= HOP_COUNT_MAX:
+            raise ValueError(f"hop_limit must be in [1, {HOP_COUNT_MAX}]")
         if self.max_control_payload < SUMMARY_HEAD_SIZE + 8:
             raise ValueError("max_control_payload must fit at least one id (12 bytes)")
         if self.max_control_payload > MAX_CONTROL_PAYLOAD:
@@ -489,12 +491,9 @@ class EpidemicNode:
         )
         self._record_enqueue(self.buffer.enqueue(entry, now), entry.message_id, now)
 
-    def wrap_raw_packet(
-        self, payload: bytes, destination: int, now: int, source_node: int | None = None
-    ) -> MessageId:
+    def wrap_raw_packet(self, payload: bytes, destination: int, now: int) -> MessageId:
         """Wrap a headerless packet as a one-packet message and store it."""
-        source = self.node_id if source_node is None else source_node
-        mid = make_message_id(source, now)
+        mid = make_message_id(self.node_id, now)
         entry = QueueEntry(mid, destination, (payload,), self.config.hop_limit)
         self.originate(entry, now)
         return mid

@@ -79,5 +79,5 @@ def run_once(scenario: Scenario, seed: int) -> tuple[RunReport, RunTrace]:
     return compute(trace, seed), trace
 
 
-def run_seeds(scenario: Scenario, seeds: tuple[int, ...] | None = None) -> list[RunReport]:
-    return [run_once(scenario, seed)[0] for seed in (seeds or scenario.seeds)]
+def run_seeds(scenario: Scenario) -> list[RunReport]:
+    return [run_once(scenario, seed)[0] for seed in scenario.seeds]

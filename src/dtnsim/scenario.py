@@ -3,12 +3,13 @@
 Each key sets one field of `ProtocolConfig`, `LinkModel`, `TrafficParams`
 or the `Scenario` itself (`_SCHEMA`). Those classes hold the only defaults
 and bounds; `build_scenario` adds the rules that span several keys: the
-traffic window lies within the duration, a message fits a node's
-buffer, and the device queue defaults to the buffer capacity and two
-beacon intervals. Unknown keys, non-finite numbers and repeated seeds
-are rejected. The mobility trace path is resolved
-relative to the scenario file, and the trace is read and parsed once, at
-load: every seed and sweep run of the scenario shares its trajectories.
+traffic window lies within the duration, traffic has at least two
+nodes, a message fits a node's buffer, and the device queue defaults to
+the buffer capacity and two beacon intervals. Unknown keys, non-finite
+numbers and repeated seeds are rejected. The mobility trace path is
+resolved relative to the scenario file, and the trace is read and parsed
+once, at load: every seed and sweep run of the scenario shares its
+trajectories.
 Example:
 
     trace = mini_trace.ns_movements
@@ -199,6 +200,8 @@ def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    if traffic.message_count and len(fields["trajectories"]) < 2:
+        raise ScenarioError("traffic needs at least two nodes in the trace")
     if traffic.message_count and not (
         0 <= traffic.start_s <= traffic.end_s <= scenario.duration_s
     ):

@@ -90,7 +90,7 @@ def build_schedule(
         taken = used.setdefault(source, set())
         if len(taken) > end - start:
             raise IdCollisionError(
-                f"window too small for distinct creation times at node {source}"
+                f"traffic window too small for distinct creation times at node {source}"
             )
         t = rng.randint(start, end)
         while t in taken:  # nudge to the next free microsecond

@@ -111,8 +111,12 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "override, message",
-        [("message_size=1e12", "exceeds buffer_capacity"), ("seeds=2 2 2", "seeds must be distinct")],
-        ids=["oversize_message", "repeated_seed"],
+        [
+            ("message_size=1e12", "exceeds buffer_capacity"),
+            ("seeds=2 2 2", "seeds must be distinct"),
+            ("hop_limit=5000000000", "hop_limit must be in"),
+        ],
+        ids=["oversize_message", "repeated_seed", "hop_limit_beyond_u32"],
     )
     def test_rejected_at_load_exits_2(self, workdir, capsys, override, message):
         out = workdir / "rejected"
@@ -120,6 +124,18 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_traffic_window_too_narrow_for_distinct_ids_exits_2(self, workdir, capsys):
+        # Three messages from two sources in one microsecond: two of them
+        # share a source and so a message id, for every seed.
+        out = workdir / "collided"
+        argv = ["run", str(workdir / "two_node.cfg"), "--out", str(out)]
+        code = main(argv + ["--set", "message_count=3", "--set", "traffic_end=0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "window too small" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
@@ -181,8 +197,15 @@ class TestSweepCommand:
             "hop_limit=4,inf,8",
             "radio_range=50,nan,100",
             "message_size=5000,1e12,6000",
+            "hop_limit=4,5e9,8",
         ],
-        ids=["negative_buffer", "infinite_hop_limit", "nan_radio_range", "oversize_message"],
+        ids=[
+            "negative_buffer",
+            "infinite_hop_limit",
+            "nan_radio_range",
+            "oversize_message",
+            "hop_limit_beyond_u32",
+        ],
     )
     def test_bad_cell_fails_others_complete(self, workdir, capsys, axis):
         out = workdir / "faulty"
@@ -200,6 +223,14 @@ class TestSweepCommand:
         agg = read_csv(out / "aggregate.csv")
         assert len(agg) == 2  # the two valid cells completed
         assert "failed" in capsys.readouterr().err
+
+    def test_id_collision_fails_only_its_cell(self, workdir, capsys):
+        out = workdir / "collided"
+        argv = ["sweep", str(workdir / "two_node.cfg"), "--set", "message_count=3"]
+        code = main(argv + ["--axis", "traffic_end=3,0", "--out", str(out)])
+        assert code == 1
+        assert [row["traffic_end"] for row in read_csv(out / "aggregate.csv")] == ["3"]
+        assert "window too small" in capsys.readouterr().err
 
     def test_unknown_axis_key(self, workdir, capsys):
         code = main(

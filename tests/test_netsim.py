@@ -420,6 +420,70 @@ class TestDeviceQueue:
             == 4
         )
 
+    @staticmethod
+    def _recorded_link(rate, residency_us):
+        """Nodes 0 and 1 in range; returns sim, net and a RecordingTrace."""
+        sim = Simulator()
+        trace = RecordingTrace(sim)
+        net = RadioNetwork(
+            sim,
+            LinkModel(rate, 100.0),
+            static_nodes((0, 0), (10, 0)),
+            1_000_000,
+            residency_us,
+            random.Random(1),
+            trace,
+        )
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
+        return sim, net, trace
+
+    @staticmethod
+    def _timeline(trace):
+        return [
+            (outcome, now)
+            for _, outcome, _, _, now in trace.events
+            if outcome in (PKT_TRANSMITTED, PKT_RESIDENCY)
+        ]
+
+    def test_back_to_back_packets_transmit_one_service_time_apart(self):
+        # 1500 bytes on air at 12 Mbps: 1,000 µs of service each.
+        sim, net, trace = self._recorded_link(12e6, 10 * SEC)
+        for _ in range(3):
+            net.submit(Packet(0, 1, 1, bytes(1472), "data"))
+        sim.run(SEC)
+        assert self._timeline(trace) == [
+            (PKT_TRANSMITTED, 1_000),
+            (PKT_TRANSMITTED, 2_000),
+            (PKT_TRANSMITTED, 3_000),
+        ]
+
+    def test_packet_after_service_drained_the_queue_is_served_at_once(self):
+        sim, net, trace = self._recorded_link(12e6, 10 * SEC)
+        net.submit(Packet(0, 1, 1, bytes(1472), "data"))
+        late = Packet(0, 1, 1, bytes(1472), "data")
+        sim.schedule(5_000, EVENT_TIMER, lambda: net.submit(late))
+        sim.run(SEC)
+        assert self._timeline(trace) == [(PKT_TRANSMITTED, 1_000), (PKT_TRANSMITTED, 6_000)]
+
+    def test_packet_after_residency_drops_drained_the_queue_is_served_at_once(self):
+        # 1500 bytes at 10 kbps: 1.2 s of service. The third and fourth
+        # packets reach the head at 2.4 s, past the 2 s residency, and are
+        # dropped there, which empties the queue.
+        sim, net, trace = self._recorded_link(1e4, 2 * SEC)
+        for _ in range(4):
+            net.submit(Packet(0, 1, 1, bytes(1472), "data"))
+        late = Packet(0, 1, 1, bytes(1472), "data")
+        sim.schedule(5 * SEC, EVENT_TIMER, lambda: net.submit(late))
+        sim.run(30 * SEC)
+        assert self._timeline(trace) == [
+            (PKT_TRANSMITTED, 1_200_000),
+            (PKT_TRANSMITTED, 2_400_000),
+            (PKT_RESIDENCY, 2_400_000),
+            (PKT_RESIDENCY, 2_400_000),
+            (PKT_TRANSMITTED, 6_200_000),
+        ]
+
     def test_unsent_at_end_accounted(self):
         sim, net, trace = make_net([(0, 0), (10, 0)], rate=1e4)
         net.attach(0, lambda *a: None)

@@ -17,7 +17,7 @@ from dtnsim.scenario import (
     parse_scenario_text,
     with_seeds,
 )
-from dtnsim.wire import DATA_HEADERS_SIZE
+from dtnsim.wire import DATA_HEADERS_SIZE, HOP_COUNT_MAX
 
 MINIMAL = """\
 trace = trace.ns_movements
@@ -125,6 +125,25 @@ class TestParsing:
         # Without traffic no message is built, so the sizes need not fit.
         s = load_scenario(scenario_dir / "scenario.cfg", {"buffer_capacity": "1000"})
         assert s.traffic.message_size > s.protocol.buffer_capacity
+
+    @pytest.mark.parametrize("value", ["4294967296", "5e9"])
+    def test_hop_limit_beyond_the_u32_field_rejected_at_load(self, scenario_dir, value):
+        # A data packet carries its hop count in 32 bits; a larger limit
+        # would only fail once the first data packet is encoded.
+        with pytest.raises(ScenarioError, match="hop_limit"):
+            load_scenario(scenario_dir / "scenario.cfg", {"hop_limit": value})
+        s = load_scenario(scenario_dir / "scenario.cfg", {"hop_limit": "4294967295"})
+        assert s.protocol.hop_limit == HOP_COUNT_MAX
+
+    def test_traffic_on_a_one_node_trace_rejected_at_load(self, scenario_dir):
+        (scenario_dir / "one.ns_movements").write_text(
+            "$node_(0) set X_ 0.0\n$node_(0) set Y_ 0.0\n"
+        )
+        (scenario_dir / "one.cfg").write_text("trace = one.ns_movements\nduration = 10\n")
+        with pytest.raises(ScenarioError, match="at least two nodes"):
+            load_scenario(scenario_dir / "one.cfg", {"message_count": "1"})
+        # Without traffic a lone node is a valid, if quiet, scenario.
+        assert len(load_scenario(scenario_dir / "one.cfg").trajectories) == 1
 
     @pytest.mark.parametrize("seeds", ["2 2 2", "1 2 1"])
     def test_repeated_seeds_rejected(self, scenario_dir, seeds):
