@@ -3,6 +3,9 @@
 Expiry removes entries older than the configured ttl; when space runs out
 the oldest-generated entries are purged first. Summaries and disjoint sets
 drive the anti-entropy exchange.
+
+Each drop the buffer decides (expired, evicted, or a rejected duplicate,
+arrival_expired or too_large message) is recorded in the run's trace.
 """
 
 from __future__ import annotations
@@ -10,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Container, Iterator
 
-from .records import MSG_ARRIVAL_EXPIRED, MSG_DUPLICATE, MSG_TOO_LARGE
+from .records import (
+    MSG_ARRIVAL_EXPIRED,
+    MSG_DUPLICATE,
+    MSG_EVICTED,
+    MSG_EXPIRED,
+    MSG_TOO_LARGE,
+    MessageDropped,
+    RunTrace,
+)
 from .wire import NODE_ID_MAX, TIMESTAMP_MAX, MessageId
 
 # Oldest generation time of an empty buffer: later than any 48-bit timestamp.
@@ -55,16 +66,6 @@ class QueueEntry:
         return self.message_id.timestamp_us
 
 
-@dataclass(slots=True)
-class EnqueueOutcome:
-    """Result of an enqueue: acceptance plus what was removed to decide it."""
-
-    accepted: bool
-    reason: str | None = None  # a rejection's message drop cause (MSG_*)
-    expired: list[MessageId] = field(default_factory=list)
-    evicted: list[MessageId] = field(default_factory=list)
-
-
 def _age_order(mid: MessageId) -> int:
     """Sort key ordering ids exactly as (generation time, raw id)."""
     return ((mid & TIMESTAMP_MAX) << 16) | (mid >> 48)
@@ -73,13 +74,15 @@ def _age_order(mid: MessageId) -> int:
 class MessageBuffer:
     """Map of MessageId to QueueEntry with byte capacity and ttl enforcement."""
 
-    def __init__(self, capacity_bytes: int, ttl_us: int) -> None:
+    def __init__(self, capacity_bytes: int, ttl_us: int, trace: RunTrace, node: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         if ttl_us <= 0:
             raise ValueError("ttl_us must be positive")
         self.capacity_bytes = capacity_bytes
         self.ttl_us = ttl_us
+        self._trace = trace
+        self._node = node
         self._entries: dict[MessageId, QueueEntry] = {}
         self._used = 0
         # At most the generation time of every stored entry, so an expiry
@@ -102,39 +105,42 @@ class MessageBuffer:
     def used_bytes(self) -> int:
         return self._used
 
-    def drop_expired(self, now: int) -> list[MessageId]:
-        """Remove every entry older than ttl; returns the dropped ids."""
+    def drop_expired(self, now: int) -> None:
+        """Remove and record every entry older than ttl."""
         ttl = self.ttl_us
         if now - self._oldest <= ttl:
-            return []
-        dropped = [mid for mid in self._entries if now - (mid & TIMESTAMP_MAX) > ttl]
-        for mid in dropped:
+            return
+        for mid in [mid for mid in self._entries if now - (mid & TIMESTAMP_MAX) > ttl]:
             self._remove(mid)
+            self._record(mid, now, MSG_EXPIRED)
         self._oldest = min(
             (mid & TIMESTAMP_MAX for mid in self._entries), default=_NONE_STORED
         )
-        return dropped
 
-    def enqueue(self, entry: QueueEntry, now: int) -> EnqueueOutcome:
+    def enqueue(self, entry: QueueEntry, now: int) -> None:
         """Store a complete message, expiring and purging as needed.
 
-        Duplicates are rejected without side effects beyond the expiry
-        sweep; an entry larger than the whole buffer is rejected outright.
+        A duplicate, an entry past its ttl and one larger than the whole
+        buffer are recorded as dropped and change nothing beyond the
+        expiry sweep.
         """
-        expired = self.drop_expired(now)
-        if entry.message_id in self._entries:
-            return EnqueueOutcome(False, MSG_DUPLICATE, expired)
+        self.drop_expired(now)
+        mid = entry.message_id
         generated_at = entry.generated_at
-        if now - generated_at > self.ttl_us:
-            return EnqueueOutcome(False, MSG_ARRIVAL_EXPIRED, expired)
-        if entry.byte_size > self.capacity_bytes:
-            return EnqueueOutcome(False, MSG_TOO_LARGE, expired)
-        evicted = self._purge_for(entry.byte_size)
-        self._entries[entry.message_id] = entry
-        self._used += entry.byte_size
-        if generated_at < self._oldest:
-            self._oldest = generated_at
-        return EnqueueOutcome(True, None, expired, evicted)
+        if mid in self._entries:
+            cause = MSG_DUPLICATE
+        elif now - generated_at > self.ttl_us:
+            cause = MSG_ARRIVAL_EXPIRED
+        elif entry.byte_size > self.capacity_bytes:
+            cause = MSG_TOO_LARGE
+        else:
+            self._purge_for(entry.byte_size, now)
+            self._entries[mid] = entry
+            self._used += entry.byte_size
+            if generated_at < self._oldest:
+                self._oldest = generated_at
+            return
+        self._record(mid, now, cause)
 
     def summary(self) -> list[MessageId]:
         """All stored ids, ascending by raw id."""
@@ -149,10 +155,10 @@ class MessageBuffer:
         mine.sort(key=_age_order)
         return mine
 
-    def _purge_for(self, needed: int) -> list[MessageId]:
+    def _purge_for(self, needed: int, now: int) -> None:
         free = self.capacity_bytes - self._used
         if needed <= free:
-            return []
+            return
         victims = []
         for mid in sorted(self._entries, key=_age_order):
             victims.append(mid)
@@ -161,8 +167,11 @@ class MessageBuffer:
                 break
         for mid in victims:
             self._remove(mid)
-        return victims
+            self._record(mid, now, MSG_EVICTED)
 
     def _remove(self, message_id: MessageId) -> None:
         entry = self._entries.pop(message_id)
         self._used -= entry.byte_size
+
+    def _record(self, mid: MessageId, now: int, cause: str) -> None:
+        self._trace.message_dropped(MessageDropped(now, self._node, mid, cause))

@@ -68,15 +68,33 @@ def _seed_tuple(args) -> tuple[int, ...] | None:
     return tuple(range(1, args.seeds + 1))
 
 
+def _make_out_dir(path: str) -> tuple[Path, list[Path]]:
+    """Create the report directory before anything is simulated.
+
+    Returns it and the directories this call created, deepest first.
+    """
+    out = Path(path)
+    created = [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create report directory {out}: {exc}") from exc
+    return out, created
+
+
 def _cmd_run(args) -> int:
     overrides = dict(_parse_assignment(s, "--set") for s in args.overrides)
     scenario = load_scenario(args.scenario, overrides)
     seeds = _seed_tuple(args)
     if seeds is not None:
         scenario = with_seeds(scenario, seeds)
-    reports = run_seeds(scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out, created = _make_out_dir(args.out)
+    try:
+        reports = run_seeds(scenario)
+    except BaseException:
+        for d in created:  # a run that reports nothing leaves no directory
+            d.rmdir()
+        raise
     write_csv(out / "runs.csv", RUN_COLUMNS, [run_row(r) for r in reports])
     write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, [aggregate_row(reports)])
     for report in reports:
@@ -92,7 +110,11 @@ def _cmd_sweep(args) -> int:
     overrides = dict(_parse_assignment(s, "--set") for s in args.overrides)
     axes = [_parse_axis(a) for a in args.axis]
     axis_keys = [key for key, _ in axes]
+    for i, key in enumerate(axis_keys):
+        if key in axis_keys[:i]:
+            raise ScenarioError(f"--axis {key} is given more than once")
     seeds = _seed_tuple(args)
+    out, _ = _make_out_dir(args.out)
 
     run_rows: list[dict[str, str]] = []
     agg_rows: list[dict[str, str]] = []
@@ -112,8 +134,6 @@ def _cmd_sweep(args) -> int:
             run_rows.append({**cell, **run_row(report)})
         agg_rows.append({**cell, **aggregate_row(reports)})
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "runs.csv", tuple(axis_keys) + RUN_COLUMNS, run_rows)
     write_csv(out / "aggregate.csv", tuple(axis_keys) + AGGREGATE_COLUMNS, agg_rows)
     print(f"wrote {out / 'runs.csv'} and {out / 'aggregate.csv'}")

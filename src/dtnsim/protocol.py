@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .buffer import EnqueueOutcome, MessageBuffer, QueueEntry
+from .buffer import MessageBuffer, QueueEntry
 from .netsim import MAX_DATAGRAM_PAYLOAD, to_us
 from .records import (
     KIND_ACK,
@@ -47,8 +47,6 @@ from .records import (
     KIND_REPLY,
     KIND_REPLY_BACK,
     MSG_ARRIVAL_EXPIRED,
-    MSG_EVICTED,
-    MSG_EXPIRED,
     MSG_HOP_EXHAUSTED,
     MSG_PARTIAL_DISCONNECT,
     MSG_PARTIAL_RESET,
@@ -225,12 +223,13 @@ class EpidemicNode:
         self.transport = transport
         self.trace = trace
         self._rng = beacon_rng
-        self.buffer = MessageBuffer(config.buffer_capacity, config.message_ttl_us)
+        self.buffer = MessageBuffer(
+            config.buffer_capacity, config.message_ttl_us, trace, node_id
+        )
         self.neighbors: dict[int, NeighborRecord] = {}
         self.delivered_ids: set[MessageId] = set()
         self._interval_us = config.beacon_interval_us
         self._liveness_us = 2 * config.beacon_interval_us
-        self._ttl_us = config.message_ttl_us
         # Envelopes of the control packets this node sends, packed once.
         self._beacon = MessageTypeHeader(MsgType.BEACON, node_id).encode()
         self._reply = MessageTypeHeader(MsgType.REPLY, node_id).encode()
@@ -249,8 +248,7 @@ class EpidemicNode:
     def _beacon_tick(self) -> None:
         now = self.transport.now
         self.check_connections(now)
-        for mid in self.buffer.drop_expired(now):
-            self._drop_msg(now, mid, MSG_EXPIRED)
+        self.buffer.drop_expired(now)
         self.transport.broadcast(PORT_CONTROL, self._beacon, KIND_BEACON)
         self.transport.schedule(now + self._interval_us + self._jitter_us(), self._beacon_tick)
 
@@ -365,8 +363,7 @@ class EpidemicNode:
             self._load_pipeline(nb, remote, now)
 
     def _send_summary(self, envelope: bytes, kind: str, nb: NeighborRecord, now: int) -> None:
-        for mid in self.buffer.drop_expired(now):
-            self._drop_msg(now, mid, MSG_EXPIRED)
+        self.buffer.drop_expired(now)
         for frag in build_summary_fragments(
             self.buffer.summary(), self.config.max_control_payload
         ):
@@ -457,7 +454,7 @@ class EpidemicNode:
             TransferCompleted(now, mid, nb.node_id, self.node_id)
         )
         age = now - mid.timestamp_us
-        if age > self._ttl_us:
+        if age > self.buffer.ttl_us:
             self._drop_msg(now, mid, MSG_ARRIVAL_EXPIRED)
         else:
             if destination == self.node_id and mid not in self.delivered_ids:
@@ -471,8 +468,7 @@ class EpidemicNode:
                 if destination != self.node_id:
                     self._drop_msg(now, mid, MSG_HOP_EXHAUSTED)
             else:
-                entry = QueueEntry(mid, destination, packets, budget)
-                self._record_enqueue(self.buffer.enqueue(entry, now), mid, now)
+                self.buffer.enqueue(QueueEntry(mid, destination, packets, budget), now)
         self._send_ack(nb, mid)
 
     # -- local message injection -----------------------------------------------
@@ -489,7 +485,7 @@ class EpidemicNode:
                 entry.packet_total,
             )
         )
-        self._record_enqueue(self.buffer.enqueue(entry, now), entry.message_id, now)
+        self.buffer.enqueue(entry, now)
 
     def wrap_raw_packet(self, payload: bytes, destination: int, now: int) -> MessageId:
         """Wrap a headerless packet as a one-packet message and store it."""
@@ -499,15 +495,6 @@ class EpidemicNode:
         return mid
 
     # -- record helpers -----------------------------------------------------------
-
-    def _record_enqueue(self, outcome: EnqueueOutcome, mid: MessageId, now: int) -> None:
-        for dropped in outcome.expired:
-            self._drop_msg(now, dropped, MSG_EXPIRED)
-        for dropped in outcome.evicted:
-            self._drop_msg(now, dropped, MSG_EVICTED)
-        if not outcome.accepted:
-            assert outcome.reason is not None
-            self._drop_msg(now, mid, outcome.reason)
 
     def _drop_msg(self, now: int, mid: MessageId, cause: str) -> None:
         self.trace.message_dropped(MessageDropped(now, self.node_id, mid, cause))

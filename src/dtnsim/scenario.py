@@ -30,6 +30,7 @@ from pathlib import Path
 from .mobility import Trajectory, parse_ns2_trace
 from .netsim import LinkModel, to_us
 from .protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
+from .wire import TIMESTAMP_MAX
 
 
 class ScenarioError(ValueError):
@@ -53,6 +54,11 @@ class TrafficParams:
             raise ValueError(
                 f"packet_payload must be at most {MAX_PACKET_PAYLOAD} bytes "
                 "(a data packet and its headers fill one UDP datagram)"
+            )
+        if self.message_count and to_us(self.end_s or 0) > TIMESTAMP_MAX:
+            raise ValueError(
+                f"traffic_end must be at most {TIMESTAMP_MAX / 1e6} s "
+                "(message ids hold creation times in 48 bits of microseconds)"
             )
 
 

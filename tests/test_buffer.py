@@ -7,10 +7,35 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.buffer import MessageBuffer, QueueEntry
-from dtnsim.records import MSG_ARRIVAL_EXPIRED, MSG_DUPLICATE, MSG_TOO_LARGE
+from dtnsim.records import (
+    MSG_ARRIVAL_EXPIRED,
+    MSG_DUPLICATE,
+    MSG_EVICTED,
+    MSG_EXPIRED,
+    MSG_TOO_LARGE,
+    RunTrace,
+)
 from dtnsim.wire import MessageId, make_message_id
 
 TTL_US = 1_000_000
+NODE = 7
+
+
+def make_buffer(capacity, ttl=TTL_US):
+    trace = RunTrace()
+    return MessageBuffer(capacity, ttl, trace, NODE), trace
+
+
+def take(trace):
+    """(id, cause, time) of each drop recorded since the last take.
+
+    Every drop must be recorded at the buffer's node.
+    """
+    drops = trace.message_drops
+    assert all(d.node == NODE for d in drops)
+    taken = [(d.message_id, d.cause, d.time_us) for d in drops]
+    drops.clear()
+    return taken
 
 
 def entry(source, gen_us, size=10, destination=99, hop_budget=5):
@@ -25,45 +50,53 @@ def multi_packet_entry(source, gen_us, payloads):
 
 class TestEnqueue:
     def test_accept_into_empty(self):
-        buf = MessageBuffer(100, TTL_US)
-        outcome = buf.enqueue(entry(1, 0, size=10), now=0)
-        assert outcome.accepted and not outcome.evicted
+        buf, trace = make_buffer(100)
+        e = entry(1, 0, size=10)
+        assert buf.enqueue(e, now=0) is None
+        assert e.message_id in buf and take(trace) == []
         assert len(buf) == 1 and buf.used_bytes == 10
 
     def test_duplicate_rejected_without_side_effects(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, trace = make_buffer(100)
         e = entry(1, 0)
-        assert buf.enqueue(e, 0).accepted
-        dup = buf.enqueue(entry(1, 0), 0)
-        assert not dup.accepted and dup.reason == MSG_DUPLICATE
-        assert len(buf) == 1
+        buf.enqueue(e, 0)
+        assert e.message_id in buf and take(trace) == []
+        buf.enqueue(entry(1, 0), 5)
+        assert take(trace) == [(e.message_id, MSG_DUPLICATE, 5)]
+        assert len(buf) == 1 and buf.get(e.message_id) is e
 
     def test_oldest_evicted_first(self):
-        buf = MessageBuffer(20, TTL_US)
+        buf, trace = make_buffer(20)
         a, b = entry(1, 1, size=10), entry(2, 2, size=10)
-        assert buf.enqueue(a, 10).accepted
-        assert buf.enqueue(b, 10).accepted
+        buf.enqueue(a, 10)
+        buf.enqueue(b, 10)
+        assert a.message_id in buf and b.message_id in buf and take(trace) == []
         c = entry(3, 3, size=10)
-        outcome = buf.enqueue(c, 10)
-        assert outcome.accepted
-        assert outcome.evicted == [a.message_id]
+        buf.enqueue(c, 10)
+        assert c.message_id in buf
+        assert take(trace) == [(a.message_id, MSG_EVICTED, 10)]
         assert buf.summary() == sorted([b.message_id, c.message_id])
 
     def test_expired_at_enqueue_rejected(self):
-        buf = MessageBuffer(100, TTL_US)
-        outcome = buf.enqueue(entry(1, 0), now=TTL_US + 1)
-        assert not outcome.accepted and outcome.reason == MSG_ARRIVAL_EXPIRED
+        buf, trace = make_buffer(100)
+        e = entry(1, 0)
+        buf.enqueue(e, now=TTL_US + 1)
+        assert e.message_id not in buf
+        assert take(trace) == [(e.message_id, MSG_ARRIVAL_EXPIRED, TTL_US + 1)]
 
     def test_larger_than_capacity_rejected(self):
-        buf = MessageBuffer(5, TTL_US)
-        outcome = buf.enqueue(entry(1, 0, size=6), 0)
-        assert not outcome.accepted and outcome.reason == MSG_TOO_LARGE
+        buf, trace = make_buffer(5)
+        e = entry(1, 0, size=6)
+        buf.enqueue(e, 0)
+        assert e.message_id not in buf
+        assert take(trace) == [(e.message_id, MSG_TOO_LARGE, 0)]
 
     def test_final_packet_may_be_smaller(self):
         e = multi_packet_entry(1, 0, [bytes(10), bytes(10), bytes(4)])
         assert e.byte_size == 24
-        buf = MessageBuffer(24, TTL_US)
-        assert buf.enqueue(e, 0).accepted
+        buf, trace = make_buffer(24)
+        buf.enqueue(e, 0)
+        assert e.message_id in buf and take(trace) == []
         assert buf.used_bytes == 24
 
     def test_eviction_matches_brute_force_oracle(self):
@@ -72,15 +105,17 @@ class TestEnqueue:
         rng = random.Random(42)
         for _ in range(200):
             capacity = rng.randint(20, 60)
-            buf = MessageBuffer(capacity, TTL_US)
+            buf, trace = make_buffer(capacity)
             stored = []
             for i in range(rng.randint(0, 6)):
                 e = entry(i + 1, rng.randint(0, 50), size=rng.randint(5, 20))
-                if buf.enqueue(e, 60).accepted:
+                buf.enqueue(e, 60)
+                if e.message_id in buf:
                     stored.append(e)
                     stored = [
                         s for s in stored if s.message_id in buf.summary()
                     ]
+            take(trace)
             new = entry(15, rng.randint(0, 50), size=rng.randint(5, 20))
             used = sum(s.byte_size for s in stored)
             expected = []
@@ -90,88 +125,96 @@ class TestEnqueue:
                     break
                 expected.append(s.message_id)
                 free += s.byte_size
-            outcome = buf.enqueue(new, 60)
-            assert outcome.accepted
-            assert outcome.evicted == expected
+            buf.enqueue(new, 60)
+            assert new.message_id in buf
+            assert take(trace) == [(m, MSG_EVICTED, 60) for m in expected]
 
 
 class TestDropExpired:
     def test_boundary_one_microsecond_past_ttl(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, trace = make_buffer(100)
         a = entry(1, 0)
         b = entry(2, TTL_US)
         buf.enqueue(a, 0)
         buf.enqueue(b, TTL_US)  # sweeps first; a's age is exactly ttl, kept
-        assert len(buf) == 2
-        dropped = buf.drop_expired(TTL_US + 1)  # a now one microsecond too old
-        assert dropped == [a.message_id]
+        assert len(buf) == 2 and take(trace) == []
+        buf.drop_expired(TTL_US + 1)  # a now one microsecond too old
+        assert take(trace) == [(a.message_id, MSG_EXPIRED, TTL_US + 1)]
         assert buf.summary() == [b.message_id]
 
     def test_age_exactly_ttl_kept(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, trace = make_buffer(100)
         a = entry(1, 0)
         buf.enqueue(a, 0)
-        assert buf.drop_expired(TTL_US) == []
+        buf.drop_expired(TTL_US)
+        assert take(trace) == []
         assert a.message_id in buf
 
     def test_empty_buffer(self):
-        assert MessageBuffer(100, TTL_US).drop_expired(10) == []
+        buf, trace = make_buffer(100)
+        assert buf.drop_expired(10) is None
+        assert take(trace) == []
 
     def test_all_expired(self):
-        buf = MessageBuffer(100, TTL_US)
-        for i in range(3):
-            buf.enqueue(entry(i + 1, i), i)
-        assert len(buf.drop_expired(TTL_US + 10)) == 3
+        buf, trace = make_buffer(100)
+        entries = [entry(i + 1, i) for i in range(3)]
+        for i, e in enumerate(entries):
+            buf.enqueue(e, i)
+        buf.drop_expired(TTL_US + 10)
+        assert take(trace) == [(e.message_id, MSG_EXPIRED, TTL_US + 10) for e in entries]
         assert len(buf) == 0
 
     def test_later_entry_expires_after_oldest_was_evicted(self):
-        buf = MessageBuffer(20, 100)
+        buf, trace = make_buffer(20, ttl=100)
         a, b, c = entry(1, 0, size=10), entry(2, 50, size=10), entry(3, 60, size=10)
         buf.enqueue(a, 0)
         buf.enqueue(b, 50)
-        assert buf.enqueue(c, 60).evicted == [a.message_id]
-        assert buf.drop_expired(150) == []
-        assert buf.drop_expired(151) == [b.message_id]
-        assert buf.drop_expired(160) == []
-        assert buf.drop_expired(161) == [c.message_id]
-        assert len(buf) == 0 and buf.drop_expired(10_000) == []
+        buf.enqueue(c, 60)
+        assert take(trace) == [(a.message_id, MSG_EVICTED, 60)]
+        for now, expired in ((150, []), (151, [b]), (160, []), (161, [c])):
+            buf.drop_expired(now)
+            assert take(trace) == [(e.message_id, MSG_EXPIRED, now) for e in expired]
+        assert len(buf) == 0
+        buf.drop_expired(10_000)
+        assert take(trace) == []
 
 
 class TestSummary:
     def test_sorted_by_raw_id(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, _ = make_buffer(100)
         hi, lo = entry(2, 5), entry(1, 9)
         buf.enqueue(hi, 9)
         buf.enqueue(lo, 9)
         assert buf.summary() == [lo.message_id, hi.message_id]
 
     def test_empty(self):
-        assert MessageBuffer(100, TTL_US).summary() == []
+        assert make_buffer(100)[0].summary() == []
 
     def test_excludes_expired(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, trace = make_buffer(100)
         e = entry(1, 0)
         buf.enqueue(e, 0)
         buf.drop_expired(TTL_US + 1)
         assert buf.summary() == []
+        assert take(trace) == [(e.message_id, MSG_EXPIRED, TTL_US + 1)]
 
 
 class TestFindDisjoint:
     def test_difference_in_generation_order(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, _ = make_buffer(100)
         a, b, c = entry(1, 30), entry(2, 10), entry(3, 20)
         for e in (a, b, c):
             buf.enqueue(e, 30)
         assert buf.find_disjoint({b.message_id}) == [c.message_id, a.message_id]
 
     def test_subset_of_remote(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, _ = make_buffer(100)
         a = entry(1, 0)
         buf.enqueue(a, 0)
         assert buf.find_disjoint({a.message_id, entry(2, 1).message_id}) == []
 
     def test_against_brute_force_over_all_subsets(self):
-        buf = MessageBuffer(1000, TTL_US)
+        buf, _ = make_buffer(1000)
         entries = [entry(i + 1, 10 * i) for i in range(8)]
         for e in entries:
             buf.enqueue(e, 100)
@@ -184,7 +227,7 @@ class TestFindDisjoint:
                 assert buf.find_disjoint(set(remote)) == expected
 
     def test_disjoint_of_own_summary_is_empty(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, _ = make_buffer(100)
         for i in range(4):
             buf.enqueue(entry(i + 1, i), 5)
         assert buf.find_disjoint(buf.summary()) == []
@@ -203,7 +246,7 @@ class TestAgeOrder:
         return sorted(ids, key=lambda m: (m.timestamp_us, m.raw))
 
     def test_equal_timestamps_order_by_source(self):
-        buf = MessageBuffer(100, TTL_US)
+        buf, _ = make_buffer(100)
         for source in (7, 2, 300, 5):
             buf.enqueue(entry(source, 4), 4)
         buf.enqueue(entry(9, 3), 4)
@@ -213,7 +256,7 @@ class TestAgeOrder:
 
     @given(stamps)
     def test_find_disjoint_order(self, stamps):
-        buf = MessageBuffer(1000, TTL_US)
+        buf, _ = make_buffer(1000)
         ids = [make_message_id(source, ts) for source, ts in stamps]
         for mid in ids:
             buf.enqueue(QueueEntry(mid, 99, (bytes(10),), 5), 10)
@@ -223,13 +266,15 @@ class TestAgeOrder:
     @given(stamps)
     def test_purge_order(self, stamps):
         capacity = 10 * len(stamps)
-        buf = MessageBuffer(capacity, TTL_US)
+        buf, trace = make_buffer(capacity)
         ids = [make_message_id(source, ts) for source, ts in stamps]
         for mid in ids:
             buf.enqueue(QueueEntry(mid, 99, (bytes(10),), 5), 10)
-        outcome = buf.enqueue(entry(0x10000 - 1, 10, size=capacity), 10)
-        assert outcome.accepted
-        assert outcome.evicted == self.oracle(ids)
+        assert take(trace) == []
+        big = entry(0x10000 - 1, 10, size=capacity)
+        buf.enqueue(big, 10)
+        assert big.message_id in buf
+        assert take(trace) == [(m, MSG_EVICTED, 10) for m in self.oracle(ids)]
 
 
 class ReferenceBuffer:
@@ -246,9 +291,14 @@ class ReferenceBuffer:
         return dropped
 
     def enqueue(self, raw, gen, size, now):
+        """Returns (rejection cause or None, expired ids, evicted ids)."""
         expired = self.drop_expired(now)
-        if raw in self.entries or now - gen > self.ttl or size > self.capacity:
-            return False, expired, []
+        if raw in self.entries:
+            return MSG_DUPLICATE, expired, []
+        if now - gen > self.ttl:
+            return MSG_ARRIVAL_EXPIRED, expired, []
+        if size > self.capacity:
+            return MSG_TOO_LARGE, expired, []
         free = self.capacity - sum(s for _, s in self.entries.values())
         evicted = []
         for r in sorted(self.entries, key=lambda r: (self.entries[r][0], r)):
@@ -259,7 +309,7 @@ class ReferenceBuffer:
         for r in evicted:
             del self.entries[r]
         self.entries[raw] = (gen, size)
-        return True, expired, evicted
+        return None, expired, evicted
 
 
 buffer_ops = st.lists(
@@ -279,23 +329,26 @@ buffer_ops = st.lists(
 @example([("enqueue", 1, 0, 0), ("enqueue", 2, 0, 20), ("evict", 3, 0, 10),
           ("expire", 0, 0, 41), ("expire", 0, 0, 10)])
 def test_expiry_and_eviction_match_brute_force(op_list):
-    buf = MessageBuffer(40, 50)
+    # Compares the drops each operation records with the oracle's.
+    buf, trace = make_buffer(40, ttl=50)
     ref = ReferenceBuffer(40, 50)
     now = 0
     for op, source, age, step in op_list:
         now += step
         if op == "expire":
-            assert buf.drop_expired(now) == ref.drop_expired(now)
+            buf.drop_expired(now)
+            expected = [(r, MSG_EXPIRED, now) for r in ref.drop_expired(now)]
         else:
             gen = max(now - age, 0)
             size = 25 if op == "evict" else 10
-            outcome = buf.enqueue(entry(source, gen, size=size), now)
-            accepted, expired, evicted = ref.enqueue(
-                make_message_id(source, gen), gen, size, now
-            )
-            assert (outcome.accepted, outcome.expired, outcome.evicted) == (
-                accepted, expired, evicted
-            )
+            buf.enqueue(entry(source, gen, size=size), now)
+            raw = make_message_id(source, gen)
+            rejected, expired, evicted = ref.enqueue(raw, gen, size, now)
+            expected = [(r, MSG_EXPIRED, now) for r in expired]
+            expected += [(r, MSG_EVICTED, now) for r in evicted]
+            if rejected is not None:
+                expected.append((raw, rejected, now))
+        assert take(trace) == expected
         assert [
             (e.message_id, e.generated_at, e.byte_size) for e in buf.entries()
         ] == [(MessageId(r), gen, size) for r, (gen, size) in ref.entries.items()]
@@ -315,7 +368,7 @@ ops = st.lists(
 @settings(max_examples=200)
 @given(ops, st.integers(10, 60))
 def test_capacity_never_exceeded(op_list, capacity):
-    buf = MessageBuffer(capacity, 50)
+    buf, _ = make_buffer(capacity, ttl=50)
     now = 0
     for op, source, gen, size in op_list:
         now = max(now, gen)
@@ -332,14 +385,15 @@ def test_capacity_never_exceeded(op_list, capacity):
 def test_eviction_is_oldest_first(op_list, capacity):
     # No eviction may remove an entry generated later than one it keeps,
     # other than the incoming entry itself.
-    buf = MessageBuffer(capacity, 1_000_000)
+    buf, trace = make_buffer(capacity, ttl=1_000_000)
     for op, source, gen, size in op_list:
         if op != "enqueue":
             continue
         incoming = entry(source, gen, size=size)
-        outcome = buf.enqueue(incoming, 100)
-        if outcome.accepted and outcome.evicted:
-            newest_evicted = max(m.timestamp_us for m in outcome.evicted)
+        buf.enqueue(incoming, 100)
+        evicted = [mid for mid, cause, _ in take(trace) if cause == MSG_EVICTED]
+        if incoming.message_id in buf and evicted:
+            newest_evicted = max(m.timestamp_us for m in evicted)
             for e in buf.entries():
                 if e.message_id != incoming.message_id:
                     assert e.generated_at >= newest_evicted
@@ -347,9 +401,9 @@ def test_eviction_is_oldest_first(op_list, capacity):
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        MessageBuffer(0, TTL_US)
+        MessageBuffer(0, TTL_US, RunTrace(), NODE)
     with pytest.raises(ValueError):
-        MessageBuffer(10, 0)
+        MessageBuffer(10, 0, RunTrace(), NODE)
     with pytest.raises(ValueError):
         QueueEntry(make_message_id(1, 0), 99, (), 5)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dtnsim import cli
 from dtnsim.cli import main
 
 TRACE = """\
@@ -232,6 +233,17 @@ class TestSweepCommand:
         assert [row["traffic_end"] for row in read_csv(out / "aggregate.csv")] == ["3"]
         assert "window too small" in capsys.readouterr().err
 
+    def test_repeated_axis_key_exits_2_before_any_cell(self, workdir, capsys):
+        # A later --axis of the same key would overwrite the earlier one
+        # in every cell: the cells would repeat, under duplicate columns.
+        out = workdir / "repeated"
+        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
+        code = main(argv + ["--axis", "hop_limit=4,8", "--axis", "hop_limit=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --axis hop_limit is given more than once\n"
+        assert not out.exists()
+
     def test_unknown_axis_key(self, workdir, capsys):
         code = main(
             [
@@ -244,6 +256,25 @@ class TestSweepCommand:
             ]
         )
         assert code != 0
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]
+)
+def test_out_path_that_is_a_file_exits_2_before_simulating(workdir, capsys, monkeypatch, command):
+    def no_simulation(scenario):
+        pytest.fail("simulated although the report directory cannot be made")
+
+    monkeypatch.setattr(cli, "run_seeds", no_simulation)
+    taken = workdir / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        argv = [command[0], str(workdir / "two_node.cfg"), *command[1:], "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create report directory {out}: ")
+        assert err.count("\n") == 1
+    assert taken.read_text() == "keep"
 
 
 def test_cli_import_loads_no_scipy_or_numpy():

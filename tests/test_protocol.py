@@ -27,10 +27,15 @@ from dtnsim.records import (
     KIND_REPLY,
     KIND_REPLY_BACK,
     MSG_ARRIVAL_EXPIRED,
+    MSG_DUPLICATE,
+    MSG_EVICTED,
+    MSG_EXPIRED,
     MSG_HOP_EXHAUSTED,
     MSG_PARTIAL_DISCONNECT,
     MSG_PARTIAL_RESET,
+    MSG_TOO_LARGE,
     PKT_MALFORMED,
+    MessageDropped,
 )
 from dtnsim.wire import (
     AckHeader,
@@ -563,6 +568,43 @@ class TestConnectionCheck:
         ack = MessageTypeHeader(MsgType.ACK, 1).encode() + AckHeader(a.message_id, 1).encode()
         node.handle_packet(1, PORT_CONTROL, ack, None, 2 * SEC)
         assert len(transport.sent_of_kind(KIND_DATA)) == data_sent
+
+
+class TestBufferDropsReachTheTrace:
+    """Each drop the buffer decides is recorded with the node id and time."""
+
+    def test_expired_at_a_beacon_tick(self):
+        config = ProtocolConfig(message_ttl=0.5, beacon_randomness=0)
+        node, transport, trace = make_node(node_id=2, config=config)
+        e = make_entry(2, 0, destination=7)
+        node.originate(e, 0)
+        node.start(0)
+        assert transport.fire_next_timer() == SEC
+        assert e.message_id not in node.buffer
+        assert trace.message_drops == [MessageDropped(SEC, 2, e.message_id, MSG_EXPIRED)]
+
+    def test_evicted_when_a_relayed_message_fills_the_buffer(self):
+        node, _, trace = make_node(node_id=2, config=ProtocolConfig(buffer_capacity=40))
+        old = make_entry(2, 0, size=30, destination=7)
+        node.originate(old, 0)
+        relayed = make_entry(1, 10, size=30, destination=50)
+        feed_message(node, relayed, sender_node=1, sender_addr=1, now=1000)
+        assert relayed.message_id in node.buffer and old.message_id not in node.buffer
+        assert trace.message_drops == [MessageDropped(1000, 2, old.message_id, MSG_EVICTED)]
+
+    def test_duplicate_on_a_second_reception(self):
+        node, transport, trace = make_node(node_id=2)
+        e = make_entry(1, 10, destination=50)
+        feed_message(node, e, sender_node=1, sender_addr=1, now=1000)
+        feed_message(node, e, sender_node=3, sender_addr=3, now=2000)
+        assert trace.message_drops == [MessageDropped(2000, 2, e.message_id, MSG_DUPLICATE)]
+        assert len(transport.sent_of_kind(KIND_ACK)) == 2  # both receptions acked
+
+    def test_too_large_from_wrap_raw_packet(self):
+        node, _, trace = make_node(node_id=3, config=ProtocolConfig(buffer_capacity=4))
+        mid = node.wrap_raw_packet(b"hello", destination=7, now=500)
+        assert mid not in node.buffer
+        assert trace.message_drops == [MessageDropped(500, 3, mid, MSG_TOO_LARGE)]
 
 
 class TestWrapRawPacket:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from dtnsim import mobility
-from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD, LinkModel
+from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD, LinkModel, to_us
 from dtnsim.protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
 from dtnsim.runner import run_seeds
 from dtnsim.scenario import (
@@ -17,7 +17,7 @@ from dtnsim.scenario import (
     parse_scenario_text,
     with_seeds,
 )
-from dtnsim.wire import DATA_HEADERS_SIZE, HOP_COUNT_MAX
+from dtnsim.wire import DATA_HEADERS_SIZE, HOP_COUNT_MAX, TIMESTAMP_MAX
 
 MINIMAL = """\
 trace = trace.ns_movements
@@ -134,6 +134,24 @@ class TestParsing:
             load_scenario(scenario_dir / "scenario.cfg", {"hop_limit": value})
         s = load_scenario(scenario_dir / "scenario.cfg", {"hop_limit": "4294967295"})
         assert s.protocol.hop_limit == HOP_COUNT_MAX
+
+    def test_traffic_window_past_the_48_bit_timestamp_rejected_at_load(self, scenario_dir):
+        # A message id holds its creation time in 48 bits of microseconds;
+        # a later window would only fail when the run makes the first id.
+        cfg = scenario_dir / "scenario.cfg"
+        window = {"duration": "1e9", "message_count": "1", "traffic_start": "3e8"}
+        for end in ("3.1e8", repr((TIMESTAMP_MAX + 1) / 1e6)):
+            with pytest.raises(ScenarioError, match="traffic_end must be at most"):
+                load_scenario(cfg, {**window, "traffic_end": end})
+
+    def test_traffic_window_ending_within_the_timestamp_accepted(self, scenario_dir):
+        cfg = scenario_dir / "scenario.cfg"
+        window = {"duration": "1e9", "message_count": "1", "traffic_start": "2e8"}
+        s = load_scenario(cfg, {**window, "traffic_end": repr(TIMESTAMP_MAX / 1e6)})
+        assert to_us(s.traffic.end_s) == TIMESTAMP_MAX
+        # Without traffic no message id is made, so any window loads.
+        s = load_scenario(cfg, {**window, "message_count": "0", "traffic_end": "3.1e8"})
+        assert s.traffic.end_s == 3.1e8
 
     def test_traffic_on_a_one_node_trace_rejected_at_load(self, scenario_dir):
         (scenario_dir / "one.ns_movements").write_text(
