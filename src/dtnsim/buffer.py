@@ -19,7 +19,6 @@ from .records import (
     MSG_EVICTED,
     MSG_EXPIRED,
     MSG_TOO_LARGE,
-    MessageDropped,
     RunTrace,
 )
 from .wire import NODE_ID_MAX, TIMESTAMP_MAX, MessageId
@@ -174,4 +173,4 @@ class MessageBuffer:
         self._used -= entry.byte_size
 
     def _record(self, mid: MessageId, now: int, cause: str) -> None:
-        self._trace.message_dropped(MessageDropped(now, self._node, mid, cause))
+        self._trace.message_dropped(now, self._node, mid, cause)

@@ -39,6 +39,8 @@ def _parse_axis(text: str) -> tuple[str, list[str]]:
     parts = [v.strip() for v in values.split(",") if v.strip()]
     if not parts:
         raise ScenarioError(f"--axis {key} has no values")
+    if len(set(parts)) < len(parts):
+        raise ScenarioError(f"--axis {key} repeats a value")
     return key, parts
 
 
@@ -113,6 +115,8 @@ def _cmd_sweep(args) -> int:
     for i, key in enumerate(axis_keys):
         if key in axis_keys[:i]:
             raise ScenarioError(f"--axis {key} is given more than once")
+        if key in overrides:
+            raise ScenarioError(f"--set {key} conflicts with --axis {key}")
     seeds = _seed_tuple(args)
     out, _ = _make_out_dir(args.out)
 

@@ -78,12 +78,8 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
         if delivered
         else None
     )
-    avg_hop_count = (
-        sum(d.hops for d in deliveries) / delivered if delivered else None
-    )
-    replication_overhead = (
-        (transfers - delivered) / delivered if delivered else None
-    )
+    avg_hop_count = sum(d.hops for d in deliveries) / delivered if delivered else None
+    replication_overhead = (transfers - delivered) / delivered if delivered else None
 
     # Both derived from the per-pair counters: read each once.
     packet_counts, packet_bytes = trace.packet_counts, trace.packet_bytes
@@ -98,9 +94,7 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
         data_packets * DATA_HEADERS_SIZE / total_bytes if total_bytes else 0.0
     )
 
-    drops: dict[str, int] = {}
-    for cause in MSG_DROP_CAUSES:
-        drops[f"msg_{cause}"] = 0
+    drops = {f"msg_{cause}": 0 for cause in MSG_DROP_CAUSES}
     for rec in trace.message_drops:
         drops[f"msg_{rec.cause}"] += 1
     for outcome in PKT_DROP_OUTCOMES:
@@ -170,9 +164,7 @@ def aggregate(reports: list[RunReport]) -> dict[str, tuple[float, float] | None]
     """Per-metric mean and CI across seeds; None when no run defines it."""
     out: dict[str, tuple[float, float] | None] = {}
     for name in METRIC_FIELDS:
-        values = [
-            v for r in reports if (v := getattr(r, name)) is not None
-        ]
+        values = [v for r in reports if (v := getattr(r, name)) is not None]
         out[name] = mean_ci95(values) if values else None
     return out
 

@@ -51,11 +51,7 @@ from .records import (
     MSG_PARTIAL_DISCONNECT,
     MSG_PARTIAL_RESET,
     PKT_MALFORMED,
-    MessageDelivered,
-    MessageDropped,
-    MessageGenerated,
     RunTrace,
-    TransferCompleted,
 )
 from .wire import (
     DATA_HEADERS_SIZE,
@@ -180,7 +176,7 @@ class NeighborRecord:
     node_id: int
     address: int
     last_heard: int
-    summary_accum: list[int] = field(default_factory=list)
+    summary_accum: set[int] = field(default_factory=set)
     pending: deque[MessageId] = field(default_factory=deque)
     in_flight: MessageId | None = None
     rx: ReceptionBuffer | None = None
@@ -354,10 +350,9 @@ class EpidemicNode:
         is_reply = msg_type == _REPLY
         if self._leads(sender_addr, sender_node) is is_reply:
             return  # only the leading side sends REPLY; ignore on violation
-        nb.summary_accum.extend(ids)
+        nb.summary_accum.update(ids)
         if frag_block == 0:
-            remote = set(nb.summary_accum)
-            nb.summary_accum.clear()
+            remote, nb.summary_accum = nb.summary_accum, set()
             if is_reply:
                 self._send_summary(self._reply_back, KIND_REPLY_BACK, nb, now)
             self._load_pipeline(nb, remote, now)
@@ -450,9 +445,7 @@ class EpidemicNode:
         packets = tuple(rx.received[i] for i in range(rx.packet_total))
         destination = rx.msg_dst
         budget = rx.hop_count - 1 if rx.hop_count > 0 else 0
-        self.trace.transfer_completed(
-            TransferCompleted(now, mid, nb.node_id, self.node_id)
-        )
+        self.trace.transfer_completed(now, mid, nb.node_id, self.node_id)
         age = now - mid.timestamp_us
         if age > self.buffer.ttl_us:
             self._drop_msg(now, mid, MSG_ARRIVAL_EXPIRED)
@@ -460,9 +453,7 @@ class EpidemicNode:
             if destination == self.node_id and mid not in self.delivered_ids:
                 self.delivered_ids.add(mid)
                 self.trace.message_delivered(
-                    MessageDelivered(
-                        now, mid, self.node_id, age, self.config.hop_limit - budget
-                    )
+                    now, mid, self.node_id, age, self.config.hop_limit - budget
                 )
             if budget == 0:
                 if destination != self.node_id:
@@ -476,14 +467,12 @@ class EpidemicNode:
     def originate(self, entry: QueueEntry, now: int) -> None:
         """Store a locally generated message and record its creation."""
         self.trace.message_generated(
-            MessageGenerated(
-                now,
-                entry.message_id,
-                self.node_id,
-                entry.destination,
-                entry.byte_size,
-                entry.packet_total,
-            )
+            now,
+            entry.message_id,
+            self.node_id,
+            entry.destination,
+            entry.byte_size,
+            entry.packet_total,
         )
         self.buffer.enqueue(entry, now)
 
@@ -497,4 +486,4 @@ class EpidemicNode:
     # -- record helpers -----------------------------------------------------------
 
     def _drop_msg(self, now: int, mid: MessageId, cause: str) -> None:
-        self.trace.message_dropped(MessageDropped(now, self.node_id, mid, cause))
+        self.trace.message_dropped(now, self.node_id, mid, cause)

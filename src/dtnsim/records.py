@@ -1,9 +1,10 @@
 """Simulation trace records and the per-run trace accumulator.
 
-Message-level events are kept as individual records; per-packet outcomes
-are folded into counters keyed by (src, dst, kind, outcome), from which
-the per-kind totals are derived, so large runs stay cheap while
-conservation audits remain possible.
+Message-level events are kept as individual records, which only the
+trace builds: the protocol and the buffer report each event's fields.
+Per-packet outcomes are folded into counters keyed by (src, dst, kind,
+outcome), from which the per-kind totals are derived, so large runs stay
+cheap while conservation audits remain possible.
 """
 
 from __future__ import annotations
@@ -128,17 +129,29 @@ class RunTrace:
         # and so is the hash of None on Python 3.11.
         self._fold = 0
 
-    def message_generated(self, rec: MessageGenerated) -> None:
-        self.generated.append(rec)
+    def message_generated(
+        self,
+        now: int,
+        mid: MessageId,
+        source: int,
+        destination: int,
+        size_bytes: int,
+        packet_total: int,
+    ) -> None:
+        self.generated.append(
+            MessageGenerated(now, mid, source, destination, size_bytes, packet_total)
+        )
 
-    def message_delivered(self, rec: MessageDelivered) -> None:
-        self.deliveries.append(rec)
+    def message_delivered(
+        self, now: int, mid: MessageId, node: int, latency_us: int, hops: int
+    ) -> None:
+        self.deliveries.append(MessageDelivered(now, mid, node, latency_us, hops))
 
-    def transfer_completed(self, rec: TransferCompleted) -> None:
-        self.transfers.append(rec)
+    def transfer_completed(self, now: int, mid: MessageId, from_node: int, to_node: int) -> None:
+        self.transfers.append(TransferCompleted(now, mid, from_node, to_node))
 
-    def message_dropped(self, rec: MessageDropped) -> None:
-        self.message_drops.append(rec)
+    def message_dropped(self, now: int, node: int, mid: MessageId, cause: str) -> None:
+        self.message_drops.append(MessageDropped(now, node, mid, cause))
 
     def packet_event(
         self, kind: str, outcome: str, size: int, src: int, dst: int | None
@@ -180,10 +193,8 @@ class RunTrace:
 
     def dump(self) -> str:
         """Deterministic textual form of the whole trace, for replay checks."""
-        lines = [repr(r) for r in self.generated]
-        lines += [repr(r) for r in self.deliveries]
-        lines += [repr(r) for r in self.transfers]
-        lines += [repr(r) for r in self.message_drops]
+        records = (self.generated, self.deliveries, self.transfers, self.message_drops)
+        lines = [repr(r) for recs in records for r in recs]
         packet_bytes = self.packet_bytes
         lines += [
             f"packets {kind}/{outcome}: n={n} bytes={packet_bytes[(kind, outcome)]}"

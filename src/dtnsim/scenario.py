@@ -76,10 +76,13 @@ class Scenario:
     seeds: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if self.queue_capacity <= 0 or self.queue_residency_s <= 0:
-            raise ValueError("queue capacity and residency must be positive")
+        # Times are whole microseconds, as in ProtocolConfig.
+        if self.duration_us < 1:
+            raise ValueError("duration must be at least 1 µs")
+        if to_us(self.queue_residency_s) < 1:
+            raise ValueError("queue_residency must be at least 1 µs")
+        if self.queue_capacity <= 0:
+            raise ValueError("queue_capacity must be positive")
         # Each seed is one independent run of the aggregate's sample.
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {' '.join(map(str, self.seeds))}")

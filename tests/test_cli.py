@@ -244,6 +244,37 @@ class TestSweepCommand:
         assert err == "error: --axis hop_limit is given more than once\n"
         assert not out.exists()
 
+    def test_repeated_axis_value_exits_2_before_any_cell(self, workdir, capsys, monkeypatch):
+        # A repeated value would run the same cell twice and aggregate it
+        # as two cells. Values are compared as written, spaces stripped.
+        def no_simulation(scenario):
+            pytest.fail("simulated although an axis repeats a value")
+
+        monkeypatch.setattr(cli, "run_seeds", no_simulation)
+        out = workdir / "repeated"
+        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
+        code = main(argv + ["--axis", "data_rate=6e6,12e6", "--axis", "hop_limit=4, 8,4 "])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --axis hop_limit repeats a value\n"
+        assert not out.exists()
+
+    def test_set_key_that_is_an_axis_key_exits_2_before_any_cell(
+        self, workdir, capsys, monkeypatch
+    ):
+        # Each cell's axis value would silently replace the --set value.
+        def no_simulation(scenario):
+            pytest.fail("simulated although --set and --axis name the same key")
+
+        monkeypatch.setattr(cli, "run_seeds", no_simulation)
+        out = workdir / "conflict"
+        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
+        code = main(argv + ["--set", "hop_limit=3", "--axis", "hop_limit=4,8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --set hop_limit conflicts with --axis hop_limit\n"
+        assert not out.exists()
+
     def test_unknown_axis_key(self, workdir, capsys):
         code = main(
             [

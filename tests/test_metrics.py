@@ -10,10 +10,7 @@ from dtnsim.records import (
     KIND_BEACON,
     KIND_DATA,
     PKT_TRANSMITTED,
-    MessageDelivered,
-    MessageGenerated,
     RunTrace,
-    TransferCompleted,
 )
 from dtnsim.wire import DATA_HEADERS_SIZE, make_message_id
 
@@ -25,11 +22,11 @@ def mid(i):
 def trace_with(generated=0, delivered_ids=(), transfers=()):
     trace = RunTrace()
     for i in range(generated):
-        trace.message_generated(MessageGenerated(0, mid(i), 1, 2, 100, 1))
+        trace.message_generated(0, mid(i), 1, 2, 100, 1)
     for i in delivered_ids:
-        trace.message_delivered(MessageDelivered(50, mid(i), 2, 50, 1))
+        trace.message_delivered(50, mid(i), 2, 50, 1)
     for i, frm, to in transfers:
-        trace.transfer_completed(TransferCompleted(40, mid(i), frm, to))
+        trace.transfer_completed(40, mid(i), frm, to)
     return trace
 
 
@@ -59,18 +56,18 @@ class TestCompute:
 
     def test_latency_and_hops_mean(self):
         trace = RunTrace()
-        trace.message_generated(MessageGenerated(0, mid(0), 1, 2, 100, 1))
-        trace.message_generated(MessageGenerated(0, mid(1), 1, 2, 100, 1))
-        trace.message_delivered(MessageDelivered(10, mid(0), 2, 1_000_000, 1))
-        trace.message_delivered(MessageDelivered(20, mid(1), 2, 3_000_000, 3))
+        trace.message_generated(0, mid(0), 1, 2, 100, 1)
+        trace.message_generated(0, mid(1), 1, 2, 100, 1)
+        trace.message_delivered(10, mid(0), 2, 1_000_000, 1)
+        trace.message_delivered(20, mid(1), 2, 3_000_000, 3)
         report = compute(trace)
         assert report.avg_latency_s == pytest.approx(2.0)
         assert report.avg_hop_count == pytest.approx(2.0)
 
     def test_duplicate_delivery_records_deduped(self):
         trace = trace_with(generated=1)
-        trace.message_delivered(MessageDelivered(60, mid(0), 2, 60, 2))
-        trace.message_delivered(MessageDelivered(50, mid(0), 2, 50, 1))
+        trace.message_delivered(60, mid(0), 2, 60, 2)
+        trace.message_delivered(50, mid(0), 2, 50, 1)
         report = compute(trace)
         assert report.delivered == 1
         assert report.avg_latency_s == pytest.approx(50 / 1e6)

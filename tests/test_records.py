@@ -1,13 +1,28 @@
-"""RunTrace: packet counters and the order-sensitive packet stream fold."""
+"""RunTrace: message records built from reported fields, packet counters
+and the order-sensitive packet stream fold."""
 
+from dtnsim import runner
+from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
+from dtnsim.netsim import LinkModel
+from dtnsim.protocol import ProtocolConfig
 from dtnsim.records import (
     KIND_BEACON,
     KIND_DATA,
+    MSG_EVICTED,
+    MSG_EXPIRED,
+    MSG_HOP_EXHAUSTED,
+    MSG_PARTIAL_DISCONNECT,
     PKT_DELIVERED,
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
+    MessageDelivered,
+    MessageDropped,
+    MessageGenerated,
     RunTrace,
+    TransferCompleted,
 )
+from dtnsim.scenario import Scenario, TrafficParams
+from dtnsim.wire import make_message_id
 
 EVENTS = [
     (KIND_DATA, PKT_SUBMITTED, 1518, 0, 1),
@@ -61,3 +76,82 @@ def test_swapped_keys_of_equal_size_change_dump():
     assert forward.pair_counts == backward.pair_counts
     assert forward.packet_bytes == backward.packet_bytes
     assert forward.dump() != backward.dump()
+
+
+class TestMessageRecords:
+    A, B = make_message_id(1, 10), make_message_id(2, 20)
+
+    def test_each_method_appends_the_record_of_its_fields_in_call_order(self):
+        a, b = self.A, self.B
+        trace = RunTrace()
+        trace.message_generated(10, a, 1, 2, 3000, 3)
+        trace.message_generated(20, b, 2, 1, 100, 1)
+        trace.transfer_completed(30, a, 1, 3)
+        trace.transfer_completed(31, b, 2, 3)
+        trace.message_delivered(40, a, 2, 30, 2)
+        trace.message_delivered(41, b, 1, 21, 1)
+        trace.message_dropped(50, 3, b, MSG_EXPIRED)
+        trace.message_dropped(51, 3, a, MSG_EVICTED)
+        assert trace.generated == [
+            MessageGenerated(10, a, 1, 2, 3000, 3),
+            MessageGenerated(20, b, 2, 1, 100, 1),
+        ]
+        assert trace.transfers == [
+            TransferCompleted(30, a, 1, 3),
+            TransferCompleted(31, b, 2, 3),
+        ]
+        assert trace.deliveries == [
+            MessageDelivered(40, a, 2, 30, 2),
+            MessageDelivered(41, b, 1, 21, 1),
+        ]
+        assert trace.message_drops == [
+            MessageDropped(50, 3, b, MSG_EXPIRED),
+            MessageDropped(51, 3, a, MSG_EVICTED),
+        ]
+
+    def test_records_appear_in_the_dump_in_call_order(self):
+        trace = RunTrace()
+        trace.message_dropped(7, 1, self.B, MSG_HOP_EXHAUSTED)
+        trace.message_dropped(5, 2, self.A, MSG_EXPIRED)
+        assert trace.dump().splitlines()[:2] == [
+            repr(MessageDropped(7, 1, self.B, MSG_HOP_EXHAUSTED)),
+            repr(MessageDropped(5, 2, self.A, MSG_EXPIRED)),
+        ]
+
+
+class DropLog(RunTrace):
+    """Keeps each reported drop's fields itself instead of in message_drops."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def message_dropped(self, now, node, mid, cause):
+        self.seen.append((now, node, mid, cause))
+
+
+def test_subclass_receives_every_drop_of_a_lossy_run(monkeypatch):
+    # Six moving nodes, 5% loss, a small buffer, a short ttl and two hops:
+    # the buffer (expired, evicted) and the protocol (hop_exhausted,
+    # partial_disconnect) both report drops.
+    scenario = Scenario(
+        trajectories=tuple(
+            parse_ns2_trace(generate_random_waypoint_trace(6, 150, 150, 5, 15, 40, seed="drops"))
+        ),
+        duration_s=40.0,
+        seeds=(1,),
+        protocol=ProtocolConfig(1.0, 0.1, 60_000, 8.0, 2, 60),
+        link=LinkModel(2e6, 60.0, loss_probability=0.05, propagation_delay_s=2e-3),
+        traffic=TrafficParams(20, 15_000, 1200, 1.0, 30.0),
+        queue_capacity=30_000,
+        queue_residency_s=0.1,
+    )
+    _, base = runner.run_once(scenario, 1)
+    causes = {d.cause for d in base.message_drops}
+    assert {MSG_EXPIRED, MSG_EVICTED, MSG_HOP_EXHAUSTED, MSG_PARTIAL_DISCONNECT} <= causes
+
+    monkeypatch.setattr(runner, "RunTrace", DropLog)
+    _, log = runner.run_once(scenario, 1)
+    assert isinstance(log, DropLog)
+    assert log.message_drops == []
+    assert [MessageDropped(*fields) for fields in log.seen] == base.message_drops

@@ -229,12 +229,33 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("beacon_interval", "1e-7"), ("message_ttl", "1e-7"), ("data_rate", "0.4")],
+        [
+            ("beacon_interval", "1e-7"),
+            ("message_ttl", "1e-7"),
+            ("data_rate", "0.4"),
+            ("duration", "1e-7"),
+            ("queue_residency", "1e-7"),
+        ],
     )
     def test_value_rounding_to_zero_rejected_at_load(self, scenario_dir, key, value):
         # Only loads: a 0 µs beacon interval would never let a run finish.
         with pytest.raises(ScenarioError, match=key):
             load_scenario(scenario_dir / "scenario.cfg", {key: value, "beacon_randomness": "0"})
+
+    def test_run_of_0_us_with_traffic_rejected_at_load(self, scenario_dir):
+        # The traffic window [0, 0] lies within the duration, so only the
+        # duration's own check stops a run that would simulate nothing.
+        overrides = {"duration": "1e-7", "traffic_end": "0", "message_count": "1"}
+        with pytest.raises(ScenarioError, match="duration must be at least 1 µs"):
+            load_scenario(scenario_dir / "scenario.cfg", overrides)
+
+    @pytest.mark.parametrize(
+        "key, field", [("duration", "duration_s"), ("queue_residency", "queue_residency_s")]
+    )
+    def test_time_of_1_us_accepted(self, scenario_dir, key, field):
+        # Only loads: what a 1 µs run or residency does is not checked here.
+        s = load_scenario(scenario_dir / "scenario.cfg", {key: "1e-6"})
+        assert to_us(getattr(s, field)) == 1
 
 
 def test_trace_parsed_once_per_load(monkeypatch):
