@@ -2,7 +2,10 @@
 
 Expiry removes entries older than the configured ttl; when space runs out
 the oldest-generated entries are purged first. Summaries and disjoint sets
-drive the anti-entropy exchange.
+drive the anti-entropy exchange. The stored ids are kept ascending by raw
+id as entries come and go, so a summary is a copy, not a sort; `version`
+changes on every store and removal, so a caller can reuse what it built
+from an unchanged buffer.
 
 Each drop the buffer decides (expired, evicted, or a rejected duplicate,
 arrival_expired or too_large message) is recorded in the run's trace.
@@ -10,8 +13,9 @@ arrival_expired or too_large message) is recorded in the run's trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Container, Iterator
+from typing import Iterable, Iterator
 
 from .records import (
     MSG_ARRIVAL_EXPIRED,
@@ -83,7 +87,11 @@ class MessageBuffer:
         self._trace = trace
         self._node = node
         self._entries: dict[MessageId, QueueEntry] = {}
+        # The keys of _entries, ascending by raw id.
+        self._ids: list[MessageId] = []
         self._used = 0
+        # Bumped on every store and every removal.
+        self.version = 0
         # At most the generation time of every stored entry, so an expiry
         # check with now - _oldest <= ttl_us can have nothing to drop.
         self._oldest = _NONE_STORED
@@ -135,6 +143,8 @@ class MessageBuffer:
         else:
             self._purge_for(entry.byte_size, now)
             self._entries[mid] = entry
+            insort(self._ids, mid)
+            self.version += 1
             self._used += entry.byte_size
             if generated_at < self._oldest:
                 self._oldest = generated_at
@@ -143,16 +153,11 @@ class MessageBuffer:
 
     def summary(self) -> list[MessageId]:
         """All stored ids, ascending by raw id."""
-        return sorted(self._entries)
+        return self._ids.copy()
 
-    def find_disjoint(self, remote: Container[int]) -> list[MessageId]:
-        """Stored ids absent from `remote`, oldest generation first.
-
-        `remote` is tested once per stored id, as it is: pass a set.
-        """
-        mine = [mid for mid in self._entries if mid not in remote]
-        mine.sort(key=_age_order)
-        return mine
+    def find_disjoint(self, remote: Iterable[int]) -> list[MessageId]:
+        """Stored ids absent from `remote`, oldest generation first."""
+        return sorted(self._entries.keys() - remote, key=_age_order)
 
     def _purge_for(self, needed: int, now: int) -> None:
         free = self.capacity_bytes - self._used
@@ -170,6 +175,9 @@ class MessageBuffer:
 
     def _remove(self, message_id: MessageId) -> None:
         entry = self._entries.pop(message_id)
+        ids = self._ids
+        del ids[bisect_left(ids, message_id)]
+        self.version += 1
         self._used -= entry.byte_size
 
     def _record(self, mid: MessageId, now: int, cause: str) -> None:

@@ -23,7 +23,7 @@ from .metrics import (
 )
 from .mobility import TraceParseError
 from .runner import run_seeds
-from .scenario import ScenarioError, load_scenario, with_seeds
+from .scenario import _SCHEMA, ScenarioError, load_scenario, with_seeds
 from .traffic import IdCollisionError
 
 
@@ -35,11 +35,24 @@ def _parse_assignment(text: str, flag: str) -> tuple[str, str]:
 
 
 def _parse_axis(text: str) -> tuple[str, list[str]]:
+    """An axis key and its values as written.
+
+    Two values that the key's parser reads as equal (4 and 4.0) would run
+    the same cell twice, so they are rejected. A value it cannot parse is
+    compared as written and fails its own cell.
+    """
     key, values = _parse_assignment(text, "--axis")
     parts = [v.strip() for v in values.split(",") if v.strip()]
     if not parts:
         raise ScenarioError(f"--axis {key} has no values")
-    if len(set(parts)) < len(parts):
+    parse = _SCHEMA[key][0] if key in _SCHEMA else str
+    parsed = set()
+    for value in parts:
+        try:
+            parsed.add(parse(value))
+        except ValueError:
+            parsed.add(value)
+    if len(parsed) < len(parts):
         raise ScenarioError(f"--axis {key} repeats a value")
     return key, parts
 

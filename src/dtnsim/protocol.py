@@ -230,6 +230,10 @@ class EpidemicNode:
         self._beacon = MessageTypeHeader(MsgType.BEACON, node_id).encode()
         self._reply = MessageTypeHeader(MsgType.REPLY, node_id).encode()
         self._reply_back = MessageTypeHeader(MsgType.REPLY_BACK, node_id).encode()
+        # This node's summary fragments, as built from buffer version
+        # _summary_version; REPLY and REPLY_BACK send the same ones.
+        self._summary_fragments: list[bytes] = []
+        self._summary_version = -1
 
     # -- timers ----------------------------------------------------------
 
@@ -358,10 +362,14 @@ class EpidemicNode:
             self._load_pipeline(nb, remote, now)
 
     def _send_summary(self, envelope: bytes, kind: str, nb: NeighborRecord, now: int) -> None:
-        self.buffer.drop_expired(now)
-        for frag in build_summary_fragments(
-            self.buffer.summary(), self.config.max_control_payload
-        ):
+        buffer = self.buffer
+        buffer.drop_expired(now)
+        if buffer.version != self._summary_version:
+            self._summary_fragments = build_summary_fragments(
+                buffer.summary(), self.config.max_control_payload
+            )
+            self._summary_version = buffer.version
+        for frag in self._summary_fragments:
             self.transport.unicast(nb.address, PORT_CONTROL, envelope + frag, kind)
 
     def _load_pipeline(self, nb: NeighborRecord, remote: set[int], now: int) -> None:

@@ -319,6 +319,7 @@ buffer_ops = st.lists(
         st.integers(0, 5),  # source
         st.integers(0, 80),  # age at arrival (ttl is 50)
         st.integers(0, 30),  # time step before the operation
+        st.integers(0, 15),  # bit i set: the remote holds the i-th stored id
     ),
     max_size=40,
 )
@@ -326,14 +327,15 @@ buffer_ops = st.lists(
 
 @settings(max_examples=300)
 @given(buffer_ops)
-@example([("enqueue", 1, 0, 0), ("enqueue", 2, 0, 20), ("evict", 3, 0, 10),
-          ("expire", 0, 0, 41), ("expire", 0, 0, 10)])
+@example([("enqueue", 1, 0, 0, 0), ("enqueue", 2, 0, 20, 1), ("evict", 3, 0, 10, 2),
+          ("expire", 0, 0, 41, 3), ("expire", 0, 0, 10, 0)])
 def test_expiry_and_eviction_match_brute_force(op_list):
-    # Compares the drops each operation records with the oracle's.
+    # Compares the drops each operation records with the oracle's, and the
+    # summary and disjoint set with the oracle's contents.
     buf, trace = make_buffer(40, ttl=50)
     ref = ReferenceBuffer(40, 50)
     now = 0
-    for op, source, age, step in op_list:
+    for op, source, age, step, remote_mask in op_list:
         now += step
         if op == "expire":
             buf.drop_expired(now)
@@ -352,6 +354,11 @@ def test_expiry_and_eviction_match_brute_force(op_list):
         assert [
             (e.message_id, e.generated_at, e.byte_size) for e in buf.entries()
         ] == [(MessageId(r), gen, size) for r, (gen, size) in ref.entries.items()]
+        assert buf.summary() == sorted(ref.entries)
+        remote = {r for i, r in enumerate(ref.entries) if remote_mask >> i & 1}
+        assert buf.find_disjoint(remote) == sorted(
+            set(ref.entries) - remote, key=lambda r: (ref.entries[r][0], r)
+        )
 
 
 ops = st.lists(

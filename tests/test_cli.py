@@ -246,18 +246,19 @@ class TestSweepCommand:
 
     def test_repeated_axis_value_exits_2_before_any_cell(self, workdir, capsys, monkeypatch):
         # A repeated value would run the same cell twice and aggregate it
-        # as two cells. Values are compared as written, spaces stripped.
+        # as two cells. Values are compared as the key's parser reads them.
         def no_simulation(scenario):
             pytest.fail("simulated although an axis repeats a value")
 
         monkeypatch.setattr(cli, "run_seeds", no_simulation)
         out = workdir / "repeated"
         argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
-        code = main(argv + ["--axis", "data_rate=6e6,12e6", "--axis", "hop_limit=4, 8,4 "])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: --axis hop_limit repeats a value\n"
-        assert not out.exists()
+        for values in ("4, 8,4 ", "4,4.0"):
+            code = main(argv + ["--axis", "data_rate=6e6,12e6", "--axis", f"hop_limit={values}"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == "error: --axis hop_limit repeats a value\n"
+            assert not out.exists()
 
     def test_set_key_that_is_an_axis_key_exits_2_before_any_cell(
         self, workdir, capsys, monkeypatch

@@ -251,6 +251,46 @@ class TestExchange:
         feed_summary(node, MsgType.REPLY_BACK, 9, 9, [(0, [e.message_id])], now=200)
         assert transport.sent_of_kind(KIND_DATA) == []
 
+    def test_summary_follows_every_buffer_change(self):
+        # Node 5 sends REPLY to a higher node on its beacon and REPLY_BACK
+        # to a lower one on its REPLY. Each summary goes to a new neighbor
+        # after one change to the buffer and must list the buffer as it is
+        # then. Two ids per fragment, so a summary spans fragments.
+        config = ProtocolConfig(message_ttl=1.0, buffer_capacity=90, max_control_payload=20)
+        node, transport, trace = make_node(node_id=5, config=config)
+
+        def summary_ids(kind, sender, now):
+            start = len(transport.sent)
+            if kind == KIND_REPLY:
+                feed_beacon(node, sender, sender, now)
+            else:
+                feed_summary(node, MsgType.REPLY, sender, sender, [(0, [])], now)
+            frags = [
+                SummaryVectorHeader.decode(data[MESSAGE_TYPE_SIZE:])
+                for dst, _, data, k, _ in transport.sent[start:]
+                if k == kind and dst == sender
+            ]
+            assert [f.frag_block for f in frags] == [1] * (len(frags) - 1) + [0]
+            return [m for f in frags for m in f.ids]
+
+        a, b, c = (make_entry(5, t * SEC // 10) for t in (0, 1, 2))
+        for x in (a, b, c):
+            node.buffer.enqueue(x, 2 * SEC // 10)
+        assert summary_ids(KIND_REPLY, 9, SEC // 2) == [a.message_id, b.message_id, c.message_id]
+        # Expiry: a is past its ttl at the send.
+        assert summary_ids(KIND_REPLY_BACK, 1, SEC + 1) == [b.message_id, c.message_id]
+        # Eviction: storing d (50 bytes) purges b, the oldest.
+        d = make_entry(5, SEC + 2, size=50)
+        node.buffer.enqueue(d, SEC + 2)
+        assert [x.cause for x in trace.message_drops] == [MSG_EXPIRED, MSG_EVICTED]
+        assert summary_ids(KIND_REPLY, 8, SEC + 3) == [c.message_id, d.message_id]
+        # Enqueue alone.
+        e = make_entry(5, SEC + 4, size=10)
+        node.buffer.enqueue(e, SEC + 4)
+        assert summary_ids(KIND_REPLY_BACK, 2, SEC + 5) == [
+            c.message_id, d.message_id, e.message_id
+        ]
+
     def test_reply_to_lower_node_ignored(self):
         # REPLY is sent by the leading (lower) side; the lower side ignores one.
         node, transport, _ = make_node(node_id=0)
