@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop
 from typing import Iterable, Iterator
 
 from .records import (
@@ -163,13 +164,12 @@ class MessageBuffer:
         free = self.capacity_bytes - self._used
         if needed <= free:
             return
-        victims = []
-        for mid in sorted(self._entries, key=_age_order):
-            victims.append(mid)
+        # Oldest first; only the victims are popped, the rest stays unsorted.
+        by_age = [(_age_order(mid), mid) for mid in self._entries]
+        heapify(by_age)
+        while needed > free:
+            mid = heappop(by_age)[1]
             free += self._entries[mid].byte_size
-            if needed <= free:
-                break
-        for mid in victims:
             self._remove(mid)
             self._record(mid, now, MSG_EVICTED)
 

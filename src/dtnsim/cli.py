@@ -28,10 +28,13 @@ from .traffic import IdCollisionError
 
 
 def _parse_assignment(text: str, flag: str) -> tuple[str, str]:
+    """A KEY=VALUE flag whose key is a scenario key, checked before any run."""
     if "=" not in text:
         raise ScenarioError(f"{flag} expects KEY=VALUE, got {text!r}")
-    key, value = text.split("=", 1)
-    return key.strip(), value.strip()
+    key, value = (part.strip() for part in text.split("=", 1))
+    if key not in _SCHEMA:
+        raise ScenarioError(f"{flag} {key}: unknown scenario key")
+    return key, value
 
 
 def _parse_axis(text: str) -> tuple[str, list[str]]:
@@ -45,7 +48,7 @@ def _parse_axis(text: str) -> tuple[str, list[str]]:
     parts = [v.strip() for v in values.split(",") if v.strip()]
     if not parts:
         raise ScenarioError(f"--axis {key} has no values")
-    parse = _SCHEMA[key][0] if key in _SCHEMA else str
+    parse = _SCHEMA[key][0]
     parsed = set()
     for value in parts:
         try:

@@ -1,7 +1,12 @@
 """Deterministic discrete-event kernel with a unit-disk radio model.
 
 Events execute in (time, sequence) order; time is 64-bit unsigned
-microseconds. Each node owns one FIFO device queue; all nodes share its
+microseconds and never goes back. Events for a later time wait on a heap;
+events for the current instant, such as every packet delivery when the
+propagation delay is 0, go to a FIFO lane that skips the heap. At each
+instant the kernel runs the heap's entries due then before the lane: they
+were scheduled while the clock was earlier, so they come first in sequence
+(see Simulator). Each node owns one FIFO device queue; all nodes share its
 byte capacity and residency time-limit. The head of a non-empty FIFO is
 the packet in service. Service time is bytes * 8 / data_rate and a
 transmission reaches every in-range receiver (one for unicast), subject
@@ -73,29 +78,62 @@ CERT_MAX_US = float(1 << 62)
 
 
 class Simulator:
-    """Event heap with deterministic (time, sequence) ordering."""
+    """Event kernel: a heap of future events and a FIFO lane for `now`.
+
+    Events run in (time, sequence) order, the sequence being the order in
+    which they were scheduled. An event scheduled for the current instant
+    goes to the lane, any later one to the heap as (time, seq, fn). At each
+    instant `run` first executes the heap's entries due then, and then the
+    lane until it is empty. That is the (time, seq) order: a heap entry due
+    at `now` was pushed while the clock was still earlier, because the clock
+    never goes back, so it precedes every lane entry, which was scheduled at
+    `now`; and the lane is appended, and drained, in scheduling order.
+    """
 
     def __init__(self) -> None:
         self.now = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._lane: deque[Callable[[], None]] = deque()
         self._seq = 0
         self.events_run = 0
 
     def schedule(self, time_us: int, kind: str, fn: Callable[[], None]) -> None:
         """Run `fn` at `time_us`; `kind` labels the event for observers only."""
-        if time_us < self.now:
+        if time_us == self.now:
+            self._lane.append(fn)
+        elif time_us > self.now:
+            heapq.heappush(self._heap, (time_us, self._seq, fn))
+            self._seq += 1
+        else:
             raise ValueError(f"cannot schedule at {time_us} before now {self.now}")
-        heapq.heappush(self._heap, (time_us, self._seq, fn))
-        self._seq += 1
 
     def run(self, end_us: int) -> None:
         """Execute events with time <= end_us; leaves now at end_us."""
-        heap = self._heap
-        while heap and heap[0][0] <= end_us:
-            self.now, _, fn = heapq.heappop(heap)
-            fn()
-            self.events_run += 1
+        if end_us < self.now:
+            raise ValueError(f"cannot run to {end_us} before now {self.now}")
+        heap, lane = self._heap, self._lane
+        heappop, popleft = heapq.heappop, lane.popleft
+        # Counted in a local: one attribute write per event measurably slows desk.
+        ran = 0
+        try:
+            while True:
+                while lane:
+                    popleft()()
+                    ran += 1
+                if not heap or heap[0][0] > end_us:
+                    break
+                self.now = now = heap[0][0]
+                while heap and heap[0][0] == now:
+                    heappop(heap)[2]()
+                    ran += 1
+        finally:
+            self.events_run += ran
         self.now = end_us
+
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
+        self._lane.clear()
 
 
 def to_us(seconds: float) -> int:
@@ -347,7 +385,7 @@ class RadioNetwork:
                 packet.kind, PKT_IN_FLIGHT_AT_END, packet.size, packet.src, receiver
             )
         self._in_flight.clear()
-        self.sim._heap.clear()
+        self.sim.clear()
         self._handlers.clear()
         self._completions.clear()
 

@@ -276,18 +276,30 @@ class TestSweepCommand:
         assert err == "error: --set hop_limit conflicts with --axis hop_limit\n"
         assert not out.exists()
 
-    def test_unknown_axis_key(self, workdir, capsys):
-        code = main(
-            [
-                "sweep",
-                str(workdir / "two_node.cfg"),
-                "--axis",
-                "warp_speed=1,2",
-                "--out",
-                str(workdir / "bad_axis"),
-            ]
-        )
-        assert code != 0
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--axis", "bogus=1,2"], "error: --axis bogus: unknown scenario key\n"),
+            (
+                ["--set", "bogus=1", "--axis", "hop_limit=4,8"],
+                "error: --set bogus: unknown scenario key\n",
+            ),
+        ],
+        ids=["axis", "set"],
+    )
+    def test_unknown_key_exits_2_before_any_cell(
+        self, workdir, capsys, monkeypatch, flags, message
+    ):
+        # Every cell would load the scenario and fail on the same key.
+        def no_simulation(scenario):
+            pytest.fail("simulated although a key is unknown")
+
+        monkeypatch.setattr(cli, "run_seeds", no_simulation)
+        out = workdir / "unknown"
+        code = main(["sweep", str(workdir / "two_node.cfg"), *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

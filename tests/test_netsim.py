@@ -1,5 +1,7 @@
 """Event kernel, device queues, and the unit-disk radio."""
 
+import heapq
+import itertools
 import random
 
 import pytest
@@ -85,6 +87,105 @@ class TestKernel:
         sim.schedule(11, EVENT_TIMER, lambda: hits.append(2))
         sim.run(10)
         assert hits == [1]
+
+    def test_cannot_run_backwards(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule(12, EVENT_TIMER, lambda: hits.append(12))
+        sim.run(10)
+        with pytest.raises(ValueError):
+            sim.run(5)
+        assert sim.now == 10
+        with pytest.raises(ValueError):
+            sim.schedule(7, EVENT_TIMER, lambda: hits.append(7))
+        sim.run(20)
+        assert hits == [12]
+        assert sim.events_run == 1
+
+    def test_clear_drops_pending_events(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule(0, EVENT_TIMER, lambda: hits.append(0))
+        sim.schedule(3, EVENT_TIMER, lambda: hits.append(3))
+        sim.clear()
+        sim.run(10)
+        assert hits == []
+        assert sim.events_run == 0
+
+
+class HeapKernel:
+    """Reference kernel: every event, due now or later, on one heap."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = 0
+        self.events_run = 0
+
+    def schedule(self, time_us, kind, fn):
+        assert time_us >= self.now
+        heapq.heappush(self._heap, (time_us, self._seq, fn))
+        self._seq += 1
+
+    def run(self, end_us):
+        assert end_us >= self.now
+        while self._heap and self._heap[0][0] <= end_us:
+            self.now, _, fn = heapq.heappop(self._heap)
+            fn()
+            self.events_run += 1
+        self.now = end_us
+
+
+def run_program(kernel, plan, steps):
+    """Execute a random program and log what the kernel did.
+
+    Event i, numbered in scheduling order, schedules one child per delay in
+    `plan[i]` (none past the plan's end). `steps` are made between runs:
+    ("schedule", d) schedules a new event d after now, ("run", d) runs
+    the kernel to d after now. A last run drains what is left.
+    """
+    log = []
+    ids = itertools.count()
+
+    def add(delay):
+        i = next(ids)
+
+        def event():
+            log.append(("event", i, kernel.now))
+            for child_delay in plan[i] if i < len(plan) else ():
+                add(child_delay)
+
+        kernel.schedule(kernel.now + delay, EVENT_TIMER, event)
+
+    for op, delay in steps + [("run", 10_000)]:
+        if op == "schedule":
+            add(delay)
+        else:
+            kernel.run(kernel.now + delay)
+            log.append(("run", kernel.now, kernel.events_run))
+    assert kernel.events_run == next(ids)  # drained
+    return log
+
+
+# Delays of 0 (the current instant) and a few small ones, so that heap
+# entries often share a time with each other and with events scheduled now.
+delays = st.one_of(st.just(0), st.integers(0, 4))
+kernel_programs = st.tuples(
+    st.lists(st.lists(delays, max_size=3), max_size=30),
+    st.lists(st.tuples(st.sampled_from(["schedule", "run"]), delays), max_size=20),
+)
+
+
+class TestKernelMatchesHeapReference:
+    @given(kernel_programs)
+    # Two heap entries due at the same time, the first scheduling at now.
+    @example(([[0], [], []], [("schedule", 1), ("schedule", 1)]))
+    # Events scheduled at now between runs, before and after a run.
+    @example(([[0, 2], [0], []], [("schedule", 0), ("run", 0), ("schedule", 0), ("run", 2)]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_log_as_heap_only_kernel(self, program):
+        plan, steps = program
+        assert run_program(Simulator(), plan, steps) == run_program(HeapKernel(), plan, steps)
 
 
 class TestServiceTime:
