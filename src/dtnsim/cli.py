@@ -1,10 +1,16 @@
-"""Command line interface: single-scenario runs and parameter sweeps.
+"""Command line interface: parameter sweeps, and `run`, a sweep with no axes.
 
     dtnsim run scenario.cfg --seeds 10 --out reports/
     dtnsim sweep scenario.cfg --axis data_rate=6e6,24e6,54e6 --seeds 10
 
 Both commands write runs.csv (one row per run) and aggregate.csv (mean
-and 95% CI across seeds) into the output directory.
+and 95% CI across seeds) into the output directory; a sweep prefixes
+both with one column per axis. `--seeds N` is the override seeds = 1..N.
+Input that is wrong for every cell (an unknown or repeated key, `--seeds`
+given with `--set seeds` or `--axis seeds`, an unusable `--out`) is one
+`error:` line and exit 2 before anything runs. A cell that fails prints
+one `error:` line and the other cells still run: the exit code is 1 if
+some cell failed, and 2 if none ran, in which case nothing is written.
 """
 
 from __future__ import annotations
@@ -21,10 +27,8 @@ from .metrics import (
     run_row,
     write_csv,
 )
-from .mobility import TraceParseError
 from .runner import run_seeds
-from .scenario import _SCHEMA, ScenarioError, load_scenario, with_seeds
-from .traffic import IdCollisionError
+from .scenario import _SCHEMA, ScenarioError, load_scenario
 
 
 def _parse_assignment(text: str, flag: str) -> tuple[str, str]:
@@ -78,14 +82,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _seed_tuple(args) -> tuple[int, ...] | None:
-    if args.seeds is None:
-        return None
-    if args.seeds < 1:
-        raise ScenarioError("--seeds must be at least 1")
-    return tuple(range(1, args.seeds + 1))
-
-
 def _make_out_dir(path: str) -> tuple[Path, list[Path]]:
     """Create the report directory before anything is simulated.
 
@@ -100,31 +96,8 @@ def _make_out_dir(path: str) -> tuple[Path, list[Path]]:
     return out, created
 
 
-def _cmd_run(args) -> int:
-    overrides = dict(_parse_assignment(s, "--set") for s in args.overrides)
-    scenario = load_scenario(args.scenario, overrides)
-    seeds = _seed_tuple(args)
-    if seeds is not None:
-        scenario = with_seeds(scenario, seeds)
-    out, created = _make_out_dir(args.out)
-    try:
-        reports = run_seeds(scenario)
-    except BaseException:
-        for d in created:  # a run that reports nothing leaves no directory
-            d.rmdir()
-        raise
-    write_csv(out / "runs.csv", RUN_COLUMNS, [run_row(r) for r in reports])
-    write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, [aggregate_row(reports)])
-    for report in reports:
-        print(
-            f"seed {report.seed}: generated={report.generated} "
-            f"delivered={report.delivered} mdr={report.mdr}"
-        )
-    print(f"wrote {out / 'runs.csv'} and {out / 'aggregate.csv'}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+def _cmd(args) -> int:
+    """Run each cell of the sweep over its seeds; `run` is one empty cell."""
     overrides = dict(_parse_assignment(s, "--set") for s in args.overrides)
     axes = [_parse_axis(a) for a in args.axis]
     axis_keys = [key for key, _ in axes]
@@ -133,34 +106,46 @@ def _cmd_sweep(args) -> int:
             raise ScenarioError(f"--axis {key} is given more than once")
         if key in overrides:
             raise ScenarioError(f"--set {key} conflicts with --axis {key}")
-    seeds = _seed_tuple(args)
-    out, _ = _make_out_dir(args.out)
+    if args.seeds is not None:
+        if args.seeds < 1:
+            raise ScenarioError("--seeds must be at least 1")
+        for flag, keys in (("--set", overrides), ("--axis", axis_keys)):
+            if "seeds" in keys:
+                raise ScenarioError(f"--seeds conflicts with {flag} seeds")
+        overrides["seeds"] = " ".join(map(str, range(1, args.seeds + 1)))
+    out, created = _make_out_dir(args.out)
 
     run_rows: list[dict[str, str]] = []
     agg_rows: list[dict[str, str]] = []
-    failures = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        cell = dict(zip(axis_keys, combo))
-        try:
-            scenario = load_scenario(args.scenario, {**overrides, **cell})
-            if seeds is not None:
-                scenario = with_seeds(scenario, seeds)
-            reports = run_seeds(scenario)
-        except (ScenarioError, TraceParseError, ValueError) as exc:
-            failures.append((cell, exc))
-            print(f"cell {cell} failed: {exc}", file=sys.stderr)
-            continue
-        for report in reports:
-            run_rows.append({**cell, **run_row(report)})
-        agg_rows.append({**cell, **aggregate_row(reports)})
+    failed = 0
+    try:
+        for combo in itertools.product(*(values for _, values in axes)):
+            cell = dict(zip(axis_keys, combo))
+            prefix = "".join(f"[{key}={value}] " for key, value in cell.items())
+            try:
+                reports = run_seeds(load_scenario(args.scenario, {**overrides, **cell}))
+            except ValueError as exc:  # ScenarioError, TraceParseError, IdCollisionError too
+                failed += 1
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                continue
+            for report in reports:
+                print(
+                    f"{prefix}seed {report.seed}: generated={report.generated} "
+                    f"delivered={report.delivered} mdr={report.mdr}"
+                )
+                run_rows.append({**cell, **run_row(report)})
+            agg_rows.append({**cell, **aggregate_row(reports)})
+    finally:
+        if not agg_rows:  # a call that reports nothing leaves no directory
+            for d in created:
+                d.rmdir()
+    if not agg_rows:
+        return 2
 
     write_csv(out / "runs.csv", tuple(axis_keys) + RUN_COLUMNS, run_rows)
     write_csv(out / "aggregate.csv", tuple(axis_keys) + AGGREGATE_COLUMNS, agg_rows)
     print(f"wrote {out / 'runs.csv'} and {out / 'aggregate.csv'}")
-    if failures:
-        print(f"{len(failures)} sweep cell(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run one scenario over its seeds")
     _add_common(run_parser)
+    run_parser.set_defaults(axis=[])
 
     sweep_parser = sub.add_parser("sweep", help="run a cartesian parameter sweep")
     _add_common(sweep_parser)
@@ -185,10 +171,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_sweep(args)
-    except (ScenarioError, TraceParseError, IdCollisionError) as exc:
+        return _cmd(args)
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

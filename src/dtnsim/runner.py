@@ -57,9 +57,8 @@ def build_run(
             window,
             random.Random(f"{seed}:traffic"),
         )
-        seen: set = set()
         for spec in specs:
-            entry = generate_message(spec, scenario.protocol.hop_limit, seen)
+            entry = generate_message(spec, scenario.protocol.hop_limit)
             sim.schedule(
                 spec.creation_time_us,
                 EVENT_TRAFFIC,

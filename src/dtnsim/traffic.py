@@ -12,13 +12,13 @@ import random
 from dataclasses import dataclass
 
 from .buffer import QueueEntry
-from .wire import MessageId, make_message_id
+from .wire import make_message_id
 
 _PATTERN = bytes(range(256))
 
 
 class IdCollisionError(ValueError):
-    """Two generations share a (source, creation microsecond) pair."""
+    """A source has more messages than its traffic window has microseconds."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,15 +47,9 @@ def message_payloads(size_bytes: int, packet_payload: int) -> tuple[bytes, ...]:
     )
 
 
-def generate_message(
-    spec: MessageSpec, hop_limit: int, seen_ids: set[MessageId] | None = None
-) -> QueueEntry:
-    """Build the queue entry for one message, guarding id uniqueness."""
+def generate_message(spec: MessageSpec, hop_limit: int) -> QueueEntry:
+    """Build the queue entry for one message."""
     mid = make_message_id(spec.source, spec.creation_time_us)
-    if seen_ids is not None:
-        if mid in seen_ids:
-            raise IdCollisionError(f"duplicate message id {mid}")
-        seen_ids.add(mid)
     packets = message_payloads(spec.size_bytes, spec.packet_payload)
     return QueueEntry(mid, spec.destination, packets, hop_limit)
 
@@ -70,8 +64,9 @@ def build_schedule(
 ) -> list[MessageSpec]:
     """Draw uniform (source, destination) pairs and creation times.
 
-    Deterministic for a given rng state; creation times are re-drawn (or
-    nudged) until distinct per source.
+    Deterministic for a given rng state. Creation times are nudged until
+    distinct per source, so every message id is unique; a source whose
+    window has no free microsecond left raises IdCollisionError.
     """
     if message_count == 0:
         return []

@@ -220,10 +220,39 @@ class TestSweepCommand:
                 str(out),
             ]
         )
-        assert code != 0
+        assert code == 1
         agg = read_csv(out / "aggregate.csv")
         assert len(agg) == 2  # the two valid cells completed
-        assert "failed" in capsys.readouterr().err
+        key, values = axis.split("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{key}={values.split(',')[1]}] ")
+        assert err.count("\n") == 1
+
+    def test_every_cell_failing_exits_2_and_leaves_no_directory(self, workdir, capsys):
+        out = workdir / "new" / "faulty"
+        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
+        assert main(argv + ["--axis", "hop_limit=inf,nan"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("error: [hop_limit=inf] ")
+        assert lines[1].startswith("error: [hop_limit=nan] ")
+        assert captured.out == ""
+        assert not (workdir / "new").exists()
+
+    def test_each_run_line_names_its_cell(self, workdir, capsys):
+        out = workdir / "lines"
+        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
+        assert main(argv + ["--axis", "data_rate=6e6,12e6", "--axis", "hop_limit=4,8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines[:-1]] == [
+            f"[data_rate={rate}] [hop_limit={hops}] seed {seed}"
+            for rate in ("6e6", "12e6")
+            for hops in ("4", "8")
+            for seed in (1, 2)
+        ]
+        assert all("generated=2 delivered=2 mdr=1.0" in line for line in lines[:-1])
+        assert lines[-1] == f"wrote {out / 'runs.csv'} and {out / 'aggregate.csv'}"
 
     def test_id_collision_fails_only_its_cell(self, workdir, capsys):
         out = workdir / "collided"
@@ -319,6 +348,30 @@ def test_out_path_that_is_a_file_exits_2_before_simulating(workdir, capsys, monk
         assert err.startswith(f"error: cannot create report directory {out}: ")
         assert err.count("\n") == 1
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["run", "--set", "seeds=3"], "error: --seeds conflicts with --set seeds\n"),
+        (["sweep", "--axis", "seeds=1,2"], "error: --seeds conflicts with --axis seeds\n"),
+    ],
+    ids=["set", "axis"],
+)
+def test_seeds_flag_with_a_seeds_key_exits_2_before_any_cell(
+    workdir, capsys, monkeypatch, flags, message
+):
+    # --seeds would silently replace the seeds of every cell: a seeds axis
+    # would run identical cells under different labels.
+    def no_simulation(scenario):
+        pytest.fail("simulated although --seeds conflicts with a seeds key")
+
+    monkeypatch.setattr(cli, "run_seeds", no_simulation)
+    out = workdir / "conflict"
+    argv = [flags[0], str(workdir / "two_node.cfg"), *flags[1:], "--seeds", "2"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy_or_numpy():

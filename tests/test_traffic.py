@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dtnsim.traffic import (
     IdCollisionError,
@@ -51,12 +51,6 @@ class TestSegmentation:
         # The pattern stream is position-derived: byte j is j mod 256.
         assert joined == bytes(j % 256 for j in range(size))
 
-    def test_id_collision_guard(self):
-        seen = set()
-        generate_message(MessageSpec(1, 2, 10, 10, 5), 50, seen)
-        with pytest.raises(IdCollisionError):
-            generate_message(MessageSpec(1, 3, 20, 10, 5), 50, seen)
-
 
 class TestSpecValidation:
     def test_source_equals_destination_rejected(self):
@@ -92,3 +86,24 @@ class TestSchedule:
         specs = build_schedule(5, 30, 100, 10, (0, 10**6), random.Random(9))
         times = [s.creation_time_us for s in specs]
         assert times == sorted(times)
+
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 30),
+        st.integers(0, 10**6),
+        st.integers(1, 12),
+        st.integers(0, 2**32),
+    )
+    @example(2, 1, 0, 1, 0)  # a 1 µs window holds one message per source
+    def test_distinct_ids_or_window_full(self, nodes, count, start, width, seed):
+        # The schedule is the only guard on message-id uniqueness.
+        window = (start, start + width - 1)  # width microseconds
+        try:
+            specs = build_schedule(nodes, count, 100, 10, window, random.Random(seed))
+        except IdCollisionError:
+            assert count > width
+            return
+        assert len(specs) == count
+        assert all(start <= s.creation_time_us <= window[1] for s in specs)
+        ids = {make_message_id(s.source, s.creation_time_us) for s in specs}
+        assert len(ids) == count
