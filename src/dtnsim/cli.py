@@ -98,7 +98,12 @@ def _make_out_dir(path: str) -> tuple[Path, list[Path]]:
 
 def _cmd(args) -> int:
     """Run each cell of the sweep over its seeds; `run` is one empty cell."""
-    overrides = dict(_parse_assignment(s, "--set") for s in args.overrides)
+    overrides: dict[str, str] = {}
+    for text in args.overrides:
+        key, value = _parse_assignment(text, "--set")
+        if key in overrides:
+            raise ScenarioError(f"--set {key} is given more than once")
+        overrides[key] = value
     axes = [_parse_axis(a) for a in args.axis]
     axis_keys = [key for key, _ in axes]
     for i, key in enumerate(axis_keys):

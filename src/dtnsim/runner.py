@@ -14,7 +14,7 @@ from .netsim import EVENT_TRAFFIC, NodeTransport, RadioNetwork, Simulator, to_us
 from .protocol import EpidemicNode
 from .records import RunTrace
 from .scenario import Scenario
-from .traffic import build_schedule, generate_message
+from .traffic import build_schedule, generate_message, message_payloads
 
 
 def build_run(
@@ -50,15 +50,11 @@ def build_run(
     if traffic.message_count:
         window = (to_us(traffic.start_s), to_us(traffic.end_s))
         specs = build_schedule(
-            node_count,
-            traffic.message_count,
-            traffic.message_size,
-            traffic.packet_payload,
-            window,
-            random.Random(f"{seed}:traffic"),
+            node_count, traffic.message_count, window, random.Random(f"{seed}:traffic")
         )
+        packets = message_payloads(traffic.message_size, traffic.packet_payload)
         for spec in specs:
-            entry = generate_message(spec, scenario.protocol.hop_limit)
+            entry = generate_message(spec, packets, scenario.protocol.hop_limit)
             sim.schedule(
                 spec.creation_time_us,
                 EVENT_TRAFFIC,

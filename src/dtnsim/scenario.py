@@ -5,11 +5,11 @@ or the `Scenario` itself (`_SCHEMA`). Those classes hold the only defaults
 and bounds; `build_scenario` adds the rules that span several keys: the
 traffic window lies within the duration, traffic has at least two
 nodes, a message fits a node's buffer, and the device queue defaults to
-the buffer capacity and two beacon intervals. Unknown keys, non-finite
-numbers and repeated seeds are rejected. The mobility trace path is
-resolved relative to the scenario file, and the trace is read and parsed
-once, at load: every seed and sweep run of the scenario shares its
-trajectories.
+the buffer capacity and two beacon intervals. Unknown or repeated keys,
+non-finite numbers and repeated seeds are rejected. The mobility trace
+path is resolved relative to the scenario file, and the trace is read and
+parsed once per load: every seed run of a loaded scenario shares its
+trajectories, while each sweep cell loads the scenario and parses its own.
 Example:
 
     trace = mini_trace.ns_movements
@@ -164,6 +164,8 @@ def parse_scenario_text(text: str) -> dict[str, str]:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ScenarioError(f"line {lineno}: empty value for {key!r}")
+        if key in raw:
+            raise ScenarioError(f"line {lineno}: key {key!r} is given more than once")
         raw[key] = value
     return raw
 

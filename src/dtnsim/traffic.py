@@ -1,9 +1,11 @@
 """Application-level message generation and packet segmentation.
 
-A message of size_bytes is cut into ceil(size / payload) packets; the
-payload content is a fixed repeating byte pattern positioned by offset,
-so reassembly is byte-checkable. Creation times are quantized to distinct
-microseconds per source node, which keeps every message id unique.
+Every message of a run has the scenario's one shape: message_size bytes
+cut into ceil(size / payload) packets, one payload tuple that all the
+run's messages and their copies share. The payload content is a fixed
+repeating byte pattern positioned by offset, so reassembly is
+byte-checkable. Creation times are quantized to distinct microseconds
+per source node, which keeps every message id unique.
 """
 
 from __future__ import annotations
@@ -25,17 +27,7 @@ class IdCollisionError(ValueError):
 class MessageSpec:
     source: int
     destination: int
-    size_bytes: int
-    packet_payload: int
     creation_time_us: int
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < 1:
-            raise ValueError("size_bytes must be at least 1")
-        if self.packet_payload < 1:
-            raise ValueError("packet_payload must be at least 1")
-        if self.source == self.destination:
-            raise ValueError("source and destination must differ")
 
 
 def message_payloads(size_bytes: int, packet_payload: int) -> tuple[bytes, ...]:
@@ -47,18 +39,17 @@ def message_payloads(size_bytes: int, packet_payload: int) -> tuple[bytes, ...]:
     )
 
 
-def generate_message(spec: MessageSpec, hop_limit: int) -> QueueEntry:
-    """Build the queue entry for one message."""
+def generate_message(
+    spec: MessageSpec, packets: tuple[bytes, ...], hop_limit: int
+) -> QueueEntry:
+    """Build the queue entry for one message carrying `packets`."""
     mid = make_message_id(spec.source, spec.creation_time_us)
-    packets = message_payloads(spec.size_bytes, spec.packet_payload)
     return QueueEntry(mid, spec.destination, packets, hop_limit)
 
 
 def build_schedule(
     node_count: int,
     message_count: int,
-    size_bytes: int,
-    packet_payload: int,
     window_us: tuple[int, int],
     rng: random.Random,
 ) -> list[MessageSpec]:
@@ -80,7 +71,7 @@ def build_schedule(
     for _ in range(message_count):
         source = rng.randrange(node_count)
         destination = rng.randrange(node_count - 1)
-        if destination >= source:
+        if destination >= source:  # never the source itself
             destination += 1
         taken = used.setdefault(source, set())
         if len(taken) > end - start:
@@ -91,6 +82,6 @@ def build_schedule(
         while t in taken:  # nudge to the next free microsecond
             t = t + 1 if t < end else start
         taken.add(t)
-        specs.append(MessageSpec(source, destination, size_bytes, packet_payload, t))
+        specs.append(MessageSpec(source, destination, t))
     specs.sort(key=lambda s: (s.creation_time_us, s.source))
     return specs

@@ -34,7 +34,7 @@ from dtnsim.records import (
 )
 from dtnsim.runner import run_once
 from dtnsim.scenario import Scenario, TrafficParams
-from dtnsim.traffic import MessageSpec, generate_message
+from dtnsim.traffic import MessageSpec, generate_message, message_payloads
 from dtnsim.wire import (
     AckHeader,
     DataPacketHeader,
@@ -124,7 +124,7 @@ class TestCriterion03TwoNodeOracle:
         link = LinkModel(self.RATE, 100.0)
         sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
         entry = generate_message(
-            MessageSpec(0, 1, self.SIZE, self.PAYLOAD, 0), config.hop_limit
+            MessageSpec(0, 1, 0), message_payloads(self.SIZE, self.PAYLOAD), config.hop_limit
         )
         sim.schedule(0, "traffic_generation", lambda: nodes[0].originate(entry, 0))
         for node in nodes:
@@ -170,7 +170,8 @@ class TestCriterion04AntiEntropyUnion:
                 for _ in range(count):
                     source += 1
                     e = generate_message(
-                        MessageSpec(source, 99, rng.randint(1, 3000), 500, source),
+                        MessageSpec(source, 99, source),
+                        message_payloads(rng.randint(1, 3000), 500),
                         config.hop_limit,
                     )
                     for owner in owners:
@@ -212,7 +213,8 @@ class TestCriterion05FragmentationTransparency:
             for _ in range(rng.randrange(7)):
                 source += 1
                 e = generate_message(
-                    MessageSpec(source, 99, rng.randint(1, 900), 300, source),
+                    MessageSpec(source, 99, source),
+                    message_payloads(rng.randint(1, 900), 300),
                     config.hop_limit,
                 )
                 nodes[owner].buffer.enqueue(e, source)
@@ -248,7 +250,7 @@ class TestCriterion06StoreAndHaulRelay:
             beacon_interval=1.0, beacon_randomness=0.1, hop_limit=hop_limit, message_ttl=300.0
         )
         sim, net, nodes, trace = build_world(self.TRACE, config, LinkModel(12e6, 100.0))
-        entry = generate_message(MessageSpec(0, 2, 10_000, 1000, 0), hop_limit)
+        entry = generate_message(MessageSpec(0, 2, 0), message_payloads(10_000, 1000), hop_limit)
         sim.schedule(0, "traffic_generation", lambda: nodes[0].originate(entry, 0))
         for node in nodes:
             node.start(0)
@@ -318,7 +320,9 @@ class TestCriterion08PartialMessageDiscipline:
             self.TRACE, config, link, queue_capacity=5_000_000, residency_s=2.0,
             handed=handed,
         )
-        entry = generate_message(MessageSpec(0, 2, 200_000, 1000, 0), config.hop_limit)
+        entry = generate_message(
+            MessageSpec(0, 2, 0), message_payloads(200_000, 1000), config.hop_limit
+        )
         sim.schedule(0, "traffic_generation", lambda: nodes[0].originate(entry, 0))
 
         for node in nodes:

@@ -351,6 +351,22 @@ def test_out_path_that_is_a_file_exits_2_before_simulating(workdir, capsys, monk
 
 
 @pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]
+)
+def test_repeated_set_key_exits_2_before_any_cell(workdir, capsys, monkeypatch, command):
+    # A later --set of the same key would silently replace the earlier one.
+    def no_simulation(scenario):
+        pytest.fail("simulated although a --set key repeats")
+
+    monkeypatch.setattr(cli, "run_seeds", no_simulation)
+    out = workdir / "repeated"
+    argv = [command[0], str(workdir / "two_node.cfg"), *command[1:], "--out", str(out)]
+    assert main(argv + ["--set", "message_count=1", "--set", "message_count = 2"]) == 2
+    assert capsys.readouterr().err == "error: --set message_count is given more than once\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["run", "--set", "seeds=3"], "error: --seeds conflicts with --set seeds\n"),

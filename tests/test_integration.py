@@ -31,9 +31,9 @@ from dtnsim.records import (
     PKT_TRANSMITTED,
     PKT_UNSENT_AT_END,
 )
-from dtnsim.runner import run_once
+from dtnsim.runner import build_run, run_once
 from dtnsim.scenario import Scenario, TrafficParams, load_scenario
-from dtnsim.traffic import MessageSpec, generate_message
+from dtnsim.traffic import MessageSpec, generate_message, message_payloads
 from dtnsim.wire import EpidemicHeader
 
 SEC = 1_000_000
@@ -56,7 +56,9 @@ class TestTwoNodeTransfer:
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
         link = LinkModel(self.RATE, 100.0)
         sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
-        entry = generate_message(MessageSpec(0, 1, self.SIZE, self.PAYLOAD, 0), config.hop_limit)
+        entry = generate_message(
+            MessageSpec(0, 1, 0), message_payloads(self.SIZE, self.PAYLOAD), config.hop_limit
+        )
         start_all(sim, nodes, [(nodes[0], entry, 0)])
         sim.run(duration_s * SEC)
         net.finalize()
@@ -119,7 +121,7 @@ class TestStoreAndHaulRelay:
         )
         link = LinkModel(12e6, 100.0)
         sim, net, nodes, trace = build_world(self.TRACE, config, link)
-        entry = generate_message(MessageSpec(0, 2, 10_000, 1000, 0), hop_limit)
+        entry = generate_message(MessageSpec(0, 2, 0), message_payloads(10_000, 1000), hop_limit)
         start_all(sim, nodes, [(nodes[0], entry, 0)])
         sim.run(150 * SEC)
         net.finalize()
@@ -155,10 +157,11 @@ class TestSharedPayloads:
         sim, net, nodes, trace = build_world(
             static_trace((0, 0), (50, 0), (100, 0), (150, 0)), config, link
         )
+        hop = config.hop_limit
         originals = [
-            (nodes[0], generate_message(MessageSpec(0, 3, 5_000, 1_000, 0), config.hop_limit)),
-            (nodes[0], generate_message(MessageSpec(0, 2, 2_500, 1_000, 1), config.hop_limit)),
-            (nodes[3], generate_message(MessageSpec(3, 0, 1_500, 1_000, 0), config.hop_limit)),
+            (nodes[0], generate_message(MessageSpec(0, 3, 0), message_payloads(5_000, 1_000), hop)),
+            (nodes[0], generate_message(MessageSpec(0, 2, 1), message_payloads(2_500, 1_000), hop)),
+            (nodes[3], generate_message(MessageSpec(3, 0, 0), message_payloads(1_500, 1_000), hop)),
         ]
         start_all(sim, nodes, [(node, e, e.generated_at) for node, e in originals])
         sim.run(20 * SEC)
@@ -173,6 +176,18 @@ class TestSharedPayloads:
                     mine is theirs for mine, theirs in zip(copy.packets, original.packets)
                 )
 
+    def test_a_run_holds_one_payload_tuple(self):
+        # Every message of a run has the scenario's one shape, so all its
+        # messages and all their copies hold the same ceil(20000 / 1460) = 14
+        # payload objects.
+        scenario = load_scenario("scenarios/mini.cfg")
+        sim, network, nodes, _ = build_run(scenario, 1)
+        sim.run(scenario.duration_us)
+        network.finalize()
+        entries = [entry for node in nodes for entry in node.buffer.entries()]
+        assert len({entry.message_id for entry in entries}) == scenario.traffic.message_count
+        assert len({id(p) for entry in entries for p in entry.packets}) == 14
+
 
 class TestAntiEntropyUnion:
     def run_union(self, ids_a, ids_b, shared=(), payload_cap=1400, seed=3):
@@ -185,16 +200,17 @@ class TestAntiEntropyUnion:
             static_trace((0, 0), (50, 0)), config, link, seed=seed
         )
         entries = {}
+        packets = message_payloads(2000, 500)
         for source, t in ids_a:
-            e = generate_message(MessageSpec(source, 9, 2000, 500, t), config.hop_limit)
+            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
             entries[e.message_id] = e
             nodes[0].buffer.enqueue(e, t)
         for source, t in ids_b:
-            e = generate_message(MessageSpec(source, 9, 2000, 500, t), config.hop_limit)
+            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
             entries[e.message_id] = e
             nodes[1].buffer.enqueue(e, t)
         for source, t in shared:
-            e = generate_message(MessageSpec(source, 9, 2000, 500, t), config.hop_limit)
+            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
             entries[e.message_id] = e
             nodes[0].buffer.enqueue(e, t)
             nodes[1].buffer.enqueue(e, t)
@@ -219,13 +235,14 @@ class TestAntiEntropyUnion:
             static_trace((0, 0), (50, 0)), config, link, handed=handed
         )
         shared_ids = set()
+        packets = message_payloads(2000, 500)
         for source, t in [(3, 0), (3, 1), (3, 2)]:
-            e = generate_message(MessageSpec(source, 9, 2000, 500, t), config.hop_limit)
+            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
             shared_ids.add(e.message_id)
             nodes[0].buffer.enqueue(e, t)
             nodes[1].buffer.enqueue(e, t)
         for source, t in [(1, 0), (1, 1), (1, 2)]:
-            e = generate_message(MessageSpec(source, 9, 2000, 500, t), config.hop_limit)
+            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
             nodes[0].buffer.enqueue(e, t)
 
         start_all(sim, nodes)
@@ -248,9 +265,9 @@ class TestAckGating:
         sim, net, nodes, trace = build_world(
             static_trace((0, 0), (50, 0)), config, link, handed=handed
         )
+        packets = message_payloads(20_000, 1000)
         entries = [
-            generate_message(MessageSpec(0, 1, 20_000, 1000, t), config.hop_limit)
-            for t in (0, 1, 2)
+            generate_message(MessageSpec(0, 1, t), packets, config.hop_limit) for t in (0, 1, 2)
         ]
         start_all(sim, nodes, [(nodes[0], e, e.generated_at) for e in entries])
         sim.run(6 * SEC)
@@ -428,7 +445,7 @@ class TestFullPipelineReplay:
         # str hashing is salted per process; the dump must not depend on it.
         root = Path(__file__).resolve().parents[1]
         code = (
-            "from dtnsim.runner import run_once\n"
+            "from dtnsim.runner import build_run, run_once\n"
             "from dtnsim.scenario import load_scenario\n"
             "print(run_once(load_scenario('scenarios/mini.cfg'), 3)[1].dump())\n"
         )

@@ -77,6 +77,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="unknown key"):
             parse_scenario_text("not_a_key = 5\n")
 
+    def test_repeated_key_rejected_naming_line_and_key(self):
+        # The later line would silently replace the earlier one.
+        text = "duration = 5\nhop_limit = 4\n# duration = 6\nduration = 7\n"
+        with pytest.raises(ScenarioError, match="^line 4: key 'duration' is given more than once$"):
+            parse_scenario_text(text)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ScenarioError, match="line 1"):
             parse_scenario_text("duration 5\n")
