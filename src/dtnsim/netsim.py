@@ -30,11 +30,11 @@ block and its `payload` the very bytes object its sender stores, so
 every node holding a message shares one payload object per packet
 instead of a copy per hop. Control packets have an empty payload.
 
-The run's RunTrace is the radio's only observer: every packet outcome
-(submitted, transmitted, delivered, or the drop that ends it) is one
-`trace.packet_event` call, and the per-packet path holds no other
-observer code. Tests observe a run by substituting a RunTrace subclass,
-or a NodeTransport subclass to see packet contents.
+The RunTrace passed into `runner.build_run` or `run_once` is the radio's
+only observer: every packet outcome (submitted, transmitted, delivered,
+or the drop that ends it) is one `trace.packet_event` call. Tests observe
+a run by passing a RunTrace subclass, such as a ReplayTrace for the packet
+stream digest, or through a NodeTransport subclass to see packet contents.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Simulation trace records and the per-run trace accumulator.
 
-Message-level events are kept as individual records, which only the
-trace builds: the protocol and the buffer report each event's fields.
-Per-packet outcomes are folded into counters keyed by (src, dst, kind,
-outcome), from which the per-kind totals are derived, so large runs stay
-cheap while conservation audits remain possible.
+Message records are built by the trace from the fields that the protocol
+and the buffer report; packet outcomes are folded into counters keyed by
+(src, dst, kind, outcome). `runner.build_run` fills the trace it is given,
+a plain RunTrace by default; replay checks pass a ReplayTrace instead.
 """
 
 from __future__ import annotations
@@ -117,17 +116,9 @@ class RunTrace:
         self.deliveries: list[MessageDelivered] = []
         self.transfers: list[TransferCompleted] = []
         self.message_drops: list[MessageDropped] = []
-        # (src, dst, kind, outcome) -> [packets, bytes, code]; dst is None
-        # for broadcast outcomes with no specific receiver. The code numbers
-        # the keys in first-seen order, for the stream fold below.
+        # (src, dst, kind, outcome) -> [packets, bytes]; dst is None for
+        # broadcast outcomes with no specific receiver.
         self._pairs: dict[tuple[int, int | None, str, str], list[int]] = {}
-        # Order-sensitive fold of the (code, size) sequence. Together with
-        # the first-seen key order, which maps each code back to its key, it
-        # pins the whole packet history, so two traces with equal aggregates
-        # but different histories differ. Only ints are hashed, so the fold
-        # is the same in every process: str hashes are salted per process,
-        # and so is the hash of None on Python 3.11.
-        self._fold = 0
 
     def message_generated(
         self,
@@ -159,10 +150,9 @@ class RunTrace:
         key = (src, dst, kind, outcome)
         pair = self._pairs.get(key)
         if pair is None:
-            pair = self._pairs[key] = [0, 0, len(self._pairs)]
+            pair = self._pairs[key] = [0, 0]
         pair[0] += 1
         pair[1] += size
-        self._fold = hash((self._fold, pair[2], size))
 
     @property
     def pair_counts(self) -> Counter[tuple[int, int | None, str, str]]:
@@ -192,7 +182,7 @@ class RunTrace:
         return self.packet_bytes[(kind, outcome)]
 
     def dump(self) -> str:
-        """Deterministic textual form of the whole trace, for replay checks."""
+        """Deterministic textual form of the records and the counters."""
         records = (self.generated, self.deliveries, self.transfers, self.message_drops)
         lines = [repr(r) for recs in records for r in recs]
         packet_bytes = self.packet_bytes
@@ -206,9 +196,27 @@ class RunTrace:
                 self.pair_counts.items(), key=lambda kv: (str(kv[0]), kv[1])
             )
         ]
-        digest = hashlib.blake2b(
-            f"{self._fold & 0xFFFFFFFFFFFFFFFF:016x}|{list(self._pairs)!r}".encode(),
-            digest_size=16,
-        )
-        lines.append(f"packet stream digest: {digest.hexdigest()}")
         return "\n".join(lines)
+
+
+class ReplayTrace(RunTrace):
+    """A RunTrace whose dump adds a `packet stream digest` line, for replay checks."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        # Fold of each packet's (code, size), a code being its key's first-seen
+        # number. Only ints are hashed, so the fold is the same in every process:
+        # str hashes are salted per process, and so is the hash of None on 3.11.
+        self._codes: dict[tuple[int, int | None, str, str], int] = {}
+        self._fold = 0
+
+    def packet_event(self, kind: str, outcome: str, size: int, src: int, dst: int | None) -> None:
+        super().packet_event(kind, outcome, size, src, dst)
+        code = self._codes.setdefault((src, dst, kind, outcome), len(self._codes))
+        self._fold = hash((self._fold, code, size))
+
+    def dump(self) -> str:
+        # The first-seen key order maps each code of the fold back to its key.
+        stream = f"{self._fold & 0xFFFFFFFFFFFFFFFF:016x}|{list(self._pairs)!r}".encode()
+        digest = hashlib.blake2b(stream, digest_size=16).hexdigest()
+        return "\n".join(filter(None, (super().dump(), f"packet stream digest: {digest}")))

@@ -18,12 +18,12 @@ from .traffic import build_schedule, generate_message, message_payloads
 
 
 def build_run(
-    scenario: Scenario, seed: int
+    scenario: Scenario, seed: int, trace: RunTrace | None = None
 ) -> tuple[Simulator, RadioNetwork, list[EpidemicNode], RunTrace]:
     trajectories = scenario.trajectories
     node_count = len(trajectories)
     sim = Simulator()
-    trace = RunTrace()
+    trace = RunTrace() if trace is None else trace
     network = RadioNetwork(
         sim,
         scenario.link,
@@ -67,8 +67,10 @@ def build_run(
     return sim, network, nodes, trace
 
 
-def run_once(scenario: Scenario, seed: int) -> tuple[RunReport, RunTrace]:
-    sim, network, _, trace = build_run(scenario, seed)
+def run_once(
+    scenario: Scenario, seed: int, trace: RunTrace | None = None
+) -> tuple[RunReport, RunTrace]:
+    sim, network, _, trace = build_run(scenario, seed, trace)
     sim.run(scenario.duration_us)
     network.finalize()
     return compute(trace, seed), trace

@@ -158,11 +158,13 @@ def build_world(
     queue_capacity=None,
     residency_s=None,
     handed=None,
+    trace=None,
 ):
-    """A simulated world with a RecordingTrace; given a `handed` list,
-    every node's transport is a RecordingTransport logging into it."""
+    """A simulated world filling `trace`, a RecordingTrace by default; given
+    a `handed` list, every node's transport is a RecordingTransport logging
+    into it."""
     sim = Simulator()
-    trace = RecordingTrace(sim)
+    trace = RecordingTrace(sim) if trace is None else trace
     trajectories = parse_ns2_trace(trace_text)
     net = RadioNetwork(
         sim,

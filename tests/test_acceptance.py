@@ -31,6 +31,7 @@ from dtnsim.records import (
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
     PKT_UNSENT_AT_END,
+    ReplayTrace,
 )
 from dtnsim.runner import run_once
 from dtnsim.scenario import Scenario, TrafficParams
@@ -505,7 +506,7 @@ class TestGoldenOutputs:
             queue_capacity=1_000_000,
             queue_residency_s=2.0,
         )
-        rep, trace = run_once(scenario, 1)
+        rep, trace = run_once(scenario, 1, ReplayTrace())
         assert (rep.drops["msg_expired"], rep.drops["msg_evicted"]) == (401, 1469)
         assert rep.drops["pkt_loss"] == 208
         digest = hashlib.sha256(trace.dump().encode()).hexdigest()

@@ -30,6 +30,7 @@ from dtnsim.records import (
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
     PKT_UNSENT_AT_END,
+    ReplayTrace,
 )
 from dtnsim.runner import build_run, run_once
 from dtnsim.scenario import Scenario, TrafficParams, load_scenario
@@ -431,23 +432,24 @@ class TestPacketConservation:
 class TestFullPipelineReplay:
     def test_same_scenario_and_seed_identical_trace(self):
         scenario = load_scenario("scenarios/mini.cfg")
-        _, first = run_once(scenario, 3)
-        _, second = run_once(scenario, 3)
+        _, first = run_once(scenario, 3, ReplayTrace())
+        _, second = run_once(scenario, 3, ReplayTrace())
         assert first.dump() == second.dump()
 
     def test_different_seeds_differ(self):
         scenario = load_scenario("scenarios/mini.cfg")
-        _, first = run_once(scenario, 1)
-        _, second = run_once(scenario, 2)
+        _, first = run_once(scenario, 1, ReplayTrace())
+        _, second = run_once(scenario, 2, ReplayTrace())
         assert first.dump() != second.dump()
 
     def test_identical_trace_across_hash_seeds(self):
         # str hashing is salted per process; the dump must not depend on it.
         root = Path(__file__).resolve().parents[1]
         code = (
-            "from dtnsim.runner import build_run, run_once\n"
+            "from dtnsim.records import ReplayTrace\n"
+            "from dtnsim.runner import run_once\n"
             "from dtnsim.scenario import load_scenario\n"
-            "print(run_once(load_scenario('scenarios/mini.cfg'), 3)[1].dump())\n"
+            "print(run_once(load_scenario('scenarios/mini.cfg'), 3, ReplayTrace())[1].dump())\n"
         )
         path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         dumps = []
@@ -481,7 +483,9 @@ class TestWrappedRawPacketDifferential:
     def run_one(self, use_wrap):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
         link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
+        sim, net, nodes, trace = build_world(
+            static_trace((0, 0), (50, 0)), config, link, trace=ReplayTrace()
+        )
         payload = bytes(range(200)) + bytes(56)
         if use_wrap:
             sim.schedule(

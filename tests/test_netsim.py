@@ -25,6 +25,7 @@ from dtnsim.records import (
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
     PKT_UNSENT_AT_END,
+    ReplayTrace,
     RunTrace,
 )
 
@@ -47,9 +48,10 @@ def make_net(
     queue_capacity=1_000_000,
     residency_us=10 * SEC,
     seed=1,
+    trace=None,
 ):
     sim = Simulator()
-    trace = RunTrace()
+    trace = RunTrace() if trace is None else trace
     link = LinkModel(rate, radio_range, loss)
     net = RadioNetwork(
         sim,
@@ -677,7 +679,7 @@ class TestDeviceQueue:
 
 class TestDeterminism:
     def _run(self, seed):
-        sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.3, seed=seed)
+        sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.3, seed=seed, trace=ReplayTrace())
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
         for _ in range(30):

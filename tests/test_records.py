@@ -1,5 +1,7 @@
-"""RunTrace: message records built from reported fields, packet counters
-and the order-sensitive packet stream fold."""
+"""RunTrace: message records built from reported fields and packet
+counters; ReplayTrace: the order-sensitive packet stream fold on top."""
+
+import pytest
 
 from dtnsim import runner
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
@@ -18,10 +20,11 @@ from dtnsim.records import (
     MessageDelivered,
     MessageDropped,
     MessageGenerated,
+    ReplayTrace,
     RunTrace,
     TransferCompleted,
 )
-from dtnsim.scenario import Scenario, TrafficParams
+from dtnsim.scenario import Scenario, TrafficParams, load_scenario
 from dtnsim.wire import make_message_id
 
 EVENTS = [
@@ -33,7 +36,7 @@ EVENTS = [
 
 
 def trace_of(events):
-    trace = RunTrace()
+    trace = ReplayTrace()
     for event in events:
         trace.packet_event(*event)
     return trace
@@ -130,11 +133,11 @@ class DropLog(RunTrace):
         self.seen.append((now, node, mid, cause))
 
 
-def test_subclass_receives_every_drop_of_a_lossy_run(monkeypatch):
+def lossy_scenario():
     # Six moving nodes, 5% loss, a small buffer, a short ttl and two hops:
     # the buffer (expired, evicted) and the protocol (hop_exhausted,
     # partial_disconnect) both report drops.
-    scenario = Scenario(
+    return Scenario(
         trajectories=tuple(
             parse_ns2_trace(generate_random_waypoint_trace(6, 150, 150, 5, 15, 40, seed="drops"))
         ),
@@ -146,12 +149,37 @@ def test_subclass_receives_every_drop_of_a_lossy_run(monkeypatch):
         queue_capacity=30_000,
         queue_residency_s=0.1,
     )
+
+
+def test_subclass_receives_every_drop_of_a_lossy_run():
+    scenario = lossy_scenario()
     _, base = runner.run_once(scenario, 1)
     causes = {d.cause for d in base.message_drops}
     assert {MSG_EXPIRED, MSG_EVICTED, MSG_HOP_EXHAUSTED, MSG_PARTIAL_DISCONNECT} <= causes
 
-    monkeypatch.setattr(runner, "RunTrace", DropLog)
-    _, log = runner.run_once(scenario, 1)
+    _, log = runner.run_once(scenario, 1, DropLog())
     assert isinstance(log, DropLog)
     assert log.message_drops == []
     assert [MessageDropped(*fields) for fields in log.seen] == base.message_drops
+
+
+@pytest.mark.parametrize(
+    "make_scenario", [lambda: load_scenario("scenarios/mini.cfg"), lossy_scenario],
+    ids=["mini", "lossy"],
+)
+def test_plain_and_replay_traces_of_one_run_agree(make_scenario):
+    scenario = make_scenario()
+    plain_report, plain = runner.run_once(scenario, 1)
+    replay_report, replay = runner.run_once(scenario, 1, ReplayTrace())
+    assert type(plain) is RunTrace
+    assert plain.generated == replay.generated
+    assert plain.deliveries == replay.deliveries
+    assert plain.transfers == replay.transfers
+    assert plain.message_drops == replay.message_drops
+    assert plain.pair_counts == replay.pair_counts
+    assert plain.packet_counts == replay.packet_counts
+    assert plain.packet_bytes == replay.packet_bytes
+    assert list(plain._pairs) == list(replay._pairs)
+    assert plain_report == replay_report
+    assert "packet stream digest" not in plain.dump()
+    assert replay.dump().startswith(plain.dump() + "\npacket stream digest: ")
