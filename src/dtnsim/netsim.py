@@ -10,7 +10,14 @@ were scheduled while the clock was earlier, so they come first in sequence
 byte capacity and residency time-limit. The head of a non-empty FIFO is
 the packet in service. Service time is bytes * 8 / data_rate and a
 transmission reaches every in-range receiver (one for unicast), subject
-to an optional per-receiver Bernoulli loss draw.
+to an optional per-receiver Bernoulli loss draw. A node hands a message's
+packets to its queue in one call, `submit_message`, which queues, drops
+and reports them exactly as one `submit` per packet would.
+
+Delivery is by (address, port), like the two UDP sockets of an IP
+convergence layer: each port of a node's address has its own handler, so
+data packets go straight to the protocol's data handler. A packet to a
+port with no handler is delivered and dropped.
 
 Range is decided when a transmission completes. The exact check
 interpolates both positions and tests dx*dx + dy*dy <= R*R. Each pair
@@ -242,25 +249,36 @@ class RadioNetwork:
         # Per node: FIFO of (packet, enqueued_at) and its queued bytes.
         self._fifos: list[deque[tuple[Packet, int]]] = [deque() for _ in trajectories]
         self._queued = [0] * self._n
-        # One transmission-complete callback per node, made once.
-        self._completions = [
-            (lambda n=node: self._complete(n)) for node in range(len(trajectories))
-        ]
-        # address -> packet handler(sender_addr, port, data, msg_dst, now, payload)
-        self._handlers: dict[int, Callable[[int, int, bytes, int | None, int, bytes], None]] = {}
+        # (address, port) -> packet handler(sender_addr, port, data, msg_dst, now, payload)
+        self._handlers: dict[
+            tuple[int, int], Callable[[int, int, bytes, int | None, int, bytes], None]
+        ] = {}
         # (packet, receiver) of deliveries scheduled but not yet executed.
         # Every delivery lands a fixed propagation delay after it was
         # scheduled, so they execute in the order they were scheduled.
         self._in_flight: deque[tuple[Packet, int]] = deque()
+        # Per node, made once (see _service): serve(now) schedules the
+        # head's transmission, and its completion callback ends it.
+        self._serves: list[Callable[[int], None]] = []
+        self._completions: list[Callable[[], None]] = []
+        for node in range(self._n):
+            serve, complete = self._service(node)
+            self._serves.append(serve)
+            self._completions.append(complete)
 
     def attach(
         self,
         address: int,
+        port: int,
         handler: Callable[[int, int, bytes, int | None, int, bytes], None],
     ) -> None:
-        if address in self._handlers:
-            raise ValueError(f"duplicate node address {address}")
-        self._handlers[address] = handler
+        """Deliver the datagrams to (address, port) to `handler`.
+
+        A datagram to a pair with no handler is delivered and dropped.
+        """
+        if (address, port) in self._handlers:
+            raise ValueError(f"duplicate handler for address {address} port {port}")
+        self._handlers[address, port] = handler
 
     def in_range(self, a: int, b: int, t_us: int) -> bool:
         """Whether nodes a and b are within radio range at t_us."""
@@ -296,82 +314,149 @@ class RadioNetwork:
 
     def submit(self, packet: Packet) -> None:
         """Place a packet on its sender's device queue (tail-drop on overflow)."""
-        src = packet.src
-        size = packet.size
-        self.trace.packet_event(packet.kind, PKT_SUBMITTED, size, src, packet.dst)
-        if self._queued[src] + size > self._capacity:
-            self.trace.packet_event(packet.kind, PKT_OVERFLOW, size, src, packet.dst)
-            return
+        self._enqueue(packet.src, (packet,))
+
+    def submit_message(
+        self,
+        src: int,
+        dst: int,
+        port: int,
+        headers: Sequence[bytes],
+        kind: str,
+        msg_dst: int | None,
+        payloads: Sequence[bytes],
+    ) -> None:
+        """Submit one unicast packet per (header, payload) pair, in order.
+
+        The same as submitting each `Packet(src, dst, port, header, kind,
+        msg_dst, payload)` in turn, in one call.
+        """
+        # A loop, not a comprehension: it costs less for a one-packet message.
+        packets = []
+        for header, payload in zip(headers, payloads):
+            packets.append(Packet(src, dst, port, header, kind, msg_dst, payload))
+        self._enqueue(src, packets)
+
+    def _enqueue(self, src: int, packets: Sequence[Packet]) -> None:
+        """Append packets to src's device queue in order, tail-dropping each
+        that does not fit.
+
+        A queue that was idle starts service once, after the last packet.
+        That is what submitting them one at a time does: the first that
+        fits would start it at `now`, and the later ones schedule nothing.
+        Nothing submits during service or completion, so an idle queue is
+        an empty one.
+        """
         fifo = self._fifos[src]
-        fifo.append((packet, self.sim.now))
-        self._queued[src] += size
-        # Nothing submits during _serve or _complete, so an idle queue is
-        # an empty one: a lone packet starts service now.
-        if len(fifo) == 1:
-            self._serve(src)
+        idle = not fifo
+        now = self.sim.now
+        capacity = self._capacity
+        queued = self._queued[src]
+        packet_event = self.trace.packet_event
+        for packet in packets:
+            size = packet.size
+            packet_event(packet.kind, PKT_SUBMITTED, size, src, packet.dst)
+            if queued + size > capacity:
+                packet_event(packet.kind, PKT_OVERFLOW, size, src, packet.dst)
+            else:
+                fifo.append((packet, now))
+                queued += size
+        self._queued[src] = queued
+        if idle and fifo:
+            self._serves[src](now)
 
-    def _serve(self, node: int) -> None:
-        """Schedule the head's transmission, dropping heads past residency."""
+    def _service(self, node: int) -> tuple[Callable[[int], None], Callable[[], None]]:
+        """A node's device-queue service as two closures, serve and complete.
+
+        serve(now), which both the hand-over to an idle queue and every
+        completion call, drops the heads that are past residency and
+        schedules the transmission of the first that is not. complete()
+        ends the head's transmission: it reports it, decides range (a unicast reads
+        the pair's certificate as in_range does) and each receiver's loss
+        draw, schedules the deliveries, and serves the next head. complete
+        is scheduled through `self._completions[node]`, not by its own
+        name: finalize clears that list, which breaks the closures' only
+        reference cycle.
+        """
         fifo = self._fifos[node]
-        now = self.sim.now
-        while fifo:
-            packet, enqueued_at = fifo[0]
-            if now - enqueued_at <= self._residency_us:
-                done = now + service_time_us(packet.size, self._rate)
-                self.sim.schedule(done, EVENT_TIMER, self._completions[node])
-                return
-            fifo.popleft()
-            self._queued[node] -= packet.size
-            self.trace.packet_event(
-                packet.kind, PKT_RESIDENCY, packet.size, packet.src, packet.dst
-            )
+        queued = self._queued
+        completions = self._completions
+        sim = self.sim
+        packet_event = self.trace.packet_event
+        residency_us = self._residency_us
+        rate = self._rate
+        certs = self._certs
+        row = node * self._n
+        others = [other for other in range(self._n) if other != node]
+        exact_in_range = self._exact_in_range
+        in_flight = self._in_flight
+        deliver = self._deliver
+        prop_us = self._prop_us
+        loss = self._loss
+        draw = self._loss_rng.random
 
-    def _complete(self, node: int) -> None:
-        packet, _ = self._fifos[node].popleft()
-        self._queued[node] -= packet.size
-        now = self.sim.now
-        self.trace.packet_event(
-            packet.kind, PKT_TRANSMITTED, packet.size, packet.src, packet.dst
-        )
-        dst = packet.dst
-        if dst is None:
-            for other in range(self._n):
-                if other != node and self.in_range(node, other, now):
-                    self._try_deliver(packet, other, now)
-        elif self.in_range(node, dst, now):
-            self._try_deliver(packet, dst, now)
-        else:
-            self.trace.packet_event(
-                packet.kind, PKT_OUT_OF_RANGE, packet.size, packet.src, dst
-            )
-        self._serve(node)
+        def serve(now: int) -> None:
+            while fifo:
+                packet, enqueued_at = fifo[0]
+                if now - enqueued_at <= residency_us:
+                    done = now + service_time_us(packet.size, rate)
+                    sim.schedule(done, EVENT_TIMER, completions[node])
+                    return
+                fifo.popleft()
+                queued[node] -= packet.size
+                packet_event(packet.kind, PKT_RESIDENCY, packet.size, node, packet.dst)
 
-    def _try_deliver(self, packet: Packet, receiver: int, now: int) -> None:
-        if self._loss > 0.0 and self._loss_rng.random() < self._loss:
-            self.trace.packet_event(packet.kind, PKT_LOSS, packet.size, packet.src, receiver)
-            return
-        self._in_flight.append((packet, receiver))
-        self.sim.schedule(now + self._prop_us, EVENT_PACKET_DELIVERY, self._deliver)
+        def complete() -> None:
+            packet, _ = fifo.popleft()
+            kind, size, dst = packet.kind, packet.size, packet.dst
+            queued[node] -= size
+            now = sim.now
+            packet_event(kind, PKT_TRANSMITTED, size, node, dst)
+            if dst is None:
+                # A loop, not a comprehension: one would make `now` a cell
+                # variable, allocated on every completion.
+                in_range = self.in_range
+                receivers = []
+                for other in others:
+                    if in_range(node, other, now):
+                        receivers.append(other)
+            else:
+                since, until, inside = certs[row + dst]
+                if not since < now < until:
+                    inside = exact_in_range(node, dst, now)
+                if inside:
+                    receivers = (dst,)
+                else:
+                    packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
+                    receivers = ()
+            for receiver in receivers:
+                if loss and draw() < loss:
+                    packet_event(kind, PKT_LOSS, size, node, receiver)
+                else:
+                    in_flight.append((packet, receiver))
+                    sim.schedule(now + prop_us, EVENT_PACKET_DELIVERY, deliver)
+            serve(now)
+
+        return serve, complete
 
     def _deliver(self) -> None:
         packet, receiver = self._in_flight.popleft()
-        now = self.sim.now
         self.trace.packet_event(
             packet.kind, PKT_DELIVERED, packet.size, packet.src, receiver
         )
-        handler = self._handlers.get(receiver)
+        port = packet.port
+        handler = self._handlers.get((receiver, port))
         if handler is not None:
-            handler(
-                packet.src, packet.port, packet.data, packet.msg_dst, now, packet.payload
-            )
+            handler(packet.src, port, packet.data, packet.msg_dst, self.sim.now, packet.payload)
 
     def finalize(self) -> None:
         """End the run: account packets still queued or still propagating.
 
         Also drops the pending events, packet handlers and completion
-        callbacks. They hold the nodes, which hold the network, so breaking
-        these cycles lets reference counting free the run here instead of
-        the cyclic collector later. Nothing may run on the network after.
+        callbacks. They hold the nodes, which hold the network, or the
+        network itself, so breaking these cycles lets reference counting
+        free the run here instead of the cyclic collector later. Nothing
+        may run on the network after.
         """
         for fifo in self._fifos:
             for packet, _ in fifo:
@@ -379,7 +464,7 @@ class RadioNetwork:
                     packet.kind, PKT_UNSENT_AT_END, packet.size, packet.src, packet.dst
                 )
             fifo.clear()
-        self._queued = [0] * self._n
+        self._queued[:] = [0] * self._n
         for packet, receiver in self._in_flight:
             self.trace.packet_event(
                 packet.kind, PKT_IN_FLIGHT_AT_END, packet.size, packet.src, receiver
@@ -411,6 +496,20 @@ class NodeTransport:
     ) -> None:
         self._network.submit(
             Packet(self._node_id, dst, port, data, kind, msg_dst, payload)
+        )
+
+    def unicast_message(
+        self,
+        dst: int,
+        port: int,
+        headers: Sequence[bytes],
+        kind: str,
+        msg_dst: int | None,
+        payloads: Sequence[bytes],
+    ) -> None:
+        """One `unicast` per (header, payload) pair, in order, in one call."""
+        self._network.submit_message(
+            self._node_id, dst, port, headers, kind, msg_dst, payloads
         )
 
     def schedule(self, time_us: int, fn: Callable[[], None]) -> None:

@@ -8,7 +8,6 @@ a plain RunTrace by default; replay checks pass a ReplayTrace instead.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -216,6 +215,8 @@ class ReplayTrace(RunTrace):
         self._fold = hash((self._fold, code, size))
 
     def dump(self) -> str:
+        import hashlib  # here, not at the top: loading OpenSSL slows every import
+
         # The first-seen key order maps each code of the fold back to its key.
         stream = f"{self._fold & 0xFFFFFFFFFFFFFFFF:016x}|{list(self._pairs)!r}".encode()
         digest = hashlib.blake2b(stream, digest_size=16).hexdigest()

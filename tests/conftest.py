@@ -36,6 +36,10 @@ class FakeTransport:
     def unicast(self, dst, port, data, kind, msg_dst=None, payload=b""):
         self.sent.append((dst, port, data + payload, kind, msg_dst))
 
+    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+        for data, payload in zip(headers, payloads):
+            self.unicast(dst, port, data, kind, msg_dst, payload)
+
     def schedule(self, time_us, fn):
         self.timers.append((time_us, fn))
 
@@ -149,6 +153,11 @@ class RecordingTransport(NodeTransport):
         self._log.append((self._node_id, dst, kind, data + payload, self.now))
         super().unicast(dst, port, data, kind, msg_dst, payload)
 
+    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+        for data, payload in zip(headers, payloads):
+            self._log.append((self._node_id, dst, kind, data + payload, self.now))
+        super().unicast_message(dst, port, headers, kind, msg_dst, payloads)
+
 
 def build_world(
     trace_text,
@@ -183,7 +192,8 @@ def build_world(
         node = EpidemicNode(
             i, i, config, transport, trace, random.Random(f"{seed}:beacon:{i}")
         )
-        net.attach(i, node.handle_packet)
+        net.attach(i, PORT_CONTROL, node.handle_packet)
+        net.attach(i, PORT_DATA, node.on_data_packet)
         nodes.append(node)
     return sim, net, nodes, trace
 

@@ -390,15 +390,26 @@ def test_seeds_flag_with_a_seeds_key_exits_2_before_any_cell(
     assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy_or_numpy():
+def _modules_after_fresh_import():
+    """The names in sys.modules of a fresh interpreter that imported dtnsim.cli."""
     root = Path(__file__).resolve().parents[1]
-    code = (
-        "import sys, dtnsim.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))\n"
-    )
+    code = "import sys, dtnsim.cli\nprint('\\n'.join(sorted(sys.modules)))\n"
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout == "[]\n"
+    return result.stdout.split()
+
+
+def test_cli_import_loads_no_scipy_or_numpy():
+    modules = _modules_after_fresh_import()
+    assert "dtnsim.cli" in modules
+    assert [m for m in modules if m.split(".")[0] in ("scipy", "numpy")] == []
+
+
+def test_cli_import_loads_no_openssl():
+    # hashlib, and with it OpenSSL, is imported only to dump a ReplayTrace.
+    modules = _modules_after_fresh_import()
+    assert "dtnsim.cli" in modules
+    assert "_hashlib" not in modules

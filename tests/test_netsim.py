@@ -5,12 +5,13 @@ import itertools
 import random
 
 import pytest
-from conftest import RecordingTrace
+from conftest import RecordingTrace, build_world, make_entry, static_trace
 from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.mobility import Trajectory, parse_ns2_trace
 from dtnsim.netsim import (
     EVENT_TIMER,
+    EVENT_TRAFFIC,
     LinkModel,
     Packet,
     RadioNetwork,
@@ -28,6 +29,8 @@ from dtnsim.records import (
     ReplayTrace,
     RunTrace,
 )
+from dtnsim.protocol import PORT_CONTROL, PORT_DATA, ProtocolConfig
+from dtnsim.wire import MessageTypeHeader, MsgType
 
 SEC = 1_000_000
 
@@ -401,8 +404,8 @@ class TestTransmission:
     def test_unicast_zero_loss_delivers_everything(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append((data, now)))
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda src, port, data, msg_dst, now, payload: got.append((data, now)))
         for i in range(5):
             net.submit(Packet(0, 1, 1, bytes(1472), "data"))
         sim.run(10 * SEC)
@@ -415,8 +418,8 @@ class TestTransmission:
     def test_payload_delivered_by_reference(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
+        net.attach(0, 2, lambda *a: None)
+        net.attach(1, 2, lambda src, port, data, msg_dst, now, payload: got.append(
             (data, payload, msg_dst, now)
         ))
         data, payload = bytes(30), bytes(range(256)) * 5 + bytes(162)
@@ -439,15 +442,15 @@ class TestTransmission:
         sim, net, trace = make_net([(0, 0), (10, 0), (20, 0), (500, 0)])
         got = []
         for i in range(4):
-            net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append(i))
+            net.attach(i, 1, lambda src, port, data, msg_dst, now, payload, i=i: got.append(i))
         net.submit(Packet(0, None, 1, b"abc", "beacon"))
         sim.run(SEC)
         assert sorted(got) == [1, 2]  # node 3 out of range, sender excluded
 
     def test_out_of_range_unicast_counted(self):
         sim, net, trace = make_net([(0, 0), (500, 0)])
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         net.submit(Packet(0, 1, 1, b"abc", "data"))
         sim.run(SEC)
         assert trace.count("data", PKT_OUT_OF_RANGE) == 1
@@ -471,8 +474,8 @@ class TestTransmission:
             random.Random(1),
             trace,
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         for _ in range(100):
             net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(10 * SEC)
@@ -483,8 +486,8 @@ class TestTransmission:
 
     def test_bernoulli_loss(self):
         sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.5, seed=3)
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         for _ in range(200):
             net.submit(Packet(0, 1, 1, bytes(100), "data"))
         sim.run(10 * SEC)
@@ -497,8 +500,8 @@ class TestDeviceQueue:
     def test_overflow_tail_drops_newest(self):
         # Two 1500-byte-on-air packets fill the queue; the third tail-drops.
         sim, net, trace = make_net([(0, 0), (10, 0)], queue_capacity=3000)
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         for _ in range(3):
             net.submit(Packet(0, 1, 1, bytes(1472), "data"))
         assert trace.count("data", PKT_OVERFLOW) == 1
@@ -509,8 +512,8 @@ class TestDeviceQueue:
         sim, net, trace = make_net(
             [(0, 0), (10, 0)], rate=1e4, residency_us=2 * SEC
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         # 1500 bytes at 10 kbps = 1.2 s per packet; the 4th packet waits
         # 3.6 s > 2 s residency and is dropped when it reaches the head.
         for _ in range(4):
@@ -537,8 +540,8 @@ class TestDeviceQueue:
             random.Random(1),
             trace,
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         return sim, net, trace
 
     @staticmethod
@@ -589,8 +592,8 @@ class TestDeviceQueue:
 
     def test_unsent_at_end_accounted(self):
         sim, net, trace = make_net([(0, 0), (10, 0)], rate=1e4)
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         for _ in range(5):
             net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(100)  # far too short to transmit anything
@@ -611,8 +614,8 @@ class TestDeviceQueue:
             random.Random(1),
             trace,
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(10_000)  # past service completion, before delivery
         net.finalize()
@@ -637,7 +640,7 @@ class TestDeviceQueue:
         )
         got = []
         for i in range(3):
-            net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append((now, src, i, data)))
+            net.attach(i, 1, lambda src, port, data, msg_dst, now, payload, i=i: got.append((now, src, i, data)))
         net.submit(Packet(0, 1, 1, b"a" * 1472, "data"))  # on air 0..1000 us
         net.submit(Packet(2, None, 1, b"b" * 722, "beacon"))  # 0..500 us
         net.submit(Packet(1, 0, 1, b"c" * 1472, "data"))  # 0..1000 us
@@ -655,8 +658,8 @@ class TestDeviceQueue:
         sim, net, trace = make_net(
             [(0, 0), (10, 0)], loss=0.2, queue_capacity=6000, seed=9
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         for _ in range(50):
             net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(2000)  # cut the run off mid-queue
@@ -677,11 +680,138 @@ class TestDeviceQueue:
         assert accounted == submitted
 
 
+class TestMessageHandOver:
+    """A message handed over in one call is queued, served and delivered
+    exactly as its packets submitted one at a time."""
+
+    # Four 1500-byte packets on air (30 + 1442 + 28) and a short last one
+    # of 158 bytes (30 + 100 + 28).
+    HEADERS = [bytes([i]) * 30 for i in range(5)]
+    PAYLOADS = [bytes([i]) * 1442 for i in range(4)] + [bytes(100)]
+
+    def _run(self, as_message, rate=12e6, capacity=1_000_000, residency_us=10 * SEC, busy=False):
+        sim = Simulator()
+        trace = RecordingTrace(sim)
+        net = RadioNetwork(
+            sim,
+            LinkModel(rate, 100.0),
+            static_nodes((0, 0), (10, 0)),
+            capacity,
+            residency_us,
+            random.Random(1),
+            trace,
+        )
+        got = []
+        net.attach(1, PORT_DATA, lambda src, port, data, msg_dst, now, payload: got.append(
+            (src, data, payload, msg_dst, now)
+        ))
+
+        def hand_over():
+            if as_message:
+                net.submit_message(0, 1, PORT_DATA, self.HEADERS, "data", 1, self.PAYLOADS)
+            else:
+                for header, payload in zip(self.HEADERS, self.PAYLOADS):
+                    net.submit(Packet(0, 1, PORT_DATA, header, "data", 1, payload))
+
+        if busy:
+            net.submit(Packet(0, 1, PORT_DATA, bytes(1472), "data", 1))  # on air 0..1000 µs
+        sim.schedule(100, EVENT_TRAFFIC, hand_over)
+        sim.run(60 * SEC)
+        net.finalize()
+        return trace, got
+
+    def _same_either_way(self, **world):
+        one_call, got_one_call = self._run(True, **world)
+        per_packet, got_per_packet = self._run(False, **world)
+        assert one_call.events == per_packet.events
+        assert got_one_call == got_per_packet
+        return one_call, got_one_call
+
+    def test_overflow_mid_message_while_the_short_last_packet_fits(self):
+        trace, got = self._same_either_way(capacity=4000)
+        assert trace.count("data", PKT_OVERFLOW) == 2
+        assert [payload for _, _, payload, _, _ in got] == [
+            self.PAYLOADS[0], self.PAYLOADS[1], self.PAYLOADS[4]
+        ]
+
+    def test_later_packets_past_residency(self):
+        # 1500 bytes at 10 kbps: 1.2 s of service, so packets 3 to 5 reach
+        # the head 2.4 s after the hand-over, past the 2 s residency.
+        trace, got = self._same_either_way(rate=1e4, residency_us=2 * SEC)
+        assert trace.count("data", PKT_RESIDENCY) == 3
+        assert [now for *_, now in got] == [1_200_100, 2_400_100]
+
+    def test_queue_busy_at_hand_over(self):
+        trace, got = self._same_either_way(busy=True)
+        # The busy packet is delivered at 1,000 µs; then each 1500-byte
+        # packet takes 1,000 µs at 12 Mbps and the 158-byte one 106 µs.
+        assert [now for *_, now in got] == [1_000, 2_000, 3_000, 4_000, 5_000, 5_106]
+
+
+class TestPortDelivery:
+    CONFIG = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
+
+    def _deliver_beacon(self, port):
+        """A beacon from node 0 delivered to node 1's `port`; nodes not started."""
+        sim, net, nodes, trace = build_world(
+            static_trace((0, 0), (50, 0)), self.CONFIG, LinkModel(12e6, 100.0)
+        )
+        beacon = MessageTypeHeader(MsgType.BEACON, 0).encode()
+        net.submit(Packet(0, 1, port, beacon, "beacon"))
+        sim.run(SEC)
+        return trace, nodes[1]
+
+    def test_datagram_to_a_port_without_handler_is_delivered_and_changes_nothing(self):
+        trace, node = self._deliver_beacon(3)  # neither PORT_CONTROL nor PORT_DATA
+        assert trace.count("beacon", PKT_DELIVERED) == 1
+        assert node.neighbors == {}
+        assert trace.pair_counts == {
+            (0, 1, "beacon", PKT_SUBMITTED): 1,
+            (0, 1, "beacon", PKT_TRANSMITTED): 1,
+            (0, 1, "beacon", PKT_DELIVERED): 1,
+        }
+
+    def test_same_datagram_to_the_control_port_is_handled(self):
+        trace, node = self._deliver_beacon(PORT_CONTROL)
+        assert trace.count("beacon", PKT_DELIVERED) == 1
+        assert list(node.neighbors) == [0]
+
+    def test_one_handler_per_address_and_port(self):
+        sim, net, trace = make_net([(0, 0), (10, 0)])
+        net.attach(1, PORT_CONTROL, lambda *a: None)
+        net.attach(1, PORT_DATA, lambda *a: None)
+        with pytest.raises(ValueError, match="duplicate"):
+            net.attach(1, PORT_DATA, lambda *a: None)
+
+
+def test_recording_transport_logs_in_submitted_order():
+    # A message handed over in one call is logged packet by packet, so the
+    # k-th logged packet is the packet of the trace's k-th submitted event.
+    config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
+    handed = []
+    sim, net, nodes, trace = build_world(
+        static_trace((0, 0), (50, 0), (80, 0)), config, LinkModel(12e6, 100.0), handed=handed
+    )
+    for source, t in [(0, 0), (2, 1)]:
+        entry = make_entry(source, t, size=4000, payload=1000, destination=1)
+        sim.schedule(t, EVENT_TRAFFIC, lambda n=nodes[source], e=entry, t=t: n.originate(e, t))
+    for node in nodes:
+        node.start(0)
+    sim.run(5 * SEC)
+    submitted = [
+        (src, dst, kind, now)
+        for kind, outcome, src, dst, now in trace.events
+        if outcome == PKT_SUBMITTED
+    ]
+    assert [(src, dst, kind, now) for src, dst, kind, _, now in handed] == submitted
+    assert sum(kind == "data" for _, _, kind, _, _ in handed) >= 8
+
+
 class TestDeterminism:
     def _run(self, seed):
         sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.3, seed=seed, trace=ReplayTrace())
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
+        net.attach(0, 1, lambda *a: None)
+        net.attach(1, 1, lambda *a: None)
         for _ in range(30):
             net.submit(Packet(0, 1, 1, bytes(500), "data"))
         sim.run(10 * SEC)

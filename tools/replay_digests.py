@@ -11,6 +11,8 @@ of 4 cells and 2 seeds each, 88 simulations. It prints one line each,
 
 `cell` being the sweep cell's axis values and the run's seed. Two commits
 that simulate the same thing print the same lines: `diff` their outputs.
+`tools/replay_digests.expected` holds the full-size lines; CI diffs a
+fresh run against it.
 `--tiny` uses `workloads.TINY`, which runs in about a second.
 """
 
