@@ -11,13 +11,8 @@ byte capacity and residency time-limit. The head of a non-empty FIFO is
 the packet in service. Service time is bytes * 8 / data_rate and a
 transmission reaches every in-range receiver (one for unicast), subject
 to an optional per-receiver Bernoulli loss draw. A node hands a message's
-packets to its queue in one call, `submit_message`, which queues, drops
-and reports them exactly as one `submit` per packet would.
-
-Delivery is by (address, port), like the two UDP sockets of an IP
-convergence layer: each port of a node's address has its own handler, so
-data packets go straight to the protocol's data handler. A packet to a
-port with no handler is delivered and dropped.
+packets to its queue in one call, `NodeTransport.unicast_message`, which
+queues, drops and reports them exactly as one `unicast` per packet would.
 
 Range is decided when a transmission completes. The exact check
 interpolates both positions and tests dx*dx + dy*dy <= R*R. Each pair
@@ -249,39 +244,39 @@ class RadioNetwork:
         # Per node: FIFO of (packet, enqueued_at) and its queued bytes.
         self._fifos: list[deque[tuple[Packet, int]]] = [deque() for _ in trajectories]
         self._queued = [0] * self._n
-        # (address, port) -> packet handler(sender_addr, port, data, msg_dst, now, payload)
-        self._handlers: dict[
-            tuple[int, int], Callable[[int, int, bytes, int | None, int, bytes], None]
-        ] = {}
+        # address -> packet handler(sender_addr, port, data, msg_dst, now, payload)
+        self._handlers: dict[int, Callable[[int, int, bytes, int | None, int, bytes], None]] = {}
         # (packet, receiver) of deliveries scheduled but not yet executed.
         # Every delivery lands a fixed propagation delay after it was
         # scheduled, so they execute in the order they were scheduled.
         self._in_flight: deque[tuple[Packet, int]] = deque()
-        # Per node, made once (see _service): serve(now) schedules the
-        # head's transmission, and its completion callback ends it.
-        self._serves: list[Callable[[int], None]] = []
+        self._deliver = self._delivery()
+        # Per node, made once (see _service): enqueue(packets) hands packets
+        # to its device queue, and its completion callback ends the head's
+        # transmission.
+        self._enqueues: list[Callable[[Sequence[Packet]], None]] = []
         self._completions: list[Callable[[], None]] = []
         for node in range(self._n):
-            serve, complete = self._service(node)
-            self._serves.append(serve)
+            enqueue, complete = self._service(node)
+            self._enqueues.append(enqueue)
             self._completions.append(complete)
 
     def attach(
         self,
         address: int,
-        port: int,
         handler: Callable[[int, int, bytes, int | None, int, bytes], None],
     ) -> None:
-        """Deliver the datagrams to (address, port) to `handler`.
-
-        A datagram to a pair with no handler is delivered and dropped.
-        """
-        if (address, port) in self._handlers:
-            raise ValueError(f"duplicate handler for address {address} port {port}")
-        self._handlers[address, port] = handler
+        if address in self._handlers:
+            raise ValueError(f"duplicate node address {address}")
+        self._handlers[address] = handler
 
     def in_range(self, a: int, b: int, t_us: int) -> bool:
-        """Whether nodes a and b are within radio range at t_us."""
+        """Whether nodes a and b are within radio range at t_us.
+
+        _service's complete() reads the certificate the same way, inlined
+        to save a call per receiver: a change to this rule must be made
+        there too.
+        """
         since, until, inside = self._certs[a * self._n + b]
         if since < t_us < until:
             return inside
@@ -314,75 +309,34 @@ class RadioNetwork:
 
     def submit(self, packet: Packet) -> None:
         """Place a packet on its sender's device queue (tail-drop on overflow)."""
-        self._enqueue(packet.src, (packet,))
+        self._enqueues[packet.src]((packet,))
 
-    def submit_message(
-        self,
-        src: int,
-        dst: int,
-        port: int,
-        headers: Sequence[bytes],
-        kind: str,
-        msg_dst: int | None,
-        payloads: Sequence[bytes],
-    ) -> None:
-        """Submit one unicast packet per (header, payload) pair, in order.
+    def _service(
+        self, node: int
+    ) -> tuple[Callable[[Sequence[Packet]], None], Callable[[], None]]:
+        """A node's device-queue service as closures: enqueue and complete.
 
-        The same as submitting each `Packet(src, dst, port, header, kind,
-        msg_dst, payload)` in turn, in one call.
-        """
-        # A loop, not a comprehension: it costs less for a one-packet message.
-        packets = []
-        for header, payload in zip(headers, payloads):
-            packets.append(Packet(src, dst, port, header, kind, msg_dst, payload))
-        self._enqueue(src, packets)
+        enqueue(packets) appends the packets in order, tail-dropping each
+        that does not fit, and serves a queue that was idle once, after the
+        last packet. That is what handing them over one at a time does: the
+        first that fits would start service at `now`, and the later ones
+        schedule nothing. Nothing enqueues during service or completion, so
+        an idle queue is an empty one.
 
-    def _enqueue(self, src: int, packets: Sequence[Packet]) -> None:
-        """Append packets to src's device queue in order, tail-dropping each
-        that does not fit.
-
-        A queue that was idle starts service once, after the last packet.
-        That is what submitting them one at a time does: the first that
-        fits would start it at `now`, and the later ones schedule nothing.
-        Nothing submits during service or completion, so an idle queue is
-        an empty one.
-        """
-        fifo = self._fifos[src]
-        idle = not fifo
-        now = self.sim.now
-        capacity = self._capacity
-        queued = self._queued[src]
-        packet_event = self.trace.packet_event
-        for packet in packets:
-            size = packet.size
-            packet_event(packet.kind, PKT_SUBMITTED, size, src, packet.dst)
-            if queued + size > capacity:
-                packet_event(packet.kind, PKT_OVERFLOW, size, src, packet.dst)
-            else:
-                fifo.append((packet, now))
-                queued += size
-        self._queued[src] = queued
-        if idle and fifo:
-            self._serves[src](now)
-
-    def _service(self, node: int) -> tuple[Callable[[int], None], Callable[[], None]]:
-        """A node's device-queue service as two closures, serve and complete.
-
-        serve(now), which both the hand-over to an idle queue and every
-        completion call, drops the heads that are past residency and
-        schedules the transmission of the first that is not. complete()
-        ends the head's transmission: it reports it, decides range (a unicast reads
-        the pair's certificate as in_range does) and each receiver's loss
-        draw, schedules the deliveries, and serves the next head. complete
-        is scheduled through `self._completions[node]`, not by its own
-        name: finalize clears that list, which breaks the closures' only
-        reference cycle.
+        serve(now), which both enqueue and every completion call, drops the
+        heads that are past residency and schedules the transmission of the
+        first that is not. complete() ends the head's transmission: it
+        reports it, decides range and each receiver's loss draw, schedules
+        the deliveries, and serves the next head. complete is scheduled
+        through `self._completions[node]`, not by its own name: finalize
+        clears that list, which breaks the closures' only reference cycle.
         """
         fifo = self._fifos[node]
         queued = self._queued
         completions = self._completions
         sim = self.sim
         packet_event = self.trace.packet_event
+        capacity = self._capacity
         residency_us = self._residency_us
         rate = self._rate
         certs = self._certs
@@ -394,6 +348,22 @@ class RadioNetwork:
         prop_us = self._prop_us
         loss = self._loss
         draw = self._loss_rng.random
+
+        def enqueue(packets: Sequence[Packet]) -> None:
+            idle = not fifo
+            now = sim.now
+            total = queued[node]
+            for packet in packets:
+                size = packet.size
+                packet_event(packet.kind, PKT_SUBMITTED, size, node, packet.dst)
+                if total + size > capacity:
+                    packet_event(packet.kind, PKT_OVERFLOW, size, node, packet.dst)
+                else:
+                    fifo.append((packet, now))
+                    total += size
+            queued[node] = total
+            if idle and fifo:
+                serve(now)
 
         def serve(now: int) -> None:
             while fifo:
@@ -412,42 +382,43 @@ class RadioNetwork:
             queued[node] -= size
             now = sim.now
             packet_event(kind, PKT_TRANSMITTED, size, node, dst)
-            if dst is None:
-                # A loop, not a comprehension: one would make `now` a cell
-                # variable, allocated on every completion.
-                in_range = self.in_range
-                receivers = []
-                for other in others:
-                    if in_range(node, other, now):
-                        receivers.append(other)
-            else:
-                since, until, inside = certs[row + dst]
+            # A broadcast reaches every other node in range, a unicast its
+            # destination if in range.
+            for receiver in others if dst is None else (dst,):
+                # in_range(node, receiver, now), inlined: keep the two in step.
+                since, until, inside = certs[row + receiver]
                 if not since < now < until:
-                    inside = exact_in_range(node, dst, now)
-                if inside:
-                    receivers = (dst,)
-                else:
-                    packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
-                    receivers = ()
-            for receiver in receivers:
-                if loss and draw() < loss:
+                    inside = exact_in_range(node, receiver, now)
+                if not inside:
+                    if dst is not None:
+                        packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
+                elif loss and draw() < loss:
                     packet_event(kind, PKT_LOSS, size, node, receiver)
                 else:
                     in_flight.append((packet, receiver))
                     sim.schedule(now + prop_us, EVENT_PACKET_DELIVERY, deliver)
             serve(now)
 
-        return serve, complete
+        return enqueue, complete
 
-    def _deliver(self) -> None:
-        packet, receiver = self._in_flight.popleft()
-        self.trace.packet_event(
-            packet.kind, PKT_DELIVERED, packet.size, packet.src, receiver
-        )
-        port = packet.port
-        handler = self._handlers.get((receiver, port))
-        if handler is not None:
-            handler(packet.src, port, packet.data, packet.msg_dst, self.sim.now, packet.payload)
+    def _delivery(self) -> Callable[[], None]:
+        """The delivery event, one closure made once for all nodes: it ends
+        the oldest scheduled delivery at its receiver's handler."""
+        in_flight = self._in_flight
+        handlers = self._handlers
+        packet_event = self.trace.packet_event
+        sim = self.sim
+
+        def deliver() -> None:
+            packet, receiver = in_flight.popleft()
+            packet_event(packet.kind, PKT_DELIVERED, packet.size, packet.src, receiver)
+            handler = handlers.get(receiver)
+            if handler is not None:
+                handler(
+                    packet.src, packet.port, packet.data, packet.msg_dst, sim.now, packet.payload
+                )
+
+        return deliver
 
     def finalize(self) -> None:
         """End the run: account packets still queued or still propagating.
@@ -481,6 +452,7 @@ class NodeTransport:
     def __init__(self, network: RadioNetwork, node_id: int) -> None:
         self._network = network
         self._node_id = node_id
+        self._enqueue = network._enqueues[node_id]
 
     def broadcast(self, port: int, data: bytes, kind: str) -> None:
         self._network.submit(Packet(self._node_id, None, port, data, kind))
@@ -508,9 +480,12 @@ class NodeTransport:
         payloads: Sequence[bytes],
     ) -> None:
         """One `unicast` per (header, payload) pair, in order, in one call."""
-        self._network.submit_message(
-            self._node_id, dst, port, headers, kind, msg_dst, payloads
-        )
+        src = self._node_id
+        # A loop, not a comprehension: it costs less for a one-packet message.
+        packets = []
+        for header, payload in zip(headers, payloads):
+            packets.append(Packet(src, dst, port, header, kind, msg_dst, payload))
+        self._enqueue(packets)
 
     def schedule(self, time_us: int, fn: Callable[[], None]) -> None:
         self._network.sim.schedule(time_us, EVENT_TIMER, fn)

@@ -23,13 +23,11 @@ reassembled message has its hop budget decremented, is dropped when
 expired or out of hops, and is otherwise stored (and counted as
 delivered at its destination).
 
-Control and data packets travel to distinct ports, the two UDP ports of
-an IP convergence layer: the radio hands control datagrams to
-handle_packet and data datagrams to on_data_packet. A message's data
-packets are handed to the radio in one call, each as its header block
-plus a reference to the stored payload bytes, which the receiver stores
-as they are: every copy of a message shares the originator's payload
-objects.
+Control and data packets travel on distinct logical channels, standing in
+for the two UDP ports of an IP convergence layer. A message's data packets
+are handed to the radio in one call, each as its header block plus a
+reference to the stored payload bytes, which the receiver stores as they
+are: every copy of a message shares the originator's payload objects.
 """
 
 from __future__ import annotations
@@ -284,17 +282,15 @@ class EpidemicNode:
         now: int,
         payload: bytes = b"",
     ) -> None:
-        """One received datagram, `data + payload`, on any port.
+        """One received datagram, `data + payload`.
 
-        The radio delivers control datagrams here and data datagrams
-        straight to on_data_packet. A data packet's `data` is its header
-        block (or the whole datagram if shorter) and `payload` the rest; a
-        control packet is all `data`. A control packet failing a receive
-        check of docs/wire-format.md is counted once as control/malformed
-        and changes no state.
+        A data packet's `data` is its header block (or the whole datagram
+        if shorter) and `payload` the rest; a control packet is all `data`.
+        A control packet failing a receive check of docs/wire-format.md is
+        counted once as control/malformed and changes no state.
         """
         if port == PORT_DATA:
-            self.on_data_packet(sender_addr, port, data, msg_dst, now, payload)
+            self.on_data_packet(data, payload, sender_addr, msg_dst, now)
             return
         try:
             code, node_id = decode_envelope(data)
@@ -427,22 +423,15 @@ class EpidemicNode:
     # -- reception ------------------------------------------------------------
 
     def on_data_packet(
-        self,
-        sender_addr: int,
-        port: int,
-        data: bytes,
-        msg_dst: int | None,
-        now: int,
-        payload: bytes = b"",
+        self, data: bytes, payload: bytes, sender_addr: int, msg_dst: int | None, now: int
     ) -> None:
         """Add one data packet to its sender's reception buffer.
 
-        The radio's handler for this node's data port; its arguments are
-        handle_packet's. `data` is the packet's header block and `payload`
-        the bytes after it, which are stored as they are (not copied). The
-        receive checks and their accounting are those of
-        docs/wire-format.md: a packet failing one is counted once as
-        data/malformed and changes no reception state.
+        `data` is the packet's header block and `payload` the bytes after
+        it, which are stored as they are (not copied). The receive checks
+        and their accounting are those of docs/wire-format.md: a packet
+        failing one is counted once as data/malformed and changes no
+        reception state.
         """
         try:
             epi_raw, hop_count, raw, last_hop, total, index = decode_data_headers(data)

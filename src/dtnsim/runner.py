@@ -11,7 +11,7 @@ import random
 
 from .metrics import RunReport, compute
 from .netsim import EVENT_TRAFFIC, NodeTransport, RadioNetwork, Simulator, to_us
-from .protocol import PORT_CONTROL, PORT_DATA, EpidemicNode
+from .protocol import EpidemicNode
 from .records import RunTrace
 from .scenario import Scenario
 from .traffic import build_schedule, generate_message, message_payloads
@@ -43,8 +43,7 @@ def build_run(
             trace=trace,
             beacon_rng=random.Random(f"{seed}:beacon:{i}"),
         )
-        network.attach(i, PORT_CONTROL, node.handle_packet)
-        network.attach(i, PORT_DATA, node.on_data_packet)
+        network.attach(i, node.handle_packet)
         nodes.append(node)
 
     traffic = scenario.traffic

@@ -192,8 +192,7 @@ def build_world(
         node = EpidemicNode(
             i, i, config, transport, trace, random.Random(f"{seed}:beacon:{i}")
         )
-        net.attach(i, PORT_CONTROL, node.handle_packet)
-        net.attach(i, PORT_DATA, node.on_data_packet)
+        net.attach(i, node.handle_packet)
         nodes.append(node)
     return sim, net, nodes, trace
 

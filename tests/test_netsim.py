@@ -13,6 +13,7 @@ from dtnsim.netsim import (
     EVENT_TIMER,
     EVENT_TRAFFIC,
     LinkModel,
+    NodeTransport,
     Packet,
     RadioNetwork,
     Simulator,
@@ -29,8 +30,7 @@ from dtnsim.records import (
     ReplayTrace,
     RunTrace,
 )
-from dtnsim.protocol import PORT_CONTROL, PORT_DATA, ProtocolConfig
-from dtnsim.wire import MessageTypeHeader, MsgType
+from dtnsim.protocol import PORT_DATA, ProtocolConfig
 
 SEC = 1_000_000
 
@@ -404,8 +404,8 @@ class TestTransmission:
     def test_unicast_zero_loss_delivers_everything(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda src, port, data, msg_dst, now, payload: got.append((data, now)))
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append((data, now)))
         for i in range(5):
             net.submit(Packet(0, 1, 1, bytes(1472), "data"))
         sim.run(10 * SEC)
@@ -418,8 +418,8 @@ class TestTransmission:
     def test_payload_delivered_by_reference(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
-        net.attach(0, 2, lambda *a: None)
-        net.attach(1, 2, lambda src, port, data, msg_dst, now, payload: got.append(
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
             (data, payload, msg_dst, now)
         ))
         data, payload = bytes(30), bytes(range(256)) * 5 + bytes(162)
@@ -442,15 +442,15 @@ class TestTransmission:
         sim, net, trace = make_net([(0, 0), (10, 0), (20, 0), (500, 0)])
         got = []
         for i in range(4):
-            net.attach(i, 1, lambda src, port, data, msg_dst, now, payload, i=i: got.append(i))
+            net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append(i))
         net.submit(Packet(0, None, 1, b"abc", "beacon"))
         sim.run(SEC)
         assert sorted(got) == [1, 2]  # node 3 out of range, sender excluded
 
     def test_out_of_range_unicast_counted(self):
         sim, net, trace = make_net([(0, 0), (500, 0)])
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         net.submit(Packet(0, 1, 1, b"abc", "data"))
         sim.run(SEC)
         assert trace.count("data", PKT_OUT_OF_RANGE) == 1
@@ -474,8 +474,8 @@ class TestTransmission:
             random.Random(1),
             trace,
         )
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         for _ in range(100):
             net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(10 * SEC)
@@ -486,8 +486,8 @@ class TestTransmission:
 
     def test_bernoulli_loss(self):
         sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.5, seed=3)
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         for _ in range(200):
             net.submit(Packet(0, 1, 1, bytes(100), "data"))
         sim.run(10 * SEC)
@@ -500,8 +500,8 @@ class TestDeviceQueue:
     def test_overflow_tail_drops_newest(self):
         # Two 1500-byte-on-air packets fill the queue; the third tail-drops.
         sim, net, trace = make_net([(0, 0), (10, 0)], queue_capacity=3000)
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         for _ in range(3):
             net.submit(Packet(0, 1, 1, bytes(1472), "data"))
         assert trace.count("data", PKT_OVERFLOW) == 1
@@ -512,8 +512,8 @@ class TestDeviceQueue:
         sim, net, trace = make_net(
             [(0, 0), (10, 0)], rate=1e4, residency_us=2 * SEC
         )
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         # 1500 bytes at 10 kbps = 1.2 s per packet; the 4th packet waits
         # 3.6 s > 2 s residency and is dropped when it reaches the head.
         for _ in range(4):
@@ -540,8 +540,8 @@ class TestDeviceQueue:
             random.Random(1),
             trace,
         )
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         return sim, net, trace
 
     @staticmethod
@@ -592,8 +592,8 @@ class TestDeviceQueue:
 
     def test_unsent_at_end_accounted(self):
         sim, net, trace = make_net([(0, 0), (10, 0)], rate=1e4)
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         for _ in range(5):
             net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(100)  # far too short to transmit anything
@@ -614,8 +614,8 @@ class TestDeviceQueue:
             random.Random(1),
             trace,
         )
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(10_000)  # past service completion, before delivery
         net.finalize()
@@ -640,7 +640,7 @@ class TestDeviceQueue:
         )
         got = []
         for i in range(3):
-            net.attach(i, 1, lambda src, port, data, msg_dst, now, payload, i=i: got.append((now, src, i, data)))
+            net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append((now, src, i, data)))
         net.submit(Packet(0, 1, 1, b"a" * 1472, "data"))  # on air 0..1000 us
         net.submit(Packet(2, None, 1, b"b" * 722, "beacon"))  # 0..500 us
         net.submit(Packet(1, 0, 1, b"c" * 1472, "data"))  # 0..1000 us
@@ -658,8 +658,8 @@ class TestDeviceQueue:
         sim, net, trace = make_net(
             [(0, 0), (10, 0)], loss=0.2, queue_capacity=6000, seed=9
         )
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         for _ in range(50):
             net.submit(Packet(0, 1, 1, bytes(1500), "data"))
         sim.run(2000)  # cut the run off mid-queue
@@ -682,7 +682,7 @@ class TestDeviceQueue:
 
 class TestMessageHandOver:
     """A message handed over in one call is queued, served and delivered
-    exactly as its packets submitted one at a time."""
+    exactly as its packets unicast one at a time."""
 
     # Four 1500-byte packets on air (30 + 1442 + 28) and a short last one
     # of 158 bytes (30 + 100 + 28).
@@ -702,16 +702,18 @@ class TestMessageHandOver:
             trace,
         )
         got = []
-        net.attach(1, PORT_DATA, lambda src, port, data, msg_dst, now, payload: got.append(
+        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
             (src, data, payload, msg_dst, now)
         ))
 
+        transport = NodeTransport(net, 0)
+
         def hand_over():
             if as_message:
-                net.submit_message(0, 1, PORT_DATA, self.HEADERS, "data", 1, self.PAYLOADS)
+                transport.unicast_message(1, PORT_DATA, self.HEADERS, "data", 1, self.PAYLOADS)
             else:
                 for header, payload in zip(self.HEADERS, self.PAYLOADS):
-                    net.submit(Packet(0, 1, PORT_DATA, header, "data", 1, payload))
+                    transport.unicast(1, PORT_DATA, header, "data", 1, payload)
 
         if busy:
             net.submit(Packet(0, 1, PORT_DATA, bytes(1472), "data", 1))  # on air 0..1000 µs
@@ -748,42 +750,6 @@ class TestMessageHandOver:
         assert [now for *_, now in got] == [1_000, 2_000, 3_000, 4_000, 5_000, 5_106]
 
 
-class TestPortDelivery:
-    CONFIG = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
-
-    def _deliver_beacon(self, port):
-        """A beacon from node 0 delivered to node 1's `port`; nodes not started."""
-        sim, net, nodes, trace = build_world(
-            static_trace((0, 0), (50, 0)), self.CONFIG, LinkModel(12e6, 100.0)
-        )
-        beacon = MessageTypeHeader(MsgType.BEACON, 0).encode()
-        net.submit(Packet(0, 1, port, beacon, "beacon"))
-        sim.run(SEC)
-        return trace, nodes[1]
-
-    def test_datagram_to_a_port_without_handler_is_delivered_and_changes_nothing(self):
-        trace, node = self._deliver_beacon(3)  # neither PORT_CONTROL nor PORT_DATA
-        assert trace.count("beacon", PKT_DELIVERED) == 1
-        assert node.neighbors == {}
-        assert trace.pair_counts == {
-            (0, 1, "beacon", PKT_SUBMITTED): 1,
-            (0, 1, "beacon", PKT_TRANSMITTED): 1,
-            (0, 1, "beacon", PKT_DELIVERED): 1,
-        }
-
-    def test_same_datagram_to_the_control_port_is_handled(self):
-        trace, node = self._deliver_beacon(PORT_CONTROL)
-        assert trace.count("beacon", PKT_DELIVERED) == 1
-        assert list(node.neighbors) == [0]
-
-    def test_one_handler_per_address_and_port(self):
-        sim, net, trace = make_net([(0, 0), (10, 0)])
-        net.attach(1, PORT_CONTROL, lambda *a: None)
-        net.attach(1, PORT_DATA, lambda *a: None)
-        with pytest.raises(ValueError, match="duplicate"):
-            net.attach(1, PORT_DATA, lambda *a: None)
-
-
 def test_recording_transport_logs_in_submitted_order():
     # A message handed over in one call is logged packet by packet, so the
     # k-th logged packet is the packet of the trace's k-th submitted event.
@@ -810,8 +776,8 @@ def test_recording_transport_logs_in_submitted_order():
 class TestDeterminism:
     def _run(self, seed):
         sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.3, seed=seed, trace=ReplayTrace())
-        net.attach(0, 1, lambda *a: None)
-        net.attach(1, 1, lambda *a: None)
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda *a: None)
         for _ in range(30):
             net.submit(Packet(0, 1, 1, bytes(500), "data"))
         sim.run(10 * SEC)
