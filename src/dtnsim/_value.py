@@ -1,0 +1,57 @@
+"""Value semantics for slotted classes whose fields are their `__slots__`.
+
+A constructor takes the fields in slot order and stores them with `_set`.
+Two `Value`s of one class compare field by field; a `Value` prints as
+`Name(field=value, ...)` and pickles through its constructor, which checks
+the copy again. A `Frozen` value is also read-only and hashable.
+"""
+
+from __future__ import annotations
+
+import math
+
+
+class Value:
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        """A copy made by the constructor, with `changes` applied."""
+        return type(self)(**{**dict(zip(self.__slots__, self._fields())), **changes})
+
+    def _require_finite(self, *names: str) -> None:
+        """Reject a NaN or infinite value in a float field; None passes."""
+        for name in names:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Frozen(Value):
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._fields())

@@ -14,7 +14,6 @@ arrival_expired or too_large message) is recorded in the run's trace.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from heapq import heapify, heappop
 from typing import Iterable, Iterator
 
@@ -32,7 +31,6 @@ from .wire import NODE_ID_MAX, TIMESTAMP_MAX, MessageId
 _NONE_STORED = TIMESTAMP_MAX + 1
 
 
-@dataclass(slots=True)
 class QueueEntry:
     """One complete message: ordered packet payloads plus routing state.
 
@@ -40,25 +38,27 @@ class QueueEntry:
     of the message in the run.
     """
 
-    message_id: MessageId
-    destination: int
-    packets: tuple[bytes, ...]
-    hop_budget: int
-    byte_size: int = field(init=False)
+    __slots__ = ("message_id", "destination", "packets", "hop_budget", "byte_size")
 
-    def __post_init__(self) -> None:
-        if not self.packets:
+    def __init__(
+        self, message_id: MessageId, destination: int, packets: tuple[bytes, ...], hop_budget: int
+    ) -> None:
+        if not packets:
             raise ValueError("a message has at least one packet")
-        if not 0 <= self.destination <= NODE_ID_MAX:
-            raise ValueError(f"destination out of 16-bit range: {self.destination}")
-        if self.hop_budget < 0:
+        if not 0 <= destination <= NODE_ID_MAX:
+            raise ValueError(f"destination out of 16-bit range: {destination}")
+        if hop_budget < 0:
             raise ValueError("hop_budget must be non-negative")
         # Shared payloads must be immutable.
         size = 0
-        for p in self.packets:
+        for p in packets:
             if type(p) is not bytes:
                 raise TypeError(f"packet payloads must be bytes, got {type(p).__name__}")
             size += len(p)
+        self.message_id = message_id
+        self.destination = destination
+        self.packets = packets
+        self.hop_budget = hop_budget
         self.byte_size = size
 
     @property

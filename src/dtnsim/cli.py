@@ -15,7 +15,6 @@ some cell failed, and 2 if none ran, in which case nothing is written.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
 from pathlib import Path
@@ -64,7 +63,7 @@ def _parse_axis(text: str) -> tuple[str, list[str]]:
     return key, parts
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser) -> None:
     parser.add_argument("scenario", help="scenario file path")
     parser.add_argument(
         "--seeds", type=int, metavar="N", help="run seeds 1..N (overrides the scenario)"
@@ -154,6 +153,8 @@ def _cmd(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, not at the top: a simulation that parses no flags skips it
+
     parser = argparse.ArgumentParser(
         prog="dtnsim",
         description="Epidemic DTN routing simulator over an IP-style convergence layer",

@@ -14,10 +14,9 @@ of degrees of freedom is the finite series of Abramowitz & Stegun 26.7.3
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .records import (
     CONTROL_KINDS,
@@ -39,8 +38,7 @@ METRIC_FIELDS = (
 )
 
 
-@dataclass(slots=True)
-class RunReport:
+class RunReport(NamedTuple):
     seed: int
     generated: int
     delivered: int
@@ -54,7 +52,7 @@ class RunReport:
     bytes_transmitted: int
     data_packets_sent: int
     control_packets_sent: int
-    drops: dict[str, int] = field(default_factory=dict)
+    drops: dict[str, int]
 
 
 def compute(trace: RunTrace, seed: int = 0) -> RunReport:
@@ -221,6 +219,8 @@ def aggregate_row(reports: list[RunReport]) -> dict[str, str]:
 
 
 def write_csv(path: Path, columns: tuple[str, ...], rows: list[dict[str, str]]) -> None:
+    import csv  # here, not at the top: a simulation that writes no CSV skips it
+
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()

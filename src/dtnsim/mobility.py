@@ -18,7 +18,7 @@ import bisect
 import math
 import re
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TraceParseError(ValueError):
@@ -33,8 +33,7 @@ _WAYPOINT_RE = re.compile(
 )
 
 
-@dataclass(slots=True)
-class _Segment:
+class _Segment(NamedTuple):
     t0: float
     x0: float
     y0: float
@@ -59,13 +58,17 @@ class Trajectory:
         self._segments: list[_Segment] = []
         self._starts: list[float] = []
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Trajectory:
+            return NotImplemented
+        return (self.initial, self._segments) == (other.initial, other._segments)
+
     def add_waypoint(self, t: float, x: float, y: float, speed: float) -> None:
         """Start moving toward (x, y) at time t with the given speed."""
         x0, y0 = self.position_at(t)
         if self._segments and t < self._segments[-1].t1:
             # A new command mid-flight truncates the current segment.
-            seg = self._segments[-1]
-            seg.t1, seg.x1, seg.y1 = t, x0, y0
+            self._segments[-1] = self._segments[-1]._replace(t1=t, x1=x0, y1=y0)
         dist = math.hypot(x - x0, y - y0)
         if speed <= 0.0 or dist == 0.0:
             return

@@ -45,9 +45,9 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._value import Value
 from .mobility import Trajectory
 from .records import (
     PKT_DELIVERED,
@@ -152,16 +152,15 @@ def service_time_us(size_bytes: int, rate_bps: int) -> int:
     return (size_bytes * 8_000_000 + rate_bps - 1) // rate_bps
 
 
-@dataclass(slots=True)
-class LinkModel:
+class LinkModel(Value):
     """Radio abstraction: shared rate, unit-disk range, optional loss."""
 
-    data_rate_bps: float = 12e6
-    radio_range_m: float = 100.0
-    loss_probability: float = 0.0
-    propagation_delay_s: float = 0.0
+    __slots__ = ("data_rate_bps", "radio_range_m", "loss_probability", "propagation_delay_s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, data_rate_bps: float = 12e6, radio_range_m: float = 100.0,
+                 loss_probability: float = 0.0, propagation_delay_s: float = 0.0) -> None:
+        self._set(data_rate_bps, radio_range_m, loss_probability, propagation_delay_s)
+        self._require_finite(*self.__slots__)
         if round(self.data_rate_bps) < 1:
             raise ValueError("data_rate_bps must be at least 1 bit/s")
         if self.radio_range_m <= 0:
@@ -172,18 +171,10 @@ class LinkModel:
             raise ValueError("propagation_delay_s must be non-negative")
 
 
-@dataclass(slots=True, init=False)
 class Packet:
     """One link-layer packet; msg_dst mirrors the encapsulated IP destination."""
 
-    src: int
-    dst: int | None  # None = broadcast
-    port: int
-    data: bytes
-    kind: str
-    msg_dst: int | None
-    payload: bytes
-    size: int  # on-air bytes: data, payload and the IPv4/UDP encapsulation
+    __slots__ = ("src", "dst", "port", "data", "kind", "msg_dst", "payload", "size")
 
     def __init__(
         self,
@@ -196,12 +187,13 @@ class Packet:
         payload: bytes = b"",
     ) -> None:
         self.src = src
-        self.dst = dst
+        self.dst = dst  # None = broadcast
         self.port = port
         self.data = data
         self.kind = kind
         self.msg_dst = msg_dst
         self.payload = payload
+        # On-air bytes: data, payload and the IPv4/UDP encapsulation.
         self.size = len(data) + len(payload) + IP_UDP_HEADER_BYTES
 
 

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
+from ._value import Value
 from .buffer import MessageBuffer, QueueEntry
 from .netsim import MAX_DATAGRAM_PAYLOAD, to_us
 from .records import (
@@ -89,18 +89,18 @@ MAX_CONTROL_PAYLOAD = MAX_DATAGRAM_PAYLOAD - MESSAGE_TYPE_SIZE
 MAX_PACKET_PAYLOAD = MAX_DATAGRAM_PAYLOAD - DATA_HEADERS_SIZE
 
 
-@dataclass(slots=True)
-class ProtocolConfig:
+class ProtocolConfig(Value):
     """Per-node protocol parameters; time fields are seconds."""
 
-    beacon_interval: float = 1.0
-    beacon_randomness: float = 0.1
-    buffer_capacity: int = 5_000_000
-    message_ttl: float = 3600.0
-    hop_limit: int = 50
-    max_control_payload: int = 1400
+    __slots__ = ("beacon_interval", "beacon_randomness", "buffer_capacity",
+                 "message_ttl", "hop_limit", "max_control_payload")
 
-    def __post_init__(self) -> None:
+    def __init__(self, beacon_interval: float = 1.0, beacon_randomness: float = 0.1,
+                 buffer_capacity: int = 5_000_000, message_ttl: float = 3600.0,
+                 hop_limit: int = 50, max_control_payload: int = 1400) -> None:
+        self._set(beacon_interval, beacon_randomness, buffer_capacity,
+                  message_ttl, hop_limit, max_control_payload)
+        self._require_finite("beacon_interval", "beacon_randomness", "message_ttl")
         # Times are whole microseconds: a beacon interval that rounds to 0
         # would fire beacons at one instant forever.
         if self.beacon_interval_us < 1:
@@ -152,18 +152,21 @@ def build_summary_fragments(ids: list[MessageId], max_control_payload: int) -> l
     ]
 
 
-@dataclass(slots=True)
 class ReceptionBuffer:
     """Reassembly of the one message being received from a neighbor."""
 
-    message_id: MessageId
-    packet_total: int
-    hop_count: int
-    msg_dst: int
-    received: dict[int, bytes] = field(default_factory=dict)
+    __slots__ = ("message_id", "packet_total", "hop_count", "msg_dst", "received")
+
+    def __init__(
+        self, message_id: MessageId, packet_total: int, hop_count: int, msg_dst: int
+    ) -> None:
+        self.message_id = message_id
+        self.packet_total = packet_total
+        self.hop_count = hop_count
+        self.msg_dst = msg_dst
+        self.received: dict[int, bytes] = {}
 
 
-@dataclass(slots=True)
 class NeighborRecord:
     """All state of the contact with one live neighbor.
 
@@ -173,13 +176,16 @@ class NeighborRecord:
     `rx` is the message being received from it, if any.
     """
 
-    node_id: int
-    address: int
-    last_heard: int
-    summary_accum: set[int] = field(default_factory=set)
-    pending: deque[MessageId] = field(default_factory=deque)
-    in_flight: MessageId | None = None
-    rx: ReceptionBuffer | None = None
+    __slots__ = ("node_id", "address", "last_heard", "summary_accum", "pending", "in_flight", "rx")
+
+    def __init__(self, node_id: int, address: int, last_heard: int) -> None:
+        self.node_id = node_id
+        self.address = address
+        self.last_heard = last_heard
+        self.summary_accum: set[int] = set()
+        self.pending: deque[MessageId] = deque()
+        self.in_flight: MessageId | None = None
+        self.rx: ReceptionBuffer | None = None
 
 
 class Transport(Protocol):

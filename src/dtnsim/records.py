@@ -1,15 +1,17 @@
 """Simulation trace records and the per-run trace accumulator.
 
 Message records are built by the trace from the fields that the protocol
-and the buffer report; packet outcomes are folded into counters keyed by
-(src, dst, kind, outcome). `runner.build_run` fills the trace it is given,
-a plain RunTrace by default; replay checks pass a ReplayTrace instead.
+and the buffer report. A record is a NamedTuple: it prints as
+`Name(field=value, ...)` and equals the plain tuple of its values. Packet
+outcomes are folded into counters keyed by (src, dst, kind, outcome).
+`runner.build_run` fills the trace it is given, a plain RunTrace by
+default; replay checks pass a ReplayTrace instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .wire import MessageId
 
@@ -70,8 +72,7 @@ MSG_DROP_CAUSES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class MessageGenerated:
+class MessageGenerated(NamedTuple):
     time_us: int
     message_id: MessageId
     source: int
@@ -80,8 +81,7 @@ class MessageGenerated:
     packet_total: int
 
 
-@dataclass(frozen=True, slots=True)
-class MessageDelivered:
+class MessageDelivered(NamedTuple):
     time_us: int
     message_id: MessageId
     node: int
@@ -89,8 +89,7 @@ class MessageDelivered:
     hops: int
 
 
-@dataclass(frozen=True, slots=True)
-class TransferCompleted:
+class TransferCompleted(NamedTuple):
     """One complete hop-by-hop message reception, duplicates included."""
 
     time_us: int
@@ -99,8 +98,7 @@ class TransferCompleted:
     to_node: int
 
 
-@dataclass(frozen=True, slots=True)
-class MessageDropped:
+class MessageDropped(NamedTuple):
     time_us: int
     node: int
     message_id: MessageId

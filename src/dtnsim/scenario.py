@@ -2,7 +2,8 @@
 
 Each key sets one field of `ProtocolConfig`, `LinkModel`, `TrafficParams`
 or the `Scenario` itself (`_SCHEMA`). Those classes hold the only defaults
-and bounds; `build_scenario` adds the rules that span several keys: the
+and bounds, and reject a non-finite float field however they are built;
+they compare by value, and a Scenario is frozen. `build_scenario` adds the rules that span several keys: the
 traffic window lies within the duration, traffic has at least two
 nodes, a message fits a node's buffer, and the device queue defaults to
 the buffer capacity and two beacon intervals. Unknown or repeated keys,
@@ -24,9 +25,9 @@ Example:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ._value import Frozen
 from .mobility import Trajectory, parse_ns2_trace
 from .netsim import LinkModel, to_us
 from .protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
@@ -37,15 +38,16 @@ class ScenarioError(ValueError):
     """Bad scenario text, value, or referenced file."""
 
 
-@dataclass(frozen=True, slots=True)
-class TrafficParams:
-    message_count: int = 0
-    message_size: int = 100_000
-    packet_payload: int = 1460
-    start_s: float = 0.0
-    end_s: float | None = None  # defaults to the scenario duration
+class TrafficParams(Frozen):
+    """Generated traffic; an end_s of None stands for the scenario duration."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("message_count", "message_size", "packet_payload", "start_s", "end_s")
+
+    def __init__(self, message_count: int = 0, message_size: int = 100_000,
+                 packet_payload: int = 1460, start_s: float = 0.0,
+                 end_s: float | None = None) -> None:
+        self._set(message_count, message_size, packet_payload, start_s, end_s)
+        self._require_finite("start_s", "end_s")
         if self.message_count < 0:
             raise ValueError("message_count must be non-negative")
         if self.message_size < 1 or self.packet_payload < 1:
@@ -62,20 +64,19 @@ class TrafficParams:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(Frozen):
     """A loaded scenario; its runs share, and never modify, its trajectories."""
 
-    trajectories: tuple[Trajectory, ...]
-    duration_s: float
-    protocol: ProtocolConfig
-    link: LinkModel
-    traffic: TrafficParams
-    queue_capacity: int  # bytes
-    queue_residency_s: float
-    seeds: tuple[int, ...] = (1,)
+    __slots__ = ("trajectories", "duration_s", "protocol", "link", "traffic",
+                 "queue_capacity", "queue_residency_s", "seeds")  # queue_capacity in bytes
 
-    def __post_init__(self) -> None:
+    def __init__(self, trajectories: tuple[Trajectory, ...], duration_s: float,
+                 protocol: ProtocolConfig, link: LinkModel, traffic: TrafficParams,
+                 queue_capacity: int, queue_residency_s: float,
+                 seeds: tuple[int, ...] = (1,)) -> None:
+        self._set(trajectories, duration_s, protocol, link, traffic,
+                  queue_capacity, queue_residency_s, seeds)
+        self._require_finite("duration_s", "queue_residency_s")
         # Times are whole microseconds, as in ProtocolConfig.
         if self.duration_us < 1:
             raise ValueError("duration must be at least 1 µs")
@@ -239,4 +240,4 @@ def load_scenario(path: str | Path, overrides: dict[str, str] | None = None) -> 
 
 
 def with_seeds(scenario: Scenario, seeds: tuple[int, ...]) -> Scenario:
-    return replace(scenario, seeds=seeds)
+    return scenario._replace(seeds=seeds)

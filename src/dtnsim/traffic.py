@@ -11,7 +11,7 @@ per source node, which keeps every message id unique.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .buffer import QueueEntry
 from .wire import make_message_id
@@ -23,8 +23,7 @@ class IdCollisionError(ValueError):
     """A source has more messages than its traffic window has microseconds."""
 
 
-@dataclass(frozen=True, slots=True)
-class MessageSpec:
+class MessageSpec(NamedTuple):
     source: int
     destination: int
     creation_time_us: int

@@ -20,16 +20,18 @@ packet); a summary vector must match its declared length exactly.
 The simulator's per-packet paths do not build header objects: the flat
 codecs at the end of this module pack or parse a whole packet's headers
 with one Struct and return plain ints. The control header classes decode
-through them, so each control receive check is written once.
+through them, so each control receive check is written once. A header
+object is a frozen, hashable value that compares by its fields.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
+
+from ._value import Frozen
 
 NODE_ID_MAX = 0xFFFF
 TIMESTAMP_MAX = (1 << 48) - 1
@@ -150,17 +152,16 @@ def _check_fragment(frag_block: int, length: int) -> None:
         raise ValueError(f"too many ids for one fragment: {length}")
 
 
-@dataclass(frozen=True, slots=True)
-class MessageTypeHeader:
+class MessageTypeHeader(Frozen):
     """Control packet envelope: packet kind plus sender node id."""
 
-    msg_type: MsgType
-    node_id: int
+    __slots__ = ("msg_type", "node_id")
 
-    def __post_init__(self) -> None:
-        if self.msg_type not in _MSG_TYPES:
-            raise ValueError(f"unknown message type: {self.msg_type}")
-        _check_node(self.node_id, "node_id")
+    def __init__(self, msg_type: MsgType, node_id: int) -> None:
+        if msg_type not in _MSG_TYPES:
+            raise ValueError(f"unknown message type: {msg_type}")
+        _check_node(node_id, "node_id")
+        self._set(msg_type, node_id)
 
     def encode(self) -> bytes:
         return _MESSAGE_TYPE.pack(int(self.msg_type), self.node_id)
@@ -171,28 +172,24 @@ class MessageTypeHeader:
         # A known code and a u16 are valid fields, so the constructor's
         # checks are skipped.
         hdr = object.__new__(cls)
-        object.__setattr__(hdr, "msg_type", _MSG_TYPES[code])
-        object.__setattr__(hdr, "node_id", node_id)
+        hdr._set(_MSG_TYPES[code], node_id)
         return hdr
 
 
-@dataclass(frozen=True, slots=True)
-class DataPacketHeader:
+class DataPacketHeader(Frozen):
     """Per-packet message membership: id, forwarder, and reassembly position."""
 
-    message_id: MessageId
-    last_hop: int
-    packet_total: int
-    packet_index: int
+    __slots__ = ("message_id", "last_hop", "packet_total", "packet_index")
 
-    def __post_init__(self) -> None:
-        _check_node(self.last_hop, "last_hop")
-        if self.packet_total < 1 or self.packet_total > 0xFFFFFFFF:
-            raise ValueError(f"packet_total out of range: {self.packet_total}")
-        if not 0 <= self.packet_index < self.packet_total:
-            raise ValueError(
-                f"packet_index {self.packet_index} not below total {self.packet_total}"
-            )
+    def __init__(
+        self, message_id: MessageId, last_hop: int, packet_total: int, packet_index: int
+    ) -> None:
+        _check_node(last_hop, "last_hop")
+        if packet_total < 1 or packet_total > 0xFFFFFFFF:
+            raise ValueError(f"packet_total out of range: {packet_total}")
+        if not 0 <= packet_index < packet_total:
+            raise ValueError(f"packet_index {packet_index} not below total {packet_total}")
+        self._set(message_id, last_hop, packet_total, packet_index)
 
     def encode(self) -> bytes:
         return _DATA_PACKET.pack(
@@ -212,17 +209,17 @@ class DataPacketHeader:
         return cls(_decoded_id(raw), last_hop, total, index)
 
 
-@dataclass(frozen=True, slots=True)
-class AckHeader:
+class AckHeader(Frozen):
     """Hop-by-hop acknowledgement of one completely received message."""
 
-    message_id: MessageId
-    node_id: int
-    status: int = ACK_STATUS_SUCCESS
+    __slots__ = ("message_id", "node_id", "status")
 
-    def __post_init__(self) -> None:
-        _check_node(self.node_id, "node_id")
-        _check_status(self.status)
+    def __init__(
+        self, message_id: MessageId, node_id: int, status: int = ACK_STATUS_SUCCESS
+    ) -> None:
+        _check_node(node_id, "node_id")
+        _check_status(status)
+        self._set(message_id, node_id, status)
 
     def encode(self) -> bytes:
         return _ACK.pack(self.message_id, self.node_id, self.status)
@@ -233,16 +230,15 @@ class AckHeader:
         return cls(_decoded_id(raw), node_id, status)
 
 
-@dataclass(frozen=True, slots=True)
-class EpidemicHeader:
+class EpidemicHeader(Frozen):
     """Routing header on every data packet: message id and remaining hops."""
 
-    message_id: MessageId
-    hop_count: int
+    __slots__ = ("message_id", "hop_count")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.hop_count <= HOP_COUNT_MAX:
-            raise ValueError(f"hop_count out of 32-bit range: {self.hop_count}")
+    def __init__(self, message_id: MessageId, hop_count: int) -> None:
+        if not 0 <= hop_count <= HOP_COUNT_MAX:
+            raise ValueError(f"hop_count out of 32-bit range: {hop_count}")
+        self._set(message_id, hop_count)
 
     def encode(self) -> bytes:
         return _EPIDEMIC.pack(self.message_id, self.hop_count)
@@ -254,18 +250,17 @@ class EpidemicHeader:
         return cls(_decoded_id(raw), hops)
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryVectorHeader:
+class SummaryVectorHeader(Frozen):
     """One fragment of a buffer summary: ordered message ids.
 
     frag_block is 1 when more fragments follow, 0 on the last fragment.
     """
 
-    frag_block: int
-    ids: tuple[MessageId, ...]
+    __slots__ = ("frag_block", "ids")
 
-    def __post_init__(self) -> None:
-        _check_fragment(self.frag_block, len(self.ids))
+    def __init__(self, frag_block: int, ids: tuple[MessageId, ...]) -> None:
+        _check_fragment(frag_block, len(ids))
+        self._set(frag_block, ids)
 
     @property
     def length(self) -> int:

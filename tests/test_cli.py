@@ -408,6 +408,14 @@ def test_cli_import_loads_no_scipy_or_numpy():
     assert [m for m in modules if m.split(".")[0] in ("scipy", "numpy")] == []
 
 
+def test_cli_import_loads_no_dataclasses_argparse_or_csv():
+    # Each is start-up time a simulation does not need: dataclasses also
+    # loads inspect, argparse is imported by main, csv by write_csv.
+    modules = _modules_after_fresh_import()
+    assert "dtnsim.cli" in modules
+    assert [m for m in ("dataclasses", "inspect", "argparse", "csv") if m in modules] == []
+
+
 def test_cli_import_loads_no_openssl():
     # hashlib, and with it OpenSSL, is imported only to dump a ReplayTrace.
     modules = _modules_after_fresh_import()

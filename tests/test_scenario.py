@@ -1,5 +1,7 @@
 """Scenario file parsing, validation, and overrides."""
 
+import math
+import pickle
 import sys
 
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from dtnsim import mobility
 from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD, LinkModel, to_us
 from dtnsim.protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
-from dtnsim.runner import run_seeds
+from dtnsim.records import ReplayTrace
+from dtnsim.runner import run_once, run_seeds
 from dtnsim.scenario import (
     Scenario,
     ScenarioError,
@@ -178,7 +181,7 @@ class TestParsing:
         s = load_scenario(scenario_dir / "scenario.cfg", {"seeds": "1 2"})
         with pytest.raises(ValueError, match="seeds must be distinct"):
             with_seeds(s, (3, 3))
-        fields = {name: getattr(s, name) for name in Scenario.__dataclass_fields__}
+        fields = {name: getattr(s, name) for name in Scenario.__slots__}
         with pytest.raises(ValueError, match="seeds must be distinct"):
             Scenario(**{**fields, "seeds": (1, 2, 2)})
         assert with_seeds(s, (2, 1)).seeds == (2, 1)
@@ -279,6 +282,48 @@ def test_trace_parsed_once_per_load(monkeypatch):
     reports = run_seeds(scenario)
     assert [r.seed for r in reports] == [1, 2, 3]
     assert len(calls) == 1
+
+
+FLOAT_FIELDS = [
+    (ProtocolConfig, "beacon_interval"),
+    (ProtocolConfig, "beacon_randomness"),
+    (ProtocolConfig, "message_ttl"),
+    (LinkModel, "data_rate_bps"),
+    (LinkModel, "radio_range_m"),
+    (LinkModel, "loss_probability"),
+    (LinkModel, "propagation_delay_s"),
+    (TrafficParams, "start_s"),
+    (TrafficParams, "end_s"),
+    (Scenario, "duration_s"),
+    (Scenario, "queue_residency_s"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls, field", FLOAT_FIELDS, ids=[f"{cls.__name__}.{field}" for cls, field in FLOAT_FIELDS]
+)
+def test_non_finite_float_field_rejected_naming_it(cls, field, value):
+    # The loader rejects these as text; a class built in code must reject
+    # them too, with a ValueError that a sweep cell catches, not a NaN run
+    # or an OverflowError from the microsecond conversion.
+    kwargs = {field: value}
+    if cls is Scenario:
+        mini = load_scenario("scenarios/mini.cfg")
+        kwargs = {**{name: getattr(mini, name) for name in Scenario.__slots__}, **kwargs}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**kwargs)
+
+
+def test_loaded_scenario_survives_a_pickle_round_trip():
+    scenario = load_scenario("scenarios/mini.cfg")
+    copy = pickle.loads(pickle.dumps(scenario))
+    assert copy is not scenario and copy == scenario
+    assert copy.trajectories[0] is not scenario.trajectories[0]
+    dumps = [run_once(s, 1, ReplayTrace())[1].dump() for s in (scenario, copy)]
+    assert dumps[0] == dumps[1]
+    with pytest.raises(AttributeError):
+        scenario.seeds = (2,)  # runs share a scenario and never change it
 
 
 class TestOverrides:
