@@ -3,12 +3,20 @@
 A constructor takes the fields in slot order and stores them with `_set`.
 Two `Value`s of one class compare field by field; a `Value` prints as
 `Name(field=value, ...)` and pickles through its constructor, which checks
-the copy again. A `Frozen` value is also read-only and hashable.
+the copy again. `_require_int` rejects a float or a bool in an int field,
+and `_require_finite` a NaN or an infinity in a float field. A `Frozen`
+value is also read-only and hashable.
 """
 
 from __future__ import annotations
 
 import math
+
+
+def require_int(name: str, value: object) -> None:
+    """Reject a value that is not an int, a bool included, for the field `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class Value:
@@ -31,6 +39,11 @@ class Value:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+
+    def _require_int(self, *names: str) -> None:
+        """Reject a non-int, a bool included, in an int field."""
+        for name in names:
+            require_int(name, getattr(self, name))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -1,10 +1,10 @@
 """Run metrics: delivery ratio, latency, hops, replication and byte overheads.
 
-A delivery is the first arrival of a message at its destination;
-replication overhead counts completed hop-by-hop transfers beyond those
-deliveries, per delivery. Byte fractions are taken over all transmitted
-bytes. Reports serialize to CSV, with a seed-aggregate companion carrying
-means and 95% confidence intervals.
+A report reads only a plain RunTrace's counters and its deliveries, the
+first arrival of each message at its destination; replication overhead
+counts completed hop-by-hop transfers beyond those, per delivery. Byte
+fractions are taken over all transmitted bytes. Reports serialize to CSV,
+with a seed-aggregate companion carrying means and 95% confidence intervals.
 
 The confidence interval's Student-t critical value is computed here with
 the standard library: the two-sided mass P(|T| <= t) for an integer number
@@ -57,18 +57,10 @@ class RunReport(NamedTuple):
 
 def compute(trace: RunTrace, seed: int = 0) -> RunReport:
     """Fold one run's trace into a report."""
-    generated = len(trace.generated)
-
-    # First arrival per message; the protocol records one delivery per
-    # message already, so this dedup is defensive.
-    first: dict = {}
-    for rec in trace.deliveries:
-        prev = first.get(rec.message_id)
-        if prev is None or rec.time_us < prev.time_us:
-            first[rec.message_id] = rec
-    deliveries = list(first.values())
+    generated = trace.n_generated
+    deliveries = trace.deliveries
     delivered = len(deliveries)
-    transfers = len(trace.transfers)
+    transfers = trace.n_transfers
 
     mdr = delivered / generated if generated else None
     avg_latency_s = (
@@ -92,9 +84,7 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
         data_packets * DATA_HEADERS_SIZE / total_bytes if total_bytes else 0.0
     )
 
-    drops = {f"msg_{cause}": 0 for cause in MSG_DROP_CAUSES}
-    for rec in trace.message_drops:
-        drops[f"msg_{rec.cause}"] += 1
+    drops = {f"msg_{cause}": n for cause, n in trace.drop_counts.items()}
     for outcome in PKT_DROP_OUTCOMES:
         drops[f"pkt_{outcome}"] = sum(
             n for (kind, out), n in packet_counts.items() if out == outcome

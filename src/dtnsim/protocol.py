@@ -101,6 +101,7 @@ class ProtocolConfig(Value):
         self._set(beacon_interval, beacon_randomness, buffer_capacity,
                   message_ttl, hop_limit, max_control_payload)
         self._require_finite("beacon_interval", "beacon_randomness", "message_ttl")
+        self._require_int("buffer_capacity", "hop_limit", "max_control_payload")
         # Times are whole microseconds: a beacon interval that rounds to 0
         # would fire beacons at one instant forever.
         if self.beacon_interval_us < 1:

@@ -1,11 +1,12 @@
-"""Simulation trace records and the per-run trace accumulator.
+"""Simulation trace records and the per-run trace accumulators.
 
-Message records are built by the trace from the fields that the protocol
-and the buffer report. A record is a NamedTuple: it prints as
+The protocol and the buffer report message events as record fields. A
+plain RunTrace counts messages, transfers and drops by cause, and keeps the
+deliveries, at most one per message; a ReplayTrace also keeps every record,
+and only it has a `dump()`. A record is a NamedTuple: it prints as
 `Name(field=value, ...)` and equals the plain tuple of its values. Packet
 outcomes are folded into counters keyed by (src, dst, kind, outcome).
-`runner.build_run` fills the trace it is given, a plain RunTrace by
-default; replay checks pass a ReplayTrace instead.
+`runner.build_run` fills the trace it is given, a plain RunTrace by default.
 """
 
 from __future__ import annotations
@@ -106,13 +107,14 @@ class MessageDropped(NamedTuple):
 
 
 class RunTrace:
-    """Accumulates one run's records and packet counters."""
+    """Counts one run's messages, transfers and drops, keeps its deliveries,
+    and folds its packet outcomes into counters."""
 
     def __init__(self) -> None:
-        self.generated: list[MessageGenerated] = []
+        self.n_generated = 0
+        self.n_transfers = 0
+        self.drop_counts = dict.fromkeys(MSG_DROP_CAUSES, 0)
         self.deliveries: list[MessageDelivered] = []
-        self.transfers: list[TransferCompleted] = []
-        self.message_drops: list[MessageDropped] = []
         # (src, dst, kind, outcome) -> [packets, bytes]; dst is None for
         # broadcast outcomes with no specific receiver.
         self._pairs: dict[tuple[int, int | None, str, str], list[int]] = {}
@@ -126,9 +128,7 @@ class RunTrace:
         size_bytes: int,
         packet_total: int,
     ) -> None:
-        self.generated.append(
-            MessageGenerated(now, mid, source, destination, size_bytes, packet_total)
-        )
+        self.n_generated += 1
 
     def message_delivered(
         self, now: int, mid: MessageId, node: int, latency_us: int, hops: int
@@ -136,10 +136,10 @@ class RunTrace:
         self.deliveries.append(MessageDelivered(now, mid, node, latency_us, hops))
 
     def transfer_completed(self, now: int, mid: MessageId, from_node: int, to_node: int) -> None:
-        self.transfers.append(TransferCompleted(now, mid, from_node, to_node))
+        self.n_transfers += 1
 
     def message_dropped(self, now: int, node: int, mid: MessageId, cause: str) -> None:
-        self.message_drops.append(MessageDropped(now, node, mid, cause))
+        self.drop_counts[cause] += 1
 
     def packet_event(
         self, kind: str, outcome: str, size: int, src: int, dst: int | None
@@ -178,8 +178,44 @@ class RunTrace:
     def bytes_of(self, kind: str, outcome: str) -> int:
         return self.packet_bytes[(kind, outcome)]
 
+
+class ReplayTrace(RunTrace):
+    """A RunTrace that keeps every record and folds the packet stream, for replay checks."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.generated: list[MessageGenerated] = []
+        self.transfers: list[TransferCompleted] = []
+        self.message_drops: list[MessageDropped] = []
+        # Fold of each packet's (code, size), a code being its key's first-seen
+        # number. Only ints are hashed, so the fold is the same in every process:
+        # str hashes are salted per process, and so is the hash of None on 3.11.
+        self._codes: dict[tuple[int, int | None, str, str], int] = {}
+        self._fold = 0
+
+    def message_generated(self, now: int, mid: MessageId, source: int, destination: int,
+                          size_bytes: int, packet_total: int) -> None:
+        fields = (now, mid, source, destination, size_bytes, packet_total)
+        super().message_generated(*fields)
+        self.generated.append(MessageGenerated(*fields))
+
+    def transfer_completed(self, now: int, mid: MessageId, from_node: int, to_node: int) -> None:
+        super().transfer_completed(now, mid, from_node, to_node)
+        self.transfers.append(TransferCompleted(now, mid, from_node, to_node))
+
+    def message_dropped(self, now: int, node: int, mid: MessageId, cause: str) -> None:
+        super().message_dropped(now, node, mid, cause)
+        self.message_drops.append(MessageDropped(now, node, mid, cause))
+
+    def packet_event(self, kind: str, outcome: str, size: int, src: int, dst: int | None) -> None:
+        super().packet_event(kind, outcome, size, src, dst)
+        code = self._codes.setdefault((src, dst, kind, outcome), len(self._codes))
+        self._fold = hash((self._fold, code, size))
+
     def dump(self) -> str:
-        """Deterministic textual form of the records and the counters."""
+        """Deterministic text: the records, the counters, the packet stream digest."""
+        import hashlib  # here, not at the top: loading OpenSSL slows every import
+
         records = (self.generated, self.deliveries, self.transfers, self.message_drops)
         lines = [repr(r) for recs in records for r in recs]
         packet_bytes = self.packet_bytes
@@ -193,29 +229,7 @@ class RunTrace:
                 self.pair_counts.items(), key=lambda kv: (str(kv[0]), kv[1])
             )
         ]
-        return "\n".join(lines)
-
-
-class ReplayTrace(RunTrace):
-    """A RunTrace whose dump adds a `packet stream digest` line, for replay checks."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Fold of each packet's (code, size), a code being its key's first-seen
-        # number. Only ints are hashed, so the fold is the same in every process:
-        # str hashes are salted per process, and so is the hash of None on 3.11.
-        self._codes: dict[tuple[int, int | None, str, str], int] = {}
-        self._fold = 0
-
-    def packet_event(self, kind: str, outcome: str, size: int, src: int, dst: int | None) -> None:
-        super().packet_event(kind, outcome, size, src, dst)
-        code = self._codes.setdefault((src, dst, kind, outcome), len(self._codes))
-        self._fold = hash((self._fold, code, size))
-
-    def dump(self) -> str:
-        import hashlib  # here, not at the top: loading OpenSSL slows every import
-
         # The first-seen key order maps each code of the fold back to its key.
         stream = f"{self._fold & 0xFFFFFFFFFFFFFFFF:016x}|{list(self._pairs)!r}".encode()
         digest = hashlib.blake2b(stream, digest_size=16).hexdigest()
-        return "\n".join(filter(None, (super().dump(), f"packet stream digest: {digest}")))
+        return "\n".join([*lines, f"packet stream digest: {digest}"])

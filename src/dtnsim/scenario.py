@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ._value import Frozen
+from ._value import Frozen, require_int
 from .mobility import Trajectory, parse_ns2_trace
 from .netsim import LinkModel, to_us
 from .protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
@@ -48,6 +48,7 @@ class TrafficParams(Frozen):
                  end_s: float | None = None) -> None:
         self._set(message_count, message_size, packet_payload, start_s, end_s)
         self._require_finite("start_s", "end_s")
+        self._require_int("message_count", "message_size", "packet_payload")
         if self.message_count < 0:
             raise ValueError("message_count must be non-negative")
         if self.message_size < 1 or self.packet_payload < 1:
@@ -77,6 +78,9 @@ class Scenario(Frozen):
         self._set(trajectories, duration_s, protocol, link, traffic,
                   queue_capacity, queue_residency_s, seeds)
         self._require_finite("duration_s", "queue_residency_s")
+        self._require_int("queue_capacity")
+        for seed in self.seeds:
+            require_int("seeds", seed)
         # Times are whole microseconds, as in ProtocolConfig.
         if self.duration_us < 1:
             raise ValueError("duration must be at least 1 µs")

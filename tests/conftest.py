@@ -7,7 +7,7 @@ from dtnsim.buffer import QueueEntry
 from dtnsim.mobility import parse_ns2_trace
 from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator
 from dtnsim.protocol import PORT_CONTROL, PORT_DATA, EpidemicNode, ProtocolConfig
-from dtnsim.records import RunTrace
+from dtnsim.records import ReplayTrace
 from dtnsim.wire import (
     DATA_HEADERS_SIZE,
     DataPacketHeader,
@@ -56,7 +56,7 @@ class FakeTransport:
 
 def make_node(node_id=0, address=None, config=None, seed="test"):
     transport = FakeTransport()
-    trace = RunTrace()
+    trace = ReplayTrace()
     node = EpidemicNode(
         node_id=node_id,
         address=node_id if address is None else address,
@@ -117,8 +117,8 @@ def feed_summary(node, msg_type, sender_node, sender_addr, fragments, now):
         node.handle_packet(sender_addr, PORT_CONTROL, data, None, now)
 
 
-class RecordingTrace(RunTrace):
-    """A RunTrace that also logs every packet outcome, in report order,
+class RecordingTrace(ReplayTrace):
+    """A ReplayTrace that also logs every packet outcome, in report order,
     as (kind, outcome, src, dst, now)."""
 
     def __init__(self, sim):

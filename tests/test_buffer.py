@@ -13,6 +13,7 @@ from dtnsim.records import (
     MSG_EVICTED,
     MSG_EXPIRED,
     MSG_TOO_LARGE,
+    ReplayTrace,
     RunTrace,
 )
 from dtnsim.wire import MessageId, make_message_id
@@ -22,7 +23,7 @@ NODE = 7
 
 
 def make_buffer(capacity, ttl=TTL_US):
-    trace = RunTrace()
+    trace = ReplayTrace()
     return MessageBuffer(capacity, ttl, trace, NODE), trace
 
 

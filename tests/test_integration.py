@@ -343,9 +343,11 @@ class TestChaosInvariants:
                 queue_capacity=500_000,
                 queue_residency_s=2.0,
             )
-            report, trace = run_once(scenario, seed)
+            report, trace = run_once(scenario, seed, ReplayTrace())
 
             generated_ids = {g.message_id for g in trace.generated}
+            delivered_ids = [d.message_id for d in trace.deliveries]
+            assert len(set(delivered_ids)) == len(delivered_ids)
             for delivery in trace.deliveries:
                 assert delivery.message_id in generated_ids
                 assert delivery.latency_us <= ttl * SEC

@@ -64,14 +64,6 @@ class TestCompute:
         assert report.avg_latency_s == pytest.approx(2.0)
         assert report.avg_hop_count == pytest.approx(2.0)
 
-    def test_duplicate_delivery_records_deduped(self):
-        trace = trace_with(generated=1)
-        trace.message_delivered(60, mid(0), 2, 60, 2)
-        trace.message_delivered(50, mid(0), 2, 50, 1)
-        report = compute(trace)
-        assert report.delivered == 1
-        assert report.avg_latency_s == pytest.approx(50 / 1e6)
-
     def test_byte_fractions(self):
         trace = RunTrace()
         trace.packet_event(KIND_BEACON, PKT_TRANSMITTED, 3, 0, None)

@@ -1,5 +1,8 @@
-"""RunTrace: message records built from reported fields and packet
-counters; ReplayTrace: the order-sensitive packet stream fold on top."""
+"""RunTrace: message counters, deliveries and packet counters; ReplayTrace:
+every message record, built from reported fields, and the order-sensitive
+packet stream fold on top."""
+
+from collections import Counter
 
 import pytest
 
@@ -10,6 +13,7 @@ from dtnsim.protocol import ProtocolConfig
 from dtnsim.records import (
     KIND_BEACON,
     KIND_DATA,
+    MSG_DROP_CAUSES,
     MSG_EVICTED,
     MSG_EXPIRED,
     MSG_HOP_EXHAUSTED,
@@ -86,7 +90,7 @@ class TestMessageRecords:
 
     def test_each_method_appends_the_record_of_its_fields_in_call_order(self):
         a, b = self.A, self.B
-        trace = RunTrace()
+        trace = ReplayTrace()
         trace.message_generated(10, a, 1, 2, 3000, 3)
         trace.message_generated(20, b, 2, 1, 100, 1)
         trace.transfer_completed(30, a, 1, 3)
@@ -113,7 +117,7 @@ class TestMessageRecords:
         ]
 
     def test_records_appear_in_the_dump_in_call_order(self):
-        trace = RunTrace()
+        trace = ReplayTrace()
         trace.message_dropped(7, 1, self.B, MSG_HOP_EXHAUSTED)
         trace.message_dropped(5, 2, self.A, MSG_EXPIRED)
         assert trace.dump().splitlines()[:2] == [
@@ -123,7 +127,7 @@ class TestMessageRecords:
 
 
 class DropLog(RunTrace):
-    """Keeps each reported drop's fields itself instead of in message_drops."""
+    """Keeps each reported drop's fields itself instead of counting it."""
 
     def __init__(self):
         super().__init__()
@@ -151,35 +155,53 @@ def lossy_scenario():
     )
 
 
+WORLDS = pytest.mark.parametrize(
+    "make_scenario", [lambda: load_scenario("scenarios/mini.cfg"), lossy_scenario],
+    ids=["mini", "lossy"],
+)
+
+
 def test_subclass_receives_every_drop_of_a_lossy_run():
     scenario = lossy_scenario()
-    _, base = runner.run_once(scenario, 1)
+    _, base = runner.run_once(scenario, 1, ReplayTrace())
     causes = {d.cause for d in base.message_drops}
     assert {MSG_EXPIRED, MSG_EVICTED, MSG_HOP_EXHAUSTED, MSG_PARTIAL_DISCONNECT} <= causes
 
     _, log = runner.run_once(scenario, 1, DropLog())
     assert isinstance(log, DropLog)
-    assert log.message_drops == []
+    assert log.drop_counts == dict.fromkeys(MSG_DROP_CAUSES, 0)
     assert [MessageDropped(*fields) for fields in log.seen] == base.message_drops
 
 
-@pytest.mark.parametrize(
-    "make_scenario", [lambda: load_scenario("scenarios/mini.cfg"), lossy_scenario],
-    ids=["mini", "lossy"],
-)
+@WORLDS
 def test_plain_and_replay_traces_of_one_run_agree(make_scenario):
     scenario = make_scenario()
     plain_report, plain = runner.run_once(scenario, 1)
     replay_report, replay = runner.run_once(scenario, 1, ReplayTrace())
     assert type(plain) is RunTrace
-    assert plain.generated == replay.generated
+    assert plain.n_generated == len(replay.generated) == replay.n_generated
     assert plain.deliveries == replay.deliveries
-    assert plain.transfers == replay.transfers
-    assert plain.message_drops == replay.message_drops
+    assert plain.n_transfers == len(replay.transfers) == replay.n_transfers
+    by_cause = Counter(d.cause for d in replay.message_drops)
+    assert plain.drop_counts == {cause: by_cause[cause] for cause in MSG_DROP_CAUSES}
+    assert plain.drop_counts == replay.drop_counts
     assert plain.pair_counts == replay.pair_counts
     assert plain.packet_counts == replay.packet_counts
     assert plain.packet_bytes == replay.packet_bytes
     assert list(plain._pairs) == list(replay._pairs)
     assert plain_report == replay_report
-    assert "packet stream digest" not in plain.dump()
-    assert replay.dump().startswith(plain.dump() + "\npacket stream digest: ")
+    assert not hasattr(plain, "dump")
+    assert replay.dump().splitlines()[-1].startswith("packet stream digest: ")
+
+
+@WORLDS
+def test_plain_trace_keeps_no_per_transfer_state(make_scenario):
+    _, trace = runner.run_once(make_scenario(), 1)
+    state = {"n_generated", "n_transfers", "drop_counts", "deliveries", "_pairs"}
+    assert set(vars(trace)) == state
+    assert type(trace.n_generated) is int and type(trace.n_transfers) is int
+    assert trace.n_transfers > 0
+    assert list(trace.drop_counts) == list(MSG_DROP_CAUSES)
+    assert all(type(n) is int for n in trace.drop_counts.values())
+    assert 0 < len(trace.deliveries) <= trace.n_generated
+    assert all(type(d) is MessageDelivered for d in trace.deliveries)

@@ -315,6 +315,45 @@ def test_non_finite_float_field_rejected_naming_it(cls, field, value):
         cls(**kwargs)
 
 
+INT_FIELDS = [
+    (ProtocolConfig, "buffer_capacity"),
+    (ProtocolConfig, "hop_limit"),
+    (ProtocolConfig, "max_control_payload"),
+    (TrafficParams, "message_count"),
+    (TrafficParams, "message_size"),
+    (TrafficParams, "packet_payload"),
+    (Scenario, "queue_capacity"),
+    (Scenario, "seeds"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+@pytest.mark.parametrize(
+    "cls, field", INT_FIELDS, ids=[f"{cls.__name__}.{field}" for cls, field in INT_FIELDS]
+)
+def test_non_int_field_rejected_naming_it(cls, field, value):
+    # A float or a bool in an int field would otherwise fail mid-run with a
+    # struct.error or a TypeError, run as another value (True as 1), or
+    # reach runs.csv: a ValueError lets the sweep cell fail alone.
+    kwargs = {field: (value,) if field == "seeds" else value}
+    if cls is Scenario:
+        mini = load_scenario("scenarios/mini.cfg")
+        kwargs = {**{name: getattr(mini, name) for name in Scenario.__slots__}, **kwargs}
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        cls(**kwargs)
+
+
+def test_traffic_end_of_none_runs_to_the_scenario_duration():
+    mini = load_scenario("scenarios/mini.cfg")
+    fields = {name: getattr(mini, name) for name in Scenario.__slots__}
+    open_ended = Scenario(**{**fields, "traffic": TrafficParams(4, 20_000)})
+    bounded = Scenario(**{**fields, "traffic": TrafficParams(4, 20_000, end_s=mini.duration_s)})
+    assert open_ended.traffic.end_s is None
+    dumps = [run_once(s, 1, ReplayTrace())[1].dump() for s in (open_ended, bounded)]
+    assert dumps[0] == dumps[1]
+    assert "MessageGenerated" in dumps[0]
+
+
 def test_loaded_scenario_survives_a_pickle_round_trip():
     scenario = load_scenario("scenarios/mini.cfg")
     copy = pickle.loads(pickle.dumps(scenario))
