@@ -48,8 +48,7 @@ def build_run(
 
     traffic = scenario.traffic
     if traffic.message_count:
-        end_s = scenario.duration_s if traffic.end_s is None else traffic.end_s
-        window = (to_us(traffic.start_s), to_us(end_s))
+        window = (to_us(traffic.start_s), to_us(traffic.end_s))
         specs = build_schedule(
             node_count, traffic.message_count, window, random.Random(f"{seed}:traffic")
         )

@@ -2,15 +2,15 @@
 
 Each key sets one field of `ProtocolConfig`, `LinkModel`, `TrafficParams`
 or the `Scenario` itself (`_SCHEMA`). Those classes hold the only defaults
-and bounds, and reject a non-finite float field however they are built;
-they compare by value, and a Scenario is frozen. `build_scenario` adds the rules that span several keys: the
-traffic window lies within the duration, traffic has at least two
-nodes, a message fits a node's buffer, and the device queue defaults to
-the buffer capacity and two beacon intervals. Unknown or repeated keys,
-non-finite numbers and repeated seeds are rejected. The mobility trace
-path is resolved relative to the scenario file, and the trace is read and
-parsed once per load: every seed run of a loaded scenario shares its
-trajectories, while each sweep cell loads the scenario and parses its own.
+and rules, and check them however they are built; they compare by value,
+and a Scenario is frozen. `Scenario` checks the rules that span fields: with
+traffic, the trace has two nodes or more, the traffic window lies within the
+duration and the 48-bit message timestamp, and a message fits a node's buffer.
+The loader only parses, rejecting unknown or repeated keys and non-finite
+numbers, and defaults the device queue to the buffer capacity and two beacon
+intervals. The trace path is resolved relative to the scenario file, and the
+trace is read and parsed once per load: every seed run of a loaded scenario
+shares its trajectories, while each sweep cell loads and parses its own.
 Example:
 
     trace = mini_trace.ns_movements
@@ -39,7 +39,7 @@ class ScenarioError(ValueError):
 
 
 class TrafficParams(Frozen):
-    """Generated traffic; an end_s of None stands for the scenario duration."""
+    """Generated traffic; `Scenario` sets an end_s of None to its duration."""
 
     __slots__ = ("message_count", "message_size", "packet_payload", "start_s", "end_s")
 
@@ -58,15 +58,10 @@ class TrafficParams(Frozen):
                 f"packet_payload must be at most {MAX_PACKET_PAYLOAD} bytes "
                 "(a data packet and its headers fill one UDP datagram)"
             )
-        if self.message_count and to_us(self.end_s or 0) > TIMESTAMP_MAX:
-            raise ValueError(
-                f"traffic_end must be at most {TIMESTAMP_MAX / 1e6} s "
-                "(message ids hold creation times in 48 bits of microseconds)"
-            )
 
 
 class Scenario(Frozen):
-    """A loaded scenario; its runs share, and never modify, its trajectories."""
+    """A run's inputs, however built; its runs share, and never modify, its trajectories."""
 
     __slots__ = ("trajectories", "duration_s", "protocol", "link", "traffic",
                  "queue_capacity", "queue_residency_s", "seeds")  # queue_capacity in bytes
@@ -91,6 +86,25 @@ class Scenario(Frozen):
         # Each seed is one independent run of the aggregate's sample.
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {' '.join(map(str, self.seeds))}")
+        if traffic.end_s is None:  # open-ended: traffic until the run ends
+            traffic = traffic._replace(end_s=duration_s)
+            object.__setattr__(self, "traffic", traffic)
+        if traffic.message_count:  # rules for the messages the run will make
+            if to_us(traffic.end_s) > TIMESTAMP_MAX:
+                raise ValueError(
+                    f"traffic_end must be at most {TIMESTAMP_MAX / 1e6} s "
+                    "(message ids hold creation times in 48 bits of microseconds)"
+                )
+            if len(trajectories) < 2:
+                raise ValueError("traffic needs at least two nodes in the trace")
+            if not 0 <= traffic.start_s <= traffic.end_s <= duration_s:
+                raise ValueError("traffic window must lie within [0, duration]")
+            # A larger message could only be dropped as too large by its source.
+            if traffic.message_size > protocol.buffer_capacity:
+                raise ValueError(
+                    f"message_size {traffic.message_size} exceeds buffer_capacity "
+                    f"{protocol.buffer_capacity}: no node could store a message"
+                )
 
     @property
     def duration_us(self) -> int:
@@ -186,7 +200,7 @@ def apply_overrides(raw: dict[str, str], overrides: dict[str, str]) -> dict[str,
 
 
 def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
-    """Validate raw values, read and parse the trace, and assemble a Scenario."""
+    """Parse raw values, read and parse the trace, and assemble a Scenario."""
     for key in _REQUIRED:
         if key not in raw:
             raise ScenarioError(f"missing required key {key!r}")
@@ -208,27 +222,14 @@ def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
 
     try:
         protocol = ProtocolConfig(**kwargs["protocol"])
-        traffic = TrafficParams(**{"end_s": fields["duration_s"], **kwargs["traffic"]})
+        traffic = TrafficParams(**kwargs["traffic"])
         fields.setdefault("queue_capacity", protocol.buffer_capacity)
         fields.setdefault("queue_residency_s", 2 * protocol.beacon_interval)
-        scenario = Scenario(
+        return Scenario(
             protocol=protocol, link=LinkModel(**kwargs["link"]), traffic=traffic, **fields
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    if traffic.message_count and len(fields["trajectories"]) < 2:
-        raise ScenarioError("traffic needs at least two nodes in the trace")
-    if traffic.message_count and not (
-        0 <= traffic.start_s <= traffic.end_s <= scenario.duration_s
-    ):
-        raise ScenarioError("traffic window must lie within [0, duration]")
-    # A larger message could only be dropped as too large by its source.
-    if traffic.message_count and traffic.message_size > protocol.buffer_capacity:
-        raise ScenarioError(
-            f"message_size {traffic.message_size} exceeds buffer_capacity "
-            f"{protocol.buffer_capacity}: no node could store a message"
-        )
-    return scenario
 
 
 def load_scenario(path: str | Path, overrides: dict[str, str] | None = None) -> Scenario:

@@ -348,10 +348,50 @@ def test_traffic_end_of_none_runs_to_the_scenario_duration():
     fields = {name: getattr(mini, name) for name in Scenario.__slots__}
     open_ended = Scenario(**{**fields, "traffic": TrafficParams(4, 20_000)})
     bounded = Scenario(**{**fields, "traffic": TrafficParams(4, 20_000, end_s=mini.duration_s)})
-    assert open_ended.traffic.end_s is None
+    assert open_ended == bounded
     dumps = [run_once(s, 1, ReplayTrace())[1].dump() for s in (open_ended, bounded)]
     assert dumps[0] == dumps[1]
     assert "MessageGenerated" in dumps[0]
+
+
+# Changes to the mini scenario that its run could not honour as written,
+# each with its loader message: the traffic would fall after the run, fit
+# no buffer, have no destination, or get no valid creation time.
+UNRUNNABLE_WITH_TRAFFIC = {
+    "window_past_the_run": (
+        lambda mini: {"traffic": TrafficParams(4, 20_000, end_s=1e6)},
+        "traffic window must lie within",
+    ),
+    "message_larger_than_the_buffer": (
+        lambda mini: {"protocol": ProtocolConfig(buffer_capacity=1000)},
+        "message_size 20000 exceeds buffer_capacity 1000",
+    ),
+    "one_node": (
+        lambda mini: {"trajectories": mini.trajectories[:1]},
+        "traffic needs at least two nodes",
+    ),
+    "start_after_end": (
+        lambda mini: {"traffic": TrafficParams(4, 20_000, start_s=20.0, end_s=10.0)},
+        "traffic window must lie within",
+    ),
+    "open_end_past_the_timestamp": (
+        lambda mini: {"duration_s": 3e8, "traffic": TrafficParams(4, 20_000)},
+        "traffic_end must be at most",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNRUNNABLE_WITH_TRAFFIC)
+def test_code_built_scenario_checks_the_rules_that_span_fields(case):
+    # A Scenario built in code passes the loader's gate: a sweep worker that
+    # gets one checks it only by constructing it.
+    changes, message = UNRUNNABLE_WITH_TRAFFIC[case]
+    mini = load_scenario("scenarios/mini.cfg")
+    kwargs = {**{name: getattr(mini, name) for name in Scenario.__slots__}, **changes(mini)}
+    with pytest.raises(ValueError, match=message):
+        Scenario(**kwargs)
+    # Without traffic no message is made, so each input is a valid scenario.
+    Scenario(**{**kwargs, "traffic": kwargs["traffic"]._replace(message_count=0)})
 
 
 def test_loaded_scenario_survives_a_pickle_round_trip():
