@@ -1,11 +1,11 @@
 """Value semantics for slotted classes whose fields are their `__slots__`.
 
 A constructor takes the fields in slot order and stores them with `_set`.
-Two `Value`s of one class compare field by field; a `Value` prints as
-`Name(field=value, ...)` and pickles through its constructor, which checks
-the copy again. `_require_int` rejects a float or a bool in an int field,
-and `_require_finite` a NaN or an infinity in a float field. A `Frozen`
-value is also read-only and hashable.
+Two `Frozen` values of one class compare field by field; a value prints as
+`Name(field=value, ...)`, is read-only and hashable, and pickles through
+its constructor, which checks the copy again. `_require_int` rejects a
+float or a bool in an int field, and `_require_finite` a NaN or an
+infinity in a float field.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ def require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-class Value:
+class Frozen:
     __slots__ = ()
 
     def _set(self, *values) -> None:
@@ -56,10 +56,6 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._fields()
-
-
-class Frozen(Value):
-    __slots__ = ()
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")

@@ -71,13 +71,12 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
     avg_hop_count = sum(d.hops for d in deliveries) / delivered if delivered else None
     replication_overhead = (transfers - delivered) / delivered if delivered else None
 
-    # Both derived from the per-pair counters: read each once.
-    packet_counts, packet_bytes = trace.packet_counts, trace.packet_bytes
-    sent = [(kind, PKT_TRANSMITTED) for kind in CONTROL_KINDS]
-    control_bytes = sum(packet_bytes[key] for key in sent)
-    control_packets = sum(packet_counts[key] for key in sent)
-    data_bytes = packet_bytes[(KIND_DATA, PKT_TRANSMITTED)]
-    data_packets = packet_counts[(KIND_DATA, PKT_TRANSMITTED)]
+    totals = trace.packet_totals
+    none = (0, 0)
+    sent = [totals.get((kind, PKT_TRANSMITTED), none) for kind in CONTROL_KINDS]
+    control_packets = sum(n for n, _ in sent)
+    control_bytes = sum(size for _, size in sent)
+    data_packets, data_bytes = totals.get((KIND_DATA, PKT_TRANSMITTED), none)
     total_bytes = control_bytes + data_bytes
     control_byte_fraction = control_bytes / total_bytes if total_bytes else 0.0
     header_byte_fraction = (
@@ -86,9 +85,7 @@ def compute(trace: RunTrace, seed: int = 0) -> RunReport:
 
     drops = {f"msg_{cause}": n for cause, n in trace.drop_counts.items()}
     for outcome in PKT_DROP_OUTCOMES:
-        drops[f"pkt_{outcome}"] = sum(
-            n for (kind, out), n in packet_counts.items() if out == outcome
-        )
+        drops[f"pkt_{outcome}"] = sum(n for (_, out), (n, _) in totals.items() if out == outcome)
 
     return RunReport(
         seed=seed,

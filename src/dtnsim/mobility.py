@@ -18,7 +18,7 @@ import bisect
 import math
 import re
 import random
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class TraceParseError(ValueError):
@@ -51,19 +51,31 @@ class _Segment(NamedTuple):
 
 
 class Trajectory:
-    """A single node's position over time."""
+    """A single node's position over time: it starts at (x, y) and follows
+    its (t, x, y, speed) waypoints, given in time order. It never changes
+    once made, and it compares and hashes by value."""
 
-    def __init__(self, x: float, y: float) -> None:
+    def __init__(
+        self, x: float, y: float, waypoints: Iterable[tuple[float, float, float, float]] = ()
+    ) -> None:
         self.initial = (x, y)
-        self._segments: list[_Segment] = []
-        self._starts: list[float] = []
+        # Lists while the waypoints are added, then tuples.
+        self._segments = []
+        self._starts = []
+        for waypoint in waypoints:
+            self._add_waypoint(*waypoint)
+        self._segments = tuple(self._segments)
+        self._starts = tuple(self._starts)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Trajectory:
             return NotImplemented
         return (self.initial, self._segments) == (other.initial, other._segments)
 
-    def add_waypoint(self, t: float, x: float, y: float, speed: float) -> None:
+    def __hash__(self) -> int:
+        return hash((self.initial, self._segments))
+
+    def _add_waypoint(self, t: float, x: float, y: float, speed: float) -> None:
         """Start moving toward (x, y) at time t with the given speed."""
         x0, y0 = self.position_at(t)
         if self._segments and t < self._segments[-1].t1:
@@ -161,17 +173,18 @@ def parse_ns2_trace(text: str) -> list[Trajectory]:
         if "X" not in axes or "Y" not in axes:
             raise TraceParseError(f"node {node} is missing an initial X_ or Y_")
 
-    trajectories = [
-        Trajectory(initials[node]["X"], initials[node]["Y"]) for node in range(count)
-    ]
+    per_node: list[list[tuple[float, float, float, float]]] = [[] for _ in range(count)]
     waypoints.sort(key=lambda w: (w[0], w[1]))
     for t, node, x, y, speed in waypoints:
         if node >= count:
             raise TraceParseError(
                 f"waypoint references node {node}, but only {count} nodes have positions"
             )
-        trajectories[node].add_waypoint(t, x, y, speed)
-    return trajectories
+        per_node[node].append((t, x, y, speed))
+    return [
+        Trajectory(initials[node]["X"], initials[node]["Y"], per_node[node])
+        for node in range(count)
+    ]
 
 
 def generate_random_waypoint_trace(

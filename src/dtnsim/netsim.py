@@ -30,13 +30,21 @@ carried by reference: the datagram it stands for is `data + payload`,
 and its on-air size counts both. A data packet's `data` is its header
 block and its `payload` the very bytes object its sender stores, so
 every node holding a message shares one payload object per packet
-instead of a copy per hop. Control packets have an empty payload.
+instead of a copy per hop. Control packets have an empty payload. There
+is no packet object: a device-queue entry is the plain tuple
+(size, data, payload, meta, enqueued_at), where meta = (src, dst, port,
+kind, msg_dst, row) is one tuple shared by every packet of a hand-over,
+and a delivery in flight is (entry, receiver).
 
 The RunTrace passed into `runner.build_run` or `run_once` is the radio's
-only observer: every packet outcome (submitted, transmitted, delivered,
-or the drop that ends it) is one `trace.packet_event` call. Tests observe
-a run by passing a RunTrace subclass, such as a ReplayTrace for the packet
-stream digest, or through a NodeTransport subclass to see packet contents.
+only observer. `row` is the trace's counter row of (src, dst, kind),
+looked up once per hand-over: the radio counts a packet's submission,
+transmission and unicast delivery there in place, and reports every other
+outcome (a drop, or a broadcast's delivery to one receiver) as one
+`trace.packet_event` call. A trace whose `observe` is set also sees every
+outcome, in order (see records). Tests observe a run by passing a RunTrace
+subclass, such as a ReplayTrace for the packet stream digest, or through
+a NodeTransport subclass to see packet contents.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import random
 from collections import deque
 from typing import Callable, Sequence
 
-from ._value import Value
+from ._value import Frozen
 from .mobility import Trajectory
 from .records import (
     PKT_DELIVERED,
@@ -152,7 +160,7 @@ def service_time_us(size_bytes: int, rate_bps: int) -> int:
     return (size_bytes * 8_000_000 + rate_bps - 1) // rate_bps
 
 
-class LinkModel(Value):
+class LinkModel(Frozen):
     """Radio abstraction: shared rate, unit-disk range, optional loss."""
 
     __slots__ = ("data_rate_bps", "radio_range_m", "loss_probability", "propagation_delay_s")
@@ -169,32 +177,6 @@ class LinkModel(Value):
             raise ValueError("loss_probability must be in [0, 1)")
         if self.propagation_delay_s < 0:
             raise ValueError("propagation_delay_s must be non-negative")
-
-
-class Packet:
-    """One link-layer packet; msg_dst mirrors the encapsulated IP destination."""
-
-    __slots__ = ("src", "dst", "port", "data", "kind", "msg_dst", "payload", "size")
-
-    def __init__(
-        self,
-        src: int,
-        dst: int | None,
-        port: int,
-        data: bytes,
-        kind: str,
-        msg_dst: int | None = None,
-        payload: bytes = b"",
-    ) -> None:
-        self.src = src
-        self.dst = dst  # None = broadcast
-        self.port = port
-        self.data = data
-        self.kind = kind
-        self.msg_dst = msg_dst
-        self.payload = payload
-        # On-air bytes: data, payload and the IPv4/UDP encapsulation.
-        self.size = len(data) + len(payload) + IP_UDP_HEADER_BYTES
 
 
 class RadioNetwork:
@@ -233,20 +215,21 @@ class RadioNetwork:
         self._certs: list[tuple[int, int, bool]] = [(0, 0, False)] * (self._n * self._n)
         self._capacity = queue_capacity_bytes
         self._residency_us = queue_residency_us
-        # Per node: FIFO of (packet, enqueued_at) and its queued bytes.
-        self._fifos: list[deque[tuple[Packet, int]]] = [deque() for _ in trajectories]
+        # Per node: FIFO of (size, data, payload, meta, enqueued_at) entries
+        # and its queued bytes.
+        self._fifos: list[deque[tuple]] = [deque() for _ in trajectories]
         self._queued = [0] * self._n
         # address -> packet handler(sender_addr, port, data, msg_dst, now, payload)
         self._handlers: dict[int, Callable[[int, int, bytes, int | None, int, bytes], None]] = {}
-        # (packet, receiver) of deliveries scheduled but not yet executed.
+        # (entry, receiver) of deliveries scheduled but not yet executed.
         # Every delivery lands a fixed propagation delay after it was
         # scheduled, so they execute in the order they were scheduled.
-        self._in_flight: deque[tuple[Packet, int]] = deque()
+        self._in_flight: deque[tuple[tuple, int]] = deque()
         self._deliver = self._delivery()
-        # Per node, made once (see _service): enqueue(packets) hands packets
-        # to its device queue, and its completion callback ends the head's
-        # transmission.
-        self._enqueues: list[Callable[[Sequence[Packet]], None]] = []
+        # Per node, made once (see _service): enqueue(dst, port, headers,
+        # kind, msg_dst, payloads) hands packets to its device queue, and its
+        # completion callback ends the head's transmission.
+        self._enqueues: list[Callable[..., None]] = []
         self._completions: list[Callable[[], None]] = []
         for node in range(self._n):
             enqueue, complete = self._service(node)
@@ -299,40 +282,46 @@ class RadioNetwork:
                 self._certs[a * n + b] = self._certs[b * n + a] = cert
         return inside
 
-    def submit(self, packet: Packet) -> None:
-        """Place a packet on its sender's device queue (tail-drop on overflow)."""
-        self._enqueues[packet.src]((packet,))
+    def submit(self, src: int, dst: int | None, port: int, data: bytes, kind: str,
+               msg_dst: int | None = None, payload: bytes = b"") -> None:
+        """Place one packet on src's device queue (tail-drop on overflow);
+        dst None = broadcast."""
+        self._enqueues[src](dst, port, (data,), kind, msg_dst, (payload,))
 
-    def _service(
-        self, node: int
-    ) -> tuple[Callable[[Sequence[Packet]], None], Callable[[], None]]:
+    def _service(self, node: int) -> tuple[Callable[..., None], Callable[[], None]]:
         """A node's device-queue service as closures: enqueue and complete.
 
-        enqueue(packets) appends the packets in order, tail-dropping each
-        that does not fit, and serves a queue that was idle once, after the
-        last packet. That is what handing them over one at a time does: the
-        first that fits would start service at `now`, and the later ones
-        schedule nothing. Nothing enqueues during service or completion, so
-        an idle queue is an empty one.
+        enqueue(dst, port, headers, kind, msg_dst, payloads) appends one
+        packet per (header, payload) pair in order, tail-dropping each that
+        does not fit, and serves a queue that was idle once, after the last
+        packet. That is what handing them over one at a time does: the first
+        that fits would start service at `now`, and the later ones schedule
+        nothing. Nothing enqueues during service or completion, so an idle
+        queue is an empty one.
 
         serve(now), which both enqueue and every completion call, drops the
         heads that are past residency and schedules the transmission of the
         first that is not. complete() ends the head's transmission: it
-        reports it, decides range and each receiver's loss draw, schedules
+        counts it, decides range and each receiver's loss draw, schedules
         the deliveries, and serves the next head. complete is scheduled
         through `self._completions[node]`, not by its own name: finalize
         clears that list, which breaks the closures' only reference cycle.
+
+        A row's slots 0-1 count submitted packets and bytes, 2-3
+        transmitted and 4-5 delivered (records.PKT_OUTCOMES).
         """
         fifo = self._fifos[node]
         queued = self._queued
         completions = self._completions
         sim = self.sim
+        row_of = self.trace.row
         packet_event = self.trace.packet_event
+        observe = self.trace.observe
         capacity = self._capacity
         residency_us = self._residency_us
         rate = self._rate
         certs = self._certs
-        row = node * self._n
+        base = node * self._n
         others = [other for other in range(self._n) if other != node]
         exact_in_range = self._exact_in_range
         in_flight = self._in_flight
@@ -340,45 +329,59 @@ class RadioNetwork:
         prop_us = self._prop_us
         loss = self._loss
         draw = self._loss_rng.random
+        encapsulation = IP_UDP_HEADER_BYTES
 
-        def enqueue(packets: Sequence[Packet]) -> None:
+        def enqueue(dst: int | None, port: int, headers: Sequence[bytes], kind: str,
+                    msg_dst: int | None, payloads: Sequence[bytes]) -> None:
             idle = not fifo
             now = sim.now
             total = queued[node]
-            for packet in packets:
-                size = packet.size
-                packet_event(packet.kind, PKT_SUBMITTED, size, node, packet.dst)
+            row = row_of(node, dst, kind)
+            meta = (node, dst, port, kind, msg_dst, row)
+            handed = 0
+            for data, payload in zip(headers, payloads):
+                # On-air bytes: data, payload and the IPv4/UDP encapsulation.
+                size = len(data) + len(payload) + encapsulation
+                handed += size
+                if observe is not None:
+                    observe(kind, PKT_SUBMITTED, size, node, dst)
                 if total + size > capacity:
-                    packet_event(packet.kind, PKT_OVERFLOW, size, node, packet.dst)
+                    packet_event(kind, PKT_OVERFLOW, size, node, dst)
                 else:
-                    fifo.append((packet, now))
+                    fifo.append((size, data, payload, meta, now))
                     total += size
+            row[0] += len(headers)
+            row[1] += handed
             queued[node] = total
             if idle and fifo:
                 serve(now)
 
         def serve(now: int) -> None:
             while fifo:
-                packet, enqueued_at = fifo[0]
+                size, _, _, meta, enqueued_at = fifo[0]
                 if now - enqueued_at <= residency_us:
-                    done = now + service_time_us(packet.size, rate)
+                    done = now + service_time_us(size, rate)
                     sim.schedule(done, EVENT_TIMER, completions[node])
                     return
                 fifo.popleft()
-                queued[node] -= packet.size
-                packet_event(packet.kind, PKT_RESIDENCY, packet.size, node, packet.dst)
+                queued[node] -= size
+                packet_event(meta[3], PKT_RESIDENCY, size, node, meta[1])
 
         def complete() -> None:
-            packet, _ = fifo.popleft()
-            kind, size, dst = packet.kind, packet.size, packet.dst
+            entry = fifo.popleft()
+            size = entry[0]
+            _, dst, _, kind, _, row = entry[3]
             queued[node] -= size
             now = sim.now
-            packet_event(kind, PKT_TRANSMITTED, size, node, dst)
+            row[2] += 1
+            row[3] += size
+            if observe is not None:
+                observe(kind, PKT_TRANSMITTED, size, node, dst)
             # A broadcast reaches every other node in range, a unicast its
             # destination if in range.
             for receiver in others if dst is None else (dst,):
                 # in_range(node, receiver, now), inlined: keep the two in step.
-                since, until, inside = certs[row + receiver]
+                since, until, inside = certs[base + receiver]
                 if not since < now < until:
                     inside = exact_in_range(node, receiver, now)
                 if not inside:
@@ -387,7 +390,7 @@ class RadioNetwork:
                 elif loss and draw() < loss:
                     packet_event(kind, PKT_LOSS, size, node, receiver)
                 else:
-                    in_flight.append((packet, receiver))
+                    in_flight.append((entry, receiver))
                     sim.schedule(now + prop_us, EVENT_PACKET_DELIVERY, deliver)
             serve(now)
 
@@ -395,20 +398,28 @@ class RadioNetwork:
 
     def _delivery(self) -> Callable[[], None]:
         """The delivery event, one closure made once for all nodes: it ends
-        the oldest scheduled delivery at its receiver's handler."""
+        the oldest scheduled delivery at its receiver's handler. A unicast
+        delivery is counted in its row (slots 4-5, as in _service); a
+        broadcast's, whose row has no receiver, is a packet_event."""
         in_flight = self._in_flight
         handlers = self._handlers
         packet_event = self.trace.packet_event
+        observe = self.trace.observe
         sim = self.sim
 
         def deliver() -> None:
-            packet, receiver = in_flight.popleft()
-            packet_event(packet.kind, PKT_DELIVERED, packet.size, packet.src, receiver)
+            (size, data, payload, meta, _), receiver = in_flight.popleft()
+            src, dst, port, kind, msg_dst, row = meta
+            if dst is None:
+                packet_event(kind, PKT_DELIVERED, size, src, receiver)
+            else:
+                row[4] += 1
+                row[5] += size
+                if observe is not None:
+                    observe(kind, PKT_DELIVERED, size, src, receiver)
             handler = handlers.get(receiver)
             if handler is not None:
-                handler(
-                    packet.src, packet.port, packet.data, packet.msg_dst, sim.now, packet.payload
-                )
+                handler(src, port, data, msg_dst, sim.now, payload)
 
         return deliver
 
@@ -421,17 +432,14 @@ class RadioNetwork:
         free the run here instead of the cyclic collector later. Nothing
         may run on the network after.
         """
+        packet_event = self.trace.packet_event
         for fifo in self._fifos:
-            for packet, _ in fifo:
-                self.trace.packet_event(
-                    packet.kind, PKT_UNSENT_AT_END, packet.size, packet.src, packet.dst
-                )
+            for size, _, _, (src, dst, _, kind, _, _), _ in fifo:
+                packet_event(kind, PKT_UNSENT_AT_END, size, src, dst)
             fifo.clear()
         self._queued[:] = [0] * self._n
-        for packet, receiver in self._in_flight:
-            self.trace.packet_event(
-                packet.kind, PKT_IN_FLIGHT_AT_END, packet.size, packet.src, receiver
-            )
+        for (size, _, _, (src, _, _, kind, _, _), _), receiver in self._in_flight:
+            packet_event(kind, PKT_IN_FLIGHT_AT_END, size, src, receiver)
         self._in_flight.clear()
         self.sim.clear()
         self._handlers.clear()
@@ -447,7 +455,7 @@ class NodeTransport:
         self._enqueue = network._enqueues[node_id]
 
     def broadcast(self, port: int, data: bytes, kind: str) -> None:
-        self._network.submit(Packet(self._node_id, None, port, data, kind))
+        self._network.submit(self._node_id, None, port, data, kind)
 
     def unicast(
         self,
@@ -458,9 +466,7 @@ class NodeTransport:
         msg_dst: int | None = None,
         payload: bytes = b"",
     ) -> None:
-        self._network.submit(
-            Packet(self._node_id, dst, port, data, kind, msg_dst, payload)
-        )
+        self._network.submit(self._node_id, dst, port, data, kind, msg_dst, payload)
 
     def unicast_message(
         self,
@@ -472,12 +478,7 @@ class NodeTransport:
         payloads: Sequence[bytes],
     ) -> None:
         """One `unicast` per (header, payload) pair, in order, in one call."""
-        src = self._node_id
-        # A loop, not a comprehension: it costs less for a one-packet message.
-        packets = []
-        for header, payload in zip(headers, payloads):
-            packets.append(Packet(src, dst, port, header, kind, msg_dst, payload))
-        self._enqueue(packets)
+        self._enqueue(dst, port, headers, kind, msg_dst, payloads)
 
     def schedule(self, time_us: int, fn: Callable[[], None]) -> None:
         self._network.sim.schedule(time_us, EVENT_TIMER, fn)

@@ -36,7 +36,7 @@ import random
 from collections import deque
 from typing import Protocol, Sequence
 
-from ._value import Value
+from ._value import Frozen
 from .buffer import MessageBuffer, QueueEntry
 from .netsim import MAX_DATAGRAM_PAYLOAD, to_us
 from .records import (
@@ -89,7 +89,7 @@ MAX_CONTROL_PAYLOAD = MAX_DATAGRAM_PAYLOAD - MESSAGE_TYPE_SIZE
 MAX_PACKET_PAYLOAD = MAX_DATAGRAM_PAYLOAD - DATA_HEADERS_SIZE
 
 
-class ProtocolConfig(Value):
+class ProtocolConfig(Frozen):
     """Per-node protocol parameters; time fields are seconds."""
 
     __slots__ = ("beacon_interval", "beacon_randomness", "buffer_capacity",

@@ -4,9 +4,16 @@ The protocol and the buffer report message events as record fields. A
 plain RunTrace counts messages, transfers and drops by cause, and keeps the
 deliveries, at most one per message; a ReplayTrace also keeps every record,
 and only it has a `dump()`. A record is a NamedTuple: it prints as
-`Name(field=value, ...)` and equals the plain tuple of its values. Packet
-outcomes are folded into counters keyed by (src, dst, kind, outcome).
+`Name(field=value, ...)` and equals the plain tuple of its values.
 `runner.build_run` fills the trace it is given, a plain RunTrace by default.
+
+Packet outcomes are counted in rows, one flat list of ints per (src, dst,
+kind) that occurs, holding a packet count and a byte total per outcome of
+PKT_OUTCOMES. The radio updates the submitted, transmitted and delivered
+slots of a row in place; every other outcome is one `packet_event` call.
+A trace whose `observe` is not None also sees every outcome, in the order
+they happen, as one `observe(kind, outcome, size, src, dst)` call each:
+that is how a ReplayTrace folds the packet stream.
 """
 
 from __future__ import annotations
@@ -50,6 +57,12 @@ PKT_DROP_OUTCOMES = (
     PKT_UNSENT_AT_END,
     PKT_IN_FLIGHT_AT_END,
 )
+
+# Outcomes in row order: outcome i's packet count is at row[2 * i] and its
+# bytes at row[2 * i + 1]. netsim updates the first three slots in place.
+PKT_OUTCOMES = (PKT_SUBMITTED, PKT_TRANSMITTED, PKT_DELIVERED, *PKT_DROP_OUTCOMES)
+_SLOT = {outcome: 2 * i for i, outcome in enumerate(PKT_OUTCOMES)}
+_ROW_LEN = 2 * len(PKT_OUTCOMES)
 
 # Message-level drop causes.
 MSG_EXPIRED = "expired"
@@ -108,16 +121,21 @@ class MessageDropped(NamedTuple):
 
 class RunTrace:
     """Counts one run's messages, transfers and drops, keeps its deliveries,
-    and folds its packet outcomes into counters."""
+    and counts its packet outcomes in rows."""
+
+    # Called with (kind, outcome, size, src, dst) for every packet outcome,
+    # in the order they happen; None on a plain trace. A subclass that wants
+    # the packet stream defines it as a method.
+    observe = None
 
     def __init__(self) -> None:
         self.n_generated = 0
         self.n_transfers = 0
         self.drop_counts = dict.fromkeys(MSG_DROP_CAUSES, 0)
         self.deliveries: list[MessageDelivered] = []
-        # (src, dst, kind, outcome) -> [packets, bytes]; dst is None for
-        # broadcast outcomes with no specific receiver.
-        self._pairs: dict[tuple[int, int | None, str, str], list[int]] = {}
+        # (src, dst, kind) -> [packets, bytes] per outcome of PKT_OUTCOMES;
+        # dst is None for broadcast outcomes with no specific receiver.
+        self._rows: dict[tuple[int, int | None, str], list[int]] = {}
 
     def message_generated(
         self,
@@ -141,36 +159,57 @@ class RunTrace:
     def message_dropped(self, now: int, node: int, mid: MessageId, cause: str) -> None:
         self.drop_counts[cause] += 1
 
+    def row(self, src: int, dst: int | None, kind: str) -> list[int]:
+        """The row of (src, dst, kind), made on first use."""
+        row = self._rows.get((src, dst, kind))
+        if row is None:
+            row = self._rows[(src, dst, kind)] = [0] * _ROW_LEN
+        return row
+
     def packet_event(
         self, kind: str, outcome: str, size: int, src: int, dst: int | None
     ) -> None:
-        key = (src, dst, kind, outcome)
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = self._pairs[key] = [0, 0]
-        pair[0] += 1
-        pair[1] += size
+        """Count one packet outcome that the radio does not count in place."""
+        row = self.row(src, dst, kind)
+        slot = _SLOT[outcome]
+        row[slot] += 1
+        row[slot + 1] += size
+        if self.observe is not None:
+            self.observe(kind, outcome, size, src, dst)
 
     @property
     def pair_counts(self) -> Counter[tuple[int, int | None, str, str]]:
         """(src, dst, kind, outcome) -> packet count."""
-        return Counter({key: pair[0] for key, pair in self._pairs.items()})
+        return Counter({
+            (src, dst, kind, outcome): row[slot]
+            for (src, dst, kind), row in self._rows.items()
+            for outcome, slot in _SLOT.items()
+            if row[slot]
+        })
+
+    @property
+    def packet_totals(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """(kind, outcome) -> (packets, total on-air bytes), in one pass."""
+        by_kind: dict[str, list[int]] = {}
+        for (_, _, kind), row in self._rows.items():
+            total = by_kind.get(kind)
+            by_kind[kind] = row.copy() if total is None else [a + b for a, b in zip(total, row)]
+        return {
+            (kind, outcome): (total[slot], total[slot + 1])
+            for kind, total in by_kind.items()
+            for outcome, slot in _SLOT.items()
+            if total[slot]
+        }
 
     @property
     def packet_counts(self) -> Counter[tuple[str, str]]:
         """(kind, outcome) -> packet count."""
-        return self._by_kind(0)
+        return Counter({key: n for key, (n, _) in self.packet_totals.items()})
 
     @property
     def packet_bytes(self) -> Counter[tuple[str, str]]:
         """(kind, outcome) -> total on-air bytes."""
-        return self._by_kind(1)
-
-    def _by_kind(self, field: int) -> Counter[tuple[str, str]]:
-        totals: Counter[tuple[str, str]] = Counter()
-        for (_, _, kind, outcome), pair in self._pairs.items():
-            totals[(kind, outcome)] += pair[field]
-        return totals
+        return Counter({key: size for key, (_, size) in self.packet_totals.items()})
 
     def count(self, kind: str, outcome: str) -> int:
         return self.packet_counts[(kind, outcome)]
@@ -207,8 +246,7 @@ class ReplayTrace(RunTrace):
         super().message_dropped(now, node, mid, cause)
         self.message_drops.append(MessageDropped(now, node, mid, cause))
 
-    def packet_event(self, kind: str, outcome: str, size: int, src: int, dst: int | None) -> None:
-        super().packet_event(kind, outcome, size, src, dst)
+    def observe(self, kind: str, outcome: str, size: int, src: int, dst: int | None) -> None:
         code = self._codes.setdefault((src, dst, kind, outcome), len(self._codes))
         self._fold = hash((self._fold, code, size))
 
@@ -218,10 +256,9 @@ class ReplayTrace(RunTrace):
 
         records = (self.generated, self.deliveries, self.transfers, self.message_drops)
         lines = [repr(r) for recs in records for r in recs]
-        packet_bytes = self.packet_bytes
         lines += [
-            f"packets {kind}/{outcome}: n={n} bytes={packet_bytes[(kind, outcome)]}"
-            for (kind, outcome), n in sorted(self.packet_counts.items())
+            f"packets {kind}/{outcome}: n={n} bytes={size}"
+            for (kind, outcome), (n, size) in sorted(self.packet_totals.items())
         ]
         lines += [
             f"pair {src}->{dst} {kind}/{outcome}: {n}"
@@ -230,6 +267,6 @@ class ReplayTrace(RunTrace):
             )
         ]
         # The first-seen key order maps each code of the fold back to its key.
-        stream = f"{self._fold & 0xFFFFFFFFFFFFFFFF:016x}|{list(self._pairs)!r}".encode()
+        stream = f"{self._fold & 0xFFFFFFFFFFFFFFFF:016x}|{list(self._codes)!r}".encode()
         digest = hashlib.blake2b(stream, digest_size=16).hexdigest()
         return "\n".join([*lines, f"packet stream digest: {digest}"])

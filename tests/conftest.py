@@ -126,8 +126,8 @@ class RecordingTrace(ReplayTrace):
         self._sim = sim
         self.events = []
 
-    def packet_event(self, kind, outcome, size, src, dst):
-        super().packet_event(kind, outcome, size, src, dst)
+    def observe(self, kind, outcome, size, src, dst):
+        super().observe(kind, outcome, size, src, dst)
         self.events.append((kind, outcome, src, dst, self._sim.now))
 
 

@@ -1,6 +1,7 @@
 """End-to-end simulations over scripted contacts."""
 
 import gc
+import hashlib
 import math
 import os
 import subprocess
@@ -379,25 +380,33 @@ class TestChaosInvariants:
 
 
 class TestPacketConservation:
-    def test_every_key_balances(self, tmp_path):
-        # Six moving nodes, 5% loss, a 2 ms propagation delay, a device
-        # queue of about two messages and a 0.1 s residency limit, with
-        # traffic until the end: every drop outcome but malformed occurs.
-        trace_file = tmp_path / "conservation.ns"
-        trace_file.write_text(
+    # Six moving nodes, 5% loss, a 2 ms propagation delay, a device queue of
+    # about two messages and a 0.1 s residency limit, with traffic until the
+    # end: every drop outcome but malformed occurs.
+    SCENARIO = Scenario(
+        trajectories=tuple(parse_ns2_trace(
             generate_random_waypoint_trace(6, 150, 150, 5, 15, 40, seed="conservation")
+        )),
+        duration_s=40.0,
+        seeds=(1,),
+        protocol=ProtocolConfig(1.0, 0.1, 500_000, 25.0, 3, 60),
+        link=LinkModel(2e6, 60.0, loss_probability=0.05, propagation_delay_s=2e-3),
+        traffic=TrafficParams(20, 15_000, 1200, 1.0, 40.0),
+        queue_capacity=30_000,
+        queue_residency_s=0.1,
+    )
+
+    def test_ordered_stream_of_every_drop_outcome_is_pinned(self):
+        # The replay dump of this world: its records, its counters, and the
+        # digest of its packet outcomes in the order they happened, drops
+        # by overflow, residency and at the end of the run included.
+        _, trace = run_once(self.SCENARIO, 1, ReplayTrace())
+        assert hashlib.sha256(trace.dump().encode()).hexdigest() == (
+            "4806619561d476d2a4fa1df9242908c587de2c0e42fb905f18bd988cc3ce5f12"
         )
-        scenario = Scenario(
-            trajectories=tuple(parse_ns2_trace(trace_file.read_text())),
-            duration_s=40.0,
-            seeds=(1,),
-            protocol=ProtocolConfig(1.0, 0.1, 500_000, 25.0, 3, 60),
-            link=LinkModel(2e6, 60.0, loss_probability=0.05, propagation_delay_s=2e-3),
-            traffic=TrafficParams(20, 15_000, 1200, 1.0, 40.0),
-            queue_capacity=30_000,
-            queue_residency_s=0.1,
-        )
-        _, trace = run_once(scenario, 1)
+
+    def test_every_key_balances(self):
+        _, trace = run_once(self.SCENARIO, 1)
         counts = trace.pair_counts
         by_outcome = Counter()
         for (_, _, _, outcome), n in counts.items():

@@ -143,6 +143,15 @@ class TestMotionBounds:
         assert traj.error_scale() == pytest.approx(max(300.0, 0.5 * 1020.0))
 
 
+def test_trajectories_compare_and_hash_by_value():
+    first, second = parse_ns2_trace(BASIC), parse_ns2_trace(BASIC)
+    assert first == second and first[0] is not second[0]
+    assert [hash(t) for t in first] == [hash(t) for t in second]
+    assert first[0] != first[1]
+    # Nothing can add a waypoint to a trajectory once it is made.
+    assert not hasattr(first[0], "add_waypoint")
+
+
 class TestGenerator:
     def test_deterministic_and_parseable(self):
         a = generate_random_waypoint_trace(5, 100, 100, 1, 3, 60, seed=7)

@@ -14,7 +14,6 @@ from dtnsim.netsim import (
     EVENT_TRAFFIC,
     LinkModel,
     NodeTransport,
-    Packet,
     RadioNetwork,
     Simulator,
     service_time_us,
@@ -224,13 +223,7 @@ def exact_in_range(trajectories, radio_range, a, b, t_us):
 
 def build_trajectories(nodes):
     """nodes: [(x, y, [(t, x, y, speed), ...]), ...], waypoints in time order."""
-    trajectories = []
-    for x, y, waypoints in nodes:
-        trajectory = Trajectory(x, y)
-        for t, wx, wy, speed in waypoints:
-            trajectory.add_waypoint(t, wx, wy, speed)
-        trajectories.append(trajectory)
-    return trajectories
+    return [Trajectory(x, y, waypoints) for x, y, waypoints in nodes]
 
 
 # A coordinate offset: 0, or millions of metres where a coordinate's ulp
@@ -371,7 +364,7 @@ class TestRangeCertificate:
                     got = net.in_range(a, b, t_us)
                     if got != exact_in_range(trajectories, radio_range, a, b, t_us):
                         mismatches.append(("unicast", a, b, t_us, got))
-            net.submit(Packet(i % n, None, 1, b"x", "beacon"))
+            net.submit(i % n, None, 1, b"x", "beacon")
 
         for i, t_us in enumerate(times):
             sim.schedule(t_us, EVENT_TIMER, lambda i=i, t_us=t_us: query(i, t_us))
@@ -407,7 +400,7 @@ class TestTransmission:
         net.attach(0, lambda *a: None)
         net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append((data, now)))
         for i in range(5):
-            net.submit(Packet(0, 1, 1, bytes(1472), "data"))
+            net.submit(0, 1, 1, bytes(1472), "data")
         sim.run(10 * SEC)
         assert [d for d, _ in got] == [bytes(1472)] * 5
         # FIFO service: 1472 B + 28 B encapsulation = 1500 B on the air,
@@ -423,9 +416,8 @@ class TestTransmission:
             (data, payload, msg_dst, now)
         ))
         data, payload = bytes(30), bytes(range(256)) * 5 + bytes(162)
-        packet = Packet(0, 1, 2, data, "data", 7, payload)
-        assert packet.size == len(data) + len(payload) + 28 == 1500
-        net.submit(packet)
+        assert len(data) + len(payload) + 28 == 1500
+        net.submit(0, 1, 2, data, "data", 7, payload)
         sim.run(SEC)
         assert len(got) == 1
         got_data, got_payload, msg_dst, now = got[0]
@@ -435,15 +427,21 @@ class TestTransmission:
         assert trace.bytes_of("data", PKT_DELIVERED) == 1500
 
     def test_control_packet_has_empty_payload(self):
-        packet = Packet(0, None, 1, b"abc", "beacon")
-        assert packet.payload == b"" and packet.size == 3 + 28
+        sim, net, trace = make_net([(0, 0), (10, 0)])
+        got = []
+        net.attach(0, lambda *a: None)
+        net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(payload))
+        net.submit(0, None, 1, b"abc", "beacon")
+        sim.run(SEC)
+        assert got == [b""]
+        assert trace.bytes_of("beacon", PKT_SUBMITTED) == 3 + 28
 
     def test_broadcast_reaches_all_in_range(self):
         sim, net, trace = make_net([(0, 0), (10, 0), (20, 0), (500, 0)])
         got = []
         for i in range(4):
             net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append(i))
-        net.submit(Packet(0, None, 1, b"abc", "beacon"))
+        net.submit(0, None, 1, b"abc", "beacon")
         sim.run(SEC)
         assert sorted(got) == [1, 2]  # node 3 out of range, sender excluded
 
@@ -451,7 +449,7 @@ class TestTransmission:
         sim, net, trace = make_net([(0, 0), (500, 0)])
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
-        net.submit(Packet(0, 1, 1, b"abc", "data"))
+        net.submit(0, 1, 1, b"abc", "data")
         sim.run(SEC)
         assert trace.count("data", PKT_OUT_OF_RANGE) == 1
         assert trace.count("data", PKT_DELIVERED) == 0
@@ -477,7 +475,7 @@ class TestTransmission:
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
         for _ in range(100):
-            net.submit(Packet(0, 1, 1, bytes(1500), "data"))
+            net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(10 * SEC)
         delivered = trace.count("data", PKT_DELIVERED)
         oor = trace.count("data", PKT_OUT_OF_RANGE)
@@ -489,7 +487,7 @@ class TestTransmission:
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
         for _ in range(200):
-            net.submit(Packet(0, 1, 1, bytes(100), "data"))
+            net.submit(0, 1, 1, bytes(100), "data")
         sim.run(10 * SEC)
         lost = trace.count("data", "loss")
         assert lost + trace.count("data", PKT_DELIVERED) == 200
@@ -503,7 +501,7 @@ class TestDeviceQueue:
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
         for _ in range(3):
-            net.submit(Packet(0, 1, 1, bytes(1472), "data"))
+            net.submit(0, 1, 1, bytes(1472), "data")
         assert trace.count("data", PKT_OVERFLOW) == 1
         sim.run(SEC)
         assert trace.count("data", PKT_DELIVERED) == 2
@@ -517,7 +515,7 @@ class TestDeviceQueue:
         # 1500 bytes at 10 kbps = 1.2 s per packet; the 4th packet waits
         # 3.6 s > 2 s residency and is dropped when it reaches the head.
         for _ in range(4):
-            net.submit(Packet(0, 1, 1, bytes(1500), "data"))
+            net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(30 * SEC)
         assert trace.count("data", PKT_RESIDENCY) >= 1
         assert (
@@ -556,7 +554,7 @@ class TestDeviceQueue:
         # 1500 bytes on air at 12 Mbps: 1,000 µs of service each.
         sim, net, trace = self._recorded_link(12e6, 10 * SEC)
         for _ in range(3):
-            net.submit(Packet(0, 1, 1, bytes(1472), "data"))
+            net.submit(0, 1, 1, bytes(1472), "data")
         sim.run(SEC)
         assert self._timeline(trace) == [
             (PKT_TRANSMITTED, 1_000),
@@ -566,9 +564,8 @@ class TestDeviceQueue:
 
     def test_packet_after_service_drained_the_queue_is_served_at_once(self):
         sim, net, trace = self._recorded_link(12e6, 10 * SEC)
-        net.submit(Packet(0, 1, 1, bytes(1472), "data"))
-        late = Packet(0, 1, 1, bytes(1472), "data")
-        sim.schedule(5_000, EVENT_TIMER, lambda: net.submit(late))
+        net.submit(0, 1, 1, bytes(1472), "data")
+        sim.schedule(5_000, EVENT_TIMER, lambda: net.submit(0, 1, 1, bytes(1472), "data"))
         sim.run(SEC)
         assert self._timeline(trace) == [(PKT_TRANSMITTED, 1_000), (PKT_TRANSMITTED, 6_000)]
 
@@ -578,9 +575,8 @@ class TestDeviceQueue:
         # dropped there, which empties the queue.
         sim, net, trace = self._recorded_link(1e4, 2 * SEC)
         for _ in range(4):
-            net.submit(Packet(0, 1, 1, bytes(1472), "data"))
-        late = Packet(0, 1, 1, bytes(1472), "data")
-        sim.schedule(5 * SEC, EVENT_TIMER, lambda: net.submit(late))
+            net.submit(0, 1, 1, bytes(1472), "data")
+        sim.schedule(5 * SEC, EVENT_TIMER, lambda: net.submit(0, 1, 1, bytes(1472), "data"))
         sim.run(30 * SEC)
         assert self._timeline(trace) == [
             (PKT_TRANSMITTED, 1_200_000),
@@ -595,7 +591,7 @@ class TestDeviceQueue:
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
         for _ in range(5):
-            net.submit(Packet(0, 1, 1, bytes(1500), "data"))
+            net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(100)  # far too short to transmit anything
         net.finalize()
         assert trace.count("data", PKT_UNSENT_AT_END) == 5
@@ -616,7 +612,7 @@ class TestDeviceQueue:
         )
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
-        net.submit(Packet(0, 1, 1, bytes(1500), "data"))
+        net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(10_000)  # past service completion, before delivery
         net.finalize()
         assert trace.count("data", PKT_TRANSMITTED) == 1
@@ -641,10 +637,10 @@ class TestDeviceQueue:
         got = []
         for i in range(3):
             net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append((now, src, i, data)))
-        net.submit(Packet(0, 1, 1, b"a" * 1472, "data"))  # on air 0..1000 us
-        net.submit(Packet(2, None, 1, b"b" * 722, "beacon"))  # 0..500 us
-        net.submit(Packet(1, 0, 1, b"c" * 1472, "data"))  # 0..1000 us
-        net.submit(Packet(0, 2, 1, b"d" * 1472, "data"))  # 1000..2000 us
+        net.submit(0, 1, 1, b"a" * 1472, "data")  # on air 0..1000 us
+        net.submit(2, None, 1, b"b" * 722, "beacon")  # 0..500 us
+        net.submit(1, 0, 1, b"c" * 1472, "data")  # 0..1000 us
+        net.submit(0, 2, 1, b"d" * 1472, "data")  # 1000..2000 us
         sim.run(SEC)
         assert sorted(got) == [
             (10_500, 2, 0, b"b" * 722),
@@ -661,7 +657,7 @@ class TestDeviceQueue:
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
         for _ in range(50):
-            net.submit(Packet(0, 1, 1, bytes(1500), "data"))
+            net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(2000)  # cut the run off mid-queue
         net.finalize()
         submitted = trace.count("data", PKT_SUBMITTED)
@@ -716,7 +712,7 @@ class TestMessageHandOver:
                     transport.unicast(1, PORT_DATA, header, "data", 1, payload)
 
         if busy:
-            net.submit(Packet(0, 1, PORT_DATA, bytes(1472), "data", 1))  # on air 0..1000 µs
+            net.submit(0, 1, PORT_DATA, bytes(1472), "data", 1)  # on air 0..1000 µs
         sim.schedule(100, EVENT_TRAFFIC, hand_over)
         sim.run(60 * SEC)
         net.finalize()
@@ -779,7 +775,7 @@ class TestDeterminism:
         net.attach(0, lambda *a: None)
         net.attach(1, lambda *a: None)
         for _ in range(30):
-            net.submit(Packet(0, 1, 1, bytes(500), "data"))
+            net.submit(0, 1, 1, bytes(500), "data")
         sim.run(10 * SEC)
         net.finalize()
         return trace.dump()

@@ -188,7 +188,7 @@ def test_plain_and_replay_traces_of_one_run_agree(make_scenario):
     assert plain.pair_counts == replay.pair_counts
     assert plain.packet_counts == replay.packet_counts
     assert plain.packet_bytes == replay.packet_bytes
-    assert list(plain._pairs) == list(replay._pairs)
+    assert list(plain._rows) == list(replay._rows)
     assert plain_report == replay_report
     assert not hasattr(plain, "dump")
     assert replay.dump().splitlines()[-1].startswith("packet stream digest: ")
@@ -197,7 +197,7 @@ def test_plain_and_replay_traces_of_one_run_agree(make_scenario):
 @WORLDS
 def test_plain_trace_keeps_no_per_transfer_state(make_scenario):
     _, trace = runner.run_once(make_scenario(), 1)
-    state = {"n_generated", "n_transfers", "drop_counts", "deliveries", "_pairs"}
+    state = {"n_generated", "n_transfers", "drop_counts", "deliveries", "_rows"}
     assert set(vars(trace)) == state
     assert type(trace.n_generated) is int and type(trace.n_transfers) is int
     assert trace.n_transfers > 0

@@ -405,6 +405,28 @@ def test_loaded_scenario_survives_a_pickle_round_trip():
         scenario.seeds = (2,)  # runs share a scenario and never change it
 
 
+def test_scenario_and_its_pickle_round_trip_hash_equal():
+    scenario = load_scenario("scenarios/mini.cfg")
+    copy = pickle.loads(pickle.dumps(scenario))
+    assert hash(copy) == hash(scenario)
+    assert {scenario: 1}[copy] == 1
+    assert hash(copy.trajectories) == hash(scenario.trajectories)
+
+
+@pytest.mark.parametrize(
+    "part, field, value",
+    [("protocol", "buffer_capacity", 1000), ("link", "radio_range_m", 1.0)],
+)
+def test_configs_of_a_loaded_scenario_are_read_only(part, field, value):
+    # Assigning would undo the checks the constructors made: a 1000-byte
+    # buffer could not store the mini scenario's messages.
+    config = getattr(load_scenario("scenarios/mini.cfg"), part)
+    with pytest.raises(AttributeError):
+        setattr(config, field, value)
+    with pytest.raises(AttributeError):
+        delattr(config, field)
+
+
 class TestOverrides:
     def test_override_applied(self, scenario_dir):
         s = load_scenario(scenario_dir / "scenario.cfg", {"hop_limit": "3"})
