@@ -14,16 +14,16 @@ to an optional per-receiver Bernoulli loss draw. A node hands a message's
 packets to its queue in one call, `NodeTransport.unicast_message`, which
 queues, drops and reports them exactly as one `unicast` per packet would.
 
-Range is decided when a transmission completes. The exact check
-interpolates both positions and tests dx*dx + dy*dy <= R*R. Each pair
-also keeps a certificate: after an exact check at t0 finds distance d0,
-the answer holds while V * |t - t0| < |R - d0| - margin, where V is twice
-the fastest segment speed of any trajectory. The margin is far above the
+Range is decided when a transmission completes. The exact check,
+`RadioNetwork.in_range`, interpolates both positions, tests dx*dx + dy*dy
+<= R*R and leaves the pair a certificate: after it finds distance d0 at
+t0, the answer holds while V * |t - t0| < |R - d0| - margin, where V is
+twice the fastest segment speed of any trajectory. A completion runs the
+exact check only when no certificate holds. The margin is far above the
 rounding of the positions and of the check, so a certified answer equals
-the exact one and outputs are those of checking every packet; near the
-boundary the exact check runs. Certificates are off (every check exact)
-when nothing moves or a node jumps. Trajectories must not change after
-the network is built.
+the exact one and outputs are those of checking every packet.
+Certificates are off (every check exact) when nothing moves or a node
+jumps. Trajectories must not change after the network is built.
 
 A packet is its `data` bytes plus an optional `payload` bytes object
 carried by reference: the datagram it stands for is `data + payload`,
@@ -85,6 +85,9 @@ MAX_DATAGRAM_PAYLOAD = 0xFFFF - IP_UDP_HEADER_BYTES
 CERT_MARGIN_REL = 1e-9
 # Longest certificate, in microseconds (keeps its bounds finite ints).
 CERT_MAX_US = float(1 << 62)
+
+# A node's packet handler(sender, port, data, msg_dst, now, payload).
+Handler = Callable[[int, int, bytes, int | None, int, bytes], None]
 
 
 class Simulator:
@@ -179,6 +182,10 @@ class LinkModel(Frozen):
             raise ValueError("propagation_delay_s must be non-negative")
 
 
+def _no_handler(*packet: object) -> None:
+    """The packet handler of a node that is not attached."""
+
+
 class RadioNetwork:
     """Binds trajectories, device queues, and protocol nodes to the kernel."""
 
@@ -219,8 +226,7 @@ class RadioNetwork:
         # and its queued bytes.
         self._fifos: list[deque[tuple]] = [deque() for _ in trajectories]
         self._queued = [0] * self._n
-        # address -> packet handler(sender_addr, port, data, msg_dst, now, payload)
-        self._handlers: dict[int, Callable[[int, int, bytes, int | None, int, bytes], None]] = {}
+        self._handlers: list[Handler] = [_no_handler] * self._n
         # (entry, receiver) of deliveries scheduled but not yet executed.
         # Every delivery lands a fixed propagation delay after it was
         # scheduled, so they execute in the order they were scheduled.
@@ -236,29 +242,18 @@ class RadioNetwork:
             self._enqueues.append(enqueue)
             self._completions.append(complete)
 
-    def attach(
-        self,
-        address: int,
-        handler: Callable[[int, int, bytes, int | None, int, bytes], None],
-    ) -> None:
-        if address in self._handlers:
-            raise ValueError(f"duplicate node address {address}")
-        self._handlers[address] = handler
+    def attach(self, node: int, handler: Handler) -> None:
+        """Hand the packets delivered to node index `node` to `handler`; a
+        node that is never attached ignores what it receives."""
+        if not 0 <= node < self._n:
+            raise ValueError(f"node {node} is not in range({self._n})")
+        if self._handlers[node] is not _no_handler:
+            raise ValueError(f"node {node} is already attached")
+        self._handlers[node] = handler
 
     def in_range(self, a: int, b: int, t_us: int) -> bool:
-        """Whether nodes a and b are within radio range at t_us.
-
-        _service's complete() reads the certificate the same way, inlined
-        to save a call per receiver: a change to this rule must be made
-        there too.
-        """
-        since, until, inside = self._certs[a * self._n + b]
-        if since < t_us < until:
-            return inside
-        return self._exact_in_range(a, b, t_us)
-
-    def _exact_in_range(self, a: int, b: int, t_us: int) -> bool:
-        """The range formula; also renews the pair's certificate.
+        """Whether nodes a and b are within radio range at t_us, by the
+        exact check; also renews the pair's certificate.
 
         Seen from the exact check at t0 at distance d0, the pair's
         distance moves by at most V * |t - t0|, so the answer cannot change
@@ -302,10 +297,11 @@ class RadioNetwork:
         serve(now), which both enqueue and every completion call, drops the
         heads that are past residency and schedules the transmission of the
         first that is not. complete() ends the head's transmission: it
-        counts it, decides range and each receiver's loss draw, schedules
-        the deliveries, and serves the next head. complete is scheduled
-        through `self._completions[node]`, not by its own name: finalize
-        clears that list, which breaks the closures' only reference cycle.
+        counts it, decides range (a certificate that holds, else in_range)
+        and each receiver's loss draw, schedules the deliveries, and serves
+        the next head. complete is scheduled through
+        `self._completions[node]`, not by its own name: finalize clears
+        that list, which breaks the closures' only reference cycle.
 
         A row's slots 0-1 count submitted packets and bytes, 2-3
         transmitted and 4-5 delivered (records.PKT_OUTCOMES).
@@ -323,7 +319,7 @@ class RadioNetwork:
         certs = self._certs
         base = node * self._n
         others = [other for other in range(self._n) if other != node]
-        exact_in_range = self._exact_in_range
+        in_range = self.in_range
         in_flight = self._in_flight
         deliver = self._deliver
         prop_us = self._prop_us
@@ -380,10 +376,9 @@ class RadioNetwork:
             # A broadcast reaches every other node in range, a unicast its
             # destination if in range.
             for receiver in others if dst is None else (dst,):
-                # in_range(node, receiver, now), inlined: keep the two in step.
                 since, until, inside = certs[base + receiver]
                 if not since < now < until:
-                    inside = exact_in_range(node, receiver, now)
+                    inside = in_range(node, receiver, now)
                 if not inside:
                     if dst is not None:
                         packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
@@ -417,9 +412,7 @@ class RadioNetwork:
                 row[5] += size
                 if observe is not None:
                     observe(kind, PKT_DELIVERED, size, src, receiver)
-            handler = handlers.get(receiver)
-            if handler is not None:
-                handler(src, port, data, msg_dst, sim.now, payload)
+            handlers[receiver](src, port, data, msg_dst, sim.now, payload)
 
         return deliver
 
@@ -437,7 +430,6 @@ class RadioNetwork:
             for size, _, _, (src, dst, _, kind, _, _), _ in fifo:
                 packet_event(kind, PKT_UNSENT_AT_END, size, src, dst)
             fifo.clear()
-        self._queued[:] = [0] * self._n
         for (size, _, _, (src, _, _, kind, _, _), _), receiver in self._in_flight:
             packet_event(kind, PKT_IN_FLIGHT_AT_END, size, src, receiver)
         self._in_flight.clear()

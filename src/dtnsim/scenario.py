@@ -3,14 +3,15 @@
 Each key sets one field of `ProtocolConfig`, `LinkModel`, `TrafficParams`
 or the `Scenario` itself (`_SCHEMA`). Those classes hold the only defaults
 and rules, and check them however they are built; they compare by value,
-and a Scenario is frozen. `Scenario` checks the rules that span fields: with
-traffic, the trace has two nodes or more, the traffic window lies within the
-duration and the 48-bit message timestamp, and a message fits a node's buffer.
-The loader only parses, rejecting unknown or repeated keys and non-finite
-numbers, and defaults the device queue to the buffer capacity and two beacon
-intervals. The trace path is resolved relative to the scenario file, and the
-trace is read and parsed once per load: every seed run of a loaded scenario
-shares its trajectories, while each sweep cell loads and parses its own.
+and a Scenario is frozen. `Scenario` checks the rules that span fields: node
+ids fit their 16-bit wire field, and with traffic, the trace has two nodes
+or more, the traffic window lies within the duration and the 48-bit message
+timestamp, and a message fits a node's buffer. It also defaults the device
+queue to the buffer capacity and two beacon intervals. The loader only
+parses, rejecting unknown or repeated keys and non-finite numbers. The trace
+path is resolved relative to the scenario file, and the trace is read and
+parsed once per load: every seed run of a loaded scenario shares its
+trajectories, while each sweep cell loads and parses its own.
 Example:
 
     trace = mini_trace.ns_movements
@@ -31,7 +32,7 @@ from ._value import Frozen, require_int
 from .mobility import Trajectory, parse_ns2_trace
 from .netsim import LinkModel, to_us
 from .protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
-from .wire import TIMESTAMP_MAX
+from .wire import NODE_ID_MAX, TIMESTAMP_MAX
 
 
 class ScenarioError(ValueError):
@@ -61,15 +62,21 @@ class TrafficParams(Frozen):
 
 
 class Scenario(Frozen):
-    """A run's inputs, however built; its runs share, and never modify, its trajectories."""
+    """A run's inputs, however built; its runs share, and never modify, its
+    trajectories. A queue_capacity of None is the buffer capacity, and a
+    queue_residency_s of None two beacon intervals."""
 
     __slots__ = ("trajectories", "duration_s", "protocol", "link", "traffic",
                  "queue_capacity", "queue_residency_s", "seeds")  # queue_capacity in bytes
 
     def __init__(self, trajectories: tuple[Trajectory, ...], duration_s: float,
                  protocol: ProtocolConfig, link: LinkModel, traffic: TrafficParams,
-                 queue_capacity: int, queue_residency_s: float,
+                 queue_capacity: int | None = None, queue_residency_s: float | None = None,
                  seeds: tuple[int, ...] = (1,)) -> None:
+        if queue_capacity is None:
+            queue_capacity = protocol.buffer_capacity
+        if queue_residency_s is None:
+            queue_residency_s = 2 * protocol.beacon_interval
         self._set(trajectories, duration_s, protocol, link, traffic,
                   queue_capacity, queue_residency_s, seeds)
         self._require_finite("duration_s", "queue_residency_s")
@@ -83,6 +90,8 @@ class Scenario(Frozen):
             raise ValueError("queue_residency must be at least 1 µs")
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
+        if len(trajectories) > NODE_ID_MAX + 1:
+            raise ValueError(f"the trace has more than {NODE_ID_MAX + 1} nodes (16-bit node ids)")
         # Each seed is one independent run of the aggregate's sample.
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {' '.join(map(str, self.seeds))}")
@@ -221,12 +230,11 @@ def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
     fields["trajectories"] = tuple(parse_ns2_trace(text))
 
     try:
-        protocol = ProtocolConfig(**kwargs["protocol"])
-        traffic = TrafficParams(**kwargs["traffic"])
-        fields.setdefault("queue_capacity", protocol.buffer_capacity)
-        fields.setdefault("queue_residency_s", 2 * protocol.beacon_interval)
         return Scenario(
-            protocol=protocol, link=LinkModel(**kwargs["link"]), traffic=traffic, **fields
+            protocol=ProtocolConfig(**kwargs["protocol"]),
+            traffic=TrafficParams(**kwargs["traffic"]),
+            link=LinkModel(**kwargs["link"]),
+            **fields,
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

@@ -414,6 +414,11 @@ def test_constructor_validation():
         MessageBuffer(10, 0, RunTrace(), NODE)
     with pytest.raises(ValueError):
         QueueEntry(make_message_id(1, 0), 99, (), 5)
+    for destination in (-1, 0x10000):
+        with pytest.raises(ValueError, match="destination out of 16-bit range"):
+            QueueEntry(make_message_id(1, 0), destination, (b"x",), 5)
+    with pytest.raises(ValueError, match="hop_budget must be non-negative"):
+        QueueEntry(make_message_id(1, 0), 99, (b"x",), -1)
 
 
 @pytest.mark.parametrize(

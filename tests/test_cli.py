@@ -330,6 +330,34 @@ class TestSweepCommand:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--set", "hop_limit", "--axis", "data_rate=6e6,12e6"],
+                "error: --set expects KEY=VALUE, got 'hop_limit'\n",
+            ),
+            (["--axis", "hop_limit=,"], "error: --axis hop_limit has no values\n"),
+            (
+                ["--seeds", "0", "--axis", "hop_limit=4,8"],
+                "error: --seeds must be at least 1\n",
+            ),
+        ],
+        ids=["set_without_equals", "axis_without_values", "zero_seeds"],
+    )
+    def test_malformed_flag_exits_2_before_any_cell(
+        self, workdir, capsys, monkeypatch, flags, message
+    ):
+        def no_simulation(scenario):
+            pytest.fail("simulated although a flag is malformed")
+
+        monkeypatch.setattr(cli, "run_seeds", no_simulation)
+        out = workdir / "malformed"
+        code = main(["sweep", str(workdir / "two_node.cfg"), *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]

@@ -113,6 +113,18 @@ class TestParseErrors:
         with pytest.raises(TraceParseError, match="line 6: non-finite"):
             parse_ns2_trace(text)
 
+    @pytest.mark.parametrize(
+        "value, message", [("abc", "bad waypoint numbers"), ("-1", "negative time or speed")]
+    )
+    @pytest.mark.parametrize("field", [0, 3])
+    def test_unparsable_or_negative_waypoint_time_or_speed(self, field, value, message):
+        numbers = ["1.0", "10.0", "0.0", "2.0"]  # time, x, y, speed
+        numbers[field] = value
+        time, x, y, speed = numbers
+        text = BASIC + f'$ns_ at {time} "$node_(1) setdest {x} {y} {speed}"\n'
+        with pytest.raises(TraceParseError, match=f"line 6: {message}"):
+            parse_ns2_trace(text)
+
 
 class TestMotionBounds:
     def test_max_speed_of_segments(self):

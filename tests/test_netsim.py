@@ -331,7 +331,8 @@ def _head_on_far_out():
 
 
 class TestRangeCertificate:
-    """Certified answers equal the exact check, for unicast and broadcast."""
+    """Completing transmissions decide range as the exact check does, whether
+    a certificate or the check answers, for unicast and broadcast."""
 
     @given(range_scenes())
     @example(_head_on())
@@ -346,7 +347,7 @@ class TestRangeCertificate:
         n = len(trajectories)
         sim = Simulator()
         trace = RecordingTrace(sim)
-        # 1 Tbps: a 29-byte broadcast is on the air for one microsecond.
+        # 1 Tbps: a 29-byte packet is on the air for one microsecond.
         net = RadioNetwork(
             sim,
             LinkModel(1e12, radio_range),
@@ -356,28 +357,35 @@ class TestRangeCertificate:
             random.Random(1),
             trace,
         )
-        mismatches = []
 
-        def query(i, t_us):
+        def query(i):
             for a in range(n):
                 for b in range(n):
-                    got = net.in_range(a, b, t_us)
-                    if got != exact_in_range(trajectories, radio_range, a, b, t_us):
-                        mismatches.append(("unicast", a, b, t_us, got))
+                    if a != b:
+                        net.submit(a, b, 1, b"x", "data")
             net.submit(i % n, None, 1, b"x", "beacon")
 
         for i, t_us in enumerate(times):
-            sim.schedule(t_us, EVENT_TIMER, lambda i=i, t_us=t_us: query(i, t_us))
-        sim.run(times[-1] + 10 * n * len(times))
-        # A broadcast is named by (sender, end of transmission): a sender
-        # transmits one packet at a time, and with no propagation delay
-        # its deliveries are reported at that same instant.
+            sim.schedule(t_us, EVENT_TIMER, lambda i=i: query(i))
+        sim.run(times[-1] + 10 * n * n * len(times))
+        # A unicast's range decision is its delivery or its out_of_range
+        # drop, both reported when its transmission completes (no loss, no
+        # propagation delay). A broadcast is named by (sender, end of
+        # transmission): a sender transmits one packet at a time.
+        mismatches = []
+        unicasts = 0
         transmitted, received = [], {}
-        for _, outcome, src, dst, now in trace.events:
-            if outcome == PKT_TRANSMITTED:
+        for kind, outcome, src, dst, now in trace.events:
+            if kind == "data" and outcome in (PKT_DELIVERED, PKT_OUT_OF_RANGE):
+                unicasts += 1
+                expected = exact_in_range(trajectories, radio_range, src, dst, now)
+                if (outcome == PKT_DELIVERED) != expected:
+                    mismatches.append(("unicast", src, dst, now, outcome))
+            elif kind == "beacon" and outcome == PKT_TRANSMITTED:
                 transmitted.append((src, now))
-            elif outcome == PKT_DELIVERED:
+            elif kind == "beacon" and outcome == PKT_DELIVERED:
                 received.setdefault((src, now), set()).add(dst)
+        assert unicasts == n * (n - 1) * len(times)
         assert len(transmitted) == len(times)
         assert len(set(transmitted)) == len(transmitted)
         assert set(received) <= set(transmitted)
@@ -393,11 +401,24 @@ class TestRangeCertificate:
         assert mismatches == []
 
 
+class TestAttach:
+    @pytest.mark.parametrize("node", [-1, 2, 7])
+    def test_node_outside_the_network_rejected(self, node):
+        _, net, _ = make_net([(0, 0), (10, 0)])
+        with pytest.raises(ValueError, match="not in range"):
+            net.attach(node, lambda *a: None)
+
+    def test_node_attached_twice_rejected(self):
+        _, net, _ = make_net([(0, 0), (10, 0)])
+        net.attach(1, lambda *a: None)
+        with pytest.raises(ValueError, match="already attached"):
+            net.attach(1, lambda *a: None)
+
+
 class TestTransmission:
     def test_unicast_zero_loss_delivers_everything(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
-        net.attach(0, lambda *a: None)
         net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append((data, now)))
         for i in range(5):
             net.submit(0, 1, 1, bytes(1472), "data")
@@ -411,7 +432,6 @@ class TestTransmission:
     def test_payload_delivered_by_reference(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
-        net.attach(0, lambda *a: None)
         net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
             (data, payload, msg_dst, now)
         ))
@@ -429,7 +449,6 @@ class TestTransmission:
     def test_control_packet_has_empty_payload(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
         got = []
-        net.attach(0, lambda *a: None)
         net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(payload))
         net.submit(0, None, 1, b"abc", "beacon")
         sim.run(SEC)
@@ -447,8 +466,6 @@ class TestTransmission:
 
     def test_out_of_range_unicast_counted(self):
         sim, net, trace = make_net([(0, 0), (500, 0)])
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         net.submit(0, 1, 1, b"abc", "data")
         sim.run(SEC)
         assert trace.count("data", PKT_OUT_OF_RANGE) == 1
@@ -472,8 +489,6 @@ class TestTransmission:
             random.Random(1),
             trace,
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         for _ in range(100):
             net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(10 * SEC)
@@ -484,8 +499,6 @@ class TestTransmission:
 
     def test_bernoulli_loss(self):
         sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.5, seed=3)
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         for _ in range(200):
             net.submit(0, 1, 1, bytes(100), "data")
         sim.run(10 * SEC)
@@ -498,8 +511,6 @@ class TestDeviceQueue:
     def test_overflow_tail_drops_newest(self):
         # Two 1500-byte-on-air packets fill the queue; the third tail-drops.
         sim, net, trace = make_net([(0, 0), (10, 0)], queue_capacity=3000)
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         for _ in range(3):
             net.submit(0, 1, 1, bytes(1472), "data")
         assert trace.count("data", PKT_OVERFLOW) == 1
@@ -510,8 +521,6 @@ class TestDeviceQueue:
         sim, net, trace = make_net(
             [(0, 0), (10, 0)], rate=1e4, residency_us=2 * SEC
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         # 1500 bytes at 10 kbps = 1.2 s per packet; the 4th packet waits
         # 3.6 s > 2 s residency and is dropped when it reaches the head.
         for _ in range(4):
@@ -538,8 +547,6 @@ class TestDeviceQueue:
             random.Random(1),
             trace,
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         return sim, net, trace
 
     @staticmethod
@@ -588,8 +595,6 @@ class TestDeviceQueue:
 
     def test_unsent_at_end_accounted(self):
         sim, net, trace = make_net([(0, 0), (10, 0)], rate=1e4)
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         for _ in range(5):
             net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(100)  # far too short to transmit anything
@@ -610,8 +615,6 @@ class TestDeviceQueue:
             random.Random(1),
             trace,
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(10_000)  # past service completion, before delivery
         net.finalize()
@@ -654,8 +657,6 @@ class TestDeviceQueue:
         sim, net, trace = make_net(
             [(0, 0), (10, 0)], loss=0.2, queue_capacity=6000, seed=9
         )
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         for _ in range(50):
             net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(2000)  # cut the run off mid-queue
@@ -772,8 +773,6 @@ def test_recording_transport_logs_in_submitted_order():
 class TestDeterminism:
     def _run(self, seed):
         sim, net, trace = make_net([(0, 0), (10, 0)], loss=0.3, seed=seed, trace=ReplayTrace())
-        net.attach(0, lambda *a: None)
-        net.attach(1, lambda *a: None)
         for _ in range(30):
             net.submit(0, 1, 1, bytes(500), "data")
         sim.run(10 * SEC)

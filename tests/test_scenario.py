@@ -20,7 +20,7 @@ from dtnsim.scenario import (
     parse_scenario_text,
     with_seeds,
 )
-from dtnsim.wire import DATA_HEADERS_SIZE, HOP_COUNT_MAX, TIMESTAMP_MAX
+from dtnsim.wire import DATA_HEADERS_SIZE, HOP_COUNT_MAX, NODE_ID_MAX, TIMESTAMP_MAX
 
 MINIMAL = """\
 trace = trace.ns_movements
@@ -185,6 +185,38 @@ class TestParsing:
         with pytest.raises(ValueError, match="seeds must be distinct"):
             Scenario(**{**fields, "seeds": (1, 2, 2)})
         assert with_seeds(s, (2, 1)).seeds == (2, 1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("radio_range", "0"),
+            ("radio_range", "-5"),
+            ("loss_probability", "1"),
+            ("loss_probability", "-0.1"),
+            ("propagation_delay", "-1e-3"),
+            ("beacon_randomness", "-0.1"),
+            ("message_count", "-1"),
+            ("message_size", "0"),
+            ("packet_payload", "0"),
+            ("queue_capacity", "0"),
+        ],
+    )
+    def test_value_outside_its_range_rejected_at_load(self, scenario_dir, key, value):
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(scenario_dir / "scenario.cfg", {key: value})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("trace = trace.ns_movements\nduration =\n", "^line 2: empty value for 'duration'$"),
+            (MINIMAL + "seeds = ,\n", "^bad value for 'seeds': empty seed list$"),
+        ],
+        ids=["duration", "seeds"],
+    )
+    def test_empty_value_rejected(self, scenario_dir, text, message):
+        (scenario_dir / "bad.cfg").write_text(text)
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(scenario_dir / "bad.cfg")
 
     def test_invalid_protocol_value_surfaces(self, scenario_dir):
         (scenario_dir / "bad.cfg").write_text(MINIMAL + "buffer_capacity = -5\n")
@@ -352,6 +384,27 @@ def test_traffic_end_of_none_runs_to_the_scenario_duration():
     dumps = [run_once(s, 1, ReplayTrace())[1].dump() for s in (open_ended, bounded)]
     assert dumps[0] == dumps[1]
     assert "MessageGenerated" in dumps[0]
+
+
+def test_queue_of_none_is_the_buffer_capacity_and_two_beacon_intervals():
+    mini = load_scenario("scenarios/mini.cfg")
+    parts = {
+        name: getattr(mini, name) for name in Scenario.__slots__ if not name.startswith("queue_")
+    }
+    assert Scenario(**parts) == mini
+    assert (mini.queue_capacity, mini.queue_residency_s) == (1_000_000, 2.0)
+
+
+def test_trace_with_more_nodes_than_16_bit_ids_rejected():
+    # Built only: a network of that many nodes would allocate n² range
+    # certificates before any node rejected its id.
+    mini = load_scenario("scenarios/mini.cfg")
+    fields = {name: getattr(mini, name) for name in Scenario.__slots__}
+    node = mini.trajectories[0]
+    widest = Scenario(**{**fields, "trajectories": (node,) * (NODE_ID_MAX + 1)})
+    assert len(widest.trajectories) == 65_536
+    with pytest.raises(ValueError, match="more than 65536 nodes"):
+        Scenario(**{**fields, "trajectories": (node,) * (NODE_ID_MAX + 2)})
 
 
 # Changes to the mini scenario that its run could not honour as written,

@@ -1,0 +1,54 @@
+"""Whole runs through the plain path of a fast path match the fast run."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from slow_twin import ExactRadio
+
+import dtnsim.runner
+from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
+from dtnsim.netsim import LinkModel
+from dtnsim.protocol import ProtocolConfig
+from dtnsim.records import ReplayTrace
+from dtnsim.runner import run_once
+from dtnsim.scenario import Scenario, TrafficParams
+
+
+@st.composite
+def small_worlds(draw):
+    """3-8 random-waypoint nodes that meet often, with loss, an optional
+    propagation delay, a device queue that overflows and hits residency,
+    and a TTL short enough to expire messages."""
+    nodes = draw(st.integers(3, 8))
+    text = generate_random_waypoint_trace(
+        nodes, 150, 150, 5, 15, 20, seed=draw(st.integers(0, 2**32 - 1))
+    )
+    return Scenario(
+        trajectories=tuple(parse_ns2_trace(text)),
+        duration_s=20.0,
+        protocol=ProtocolConfig(1.0, 0.1, 100_000, draw(st.floats(2.0, 8.0)), 3, 60),
+        link=LinkModel(
+            2e6,
+            60.0,
+            loss_probability=draw(st.floats(0.0, 0.05)),
+            propagation_delay_s=draw(st.sampled_from([0.0, 2e-3])),
+        ),
+        traffic=TrafficParams(draw(st.integers(1, 12)), 15_000, 1200, 1.0, 20.0),
+        queue_capacity=30_000,
+        queue_residency_s=0.1,
+    )
+
+
+def replay(scenario):
+    _, trace = run_once(scenario, 1, ReplayTrace())
+    return trace.dump()
+
+
+class TestExactRadioTwin:
+    @given(small_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_certificates_off_give_the_same_run(self, scenario):
+        fast = replay(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dtnsim.runner, "RadioNetwork", ExactRadio)
+            exact = replay(scenario)
+        assert exact == fast

@@ -130,6 +130,23 @@ class TestDecodeErrors:
         with pytest.raises(ValueError, match="node_id"):
             MessageTypeHeader(MsgType.ACK, 0x10000)
 
+    @pytest.mark.parametrize(
+        "cls, fields, message",
+        [
+            (DataPacketHeader, (-1, 1, 0), "last_hop out of 16-bit range"),
+            (DataPacketHeader, (0x10000, 1, 0), "last_hop out of 16-bit range"),
+            (DataPacketHeader, (1, 0, 0), "packet_total out of range"),
+            (DataPacketHeader, (1, 1 << 32, 0), "packet_total out of range"),
+            (DataPacketHeader, (1, 2, 2), "packet_index 2 not below total 2"),
+            (DataPacketHeader, (1, 2, -1), "packet_index -1 not below total 2"),
+            (EpidemicHeader, (-1,), "hop_count out of 32-bit range"),
+            (EpidemicHeader, (1 << 32,), "hop_count out of 32-bit range"),
+        ],
+    )
+    def test_constructor_checks_data_header_fields(self, cls, fields, message):
+        with pytest.raises(ValueError, match=message):
+            cls(MessageId(9), *fields)
+
     @pytest.mark.parametrize("msg_type", list(MsgType))
     def test_decoded_header_equals_constructed(self, msg_type):
         hdr = MessageTypeHeader.decode(bytes([msg_type, 0xFF, 0xFF]))
