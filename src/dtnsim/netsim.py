@@ -8,11 +8,14 @@ instant the kernel runs the heap's entries due then before the lane: they
 were scheduled while the clock was earlier, so they come first in sequence
 (see Simulator). Each node owns one FIFO device queue; all nodes share its
 byte capacity and residency time-limit. The head of a non-empty FIFO is
-the packet in service. Service time is bytes * 8 / data_rate and a
-transmission reaches every in-range receiver (one for unicast), subject
-to an optional per-receiver Bernoulli loss draw. A node hands a message's
-packets to its queue in one call, `NodeTransport.unicast_message`, which
-queues, drops and reports them exactly as one `unicast` per packet would.
+the packet in service, for bytes * 8 / data_rate. A node's enqueue starts
+an idle queue's head at once, and each completion serves the next head
+that is within residency (see RadioNetwork._service). A unicast reaches
+its destination if in range, a broadcast every other node in range, each
+subject to an optional per-receiver Bernoulli loss draw. A node hands a
+message's packets to its queue in one call, `NodeTransport.unicast_message`,
+which queues, drops and reports them exactly as one `unicast` per packet
+would.
 
 Range is decided when a transmission completes. The exact check,
 `RadioNetwork.in_range`, interpolates both positions, tests dx*dx + dy*dy
@@ -50,6 +53,7 @@ a NodeTransport subclass to see packet contents.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from collections import deque
@@ -163,6 +167,17 @@ def service_time_us(size_bytes: int, rate_bps: int) -> int:
     return (size_bytes * 8_000_000 + rate_bps - 1) // rate_bps
 
 
+class _ServiceTimes(dict):
+    """service_time_us at one rate by on-air size, computed once per size."""
+
+    def __init__(self, rate_bps: int) -> None:
+        self.rate_bps = rate_bps
+
+    def __missing__(self, size_bytes: int) -> int:
+        self[size_bytes] = time_us = service_time_us(size_bytes, self.rate_bps)
+        return time_us
+
+
 class LinkModel(Frozen):
     """Radio abstraction: shared rate, unit-disk range, optional loss."""
 
@@ -199,12 +214,14 @@ class RadioNetwork:
         loss_rng: random.Random,
         trace: RunTrace,
     ) -> None:
+        if queue_residency_us < 0:
+            raise ValueError("queue_residency_us must be non-negative")
         self.sim = sim
         self.trajectories = trajectories
         self.trace = trace
         self._loss_rng = loss_rng
         self._loss = link.loss_probability
-        self._rate = int(round(link.data_rate_bps))
+        self._service_us = _ServiceTimes(int(round(link.data_rate_bps)))
         self._prop_us = to_us(link.propagation_delay_s)
         self._range = link.radio_range_m
         self._range_sq = link.radio_range_m * link.radio_range_m
@@ -284,24 +301,25 @@ class RadioNetwork:
         self._enqueues[src](dst, port, (data,), kind, msg_dst, (payload,))
 
     def _service(self, node: int) -> tuple[Callable[..., None], Callable[[], None]]:
-        """A node's device-queue service as closures: enqueue and complete.
+        """A node's device-queue service as two closures, enqueue and complete.
 
         enqueue(dst, port, headers, kind, msg_dst, payloads) appends one
         packet per (header, payload) pair in order, tail-dropping each that
-        does not fit, and serves a queue that was idle once, after the last
-        packet. That is what handing them over one at a time does: the first
-        that fits would start service at `now`, and the later ones schedule
-        nothing. Nothing enqueues during service or completion, so an idle
-        queue is an empty one.
+        does not fit. If the queue was idle it then schedules the head's
+        completion, as handing the packets over one at a time would: the
+        first that fits starts service at `now`. That head was enqueued at
+        `now`, so it is within any residency >= 0. Nothing enqueues during
+        a completion, so an idle queue is an empty one.
 
-        serve(now), which both enqueue and every completion call, drops the
-        heads that are past residency and schedules the transmission of the
-        first that is not. complete() ends the head's transmission: it
-        counts it, decides range (a certificate that holds, else in_range)
-        and each receiver's loss draw, schedules the deliveries, and serves
-        the next head. complete is scheduled through
-        `self._completions[node]`, not by its own name: finalize clears
-        that list, which breaks the closures' only reference cycle.
+        complete() ends the head's transmission. A unicast reaches its
+        destination if the pair is in range (a certificate that holds, else
+        in_range) and the loss draw spares it; a miss is out_of_range. A
+        broadcast decides the same for every other node in node order, and
+        a node out of range is no outcome. complete then drops the heads
+        past residency and schedules the completion of the first that is
+        not. It is scheduled through `self._completions[node]`, not by its
+        own name: finalize clears that list, which breaks the closures'
+        only reference cycle.
 
         A row's slots 0-1 count submitted packets and bytes, 2-3
         transmitted and 4-5 delivered (records.PKT_OUTCOMES).
@@ -315,10 +333,10 @@ class RadioNetwork:
         observe = self.trace.observe
         capacity = self._capacity
         residency_us = self._residency_us
-        rate = self._rate
+        service_us = self._service_us
         certs = self._certs
         base = node * self._n
-        others = [other for other in range(self._n) if other != node]
+        below, above = range(node), range(node + 1, self._n)
         in_range = self.in_range
         in_flight = self._in_flight
         deliver = self._deliver
@@ -350,18 +368,7 @@ class RadioNetwork:
             row[1] += handed
             queued[node] = total
             if idle and fifo:
-                serve(now)
-
-        def serve(now: int) -> None:
-            while fifo:
-                size, _, _, meta, enqueued_at = fifo[0]
-                if now - enqueued_at <= residency_us:
-                    done = now + service_time_us(size, rate)
-                    sim.schedule(done, EVENT_TIMER, completions[node])
-                    return
-                fifo.popleft()
-                queued[node] -= size
-                packet_event(meta[3], PKT_RESIDENCY, size, node, meta[1])
+                sim.schedule(now + service_us[fifo[0][0]], EVENT_TIMER, completions[node])
 
         def complete() -> None:
             entry = fifo.popleft()
@@ -373,21 +380,37 @@ class RadioNetwork:
             row[3] += size
             if observe is not None:
                 observe(kind, PKT_TRANSMITTED, size, node, dst)
-            # A broadcast reaches every other node in range, a unicast its
-            # destination if in range.
-            for receiver in others if dst is None else (dst,):
-                since, until, inside = certs[base + receiver]
+            if dst is not None:
+                since, until, inside = certs[base + dst]
                 if not since < now < until:
-                    inside = in_range(node, receiver, now)
+                    inside = in_range(node, dst, now)
                 if not inside:
-                    if dst is not None:
-                        packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
+                    packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
                 elif loss and draw() < loss:
-                    packet_event(kind, PKT_LOSS, size, node, receiver)
+                    packet_event(kind, PKT_LOSS, size, node, dst)
                 else:
-                    in_flight.append((entry, receiver))
+                    in_flight.append((entry, dst))
                     sim.schedule(now + prop_us, EVENT_PACKET_DELIVERY, deliver)
-            serve(now)
+            else:
+                for receiver in itertools.chain(below, above):
+                    since, until, inside = certs[base + receiver]
+                    if not since < now < until:
+                        inside = in_range(node, receiver, now)
+                    if not inside:
+                        continue
+                    if loss and draw() < loss:
+                        packet_event(kind, PKT_LOSS, size, node, receiver)
+                    else:
+                        in_flight.append((entry, receiver))
+                        sim.schedule(now + prop_us, EVENT_PACKET_DELIVERY, deliver)
+            while fifo:
+                size, _, _, meta, enqueued_at = fifo[0]
+                if now - enqueued_at <= residency_us:
+                    sim.schedule(now + service_us[size], EVENT_TIMER, completions[node])
+                    return
+                fifo.popleft()
+                queued[node] -= size
+                packet_event(meta[3], PKT_RESIDENCY, size, node, meta[1])
 
         return enqueue, complete
 

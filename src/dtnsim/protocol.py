@@ -292,12 +292,42 @@ class EpidemicNode:
         """One received datagram, `data + payload`.
 
         A data packet's `data` is its header block (or the whole datagram
-        if shorter) and `payload` the rest; a control packet is all `data`.
-        A control packet failing a receive check of docs/wire-format.md is
-        counted once as control/malformed and changes no state.
+        if shorter) and `payload` the rest, which is stored as it is (not
+        copied). Each packet makes the receive checks of
+        docs/wire-format.md in their order, and one that fails is counted
+        once as malformed and changes no state, except that a data packet
+        failing check 6 still refreshes its neighbor's record. A data
+        packet that passes joins its neighbor's reception buffer, which
+        holds one message at a time: a new id drops the partial one.
         """
         if port == PORT_DATA:
-            self.on_data_packet(data, payload, sender_addr, msg_dst, now)
+            try:
+                epi_raw, hop_count, raw, last_hop, total, index = decode_data_headers(data)
+            except WireError:
+                self._malformed(KIND_DATA, len(data) + len(payload), sender_addr)
+                return
+            if epi_raw != raw or msg_dst is None:
+                self._malformed(KIND_DATA, len(payload), sender_addr)
+                return
+            nb = self.neighbors.get(last_hop)
+            if nb is None:
+                nb = self.neighbors[last_hop] = NeighborRecord(last_hop, sender_addr, now)
+            else:
+                nb.last_heard = now
+                nb.address = sender_addr
+            rx = nb.rx
+            if rx is not None and rx.message_id == raw:
+                if rx.packet_total != total:
+                    self._malformed(KIND_DATA, len(payload), sender_addr)
+                    return
+            else:
+                if rx is not None:
+                    self._drop_msg(now, rx.message_id, MSG_PARTIAL_RESET)
+                rx = nb.rx = ReceptionBuffer(_decoded_id(raw), total, hop_count, msg_dst)
+            received = rx.received
+            received[index] = payload
+            if len(received) == total:
+                self._complete_message(nb, rx, now)
             return
         try:
             code, node_id = decode_envelope(data)
@@ -428,41 +458,6 @@ class EpidemicNode:
         self.transport.unicast(nb.address, PORT_CONTROL, data, KIND_ACK)
 
     # -- reception ------------------------------------------------------------
-
-    def on_data_packet(
-        self, data: bytes, payload: bytes, sender_addr: int, msg_dst: int | None, now: int
-    ) -> None:
-        """Add one data packet to its sender's reception buffer.
-
-        `data` is the packet's header block and `payload` the bytes after
-        it, which are stored as they are (not copied). The receive checks
-        and their accounting are those of docs/wire-format.md: a packet
-        failing one is counted once as data/malformed and changes no
-        reception state.
-        """
-        try:
-            epi_raw, hop_count, raw, last_hop, total, index = decode_data_headers(data)
-        except WireError:
-            self._malformed(KIND_DATA, len(data) + len(payload), sender_addr)
-            return
-        if epi_raw != raw or msg_dst is None:
-            self._malformed(KIND_DATA, len(payload), sender_addr)
-            return
-        nb = self._touch_neighbor(last_hop, sender_addr, now)
-        rx = nb.rx
-        if rx is not None and rx.message_id != raw:
-            # One message per neighbor: a new id supersedes the partial one.
-            self._drop_msg(now, rx.message_id, MSG_PARTIAL_RESET)
-            rx = None
-        if rx is None:
-            rx = nb.rx = ReceptionBuffer(_decoded_id(raw), total, hop_count, msg_dst)
-        elif rx.packet_total != total:
-            self._malformed(KIND_DATA, len(payload), sender_addr)
-            return
-        received = rx.received
-        received[index] = payload
-        if len(received) == total:
-            self._complete_message(nb, rx, now)
 
     def _complete_message(self, nb: NeighborRecord, rx: ReceptionBuffer, now: int) -> None:
         nb.rx = None

@@ -5,7 +5,7 @@ A test swaps one in by monkeypatching the name `dtnsim.runner` builds
 runs with, so `src/` needs no hook for it.
 """
 
-from dtnsim.netsim import RadioNetwork
+from dtnsim.netsim import NodeTransport, RadioNetwork
 
 
 class ExactRadio(RadioNetwork):
@@ -17,3 +17,12 @@ class ExactRadio(RadioNetwork):
         # in_range writes no certificate with a speed bound of 0, so every
         # certificate keeps its initial empty interval.
         self._speed_bound = 0.0
+
+
+class PerPacketTransport(NodeTransport):
+    """A transport that hands a message's packets to the radio one
+    `unicast` at a time, each its own hand-over."""
+
+    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+        for data, payload in zip(headers, payloads):
+            self.unicast(dst, port, data, kind, msg_dst, payload)

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from conftest import RecordingTrace, build_world, make_entry, static_trace
@@ -401,6 +402,24 @@ class TestRangeCertificate:
         assert mismatches == []
 
 
+def test_network_memory_beyond_the_certificate_table_is_linear():
+    # The certificate table is one 8-byte pointer per ordered pair; all
+    # else a network holds is per node: no per-node list of the others.
+    n = 600
+    trajectories = static_nodes(*((i, 0) for i in range(n)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net = RadioNetwork(
+            Simulator(), LinkModel(), trajectories, 1_000_000, 10 * SEC, random.Random(1), RunTrace()
+        )
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert net._n == n
+    assert used < 8 * n * n + 4096 * n
+
+
 class TestAttach:
     @pytest.mark.parametrize("node", [-1, 2, 7])
     def test_node_outside_the_network_rejected(self, node):
@@ -532,6 +551,19 @@ class TestDeviceQueue:
             + trace.count("data", PKT_RESIDENCY)
             == 4
         )
+
+    def test_negative_residency_rejected(self):
+        with pytest.raises(ValueError, match="residency"):
+            make_net([(0, 0), (10, 0)], residency_us=-1)
+
+    def test_zero_residency_serves_only_the_packet_that_started_an_idle_queue(self):
+        # Both packets are queued at 0; the second reaches the head at
+        # 1,000 µs, past a residency of 0.
+        sim, net, trace = self._recorded_link(12e6, 0)
+        net.submit(0, 1, 1, bytes(1472), "data")
+        net.submit(0, 1, 1, bytes(1472), "data")
+        sim.run(SEC)
+        assert self._timeline(trace) == [(PKT_TRANSMITTED, 1_000), (PKT_RESIDENCY, 1_000)]
 
     @staticmethod
     def _recorded_link(rate, residency_us):

@@ -396,22 +396,13 @@ class TestOnDataPacket:
         assert [d.cause for d in trace.message_drops] == [MSG_ARRIVAL_EXPIRED]
         assert len(transport.sent_of_kind(KIND_ACK)) == 1
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "truncated",
-            "zero_total",
-            "bad_index",
-            "ids_differ",
-            "no_msg_dst",
-            "total_differs",
-        ],
-    )
-    def test_mismatched_header_ids_dropped_as_malformed(self, case):
-        # Each receive check of docs/wire-format.md: the packet is counted
-        # once as data/malformed, with len(data) when the headers do not
-        # decode and len(payload) otherwise, and nothing is adopted.
-        node, transport, trace = make_node(node_id=2)
+    MALFORMED_DATA = ["truncated", "zero_total", "bad_index", "ids_differ", "no_msg_dst", "total_differs"]
+
+    @staticmethod
+    def _malformed_data(node, case):
+        """A data packet from node 1 that fails the receive check `case`, as
+        (datagram, msg_dst, payload). For total_differs, packet 0 of the
+        message is fed first, at 900 µs."""
         e = make_entry(1, 10)  # 3 packets of 10 bytes
         raw, payload = e.message_id.raw, e.packets[1]
         epi = EpidemicHeader(e.message_id, e.hop_budget).encode()
@@ -433,6 +424,15 @@ class TestOnDataPacket:
             first = epi + DataPacketHeader(e.message_id, 1, 3, 0).encode() + e.packets[0]
             feed_datagram(node, 1, first, msg_dst, 900)
             data = epi + DataPacketHeader(e.message_id, 1, 4, 1).encode() + payload
+        return data, msg_dst, payload
+
+    @pytest.mark.parametrize("case", MALFORMED_DATA)
+    def test_mismatched_header_ids_dropped_as_malformed(self, case):
+        # Each receive check of docs/wire-format.md: the packet is counted
+        # once as data/malformed, with len(data) when the headers do not
+        # decode and len(payload) otherwise, and nothing is adopted.
+        node, transport, trace = make_node(node_id=2)
+        data, msg_dst, payload = self._malformed_data(node, case)
         feed_datagram(node, 1, data, msg_dst, 1000)
         undecodable = case in ("truncated", "zero_total", "bad_index")
         assert trace.count(KIND_DATA, PKT_MALFORMED) == 1
@@ -447,6 +447,24 @@ class TestOnDataPacket:
         else:
             # Nothing adopted.
             assert all(nb.rx is None for nb in node.neighbors.values())
+
+    @pytest.mark.parametrize("case", MALFORMED_DATA)
+    @pytest.mark.parametrize("known", [False, True], ids=["new", "known"])
+    def test_only_a_packet_failing_check_6_is_heard(self, case, known):
+        # docs/wire-format.md: a packet failing check 6 (total_differs)
+        # still counts as hearing from the neighbor; one failing checks
+        # 1-5 neither makes a NeighborRecord nor refreshes one.
+        node, _, _ = make_node(node_id=2)
+        if known:
+            feed_beacon(node, 1, 1, now=0)
+        data, msg_dst, _ = self._malformed_data(node, case)
+        feed_datagram(node, 1, data, msg_dst, 1000)
+        if case == "total_differs":
+            assert node.neighbors[1].last_heard == 1000
+        elif known:
+            assert node.neighbors[1].last_heard == 0
+        else:
+            assert node.neighbors == {}
 
     def test_data_packet_refreshes_liveness(self):
         node, _, _ = make_node(node_id=2)

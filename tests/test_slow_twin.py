@@ -2,7 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from slow_twin import ExactRadio
+from slow_twin import ExactRadio, PerPacketTransport
 
 import dtnsim.runner
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
@@ -52,3 +52,14 @@ class TestExactRadioTwin:
             patch.setattr(dtnsim.runner, "RadioNetwork", ExactRadio)
             exact = replay(scenario)
         assert exact == fast
+
+
+class TestPerPacketTransportTwin:
+    @given(small_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_one_unicast_per_packet_gives_the_same_run(self, scenario):
+        fast = replay(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dtnsim.runner, "NodeTransport", PerPacketTransport)
+            per_packet = replay(scenario)
+        assert per_packet == fast
