@@ -5,7 +5,10 @@ the oldest-generated entries are purged first. Summaries and disjoint sets
 drive the anti-entropy exchange. The stored ids are kept ascending by raw
 id as entries come and go, so a summary is a copy, not a sort; `version`
 changes on every store and removal, so a caller can reuse what it built
-from an unchanged buffer.
+from an unchanged buffer. Each stored id also keeps its age key, the
+(generation time, raw id) order of `_age_order`, made once when it is
+stored and dropped when it is removed: the oldest-first orders of
+`find_disjoint` and of eviction read it instead of recomputing it.
 
 Each drop the buffer decides (expired, evicted, or a rejected duplicate,
 arrival_expired or too_large message) is recorded in the run's trace.
@@ -88,6 +91,8 @@ class MessageBuffer:
         self._trace = trace
         self._node = node
         self._entries: dict[MessageId, QueueEntry] = {}
+        # _age_order of every key of _entries.
+        self._age: dict[MessageId, int] = {}
         # The keys of _entries, ascending by raw id.
         self._ids: list[MessageId] = []
         self._used = 0
@@ -132,21 +137,26 @@ class MessageBuffer:
         buffer are recorded as dropped and change nothing beyond the
         expiry sweep.
         """
-        self.drop_expired(now)
+        ttl = self.ttl_us
+        if now - self._oldest > ttl:
+            self.drop_expired(now)
         mid = entry.message_id
-        generated_at = entry.generated_at
+        generated_at = mid & TIMESTAMP_MAX
+        size = entry.byte_size
         if mid in self._entries:
             cause = MSG_DUPLICATE
-        elif now - generated_at > self.ttl_us:
+        elif now - generated_at > ttl:
             cause = MSG_ARRIVAL_EXPIRED
-        elif entry.byte_size > self.capacity_bytes:
+        elif size > self.capacity_bytes:
             cause = MSG_TOO_LARGE
         else:
-            self._purge_for(entry.byte_size, now)
+            if size > self.capacity_bytes - self._used:
+                self._purge_for(size, now)
             self._entries[mid] = entry
+            self._age[mid] = _age_order(mid)
             insort(self._ids, mid)
             self.version += 1
-            self._used += entry.byte_size
+            self._used += size
             if generated_at < self._oldest:
                 self._oldest = generated_at
             return
@@ -158,14 +168,13 @@ class MessageBuffer:
 
     def find_disjoint(self, remote: Iterable[int]) -> list[MessageId]:
         """Stored ids absent from `remote`, oldest generation first."""
-        return sorted(self._entries.keys() - remote, key=_age_order)
+        return sorted(self._entries.keys() - remote, key=self._age.__getitem__)
 
     def _purge_for(self, needed: int, now: int) -> None:
+        """Evict oldest first until `needed` bytes are free; they are not yet."""
         free = self.capacity_bytes - self._used
-        if needed <= free:
-            return
-        # Oldest first; only the victims are popped, the rest stays unsorted.
-        by_age = [(_age_order(mid), mid) for mid in self._entries]
+        # Only the victims are popped, the rest stays unsorted.
+        by_age = [(age, mid) for mid, age in self._age.items()]
         heapify(by_age)
         while needed > free:
             mid = heappop(by_age)[1]
@@ -175,6 +184,7 @@ class MessageBuffer:
 
     def _remove(self, message_id: MessageId) -> None:
         entry = self._entries.pop(message_id)
+        del self._age[message_id]
         ids = self._ids
         del ids[bisect_left(ids, message_id)]
         self.version += 1

@@ -12,10 +12,11 @@ the packet in service, for bytes * 8 / data_rate. A node's enqueue starts
 an idle queue's head at once, and each completion serves the next head
 that is within residency (see RadioNetwork._service). A unicast reaches
 its destination if in range, a broadcast every other node in range, each
-subject to an optional per-receiver Bernoulli loss draw. A node hands a
-message's packets to its queue in one call, `NodeTransport.unicast_message`,
-which queues, drops and reports them exactly as one `unicast` per packet
-would.
+subject to an optional per-receiver Bernoulli loss draw. A node hands
+every unicast to its queue through `NodeTransport.unicast_message`, k
+packets in one call (a message's data packets, a summary's fragments, or
+one ACK), which queues, drops and reports them exactly as k `unicast`
+calls would.
 
 Range is decided when a transmission completes. The exact check,
 `RadioNetwork.in_range`, interpolates both positions, tests dx*dx + dy*dy
@@ -41,7 +42,8 @@ and a delivery in flight is (entry, receiver).
 
 The RunTrace passed into `runner.build_run` or `run_once` is the radio's
 only observer. `row` is the trace's counter row of (src, dst, kind),
-looked up once per hand-over: the radio counts a packet's submission,
+which each node's enqueue looks up once, on its first hand-over to (dst,
+kind), and keeps: the radio counts a packet's submission,
 transmission and unicast delivery there in place, and reports every other
 outcome (a drop, or a broadcast's delivery to one receiver) as one
 `trace.packet_event` call. A trace whose `observe` is set also sees every
@@ -329,6 +331,8 @@ class RadioNetwork:
         completions = self._completions
         sim = self.sim
         row_of = self.trace.row
+        # This node's trace rows by (dst, kind), each looked up on first use.
+        rows: dict[tuple[int | None, str], list[int]] = {}
         packet_event = self.trace.packet_event
         observe = self.trace.observe
         capacity = self._capacity
@@ -350,7 +354,9 @@ class RadioNetwork:
             idle = not fifo
             now = sim.now
             total = queued[node]
-            row = row_of(node, dst, kind)
+            row = rows.get((dst, kind))
+            if row is None:
+                row = rows[dst, kind] = row_of(node, dst, kind)
             meta = (node, dst, port, kind, msg_dst, row)
             handed = 0
             for data, payload in zip(headers, payloads):

@@ -24,16 +24,19 @@ expired or out of hops, and is otherwise stored (and counted as
 delivered at its destination).
 
 Control and data packets travel on distinct logical channels, standing in
-for the two UDP ports of an IP convergence layer. A message's data packets
-are handed to the radio in one call, each as its header block plus a
-reference to the stored payload bytes, which the receiver stores as they
-are: every copy of a message shares the originator's payload objects.
+for the two UDP ports of an IP convergence layer. Every unicast goes to the
+radio through one hand-over, `Transport.unicast_message`: an ACK as one
+packet, a summary as all its fragments in one call, and a message as its
+data packets in one call, each as its header block plus a reference to the
+stored payload bytes, which the receiver stores as they are: every copy of
+a message shares the originator's payload objects.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import chain
 from typing import Protocol, Sequence
 
 from ._value import Frozen
@@ -58,16 +61,17 @@ from .wire import (
     HOP_COUNT_MAX,
     MESSAGE_TYPE_SIZE,
     SUMMARY_HEAD_SIZE,
+    TIMESTAMP_MAX,
     MessageId,
     MessageTypeHeader,
     MsgType,
     WireError,
     _decoded_id,
+    ack_packer,
     decode_ack,
     decode_data_headers,
     decode_envelope,
     decode_summary,
-    encode_ack_packet,
     encode_data_packets,
     encode_summary,
     make_message_id,
@@ -80,6 +84,10 @@ PORT_DATA = 2
 _BEACON = MsgType.BEACON.value
 _REPLY = MsgType.REPLY.value
 _ACK = MsgType.ACK.value
+
+# The payload of a one-packet control hand-over; control packets carry
+# none, so k of them hand over _NO_PAYLOAD * k.
+_NO_PAYLOAD = (b"",)
 
 # Largest summary fragment: with its 3-byte envelope it fills one
 # IPv4/UDP datagram, so it holds at most 8,187 ids.
@@ -172,9 +180,11 @@ class NeighborRecord:
     """All state of the contact with one live neighbor.
 
     A node holds exactly one record per live neighbor; deleting the
-    record ends the contact. `pending` and `in_flight` are the messages
-    queued toward the neighbor (one in flight at a time, until its ACK);
-    `rx` is the message being received from it, if any.
+    record ends the contact. `summary_accum` holds the ids of each
+    fragment of the neighbor's summary received so far, as decoded.
+    `pending` and `in_flight` are the messages queued toward the neighbor
+    (one in flight at a time, until its ACK); `rx` is the message being
+    received from it, if any.
     """
 
     __slots__ = ("node_id", "address", "last_heard", "summary_accum", "pending", "in_flight", "rx")
@@ -183,7 +193,7 @@ class NeighborRecord:
         self.node_id = node_id
         self.address = address
         self.last_heard = last_heard
-        self.summary_accum: set[int] = set()
+        self.summary_accum: list[tuple[int, ...]] = []
         self.pending: deque[MessageId] = deque()
         self.in_flight: MessageId | None = None
         self.rx: ReceptionBuffer | None = None
@@ -194,16 +204,6 @@ class Transport(Protocol):
     def now(self) -> int: ...
 
     def broadcast(self, port: int, data: bytes, kind: str) -> None: ...
-
-    def unicast(
-        self,
-        dst: int,
-        port: int,
-        data: bytes,
-        kind: str,
-        msg_dst: int | None = None,
-        payload: bytes = b"",
-    ) -> None: ...
 
     def unicast_message(
         self,
@@ -234,6 +234,7 @@ class EpidemicNode:
         self.address = address
         self.config = config
         self.transport = transport
+        self._unicast = transport.unicast_message
         self.trace = trace
         self._rng = beacon_rng
         self.buffer = MessageBuffer(
@@ -247,6 +248,7 @@ class EpidemicNode:
         self._beacon = MessageTypeHeader(MsgType.BEACON, node_id).encode()
         self._reply = MessageTypeHeader(MsgType.REPLY, node_id).encode()
         self._reply_back = MessageTypeHeader(MsgType.REPLY_BACK, node_id).encode()
+        self._ack = ack_packer(node_id)
         # This node's summary fragments, as built from buffer version
         # _summary_version; REPLY and REPLY_BACK send the same ones.
         self._summary_fragments: list[bytes] = []
@@ -401,9 +403,9 @@ class EpidemicNode:
         is_reply = msg_type == _REPLY
         if self._leads(sender_addr, sender_node) is is_reply:
             return  # only the leading side sends REPLY; ignore on violation
-        nb.summary_accum.update(ids)
+        nb.summary_accum.append(ids)
         if frag_block == 0:
-            remote, nb.summary_accum = nb.summary_accum, set()
+            remote, nb.summary_accum = nb.summary_accum, []
             if is_reply:
                 self._send_summary(self._reply_back, KIND_REPLY_BACK, nb, now)
             self._load_pipeline(nb, remote, now)
@@ -416,11 +418,13 @@ class EpidemicNode:
                 buffer.summary(), self.config.max_control_payload
             )
             self._summary_version = buffer.version
-        for frag in self._summary_fragments:
-            self.transport.unicast(nb.address, PORT_CONTROL, envelope + frag, kind)
+        frags = self._summary_fragments
+        self._unicast(nb.address, PORT_CONTROL, [envelope + frag for frag in frags],
+                      kind, None, _NO_PAYLOAD * len(frags))
 
-    def _load_pipeline(self, nb: NeighborRecord, remote: set[int], now: int) -> None:
-        nb.pending = deque(self.buffer.find_disjoint(remote))
+    def _load_pipeline(self, nb: NeighborRecord, remote: list[tuple[int, ...]], now: int) -> None:
+        # The fragments' ids are read once, by find_disjoint: no set of them is made.
+        nb.pending = deque(self.buffer.find_disjoint(chain.from_iterable(remote)))
         self._advance_pipeline(nb, now)
 
     # -- message transfer ---------------------------------------------------
@@ -442,9 +446,7 @@ class EpidemicNode:
         headers = encode_data_packets(
             entry.message_id, entry.hop_budget, self.node_id, len(packets)
         )
-        self.transport.unicast_message(
-            nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets
-        )
+        self._unicast(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
 
     def on_ack(self, node_id: int, message_id: int, sender_addr: int, now: int) -> None:
         nb = self._touch_neighbor(node_id, sender_addr, now)
@@ -452,10 +454,6 @@ class EpidemicNode:
             return  # stale or unknown ACK
         nb.in_flight = None
         self._advance_pipeline(nb, now)
-
-    def _send_ack(self, nb: NeighborRecord, mid: MessageId) -> None:
-        data = encode_ack_packet(self.node_id, mid)
-        self.transport.unicast(nb.address, PORT_CONTROL, data, KIND_ACK)
 
     # -- reception ------------------------------------------------------------
 
@@ -466,7 +464,7 @@ class EpidemicNode:
         destination = rx.msg_dst
         budget = rx.hop_count - 1 if rx.hop_count > 0 else 0
         self.trace.transfer_completed(now, mid, nb.node_id, self.node_id)
-        age = now - mid.timestamp_us
+        age = now - (mid & TIMESTAMP_MAX)
         if age > self.buffer.ttl_us:
             self._drop_msg(now, mid, MSG_ARRIVAL_EXPIRED)
         else:
@@ -480,7 +478,7 @@ class EpidemicNode:
                     self._drop_msg(now, mid, MSG_HOP_EXHAUSTED)
             else:
                 self.buffer.enqueue(QueueEntry(mid, destination, packets, budget), now)
-        self._send_ack(nb, mid)
+        self._unicast(nb.address, PORT_CONTROL, (self._ack(mid),), KIND_ACK, None, _NO_PAYLOAD)
 
     # -- local message injection -----------------------------------------------
 

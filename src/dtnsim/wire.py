@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import struct
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._value import Frozen
 
@@ -128,11 +128,10 @@ SUMMARY_HEAD_SIZE = _SUMMARY_HEAD.size  # 4
 DATA_HEADERS_SIZE = _DATA_HEADERS.size  # 30 = EPIDEMIC_SIZE + DATA_PACKET_SIZE
 
 
-def _require(data: bytes, size: int, name: str, offset: int = 0) -> None:
-    if len(data) - offset < size:
-        raise TruncatedHeaderError(
-            f"{name} needs {size} bytes, got {len(data) - offset}"
-        )
+def _truncated(data: bytes, size: int, name: str, offset: int = 0) -> TruncatedHeaderError:
+    """The error for `data` holding fewer than `size` bytes after `offset`;
+    each decoder tests the length inline and builds it only to raise."""
+    return TruncatedHeaderError(f"{name} needs {size} bytes, got {len(data) - offset}")
 
 
 def _check_node(node_id: int, name: str) -> None:
@@ -198,7 +197,8 @@ class DataPacketHeader(Frozen):
 
     @classmethod
     def decode(cls, data: bytes) -> "DataPacketHeader":
-        _require(data, DATA_PACKET_SIZE, "DataPacketHeader")
+        if len(data) < DATA_PACKET_SIZE:
+            raise _truncated(data, DATA_PACKET_SIZE, "DataPacketHeader")
         raw, last_hop, total, index = _DATA_PACKET.unpack_from(data)
         if total < 1:
             raise HeaderFormatError("packet_total must be at least 1")
@@ -245,7 +245,8 @@ class EpidemicHeader(Frozen):
 
     @classmethod
     def decode(cls, data: bytes) -> "EpidemicHeader":
-        _require(data, EPIDEMIC_SIZE, "EpidemicHeader")
+        if len(data) < EPIDEMIC_SIZE:
+            raise _truncated(data, EPIDEMIC_SIZE, "EpidemicHeader")
         raw, hops = _EPIDEMIC.unpack_from(data)
         return cls(_decoded_id(raw), hops)
 
@@ -328,7 +329,8 @@ def decode_envelope(data: bytes) -> tuple[int, int]:
     TruncatedHeaderError below 3 bytes, HeaderFormatError for any other
     code. The control payload that follows is not read.
     """
-    _require(data, MESSAGE_TYPE_SIZE, "MessageTypeHeader")
+    if len(data) < MESSAGE_TYPE_SIZE:
+        raise _truncated(data, MESSAGE_TYPE_SIZE, "MessageTypeHeader")
     fields = _MESSAGE_TYPE.unpack_from(data)
     if fields[0] not in _MSG_TYPES:
         raise HeaderFormatError(f"unknown msg_type code {fields[0]}")
@@ -340,9 +342,16 @@ def encode_ack_packet(
 ) -> bytes:
     """A whole ACK packet: MessageTypeHeader(ACK, node_id), then
     AckHeader(message_id, node_id, status), packed in one call."""
+    return ack_packer(node_id, status)(message_id)
+
+
+def ack_packer(node_id: int, status: int = ACK_STATUS_SUCCESS) -> Callable[[int], bytes]:
+    """encode_ack_packet for one sender and status, their fields checked
+    once here: the returned function packs the ACK of a message id."""
     _check_node(node_id, "node_id")
     _check_status(status)
-    return _ACK_PACKET.pack(MsgType.ACK, node_id, message_id, node_id, status)
+    pack, code = _ACK_PACKET.pack, MsgType.ACK.value
+    return lambda message_id: pack(code, node_id, message_id, node_id, status)
 
 
 def decode_ack(data: bytes, offset: int = 0) -> tuple[int, int, int]:
@@ -351,7 +360,8 @@ def decode_ack(data: bytes, offset: int = 0) -> tuple[int, int, int]:
     TruncatedHeaderError if fewer than 12 bytes follow `offset`; bytes
     after the header are not read.
     """
-    _require(data, ACK_SIZE, "AckHeader", offset)
+    if len(data) - offset < ACK_SIZE:
+        raise _truncated(data, ACK_SIZE, "AckHeader", offset)
     return _ACK.unpack_from(data, offset)
 
 
@@ -370,7 +380,8 @@ def decode_summary(data: bytes, offset: int = 0) -> tuple[int, tuple[int, ...]]:
     HeaderFormatError for a frag_block other than 0 or 1, or a declared
     length that does not match the bytes that follow exactly.
     """
-    _require(data, SUMMARY_HEAD_SIZE, "SummaryVectorHeader", offset)
+    if len(data) - offset < SUMMARY_HEAD_SIZE:
+        raise _truncated(data, SUMMARY_HEAD_SIZE, "SummaryVectorHeader", offset)
     frag_block, length = _SUMMARY_HEAD.unpack_from(data, offset)
     if frag_block > 1:
         raise HeaderFormatError(f"frag_block must be 0 or 1: {frag_block}")

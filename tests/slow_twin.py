@@ -1,11 +1,15 @@
 """Plain forms of the simulator's fast paths, for whole-run comparisons.
 
 Each twin computes what the fast path it replaces computes, the slow way.
-A test swaps one in by monkeypatching the name `dtnsim.runner` builds
-runs with, so `src/` needs no hook for it.
+A test swaps one in by monkeypatching the name that `dtnsim.runner` or
+`dtnsim.protocol` builds runs with, so `src/` needs no hook for it.
 """
 
+from dtnsim.buffer import _NONE_STORED, MessageBuffer, _age_order
 from dtnsim.netsim import NodeTransport, RadioNetwork
+from dtnsim.protocol import EpidemicNode
+from dtnsim.records import MSG_EVICTED, MSG_EXPIRED
+from dtnsim.wire import TIMESTAMP_MAX
 
 
 class ExactRadio(RadioNetwork):
@@ -20,9 +24,51 @@ class ExactRadio(RadioNetwork):
 
 
 class PerPacketTransport(NodeTransport):
-    """A transport that hands a message's packets to the radio one
+    """A transport that hands the packets of every hand-over (a message's
+    data packets, a summary's fragments, an ACK) to the radio one
     `unicast` at a time, each its own hand-over."""
 
     def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
         for data, payload in zip(headers, payloads):
             self.unicast(dst, port, data, kind, msg_dst, payload)
+
+
+class ScanningBuffer(MessageBuffer):
+    """A buffer with no kept order: its expiry scans every entry, its
+    summary and disjoint sets sort, and its oldest generation time is a
+    full scan each time it is read."""
+
+    @property
+    def _oldest(self):
+        return min((mid & TIMESTAMP_MAX for mid in self._entries), default=_NONE_STORED)
+
+    @_oldest.setter
+    def _oldest(self, value):
+        pass  # always recomputed
+
+    def drop_expired(self, now):
+        for mid in [mid for mid in self._entries if now - (mid & TIMESTAMP_MAX) > self.ttl_us]:
+            self._remove(mid)
+            self._record(mid, now, MSG_EXPIRED)
+
+    def summary(self):
+        return sorted(self._entries)
+
+    def find_disjoint(self, remote):
+        remote = set(remote)
+        return sorted((mid for mid in self._entries if mid not in remote), key=_age_order)
+
+    def _purge_for(self, needed, now):
+        for mid in sorted(self._entries, key=_age_order):
+            if needed <= self.capacity_bytes - self._used:
+                return
+            self._remove(mid)
+            self._record(mid, now, MSG_EVICTED)
+
+
+class RebuildingNode(EpidemicNode):
+    """A node that builds its summary fragments anew for every send."""
+
+    def _send_summary(self, envelope, kind, nb, now):
+        self._summary_version = None  # matches no buffer version
+        super()._send_summary(envelope, kind, nb, now)

@@ -181,3 +181,15 @@ class TestGenerator:
         assert generate_random_waypoint_trace(3, 50, 50, 1, 2, 30, seed=1) != (
             generate_random_waypoint_trace(3, 50, 50, 1, 2, 30, seed=2)
         )
+
+    @pytest.mark.parametrize(
+        "n_nodes, speed_min, speed_max, message",
+        [
+            (0, 1, 2, "n_nodes must be positive"),
+            (3, 0, 2, "need 0 < speed_min <= speed_max"),
+            (3, 3, 2, "need 0 < speed_min <= speed_max"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, n_nodes, speed_min, speed_max, message):
+        with pytest.raises(ValueError, match=message):
+            generate_random_waypoint_trace(n_nodes, 50, 50, speed_min, speed_max, 30, seed=1)

@@ -2,8 +2,9 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from slow_twin import ExactRadio, PerPacketTransport
+from slow_twin import ExactRadio, PerPacketTransport, RebuildingNode, ScanningBuffer
 
+import dtnsim.protocol
 import dtnsim.runner
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
 from dtnsim.netsim import LinkModel
@@ -63,3 +64,25 @@ class TestPerPacketTransportTwin:
             patch.setattr(dtnsim.runner, "NodeTransport", PerPacketTransport)
             per_packet = replay(scenario)
         assert per_packet == fast
+
+
+class TestScanningBufferTwin:
+    @given(small_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_a_buffer_that_scans_and_sorts_gives_the_same_run(self, scenario):
+        fast = replay(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dtnsim.protocol, "MessageBuffer", ScanningBuffer)
+            scanning = replay(scenario)
+        assert scanning == fast
+
+
+class TestSummaryRebuildTwin:
+    @given(small_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_summaries_built_per_send_give_the_same_run(self, scenario):
+        fast = replay(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dtnsim.runner, "EpidemicNode", RebuildingNode)
+            rebuilt = replay(scenario)
+        assert rebuilt == fast

@@ -156,6 +156,11 @@ class TestDecodeErrors:
         with pytest.raises(AttributeError):
             hdr.node_id = 1  # frozen like a constructed header
 
+    def test_header_prints_its_fields_in_slot_order(self):
+        assert repr(AckHeader(make_message_id(2, 5), 3)) == (
+            "AckHeader(message_id=MessageId(2@5), node_id=3, status=1)"
+        )
+
     def test_summary_vector_declared_length_mismatch(self):
         ids = (MessageId(1), MessageId(2))
         good = SummaryVectorHeader(0, ids).encode()
