@@ -41,15 +41,14 @@ kind, msg_dst, row) is one tuple shared by every packet of a hand-over,
 and a delivery in flight is (entry, receiver).
 
 The RunTrace passed into `runner.build_run` or `run_once` is the radio's
-only observer. `row` is the trace's counter row of (src, dst, kind),
-which each node's enqueue looks up once, on its first hand-over to (dst,
-kind), and keeps: the radio counts a packet's submission,
-transmission and unicast delivery there in place, and reports every other
-outcome (a drop, or a broadcast's delivery to one receiver) as one
-`trace.packet_event` call. A trace whose `observe` is set also sees every
-outcome, in order (see records). Tests observe a run by passing a RunTrace
-subclass, such as a ReplayTrace for the packet stream digest, or through
-a NodeTransport subclass to see packet contents.
+only observer. Each hand-over looks up its counter row of (src, dst,
+kind) with `trace.row`: the radio counts a packet's submission,
+transmission and unicast delivery there in place, and reports every
+other outcome (a drop, or a broadcast's delivery to one receiver) as one
+`trace.packet_event` call. A trace whose `observe` is set also sees
+every outcome, in order (see records). Tests observe a run by passing a
+RunTrace subclass, such as a ReplayTrace for the packet stream digest,
+or through a NodeTransport subclass to see packet contents.
 """
 
 from __future__ import annotations
@@ -331,8 +330,6 @@ class RadioNetwork:
         completions = self._completions
         sim = self.sim
         row_of = self.trace.row
-        # This node's trace rows by (dst, kind), each looked up on first use.
-        rows: dict[tuple[int | None, str], list[int]] = {}
         packet_event = self.trace.packet_event
         observe = self.trace.observe
         capacity = self._capacity
@@ -354,9 +351,7 @@ class RadioNetwork:
             idle = not fifo
             now = sim.now
             total = queued[node]
-            row = rows.get((dst, kind))
-            if row is None:
-                row = rows[dst, kind] = row_of(node, dst, kind)
+            row = row_of(node, dst, kind)
             meta = (node, dst, port, kind, msg_dst, row)
             handed = 0
             for data, payload in zip(headers, payloads):

@@ -437,16 +437,13 @@ class EpidemicNode:
             entry = self.buffer.get(mid)
             if entry is None:
                 continue  # evicted or expired since the pipeline was built
-            self._send_message(nb, entry)
+            packets = entry.packets
+            headers = encode_data_packets(
+                mid, entry.hop_budget, self.node_id, len(packets)
+            )
+            self._unicast(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
             nb.in_flight = mid
             return
-
-    def _send_message(self, nb: NeighborRecord, entry: QueueEntry) -> None:
-        packets = entry.packets
-        headers = encode_data_packets(
-            entry.message_id, entry.hop_budget, self.node_id, len(packets)
-        )
-        self._unicast(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
 
     def on_ack(self, node_id: int, message_id: int, sender_addr: int, now: int) -> None:
         nb = self._touch_neighbor(node_id, sender_addr, now)

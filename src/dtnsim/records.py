@@ -206,16 +206,11 @@ class RunTrace:
         """(kind, outcome) -> packet count."""
         return Counter({key: n for key, (n, _) in self.packet_totals.items()})
 
-    @property
-    def packet_bytes(self) -> Counter[tuple[str, str]]:
-        """(kind, outcome) -> total on-air bytes."""
-        return Counter({key: size for key, (_, size) in self.packet_totals.items()})
-
     def count(self, kind: str, outcome: str) -> int:
-        return self.packet_counts[(kind, outcome)]
+        return self.packet_totals.get((kind, outcome), (0, 0))[0]
 
     def bytes_of(self, kind: str, outcome: str) -> int:
-        return self.packet_bytes[(kind, outcome)]
+        return self.packet_totals.get((kind, outcome), (0, 0))[1]
 
 
 class ReplayTrace(RunTrace):

@@ -3,6 +3,8 @@ simulated worlds whose trace and transports record what happens."""
 
 import random
 
+from hypothesis import settings
+
 from dtnsim.buffer import QueueEntry
 from dtnsim.mobility import parse_ns2_trace
 from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator
@@ -17,6 +19,14 @@ from dtnsim.wire import (
     SummaryVectorHeader,
     make_message_id,
 )
+
+
+# Example budgets of the whole-run twins (tests/test_slow_twin.py). Tier-1
+# runs them under "twins" and leaves every other test's settings alone.
+# `--hypothesis-profile=deep` runs ten times as many, and makes 400 the
+# default of every test it selects: run it on the twin file alone.
+settings.register_profile("twins", max_examples=40, deadline=None)
+settings.register_profile("deep", max_examples=400, deadline=None)
 
 
 class FakeTransport:

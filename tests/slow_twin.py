@@ -5,11 +5,39 @@ A test swaps one in by monkeypatching the name that `dtnsim.runner` or
 `dtnsim.protocol` builds runs with, so `src/` needs no hook for it.
 """
 
+import heapq
+
 from dtnsim.buffer import _NONE_STORED, MessageBuffer, _age_order
 from dtnsim.netsim import NodeTransport, RadioNetwork
 from dtnsim.protocol import EpidemicNode
 from dtnsim.records import MSG_EVICTED, MSG_EXPIRED
 from dtnsim.wire import TIMESTAMP_MAX
+
+
+class HeapKernel:
+    """Reference kernel: every event, due now or later, on one heap."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = 0
+        self.events_run = 0
+
+    def schedule(self, time_us, kind, fn):
+        assert time_us >= self.now
+        heapq.heappush(self._heap, (time_us, self._seq, fn))
+        self._seq += 1
+
+    def run(self, end_us):
+        assert end_us >= self.now
+        while self._heap and self._heap[0][0] <= end_us:
+            self.now, _, fn = heapq.heappop(self._heap)
+            fn()
+            self.events_run += 1
+        self.now = end_us
+
+    def clear(self):
+        self._heap.clear()
 
 
 class ExactRadio(RadioNetwork):
@@ -31,6 +59,16 @@ class PerPacketTransport(NodeTransport):
     def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
         for data, payload in zip(headers, payloads):
             self.unicast(dst, port, data, kind, msg_dst, payload)
+
+
+class CopyingTransport(NodeTransport):
+    """A transport that hands the radio a fresh copy of every payload of a
+    hand-over (a node's only unicast path), so no receiver holds the
+    payload object its sender stores."""
+
+    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+        copies = [bytes(bytearray(p)) for p in payloads]
+        super().unicast_message(dst, port, headers, kind, msg_dst, copies)
 
 
 class ScanningBuffer(MessageBuffer):

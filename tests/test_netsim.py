@@ -1,6 +1,5 @@
 """Event kernel, device queues, and the unit-disk radio."""
 
-import heapq
 import itertools
 import random
 import tracemalloc
@@ -8,6 +7,7 @@ import tracemalloc
 import pytest
 from conftest import RecordingTrace, build_world, make_entry, static_trace
 from hypothesis import example, given, settings, strategies as st
+from slow_twin import HeapKernel
 
 from dtnsim.mobility import Trajectory, parse_ns2_trace
 from dtnsim.netsim import (
@@ -116,29 +116,6 @@ class TestKernel:
         sim.run(10)
         assert hits == []
         assert sim.events_run == 0
-
-
-class HeapKernel:
-    """Reference kernel: every event, due now or later, on one heap."""
-
-    def __init__(self):
-        self.now = 0
-        self._heap = []
-        self._seq = 0
-        self.events_run = 0
-
-    def schedule(self, time_us, kind, fn):
-        assert time_us >= self.now
-        heapq.heappush(self._heap, (time_us, self._seq, fn))
-        self._seq += 1
-
-    def run(self, end_us):
-        assert end_us >= self.now
-        while self._heap and self._heap[0][0] <= end_us:
-            self.now, _, fn = heapq.heappop(self._heap)
-            fn()
-            self.events_run += 1
-        self.now = end_us
 
 
 def run_program(kernel, plan, steps):

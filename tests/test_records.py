@@ -53,7 +53,7 @@ def test_same_history_same_dump():
 def test_reordered_history_changes_dump_not_counts():
     forward, backward = trace_of(EVENTS), trace_of(EVENTS[::-1])
     assert forward.packet_counts == backward.packet_counts
-    assert forward.packet_bytes == backward.packet_bytes
+    assert forward.packet_totals == backward.packet_totals
     assert forward.pair_counts == backward.pair_counts
     assert forward.dump() != backward.dump()
 
@@ -81,7 +81,7 @@ def test_swapped_keys_of_equal_size_change_dump():
     b_to_a = (KIND_DATA, PKT_SUBMITTED, 100, 1, 0)
     forward, backward = trace_of([a_to_b, b_to_a]), trace_of([b_to_a, a_to_b])
     assert forward.pair_counts == backward.pair_counts
-    assert forward.packet_bytes == backward.packet_bytes
+    assert forward.packet_totals == backward.packet_totals
     assert forward.dump() != backward.dump()
 
 
@@ -187,7 +187,7 @@ def test_plain_and_replay_traces_of_one_run_agree(make_scenario):
     assert plain.drop_counts == replay.drop_counts
     assert plain.pair_counts == replay.pair_counts
     assert plain.packet_counts == replay.packet_counts
-    assert plain.packet_bytes == replay.packet_bytes
+    assert plain.packet_totals == replay.packet_totals
     assert list(plain._rows) == list(replay._rows)
     assert plain_report == replay_report
     assert not hasattr(plain, "dump")

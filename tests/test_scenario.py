@@ -162,6 +162,14 @@ class TestParsing:
         s = load_scenario(cfg, {**window, "message_count": "0", "traffic_end": "3.1e8"})
         assert s.traffic.end_s == 3.1e8
 
+    def test_traffic_fields_of_a_run_without_messages_are_not_used(self, scenario_dir):
+        # Scenario checks no traffic rule without messages, so the runner must
+        # not convert the window: 1e303 s is past every microsecond int.
+        cfg = scenario_dir / "scenario.cfg"
+        s = load_scenario(cfg, {"message_count": "0", "traffic_end": "1e303"})
+        _, trace = run_once(s, 1)
+        assert trace.n_generated == 0
+
     def test_traffic_on_a_one_node_trace_rejected_at_load(self, scenario_dir):
         (scenario_dir / "one.ns_movements").write_text(
             "$node_(0) set X_ 0.0\n$node_(0) set Y_ 0.0\n"

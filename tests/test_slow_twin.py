@@ -2,7 +2,14 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from slow_twin import ExactRadio, PerPacketTransport, RebuildingNode, ScanningBuffer
+from slow_twin import (
+    CopyingTransport,
+    ExactRadio,
+    HeapKernel,
+    PerPacketTransport,
+    RebuildingNode,
+    ScanningBuffer,
+)
 
 import dtnsim.protocol
 import dtnsim.runner
@@ -39,6 +46,11 @@ def small_worlds(draw):
     )
 
 
+# The "twins" profile of conftest.py, or "deep" when it is the loaded one.
+deep = settings.get_profile("deep")
+twin = deep if settings.default is deep else settings.get_profile("twins")
+
+
 def replay(scenario):
     _, trace = run_once(scenario, 1, ReplayTrace())
     return trace.dump()
@@ -46,7 +58,7 @@ def replay(scenario):
 
 class TestExactRadioTwin:
     @given(small_worlds())
-    @settings(max_examples=40, deadline=None)
+    @twin
     def test_certificates_off_give_the_same_run(self, scenario):
         fast = replay(scenario)
         with pytest.MonkeyPatch.context() as patch:
@@ -57,7 +69,7 @@ class TestExactRadioTwin:
 
 class TestPerPacketTransportTwin:
     @given(small_worlds())
-    @settings(max_examples=40, deadline=None)
+    @twin
     def test_one_unicast_per_packet_gives_the_same_run(self, scenario):
         fast = replay(scenario)
         with pytest.MonkeyPatch.context() as patch:
@@ -68,7 +80,7 @@ class TestPerPacketTransportTwin:
 
 class TestScanningBufferTwin:
     @given(small_worlds())
-    @settings(max_examples=40, deadline=None)
+    @twin
     def test_a_buffer_that_scans_and_sorts_gives_the_same_run(self, scenario):
         fast = replay(scenario)
         with pytest.MonkeyPatch.context() as patch:
@@ -79,10 +91,32 @@ class TestScanningBufferTwin:
 
 class TestSummaryRebuildTwin:
     @given(small_worlds())
-    @settings(max_examples=40, deadline=None)
+    @twin
     def test_summaries_built_per_send_give_the_same_run(self, scenario):
         fast = replay(scenario)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dtnsim.runner, "EpidemicNode", RebuildingNode)
             rebuilt = replay(scenario)
         assert rebuilt == fast
+
+
+class TestHeapKernelTwin:
+    @given(small_worlds())
+    @twin
+    def test_one_heap_for_every_event_gives_the_same_run(self, scenario):
+        fast = replay(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dtnsim.runner, "Simulator", HeapKernel)
+            heap_only = replay(scenario)
+        assert heap_only == fast
+
+
+class TestCopiedPayloadTwin:
+    @given(small_worlds())
+    @twin
+    def test_a_payload_copy_per_hand_over_gives_the_same_run(self, scenario):
+        fast = replay(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dtnsim.runner, "NodeTransport", CopyingTransport)
+            copied = replay(scenario)
+        assert copied == fast

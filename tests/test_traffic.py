@@ -66,6 +66,13 @@ class TestSchedule:
     def test_zero_messages_empty(self):
         assert build_schedule(5, 0, (0, 1000), random.Random(1)) == []
 
+    def test_unchecked_arguments_fail_in_the_call_they_break(self):
+        # Scenario checks both; a direct caller still gets a ValueError.
+        with pytest.raises(ValueError):
+            build_schedule(1, 1, (0, 1000), random.Random(1))
+        with pytest.raises(IdCollisionError):
+            build_schedule(5, 1, (1000, 0), random.Random(1))
+
     def test_deterministic_for_fixed_seed(self):
         a = build_schedule(5, 20, (0, 10**9), random.Random(7))
         b = build_schedule(5, 20, (0, 10**9), random.Random(7))
