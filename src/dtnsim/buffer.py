@@ -5,10 +5,7 @@ the oldest-generated entries are purged first. Summaries and disjoint sets
 drive the anti-entropy exchange. The stored ids are kept ascending by raw
 id as entries come and go, so a summary is a copy, not a sort; `version`
 changes on every store and removal, so a caller can reuse what it built
-from an unchanged buffer. Each stored id also keeps its age key, the
-(generation time, raw id) order of `_age_order`, made once when it is
-stored and dropped when it is removed: the oldest-first orders of
-`find_disjoint` and of eviction read it instead of recomputing it.
+from an unchanged buffer.
 
 Each drop the buffer decides (expired, evicted, or a rejected duplicate,
 arrival_expired or too_large message) is recorded in the run's trace.
@@ -68,10 +65,6 @@ class QueueEntry:
     def packet_total(self) -> int:
         return len(self.packets)
 
-    @property
-    def generated_at(self) -> int:
-        return self.message_id.timestamp_us
-
 
 def _age_order(mid: MessageId) -> int:
     """Sort key ordering ids exactly as (generation time, raw id)."""
@@ -91,8 +84,6 @@ class MessageBuffer:
         self._trace = trace
         self._node = node
         self._entries: dict[MessageId, QueueEntry] = {}
-        # _age_order of every key of _entries.
-        self._age: dict[MessageId, int] = {}
         # The keys of _entries, ascending by raw id.
         self._ids: list[MessageId] = []
         self._used = 0
@@ -153,7 +144,6 @@ class MessageBuffer:
             if size > self.capacity_bytes - self._used:
                 self._purge_for(size, now)
             self._entries[mid] = entry
-            self._age[mid] = _age_order(mid)
             insort(self._ids, mid)
             self.version += 1
             self._used += size
@@ -168,13 +158,13 @@ class MessageBuffer:
 
     def find_disjoint(self, remote: Iterable[int]) -> list[MessageId]:
         """Stored ids absent from `remote`, oldest generation first."""
-        return sorted(self._entries.keys() - remote, key=self._age.__getitem__)
+        return sorted(self._entries.keys() - remote, key=_age_order)
 
     def _purge_for(self, needed: int, now: int) -> None:
         """Evict oldest first until `needed` bytes are free; they are not yet."""
         free = self.capacity_bytes - self._used
         # Only the victims are popped, the rest stays unsorted.
-        by_age = [(age, mid) for mid, age in self._age.items()]
+        by_age = [(_age_order(mid), mid) for mid in self._entries]
         heapify(by_age)
         while needed > free:
             mid = heappop(by_age)[1]
@@ -184,7 +174,6 @@ class MessageBuffer:
 
     def _remove(self, message_id: MessageId) -> None:
         entry = self._entries.pop(message_id)
-        del self._age[message_id]
         ids = self._ids
         del ids[bisect_left(ids, message_id)]
         self.version += 1

@@ -161,21 +161,6 @@ def build_summary_fragments(ids: list[MessageId], max_control_payload: int) -> l
     ]
 
 
-class ReceptionBuffer:
-    """Reassembly of the one message being received from a neighbor."""
-
-    __slots__ = ("message_id", "packet_total", "hop_count", "msg_dst", "received")
-
-    def __init__(
-        self, message_id: MessageId, packet_total: int, hop_count: int, msg_dst: int
-    ) -> None:
-        self.message_id = message_id
-        self.packet_total = packet_total
-        self.hop_count = hop_count
-        self.msg_dst = msg_dst
-        self.received: dict[int, bytes] = {}
-
-
 class NeighborRecord:
     """All state of the contact with one live neighbor.
 
@@ -183,11 +168,15 @@ class NeighborRecord:
     record ends the contact. `summary_accum` holds the ids of each
     fragment of the neighbor's summary received so far, as decoded.
     `pending` and `in_flight` are the messages queued toward the neighbor
-    (one in flight at a time, until its ACK); `rx` is the message being
-    received from it, if any.
+    (one in flight at a time, until its ACK). It also holds the reception
+    state: `rx_id` is the message being received from the neighbor, or
+    None; while it is set, `rx_total`, `rx_hop_count` and `rx_dst` are its
+    packet total, hop count and destination, and `rx_parts` maps each
+    packet index received to its payload.
     """
 
-    __slots__ = ("node_id", "address", "last_heard", "summary_accum", "pending", "in_flight", "rx")
+    __slots__ = ("node_id", "address", "last_heard", "summary_accum", "pending", "in_flight",
+                 "rx_id", "rx_total", "rx_hop_count", "rx_dst", "rx_parts")
 
     def __init__(self, node_id: int, address: int, last_heard: int) -> None:
         self.node_id = node_id
@@ -196,7 +185,11 @@ class NeighborRecord:
         self.summary_accum: list[tuple[int, ...]] = []
         self.pending: deque[MessageId] = deque()
         self.in_flight: MessageId | None = None
-        self.rx: ReceptionBuffer | None = None
+        self.rx_id: MessageId | None = None
+        self.rx_total = 0
+        self.rx_hop_count = 0
+        self.rx_dst = 0
+        self.rx_parts: dict[int, bytes] = {}
 
 
 class Transport(Protocol):
@@ -299,7 +292,7 @@ class EpidemicNode:
         docs/wire-format.md in their order, and one that fails is counted
         once as malformed and changes no state, except that a data packet
         failing check 6 still refreshes its neighbor's record. A data
-        packet that passes joins its neighbor's reception buffer, which
+        packet that passes joins its neighbor's reception state, which
         holds one message at a time: a new id drops the partial one.
         """
         if port == PORT_DATA:
@@ -317,19 +310,22 @@ class EpidemicNode:
             else:
                 nb.last_heard = now
                 nb.address = sender_addr
-            rx = nb.rx
-            if rx is not None and rx.message_id == raw:
-                if rx.packet_total != total:
+            if nb.rx_id == raw:
+                if nb.rx_total != total:
                     self._malformed(KIND_DATA, len(payload), sender_addr)
                     return
             else:
-                if rx is not None:
-                    self._drop_msg(now, rx.message_id, MSG_PARTIAL_RESET)
-                rx = nb.rx = ReceptionBuffer(_decoded_id(raw), total, hop_count, msg_dst)
-            received = rx.received
-            received[index] = payload
-            if len(received) == total:
-                self._complete_message(nb, rx, now)
+                if nb.rx_id is not None:
+                    self._drop_msg(now, nb.rx_id, MSG_PARTIAL_RESET)
+                nb.rx_id = _decoded_id(raw)
+                nb.rx_total = total
+                nb.rx_hop_count = hop_count
+                nb.rx_dst = msg_dst
+                nb.rx_parts = {}
+            parts = nb.rx_parts
+            parts[index] = payload
+            if len(parts) == total:
+                self._complete_message(nb, now)
             return
         try:
             code, node_id = decode_envelope(data)
@@ -377,8 +373,8 @@ class EpidemicNode:
 
     def _end_contact(self, nb: NeighborRecord, now: int) -> None:
         """Delete a neighbor's record; a partly received message is dropped."""
-        if nb.rx is not None:
-            self._drop_msg(now, nb.rx.message_id, MSG_PARTIAL_DISCONNECT)
+        if nb.rx_id is not None:
+            self._drop_msg(now, nb.rx_id, MSG_PARTIAL_DISCONNECT)
         del self.neighbors[nb.node_id]
 
     # -- anti-entropy exchange ---------------------------------------------
@@ -454,12 +450,13 @@ class EpidemicNode:
 
     # -- reception ------------------------------------------------------------
 
-    def _complete_message(self, nb: NeighborRecord, rx: ReceptionBuffer, now: int) -> None:
-        nb.rx = None
-        mid = rx.message_id
-        packets = tuple(rx.received[i] for i in range(rx.packet_total))
-        destination = rx.msg_dst
-        budget = rx.hop_count - 1 if rx.hop_count > 0 else 0
+    def _complete_message(self, nb: NeighborRecord, now: int) -> None:
+        mid = nb.rx_id
+        nb.rx_id = None
+        parts = nb.rx_parts
+        packets = tuple(parts[i] for i in range(nb.rx_total))
+        destination = nb.rx_dst
+        budget = nb.rx_hop_count - 1 if nb.rx_hop_count > 0 else 0
         self.trace.transfer_completed(now, mid, nb.node_id, self.node_id)
         age = now - (mid & TIMESTAMP_MAX)
         if age > self.buffer.ttl_us:

@@ -337,17 +337,10 @@ def decode_envelope(data: bytes) -> tuple[int, int]:
     return fields
 
 
-def encode_ack_packet(
-    node_id: int, message_id: MessageId, status: int = ACK_STATUS_SUCCESS
-) -> bytes:
-    """A whole ACK packet: MessageTypeHeader(ACK, node_id), then
-    AckHeader(message_id, node_id, status), packed in one call."""
-    return ack_packer(node_id, status)(message_id)
-
-
 def ack_packer(node_id: int, status: int = ACK_STATUS_SUCCESS) -> Callable[[int], bytes]:
-    """encode_ack_packet for one sender and status, their fields checked
-    once here: the returned function packs the ACK of a message id."""
+    """The ACK encoder of one sender and status, checked once here: the
+    returned function packs the whole ACK packet of a message id,
+    MessageTypeHeader then AckHeader, in one call."""
     _check_node(node_id, "node_id")
     _check_status(status)
     pack, code = _ACK_PACKET.pack, MsgType.ACK.value

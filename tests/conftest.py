@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from dtnsim.buffer import QueueEntry
 from dtnsim.mobility import parse_ns2_trace
-from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator
+from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator, to_us
 from dtnsim.protocol import PORT_CONTROL, PORT_DATA, EpidemicNode, ProtocolConfig
 from dtnsim.records import ReplayTrace
 from dtnsim.wire import (
@@ -190,7 +190,7 @@ def build_world(
         link,
         trajectories,
         queue_capacity if queue_capacity is not None else config.buffer_capacity,
-        int((residency_s if residency_s is not None else 2 * config.beacon_interval) * 1_000_000),
+        to_us(residency_s if residency_s is not None else 2 * config.beacon_interval),
         random.Random(f"{seed}:loss"),
         trace,
     )

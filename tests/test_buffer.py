@@ -121,7 +121,7 @@ class TestEnqueue:
             used = sum(s.byte_size for s in stored)
             expected = []
             free = capacity - used
-            for s in sorted(stored, key=lambda s: (s.generated_at, s.message_id.raw)):
+            for s in sorted(stored, key=lambda s: (s.message_id.timestamp_us, s.message_id.raw)):
                 if new.byte_size <= free:
                     break
                 expected.append(s.message_id)
@@ -353,7 +353,7 @@ def test_expiry_and_eviction_match_brute_force(op_list):
                 expected.append((raw, rejected, now))
         assert take(trace) == expected
         assert [
-            (e.message_id, e.generated_at, e.byte_size) for e in buf.entries()
+            (e.message_id, e.message_id.timestamp_us, e.byte_size) for e in buf.entries()
         ] == [(MessageId(r), gen, size) for r, (gen, size) in ref.entries.items()]
         assert buf.summary() == sorted(ref.entries)
         remote = {r for i, r in enumerate(ref.entries) if remote_mask >> i & 1}
@@ -404,7 +404,7 @@ def test_eviction_is_oldest_first(op_list, capacity):
             newest_evicted = max(m.timestamp_us for m in evicted)
             for e in buf.entries():
                 if e.message_id != incoming.message_id:
-                    assert e.generated_at >= newest_evicted
+                    assert e.message_id.timestamp_us >= newest_evicted
 
 
 def test_constructor_validation():

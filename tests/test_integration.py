@@ -14,8 +14,8 @@ from conftest import build_world, static_trace
 
 from dtnsim.metrics import compute
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
-from dtnsim.netsim import LinkModel, RadioNetwork, Simulator
-from dtnsim.protocol import EpidemicNode, ProtocolConfig
+from dtnsim.netsim import IP_UDP_HEADER_BYTES, LinkModel, RadioNetwork, Simulator
+from dtnsim.protocol import PORT_CONTROL, EpidemicNode, ProtocolConfig
 from dtnsim.records import (
     KIND_ACK,
     KIND_BEACON,
@@ -165,7 +165,7 @@ class TestSharedPayloads:
             (nodes[0], generate_message(MessageSpec(0, 2, 1), message_payloads(2_500, 1_000), hop)),
             (nodes[3], generate_message(MessageSpec(3, 0, 0), message_payloads(1_500, 1_000), hop)),
         ]
-        start_all(sim, nodes, [(node, e, e.generated_at) for node, e in originals])
+        start_all(sim, nodes, [(node, e, e.message_id.timestamp_us) for node, e in originals])
         sim.run(20 * SEC)
         net.finalize()
         assert compute(trace).delivered == 3
@@ -271,7 +271,7 @@ class TestAckGating:
         entries = [
             generate_message(MessageSpec(0, 1, t), packets, config.hop_limit) for t in (0, 1, 2)
         ]
-        start_all(sim, nodes, [(nodes[0], e, e.generated_at) for e in entries])
+        start_all(sim, nodes, [(nodes[0], e, e.message_id.timestamp_us) for e in entries])
         sim.run(6 * SEC)
         net.finalize()
 
@@ -438,6 +438,22 @@ class TestPacketConservation:
                     src, dst, kind, PKT_DELIVERED, PKT_LOSS, PKT_OUT_OF_RANGE,
                     PKT_IN_FLIGHT_AT_END,
                 ), (src, dst, kind)
+
+
+class TestWorldResidency:
+    def test_residency_is_rounded_like_a_run(self):
+        # 2.49e-4 s is 249 µs to the nearest microsecond, as build_run
+        # rounds it; truncated it would be 248 µs. At 8 Mbit/s a packet of
+        # 249 on-air bytes takes 249 µs, so the second of two packets
+        # handed over at once reaches the head after exactly 249 µs.
+        sim, net, _, trace = build_world(
+            static_trace((0, 0), (10, 0)), ProtocolConfig(), LinkModel(8e6), residency_s=2.49e-4
+        )
+        for _ in range(2):
+            net.submit(0, None, PORT_CONTROL, bytes(249 - IP_UDP_HEADER_BYTES), KIND_BEACON)
+        sim.run(SEC)
+        assert trace.count(KIND_BEACON, PKT_RESIDENCY) == 0
+        assert trace.count(KIND_BEACON, PKT_TRANSMITTED) == 2
 
 
 class TestFullPipelineReplay:

@@ -352,6 +352,35 @@ class TestOnDataPacket:
         assert len(transport.sent_of_kind(KIND_ACK)) == 1
         assert [d.cause for d in trace.message_drops] == [MSG_PARTIAL_RESET]
 
+    def test_completed_message_leaves_no_partial(self):
+        # Neither the next message nor the end of the contact drops a
+        # message whose reception completed.
+        node, _, trace = make_node(node_id=2)
+        x = make_entry(1, 10, destination=50)
+        y = make_entry(1, 20, destination=50)
+        feed_message(node, x, 1, 1, now=1000)
+        feed_message(node, y, 1, 1, now=1100)
+        node.check_connections(3 * SEC)
+        assert node.neighbors == {}
+        assert x.message_id in node.buffer and y.message_id in node.buffer
+        assert trace.message_drops == []
+
+    def test_new_message_does_not_inherit_the_partial_packets(self):
+        # Packets 0 and 1 of x arrive, then packets 0 and 2 of y from the
+        # same neighbor: y is still a packet short, so it is neither stored
+        # nor acknowledged.
+        node, transport, _ = make_node(node_id=2)
+        x = make_entry(1, 10, size=30, payload=10)
+        y = make_entry(1, 20, size=30, payload=10)
+        for e, indexes, now in ((x, (0, 1), 1000), (y, (0, 2), 1100)):
+            epi = EpidemicHeader(e.message_id, e.hop_budget).encode()
+            for i in indexes:
+                dph = DataPacketHeader(e.message_id, 1, 3, i).encode()
+                feed_datagram(node, 1, epi + dph + e.packets[i], e.destination, now)
+        assert list(node.neighbors[1].rx_parts) == [0, 2]
+        assert y.message_id not in node.buffer
+        assert transport.sent_of_kind(KIND_ACK) == []
+
     def test_hop_budget_one_at_relay_not_forwarded(self):
         node, transport, trace = make_node(node_id=2)
         e = make_entry(1, 10, destination=50, hop_budget=1)
@@ -442,11 +471,11 @@ class TestOnDataPacket:
         assert trace.pair_counts[(1, 2, KIND_DATA, PKT_MALFORMED)] == 1
         assert len(node.buffer) == 0 and transport.sent == []
         if case == "total_differs":
-            rx = node.neighbors[1].rx
-            assert rx.packet_total == 3 and list(rx.received) == [0]
+            nb = node.neighbors[1]
+            assert nb.rx_total == 3 and list(nb.rx_parts) == [0]
         else:
             # Nothing adopted.
-            assert all(nb.rx is None for nb in node.neighbors.values())
+            assert all(nb.rx_id is None for nb in node.neighbors.values())
 
     @pytest.mark.parametrize("case", MALFORMED_DATA)
     @pytest.mark.parametrize("known", [False, True], ids=["new", "known"])
@@ -534,19 +563,26 @@ def _control_packet(case):
 class TestControlReceiveChecks:
     def _node_mid_exchange(self):
         # Node 9 holds two messages: node 1's summary has put one in
-        # flight and queued the other, and node 2 is mid-summary.
+        # flight and queued the other, and node 2 is mid-summary and has
+        # sent packet 0 of a 3-packet message.
         node, transport, trace = make_node(node_id=9)
         for gen in (10, 20):
             node.buffer.enqueue(make_entry(9, gen, destination=50), 100)
         feed_summary(node, MsgType.REPLY, 1, 1, [(0, [])], now=200)
         feed_summary(node, MsgType.REPLY, 2, 2, [(1, [make_message_id(2, 5)])], now=200)
+        partial = make_entry(2, 7)
+        epi = EpidemicHeader(partial.message_id, partial.hop_budget).encode()
+        first = epi + DataPacketHeader(partial.message_id, 2, 3, 0).encode() + partial.packets[0]
+        feed_datagram(node, 2, first, partial.destination, 200)
+        assert list(node.neighbors[2].rx_parts) == [0]
         return node, transport, trace
 
     @staticmethod
     def _state(node):
         return {
             nid: (nb.address, nb.last_heard, list(nb.summary_accum),
-                  list(nb.pending), nb.in_flight, nb.rx)
+                  list(nb.pending), nb.in_flight, nb.rx_id, nb.rx_total,
+                  nb.rx_hop_count, nb.rx_dst, dict(nb.rx_parts))
             for nid, nb in node.neighbors.items()
         }
 

@@ -19,11 +19,11 @@ from dtnsim.wire import (
     SummaryVectorHeader,
     TruncatedHeaderError,
     WireError,
+    ack_packer,
     decode_ack,
     decode_data_headers,
     decode_envelope,
     decode_summary,
-    encode_ack_packet,
     encode_data_packets,
     encode_summary,
     make_message_id,
@@ -335,7 +335,7 @@ class TestControlCodecs:
 
     @given(st.integers(0, (1 << 64) - 1), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
     def test_ack_packet_matches_header_classes(self, raw, node, status):
-        data = encode_ack_packet(node, MessageId(raw), status)
+        data = ack_packer(node, status)(MessageId(raw))
         assert data == (
             MessageTypeHeader(MsgType.ACK, node).encode()
             + AckHeader(MessageId(raw), node, status).encode()
@@ -346,9 +346,9 @@ class TestControlCodecs:
 
     def test_ack_packet_validates_its_fields(self):
         with pytest.raises(ValueError, match="node_id"):
-            encode_ack_packet(0x10000, MessageId(1))
+            ack_packer(0x10000)(MessageId(1))
         with pytest.raises(ValueError, match="status"):
-            encode_ack_packet(1, MessageId(1), 0x10000)
+            ack_packer(1, 0x10000)(MessageId(1))
 
     @given(st.binary(max_size=6))
     def test_envelope_decodes_only_known_codes(self, data):
