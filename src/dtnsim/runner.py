@@ -1,8 +1,11 @@
 """Wires a scenario into a simulation run and produces reports.
 
-Setup order matters for same-microsecond determinism: traffic events are
-scheduled before protocol timers, so a message generated at the instant a
-beacon fires is in the buffer before the exchange starts.
+Setup schedules the traffic before it starts the nodes, and the kernel runs
+the events of one microsecond in the order they were scheduled. So a
+message created in the microsecond of a node's first beacon tick is stored
+before that tick runs. The order only fixes that tie: the exchange a beacon
+opens begins when the beacon is received, at least one service time after
+the tick, with the message stored either way.
 """
 
 from __future__ import annotations

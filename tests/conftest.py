@@ -1,15 +1,22 @@
 """Shared test helpers: fake transport, message factories, and small
-simulated worlds whose trace and transports record what happens."""
+simulated worlds whose trace and transports record what happens.
+
+A world is `runner.build_run` on a traffic-free `Scenario`
+(`build_world`), so the tests run the runner's own wiring."""
 
 import random
 
+import pytest
 from hypothesis import settings
 
+import dtnsim.runner
 from dtnsim.buffer import QueueEntry
 from dtnsim.mobility import parse_ns2_trace
-from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator, to_us
+from dtnsim.netsim import EVENT_TRAFFIC, NodeTransport
 from dtnsim.protocol import PORT_CONTROL, PORT_DATA, EpidemicNode, ProtocolConfig
 from dtnsim.records import ReplayTrace
+from dtnsim.runner import build_run
+from dtnsim.scenario import Scenario, TrafficParams
 from dtnsim.wire import (
     DATA_HEADERS_SIZE,
     DataPacketHeader,
@@ -129,16 +136,18 @@ def feed_summary(node, msg_type, sender_node, sender_addr, fragments, now):
 
 class RecordingTrace(ReplayTrace):
     """A ReplayTrace that also logs every packet outcome, in report order,
-    as (kind, outcome, src, dst, now)."""
+    as (kind, outcome, src, dst, now). The builder of its world sets
+    `clock`, the simulator whose time it logs."""
 
-    def __init__(self, sim):
+    clock = None
+
+    def __init__(self):
         super().__init__()
-        self._sim = sim
         self.events = []
 
     def observe(self, kind, outcome, size, src, dst):
         super().observe(kind, outcome, size, src, dst)
-        self.events.append((kind, outcome, src, dst, self._sim.now))
+        self.events.append((kind, outcome, src, dst, self.clock.now))
 
 
 class RecordingTransport(NodeTransport):
@@ -179,32 +188,34 @@ def build_world(
     handed=None,
     trace=None,
 ):
-    """A simulated world filling `trace`, a RecordingTrace by default; given
-    a `handed` list, every node's transport is a RecordingTransport logging
-    into it."""
-    sim = Simulator()
-    trace = RecordingTrace(sim) if trace is None else trace
-    trajectories = parse_ns2_trace(trace_text)
-    net = RadioNetwork(
-        sim,
-        link,
-        trajectories,
-        queue_capacity if queue_capacity is not None else config.buffer_capacity,
-        to_us(residency_s if residency_s is not None else 2 * config.beacon_interval),
-        random.Random(f"{seed}:loss"),
-        trace,
+    """`runner.build_run` on a Scenario with no generated traffic: the
+    nodes of `trace_text` come back started, and the test originates its
+    own messages and runs `sim` as long as it needs. The world fills
+    `trace`, a RecordingTrace by default; given a `handed` list, every
+    node's transport is a RecordingTransport logging into it."""
+    # build_run reads no duration; 1 s only makes the Scenario valid.
+    scenario = Scenario(
+        tuple(parse_ns2_trace(trace_text)), 1.0, config, link, TrafficParams(),
+        queue_capacity, residency_s,
     )
-    nodes = []
-    for i in range(len(trajectories)):
-        transport = (
-            NodeTransport(net, i) if handed is None else RecordingTransport(net, i, handed)
-        )
-        node = EpidemicNode(
-            i, i, config, transport, trace, random.Random(f"{seed}:beacon:{i}")
-        )
-        net.attach(i, node.handle_packet)
-        nodes.append(node)
+    trace = RecordingTrace() if trace is None else trace
+    with pytest.MonkeyPatch.context() as patch:
+        if handed is not None:
+            patch.setattr(
+                dtnsim.runner, "NodeTransport",
+                lambda network, i: RecordingTransport(network, i, handed),
+            )
+        sim, net, nodes, trace = build_run(scenario, seed, trace)
+    if isinstance(trace, RecordingTrace):
+        trace.clock = sim
     return sim, net, nodes, trace
+
+
+def originate_at(sim, node, entry):
+    """Have `node` originate `entry` at its creation time, scheduled as a
+    run schedules its generated traffic."""
+    t = entry.message_id.timestamp_us
+    sim.schedule(t, EVENT_TRAFFIC, lambda: node.originate(entry, t))
 
 
 def static_trace(*positions):

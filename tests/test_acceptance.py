@@ -17,7 +17,7 @@ from conftest import build_world, static_trace
 from dtnsim.cli import main as cli_main
 from dtnsim.metrics import compute, mean_ci95
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
-from dtnsim.netsim import IP_UDP_HEADER_BYTES, LinkModel
+from dtnsim.netsim import LinkModel
 from dtnsim.protocol import MAX_CONTROL_PAYLOAD, ProtocolConfig
 from dtnsim.records import (
     KIND_ACK,
@@ -127,24 +127,26 @@ class TestCriterion03TwoNodeOracle:
         entry = generate_message(
             MessageSpec(0, 1, 0), message_payloads(self.SIZE, self.PAYLOAD), config.hop_limit
         )
-        sim.schedule(0, "traffic_generation", lambda: nodes[0].originate(entry, 0))
-        for node in nodes:
-            node.start(0)
-        sim.run(5 * SEC)
+        nodes[0].originate(entry, 0)
+        # 8 s span two more summary exchanges on the idle contact (at 4 s
+        # and 7 s); the message must not travel again.
+        sim.run(8 * SEC)
         net.finalize()
         rep = compute(trace)
 
         packets = math.ceil(self.SIZE / self.PAYLOAD)
         assert packets == 100
+        assert trace.count(KIND_REPLY, PKT_TRANSMITTED) >= 2
         assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 100
         assert trace.count(KIND_ACK, PKT_TRANSMITTED) == 1
         assert rep.mdr == 1.0
+        assert rep.avg_hop_count == 1.0
 
         # Closed-form transfer time from link arithmetic: first beacon at
         # one interval, REPLY (1 id), REPLY_BACK (empty), 100 data
         # packets, each packet in a 28-byte IPv4/UDP datagram.
         bit = 1 / self.RATE
-        ip = IP_UDP_HEADER_BYTES
+        ip = 28
         oracle = 1.0 + 8 * bit * (
             (3 + ip) + (15 + ip) + (7 + ip) + packets * (30 + self.PAYLOAD + ip)
         )
@@ -179,8 +181,6 @@ class TestCriterion04AntiEntropyUnion:
                         nodes[owner].buffer.enqueue(e, source)
                         initial[owner].add(e.message_id)
 
-            for node in nodes:
-                node.start(0)
             sim.run(20 * SEC)
             net.finalize()
 
@@ -219,8 +219,6 @@ class TestCriterion05FragmentationTransparency:
                     config.hop_limit,
                 )
                 nodes[owner].buffer.enqueue(e, source)
-        for node in nodes:
-            node.start(0)
         sim.run(6 * SEC)
         return (tuple(nodes[0].buffer.summary()), tuple(nodes[1].buffer.summary()))
 
@@ -252,21 +250,34 @@ class TestCriterion06StoreAndHaulRelay:
         )
         sim, net, nodes, trace = build_world(self.TRACE, config, LinkModel(12e6, 100.0))
         entry = generate_message(MessageSpec(0, 2, 0), message_payloads(10_000, 1000), hop_limit)
-        sim.schedule(0, "traffic_generation", lambda: nodes[0].originate(entry, 0))
-        for node in nodes:
-            node.start(0)
+        nodes[0].originate(entry, 0)
         sim.run(150 * SEC)
         net.finalize()
         return compute(trace)
 
     def test_relay_delivery_and_hop_limit(self):
-        # The A-B contact ends (t ~ 25s) before the B-C contact begins
-        # (t ~ 105s); only store-and-haul through B can deliver.
+        # The A-B contact ends at t = 25 s, before the B-C contact begins
+        # at t = 105 s; only store-and-haul through B can deliver.
+        trajectories = parse_ns2_trace(self.TRACE)
+
+        def contact_seconds(a, b):
+            return [
+                t for t in range(150)
+                if math.dist(trajectories[a].position_at(t), trajectories[b].position_at(t))
+                <= 100.0
+            ]
+
+        assert (contact_seconds(0, 1)[-1], contact_seconds(1, 2)[0]) == (25, 105)
+        assert contact_seconds(0, 2) == []
         rep = self.run_relay(hop_limit=8)
         assert rep.delivered == 1
+        assert rep.mdr == 1.0
         assert rep.avg_hop_count == 2.0
         rep1 = self.run_relay(hop_limit=1)
         assert rep1.delivered == 0
+        # The relay never stores the message, so idle-contact re-exchanges
+        # re-send it; every copy dies with its hop budget exhausted.
+        assert rep1.drops["msg_hop_exhausted"] >= 1
         report(6, "relayed delivery with hop count 2; zero deliveries at hop limit 1")
 
 
@@ -324,10 +335,7 @@ class TestCriterion08PartialMessageDiscipline:
         entry = generate_message(
             MessageSpec(0, 2, 0), message_payloads(200_000, 1000), config.hop_limit
         )
-        sim.schedule(0, "traffic_generation", lambda: nodes[0].originate(entry, 0))
-
-        for node in nodes:
-            node.start(0)
+        nodes[0].originate(entry, 0)
         sim.run(60 * SEC)
         net.finalize()
 

@@ -2,15 +2,13 @@
 
 import gc
 import hashlib
-import math
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
-import pytest
-from conftest import build_world, static_trace
+from conftest import build_world, originate_at, static_trace
 
 from dtnsim.metrics import compute
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
@@ -41,115 +39,6 @@ from dtnsim.wire import EpidemicHeader
 SEC = 1_000_000
 
 
-def start_all(sim, nodes, entries=()):
-    # Traffic before protocol start, mirroring the runner's setup order.
-    for node, entry, t in entries:
-        sim.schedule(t, "traffic_generation", lambda n=node, e=entry, t=t: n.originate(e, t))
-    for node in nodes:
-        node.start(0)
-
-
-class TestTwoNodeTransfer:
-    RATE = 12e6
-    PAYLOAD = 1000
-    SIZE = 100_000
-
-    def run_scenario(self, duration_s=5):
-        config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
-        link = LinkModel(self.RATE, 100.0)
-        sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
-        entry = generate_message(
-            MessageSpec(0, 1, 0), message_payloads(self.SIZE, self.PAYLOAD), config.hop_limit
-        )
-        start_all(sim, nodes, [(nodes[0], entry, 0)])
-        sim.run(duration_s * SEC)
-        net.finalize()
-        return trace
-
-    def closed_form_latency_s(self):
-        # Link arithmetic, independent of the simulator: the exchange
-        # starts at the first beacon (one interval), then REPLY (1 id),
-        # REPLY_BACK (empty), then 100 data packets back to back. Every
-        # packet rides in one IPv4/UDP datagram (28 bytes).
-        packets = math.ceil(self.SIZE / self.PAYLOAD)
-        bit = 1 / self.RATE
-        ip = 28
-        beacon = (3 + ip) * 8 * bit
-        reply = (3 + 4 + 8 + ip) * 8 * bit
-        reply_back = (3 + 4 + ip) * 8 * bit
-        data = packets * (30 + self.PAYLOAD + ip) * 8 * bit
-        return 1.0 + beacon + reply + reply_back + data
-
-    def test_exact_packet_counts_and_latency(self):
-        trace = self.run_scenario()
-        report = compute(trace)
-        assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 100
-        assert trace.count(KIND_ACK, PKT_TRANSMITTED) == 1
-        assert report.mdr == 1.0
-        assert report.avg_latency_s == pytest.approx(
-            self.closed_form_latency_s(), abs=1e-3
-        )
-        assert report.avg_hop_count == 1.0
-
-    def test_no_retransfer_after_reexchange(self):
-        # 8 seconds spans a second summary exchange on the idle contact;
-        # the message must not travel again.
-        trace = self.run_scenario(duration_s=8)
-        assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 100
-        assert trace.count(KIND_ACK, PKT_TRANSMITTED) == 1
-
-
-class TestStoreAndHaulRelay:
-    TRACE = "\n".join(
-        [
-            "$node_(0) set X_ 0.0",
-            "$node_(0) set Y_ 0.0",
-            "$node_(1) set X_ 50.0",
-            "$node_(1) set Y_ 0.0",
-            "$node_(2) set X_ 1000.0",
-            "$node_(2) set Y_ 0.0",
-            # Node 1 hauls from node 0 toward node 2, leaving range of 0
-            # long before entering range of 2.
-            '$ns_ at 20.0 "$node_(1) setdest 950.0 0.0 10.0"',
-        ]
-    )
-
-    def run_scenario(self, hop_limit):
-        config = ProtocolConfig(
-            beacon_interval=1.0,
-            beacon_randomness=0.1,
-            hop_limit=hop_limit,
-            message_ttl=300.0,
-        )
-        link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(self.TRACE, config, link)
-        entry = generate_message(MessageSpec(0, 2, 0), message_payloads(10_000, 1000), hop_limit)
-        start_all(sim, nodes, [(nodes[0], entry, 0)])
-        sim.run(150 * SEC)
-        net.finalize()
-        return compute(trace), trace
-
-    def test_contact_windows_do_not_overlap(self):
-        trajs = parse_ns2_trace(self.TRACE)
-        # While node 1 is within range of node 0 it is far from node 2.
-        for t in range(0, 150):
-            x1 = trajs[1].position_at(float(t))[0]
-            assert not (x1 <= 100.0 and x1 >= 900.0)
-
-    def test_delivered_via_relay_with_two_hops(self):
-        report, trace = self.run_scenario(hop_limit=8)
-        assert report.delivered == 1
-        assert report.avg_hop_count == 2.0
-        assert report.mdr == 1.0
-
-    def test_hop_limit_one_blocks_relay(self):
-        report, _ = self.run_scenario(hop_limit=1)
-        assert report.delivered == 0
-        # The relay never stores the message, so idle-contact re-exchanges
-        # re-send it; every copy dies with its hop budget exhausted.
-        assert report.drops["msg_hop_exhausted"] >= 1
-
-
 class TestSharedPayloads:
     def test_every_copy_holds_the_originators_payload_objects(self):
         # A chain 0 - 1 - 2 - 3: each node reaches only its neighbours, so
@@ -165,7 +54,8 @@ class TestSharedPayloads:
             (nodes[0], generate_message(MessageSpec(0, 2, 1), message_payloads(2_500, 1_000), hop)),
             (nodes[3], generate_message(MessageSpec(3, 0, 0), message_payloads(1_500, 1_000), hop)),
         ]
-        start_all(sim, nodes, [(node, e, e.message_id.timestamp_us) for node, e in originals])
+        for node, e in originals:
+            originate_at(sim, node, e)
         sim.run(20 * SEC)
         net.finalize()
         assert compute(trace).delivered == 3
@@ -191,74 +81,6 @@ class TestSharedPayloads:
         assert len({id(p) for entry in entries for p in entry.packets}) == 14
 
 
-class TestAntiEntropyUnion:
-    def run_union(self, ids_a, ids_b, shared=(), payload_cap=1400, seed=3):
-        """Prefill two buffers, run one contact, return final id sets."""
-        config = ProtocolConfig(
-            beacon_interval=1.0, beacon_randomness=0.1, max_control_payload=payload_cap
-        )
-        link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(
-            static_trace((0, 0), (50, 0)), config, link, seed=seed
-        )
-        entries = {}
-        packets = message_payloads(2000, 500)
-        for source, t in ids_a:
-            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
-            entries[e.message_id] = e
-            nodes[0].buffer.enqueue(e, t)
-        for source, t in ids_b:
-            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
-            entries[e.message_id] = e
-            nodes[1].buffer.enqueue(e, t)
-        for source, t in shared:
-            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
-            entries[e.message_id] = e
-            nodes[0].buffer.enqueue(e, t)
-            nodes[1].buffer.enqueue(e, t)
-        start_all(sim, nodes)
-        sim.run(20 * SEC)
-        net.finalize()
-        return nodes, trace, entries
-
-    def test_buffers_converge_to_union(self):
-        ids_a = [(1, t) for t in range(4)]
-        ids_b = [(2, t) for t in range(3)]
-        nodes, trace, entries = self.run_union(ids_a, ids_b)
-        union = set(entries)
-        assert set(nodes[0].buffer.summary()) == union
-        assert set(nodes[1].buffer.summary()) == union
-
-    def test_no_data_sent_for_shared_ids(self):
-        config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
-        link = LinkModel(12e6, 100.0)
-        handed = []
-        sim, net, nodes, trace = build_world(
-            static_trace((0, 0), (50, 0)), config, link, handed=handed
-        )
-        shared_ids = set()
-        packets = message_payloads(2000, 500)
-        for source, t in [(3, 0), (3, 1), (3, 2)]:
-            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
-            shared_ids.add(e.message_id)
-            nodes[0].buffer.enqueue(e, t)
-            nodes[1].buffer.enqueue(e, t)
-        for source, t in [(1, 0), (1, 1), (1, 2)]:
-            e = generate_message(MessageSpec(source, 9, t), packets, config.hop_limit)
-            nodes[0].buffer.enqueue(e, t)
-
-        start_all(sim, nodes)
-        sim.run(20 * SEC)
-        # No data packet of a shared id is even handed to the radio.
-        sent_ids = {
-            EpidemicHeader.decode(data).message_id
-            for _, _, kind, data, _ in handed
-            if kind == KIND_DATA
-        }
-        assert not (sent_ids & shared_ids)
-        assert trace.count(KIND_DATA, PKT_TRANSMITTED) > 0  # the disjoint ones did move
-
-
 class TestAckGating:
     def test_one_message_in_flight_and_no_interleaving(self):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
@@ -271,7 +93,8 @@ class TestAckGating:
         entries = [
             generate_message(MessageSpec(0, 1, t), packets, config.hop_limit) for t in (0, 1, 2)
         ]
-        start_all(sim, nodes, [(nodes[0], e, e.message_id.timestamp_us) for e in entries])
+        for e in entries:
+            originate_at(sim, nodes[0], e)
         sim.run(6 * SEC)
         net.finalize()
 
@@ -312,7 +135,6 @@ class TestAckGating:
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
         link = LinkModel(12e6, 100.0)
         sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
-        start_all(sim, nodes)
         sim.run(10 * SEC)
         net.finalize()
         report = compute(trace)
@@ -324,9 +146,6 @@ class TestAckGating:
 
 class TestChaosInvariants:
     def test_protocol_laws_hold_under_loss_and_mobility(self, tmp_path):
-        from dtnsim.mobility import generate_random_waypoint_trace
-        from dtnsim.scenario import Scenario, TrafficParams
-
         trace_file = tmp_path / "chaos.ns"
         for seed in (1, 2, 3):
             trace_file.write_text(
@@ -515,19 +334,13 @@ class TestWrappedRawPacketDifferential:
         )
         payload = bytes(range(200)) + bytes(56)
         if use_wrap:
-            sim.schedule(
-                0,
-                "traffic_generation",
-                lambda: nodes[0].wrap_raw_packet(payload, destination=1, now=0),
-            )
-            for node in nodes:
-                node.start(0)
+            nodes[0].wrap_raw_packet(payload, destination=1, now=0)
         else:
             from dtnsim.buffer import QueueEntry
             from dtnsim.wire import make_message_id
 
             entry = QueueEntry(make_message_id(0, 0), 1, (payload,), config.hop_limit)
-            start_all(sim, nodes, [(nodes[0], entry, 0)])
+            nodes[0].originate(entry, 0)
         sim.run(5 * SEC)
         net.finalize()
         return trace

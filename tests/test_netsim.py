@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import RecordingTrace, build_world, make_entry, static_trace
+from conftest import RecordingTrace, build_world, make_entry, originate_at, static_trace
 from hypothesis import example, given, settings, strategies as st
 from slow_twin import HeapKernel
 
@@ -35,16 +35,8 @@ from dtnsim.protocol import PORT_DATA, ProtocolConfig
 SEC = 1_000_000
 
 
-def static_nodes(*positions):
-    lines = []
-    for i, (x, y) in enumerate(positions):
-        lines.append(f"$node_({i}) set X_ {x}")
-        lines.append(f"$node_({i}) set Y_ {y}")
-    return parse_ns2_trace("\n".join(lines))
-
-
 def make_net(
-    positions,
+    positions=(),
     rate=12e6,
     radio_range=100.0,
     loss=0.0,
@@ -52,14 +44,22 @@ def make_net(
     residency_us=10 * SEC,
     seed=1,
     trace=None,
+    trajectories=None,
+    delay_s=0.0,
 ):
+    """A radio over `trajectories`, or over nodes standing at `positions`,
+    filling `trace` (a RunTrace by default); a RecordingTrace logs the
+    radio's time."""
     sim = Simulator()
     trace = RunTrace() if trace is None else trace
-    link = LinkModel(rate, radio_range, loss)
+    if isinstance(trace, RecordingTrace):
+        trace.clock = sim
+    if trajectories is None:
+        trajectories = parse_ns2_trace(static_trace(*positions))
     net = RadioNetwork(
         sim,
-        link,
-        static_nodes(*positions),
+        LinkModel(rate, radio_range, loss, delay_s),
+        trajectories,
         queue_capacity,
         residency_us,
         random.Random(seed),
@@ -323,17 +323,9 @@ class TestRangeCertificate:
         nodes, radio_range, times = scene
         trajectories = build_trajectories(nodes)
         n = len(trajectories)
-        sim = Simulator()
-        trace = RecordingTrace(sim)
         # 1 Tbps: a 29-byte packet is on the air for one microsecond.
-        net = RadioNetwork(
-            sim,
-            LinkModel(1e12, radio_range),
-            trajectories,
-            1_000_000,
-            10 * SEC,
-            random.Random(1),
-            trace,
+        sim, net, trace = make_net(
+            rate=1e12, radio_range=radio_range, trace=RecordingTrace(), trajectories=trajectories
         )
 
         def query(i):
@@ -383,13 +375,11 @@ def test_network_memory_beyond_the_certificate_table_is_linear():
     # The certificate table is one 8-byte pointer per ordered pair; all
     # else a network holds is per node: no per-node list of the others.
     n = 600
-    trajectories = static_nodes(*((i, 0) for i in range(n)))
+    trajectories = parse_ns2_trace(static_trace(*((i, 0) for i in range(n))))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        net = RadioNetwork(
-            Simulator(), LinkModel(), trajectories, 1_000_000, 10 * SEC, random.Random(1), RunTrace()
-        )
+        _, net, _ = make_net(trajectories=trajectories)
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -474,16 +464,10 @@ class TestTransmission:
             "$node_(1) set X_ 99\n$node_(1) set Y_ 0\n"
             '$ns_ at 0.0 "$node_(1) setdest 1000.0 0.0 200.0"\n'
         )
-        sim = Simulator()
-        trace = RunTrace()
-        net = RadioNetwork(
-            sim,
-            LinkModel(12e6, 100.0),
-            parse_ns2_trace(trace_text),
-            10_000_000,
-            100 * SEC,
-            random.Random(1),
-            trace,
+        sim, net, trace = make_net(
+            queue_capacity=10_000_000,
+            residency_us=100 * SEC,
+            trajectories=parse_ns2_trace(trace_text),
         )
         for _ in range(100):
             net.submit(0, 1, 1, bytes(1500), "data")
@@ -536,27 +520,11 @@ class TestDeviceQueue:
     def test_zero_residency_serves_only_the_packet_that_started_an_idle_queue(self):
         # Both packets are queued at 0; the second reaches the head at
         # 1,000 µs, past a residency of 0.
-        sim, net, trace = self._recorded_link(12e6, 0)
+        sim, net, trace = make_net([(0, 0), (10, 0)], residency_us=0, trace=RecordingTrace())
         net.submit(0, 1, 1, bytes(1472), "data")
         net.submit(0, 1, 1, bytes(1472), "data")
         sim.run(SEC)
         assert self._timeline(trace) == [(PKT_TRANSMITTED, 1_000), (PKT_RESIDENCY, 1_000)]
-
-    @staticmethod
-    def _recorded_link(rate, residency_us):
-        """Nodes 0 and 1 in range; returns sim, net and a RecordingTrace."""
-        sim = Simulator()
-        trace = RecordingTrace(sim)
-        net = RadioNetwork(
-            sim,
-            LinkModel(rate, 100.0),
-            static_nodes((0, 0), (10, 0)),
-            1_000_000,
-            residency_us,
-            random.Random(1),
-            trace,
-        )
-        return sim, net, trace
 
     @staticmethod
     def _timeline(trace):
@@ -568,7 +536,7 @@ class TestDeviceQueue:
 
     def test_back_to_back_packets_transmit_one_service_time_apart(self):
         # 1500 bytes on air at 12 Mbps: 1,000 µs of service each.
-        sim, net, trace = self._recorded_link(12e6, 10 * SEC)
+        sim, net, trace = make_net([(0, 0), (10, 0)], trace=RecordingTrace())
         for _ in range(3):
             net.submit(0, 1, 1, bytes(1472), "data")
         sim.run(SEC)
@@ -579,7 +547,7 @@ class TestDeviceQueue:
         ]
 
     def test_packet_after_service_drained_the_queue_is_served_at_once(self):
-        sim, net, trace = self._recorded_link(12e6, 10 * SEC)
+        sim, net, trace = make_net([(0, 0), (10, 0)], trace=RecordingTrace())
         net.submit(0, 1, 1, bytes(1472), "data")
         sim.schedule(5_000, EVENT_TIMER, lambda: net.submit(0, 1, 1, bytes(1472), "data"))
         sim.run(SEC)
@@ -589,7 +557,9 @@ class TestDeviceQueue:
         # 1500 bytes at 10 kbps: 1.2 s of service. The third and fourth
         # packets reach the head at 2.4 s, past the 2 s residency, and are
         # dropped there, which empties the queue.
-        sim, net, trace = self._recorded_link(1e4, 2 * SEC)
+        sim, net, trace = make_net(
+            [(0, 0), (10, 0)], rate=1e4, residency_us=2 * SEC, trace=RecordingTrace()
+        )
         for _ in range(4):
             net.submit(0, 1, 1, bytes(1472), "data")
         sim.schedule(5 * SEC, EVENT_TIMER, lambda: net.submit(0, 1, 1, bytes(1472), "data"))
@@ -613,17 +583,7 @@ class TestDeviceQueue:
     def test_in_flight_at_end_accounted(self):
         # A delivery still propagating when the run ends must not vanish
         # from the accounting.
-        sim = Simulator()
-        trace = RunTrace()
-        net = RadioNetwork(
-            sim,
-            LinkModel(12e6, 100.0, propagation_delay_s=0.5),
-            static_nodes((0, 0), (10, 0)),
-            1_000_000,
-            10 * SEC,
-            random.Random(1),
-            trace,
-        )
+        sim, net, trace = make_net([(0, 0), (10, 0)], delay_s=0.5)
         net.submit(0, 1, 1, bytes(1500), "data")
         sim.run(10_000)  # past service completion, before delivery
         net.finalize()
@@ -635,17 +595,7 @@ class TestDeviceQueue:
         # Packets from several senders, unicast and broadcast, are in
         # flight at once; each must reach its own receiver, one delay
         # after its transmission completes.
-        sim = Simulator()
-        trace = RunTrace()
-        net = RadioNetwork(
-            sim,
-            LinkModel(12e6, 100.0, propagation_delay_s=0.01),
-            static_nodes((0, 0), (10, 0), (20, 0)),
-            1_000_000,
-            10 * SEC,
-            random.Random(1),
-            trace,
-        )
+        sim, net, trace = make_net([(0, 0), (10, 0), (20, 0)], delay_s=0.01)
         got = []
         for i in range(3):
             net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append((now, src, i, data)))
@@ -696,16 +646,12 @@ class TestMessageHandOver:
     PAYLOADS = [bytes([i]) * 1442 for i in range(4)] + [bytes(100)]
 
     def _run(self, as_message, rate=12e6, capacity=1_000_000, residency_us=10 * SEC, busy=False):
-        sim = Simulator()
-        trace = RecordingTrace(sim)
-        net = RadioNetwork(
-            sim,
-            LinkModel(rate, 100.0),
-            static_nodes((0, 0), (10, 0)),
-            capacity,
-            residency_us,
-            random.Random(1),
-            trace,
+        sim, net, trace = make_net(
+            [(0, 0), (10, 0)],
+            rate=rate,
+            queue_capacity=capacity,
+            residency_us=residency_us,
+            trace=RecordingTrace(),
         )
         got = []
         net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
@@ -766,9 +712,7 @@ def test_recording_transport_logs_in_submitted_order():
     )
     for source, t in [(0, 0), (2, 1)]:
         entry = make_entry(source, t, size=4000, payload=1000, destination=1)
-        sim.schedule(t, EVENT_TRAFFIC, lambda n=nodes[source], e=entry, t=t: n.originate(e, t))
-    for node in nodes:
-        node.start(0)
+        originate_at(sim, nodes[source], entry)
     sim.run(5 * SEC)
     submitted = [
         (src, dst, kind, now)
