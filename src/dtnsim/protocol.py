@@ -18,10 +18,10 @@ Anti-entropy: on a new contact the side with the lower address sends its
 buffer summary (REPLY, fragmented); the higher side answers with its own
 summary (REPLY_BACK) and both sides then send the messages the peer
 lacks, one complete message per neighbor at a time, gated by hop-by-hop
-ACKs. Receivers reassemble one message per neighbor at a time; a
-reassembled message has its hop budget decremented, is dropped when
-expired or out of hops, and is otherwise stored (and counted as
-delivered at its destination).
+ACKs. Receivers reassemble one message per neighbor at a time, its id
+the plain int they unpack; a reassembled message has its hop budget
+decremented, is dropped when expired or out of hops, and is otherwise
+stored (and counted as delivered at its destination).
 
 Control and data packets travel on distinct logical channels, standing in
 for the two UDP ports of an IP convergence layer. Every unicast goes to the
@@ -35,6 +35,7 @@ a message shares the originator's payload objects.
 from __future__ import annotations
 
 import random
+import struct
 from collections import deque
 from itertools import chain
 from typing import Protocol, Sequence
@@ -62,17 +63,16 @@ from .wire import (
     MESSAGE_TYPE_SIZE,
     SUMMARY_HEAD_SIZE,
     TIMESTAMP_MAX,
+    _DATA_HEADERS,
     MessageId,
     MessageTypeHeader,
     MsgType,
     WireError,
-    _decoded_id,
     ack_packer,
+    data_packer,
     decode_ack,
-    decode_data_headers,
     decode_envelope,
     decode_summary,
-    encode_data_packets,
     encode_summary,
     make_message_id,
 )
@@ -169,10 +169,10 @@ class NeighborRecord:
     fragment of the neighbor's summary received so far, as decoded.
     `pending` and `in_flight` are the messages queued toward the neighbor
     (one in flight at a time, until its ACK). It also holds the reception
-    state: `rx_id` is the message being received from the neighbor, or
-    None; while it is set, `rx_total`, `rx_hop_count` and `rx_dst` are its
-    packet total, hop count and destination, and `rx_parts` maps each
-    packet index received to its payload.
+    state: `rx_id` is the plain int id of the message being received from
+    the neighbor, or None; while it is set, `rx_total`, `rx_hop_count` and
+    `rx_dst` are its packet total, hop count and destination, and
+    `rx_parts` maps each packet index received to its payload.
     """
 
     __slots__ = ("node_id", "address", "last_heard", "summary_accum", "pending", "in_flight",
@@ -185,7 +185,7 @@ class NeighborRecord:
         self.summary_accum: list[tuple[int, ...]] = []
         self.pending: deque[MessageId] = deque()
         self.in_flight: MessageId | None = None
-        self.rx_id: MessageId | None = None
+        self.rx_id: int | None = None
         self.rx_total = 0
         self.rx_hop_count = 0
         self.rx_dst = 0
@@ -234,14 +234,16 @@ class EpidemicNode:
             config.buffer_capacity, config.message_ttl_us, trace, node_id
         )
         self.neighbors: dict[int, NeighborRecord] = {}
-        self.delivered_ids: set[MessageId] = set()
+        self.delivered_ids: set[int] = set()
         self._interval_us = config.beacon_interval_us
         self._liveness_us = 2 * config.beacon_interval_us
+        self._randomness_us = config.beacon_randomness_us
         # Envelopes of the control packets this node sends, packed once.
         self._beacon = MessageTypeHeader(MsgType.BEACON, node_id).encode()
         self._reply = MessageTypeHeader(MsgType.REPLY, node_id).encode()
         self._reply_back = MessageTypeHeader(MsgType.REPLY_BACK, node_id).encode()
         self._ack = ack_packer(node_id)
+        self._pack_data = data_packer(node_id)
         # This node's summary fragments, as built from buffer version
         # _summary_version; REPLY and REPLY_BACK send the same ones.
         self._summary_fragments: list[bytes] = []
@@ -254,7 +256,7 @@ class EpidemicNode:
         self.transport.schedule(now + self._interval_us + self._jitter_us(), self._beacon_tick)
 
     def _jitter_us(self) -> int:
-        r = self.config.beacon_randomness_us
+        r = self._randomness_us
         return int(self._rng.random() * r) if r else 0
 
     def _beacon_tick(self) -> None:
@@ -297,8 +299,11 @@ class EpidemicNode:
         """
         if port == PORT_DATA:
             try:
-                epi_raw, hop_count, raw, last_hop, total, index = decode_data_headers(data)
-            except WireError:
+                epi_raw, hops, raw, last_hop, total, index = _DATA_HEADERS.unpack_from(data)
+            except struct.error:  # check 1: fewer than 30 bytes
+                self._malformed(KIND_DATA, len(data) + len(payload), sender_addr)
+                return
+            if index >= total:  # checks 2 and 3: a u32 is never below a total of 0
                 self._malformed(KIND_DATA, len(data) + len(payload), sender_addr)
                 return
             if epi_raw != raw or msg_dst is None:
@@ -317,9 +322,9 @@ class EpidemicNode:
             else:
                 if nb.rx_id is not None:
                     self._drop_msg(now, nb.rx_id, MSG_PARTIAL_RESET)
-                nb.rx_id = _decoded_id(raw)
+                nb.rx_id = raw
                 nb.rx_total = total
-                nb.rx_hop_count = hop_count
+                nb.rx_hop_count = hops
                 nb.rx_dst = msg_dst
                 nb.rx_parts = {}
             parts = nb.rx_parts
@@ -434,9 +439,7 @@ class EpidemicNode:
             if entry is None:
                 continue  # evicted or expired since the pipeline was built
             packets = entry.packets
-            headers = encode_data_packets(
-                mid, entry.hop_budget, self.node_id, len(packets)
-            )
+            headers = self._pack_data(mid, entry.hop_budget, len(packets))
             self._unicast(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
             nb.in_flight = mid
             return
@@ -497,5 +500,5 @@ class EpidemicNode:
 
     # -- record helpers -----------------------------------------------------------
 
-    def _drop_msg(self, now: int, mid: MessageId, cause: str) -> None:
+    def _drop_msg(self, now: int, mid: int, cause: str) -> None:
         self.trace.message_dropped(now, self.node_id, mid, cause)

@@ -4,7 +4,8 @@ The protocol and the buffer report message events as record fields. A
 plain RunTrace counts messages, transfers and drops by cause, and keeps the
 deliveries, at most one per message; a ReplayTrace also keeps every record,
 and only it has a `dump()`. A record is a NamedTuple: it prints as
-`Name(field=value, ...)` and equals the plain tuple of its values.
+`Name(field=value, ...)` and equals the plain tuple of its values. A
+record holds its id as a MessageId, where the trace was given a plain int.
 `runner.build_run` fills the trace it is given, a plain RunTrace by default.
 
 Packet outcomes are counted in rows, one flat list of ints per (src, dst,
@@ -149,14 +150,14 @@ class RunTrace:
         self.n_generated += 1
 
     def message_delivered(
-        self, now: int, mid: MessageId, node: int, latency_us: int, hops: int
+        self, now: int, mid: int, node: int, latency_us: int, hops: int
     ) -> None:
-        self.deliveries.append(MessageDelivered(now, mid, node, latency_us, hops))
+        self.deliveries.append(MessageDelivered(now, MessageId(mid), node, latency_us, hops))
 
-    def transfer_completed(self, now: int, mid: MessageId, from_node: int, to_node: int) -> None:
+    def transfer_completed(self, now: int, mid: int, from_node: int, to_node: int) -> None:
         self.n_transfers += 1
 
-    def message_dropped(self, now: int, node: int, mid: MessageId, cause: str) -> None:
+    def message_dropped(self, now: int, node: int, mid: int, cause: str) -> None:
         self.drop_counts[cause] += 1
 
     def row(self, src: int, dst: int | None, kind: str) -> list[int]:
@@ -233,13 +234,13 @@ class ReplayTrace(RunTrace):
         super().message_generated(*fields)
         self.generated.append(MessageGenerated(*fields))
 
-    def transfer_completed(self, now: int, mid: MessageId, from_node: int, to_node: int) -> None:
+    def transfer_completed(self, now: int, mid: int, from_node: int, to_node: int) -> None:
         super().transfer_completed(now, mid, from_node, to_node)
-        self.transfers.append(TransferCompleted(now, mid, from_node, to_node))
+        self.transfers.append(TransferCompleted(now, MessageId(mid), from_node, to_node))
 
-    def message_dropped(self, now: int, node: int, mid: MessageId, cause: str) -> None:
+    def message_dropped(self, now: int, node: int, mid: int, cause: str) -> None:
         super().message_dropped(now, node, mid, cause)
-        self.message_drops.append(MessageDropped(now, node, mid, cause))
+        self.message_drops.append(MessageDropped(now, node, MessageId(mid), cause))
 
     def observe(self, kind: str, outcome: str, size: int, src: int, dst: int | None) -> None:
         code = self._codes.setdefault((src, dst, kind, outcome), len(self._codes))

@@ -12,7 +12,8 @@ All multi-byte fields are big-endian (network order). Five header layouts:
 A message id packs a 16-bit source node id into the top bits and a 48-bit
 microsecond generation timestamp into the low bits, so ids sort by source
 then by age, and two messages from one node at distinct microseconds never
-collide. A MessageId is that u64 as an int.
+collide. A MessageId is that u64 as an int; a received id stays the plain
+int it was unpacked as until the run's records wrap it.
 
 Decoding a fixed-size header tolerates trailing bytes (the rest of the
 packet); a summary vector must match its declared length exactly.
@@ -20,8 +21,11 @@ packet); a summary vector must match its declared length exactly.
 The simulator's per-packet paths do not build header objects: the flat
 codecs at the end of this module pack or parse a whole packet's headers
 with one Struct and return plain ints. The control header classes decode
-through them, so each control receive check is written once. A header
-object is a frozen, hashable value that compares by its fields.
+through them, so each control receive check is written once; a data
+packet's receiver unpacks `_DATA_HEADERS` and makes its checks itself, so
+the two data header classes, which decode with their own Structs, stay
+an independent reference. A header object is a frozen, hashable value
+that compares by its fields.
 """
 
 from __future__ import annotations
@@ -276,50 +280,27 @@ class SummaryVectorHeader(Frozen):
         return cls(frag_block, tuple(map(_decoded_id, ids)))
 
 
-def encode_data_packets(
-    message_id: MessageId, hop_count: int, last_hop: int, packet_total: int
-) -> list[bytes]:
-    """The header blocks of every data packet of one message, in index order.
-
-    Block i is EpidemicHeader(message_id, hop_count), then
-    DataPacketHeader(message_id, last_hop, packet_total, i): the bytes the
-    two header classes encode, with the fields validated once for the
-    whole message. Packet i on the wire is block i followed by payload i.
-    """
+def data_packer(last_hop: int) -> Callable[[int, int, int], list[bytes]]:
+    """The data header encoder of one sender, its node id checked once here:
+    the returned function takes (message_id, hop_count, packet_total),
+    checks the two, and gives the header blocks of the message's data
+    packets in index order. Block i is the bytes of EpidemicHeader(message_id,
+    hop_count) then DataPacketHeader(message_id, last_hop, packet_total, i);
+    packet i on the wire is block i followed by payload i."""
     _check_node(last_hop, "last_hop")
-    if not 0 <= hop_count <= HOP_COUNT_MAX:
-        raise ValueError(f"hop_count out of 32-bit range: {hop_count}")
-    if not 1 <= packet_total <= 0xFFFFFFFF:
-        raise ValueError(f"packet_total out of range: {packet_total}")
     pack = _DATA_HEADERS.pack
-    return [
-        pack(message_id, hop_count, message_id, last_hop, packet_total, index)
-        for index in range(packet_total)
-    ]
 
+    def pack_message(message_id: int, hop_count: int, packet_total: int) -> list[bytes]:
+        if not 0 <= hop_count <= HOP_COUNT_MAX:
+            raise ValueError(f"hop_count out of 32-bit range: {hop_count}")
+        if not 1 <= packet_total <= 0xFFFFFFFF:
+            raise ValueError(f"packet_total out of range: {packet_total}")
+        return [
+            pack(message_id, hop_count, message_id, last_hop, packet_total, index)
+            for index in range(packet_total)
+        ]
 
-def decode_data_headers(data: bytes) -> tuple[int, int, int, int, int, int]:
-    """Both headers of a data packet, as plain ints.
-
-    Returns (epidemic message_id, hop_count, data message_id, last_hop,
-    packet_total, packet_index) from the packet's header block; the
-    payload that follows it is not read.
-    Makes the checks of EpidemicHeader.decode and DataPacketHeader.decode:
-    TruncatedHeaderError below 30 bytes, HeaderFormatError for a
-    packet_total of 0 or a packet_index not below it. Whether the two
-    message_id copies agree is the receiver's check.
-    """
-    if len(data) < DATA_HEADERS_SIZE:
-        raise TruncatedHeaderError(
-            f"data packet headers need {DATA_HEADERS_SIZE} bytes, got {len(data)}"
-        )
-    fields = _DATA_HEADERS.unpack_from(data)
-    total, index = fields[4], fields[5]
-    if total < 1:
-        raise HeaderFormatError("packet_total must be at least 1")
-    if index >= total:
-        raise HeaderFormatError(f"packet_index {index} not below total {total}")
-    return fields
+    return pack_message
 
 
 def decode_envelope(data: bytes) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import build_world, originate_at, static_trace
+from conftest import build_world, make_entry, originate_at, static_trace
 
 from dtnsim.metrics import compute
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
@@ -20,6 +20,7 @@ from dtnsim.records import (
     KIND_ACK,
     KIND_BEACON,
     KIND_DATA,
+    MSG_HOP_EXHAUSTED,
     PKT_DELIVERED,
     PKT_DROP_OUTCOMES,
     PKT_IN_FLIGHT_AT_END,
@@ -36,7 +37,7 @@ from dtnsim.records import (
 from dtnsim.runner import build_run, run_once
 from dtnsim.scenario import Scenario, TrafficParams, load_scenario
 from dtnsim.traffic import MessageSpec, generate_message, message_payloads
-from dtnsim.wire import EpidemicHeader
+from dtnsim.wire import EpidemicHeader, MessageId
 
 SEC = 1_000_000
 
@@ -89,6 +90,35 @@ class TestTwoNodeTransfer:
         trace = self.run_scenario(duration_s=8)
         assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 100
         assert trace.count(KIND_ACK, PKT_TRANSMITTED) == 1
+
+
+class TestReceivedIds:
+    def test_plain_ints_in_the_buffer_message_ids_in_the_records(self):
+        # Node 0 sends node 1 a message for it and one that runs out of hops
+        # there. The receiver stores the id it unpacked, an exact int; every
+        # record of the two holds a MessageId, which prints as before.
+        config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
+        sim, net, nodes, trace = build_world(
+            static_trace((0, 0), (50, 0)), config, LinkModel(12e6, 100.0), trace=ReplayTrace()
+        )
+        kept = make_entry(0, 0, destination=1)
+        spent = make_entry(0, 1, destination=9, hop_budget=1)
+        nodes[0].originate(kept, 0)
+        originate_at(sim, nodes[0], spent)
+        sim.run(3 * SEC)
+        net.finalize()
+
+        assert [type(mid) for mid in nodes[1].buffer.summary()] == [int]
+        assert [type(e.message_id) for e in nodes[1].buffer.entries()] == [int]
+        assert nodes[1].buffer.summary() == [kept.message_id]
+        records = [*trace.transfers, *trace.message_drops, *trace.deliveries]
+        assert [(type(r.message_id), repr(r.message_id)) for r in records] == [
+            (MessageId, "MessageId(0@0)"),
+            (MessageId, "MessageId(0@1)"),
+            (MessageId, "MessageId(0@1)"),
+            (MessageId, "MessageId(0@0)"),
+        ]
+        assert [d.cause for d in trace.message_drops] == [MSG_HOP_EXHAUSTED]
 
 
 class TestStoreAndHaulRelay:

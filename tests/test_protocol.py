@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import (
     feed_beacon,
     feed_datagram,
@@ -38,6 +39,7 @@ from dtnsim.records import (
     MessageDropped,
 )
 from dtnsim.wire import (
+    DATA_HEADERS_SIZE,
     AckHeader,
     DataPacketHeader,
     EpidemicHeader,
@@ -45,6 +47,7 @@ from dtnsim.wire import (
     MessageTypeHeader,
     MsgType,
     SummaryVectorHeader,
+    WireError,
     make_message_id,
 )
 
@@ -60,6 +63,40 @@ def decoded_data_packets(transport):
         dph = DataPacketHeader.decode(data[12:])
         out.append((dst, epi, dph, data[30:], msg_dst))
     return out
+
+
+def contact_state(node):
+    """Every field of every neighbor record, reception state included."""
+    return {
+        nid: (nb.address, nb.last_heard, list(nb.summary_accum),
+              list(nb.pending), nb.in_flight, nb.rx_id, nb.rx_total,
+              nb.rx_hop_count, nb.rx_dst, dict(nb.rx_parts))
+        for nid, nb in node.neighbors.items()
+    }
+
+
+# Both headers of a data packet from small totals and indexes; the two ids
+# are mostly equal, so that most blocks reach checks 4-6.
+PACKED_HEADERS = st.builds(
+    lambda mid, other, same, hops, last_hop, total, index: struct.pack(
+        ">QIQHII", mid, hops, mid if same else other, last_hop, total, index
+    ),
+    st.integers(0, (1 << 64) - 1),
+    st.integers(0, (1 << 64) - 1),
+    st.sampled_from([True, True, True, False]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+# Data header blocks of 0-40 bytes: arbitrary bytes, packed headers, or
+# packed headers cut short.
+HEADER_BLOCKS = st.one_of(
+    st.binary(max_size=40),
+    PACKED_HEADERS,
+    PACKED_HEADERS,
+    st.builds(lambda block, size: block[:size], PACKED_HEADERS, st.integers(0, 29)),
+)
 
 
 class TestBeaconTimer:
@@ -495,6 +532,61 @@ class TestOnDataPacket:
         else:
             assert node.neighbors == {}
 
+    @settings(max_examples=400)
+    @given(
+        HEADER_BLOCKS,
+        st.binary(max_size=4),
+        st.sampled_from([None, 50, 50, 50]),
+        st.none() | st.integers(2, 3),
+    )
+    def test_receiver_agrees_with_header_classes(self, block, payload, msg_dst, partial_total):
+        # The receive checks of docs/wire-format.md, with the two header
+        # classes' decoders as the reference for checks 1-3. Given
+        # `partial_total`, the neighbor of the packet's last_hop first sends
+        # packet 0 of the same message, with that total.
+        node, transport, trace = make_node(node_id=2)
+        datagram = block + payload
+        try:
+            epi = EpidemicHeader.decode(datagram)
+            dph = DataPacketHeader.decode(datagram[12:])
+        except WireError:
+            dph = None
+        partial = dph is not None and partial_total is not None
+        if partial:
+            first = EpidemicHeader(dph.message_id, 1).encode() + DataPacketHeader(
+                dph.message_id, dph.last_hop, partial_total, 0).encode()
+            feed_datagram(node, 1, first, 50, 900)
+        before = contact_state(node)
+        feed_datagram(node, 1, datagram, msg_dst, 1000)
+        after = contact_state(node)
+        malformed = (trace.count(KIND_DATA, PKT_MALFORMED), trace.bytes_of(KIND_DATA, PKT_MALFORMED))
+        if dph is None:  # checks 1-3: the whole datagram, and nothing heard
+            assert malformed == (1, len(datagram))
+            assert after == before and transport.sent == []
+            return
+        rest = datagram[DATA_HEADERS_SIZE:]
+        if epi.message_id != dph.message_id or msg_dst is None:  # checks 4 and 5
+            assert malformed == (1, len(rest))
+            assert after == before and transport.sent == []
+            return
+        nb = node.neighbors[dph.last_hop]
+        assert nb.last_heard == 1000
+        if partial and partial_total != dph.packet_total:  # check 6
+            assert malformed == (1, len(rest))
+            assert after[dph.last_hop][5:] == before[dph.last_hop][5:]
+            assert transport.sent == []
+            return
+        assert malformed == (0, 0)
+        parts = {dph.packet_index} | ({0} if partial else set())
+        if len(parts) == dph.packet_total:
+            assert nb.rx_id is None
+            assert [t.message_id for t in trace.transfers] == [dph.message_id]
+            assert len(transport.sent_of_kind(KIND_ACK)) == 1
+        else:
+            assert (nb.rx_id, nb.rx_total) == (dph.message_id, dph.packet_total)
+            assert set(nb.rx_parts) == parts and nb.rx_parts[dph.packet_index] == rest
+            assert transport.sent == []
+
     def test_data_packet_refreshes_liveness(self):
         node, _, _ = make_node(node_id=2)
         feed_beacon(node, 1, 1, now=0)
@@ -577,15 +669,6 @@ class TestControlReceiveChecks:
         assert list(node.neighbors[2].rx_parts) == [0]
         return node, transport, trace
 
-    @staticmethod
-    def _state(node):
-        return {
-            nid: (nb.address, nb.last_heard, list(nb.summary_accum),
-                  list(nb.pending), nb.in_flight, nb.rx_id, nb.rx_total,
-                  nb.rx_hop_count, nb.rx_dst, dict(nb.rx_parts))
-            for nid, nb in node.neighbors.items()
-        }
-
     @pytest.mark.parametrize(
         "case",
         [
@@ -605,13 +688,13 @@ class TestControlReceiveChecks:
         # once as control/malformed with len(data) bytes, and no neighbor
         # record, summary or pipeline changes.
         node, transport, trace = self._node_mid_exchange()
-        before, sent = self._state(node), list(transport.sent)
+        before, sent = contact_state(node), list(transport.sent)
         data = _control_packet(case)
         node.handle_packet(1, PORT_CONTROL, data, None, 500)
         assert trace.count(KIND_CONTROL, PKT_MALFORMED) == 1
         assert trace.bytes_of(KIND_CONTROL, PKT_MALFORMED) == len(data)
         assert trace.pair_counts[(1, 9, KIND_CONTROL, PKT_MALFORMED)] == 1
-        assert self._state(node) == before
+        assert contact_state(node) == before
         assert transport.sent == sent
 
 

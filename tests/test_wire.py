@@ -20,11 +20,10 @@ from dtnsim.wire import (
     TruncatedHeaderError,
     WireError,
     ack_packer,
+    data_packer,
     decode_ack,
-    decode_data_headers,
     decode_envelope,
     decode_summary,
-    encode_data_packets,
     encode_summary,
     make_message_id,
 )
@@ -283,7 +282,8 @@ def test_fixed_header_decode_tolerates_trailing_payload():
 
 
 class TestDataPacketCodec:
-    """The per-message data codec matches the two header classes byte for byte."""
+    """The per-message data packer matches the two header classes byte for
+    byte; the receiver is checked against their decoders in test_protocol."""
 
     @given(
         st.integers(0, (1 << 64) - 1),
@@ -300,34 +300,20 @@ class TestDataPacketCodec:
             + payload
             for index, payload in enumerate(payloads)
         ]
-        headers = encode_data_packets(mid, hops, last_hop, total)
+        headers = data_packer(last_hop)(mid, hops, total)
         assert [header + payload for header, payload in zip(headers, payloads)] == expected
         assert [len(header) for header in headers] == [DATA_HEADERS_SIZE] * total
-        for index, data in enumerate(headers):
-            assert decode_data_headers(data) == (raw, hops, raw, last_hop, total, index)
-
-    @given(st.binary(max_size=40))
-    def test_decode_agrees_with_header_classes(self, data):
-        try:
-            epi = EpidemicHeader.decode(data)
-            dph = DataPacketHeader.decode(data[12:])
-        except WireError as exc:
-            with pytest.raises(type(exc)):
-                decode_data_headers(data)
-            return
-        assert decode_data_headers(data) == (
-            epi.message_id.raw, epi.hop_count, dph.message_id.raw,
-            dph.last_hop, dph.packet_total, dph.packet_index,
-        )
 
     def test_encode_validates_once_per_message(self):
+        # The node id once per packer; the hop count and the total once per message.
         mid = MessageId(1)
         with pytest.raises(ValueError):
-            encode_data_packets(mid, 1, 0x10000, 1)
+            data_packer(0x10000)
+        pack = data_packer(1)
         with pytest.raises(ValueError):
-            encode_data_packets(mid, 1 << 32, 1, 1)
+            pack(mid, 1 << 32, 1)
         with pytest.raises(ValueError):
-            encode_data_packets(mid, 1, 1, 0)
+            pack(mid, 1, 0)
 
 
 class TestControlCodecs:
