@@ -158,7 +158,10 @@ class MessageBuffer:
 
     def find_disjoint(self, remote: Iterable[int]) -> list[MessageId]:
         """Stored ids absent from `remote`, oldest generation first."""
-        return sorted(self._entries.keys() - remote, key=_age_order)
+        # By raw id, then stably by generation time: _age_order, but in C.
+        ids = sorted(self._entries.keys() - remote)
+        ids.sort(key=TIMESTAMP_MAX.__and__)
+        return ids
 
     def _purge_for(self, needed: int, now: int) -> None:
         """Evict oldest first until `needed` bytes are free; they are not yet."""

@@ -98,10 +98,15 @@ class Trajectory:
         frac = (t - seg.t0) / (seg.t1 - seg.t0)
         return (seg.x0 + (seg.x1 - seg.x0) * frac, seg.y0 + (seg.y1 - seg.y0) * frac)
 
-    def max_speed(self) -> float:
-        """Largest segment speed in m/s: 0 if the node never moves, and
-        infinite if it jumps (a segment that moves in zero time)."""
-        return max((seg.speed() for seg in self._segments), default=0.0)
+    def piece_at(self, t: float) -> tuple[float, float, float]:
+        """(vx, vy, end_s): the velocity of the linear piece of motion holding
+        t, and its end: the segment's end while moving, the next start while
+        parked (at a waypoint or before the first segment), inf after both."""
+        i = bisect.bisect_right(self._starts, t) - 1
+        if i >= 0 and t < self._segments[i].t1:
+            t0, x0, y0, t1, x1, y1 = self._segments[i]
+            return ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0), t1)
+        return (0.0, 0.0, self._starts[i + 1] if i + 1 < len(self._starts) else math.inf)
 
     def error_scale(self) -> float:
         """A magnitude whose machine epsilon bounds position_at's rounding.
@@ -118,6 +123,36 @@ class Trajectory:
             if speed > 0.0:  # then seg.t1 is finite
                 scale = max(scale, speed * seg.t1 if speed < math.inf else speed)
         return scale
+
+
+def crossing_time(dx: float, dy: float, ux: float, uy: float, r: float, inside: bool) -> float:
+    """The first s > 0 at which d + u * s, moving from d = (dx, dy) at
+    velocity u = (ux, uy), is at distance r from the origin: where it
+    leaves that circle if `inside`, else where it enters it; inf if never.
+
+    The point crosses at ahead -/+ h along its path, h = sqrt((r - miss)
+    * (r + miss)), where ahead is the way to its closest approach and miss
+    the distance there. Each root is taken in the form that adds its terms
+    (their product is |d|^2 - r^2), so s is exact to a few ulps of |d|, r
+    and |u| * s. 0 if the arithmetic overflows.
+    """
+    speed = math.hypot(ux, uy)
+    if not speed:
+        return math.inf
+    ex, ey = ux / speed, uy / speed
+    ahead = -(dx * ex + dy * ey)
+    miss = abs(dx * ey - dy * ex)
+    if not inside and (ahead <= 0.0 or miss >= r):
+        return math.inf
+    dist = math.hypot(dx, dy)
+    c = (dist - r) * (dist + r)
+    h = math.sqrt(max(0.0, (r - miss) * (r + miss)))
+    if inside:
+        tau = ahead + h if ahead >= 0.0 else -c / (h - ahead)
+    else:
+        tau = c / (ahead + h)
+    s = tau / speed
+    return s if s >= 0.0 else 0.0  # a nan, or a start on the circle
 
 
 def parse_ns2_trace(text: str) -> list[Trajectory]:

@@ -20,13 +20,12 @@ calls would.
 
 Range is decided when a transmission completes. The exact check,
 `RadioNetwork.in_range`, interpolates both positions, tests dx*dx + dy*dy
-<= R*R and leaves the pair a certificate: after it finds distance d0 at
-t0, the answer holds while V * |t - t0| < |R - d0| - margin, where V is
-twice the fastest segment speed of any trajectory. A completion runs the
-exact check only when no certificate holds. The margin is far above the
-rounding of the positions and of the check, so a certified answer equals
-the exact one and outputs are those of checking every packet.
-Certificates are off (every check exact) when nothing moves or a node
+<= R*R and leaves the pair a certificate, which holds while both nodes
+stay on their current linear pieces of motion and the pair's offset stays
+clear of R by a margin (see in_range). A completion runs the exact check
+only when no certificate holds. The margin is far above the rounding of
+the arithmetic, so a certified answer equals the exact one and outputs
+are those of checking every packet. Certificates are off when a node
 jumps. Trajectories must not change after the network is built.
 
 A packet is its `data` bytes plus an optional `payload` bytes object
@@ -61,7 +60,7 @@ from collections import deque
 from typing import Callable, Sequence
 
 from ._value import Frozen
-from .mobility import Trajectory
+from .mobility import Trajectory, crossing_time
 from .records import (
     PKT_DELIVERED,
     PKT_IN_FLIGHT_AT_END,
@@ -227,10 +226,7 @@ class RadioNetwork:
         self._range = link.radio_range_m
         self._range_sq = link.radio_range_m * link.radio_range_m
         self._n = len(trajectories)
-        # Relative speed bound of any pair; certificates are off (0) when
-        # nothing moves or some node jumps.
-        speed = 2.0 * max((tr.max_speed() for tr in trajectories), default=0.0)
-        self._speed_bound = speed if 0.0 < speed < math.inf else 0.0
+        # Infinite, so certificates are off, when some node jumps.
         self._margin = CERT_MARGIN_REL * max(
             1.0, link.radio_range_m, *(tr.error_scale() for tr in trajectories)
         )
@@ -273,11 +269,12 @@ class RadioNetwork:
         """Whether nodes a and b are within radio range at t_us, by the
         exact check; also renews the pair's certificate.
 
-        Seen from the exact check at t0 at distance d0, the pair's
-        distance moves by at most V * |t - t0|, so the answer cannot change
-        while that stays below |R - d0| - margin. The margin exceeds the
-        rounding of position_at and of this check, so the certified answer
-        is the one this check would compute.
+        It holds until either node's current linear piece of motion ends
+        (Trajectory.piece_at) or their offset first reaches R - margin from
+        inside, R + margin from outside (mobility.crossing_time); a pair
+        within margin of R gets none. However long, it is exact: to a piece
+        end a node moves at most speed times end time, which error_scale
+        bounds, and the margin is millions of ulps of that scale.
         """
         t = t_us / 1_000_000
         ax, ay = self.trajectories[a].position_at(t)
@@ -285,14 +282,17 @@ class RadioNetwork:
         dx, dy = ax - bx, ay - by
         dist_sq = dx * dx + dy * dy
         inside = dist_sq <= self._range_sq
-        if self._speed_bound:
-            slack = abs(self._range - math.sqrt(dist_sq)) - self._margin
-            # An infinite slack means dx * dx + dy * dy overflowed: no bound.
-            if 0.0 < slack < math.inf:
-                reach = math.ceil(min(slack / self._speed_bound * 1e6, CERT_MAX_US))
-                cert = (t_us - reach, t_us + reach, inside)
-                n = self._n
-                self._certs[a * n + b] = self._certs[b * n + a] = cert
+        gap = abs(self._range - math.sqrt(dist_sq)) - self._margin
+        # An infinite gap means dx * dx + dy * dy overflowed: no certificate.
+        if 0.0 < gap < math.inf:
+            avx, avy, a_end = self.trajectories[a].piece_at(t)
+            bvx, bvy, b_end = self.trajectories[b].piece_at(t)
+            r = self._range - self._margin if inside else self._range + self._margin
+            crossing = crossing_time(dx, dy, avx - bvx, avy - bvy, r, inside)
+            reach = min(crossing, a_end - t, b_end - t) * 1e6
+            cert = (t_us - 1, t_us + math.ceil(min(reach, CERT_MAX_US)), inside)
+            n = self._n
+            self._certs[a * n + b] = self._certs[b * n + a] = cert
         return inside
 
     def submit(self, src: int, dst: int | None, port: int, data: bytes, kind: str,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from ._value import Frozen
@@ -121,6 +121,8 @@ _SUMMARY_HEAD = struct.Struct(">HH")
 _DATA_HEADERS = struct.Struct(">QIQHII")
 # MessageTypeHeader then AckHeader: a whole ACK packet.
 _ACK_PACKET = struct.Struct(">BHQHH")
+# Struct(">{n}Q") per id count: struct's own cache holds only 100 formats.
+_summary_ids = cache(lambda n: struct.Struct(f">{n}Q"))
 
 MESSAGE_TYPE_SIZE = _MESSAGE_TYPE.size  # 3
 DATA_PACKET_SIZE = _DATA_PACKET.size  # 18
@@ -343,7 +345,7 @@ def encode_summary(frag_block: int, ids: Sequence[int]) -> bytes:
     """One summary fragment: frag_block, the id count, then the ids."""
     n = len(ids)
     _check_fragment(frag_block, n)
-    return struct.pack(f">HH{n}Q", frag_block, n, *ids)
+    return _SUMMARY_HEAD.pack(frag_block, n) + _summary_ids(n).pack(*ids)
 
 
 def decode_summary(data: bytes, offset: int = 0) -> tuple[int, tuple[int, ...]]:
@@ -365,4 +367,4 @@ def decode_summary(data: bytes, offset: int = 0) -> tuple[int, tuple[int, ...]]:
         raise HeaderFormatError(
             f"summary vector declares {length} ids ({expected} bytes), got {size} bytes"
         )
-    return frag_block, struct.unpack_from(f">{length}Q", data, offset + SUMMARY_HEAD_SIZE)
+    return frag_block, _summary_ids(length).unpack_from(data, offset + SUMMARY_HEAD_SIZE)

@@ -31,7 +31,9 @@ from dtnsim.wire import (
 # Example budgets of the whole-run twins (tests/test_slow_twin.py). Tier-1
 # runs them under "twins" and leaves every other test's settings alone.
 # `--hypothesis-profile=deep` runs ten times as many, and makes 400 the
-# default of every test it selects: run it on the twin file alone.
+# default of every test it selects: run it on the twin file alone, or on
+# tests/test_netsim.py::TestRangeCertificate, whose 200 examples it makes
+# 2,000.
 settings.register_profile("twins", max_examples=40, deadline=None)
 settings.register_profile("deep", max_examples=400, deadline=None)
 

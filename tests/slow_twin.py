@@ -6,6 +6,7 @@ A test swaps one in by monkeypatching the name that `dtnsim.runner` or
 """
 
 import heapq
+import math
 
 from dtnsim.buffer import _NONE_STORED, MessageBuffer, _age_order
 from dtnsim.netsim import NodeTransport, RadioNetwork
@@ -46,9 +47,9 @@ class ExactRadio(RadioNetwork):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # in_range writes no certificate with a speed bound of 0, so every
+        # in_range writes no certificate with an infinite margin, so every
         # certificate keeps its initial empty interval.
-        self._speed_bound = 0.0
+        self._margin = math.inf
 
 
 class PerPacketTransport(NodeTransport):

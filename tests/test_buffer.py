@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dtnsim.buffer import MessageBuffer, QueueEntry
+from dtnsim.buffer import MessageBuffer, QueueEntry, _age_order
 from dtnsim.records import (
     MSG_ARRIVAL_EXPIRED,
     MSG_DUPLICATE,
@@ -16,7 +16,7 @@ from dtnsim.records import (
     ReplayTrace,
     RunTrace,
 )
-from dtnsim.wire import MessageId, make_message_id
+from dtnsim.wire import TIMESTAMP_MAX, MessageId, make_message_id
 
 TTL_US = 1_000_000
 NODE = 7
@@ -263,6 +263,34 @@ class TestAgeOrder:
             buf.enqueue(QueueEntry(mid, 99, (bytes(10),), 5), 10)
         assert buf.find_disjoint(()) == self.oracle(ids)
         assert buf.find_disjoint(ids[::2]) == self.oracle(ids[1::2])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 0xFFFF),
+                st.one_of(st.integers(0, 7), st.integers(0, TIMESTAMP_MAX)),
+                st.booleans(),  # a MessageId, else a plain int
+                st.booleans(),  # in the remote summary
+            ),
+            max_size=40, unique_by=lambda s: s[:2],
+        )
+    )
+    # Times whose low 32 bits order them the other way, and a tie.
+    @example([(1, 1 << 40, True, False), (2, 5, False, False), (0, 5, True, False),
+              (3, 6, False, True)])
+    def test_find_disjoint_matches_the_age_order_key(self, stamps):
+        # Buffer keys are MessageIds (originated) or plain ints (received),
+        # over the whole 16-bit node and 48-bit time ranges. None is past
+        # its ttl at 10 us.
+        buf, _ = make_buffer(1000)
+        ids = [
+            make_message_id(source, ts) if wrap else (source << 48) | ts
+            for source, ts, wrap, _ in stamps
+        ]
+        for mid in ids:
+            buf.enqueue(QueueEntry(mid, 99, (bytes(10),), 5), 10)
+        remote = {mid for mid, (*_, held) in zip(ids, stamps) if held}
+        assert buf.find_disjoint(remote) == sorted(set(ids) - remote, key=_age_order)
 
     @given(stamps)
     def test_purge_order(self, stamps):

@@ -1,5 +1,7 @@
 """ns-2 trace parsing and trajectory interpolation."""
 
+import math
+
 import pytest
 
 from dtnsim.mobility import (
@@ -127,23 +129,17 @@ class TestParseErrors:
 
 
 class TestMotionBounds:
-    def test_max_speed_of_segments(self):
-        text = BASIC + '$ns_ at 20.0 "$node_(0) setdest 0.0 0.0 4.0"\n'
-        trajs = parse_ns2_trace(text)
-        assert trajs[0].max_speed() == pytest.approx(4.0)
-        assert trajs[1].max_speed() == 0.0  # never moves
-
     def test_truncated_segment_keeps_its_speed(self):
         text = BASIC + '$ns_ at 5.0 "$node_(0) setdest 5.0 10.0 2.0"\n'
         trajs = parse_ns2_trace(text)
-        assert trajs[0].max_speed() == pytest.approx(2.0)
+        assert trajs[0].piece_at(2.0) == pytest.approx((1.0, 0.0, 5.0))
+        assert trajs[0].piece_at(7.0) == pytest.approx((0.0, 2.0, 10.0))
 
     def test_jump_is_infinitely_fast(self):
         # 10 m at 1e300 m/s arrives at t + 1e-299 == t: a zero-duration move.
         text = BASIC + '$ns_ at 20.0 "$node_(1) setdest 0.0 50.0 1e300"\n'
         trajs = parse_ns2_trace(text)
         assert trajs[1].position_at(20.0) == (0.0, 50.0)
-        assert trajs[1].max_speed() == float("inf")
         assert trajs[1].error_scale() == float("inf")
 
     def test_error_scale_covers_coordinates_and_speed_times_time(self):
@@ -153,6 +149,51 @@ class TestMotionBounds:
         )
         traj = parse_ns2_trace(text)[0]
         assert traj.error_scale() == pytest.approx(max(300.0, 0.5 * 1020.0))
+
+
+class TestPieceAt:
+    """piece_at: the velocity of the linear piece holding t, and its end."""
+
+    TEXT = (
+        "$node_(0) set X_ 0.0\n$node_(0) set Y_ 0.0\n"
+        '$ns_ at 10.0 "$node_(0) setdest 30.0 40.0 5.0"\n'  # arrives at 20 s
+        '$ns_ at 25.0 "$node_(0) setdest 30.0 0.0 4.0"\n'  # cut short at 30 s
+        '$ns_ at 30.0 "$node_(0) setdest 50.0 20.0 1.0"\n'  # from (30, 20): 50 s
+    )
+
+    def trajectory(self):
+        return parse_ns2_trace(self.TEXT)[0]
+
+    def test_before_the_first_segment_parked_until_it_starts(self):
+        assert self.trajectory().piece_at(0.0) == (0.0, 0.0, 10.0)
+        assert self.trajectory().piece_at(9.999) == (0.0, 0.0, 10.0)
+
+    def test_mid_segment_its_velocity_until_its_end(self):
+        traj = self.trajectory()
+        assert traj.piece_at(10.0) == pytest.approx((3.0, 4.0, 20.0))
+        assert traj.piece_at(15.0) == pytest.approx((3.0, 4.0, 20.0))
+
+    def test_parked_after_arrival_until_the_next_start(self):
+        assert self.trajectory().piece_at(20.0) == (0.0, 0.0, 25.0)
+        assert self.trajectory().piece_at(24.0) == (0.0, 0.0, 25.0)
+
+    def test_truncated_segment_ends_at_the_next_command(self):
+        assert self.trajectory().piece_at(27.0) == pytest.approx((0.0, -4.0, 30.0))
+
+    def test_after_the_last_segment_parked_for_ever(self):
+        traj = self.trajectory()
+        assert traj.piece_at(31.0) == pytest.approx((1.0, 0.0, 50.0))
+        assert traj.piece_at(50.0) == (0.0, 0.0, math.inf)
+        assert traj.piece_at(1e9) == (0.0, 0.0, math.inf)
+
+    def test_no_waypoints_parked_for_ever(self):
+        assert parse_ns2_trace(BASIC)[1].piece_at(3.0) == (0.0, 0.0, math.inf)
+
+    def test_jump_ends_the_piece_before_it_and_moves_in_no_piece(self):
+        text = BASIC + '$ns_ at 20.0 "$node_(1) setdest 0.0 50.0 1e300"\n'
+        traj = parse_ns2_trace(text)[1]
+        assert traj.piece_at(19.0) == (0.0, 0.0, 20.0)
+        assert traj.piece_at(20.0) == (0.0, 0.0, math.inf)
 
 
 def test_trajectories_compare_and_hash_by_value():

@@ -11,6 +11,7 @@ from slow_twin import HeapKernel
 
 from dtnsim.mobility import Trajectory, parse_ns2_trace
 from dtnsim.netsim import (
+    CERT_MARGIN_REL,
     EVENT_TIMER,
     EVENT_TRAFFIC,
     LinkModel,
@@ -46,17 +47,18 @@ def make_net(
     trace=None,
     trajectories=None,
     delay_s=0.0,
+    network=RadioNetwork,
 ):
-    """A radio over `trajectories`, or over nodes standing at `positions`,
-    filling `trace` (a RunTrace by default); a RecordingTrace logs the
-    radio's time."""
+    """A `network` radio over `trajectories`, or over nodes standing at
+    `positions`, filling `trace` (a RunTrace by default); a RecordingTrace
+    logs the radio's time."""
     sim = Simulator()
     trace = RunTrace() if trace is None else trace
     if isinstance(trace, RecordingTrace):
         trace.clock = sim
     if trajectories is None:
         trajectories = parse_ns2_trace(static_trace(*positions))
-    net = RadioNetwork(
+    net = network(
         sim,
         LinkModel(rate, radio_range, loss, delay_s),
         trajectories,
@@ -208,8 +210,8 @@ def build_trajectories(nodes):
 # is about 1e-10 m.
 _OFFSETS = st.sampled_from([0.0, 1e6, -3e6 + 0.1])
 # Coordinates and speeds in units of the radio range, so that pairs cross
-# the radius often. Speeds are often the same top speed, so that pairs
-# close at the relative speed bound.
+# the radius often. Speeds are often the same, so that pairs often move
+# in parallel or meet head on.
 _UNITS = st.floats(-2.0, 2.0)
 _SPEEDS = st.one_of(st.just(2.0), st.floats(0.001, 5.0))
 # A speed that makes a zero-duration jump.
@@ -261,9 +263,15 @@ def range_scenes(draw):
     return nodes, radio_range, times
 
 
+# 200 examples in tier-1, 2,000 when conftest.py's "deep" profile is loaded.
+deep = settings.get_profile("deep")
+brute_force = settings(deep, max_examples=2000 if settings.default is deep else 200)
+
+
 def _head_on():
-    # Both nodes run at the top speed towards each other, so the pair
-    # closes at exactly the relative speed bound: out at 14 s, in at 16 s.
+    # Both nodes run head on towards each other at 1 m/s: out at 14 s, in
+    # at 16 s. A certificate from 1 us must end at the first crossing of
+    # the radius, not the second.
     nodes = [
         (-20.0, 0.0, [(0.0, 20.0, 0.0, 1.0)]),
         (20.0, 0.0, [(0.0, -20.0, 0.0, 1.0)]),
@@ -272,7 +280,7 @@ def _head_on():
 
 
 def _jump():
-    # Node 1 jumps next to node 0 at 1 s; node 2 makes the speed bound finite.
+    # Node 1 jumps next to node 0 at 1 s, which turns every certificate off.
     nodes = [
         (0.0, 0.0, []),
         (100.0, 0.0, [(1.0, 5.0, 0.0, _JUMP)]),
@@ -289,7 +297,8 @@ def _exactly_radius():
 
 
 def _stationary():
-    # Nothing moves: the speed bound is 0 and every check is exact.
+    # Nothing moves: every pair not within the margin of R is certified
+    # for good (CERT_MAX_US).
     nodes = [(0.0, 0.0, []), (100.0, 0.0, []), (100.5, 0.0, [])]
     return nodes, 100.0, [1, 2, 1_000_000]
 
@@ -308,6 +317,29 @@ def _head_on_far_out():
     return nodes, 10.0, [1, 999, 1000, 1001]
 
 
+def _tangent_outside():
+    # Node 1 passes node 0 at exactly R + margin, where the outside pair's
+    # path touches the certificate's circle: margin = 1e-9 * 100 m (node
+    # 1's speed times its end time) and R = 10 m.
+    y = 10.0 + CERT_MARGIN_REL * 100.0
+    nodes = [(0.0, 0.0, []), (-50.0, y, [(0.0, 50.0, y, 1.0)])]
+    return nodes, 10.0, [1, 49_999_999, 50_000_000, 50_000_001, 100_000_000]
+
+
+def _piece_boundary():
+    # Node 1 drifts at 1 m/s inside the range, which it would leave at
+    # about 5 s, but its segment ends at 1 s and it then runs off at
+    # 50 m/s: a certificate from the first query must end at 1 s.
+    nodes = [(0.0, 0.0, []), (5.0, 0.0, [(0.0, 6.0, 0.0, 1.0), (1.0, 100.0, 0.0, 50.0)])]
+    return nodes, 10.0, [1, 1_500_000, 2_000_000]
+
+
+def _leaves_between_queries():
+    # Node 1 leaves the range at 0.5 s, between queries at 0 and 1 s.
+    nodes = [(0.0, 0.0, []), (5.0, 0.0, [(0.0, 50.0, 0.0, 10.0)])]
+    return nodes, 10.0, [1, 1_000_000, 1_200_000]
+
+
 class TestRangeCertificate:
     """Completing transmissions decide range as the exact check does, whether
     a certificate or the check answers, for unicast and broadcast."""
@@ -318,7 +350,10 @@ class TestRangeCertificate:
     @example(_exactly_radius())
     @example(_stationary())
     @example(_head_on_far_out())
-    @settings(max_examples=200, deadline=None)
+    @example(_tangent_outside())
+    @example(_piece_boundary())
+    @example(_leaves_between_queries())
+    @brute_force
     def test_matches_brute_force(self, scene):
         nodes, radio_range, times = scene
         trajectories = build_trajectories(nodes)
@@ -369,6 +404,45 @@ class TestRangeCertificate:
             if got != expected:
                 mismatches.append(("broadcast", src, now, got, expected))
         assert mismatches == []
+
+
+class CountingRadio(RadioNetwork):
+    """A radio that counts its exact range checks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks = 0
+
+    def in_range(self, a, b, t_us):
+        self.checks += 1
+        return super().in_range(a, b, t_us)
+
+
+@pytest.mark.parametrize(
+    "nodes, inside",
+    [
+        # Out of range on parallel lines at 2 and 3 m/s: they never meet.
+        ([(0.0, 0.0, [(0.0, 1000.0, 0.0, 2.0)]), (0.0, 150.0, [(0.0, 1000.0, 150.0, 3.0)])],
+         False),
+        # In range, side by side at the same velocity.
+        ([(0.0, 0.0, [(0.0, 1000.0, 0.0, 2.0)]), (0.0, 50.0, [(0.0, 1000.0, 50.0, 2.0)])],
+         True),
+    ],
+    ids=["outside", "inside"],
+)
+def test_straight_lines_that_do_not_cross_the_radius_cost_one_exact_check(nodes, inside):
+    # A relative speed bound would renew the certificate every few
+    # seconds; the pair's own motion certifies it until a piece ends.
+    sim, net, trace = make_net(
+        radio_range=100.0, trajectories=build_trajectories(nodes), network=CountingRadio
+    )
+    for k in range(30):
+        src = k % 2
+        sim.schedule(1 + 10 * k * SEC, EVENT_TIMER,
+                     lambda src=src: net.submit(src, 1 - src, 1, b"x", "data"))
+    sim.run(300 * SEC)
+    assert trace.count("data", PKT_DELIVERED if inside else PKT_OUT_OF_RANGE) == 30
+    assert net.checks == 1
 
 
 def test_network_memory_beyond_the_certificate_table_is_linear():

@@ -1,5 +1,6 @@
 """Wire header encode/decode: exact layouts, round-trips, malformed input."""
 
+import random
 import struct
 
 import pytest
@@ -274,6 +275,16 @@ class TestSummaryVectorCodec:
         bad = data[:extra] if extra < 0 else data + bytes(extra)
         with pytest.raises(HeaderFormatError):
             SummaryVectorHeader.decode(bad)
+
+    def test_round_trip_of_every_count_up_to_300(self):
+        # More distinct counts than struct's cache of 100 compiled formats.
+        rng = random.Random(300)
+        for n in range(301):
+            raws = [rng.getrandbits(64) for _ in range(n)]
+            frag = n % 2
+            data = encode_summary(frag, raws)
+            assert data == self.reference(frag, raws)
+            assert decode_summary(data) == (frag, tuple(raws))
 
 
 def test_fixed_header_decode_tolerates_trailing_payload():
