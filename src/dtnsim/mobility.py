@@ -41,23 +41,20 @@ class _Segment(NamedTuple):
     x1: float
     y1: float
 
-    def speed(self) -> float:
-        """Speed in m/s; infinite for a jump (moves in zero time)."""
-        dist = math.hypot(self.x1 - self.x0, self.y1 - self.y0)
-        if dist == 0.0:
-            return 0.0
-        duration = self.t1 - self.t0
-        return dist / duration if duration > 0.0 else math.inf
-
 
 class Trajectory:
     """A single node's position over time: it starts at (x, y) and follows
-    its (t, x, y, speed) waypoints, given in time order. It never changes
-    once made, and it compares and hashes by value."""
+    its (t, x, y, speed) waypoints, finite and in time order (else
+    ValueError). It never changes once made; it compares and hashes by value."""
 
     def __init__(
         self, x: float, y: float, waypoints: Iterable[tuple[float, float, float, float]] = ()
     ) -> None:
+        waypoints = tuple(waypoints)
+        if not all(map(math.isfinite, (x, y, *(v for w in waypoints for v in w)))):
+            raise ValueError("non-finite position, time or speed in a trajectory")
+        if any(later[0] < w[0] for w, later in zip(waypoints, waypoints[1:])):
+            raise ValueError("a waypoint is earlier than the one before it")
         self.initial = (x, y)
         # Lists while the waypoints are added, then tuples.
         self._segments = []
@@ -66,6 +63,19 @@ class Trajectory:
             self._add_waypoint(*waypoint)
         self._segments = tuple(self._segments)
         self._starts = tuple(self._starts)
+        # piece_at's answers by start: parked at each stop until the next
+        # segment starts, and each segment that takes time (a jump takes
+        # none). The scale is the largest coordinate and, if moving, speed
+        # times end time (a rounded t shifts the point by speed * ulp(t)).
+        ends = (*self._starts, math.inf)
+        pieces = [(-math.inf, (0.0, 0.0, ends[0], max(abs(x), abs(y))))]
+        for (t0, x0, y0, t1, x1, y1), end in zip(self._segments, ends[1:]):
+            if t1 > t0:
+                vx, vy = (x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0)
+                scale = max(abs(x0), abs(y0), abs(x1), abs(y1), math.hypot(vx, vy) * t1)
+                pieces.append((t0, (vx, vy, t1, scale)))
+            pieces.append((t1, (0.0, 0.0, end, max(abs(x1), abs(y1)))))
+        self._piece_starts, self._pieces = zip(*pieces)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Trajectory:
@@ -98,31 +108,12 @@ class Trajectory:
         frac = (t - seg.t0) / (seg.t1 - seg.t0)
         return (seg.x0 + (seg.x1 - seg.x0) * frac, seg.y0 + (seg.y1 - seg.y0) * frac)
 
-    def piece_at(self, t: float) -> tuple[float, float, float]:
-        """(vx, vy, end_s): the velocity of the linear piece of motion holding
-        t, and its end: the segment's end while moving, the next start while
-        parked (at a waypoint or before the first segment), inf after both."""
-        i = bisect.bisect_right(self._starts, t) - 1
-        if i >= 0 and t < self._segments[i].t1:
-            t0, x0, y0, t1, x1, y1 = self._segments[i]
-            return ((x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0), t1)
-        return (0.0, 0.0, self._starts[i + 1] if i + 1 < len(self._starts) else math.inf)
-
-    def error_scale(self) -> float:
-        """A magnitude whose machine epsilon bounds position_at's rounding.
-
-        position_at is exact to a few ulps of the largest coordinate the
-        node visits and, on a moving segment, of its speed times its end
-        time (a rounded query time shifts the interpolated point by about
-        speed * ulp(t)). Infinite if the node jumps.
-        """
-        scale = max(abs(self.initial[0]), abs(self.initial[1]))
-        for seg in self._segments:
-            scale = max(scale, abs(seg.x1), abs(seg.y1))
-            speed = seg.speed()
-            if speed > 0.0:  # then seg.t1 is finite
-                scale = max(scale, speed * seg.t1 if speed < math.inf else speed)
-        return scale
+    def piece_at(self, t: float) -> tuple[float, float, float, float]:
+        """(vx, vy, end_s, scale) of the linear piece of motion holding t:
+        its velocity; its end (the segment's end while moving, the next start
+        while parked, inf after the last); and a magnitude whose epsilon
+        bounds position_at's rounding on the piece. A jump is no piece."""
+        return self._pieces[bisect.bisect_right(self._piece_starts, t) - 1]
 
 
 def crossing_time(dx: float, dy: float, ux: float, uy: float, r: float, inside: bool) -> float:

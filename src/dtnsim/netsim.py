@@ -23,10 +23,11 @@ Range is decided when a transmission completes. The exact check,
 <= R*R and leaves the pair a certificate, which holds while both nodes
 stay on their current linear pieces of motion and the pair's offset stays
 clear of R by a margin (see in_range). A completion runs the exact check
-only when no certificate holds. The margin is far above the rounding of
-the arithmetic, so a certified answer equals the exact one and outputs
-are those of checking every packet. Certificates are off when a node
-jumps. Trajectories must not change after the network is built.
+only when no certificate holds. The margin comes from the two pieces the
+certificate spans and is far above the rounding of their arithmetic, so
+a certified answer equals the exact one and outputs are those of
+checking every packet. Trajectories must not change after the network
+is built.
 
 A packet is its `data` bytes plus an optional `payload` bytes object
 carried by reference: the datagram it stands for is `data + payload`,
@@ -226,10 +227,6 @@ class RadioNetwork:
         self._range = link.radio_range_m
         self._range_sq = link.radio_range_m * link.radio_range_m
         self._n = len(trajectories)
-        # Infinite, so certificates are off, when some node jumps.
-        self._margin = CERT_MARGIN_REL * max(
-            1.0, link.radio_range_m, *(tr.error_scale() for tr in trajectories)
-        )
         # Range certificate per ordered pair a * n + b, the same object for
         # (a, b) and (b, a): (since_us, until_us, inside). The answer is
         # `inside` at any t_us with since_us < t_us < until_us.
@@ -272,9 +269,10 @@ class RadioNetwork:
         It holds until either node's current linear piece of motion ends
         (Trajectory.piece_at) or their offset first reaches R - margin from
         inside, R + margin from outside (mobility.crossing_time); a pair
-        within margin of R gets none. However long, it is exact: to a piece
-        end a node moves at most speed times end time, which error_scale
-        bounds, and the margin is millions of ulps of that scale.
+        within margin of R gets none. The margin is CERT_MARGIN_REL times
+        the largest of 1, R and the two pieces' scales, millions of its
+        ulps. Until the certificate ends both nodes stay on their pieces,
+        where position_at rounds by a few such ulps: it is exact however long.
         """
         t = t_us / 1_000_000
         ax, ay = self.trajectories[a].position_at(t)
@@ -282,12 +280,13 @@ class RadioNetwork:
         dx, dy = ax - bx, ay - by
         dist_sq = dx * dx + dy * dy
         inside = dist_sq <= self._range_sq
-        gap = abs(self._range - math.sqrt(dist_sq)) - self._margin
+        avx, avy, a_end, a_scale = self.trajectories[a].piece_at(t)
+        bvx, bvy, b_end, b_scale = self.trajectories[b].piece_at(t)
+        margin = CERT_MARGIN_REL * max(1.0, self._range, a_scale, b_scale)
+        gap = abs(self._range - math.sqrt(dist_sq)) - margin
         # An infinite gap means dx * dx + dy * dy overflowed: no certificate.
         if 0.0 < gap < math.inf:
-            avx, avy, a_end = self.trajectories[a].piece_at(t)
-            bvx, bvy, b_end = self.trajectories[b].piece_at(t)
-            r = self._range - self._margin if inside else self._range + self._margin
+            r = self._range - margin if inside else self._range + margin
             crossing = crossing_time(dx, dy, avx - bvx, avy - bvy, r, inside)
             reach = min(crossing, a_end - t, b_end - t) * 1e6
             cert = (t_us - 1, t_us + math.ceil(min(reach, CERT_MAX_US)), inside)

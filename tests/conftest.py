@@ -32,10 +32,17 @@ from dtnsim.wire import (
 # runs them under "twins" and leaves every other test's settings alone.
 # `--hypothesis-profile=deep` runs ten times as many, and makes 400 the
 # default of every test it selects: run it on the twin file alone, or on
-# tests/test_netsim.py::TestRangeCertificate, whose 200 examples it makes
-# 2,000.
+# a test class whose budget is `tier1_or_deep(200)`, such as
+# tests/test_netsim.py::TestRangeCertificate, which it makes 2,000.
 settings.register_profile("twins", max_examples=40, deadline=None)
 settings.register_profile("deep", max_examples=400, deadline=None)
+
+
+def tier1_or_deep(examples):
+    """Hypothesis settings of `examples` examples in tier-1, and ten times
+    as many when the "deep" profile is loaded."""
+    deep = settings.get_profile("deep")
+    return settings(deep, max_examples=10 * examples if settings.default is deep else examples)
 
 
 class FakeTransport:

@@ -6,7 +6,6 @@ A test swaps one in by monkeypatching the name that `dtnsim.runner` or
 """
 
 import heapq
-import math
 
 from dtnsim.buffer import _NONE_STORED, MessageBuffer, _age_order
 from dtnsim.netsim import NodeTransport, RadioNetwork
@@ -45,11 +44,13 @@ class ExactRadio(RadioNetwork):
     """A radio whose range certificates are off: every range decision of a
     completing transmission is the exact check."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # in_range writes no certificate with an infinite margin, so every
-        # certificate keeps its initial empty interval.
-        self._margin = math.inf
+    def in_range(self, a, b, t_us):
+        inside = super().in_range(a, b, t_us)
+        # Clear the certificate the check may have written: an empty
+        # interval holds at no time.
+        n = self._n
+        self._certs[a * n + b] = self._certs[b * n + a] = (0, 0, False)
+        return inside
 
 
 class PerPacketTransport(NodeTransport):

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from conftest import tier1_or_deep
+from hypothesis import assume, given, strategies as st
 
 from dtnsim.mobility import (
     TraceParseError,
+    Trajectory,
     generate_random_waypoint_trace,
     parse_ns2_trace,
 )
@@ -132,23 +135,52 @@ class TestMotionBounds:
     def test_truncated_segment_keeps_its_speed(self):
         text = BASIC + '$ns_ at 5.0 "$node_(0) setdest 5.0 10.0 2.0"\n'
         trajs = parse_ns2_trace(text)
-        assert trajs[0].piece_at(2.0) == pytest.approx((1.0, 0.0, 5.0))
-        assert trajs[0].piece_at(7.0) == pytest.approx((0.0, 2.0, 10.0))
+        assert trajs[0].piece_at(2.0) == pytest.approx((1.0, 0.0, 5.0, 5.0))
+        assert trajs[0].piece_at(7.0) == pytest.approx((0.0, 2.0, 10.0, 20.0))
 
     def test_jump_is_infinitely_fast(self):
         # 10 m at 1e300 m/s arrives at t + 1e-299 == t: a zero-duration move.
         text = BASIC + '$ns_ at 20.0 "$node_(1) setdest 0.0 50.0 1e300"\n'
         trajs = parse_ns2_trace(text)
         assert trajs[1].position_at(20.0) == (0.0, 50.0)
-        assert trajs[1].error_scale() == float("inf")
 
-    def test_error_scale_covers_coordinates_and_speed_times_time(self):
+    def test_piece_scale_covers_coordinates_and_speed_times_time(self):
+        # Parked at (-300, 2), then 10 m at 0.5 m/s from 1000 s to 1020 s,
+        # then parked at (-290, 2). Only the moving piece has the speed
+        # term: 0.5 m/s * 1020 s outgrows its coordinates.
         text = (
             "$node_(0) set X_ -300.0\n$node_(0) set Y_ 2.0\n"
             '$ns_ at 1000.0 "$node_(0) setdest -290.0 2.0 0.5"\n'
         )
         traj = parse_ns2_trace(text)[0]
-        assert traj.error_scale() == pytest.approx(max(300.0, 0.5 * 1020.0))
+        assert traj.piece_at(5.0) == (0.0, 0.0, 1000.0, 300.0)
+        assert traj.piece_at(1010.0) == (0.5, 0.0, 1020.0, 0.5 * 1020.0)
+        assert traj.piece_at(2000.0) == (0.0, 0.0, math.inf, 290.0)
+
+
+@st.composite
+def pieces(draw):
+    """A trajectory, a query time in whole microseconds, as the radio asks,
+    and a fraction of the way to the end of the piece holding it.
+    Coordinates may sit a million metres out, and times a million seconds
+    in, where speed times time outgrows the coordinates; some waypoints
+    are jumps (1e300 m/s)."""
+    base = draw(st.sampled_from([0.0, 1e6, -3e6 + 0.1]))
+    start = draw(st.sampled_from([0, 10**6]))
+    units = st.floats(-100.0, 100.0)
+    speeds = st.one_of(st.floats(0.001, 50.0), st.just(1e300))
+    waypoints = sorted(
+        draw(st.lists(st.tuples(st.floats(0.0, 100.0), units, units, speeds), max_size=4))
+    )
+    traj = Trajectory(
+        base + draw(units),
+        base + draw(units),
+        [(start + t, base + x, base + y, v) for t, x, y, v in waypoints],
+    )
+    # Up to 20 s after a waypoint, where a piece often moves.
+    since = draw(st.sampled_from([start + t for t, *_ in waypoints] or [start]))
+    t_us = round(since * 10**6) + draw(st.integers(0, 20 * 10**6))
+    return traj, t_us, draw(st.floats(0.0, 1.0, exclude_max=True))
 
 
 class TestPieceAt:
@@ -165,35 +197,84 @@ class TestPieceAt:
         return parse_ns2_trace(self.TEXT)[0]
 
     def test_before_the_first_segment_parked_until_it_starts(self):
-        assert self.trajectory().piece_at(0.0) == (0.0, 0.0, 10.0)
-        assert self.trajectory().piece_at(9.999) == (0.0, 0.0, 10.0)
+        assert self.trajectory().piece_at(0.0) == (0.0, 0.0, 10.0, 0.0)
+        assert self.trajectory().piece_at(9.999) == (0.0, 0.0, 10.0, 0.0)
 
     def test_mid_segment_its_velocity_until_its_end(self):
         traj = self.trajectory()
-        assert traj.piece_at(10.0) == pytest.approx((3.0, 4.0, 20.0))
-        assert traj.piece_at(15.0) == pytest.approx((3.0, 4.0, 20.0))
+        assert traj.piece_at(10.0) == pytest.approx((3.0, 4.0, 20.0, 100.0))
+        assert traj.piece_at(15.0) == pytest.approx((3.0, 4.0, 20.0, 100.0))
 
     def test_parked_after_arrival_until_the_next_start(self):
-        assert self.trajectory().piece_at(20.0) == (0.0, 0.0, 25.0)
-        assert self.trajectory().piece_at(24.0) == (0.0, 0.0, 25.0)
+        assert self.trajectory().piece_at(20.0) == (0.0, 0.0, 25.0, 40.0)
+        assert self.trajectory().piece_at(24.0) == (0.0, 0.0, 25.0, 40.0)
 
     def test_truncated_segment_ends_at_the_next_command(self):
-        assert self.trajectory().piece_at(27.0) == pytest.approx((0.0, -4.0, 30.0))
+        assert self.trajectory().piece_at(27.0) == pytest.approx((0.0, -4.0, 30.0, 120.0))
 
     def test_after_the_last_segment_parked_for_ever(self):
         traj = self.trajectory()
-        assert traj.piece_at(31.0) == pytest.approx((1.0, 0.0, 50.0))
-        assert traj.piece_at(50.0) == (0.0, 0.0, math.inf)
-        assert traj.piece_at(1e9) == (0.0, 0.0, math.inf)
+        assert traj.piece_at(31.0) == pytest.approx((1.0, 0.0, 50.0, 50.0))
+        assert traj.piece_at(50.0) == (0.0, 0.0, math.inf, 50.0)
+        assert traj.piece_at(1e9) == (0.0, 0.0, math.inf, 50.0)
 
     def test_no_waypoints_parked_for_ever(self):
-        assert parse_ns2_trace(BASIC)[1].piece_at(3.0) == (0.0, 0.0, math.inf)
+        assert parse_ns2_trace(BASIC)[1].piece_at(3.0) == (0.0, 0.0, math.inf, 100.0)
 
     def test_jump_ends_the_piece_before_it_and_moves_in_no_piece(self):
         text = BASIC + '$ns_ at 20.0 "$node_(1) setdest 0.0 50.0 1e300"\n'
         traj = parse_ns2_trace(text)[1]
-        assert traj.piece_at(19.0) == (0.0, 0.0, 20.0)
-        assert traj.piece_at(20.0) == (0.0, 0.0, math.inf)
+        assert traj.piece_at(19.0) == (0.0, 0.0, 20.0, 100.0)
+        assert traj.piece_at(20.0) == (0.0, 0.0, math.inf, 50.0)
+
+    @given(pieces())
+    @tier1_or_deep(200)
+    def test_linear_until_the_next_breakpoint(self, scene):
+        traj, t_us, frac = scene
+        t = t_us / 1e6
+        vx, vy, end, scale = traj.piece_at(t)
+        breakpoints = {b for seg in traj._segments for b in (seg.t0, seg.t1)}
+        assert end == min((b for b in breakpoints if b > t), default=math.inf)
+        span_us = (end - t) * 1e6 if end < math.inf else 1e12
+        later_us = t_us + int(frac * span_us)
+        assume(later_us / 1e6 < end)
+        # The radio extrapolates over whole microseconds, so the query
+        # times' rounding to seconds counts: speed * ulp(t) per node.
+        elapsed = (later_us - t_us) / 1e6
+        x, y = traj.position_at(t)
+        lx, ly = traj.position_at(later_us / 1e6)
+        # 4,096 ulps of the scale, far below the radio's margin of 1e-9
+        # times it (netsim.CERT_MARGIN_REL).
+        tolerance = 2.0**-40 * scale
+        assert abs(lx - (x + vx * elapsed)) <= tolerance
+        assert abs(ly - (y + vy * elapsed)) <= tolerance
+
+
+class TestTrajectoryChecks:
+    def test_waypoint_earlier_than_the_one_before_rejected(self):
+        # Accepted, the second waypoint cut the first segment short at 5 s,
+        # before it started, and piece_at(4) said parked until 10 s while
+        # position_at(6) was already moving.
+        with pytest.raises(ValueError, match="earlier than the one before"):
+            Trajectory(0.0, 0.0, [(10.0, 100.0, 0.0, 10.0), (5.0, 0.0, 100.0, 10.0)])
+
+    def test_waypoints_at_one_time_accepted_and_the_last_one_wins(self):
+        traj = Trajectory(0.0, 0.0, [(5.0, 100.0, 0.0, 10.0), (5.0, 0.0, 100.0, 10.0)])
+        assert traj.piece_at(5.0) == (0.0, 10.0, 15.0, 150.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_waypoint_rejected(self, field, value):
+        waypoint = [1.0, 10.0, 0.0, 2.0]  # time, x, y, speed
+        waypoint[field] = value
+        with pytest.raises(ValueError, match="non-finite position, time or speed"):
+            Trajectory(0.0, 0.0, [tuple(waypoint)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_position_rejected(self, value):
+        for x, y in ((value, 0.0), (0.0, value)):
+            with pytest.raises(ValueError, match="non-finite position, time or speed"):
+                Trajectory(x, y)
 
 
 def test_trajectories_compare_and_hash_by_value():

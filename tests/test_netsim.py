@@ -5,7 +5,14 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import RecordingTrace, build_world, make_entry, originate_at, static_trace
+from conftest import (
+    RecordingTrace,
+    build_world,
+    make_entry,
+    originate_at,
+    static_trace,
+    tier1_or_deep,
+)
 from hypothesis import example, given, settings, strategies as st
 from slow_twin import HeapKernel
 
@@ -263,11 +270,6 @@ def range_scenes(draw):
     return nodes, radio_range, times
 
 
-# 200 examples in tier-1, 2,000 when conftest.py's "deep" profile is loaded.
-deep = settings.get_profile("deep")
-brute_force = settings(deep, max_examples=2000 if settings.default is deep else 200)
-
-
 def _head_on():
     # Both nodes run head on towards each other at 1 m/s: out at 14 s, in
     # at 16 s. A certificate from 1 us must end at the first crossing of
@@ -280,7 +282,10 @@ def _head_on():
 
 
 def _jump():
-    # Node 1 jumps next to node 0 at 1 s, which turns every certificate off.
+    # Node 1 jumps next to node 0 at 1 s. Its piece before the jump ends
+    # at 1 s, and so do the certificates of its pairs; the jump is no
+    # piece, and from 1 s on node 1 is parked at (5, 0). Pair (0, 2) is
+    # certified across the jump.
     nodes = [
         (0.0, 0.0, []),
         (100.0, 0.0, [(1.0, 5.0, 0.0, _JUMP)]),
@@ -353,7 +358,7 @@ class TestRangeCertificate:
     @example(_tangent_outside())
     @example(_piece_boundary())
     @example(_leaves_between_queries())
-    @brute_force
+    @tier1_or_deep(200)
     def test_matches_brute_force(self, scene):
         nodes, radio_range, times = scene
         trajectories = build_trajectories(nodes)
@@ -443,6 +448,26 @@ def test_straight_lines_that_do_not_cross_the_radius_cost_one_exact_check(nodes,
     sim.run(300 * SEC)
     assert trace.count("data", PKT_DELIVERED if inside else PKT_OUT_OF_RANGE) == 30
     assert net.checks == 1
+
+
+def test_a_jumping_node_leaves_the_other_pairs_certified():
+    # Node 2 jumps into range at 10.5 s. Node 0 broadcasts every second
+    # for 30 s, 60 range decisions. Pair (0, 1) moves in a straight line
+    # inside the range and takes one exact check; pair (0, 2) takes one
+    # before the jump and one after it, where it is parked for good.
+    nodes = [
+        (0.0, 0.0, []),
+        (50.0, 0.0, [(0.0, 50.0, 80.0, 1.0)]),
+        (300.0, 0.0, [(10.5, 60.0, 0.0, _JUMP)]),
+    ]
+    sim, net, trace = make_net(
+        radio_range=100.0, trajectories=build_trajectories(nodes), network=CountingRadio
+    )
+    for k in range(30):
+        sim.schedule(1 + k * SEC, EVENT_TIMER, lambda: net.submit(0, None, 1, b"x", "beacon"))
+    sim.run(31 * SEC)
+    assert trace.count("beacon", PKT_DELIVERED) == 30 + 19  # node 2 from 11 s on
+    assert net.checks == 3
 
 
 def test_network_memory_beyond_the_certificate_table_is_linear():
