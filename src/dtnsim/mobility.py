@@ -9,7 +9,8 @@ Accepted lines:
 
 Position between waypoints is linear at the given speed and clamps at the
 destination. Node indices must be contiguous from 0, every node needs an
-initial X_ and Y_, and every time, coordinate and speed must be finite.
+initial X_ and Y_, every time, coordinate and speed must be finite, and no
+time or speed may be negative.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class _Segment(NamedTuple):
 
 class Trajectory:
     """A single node's position over time: it starts at (x, y) and follows
-    its (t, x, y, speed) waypoints, finite and in time order (else
-    ValueError). It never changes once made; it compares and hashes by value."""
+    its (t, x, y, speed) waypoints, finite, with no negative time or speed,
+    and in time order (else ValueError). It never changes once made; it
+    compares and hashes by value."""
 
     def __init__(
         self, x: float, y: float, waypoints: Iterable[tuple[float, float, float, float]] = ()
@@ -53,6 +55,8 @@ class Trajectory:
         waypoints = tuple(waypoints)
         if not all(map(math.isfinite, (x, y, *(v for w in waypoints for v in w)))):
             raise ValueError("non-finite position, time or speed in a trajectory")
+        if any(t < 0 or speed < 0 for t, _, _, speed in waypoints):
+            raise ValueError("negative time or speed in a waypoint")
         if any(later[0] < w[0] for w, later in zip(waypoints, waypoints[1:])):
             raise ValueError("a waypoint is earlier than the one before it")
         self.initial = (x, y)

@@ -9,17 +9,18 @@ one.
 Contacts: a node keeps one NeighborRecord per live neighbor, and that
 record holds all of the contact's state: the summary being reassembled,
 the messages queued toward the neighbor and the one in flight, and the
-message being received from it. The record is made by the first packet
-heard from the neighbor; removing it (liveness timeout, or a beacon on a
-stale record) ends the contact, and a partly received message goes with
-it.
+multi-packet message being received from it. The record is made by the
+first packet heard from the neighbor; removing it (liveness timeout, or a
+beacon on a stale record) ends the contact, and a partly received message
+goes with it.
 
 Anti-entropy: on a new contact the side with the lower address sends its
 buffer summary (REPLY, fragmented); the higher side answers with its own
 summary (REPLY_BACK) and both sides then send the messages the peer
 lacks, one complete message per neighbor at a time, gated by hop-by-hop
 ACKs. Receivers reassemble one message per neighbor at a time, its id
-the plain int they unpack; a reassembled message has its hop budget
+the plain int they unpack; a message whose one packet arrives completes
+at once, without reception state. A complete message has its hop budget
 decremented, is dropped when expired or out of hops, and is otherwise
 stored (and counted as delivered at its destination).
 
@@ -63,15 +64,15 @@ from .wire import (
     MESSAGE_TYPE_SIZE,
     SUMMARY_HEAD_SIZE,
     TIMESTAMP_MAX,
+    _ACK_PACKET,
     _DATA_HEADERS,
+    _MESSAGE_TYPE,
     MessageId,
     MessageTypeHeader,
     MsgType,
     WireError,
     ack_packer,
     data_packer,
-    decode_ack,
-    decode_envelope,
     decode_summary,
     encode_summary,
     make_message_id,
@@ -83,6 +84,7 @@ PORT_DATA = 2
 # Control packet kinds as the int codes handle_packet dispatches on.
 _BEACON = MsgType.BEACON.value
 _REPLY = MsgType.REPLY.value
+_REPLY_BACK = MsgType.REPLY_BACK.value
 _ACK = MsgType.ACK.value
 
 # The payload of a one-packet control hand-over; control packets carry
@@ -169,10 +171,12 @@ class NeighborRecord:
     fragment of the neighbor's summary received so far, as decoded.
     `pending` and `in_flight` are the messages queued toward the neighbor
     (one in flight at a time, until its ACK). It also holds the reception
-    state: `rx_id` is the plain int id of the message being received from
-    the neighbor, or None; while it is set, `rx_total`, `rx_hop_count` and
-    `rx_dst` are its packet total, hop count and destination, and
-    `rx_parts` maps each packet index received to its payload.
+    state, for a message that spans packets only: `rx_id` is the plain int
+    id of the message being reassembled from the neighbor, or None; while
+    it is set, `rx_total` (at least 2), `rx_hop_count` and `rx_dst` are its
+    packet total and its first packet's hop count and destination, and
+    `rx_parts` maps each packet index received to its payload. A
+    one-packet message never enters it.
     """
 
     __slots__ = ("node_id", "address", "last_heard", "summary_accum", "pending", "in_flight",
@@ -294,8 +298,12 @@ class EpidemicNode:
         docs/wire-format.md in their order, and one that fails is counted
         once as malformed and changes no state, except that a data packet
         failing check 6 still refreshes its neighbor's record. A data
-        packet that passes joins its neighbor's reception state, which
-        holds one message at a time: a new id drops the partial one.
+        packet that passes with a new id drops its neighbor's partial
+        message, if any; it is then stored at once if it is the message's
+        only packet, and otherwise joins the neighbor's reception state,
+        which holds one message at a time. A control packet is checked as
+        one unpack of its envelope, the dispatch on its code, then one
+        unpack of the whole ACK packet or `decode_summary`.
         """
         if port == PORT_DATA:
             try:
@@ -315,34 +323,52 @@ class EpidemicNode:
             else:
                 nb.last_heard = now
                 nb.address = sender_addr
-            if nb.rx_id == raw:
-                if nb.rx_total != total:
+            rx_id = nb.rx_id
+            if rx_id == raw:
+                if nb.rx_total != total:  # check 6
                     self._malformed(KIND_DATA, len(payload), sender_addr)
                     return
-            else:
-                if nb.rx_id is not None:
-                    self._drop_msg(now, nb.rx_id, MSG_PARTIAL_RESET)
-                nb.rx_id = raw
-                nb.rx_total = total
-                nb.rx_hop_count = hops
-                nb.rx_dst = msg_dst
-                nb.rx_parts = {}
-            parts = nb.rx_parts
-            parts[index] = payload
-            if len(parts) == total:
-                self._complete_message(nb, now)
+                parts = nb.rx_parts
+                parts[index] = payload
+                if len(parts) == total:
+                    nb.rx_id = None
+                    self._complete_message(nb, raw, nb.rx_hop_count, nb.rx_dst,
+                                           tuple(parts[i] for i in range(total)), now)
+                return
+            if rx_id is not None:
+                self._drop_msg(now, rx_id, MSG_PARTIAL_RESET)
+                nb.rx_id = None
+            if total == 1:
+                self._complete_message(nb, raw, hops, msg_dst, (payload,), now)
+                return
+            nb.rx_id = raw
+            nb.rx_total = total
+            nb.rx_hop_count = hops
+            nb.rx_dst = msg_dst
+            nb.rx_parts = {index: payload}
             return
         try:
-            code, node_id = decode_envelope(data)
-            if code == _BEACON:
-                self.on_beacon(node_id, sender_addr, now)
-            elif code == _ACK:
-                message_id, ack_node, _status = decode_ack(data, MESSAGE_TYPE_SIZE)
-                self.on_ack(ack_node, message_id, sender_addr, now)
-            else:  # REPLY or REPLY_BACK
+            code, node_id = _MESSAGE_TYPE.unpack_from(data)
+        except struct.error:  # check 1: fewer than 3 bytes
+            self._malformed(KIND_CONTROL, len(data), sender_addr)
+            return
+        if code == _BEACON:
+            self.on_beacon(node_id, sender_addr, now)
+        elif code == _ACK:
+            try:
+                _, _, message_id, ack_node, _status = _ACK_PACKET.unpack_from(data)
+            except struct.error:  # check 3: fewer than 15 bytes
+                self._malformed(KIND_CONTROL, len(data), sender_addr)
+                return
+            self.on_ack(ack_node, message_id, sender_addr, now)
+        elif code == _REPLY or code == _REPLY_BACK:
+            try:
                 frag_block, ids = decode_summary(data, MESSAGE_TYPE_SIZE)
-                self.on_summary(code, node_id, sender_addr, frag_block, ids, now)
-        except WireError:
+            except WireError:  # checks 4-6
+                self._malformed(KIND_CONTROL, len(data), sender_addr)
+                return
+            self.on_summary(code, node_id, sender_addr, frag_block, ids, now)
+        else:  # check 2: an unknown code
             self._malformed(KIND_CONTROL, len(data), sender_addr)
 
     def _malformed(self, kind: str, size: int, sender_addr: int) -> None:
@@ -453,13 +479,13 @@ class EpidemicNode:
 
     # -- reception ------------------------------------------------------------
 
-    def _complete_message(self, nb: NeighborRecord, now: int) -> None:
-        mid = nb.rx_id
-        nb.rx_id = None
-        parts = nb.rx_parts
-        packets = tuple(parts[i] for i in range(nb.rx_total))
-        destination = nb.rx_dst
-        budget = nb.rx_hop_count - 1 if nb.rx_hop_count > 0 else 0
+    def _complete_message(self, nb: NeighborRecord, mid: int, hop_count: int,
+                          destination: int, packets: tuple[bytes, ...], now: int) -> None:
+        """Store (or drop) a message received whole from `nb` and ACK it.
+
+        `hop_count` and `destination` are those of its first packet, and
+        `packets` its payloads in index order."""
+        budget = hop_count - 1 if hop_count > 0 else 0
         self.trace.transfer_completed(now, mid, nb.node_id, self.node_id)
         age = now - (mid & TIMESTAMP_MAX)
         if age > self.buffer.ttl_us:

@@ -19,13 +19,16 @@ Decoding a fixed-size header tolerates trailing bytes (the rest of the
 packet); a summary vector must match its declared length exactly.
 
 The simulator's per-packet paths do not build header objects: the flat
-codecs at the end of this module pack or parse a whole packet's headers
-with one Struct and return plain ints. The control header classes decode
-through them, so each control receive check is written once; a data
-packet's receiver unpacks `_DATA_HEADERS` and makes its checks itself, so
-the two data header classes, which decode with their own Structs, stay
-an independent reference. A header object is a frozen, hashable value
-that compares by its fields.
+codecs at the end of this module pack a whole packet's headers with one
+Struct, and the receiver unpacks them itself and makes the receive checks
+there: a data packet's header block with `_DATA_HEADERS`, a control
+envelope with `_MESSAGE_TYPE` and a whole ACK with `_ACK_PACKET`. Only a
+summary fragment is parsed through a shared decoder, `decode_summary`. So
+the header classes do not serve the receive path: the data classes decode
+with their own Structs, and the control classes through `decode_envelope`
+and `decode_ack`, which only they call. Apart from the summary, they are
+an independent reference for the receiver's checks. A header object is a
+frozen, hashable value that compares by its fields.
 """
 
 from __future__ import annotations

@@ -80,9 +80,9 @@ class FakeTransport:
         return [s for s in self.sent if s[3] == kind]
 
 
-def make_node(node_id=0, address=None, config=None, seed="test"):
+def make_node(node_id=0, address=None, config=None, seed="test", trace=None):
     transport = FakeTransport()
-    trace = ReplayTrace()
+    trace = ReplayTrace() if trace is None else trace
     node = EpidemicNode(
         node_id=node_id,
         address=node_id if address is None else address,

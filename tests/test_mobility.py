@@ -270,6 +270,27 @@ class TestTrajectoryChecks:
         with pytest.raises(ValueError, match="non-finite position, time or speed"):
             Trajectory(0.0, 0.0, [tuple(waypoint)])
 
+    @pytest.mark.parametrize(
+        "waypoints",
+        [
+            # Accepted, the node never moved: position_at(100) was (0, 0).
+            [(1.0, 10.0, 0.0, -2.0)],
+            # Accepted, the node moved before 0 and was at (10, 0) at 0 s.
+            [(-5.0, 10.0, 0.0, 2.0)],
+            [(-5.0, 10.0, 0.0, 2.0), (3.0, 0.0, 10.0, 2.0)],
+            [(2.0, 10.0, 0.0, 2.0), (3.0, 0.0, 10.0, -0.5)],
+        ],
+    )
+    def test_negative_time_or_speed_rejected(self, waypoints):
+        with pytest.raises(ValueError, match="negative time or speed in a waypoint"):
+            Trajectory(0.0, 0.0, waypoints)
+
+    def test_zero_time_and_zero_speed_accepted(self):
+        # A zero speed stops the node where it is, as in a trace.
+        traj = Trajectory(0.0, 0.0, [(0.0, 10.0, 0.0, 2.0), (2.0, 50.0, 0.0, 0.0)])
+        assert traj.position_at(1.0) == (2.0, 0.0)
+        assert traj.position_at(100.0) == (4.0, 0.0)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_initial_position_rejected(self, value):
         for x, y in ((value, 0.0), (0.0, value)):

@@ -3,7 +3,7 @@
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from conftest import (
     feed_beacon,
     feed_datagram,
@@ -11,6 +11,7 @@ from conftest import (
     feed_summary,
     make_entry,
     make_node,
+    tier1_or_deep,
 )
 
 from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD
@@ -37,6 +38,7 @@ from dtnsim.records import (
     MSG_TOO_LARGE,
     PKT_MALFORMED,
     MessageDropped,
+    ReplayTrace,
 )
 from dtnsim.wire import (
     DATA_HEADERS_SIZE,
@@ -96,6 +98,47 @@ HEADER_BLOCKS = st.one_of(
     PACKED_HEADERS,
     PACKED_HEADERS,
     st.builds(lambda block, size: block[:size], PACKED_HEADERS, st.integers(0, 29)),
+)
+
+
+def _enveloped(codes, bodies):
+    """Control packets of an envelope with a code from `codes` and a node
+    id from 0 to 3, then a body, the whole then mostly left as it is, else
+    extended by a few bytes or cut short."""
+    return st.builds(
+        lambda code, node_id, body, tail, cut: (
+            struct.pack(">BH", code, node_id) + body + tail
+        )[:cut],
+        st.sampled_from(codes),
+        st.integers(0, 3),
+        bodies,
+        st.sampled_from([b"", b"", b"", b"\x00", bytes(8)]),
+        st.one_of(st.none(), st.none(), st.integers(0, 30)),
+    )
+
+
+ACK_BODIES = st.builds(
+    lambda mid, node_id, status: struct.pack(">QHH", mid, node_id, status),
+    st.integers(0, (1 << 64) - 1),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+# Summary fragments whose declared length is mostly their id count.
+SUMMARY_BODIES = st.builds(
+    lambda frag_block, ids, declared: struct.pack(
+        f">HH{len(ids)}Q", frag_block, len(ids) if declared is None else declared, *ids
+    ),
+    st.integers(0, 2),
+    st.lists(st.integers(0, (1 << 64) - 1), max_size=2),
+    st.one_of(st.none(), st.none(), st.integers(0, 3)),
+)
+# Control packets: short envelopes, any code from 0 to 5 with arbitrary
+# bytes, ACKs, and summaries.
+CONTROL_PACKETS = st.one_of(
+    st.binary(max_size=3),
+    _enveloped(range(6), st.binary(max_size=20)),
+    _enveloped([MsgType.ACK], ACK_BODIES),
+    _enveloped([MsgType.REPLY, MsgType.REPLY_BACK], SUMMARY_BODIES),
 )
 
 
@@ -376,18 +419,32 @@ class TestOnDataPacket:
         assert len(trace.transfers) == 1
 
     def test_interleaved_message_resets_partial(self):
-        node, transport, trace = make_node(node_id=2)
+        # y is one packet: x's partial is dropped first, then y is stored
+        # and acknowledged on arrival, and no reception state is left.
+        order = []
+
+        class OrderTrace(ReplayTrace):
+            def message_dropped(self, now, node, mid, cause):
+                super().message_dropped(now, node, mid, cause)
+                order.append((cause, mid))
+
+            def transfer_completed(self, now, mid, from_node, to_node):
+                super().transfer_completed(now, mid, from_node, to_node)
+                order.append(("stored", mid))
+
+        node, transport, _ = make_node(node_id=2, trace=OrderTrace())
         x = make_entry(1, 10, size=30, payload=10)
         y = make_entry(1, 20, size=10, payload=10)
         epi = EpidemicHeader(x.message_id, x.hop_budget).encode()
         dph = DataPacketHeader(x.message_id, 1, 3, 0).encode()
         feed_datagram(node, 1, epi + dph + x.packets[0], x.destination, 1000)
         feed_message(node, y, 1, 1, now=1100)
+        assert order == [(MSG_PARTIAL_RESET, x.message_id), ("stored", y.message_id)]
         assert x.message_id not in node.buffer
         assert y.message_id in node.buffer
-        assert transport.sent_of_kind(KIND_ACK)  # only for y
-        assert len(transport.sent_of_kind(KIND_ACK)) == 1
-        assert [d.cause for d in trace.message_drops] == [MSG_PARTIAL_RESET]
+        acks = transport.sent_of_kind(KIND_ACK)
+        assert [AckHeader.decode(a[2][3:]).message_id for a in acks] == [y.message_id]
+        assert node.neighbors[1].rx_id is None
 
     def test_completed_message_leaves_no_partial(self):
         # Neither the next message nor the end of the contact drops a
@@ -462,13 +519,15 @@ class TestOnDataPacket:
         assert [d.cause for d in trace.message_drops] == [MSG_ARRIVAL_EXPIRED]
         assert len(transport.sent_of_kind(KIND_ACK)) == 1
 
-    MALFORMED_DATA = ["truncated", "zero_total", "bad_index", "ids_differ", "no_msg_dst", "total_differs"]
+    MALFORMED_DATA = ["truncated", "zero_total", "bad_index", "ids_differ", "no_msg_dst",
+                      "total_differs", "one_packet_of_the_partial"]
+    CHECK_6 = ("total_differs", "one_packet_of_the_partial")
 
     @staticmethod
     def _malformed_data(node, case):
         """A data packet from node 1 that fails the receive check `case`, as
-        (datagram, msg_dst, payload). For total_differs, packet 0 of the
-        message is fed first, at 900 µs."""
+        (datagram, msg_dst, payload). For the check-6 cases, packet 0 of
+        the message is fed first, at 900 µs."""
         e = make_entry(1, 10)  # 3 packets of 10 bytes
         raw, payload = e.message_id.raw, e.packets[1]
         epi = EpidemicHeader(e.message_id, e.hop_budget).encode()
@@ -486,10 +545,12 @@ class TestOnDataPacket:
         elif case == "no_msg_dst":
             data, msg_dst = good, None
         else:
-            # Packet 0 starts reassembly with total 3; packet 1 claims 4.
+            # Packet 0 starts reassembly with total 3; then packet 1 claims
+            # 4, or a packet claims to be the whole message.
             first = epi + DataPacketHeader(e.message_id, 1, 3, 0).encode() + e.packets[0]
             feed_datagram(node, 1, first, msg_dst, 900)
-            data = epi + DataPacketHeader(e.message_id, 1, 4, 1).encode() + payload
+            total, index = (4, 1) if case == "total_differs" else (1, 0)
+            data = epi + DataPacketHeader(e.message_id, 1, total, index).encode() + payload
         return data, msg_dst, payload
 
     @pytest.mark.parametrize("case", MALFORMED_DATA)
@@ -507,7 +568,7 @@ class TestOnDataPacket:
         )
         assert trace.pair_counts[(1, 2, KIND_DATA, PKT_MALFORMED)] == 1
         assert len(node.buffer) == 0 and transport.sent == []
-        if case == "total_differs":
+        if case in self.CHECK_6:
             nb = node.neighbors[1]
             assert nb.rx_total == 3 and list(nb.rx_parts) == [0]
         else:
@@ -517,15 +578,15 @@ class TestOnDataPacket:
     @pytest.mark.parametrize("case", MALFORMED_DATA)
     @pytest.mark.parametrize("known", [False, True], ids=["new", "known"])
     def test_only_a_packet_failing_check_6_is_heard(self, case, known):
-        # docs/wire-format.md: a packet failing check 6 (total_differs)
-        # still counts as hearing from the neighbor; one failing checks
-        # 1-5 neither makes a NeighborRecord nor refreshes one.
+        # docs/wire-format.md: a packet failing check 6 still counts as
+        # hearing from the neighbor; one failing checks 1-5 neither makes
+        # a NeighborRecord nor refreshes one.
         node, _, _ = make_node(node_id=2)
         if known:
             feed_beacon(node, 1, 1, now=0)
         data, msg_dst, _ = self._malformed_data(node, case)
         feed_datagram(node, 1, data, msg_dst, 1000)
-        if case == "total_differs":
+        if case in self.CHECK_6:
             assert node.neighbors[1].last_heard == 1000
         elif known:
             assert node.neighbors[1].last_heard == 0
@@ -696,6 +757,38 @@ class TestControlReceiveChecks:
         assert trace.pair_counts[(1, 9, KIND_CONTROL, PKT_MALFORMED)] == 1
         assert contact_state(node) == before
         assert transport.sent == sent
+
+    @given(CONTROL_PACKETS)
+    @example(_control_packet("ack_short"))
+    @example(MessageTypeHeader(MsgType.ACK, 1).encode()
+             + AckHeader(make_message_id(9, 10), 1).encode() + bytes(3))
+    @tier1_or_deep(400)
+    def test_receiver_agrees_with_control_header_classes(self, data):
+        # The receive checks of docs/wire-format.md, with the control
+        # header classes' decoders as the reference: a packet they decode
+        # is handled and makes a record of the node it names, and one they
+        # reject is counted as malformed with len(data) bytes and changes
+        # nothing. Bytes after an ACK's AckHeader are not read.
+        node, transport, trace = self._node_mid_exchange()
+        before, sent = contact_state(node), list(transport.sent)
+        try:
+            envelope = MessageTypeHeader.decode(data)
+            named = envelope.node_id
+            if envelope.msg_type == MsgType.ACK:
+                named = AckHeader.decode(data[MESSAGE_TYPE_SIZE:]).node_id
+            elif envelope.msg_type != MsgType.BEACON:
+                SummaryVectorHeader.decode(data[MESSAGE_TYPE_SIZE:])
+        except WireError:
+            named = None
+        node.handle_packet(1, PORT_CONTROL, data, None, 500)
+        malformed = (trace.count(KIND_CONTROL, PKT_MALFORMED),
+                     trace.bytes_of(KIND_CONTROL, PKT_MALFORMED))
+        if named is None:
+            assert malformed == (1, len(data))
+            assert contact_state(node) == before and transport.sent == sent
+        else:
+            assert malformed == (0, 0)
+            assert named in node.neighbors
 
 
 class TestConnectionCheck:

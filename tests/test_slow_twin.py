@@ -25,7 +25,9 @@ from dtnsim.scenario import Scenario, TrafficParams
 def small_worlds(draw):
     """3-8 random-waypoint nodes that meet often, with loss, an optional
     propagation delay, a device queue that overflows and hits residency,
-    and a TTL short enough to expire messages."""
+    and a TTL short enough to expire messages. Messages are of one packet
+    or of 13 (600 or 15,000 bytes at 1,200 per packet), so that both
+    receive paths run: stored on arrival, and reassembled."""
     nodes = draw(st.integers(3, 8))
     text = generate_random_waypoint_trace(
         nodes, 150, 150, 5, 15, 20, seed=draw(st.integers(0, 2**32 - 1))
@@ -40,7 +42,9 @@ def small_worlds(draw):
             loss_probability=draw(st.floats(0.0, 0.05)),
             propagation_delay_s=draw(st.sampled_from([0.0, 2e-3])),
         ),
-        traffic=TrafficParams(draw(st.integers(1, 12)), 15_000, 1200, 1.0, 20.0),
+        traffic=TrafficParams(
+            draw(st.integers(1, 12)), draw(st.sampled_from([600, 15_000])), 1200, 1.0, 20.0
+        ),
         queue_capacity=30_000,
         queue_residency_s=0.1,
     )
