@@ -5,7 +5,8 @@ the oldest-generated entries are purged first. Summaries and disjoint sets
 drive the anti-entropy exchange. The stored ids are kept ascending by raw
 id as entries come and go, so a summary is a copy, not a sort; `version`
 changes on every store and removal, so a caller can reuse what it built
-from an unchanged buffer.
+from an unchanged buffer. A purge and a disjoint set take ids oldest first
+by one rule, `_oldest_first`: by generation time, then by source.
 
 Each drop the buffer decides (expired, evicted, or a rejected duplicate,
 arrival_expired or too_large message) is recorded in the run's trace.
@@ -14,7 +15,6 @@ arrival_expired or too_large message) is recorded in the run's trace.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from heapq import heapify, heappop
 from typing import Iterable, Iterator
 
 from .records import (
@@ -66,9 +66,11 @@ class QueueEntry:
         return len(self.packets)
 
 
-def _age_order(mid: MessageId) -> int:
-    """Sort key ordering ids exactly as (generation time, raw id)."""
-    return ((mid & TIMESTAMP_MAX) << 16) | (mid >> 48)
+def _oldest_first(ids: list[MessageId]) -> list[MessageId]:
+    """`ids`, ascending by raw id, sorted in place by generation time.
+    The sort is stable, so the order is (generation time, source)."""
+    ids.sort(key=TIMESTAMP_MAX.__and__)
+    return ids
 
 
 class MessageBuffer:
@@ -158,22 +160,17 @@ class MessageBuffer:
 
     def find_disjoint(self, remote: Iterable[int]) -> list[MessageId]:
         """Stored ids absent from `remote`, oldest generation first."""
-        # By raw id, then stably by generation time: _age_order, but in C.
-        ids = sorted(self._entries.keys() - remote)
-        ids.sort(key=TIMESTAMP_MAX.__and__)
-        return ids
+        return _oldest_first(sorted(self._entries.keys() - remote))
 
     def _purge_for(self, needed: int, now: int) -> None:
         """Evict oldest first until `needed` bytes are free; they are not yet."""
         free = self.capacity_bytes - self._used
-        # Only the victims are popped, the rest stays unsorted.
-        by_age = [(_age_order(mid), mid) for mid in self._entries]
-        heapify(by_age)
-        while needed > free:
-            mid = heappop(by_age)[1]
+        for mid in _oldest_first(self._ids.copy()):
             free += self._entries[mid].byte_size
             self._remove(mid)
             self._record(mid, now, MSG_EVICTED)
+            if needed <= free:
+                return
 
     def _remove(self, message_id: MessageId) -> None:
         entry = self._entries.pop(message_id)

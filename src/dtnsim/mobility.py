@@ -8,9 +8,11 @@ Accepted lines:
     $ns_ at 10.0 "$node_(3) setdest 50.0 40.0 2.5"
 
 Position between waypoints is linear at the given speed and clamps at the
-destination. Node indices must be contiguous from 0, every node needs an
-initial X_ and Y_, every time, coordinate and speed must be finite, and no
-time or speed may be negative.
+destination; a waypoint mid-flight cuts the current move short. Node
+indices must be contiguous from 0, every node needs an initial X_ and Y_,
+every time, coordinate and speed must be finite, and no time or speed may
+be negative. A Trajectory keeps its motion as one table of linear pieces,
+which `position_at` and `piece_at` both look up.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import bisect
 import math
 import re
 import random
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class TraceParseError(ValueError):
@@ -34,20 +36,18 @@ _WAYPOINT_RE = re.compile(
 )
 
 
-class _Segment(NamedTuple):
-    t0: float
-    x0: float
-    y0: float
-    t1: float
-    x1: float
-    y1: float
-
-
 class Trajectory:
     """A single node's position over time: it starts at (x, y) and follows
     its (t, x, y, speed) waypoints, finite, with no negative time or speed,
     and in time order (else ValueError). It never changes once made; it
-    compares and hashes by value."""
+    compares and hashes by value.
+
+    Its motion is one table of pieces in time order, (t0, x0, y0, t1, x1,
+    y1, vx, vy, end, scale): from (x0, y0) at t0 to (x1, y1) at t1, then
+    still until `end`. A parked piece has t1 = t0; the first starts at
+    -inf. The scale is the largest coordinate and, if moving, speed times
+    t1 (a rounded t shifts the point by speed * ulp(t)).
+    """
 
     def __init__(
         self, x: float, y: float, waypoints: Iterable[tuple[float, float, float, float]] = ()
@@ -59,65 +59,52 @@ class Trajectory:
             raise ValueError("negative time or speed in a waypoint")
         if any(later[0] < w[0] for w, later in zip(waypoints, waypoints[1:])):
             raise ValueError("a waypoint is earlier than the one before it")
-        self.initial = (x, y)
-        # Lists while the waypoints are added, then tuples.
-        self._segments = []
-        self._starts = []
-        for waypoint in waypoints:
-            self._add_waypoint(*waypoint)
-        self._segments = tuple(self._segments)
-        self._starts = tuple(self._starts)
-        # piece_at's answers by start: parked at each stop until the next
-        # segment starts, and each segment that takes time (a jump takes
-        # none). The scale is the largest coordinate and, if moving, speed
-        # times end time (a rounded t shifts the point by speed * ulp(t)).
-        ends = (*self._starts, math.inf)
-        pieces = [(-math.inf, (0.0, 0.0, ends[0], max(abs(x), abs(y))))]
-        for (t0, x0, y0, t1, x1, y1), end in zip(self._segments, ends[1:]):
+        # (t0, x0, y0, t1, x1, y1) per move; the node stops at (sx, sy) after the last.
+        segments = []
+        sx, sy = x, y
+        for t, wx, wy, speed in waypoints:
+            if segments and t < segments[-1][3]:
+                # A new command mid-flight cuts the last segment short.
+                t0, x0, y0, t1, x1, y1 = segments[-1]
+                frac = (t - t0) / (t1 - t0)
+                sx, sy = x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac
+                segments[-1] = (t0, x0, y0, t, sx, sy)
+            dist = math.hypot(wx - sx, wy - sy)
+            if speed > 0.0 and dist > 0.0:
+                segments.append((t, sx, sy, t + dist / speed, wx, wy))
+                sx, sy = wx, wy
+        ends = [t0 for t0, *_ in segments] + [math.inf]
+        pieces = [(-math.inf, x, y, -math.inf, x, y, 0.0, 0.0, ends[0], max(abs(x), abs(y)))]
+        for (t0, x0, y0, t1, x1, y1), end in zip(segments, ends[1:]):
             if t1 > t0:
                 vx, vy = (x1 - x0) / (t1 - t0), (y1 - y0) / (t1 - t0)
                 scale = max(abs(x0), abs(y0), abs(x1), abs(y1), math.hypot(vx, vy) * t1)
-                pieces.append((t0, (vx, vy, t1, scale)))
-            pieces.append((t1, (0.0, 0.0, end, max(abs(x1), abs(y1)))))
-        self._piece_starts, self._pieces = zip(*pieces)
+                pieces.append((t0, x0, y0, t1, x1, y1, vx, vy, t1, scale))
+            pieces.append((t1, x1, y1, t1, x1, y1, 0.0, 0.0, end, max(abs(x1), abs(y1))))
+        self._pieces = tuple(pieces)
+        self._starts = tuple(piece[0] for piece in pieces)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Trajectory:
             return NotImplemented
-        return (self.initial, self._segments) == (other.initial, other._segments)
+        return self._pieces == other._pieces
 
     def __hash__(self) -> int:
-        return hash((self.initial, self._segments))
-
-    def _add_waypoint(self, t: float, x: float, y: float, speed: float) -> None:
-        """Start moving toward (x, y) at time t with the given speed."""
-        x0, y0 = self.position_at(t)
-        if self._segments and t < self._segments[-1].t1:
-            # A new command mid-flight truncates the current segment.
-            self._segments[-1] = self._segments[-1]._replace(t1=t, x1=x0, y1=y0)
-        dist = math.hypot(x - x0, y - y0)
-        if speed <= 0.0 or dist == 0.0:
-            return
-        arrival = t + dist / speed
-        self._segments.append(_Segment(t, x0, y0, arrival, x, y))
-        self._starts.append(t)
+        return hash(self._pieces)
 
     def position_at(self, t: float) -> tuple[float, float]:
-        i = bisect.bisect_right(self._starts, t) - 1
-        if i < 0:
-            return self.initial
-        seg = self._segments[i]
-        if t >= seg.t1:
-            return (seg.x1, seg.y1)
-        frac = (t - seg.t0) / (seg.t1 - seg.t0)
-        return (seg.x0 + (seg.x1 - seg.x0) * frac, seg.y0 + (seg.y1 - seg.y0) * frac)
+        t0, x0, y0, t1, x1, y1, _, _, _, _ = self._pieces[bisect.bisect_right(self._starts, t) - 1]
+        if t >= t1:
+            return (x1, y1)
+        frac = (t - t0) / (t1 - t0)
+        return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
 
     def piece_at(self, t: float) -> tuple[float, float, float, float]:
         """(vx, vy, end_s, scale) of the linear piece of motion holding t:
         its velocity; its end (the segment's end while moving, the next start
         while parked, inf after the last); and a magnitude whose epsilon
         bounds position_at's rounding on the piece. A jump is no piece."""
-        return self._pieces[bisect.bisect_right(self._piece_starts, t) - 1]
+        return self._pieces[bisect.bisect_right(self._starts, t) - 1][6:]
 
 
 def crossing_time(dx: float, dy: float, ux: float, uy: float, r: float, inside: bool) -> float:

@@ -68,7 +68,6 @@ from .wire import (
     _DATA_HEADERS,
     _MESSAGE_TYPE,
     MessageId,
-    MessageTypeHeader,
     MsgType,
     WireError,
     ack_packer,
@@ -242,11 +241,12 @@ class EpidemicNode:
         self._interval_us = config.beacon_interval_us
         self._liveness_us = 2 * config.beacon_interval_us
         self._randomness_us = config.beacon_randomness_us
-        # Envelopes of the control packets this node sends, packed once.
-        self._beacon = MessageTypeHeader(MsgType.BEACON, node_id).encode()
-        self._reply = MessageTypeHeader(MsgType.REPLY, node_id).encode()
-        self._reply_back = MessageTypeHeader(MsgType.REPLY_BACK, node_id).encode()
+        # The ACK packer checks the node id; the envelopes of the other
+        # control packets this node sends are packed once.
         self._ack = ack_packer(node_id)
+        self._beacon = _MESSAGE_TYPE.pack(_BEACON, node_id)
+        self._reply = _MESSAGE_TYPE.pack(_REPLY, node_id)
+        self._reply_back = _MESSAGE_TYPE.pack(_REPLY_BACK, node_id)
         self._pack_data = data_packer(node_id)
         # This node's summary fragments, as built from buffer version
         # _summary_version; REPLY and REPLY_BACK send the same ones.

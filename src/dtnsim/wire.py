@@ -18,17 +18,16 @@ int it was unpacked as until the run's records wrap it.
 Decoding a fixed-size header tolerates trailing bytes (the rest of the
 packet); a summary vector must match its declared length exactly.
 
-The simulator's per-packet paths do not build header objects: the flat
-codecs at the end of this module pack a whole packet's headers with one
-Struct, and the receiver unpacks them itself and makes the receive checks
-there: a data packet's header block with `_DATA_HEADERS`, a control
-envelope with `_MESSAGE_TYPE` and a whole ACK with `_ACK_PACKET`. Only a
-summary fragment is parsed through a shared decoder, `decode_summary`. So
-the header classes do not serve the receive path: the data classes decode
-with their own Structs, and the control classes through `decode_envelope`
-and `decode_ack`, which only they call. Apart from the summary, they are
-an independent reference for the receiver's checks. A header object is a
-frozen, hashable value that compares by its fields.
+The header classes stand alone: no other module of `src/` calls them,
+and each encodes and decodes by its own code, written from
+docs/wire-format.md. The simulator packs and parses whole packets with
+the flat codecs at the end of this module and the Structs they share:
+`_DATA_HEADERS` for a data packet's header block, `_MESSAGE_TYPE` for a
+control envelope, `_ACK_PACKET` for a whole ACK, and `encode_summary`
+and `decode_summary` for a summary fragment. The receiver makes the
+receive checks itself, so the classes are an independent reference for
+them; `dtnsim` re-exports them. A header object is a frozen, hashable
+value that compares by its fields.
 """
 
 from __future__ import annotations
@@ -120,6 +119,8 @@ _DATA_PACKET = struct.Struct(">QHII")
 _ACK = struct.Struct(">QHH")
 _EPIDEMIC = struct.Struct(">QI")
 _SUMMARY_HEAD = struct.Struct(">HH")
+# One id of a SummaryVectorHeader; the receive path unpacks all at once.
+_SUMMARY_ID = struct.Struct(">Q")
 # EpidemicHeader then DataPacketHeader: the two headers of every data packet.
 _DATA_HEADERS = struct.Struct(">QIQHII")
 # MessageTypeHeader then AckHeader: a whole ACK packet.
@@ -176,12 +177,12 @@ class MessageTypeHeader(Frozen):
 
     @classmethod
     def decode(cls, data: bytes) -> "MessageTypeHeader":
-        code, node_id = decode_envelope(data)
-        # A known code and a u16 are valid fields, so the constructor's
-        # checks are skipped.
-        hdr = object.__new__(cls)
-        hdr._set(_MSG_TYPES[code], node_id)
-        return hdr
+        if len(data) < MESSAGE_TYPE_SIZE:
+            raise _truncated(data, MESSAGE_TYPE_SIZE, "MessageTypeHeader")
+        code, node_id = _MESSAGE_TYPE.unpack_from(data)
+        if code not in _MSG_TYPES:
+            raise HeaderFormatError(f"unknown msg_type code {code}")
+        return cls(_MSG_TYPES[code], node_id)
 
 
 class DataPacketHeader(Frozen):
@@ -235,7 +236,9 @@ class AckHeader(Frozen):
 
     @classmethod
     def decode(cls, data: bytes) -> "AckHeader":
-        raw, node_id, status = decode_ack(data)
+        if len(data) < ACK_SIZE:
+            raise _truncated(data, ACK_SIZE, "AckHeader")
+        raw, node_id, status = _ACK.unpack_from(data)
         return cls(_decoded_id(raw), node_id, status)
 
 
@@ -277,12 +280,20 @@ class SummaryVectorHeader(Frozen):
         return len(self.ids)
 
     def encode(self) -> bytes:
-        return encode_summary(self.frag_block, self.ids)
+        head = _SUMMARY_HEAD.pack(self.frag_block, len(self.ids))
+        return head + b"".join(map(_SUMMARY_ID.pack, self.ids))
 
     @classmethod
     def decode(cls, data: bytes) -> "SummaryVectorHeader":
-        frag_block, ids = decode_summary(data)
-        return cls(frag_block, tuple(map(_decoded_id, ids)))
+        if len(data) < SUMMARY_HEAD_SIZE:
+            raise _truncated(data, SUMMARY_HEAD_SIZE, "SummaryVectorHeader")
+        frag_block, length = _SUMMARY_HEAD.unpack_from(data)
+        if frag_block not in (0, 1):
+            raise HeaderFormatError(f"frag_block must be 0 or 1: {frag_block}")
+        if len(data) != SUMMARY_HEAD_SIZE + 8 * length:
+            raise HeaderFormatError(f"summary vector declares {length} ids, got {len(data)} bytes")
+        raws = _SUMMARY_ID.iter_unpack(data[SUMMARY_HEAD_SIZE:])
+        return cls(frag_block, tuple(_decoded_id(raw) for (raw,) in raws))
 
 
 def data_packer(last_hop: int) -> Callable[[int, int, int], list[bytes]]:
@@ -308,21 +319,6 @@ def data_packer(last_hop: int) -> Callable[[int, int, int], list[bytes]]:
     return pack_message
 
 
-def decode_envelope(data: bytes) -> tuple[int, int]:
-    """The MessageTypeHeader of a control packet, as plain ints.
-
-    Returns (msg_type code, node_id); the code is one of MsgType's.
-    TruncatedHeaderError below 3 bytes, HeaderFormatError for any other
-    code. The control payload that follows is not read.
-    """
-    if len(data) < MESSAGE_TYPE_SIZE:
-        raise _truncated(data, MESSAGE_TYPE_SIZE, "MessageTypeHeader")
-    fields = _MESSAGE_TYPE.unpack_from(data)
-    if fields[0] not in _MSG_TYPES:
-        raise HeaderFormatError(f"unknown msg_type code {fields[0]}")
-    return fields
-
-
 def ack_packer(node_id: int, status: int = ACK_STATUS_SUCCESS) -> Callable[[int], bytes]:
     """The ACK encoder of one sender and status, checked once here: the
     returned function packs the whole ACK packet of a message id,
@@ -331,17 +327,6 @@ def ack_packer(node_id: int, status: int = ACK_STATUS_SUCCESS) -> Callable[[int]
     _check_status(status)
     pack, code = _ACK_PACKET.pack, MsgType.ACK.value
     return lambda message_id: pack(code, node_id, message_id, node_id, status)
-
-
-def decode_ack(data: bytes, offset: int = 0) -> tuple[int, int, int]:
-    """The AckHeader at `offset`, as plain ints (message_id, node_id, status).
-
-    TruncatedHeaderError if fewer than 12 bytes follow `offset`; bytes
-    after the header are not read.
-    """
-    if len(data) - offset < ACK_SIZE:
-        raise _truncated(data, ACK_SIZE, "AckHeader", offset)
-    return _ACK.unpack_from(data, offset)
 
 
 def encode_summary(frag_block: int, ids: Sequence[int]) -> bytes:

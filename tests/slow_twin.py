@@ -3,11 +3,14 @@
 Each twin computes what the fast path it replaces computes, the slow way.
 A test swaps one in by monkeypatching the name that `dtnsim.runner` or
 `dtnsim.protocol` builds runs with, so `src/` needs no hook for it.
+`SegmentWalk` is not swapped in: tests compare `Trajectory` with it.
 """
 
+import bisect
 import heapq
+import math
 
-from dtnsim.buffer import _NONE_STORED, MessageBuffer, _age_order
+from dtnsim.buffer import _NONE_STORED, MessageBuffer
 from dtnsim.netsim import NodeTransport, RadioNetwork
 from dtnsim.protocol import EpidemicNode
 from dtnsim.records import MSG_EVICTED, MSG_EXPIRED
@@ -73,6 +76,11 @@ class CopyingTransport(NodeTransport):
         super().unicast_message(dst, port, headers, kind, msg_dst, copies)
 
 
+def _age_order(mid):
+    """Oldest first: by generation time, then by raw id."""
+    return (mid & TIMESTAMP_MAX, mid)
+
+
 class ScanningBuffer(MessageBuffer):
     """A buffer with no kept order: its expiry scans every entry, its
     summary and disjoint sets sort, and its oldest generation time is a
@@ -112,3 +120,38 @@ class RebuildingNode(EpidemicNode):
     def _send_summary(self, envelope, kind, nb, now):
         self._summary_version = None  # matches no buffer version
         super()._send_summary(envelope, kind, nb, now)
+
+
+class SegmentWalk:
+    """A trajectory as a walk over its segments (t0, x0, y0, t1, x1, y1):
+    each waypoint starts one from wherever `position_at` puts the node at
+    its time, and cuts the one before short if that is still moving.
+    Takes the (x, y, waypoints) of a valid `Trajectory`."""
+
+    def __init__(self, x, y, waypoints):
+        self.initial = (x, y)
+        self.segments = []
+        self.starts = []
+        for t, wx, wy, speed in waypoints:
+            x0, y0 = self.position_at(t)
+            if self.segments and t < self.segments[-1][3]:
+                t0, sx, sy = self.segments[-1][:3]
+                self.segments[-1] = (t0, sx, sy, t, x0, y0)
+            dist = math.hypot(wx - x0, wy - y0)
+            if speed > 0.0 and dist > 0.0:
+                self.segments.append((t, x0, y0, t + dist / speed, wx, wy))
+                self.starts.append(t)
+
+    def position_at(self, t):
+        i = bisect.bisect_right(self.starts, t) - 1
+        if i < 0:
+            return self.initial
+        t0, x0, y0, t1, x1, y1 = self.segments[i]
+        if t >= t1:
+            return (x1, y1)
+        frac = (t - t0) / (t1 - t0)
+        return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
+
+    def breakpoints(self):
+        """Every time at which a segment starts or ends."""
+        return {b for t0, _, _, t1, _, _ in self.segments for b in (t0, t1)}

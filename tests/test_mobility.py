@@ -4,7 +4,8 @@ import math
 
 import pytest
 from conftest import tier1_or_deep
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+from slow_twin import SegmentWalk
 
 from dtnsim.mobility import (
     TraceParseError,
@@ -160,8 +161,9 @@ class TestMotionBounds:
 
 @st.composite
 def pieces(draw):
-    """A trajectory, a query time in whole microseconds, as the radio asks,
-    and a fraction of the way to the end of the piece holding it.
+    """A trajectory, the breakpoints of its segment walk, a query time in
+    whole microseconds, as the radio asks, and a fraction of the way to
+    the end of the piece holding it.
     Coordinates may sit a million metres out, and times a million seconds
     in, where speed times time outgrows the coordinates; some waypoints
     are jumps (1e300 m/s)."""
@@ -172,7 +174,7 @@ def pieces(draw):
     waypoints = sorted(
         draw(st.lists(st.tuples(st.floats(0.0, 100.0), units, units, speeds), max_size=4))
     )
-    traj = Trajectory(
+    walk = (
         base + draw(units),
         base + draw(units),
         [(start + t, base + x, base + y, v) for t, x, y, v in waypoints],
@@ -180,7 +182,8 @@ def pieces(draw):
     # Up to 20 s after a waypoint, where a piece often moves.
     since = draw(st.sampled_from([start + t for t, *_ in waypoints] or [start]))
     t_us = round(since * 10**6) + draw(st.integers(0, 20 * 10**6))
-    return traj, t_us, draw(st.floats(0.0, 1.0, exclude_max=True))
+    frac = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return Trajectory(*walk), SegmentWalk(*walk).breakpoints(), t_us, frac
 
 
 class TestPieceAt:
@@ -230,10 +233,9 @@ class TestPieceAt:
     @given(pieces())
     @tier1_or_deep(200)
     def test_linear_until_the_next_breakpoint(self, scene):
-        traj, t_us, frac = scene
+        traj, breakpoints, t_us, frac = scene
         t = t_us / 1e6
         vx, vy, end, scale = traj.piece_at(t)
-        breakpoints = {b for seg in traj._segments for b in (seg.t0, seg.t1)}
         assert end == min((b for b in breakpoints if b > t), default=math.inf)
         span_us = (end - t) * 1e6 if end < math.inf else 1e12
         later_us = t_us + int(frac * span_us)
@@ -248,6 +250,56 @@ class TestPieceAt:
         tolerance = 2.0**-40 * scale
         assert abs(lx - (x + vx * elapsed)) <= tolerance
         assert abs(ly - (y + vy * elapsed)) <= tolerance
+
+
+@st.composite
+def walks(draw):
+    """The (x, y, waypoints) of a trajectory and times to query it at.
+    Waypoints may jump (1e300 m/s), stop the node (speed 0), share a time
+    with the one before, or come before the node arrives, cutting its
+    move short mid-flight. Coordinates may sit a million metres out and
+    times a million seconds in."""
+    base = draw(st.sampled_from([0.0, 1e6, -3e6 + 0.1]))
+    start = draw(st.sampled_from([0.0, 1e6]))
+    units = st.floats(-100.0, 100.0)
+    speeds = st.one_of(st.floats(0.001, 50.0), st.just(0.0), st.just(1e300))
+    times = st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 10.0, 20.0]))
+    waypoints = sorted(draw(st.lists(st.tuples(times, units, units, speeds), max_size=6)))
+    queries = draw(st.lists(st.floats(-1.0, 150.0), max_size=10))
+    return (
+        base + draw(units),
+        base + draw(units),
+        [(start + t, base + x, base + y, v) for t, x, y, v in waypoints],
+    ), [start + q for q in queries]
+
+
+class TestSegmentWalkReference:
+    """The piece table against the segment walk, bit for bit."""
+
+    @given(walks())
+    @example(
+        (
+            (0.0, 0.0, [
+                (0.0, 100.0, 0.0, 1.0),  # cut short at 10 s, at (10, 0)
+                (10.0, 10.0, 50.0, 1e300),  # a jump
+                (10.0, 10.0, 90.0, 2.0),  # at the jump's time, arrives at 30 s
+                (20.0, 0.0, 0.0, 0.0),  # stops at (10, 70), mid-flight
+                (20.0, 5.0, 70.0, 1.0),  # at the stop's time
+            ]),
+            [5.0, 25.0, 40.0],
+        )
+    )
+    @tier1_or_deep(300)
+    def test_positions_and_piece_ends_match_the_segment_walk(self, scene):
+        walk, queries = scene
+        traj, ref = Trajectory(*walk), SegmentWalk(*walk)
+        breakpoints = ref.breakpoints()
+        edges = breakpoints | {t for t, *_ in walk[2]}
+        near = {math.nextafter(b, way) for b in edges for way in (-math.inf, math.inf)}
+        for t in sorted(edges | near | set(queries) | {-math.inf, math.inf}):
+            assert traj.position_at(t) == ref.position_at(t), t
+            end = traj.piece_at(t)[2]
+            assert end == min((b for b in breakpoints if b > t), default=math.inf), t
 
 
 class TestTrajectoryChecks:

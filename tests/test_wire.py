@@ -22,8 +22,6 @@ from dtnsim.wire import (
     WireError,
     ack_packer,
     data_packer,
-    decode_ack,
-    decode_envelope,
     decode_summary,
     encode_summary,
     make_message_id,
@@ -338,8 +336,8 @@ class TestControlCodecs:
             + AckHeader(MessageId(raw), node, status).encode()
         )
         assert len(data) == MESSAGE_TYPE_SIZE + ACK_SIZE == 15
-        assert decode_envelope(data) == (MsgType.ACK, node)
-        assert decode_ack(data, 3) == (raw, node, status)
+        assert MessageTypeHeader.decode(data) == MessageTypeHeader(MsgType.ACK, node)
+        assert AckHeader.decode(data[3:]) == AckHeader(MessageId(raw), node, status)
 
     def test_ack_packet_validates_its_fields(self):
         with pytest.raises(ValueError, match="node_id"):
@@ -351,12 +349,13 @@ class TestControlCodecs:
     def test_envelope_decodes_only_known_codes(self, data):
         if len(data) < 3:
             with pytest.raises(TruncatedHeaderError):
-                decode_envelope(data)
+                MessageTypeHeader.decode(data)
         elif data[0] not in (1, 2, 3, 4):
             with pytest.raises(HeaderFormatError):
-                decode_envelope(data)
+                MessageTypeHeader.decode(data)
         else:
-            assert decode_envelope(data) == (data[0], int.from_bytes(data[1:3], "big"))
+            node_id = int.from_bytes(data[1:3], "big")
+            assert MessageTypeHeader.decode(data) == MessageTypeHeader(MsgType(data[0]), node_id)
 
     @given(
         st.binary(max_size=5),
@@ -372,7 +371,7 @@ class TestControlCodecs:
     def test_checks_count_from_the_offset(self):
         envelope = MessageTypeHeader(MsgType.ACK, 1).encode()
         with pytest.raises(TruncatedHeaderError, match="got 11"):
-            decode_ack(envelope + bytes(11), 3)
+            AckHeader.decode(bytes(11))
         with pytest.raises(TruncatedHeaderError, match="got 3"):
             decode_summary(envelope + bytes(3), 3)
         with pytest.raises(HeaderFormatError):
