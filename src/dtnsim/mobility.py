@@ -93,18 +93,19 @@ class Trajectory:
         return hash(self._pieces)
 
     def position_at(self, t: float) -> tuple[float, float]:
-        t0, x0, y0, t1, x1, y1, _, _, _, _ = self._pieces[bisect.bisect_right(self._starts, t) - 1]
-        if t >= t1:
-            return (x1, y1)
-        frac = (t - t0) / (t1 - t0)
-        return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
+        return self.piece_at(t)[:2]
 
-    def piece_at(self, t: float) -> tuple[float, float, float, float]:
-        """(vx, vy, end_s, scale) of the linear piece of motion holding t:
-        its velocity; its end (the segment's end while moving, the next start
-        while parked, inf after the last); and a magnitude whose epsilon
-        bounds position_at's rounding on the piece. A jump is no piece."""
-        return self._pieces[bisect.bisect_right(self._starts, t) - 1][6:]
+    def piece_at(self, t: float) -> tuple[float, float, float, float, float, float]:
+        """(x, y, vx, vy, end_s, scale): the point at t, then the linear piece
+        of motion holding t: its velocity; its end (the segment's end while
+        moving, the next start while parked, inf after the last); and a
+        magnitude whose epsilon bounds the point's rounding. A jump is no piece."""
+        piece = self._pieces[bisect.bisect_right(self._starts, t) - 1]
+        t0, x0, y0, t1, x1, y1, vx, vy, end, scale = piece
+        if t >= t1:
+            return (x1, y1, vx, vy, end, scale)
+        frac = (t - t0) / (t1 - t0)
+        return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac, vx, vy, end, scale)
 
 
 def crossing_time(dx: float, dy: float, ux: float, uy: float, r: float, inside: bool) -> float:

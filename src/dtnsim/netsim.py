@@ -19,15 +19,15 @@ one ACK), which queues, drops and reports them exactly as k `unicast`
 calls would.
 
 Range is decided when a transmission completes. The exact check,
-`RadioNetwork.in_range`, interpolates both positions, tests dx*dx + dy*dy
-<= R*R and leaves the pair a certificate, which holds while both nodes
-stay on their current linear pieces of motion and the pair's offset stays
-clear of R by a margin (see in_range). A completion runs the exact check
-only when no certificate holds. The margin comes from the two pieces the
-certificate spans and is far above the rounding of their arithmetic, so
-a certified answer equals the exact one and outputs are those of
-checking every packet. Trajectories must not change after the network
-is built.
+`RadioNetwork.in_range`, looks up each node's point and piece of motion
+once, tests dx*dx + dy*dy <= R*R and leaves the pair a certificate, its
+end and its answer, written only at `now`. It holds while both nodes stay
+on their current linear pieces of motion and the pair's offset stays clear
+of R by a margin (see in_range); a completion runs the exact check once
+`now` reaches its end. The margin comes from the two pieces it spans and
+is far above the rounding of their arithmetic, so a certified answer
+equals the exact one and outputs are those of checking every packet.
+Trajectories must not change after the network is built.
 
 A packet is its `data` bytes plus an optional `payload` bytes object
 carried by reference: the datagram it stands for is `data + payload`,
@@ -228,15 +228,12 @@ class RadioNetwork:
         self._range_sq = link.radio_range_m * link.radio_range_m
         self._n = len(trajectories)
         # Range certificate per ordered pair a * n + b, the same object for
-        # (a, b) and (b, a): (since_us, until_us, inside). The answer is
-        # `inside` at any t_us with since_us < t_us < until_us.
-        self._certs: list[tuple[int, int, bool]] = [(0, 0, False)] * (self._n * self._n)
+        # (a, b) and (b, a): (until_us, inside), the answer while now < until_us.
+        self._certs: list[tuple[int, bool]] = [(0, False)] * (self._n * self._n)
         self._capacity = queue_capacity_bytes
         self._residency_us = queue_residency_us
-        # Per node: FIFO of (size, data, payload, meta, enqueued_at) entries
-        # and its queued bytes.
+        # Per node: FIFO of (size, data, payload, meta, enqueued_at) entries.
         self._fifos: list[deque[tuple]] = [deque() for _ in trajectories]
-        self._queued = [0] * self._n
         self._handlers: list[Handler] = [_no_handler] * self._n
         # (entry, receiver) of deliveries scheduled but not yet executed.
         # Every delivery lands a fixed propagation delay after it was
@@ -263,8 +260,8 @@ class RadioNetwork:
         self._handlers[node] = handler
 
     def in_range(self, a: int, b: int, t_us: int) -> bool:
-        """Whether nodes a and b are within radio range at t_us, by the
-        exact check; also renews the pair's certificate.
+        """Whether nodes a and b are within radio range at t_us, which must
+        be now (else ValueError), by the exact check; renews their certificate.
 
         It holds until either node's current linear piece of motion ends
         (Trajectory.piece_at) or their offset first reaches R - margin from
@@ -272,16 +269,16 @@ class RadioNetwork:
         within margin of R gets none. The margin is CERT_MARGIN_REL times
         the largest of 1, R and the two pieces' scales, millions of its
         ulps. Until the certificate ends both nodes stay on their pieces,
-        where position_at rounds by a few such ulps: it is exact however long.
+        where piece_at rounds by a few such ulps: it is exact however long.
         """
+        if t_us != self.sim.now:
+            raise ValueError(f"range asked at {t_us}, not now {self.sim.now}")
         t = t_us / 1_000_000
-        ax, ay = self.trajectories[a].position_at(t)
-        bx, by = self.trajectories[b].position_at(t)
+        ax, ay, avx, avy, a_end, a_scale = self.trajectories[a].piece_at(t)
+        bx, by, bvx, bvy, b_end, b_scale = self.trajectories[b].piece_at(t)
         dx, dy = ax - bx, ay - by
         dist_sq = dx * dx + dy * dy
         inside = dist_sq <= self._range_sq
-        avx, avy, a_end, a_scale = self.trajectories[a].piece_at(t)
-        bvx, bvy, b_end, b_scale = self.trajectories[b].piece_at(t)
         margin = CERT_MARGIN_REL * max(1.0, self._range, a_scale, b_scale)
         gap = abs(self._range - math.sqrt(dist_sq)) - margin
         # An infinite gap means dx * dx + dy * dy overflowed: no certificate.
@@ -289,7 +286,7 @@ class RadioNetwork:
             r = self._range - margin if inside else self._range + margin
             crossing = crossing_time(dx, dy, avx - bvx, avy - bvy, r, inside)
             reach = min(crossing, a_end - t, b_end - t) * 1e6
-            cert = (t_us - 1, t_us + math.ceil(min(reach, CERT_MAX_US)), inside)
+            cert = (t_us + math.ceil(min(reach, CERT_MAX_US)), inside)
             n = self._n
             self._certs[a * n + b] = self._certs[b * n + a] = cert
         return inside
@@ -325,7 +322,7 @@ class RadioNetwork:
         transmitted and 4-5 delivered (records.PKT_OUTCOMES).
         """
         fifo = self._fifos[node]
-        queued = self._queued
+        queued = 0  # bytes on fifo; only these two closures touch it
         completions = self._completions
         sim = self.sim
         row_of = self.trace.row
@@ -347,9 +344,10 @@ class RadioNetwork:
 
         def enqueue(dst: int | None, port: int, headers: Sequence[bytes], kind: str,
                     msg_dst: int | None, payloads: Sequence[bytes]) -> None:
+            nonlocal queued
             idle = not fifo
             now = sim.now
-            total = queued[node]
+            total = queued
             row = row_of(node, dst, kind)
             meta = (node, dst, port, kind, msg_dst, row)
             handed = 0
@@ -366,23 +364,24 @@ class RadioNetwork:
                     total += size
             row[0] += len(headers)
             row[1] += handed
-            queued[node] = total
+            queued = total
             if idle and fifo:
                 sim.schedule(now + service_us[fifo[0][0]], EVENT_TIMER, completions[node])
 
         def complete() -> None:
+            nonlocal queued
             entry = fifo.popleft()
             size = entry[0]
             _, dst, _, kind, _, row = entry[3]
-            queued[node] -= size
+            queued -= size
             now = sim.now
             row[2] += 1
             row[3] += size
             if observe is not None:
                 observe(kind, PKT_TRANSMITTED, size, node, dst)
             if dst is not None:
-                since, until, inside = certs[base + dst]
-                if not since < now < until:
+                until, inside = certs[base + dst]
+                if not now < until:
                     inside = in_range(node, dst, now)
                 if not inside:
                     packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
@@ -393,8 +392,8 @@ class RadioNetwork:
                     sim.schedule(now + prop_us, EVENT_PACKET_DELIVERY, deliver)
             else:
                 for receiver in itertools.chain(below, above):
-                    since, until, inside = certs[base + receiver]
-                    if not since < now < until:
+                    until, inside = certs[base + receiver]
+                    if not now < until:
                         inside = in_range(node, receiver, now)
                     if not inside:
                         continue
@@ -409,7 +408,7 @@ class RadioNetwork:
                     sim.schedule(now + service_us[size], EVENT_TIMER, completions[node])
                     return
                 fifo.popleft()
-                queued[node] -= size
+                queued -= size
                 packet_event(meta[3], PKT_RESIDENCY, size, node, meta[1])
 
         return enqueue, complete

@@ -49,10 +49,10 @@ class ExactRadio(RadioNetwork):
 
     def in_range(self, a, b, t_us):
         inside = super().in_range(a, b, t_us)
-        # Clear the certificate the check may have written: an empty
-        # interval holds at no time.
+        # Clear the certificate the check may have written: one that ends
+        # at 0 holds at no time.
         n = self._n
-        self._certs[a * n + b] = self._certs[b * n + a] = (0, 0, False)
+        self._certs[a * n + b] = self._certs[b * n + a] = (0, False)
         return inside
 
 

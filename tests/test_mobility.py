@@ -136,8 +136,8 @@ class TestMotionBounds:
     def test_truncated_segment_keeps_its_speed(self):
         text = BASIC + '$ns_ at 5.0 "$node_(0) setdest 5.0 10.0 2.0"\n'
         trajs = parse_ns2_trace(text)
-        assert trajs[0].piece_at(2.0) == pytest.approx((1.0, 0.0, 5.0, 5.0))
-        assert trajs[0].piece_at(7.0) == pytest.approx((0.0, 2.0, 10.0, 20.0))
+        assert trajs[0].piece_at(2.0) == pytest.approx((2.0, 0.0, 1.0, 0.0, 5.0, 5.0))
+        assert trajs[0].piece_at(7.0) == pytest.approx((5.0, 4.0, 0.0, 2.0, 10.0, 20.0))
 
     def test_jump_is_infinitely_fast(self):
         # 10 m at 1e300 m/s arrives at t + 1e-299 == t: a zero-duration move.
@@ -154,9 +154,9 @@ class TestMotionBounds:
             '$ns_ at 1000.0 "$node_(0) setdest -290.0 2.0 0.5"\n'
         )
         traj = parse_ns2_trace(text)[0]
-        assert traj.piece_at(5.0) == (0.0, 0.0, 1000.0, 300.0)
-        assert traj.piece_at(1010.0) == (0.5, 0.0, 1020.0, 0.5 * 1020.0)
-        assert traj.piece_at(2000.0) == (0.0, 0.0, math.inf, 290.0)
+        assert traj.piece_at(5.0) == (-300.0, 2.0, 0.0, 0.0, 1000.0, 300.0)
+        assert traj.piece_at(1010.0) == (-295.0, 2.0, 0.5, 0.0, 1020.0, 0.5 * 1020.0)
+        assert traj.piece_at(2000.0) == (-290.0, 2.0, 0.0, 0.0, math.inf, 290.0)
 
 
 @st.composite
@@ -187,7 +187,7 @@ def pieces(draw):
 
 
 class TestPieceAt:
-    """piece_at: the velocity of the linear piece holding t, and its end."""
+    """piece_at: the point at t, the velocity of the linear piece holding it, and its end."""
 
     TEXT = (
         "$node_(0) set X_ 0.0\n$node_(0) set Y_ 0.0\n"
@@ -200,42 +200,43 @@ class TestPieceAt:
         return parse_ns2_trace(self.TEXT)[0]
 
     def test_before_the_first_segment_parked_until_it_starts(self):
-        assert self.trajectory().piece_at(0.0) == (0.0, 0.0, 10.0, 0.0)
-        assert self.trajectory().piece_at(9.999) == (0.0, 0.0, 10.0, 0.0)
+        assert self.trajectory().piece_at(0.0) == (0.0, 0.0, 0.0, 0.0, 10.0, 0.0)
+        assert self.trajectory().piece_at(9.999) == (0.0, 0.0, 0.0, 0.0, 10.0, 0.0)
 
     def test_mid_segment_its_velocity_until_its_end(self):
         traj = self.trajectory()
-        assert traj.piece_at(10.0) == pytest.approx((3.0, 4.0, 20.0, 100.0))
-        assert traj.piece_at(15.0) == pytest.approx((3.0, 4.0, 20.0, 100.0))
+        assert traj.piece_at(10.0) == pytest.approx((0.0, 0.0, 3.0, 4.0, 20.0, 100.0))
+        assert traj.piece_at(15.0) == pytest.approx((15.0, 20.0, 3.0, 4.0, 20.0, 100.0))
 
     def test_parked_after_arrival_until_the_next_start(self):
-        assert self.trajectory().piece_at(20.0) == (0.0, 0.0, 25.0, 40.0)
-        assert self.trajectory().piece_at(24.0) == (0.0, 0.0, 25.0, 40.0)
+        assert self.trajectory().piece_at(20.0) == (30.0, 40.0, 0.0, 0.0, 25.0, 40.0)
+        assert self.trajectory().piece_at(24.0) == (30.0, 40.0, 0.0, 0.0, 25.0, 40.0)
 
     def test_truncated_segment_ends_at_the_next_command(self):
-        assert self.trajectory().piece_at(27.0) == pytest.approx((0.0, -4.0, 30.0, 120.0))
+        assert self.trajectory().piece_at(27.0) == pytest.approx(
+            (30.0, 32.0, 0.0, -4.0, 30.0, 120.0))
 
     def test_after_the_last_segment_parked_for_ever(self):
         traj = self.trajectory()
-        assert traj.piece_at(31.0) == pytest.approx((1.0, 0.0, 50.0, 50.0))
-        assert traj.piece_at(50.0) == (0.0, 0.0, math.inf, 50.0)
-        assert traj.piece_at(1e9) == (0.0, 0.0, math.inf, 50.0)
+        assert traj.piece_at(31.0) == pytest.approx((31.0, 20.0, 1.0, 0.0, 50.0, 50.0))
+        assert traj.piece_at(50.0) == (50.0, 20.0, 0.0, 0.0, math.inf, 50.0)
+        assert traj.piece_at(1e9) == (50.0, 20.0, 0.0, 0.0, math.inf, 50.0)
 
     def test_no_waypoints_parked_for_ever(self):
-        assert parse_ns2_trace(BASIC)[1].piece_at(3.0) == (0.0, 0.0, math.inf, 100.0)
+        assert parse_ns2_trace(BASIC)[1].piece_at(3.0) == (100.0, 50.0, 0.0, 0.0, math.inf, 100.0)
 
     def test_jump_ends_the_piece_before_it_and_moves_in_no_piece(self):
         text = BASIC + '$ns_ at 20.0 "$node_(1) setdest 0.0 50.0 1e300"\n'
         traj = parse_ns2_trace(text)[1]
-        assert traj.piece_at(19.0) == (0.0, 0.0, 20.0, 100.0)
-        assert traj.piece_at(20.0) == (0.0, 0.0, math.inf, 50.0)
+        assert traj.piece_at(19.0) == (100.0, 50.0, 0.0, 0.0, 20.0, 100.0)
+        assert traj.piece_at(20.0) == (0.0, 50.0, 0.0, 0.0, math.inf, 50.0)
 
     @given(pieces())
     @tier1_or_deep(200)
     def test_linear_until_the_next_breakpoint(self, scene):
         traj, breakpoints, t_us, frac = scene
         t = t_us / 1e6
-        vx, vy, end, scale = traj.piece_at(t)
+        x, y, vx, vy, end, scale = traj.piece_at(t)
         assert end == min((b for b in breakpoints if b > t), default=math.inf)
         span_us = (end - t) * 1e6 if end < math.inf else 1e12
         later_us = t_us + int(frac * span_us)
@@ -243,7 +244,6 @@ class TestPieceAt:
         # The radio extrapolates over whole microseconds, so the query
         # times' rounding to seconds counts: speed * ulp(t) per node.
         elapsed = (later_us - t_us) / 1e6
-        x, y = traj.position_at(t)
         lx, ly = traj.position_at(later_us / 1e6)
         # 4,096 ulps of the scale, far below the radio's margin of 1e-9
         # times it (netsim.CERT_MARGIN_REL).
@@ -298,7 +298,7 @@ class TestSegmentWalkReference:
         near = {math.nextafter(b, way) for b in edges for way in (-math.inf, math.inf)}
         for t in sorted(edges | near | set(queries) | {-math.inf, math.inf}):
             assert traj.position_at(t) == ref.position_at(t), t
-            end = traj.piece_at(t)[2]
+            end = traj.piece_at(t)[4]
             assert end == min((b for b in breakpoints if b > t), default=math.inf), t
 
 
@@ -312,7 +312,7 @@ class TestTrajectoryChecks:
 
     def test_waypoints_at_one_time_accepted_and_the_last_one_wins(self):
         traj = Trajectory(0.0, 0.0, [(5.0, 100.0, 0.0, 10.0), (5.0, 0.0, 100.0, 10.0)])
-        assert traj.piece_at(5.0) == (0.0, 10.0, 15.0, 150.0)
+        assert traj.piece_at(5.0) == (0.0, 0.0, 0.0, 10.0, 15.0, 150.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(4))

@@ -198,6 +198,19 @@ class TestRange:
         assert net.in_range(0, 1, 0)  # distance exactly the radius
         assert not net.in_range(0, 2, 0)
 
+    def test_asked_at_any_time_but_now_raises_and_writes_no_certificate(self):
+        # A certificate holds from when it is written; the clock never goes
+        # back, so it may be written only at `now`.
+        sim, net, _ = make_net([(0, 0), (50, 0)], radio_range=100)
+        sim.run(5 * SEC)
+        certs = list(net._certs)
+        for t_us in (0, 5 * SEC - 1, 5 * SEC + 1):
+            with pytest.raises(ValueError, match="not now"):
+                net.in_range(0, 1, t_us)
+        assert net._certs == certs
+        assert net.in_range(0, 1, 5 * SEC)
+        assert net._certs != certs
+
 
 def exact_in_range(trajectories, radio_range, a, b, t_us):
     """The brute-force range check: both positions, then the closed ball."""
@@ -345,6 +358,16 @@ def _leaves_between_queries():
     return nodes, 10.0, [1, 1_000_000, 1_200_000]
 
 
+def _jump_as_a_certificate_ends(t_us):
+    # Node 1 jumps into range at 1 s. The pair's certificate from the
+    # first query, written at 2 us, ends at exactly 1 s: (1 - 2e-6) * 1e6
+    # is 999,998.0. A second query at 999,999 us has both unicasts
+    # complete at 1 s; one at 999,998 us has node 1's broadcast complete
+    # then. That read must run the exact check, not take the old answer.
+    nodes = [(0.0, 0.0, []), (100.0, 0.0, [(1.0, 5.0, 0.0, _JUMP)])]
+    return nodes, 10.0, [1, t_us]
+
+
 class TestRangeCertificate:
     """Completing transmissions decide range as the exact check does, whether
     a certificate or the check answers, for unicast and broadcast."""
@@ -358,6 +381,8 @@ class TestRangeCertificate:
     @example(_tangent_outside())
     @example(_piece_boundary())
     @example(_leaves_between_queries())
+    @example(_jump_as_a_certificate_ends(999_999))
+    @example(_jump_as_a_certificate_ends(999_998))
     @tier1_or_deep(200)
     def test_matches_brute_force(self, scene):
         nodes, radio_range, times = scene
