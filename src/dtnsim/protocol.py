@@ -59,6 +59,7 @@ from .records import (
     RunTrace,
 )
 from .wire import (
+    ACK_STATUS_SUCCESS,
     DATA_HEADERS_SIZE,
     HOP_COUNT_MAX,
     MESSAGE_TYPE_SIZE,
@@ -67,13 +68,11 @@ from .wire import (
     _ACK_PACKET,
     _DATA_HEADERS,
     _MESSAGE_TYPE,
+    _SUMMARY_HEAD,
     MessageId,
     MsgType,
-    WireError,
-    ack_packer,
-    data_packer,
-    decode_summary,
-    encode_summary,
+    _check_node,
+    _summary_ids,
     make_message_id,
 )
 
@@ -146,20 +145,28 @@ class ProtocolConfig(Frozen):
 
 
 def build_summary_fragments(ids: list[MessageId], max_control_payload: int) -> list[bytes]:
-    """Split a summary into encoded fragments of at most the payload cap.
+    """Split a summary into packed fragments of at most the payload cap.
 
-    Order is preserved; every fragment except the last carries
-    frag_block=1. An empty summary still yields one (empty) fragment so
-    the exchange proceeds.
+    Each fragment is its SummaryVectorHeader bytes: frag_block and the id
+    count (`_SUMMARY_HEAD`), then the ids (`_summary_ids(n)`). Order is
+    preserved; every fragment except the last carries frag_block=1. An
+    empty summary still yields one (empty) fragment so the exchange
+    proceeds. ValueError if the cap holds no id, or if a fragment would
+    hold more ids than its u16 length field counts.
     """
     per_fragment = (max_control_payload - SUMMARY_HEAD_SIZE) // 8
     if per_fragment < 1:
         raise ValueError("max_control_payload too small for one id")
     n = len(ids)
-    return [
-        encode_summary(1 if i + per_fragment < n else 0, ids[i : i + per_fragment])
-        for i in range(0, max(n, 1), per_fragment)
-    ]
+    if min(n, per_fragment) > 0xFFFF:
+        raise ValueError("too many ids for one fragment: its length is a u16")
+    fragments = []
+    for i in range(0, max(n, 1), per_fragment):
+        chunk = ids[i : i + per_fragment]
+        k = len(chunk)
+        frag_block = 1 if i + per_fragment < n else 0
+        fragments.append(_SUMMARY_HEAD.pack(frag_block, k) + _summary_ids(k).pack(*chunk))
+    return fragments
 
 
 class NeighborRecord:
@@ -241,13 +248,12 @@ class EpidemicNode:
         self._interval_us = config.beacon_interval_us
         self._liveness_us = 2 * config.beacon_interval_us
         self._randomness_us = config.beacon_randomness_us
-        # The ACK packer checks the node id; the envelopes of the other
-        # control packets this node sends are packed once.
-        self._ack = ack_packer(node_id)
+        # Every packet this node sends carries its id in a u16 field; the
+        # envelopes of its beacons and summaries are packed once.
+        _check_node(node_id, "node_id")
         self._beacon = _MESSAGE_TYPE.pack(_BEACON, node_id)
         self._reply = _MESSAGE_TYPE.pack(_REPLY, node_id)
         self._reply_back = _MESSAGE_TYPE.pack(_REPLY_BACK, node_id)
-        self._pack_data = data_packer(node_id)
         # This node's summary fragments, as built from buffer version
         # _summary_version; REPLY and REPLY_BACK send the same ones.
         self._summary_fragments: list[bytes] = []
@@ -302,8 +308,11 @@ class EpidemicNode:
         message, if any; it is then stored at once if it is the message's
         only packet, and otherwise joins the neighbor's reception state,
         which holds one message at a time. A control packet is checked as
-        one unpack of its envelope, the dispatch on its code, then one
-        unpack of the whole ACK packet or `decode_summary`.
+        one unpack of its envelope and the dispatch on its code (checks
+        1-2), then, for an ACK, one unpack of the whole packet (check 3),
+        or, for a summary fragment, one unpack of its head and one
+        comparison (checks 4-6); the fragment's ids go to `on_summary` as
+        plain ints.
         """
         if port == PORT_DATA:
             try:
@@ -363,10 +372,15 @@ class EpidemicNode:
             self.on_ack(ack_node, message_id, sender_addr, now)
         elif code == _REPLY or code == _REPLY_BACK:
             try:
-                frag_block, ids = decode_summary(data, MESSAGE_TYPE_SIZE)
-            except WireError:  # checks 4-6
+                frag_block, length = _SUMMARY_HEAD.unpack_from(data, MESSAGE_TYPE_SIZE)
+            except struct.error:  # check 4: fewer than 7 bytes
                 self._malformed(KIND_CONTROL, len(data), sender_addr)
                 return
+            # checks 5 and 6: the envelope and the fragment head are 7 bytes
+            if frag_block > 1 or len(data) != 7 + 8 * length:
+                self._malformed(KIND_CONTROL, len(data), sender_addr)
+                return
+            ids = _summary_ids(length).unpack_from(data, 7)
             self.on_summary(code, node_id, sender_addr, frag_block, ids, now)
         else:  # check 2: an unknown code
             self._malformed(KIND_CONTROL, len(data), sender_addr)
@@ -464,8 +478,12 @@ class EpidemicNode:
             entry = self.buffer.get(mid)
             if entry is None:
                 continue  # evicted or expired since the pipeline was built
+            # Header block i is EpidemicHeader then DataPacketHeader of
+            # packet i; packet i on the wire is block i then payload i.
             packets = entry.packets
-            headers = self._pack_data(mid, entry.hop_budget, len(packets))
+            hops, node_id, total = entry.hop_budget, self.node_id, len(packets)
+            pack = _DATA_HEADERS.pack
+            headers = [pack(mid, hops, mid, node_id, total, index) for index in range(total)]
             self._unicast(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
             nb.in_flight = mid
             return
@@ -501,7 +519,9 @@ class EpidemicNode:
                     self._drop_msg(now, mid, MSG_HOP_EXHAUSTED)
             else:
                 self.buffer.enqueue(QueueEntry(mid, destination, packets, budget), now)
-        self._unicast(nb.address, PORT_CONTROL, (self._ack(mid),), KIND_ACK, None, _NO_PAYLOAD)
+        node_id = self.node_id
+        ack = _ACK_PACKET.pack(_ACK, node_id, mid, node_id, ACK_STATUS_SUCCESS)
+        self._unicast(nb.address, PORT_CONTROL, (ack,), KIND_ACK, None, _NO_PAYLOAD)
 
     # -- local message injection -----------------------------------------------
 

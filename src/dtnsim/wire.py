@@ -18,16 +18,18 @@ int it was unpacked as until the run's records wrap it.
 Decoding a fixed-size header tolerates trailing bytes (the rest of the
 packet); a summary vector must match its declared length exactly.
 
-The header classes stand alone: no other module of `src/` calls them,
-and each encodes and decodes by its own code, written from
-docs/wire-format.md. The simulator packs and parses whole packets with
-the flat codecs at the end of this module and the Structs they share:
-`_DATA_HEADERS` for a data packet's header block, `_MESSAGE_TYPE` for a
-control envelope, `_ACK_PACKET` for a whole ACK, and `encode_summary`
-and `decode_summary` for a summary fragment. The receiver makes the
-receive checks itself, so the classes are an independent reference for
-them; `dtnsim` re-exports them. A header object is a frozen, hashable
-value that compares by its fields.
+This module keeps the layouts, as Structs, and the message ids.
+`EpidemicNode` packs and parses every packet itself with the layout
+Structs: `_DATA_HEADERS` for a data packet's header block,
+`_MESSAGE_TYPE` for a control envelope, `_ACK_PACKET` for a whole ACK,
+and `_SUMMARY_HEAD` then `_summary_ids(n)` for a summary fragment. It
+makes the receive checks itself, with plain ints out.
+
+The five header classes are the independent reference for that code: no
+other module of `src/` calls them, each encodes and decodes by its own
+code, written from docs/wire-format.md, and the tests check the node's
+bytes and receive checks against them; `dtnsim` re-exports them. A
+header object is a frozen, hashable value that compares by its fields.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import enum
 import struct
 from functools import cache, partial
-from typing import Callable, Sequence
 
 from ._value import Frozen
 
@@ -138,27 +139,15 @@ SUMMARY_HEAD_SIZE = _SUMMARY_HEAD.size  # 4
 DATA_HEADERS_SIZE = _DATA_HEADERS.size  # 30 = EPIDEMIC_SIZE + DATA_PACKET_SIZE
 
 
-def _truncated(data: bytes, size: int, name: str, offset: int = 0) -> TruncatedHeaderError:
-    """The error for `data` holding fewer than `size` bytes after `offset`;
-    each decoder tests the length inline and builds it only to raise."""
-    return TruncatedHeaderError(f"{name} needs {size} bytes, got {len(data) - offset}")
+def _truncated(data: bytes, size: int, name: str) -> TruncatedHeaderError:
+    """The error for `data` holding fewer than `size` bytes; each decoder
+    tests the length inline and builds it only to raise."""
+    return TruncatedHeaderError(f"{name} needs {size} bytes, got {len(data)}")
 
 
 def _check_node(node_id: int, name: str) -> None:
     if not 0 <= node_id <= NODE_ID_MAX:
         raise ValueError(f"{name} out of 16-bit range: {node_id}")
-
-
-def _check_status(status: int) -> None:
-    if not 0 <= status <= STATUS_MAX:
-        raise ValueError(f"status out of 16-bit range: {status}")
-
-
-def _check_fragment(frag_block: int, length: int) -> None:
-    if frag_block not in (0, 1):
-        raise ValueError(f"frag_block must be 0 or 1: {frag_block}")
-    if length > 0xFFFF:
-        raise ValueError(f"too many ids for one fragment: {length}")
 
 
 class MessageTypeHeader(Frozen):
@@ -228,7 +217,8 @@ class AckHeader(Frozen):
         self, message_id: MessageId, node_id: int, status: int = ACK_STATUS_SUCCESS
     ) -> None:
         _check_node(node_id, "node_id")
-        _check_status(status)
+        if not 0 <= status <= STATUS_MAX:
+            raise ValueError(f"status out of 16-bit range: {status}")
         self._set(message_id, node_id, status)
 
     def encode(self) -> bytes:
@@ -272,7 +262,10 @@ class SummaryVectorHeader(Frozen):
     __slots__ = ("frag_block", "ids")
 
     def __init__(self, frag_block: int, ids: tuple[MessageId, ...]) -> None:
-        _check_fragment(frag_block, len(ids))
+        if frag_block not in (0, 1):
+            raise ValueError(f"frag_block must be 0 or 1: {frag_block}")
+        if len(ids) > 0xFFFF:
+            raise ValueError(f"too many ids for one fragment: {len(ids)}")
         self._set(frag_block, ids)
 
     @property
@@ -295,64 +288,3 @@ class SummaryVectorHeader(Frozen):
         raws = _SUMMARY_ID.iter_unpack(data[SUMMARY_HEAD_SIZE:])
         return cls(frag_block, tuple(_decoded_id(raw) for (raw,) in raws))
 
-
-def data_packer(last_hop: int) -> Callable[[int, int, int], list[bytes]]:
-    """The data header encoder of one sender, its node id checked once here:
-    the returned function takes (message_id, hop_count, packet_total),
-    checks the two, and gives the header blocks of the message's data
-    packets in index order. Block i is the bytes of EpidemicHeader(message_id,
-    hop_count) then DataPacketHeader(message_id, last_hop, packet_total, i);
-    packet i on the wire is block i followed by payload i."""
-    _check_node(last_hop, "last_hop")
-    pack = _DATA_HEADERS.pack
-
-    def pack_message(message_id: int, hop_count: int, packet_total: int) -> list[bytes]:
-        if not 0 <= hop_count <= HOP_COUNT_MAX:
-            raise ValueError(f"hop_count out of 32-bit range: {hop_count}")
-        if not 1 <= packet_total <= 0xFFFFFFFF:
-            raise ValueError(f"packet_total out of range: {packet_total}")
-        return [
-            pack(message_id, hop_count, message_id, last_hop, packet_total, index)
-            for index in range(packet_total)
-        ]
-
-    return pack_message
-
-
-def ack_packer(node_id: int, status: int = ACK_STATUS_SUCCESS) -> Callable[[int], bytes]:
-    """The ACK encoder of one sender and status, checked once here: the
-    returned function packs the whole ACK packet of a message id,
-    MessageTypeHeader then AckHeader, in one call."""
-    _check_node(node_id, "node_id")
-    _check_status(status)
-    pack, code = _ACK_PACKET.pack, MsgType.ACK.value
-    return lambda message_id: pack(code, node_id, message_id, node_id, status)
-
-
-def encode_summary(frag_block: int, ids: Sequence[int]) -> bytes:
-    """One summary fragment: frag_block, the id count, then the ids."""
-    n = len(ids)
-    _check_fragment(frag_block, n)
-    return _SUMMARY_HEAD.pack(frag_block, n) + _summary_ids(n).pack(*ids)
-
-
-def decode_summary(data: bytes, offset: int = 0) -> tuple[int, tuple[int, ...]]:
-    """The summary fragment filling `data` from `offset`, as plain ints.
-
-    Returns (frag_block, ids) with the ids in wire order.
-    TruncatedHeaderError if fewer than 4 bytes follow `offset`,
-    HeaderFormatError for a frag_block other than 0 or 1, or a declared
-    length that does not match the bytes that follow exactly.
-    """
-    if len(data) - offset < SUMMARY_HEAD_SIZE:
-        raise _truncated(data, SUMMARY_HEAD_SIZE, "SummaryVectorHeader", offset)
-    frag_block, length = _SUMMARY_HEAD.unpack_from(data, offset)
-    if frag_block > 1:
-        raise HeaderFormatError(f"frag_block must be 0 or 1: {frag_block}")
-    expected = SUMMARY_HEAD_SIZE + 8 * length
-    size = len(data) - offset
-    if size != expected:
-        raise HeaderFormatError(
-            f"summary vector declares {length} ids ({expected} bytes), got {size} bytes"
-        )
-    return frag_block, _summary_ids(length).unpack_from(data, offset + SUMMARY_HEAD_SIZE)

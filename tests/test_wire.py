@@ -1,14 +1,18 @@
-"""Wire header encode/decode: exact layouts, round-trips, malformed input."""
+"""Wire header encode/decode: exact layouts, round-trips, malformed input,
+and the packets a node sends against the header classes."""
 
 import random
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
+from conftest import feed_message, feed_summary, make_node
 
+from dtnsim.buffer import QueueEntry
+from dtnsim.protocol import PORT_CONTROL, PORT_DATA, build_summary_fragments
+from dtnsim.records import KIND_ACK, KIND_DATA
 from dtnsim.wire import (
     ACK_SIZE,
-    DATA_HEADERS_SIZE,
     MESSAGE_TYPE_SIZE,
     AckHeader,
     DataPacketHeader,
@@ -20,10 +24,6 @@ from dtnsim.wire import (
     SummaryVectorHeader,
     TruncatedHeaderError,
     WireError,
-    ack_packer,
-    data_packer,
-    decode_summary,
-    encode_summary,
     make_message_id,
 )
 
@@ -154,6 +154,10 @@ class TestDecodeErrors:
         with pytest.raises(AttributeError):
             hdr.node_id = 1  # frozen like a constructed header
 
+    def test_ack_constructor_checks_its_status(self):
+        with pytest.raises(ValueError, match="status out of 16-bit range"):
+            AckHeader(MessageId(1), 1, 0x10000)
+
     def test_header_prints_its_fields_in_slot_order(self):
         assert repr(AckHeader(make_message_id(2, 5), 3)) == (
             "AckHeader(message_id=MessageId(2@5), node_id=3, status=1)"
@@ -248,7 +252,7 @@ def test_fuzz_decode_never_crashes(data):
 
 
 class TestSummaryVectorCodec:
-    """The one-call summary codec against a per-id `>Q` reference."""
+    """The SummaryVectorHeader codec against a per-id `>Q` reference."""
 
     @staticmethod
     def reference(frag, raws):
@@ -274,25 +278,16 @@ class TestSummaryVectorCodec:
         with pytest.raises(HeaderFormatError):
             SummaryVectorHeader.decode(bad)
 
-    def test_round_trip_of_every_count_up_to_300(self):
-        # More distinct counts than struct's cache of 100 compiled formats.
-        rng = random.Random(300)
-        for n in range(301):
-            raws = [rng.getrandbits(64) for _ in range(n)]
-            frag = n % 2
-            data = encode_summary(frag, raws)
-            assert data == self.reference(frag, raws)
-            assert decode_summary(data) == (frag, tuple(raws))
-
 
 def test_fixed_header_decode_tolerates_trailing_payload():
     hdr = DataPacketHeader(MessageId(77), 1, 3, 0)
     assert DataPacketHeader.decode(hdr.encode() + b"payload") == hdr
 
 
-class TestDataPacketCodec:
-    """The per-message data packer matches the two header classes byte for
-    byte; the receiver is checked against their decoders in test_protocol."""
+class TestNodeSends:
+    """The bytes a node hands to its transport, which it packs with the
+    layout Structs, against the header classes' own encoders; the
+    receiver is checked against their decoders in test_protocol."""
 
     @given(
         st.integers(0, (1 << 64) - 1),
@@ -300,50 +295,74 @@ class TestDataPacketCodec:
         st.integers(0, 0xFFFF),
         st.lists(st.binary(max_size=8), min_size=1, max_size=5),
     )
-    def test_encode_matches_header_classes(self, raw, hops, last_hop, payloads):
+    def test_data_packets_match_header_classes(self, raw, hops, node_id, payloads):
+        # The node at address 1 holds the message; its neighbor at address
+        # 0 leads with an empty summary, so the node sends it whole.
         mid = MessageId(raw)
+        now = mid.timestamp_us
+        node, transport, _ = make_node(node_id=node_id, address=1)
+        node.buffer.enqueue(QueueEntry(mid, 7, tuple(payloads), hops), now)
+        feed_summary(node, MsgType.REPLY, (node_id + 1) & 0xFFFF, 0, [(0, [])], now)
         total = len(payloads)
         expected = [
             EpidemicHeader(mid, hops).encode()
-            + DataPacketHeader(mid, last_hop, total, index).encode()
+            + DataPacketHeader(mid, node_id, total, index).encode()
             + payload
             for index, payload in enumerate(payloads)
         ]
-        headers = data_packer(last_hop)(mid, hops, total)
-        assert [header + payload for header, payload in zip(headers, payloads)] == expected
-        assert [len(header) for header in headers] == [DATA_HEADERS_SIZE] * total
+        assert transport.sent_of_kind(KIND_DATA) == [(0, PORT_DATA, packet, KIND_DATA, 7) for packet in expected]
 
-    def test_encode_validates_once_per_message(self):
-        # The node id once per packer; the hop count and the total once per message.
-        mid = MessageId(1)
-        with pytest.raises(ValueError):
-            data_packer(0x10000)
-        pack = data_packer(1)
-        with pytest.raises(ValueError):
-            pack(mid, 1 << 32, 1)
-        with pytest.raises(ValueError):
-            pack(mid, 1, 0)
+    @given(st.integers(0, (1 << 64) - 1), st.integers(0, 0xFFFF))
+    def test_ack_matches_header_classes(self, raw, node_id):
+        mid = MessageId(raw)
+        node, transport, _ = make_node(node_id=node_id)
+        entry = QueueEntry(mid, 7, (b"payload",), 3)
+        feed_message(node, entry, (node_id + 1) & 0xFFFF, 5, mid.timestamp_us)
+        [(dst, port, data, kind, msg_dst)] = transport.sent
+        assert (dst, port, kind, msg_dst) == (5, PORT_CONTROL, KIND_ACK, None)
+        assert data == (
+            MessageTypeHeader(MsgType.ACK, node_id).encode() + AckHeader(mid, node_id).encode()
+        )
+        assert len(data) == MESSAGE_TYPE_SIZE + ACK_SIZE == 15
+
+    def test_summary_fragments_of_every_count_up_to_300(self):
+        # More distinct counts than struct's cache of 100 compiled formats.
+        # 2n ids under a cap of n ids make two fragments of n, the first
+        # with frag_block 1; a node fed them hands their ids to on_summary
+        # as plain ints, in wire order.
+        rng = random.Random(300)
+        node, _, _ = make_node(node_id=9)
+        seen = []
+        node.on_summary = lambda code, sender, addr, frag_block, ids, now: seen.append(
+            (frag_block, ids)
+        )
+        envelope = MessageTypeHeader(MsgType.REPLY, 1).encode()
+        for n in range(301):
+            raws = [rng.getrandbits(64) for _ in range(2 * n)]
+            halves = [(1, raws[:n]), (0, raws[n:])] if n else [(0, [])]
+            fragments = build_summary_fragments(raws, 4 + 8 * max(n, 1))
+            assert fragments == [
+                SummaryVectorHeader(frag, mids(half)).encode() for frag, half in halves
+            ]
+            seen.clear()
+            for fragment in fragments:
+                node.handle_packet(1, PORT_CONTROL, envelope + fragment, None, 0)
+            assert seen == [(frag, tuple(half)) for frag, half in halves]
+            assert all(type(mid) is int for _, ids in seen for mid in ids)
+
+    @pytest.mark.parametrize("node_id", [-1, 0x10000])
+    def test_node_id_outside_u16_rejected(self, node_id):
+        with pytest.raises(ValueError, match="node_id out of 16-bit range"):
+            make_node(node_id=node_id)
+
+    def test_fragment_of_more_than_u16_ids_rejected(self):
+        # A cap of 74,999 ids: the one fragment of 70,000 overflows its length field.
+        with pytest.raises(ValueError, match="too many ids"):
+            build_summary_fragments(list(range(70_000)), 600_000)
 
 
 class TestControlCodecs:
-    """The flat control codecs: the header classes' bytes, plain ints out."""
-
-    @given(st.integers(0, (1 << 64) - 1), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
-    def test_ack_packet_matches_header_classes(self, raw, node, status):
-        data = ack_packer(node, status)(MessageId(raw))
-        assert data == (
-            MessageTypeHeader(MsgType.ACK, node).encode()
-            + AckHeader(MessageId(raw), node, status).encode()
-        )
-        assert len(data) == MESSAGE_TYPE_SIZE + ACK_SIZE == 15
-        assert MessageTypeHeader.decode(data) == MessageTypeHeader(MsgType.ACK, node)
-        assert AckHeader.decode(data[3:]) == AckHeader(MessageId(raw), node, status)
-
-    def test_ack_packet_validates_its_fields(self):
-        with pytest.raises(ValueError, match="node_id"):
-            ack_packer(0x10000)(MessageId(1))
-        with pytest.raises(ValueError, match="status"):
-            ack_packer(1, 0x10000)(MessageId(1))
+    """The control header classes' decoders."""
 
     @given(st.binary(max_size=6))
     def test_envelope_decodes_only_known_codes(self, data):
@@ -357,28 +376,8 @@ class TestControlCodecs:
             node_id = int.from_bytes(data[1:3], "big")
             assert MessageTypeHeader.decode(data) == MessageTypeHeader(MsgType(data[0]), node_id)
 
-    @given(
-        st.binary(max_size=5),
-        st.integers(0, 1),
-        st.lists(st.integers(0, (1 << 64) - 1), max_size=20),
-    )
-    def test_summary_at_offset_gives_plain_ints(self, prefix, frag, raws):
-        data = prefix + encode_summary(frag, raws)
-        frag_block, ids = decode_summary(data, len(prefix))
-        assert (frag_block, list(ids)) == (frag, raws)
-        assert all(type(mid) is int for mid in ids)
-
-    def test_checks_count_from_the_offset(self):
-        envelope = MessageTypeHeader(MsgType.ACK, 1).encode()
+    def test_truncated_errors_count_the_bytes_given(self):
         with pytest.raises(TruncatedHeaderError, match="got 11"):
             AckHeader.decode(bytes(11))
         with pytest.raises(TruncatedHeaderError, match="got 3"):
-            decode_summary(envelope + bytes(3), 3)
-        with pytest.raises(HeaderFormatError):
-            decode_summary(envelope + encode_summary(0, [1]) + bytes(1), 3)
-
-    def test_encode_summary_validates_the_fragment(self):
-        with pytest.raises(ValueError, match="frag_block"):
-            encode_summary(2, [])
-        with pytest.raises(ValueError, match="too many ids"):
-            encode_summary(0, range(0x10000))
+            SummaryVectorHeader.decode(bytes(3))
