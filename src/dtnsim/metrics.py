@@ -166,25 +166,11 @@ DROP_COLUMNS = tuple(f"msg_{c}" for c in MSG_DROP_CAUSES) + tuple(
     f"pkt_{o}" for o in PKT_DROP_OUTCOMES
 )
 
-RUN_COLUMNS = (
-    "seed",
-    "generated",
-    "delivered",
-    "transfers",
-    *METRIC_FIELDS,
-    "bytes_transmitted",
-    "data_packets_sent",
-    "control_packets_sent",
-    *DROP_COLUMNS,
-)
+RUN_COLUMNS = tuple(name for name in RunReport._fields if name != "drops") + DROP_COLUMNS
 
 
 def run_row(report: RunReport) -> dict[str, str]:
-    row = {
-        name: _fmt(getattr(report, name))
-        for name in RUN_COLUMNS
-        if name not in DROP_COLUMNS
-    }
+    row = {name: _fmt(value) for name, value in zip(RunReport._fields, report) if name != "drops"}
     for col in DROP_COLUMNS:
         row[col] = str(report.drops.get(col, 0))
     return row
@@ -196,12 +182,11 @@ AGGREGATE_COLUMNS = ("runs",) + tuple(
 
 
 def aggregate_row(reports: list[RunReport]) -> dict[str, str]:
-    agg = aggregate(reports)
     row = {"runs": str(len(reports))}
-    for name in METRIC_FIELDS:
-        pair = agg[name]
-        row[f"{name}_mean"] = _fmt(pair[0]) if pair else ""
-        row[f"{name}_ci95"] = _fmt(pair[1]) if pair else ""
+    for name, pair in aggregate(reports).items():
+        mean, ci95 = pair or (None, None)
+        row[f"{name}_mean"] = _fmt(mean)
+        row[f"{name}_ci95"] = _fmt(ci95)
     return row
 
 

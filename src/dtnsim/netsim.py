@@ -19,15 +19,15 @@ one ACK), which queues, drops and reports them exactly as k `unicast`
 calls would.
 
 Range is decided when a transmission completes. The exact check,
-`RadioNetwork.in_range`, looks up each node's point and piece of motion
-once, tests dx*dx + dy*dy <= R*R and leaves the pair a certificate, its
-end and its answer, written only at `now`. It holds while both nodes stay
-on their current linear pieces of motion and the pair's offset stays clear
-of R by a margin (see in_range); a completion runs the exact check once
-`now` reaches its end. The margin comes from the two pieces it spans and
-is far above the rounding of their arithmetic, so a certified answer
-equals the exact one and outputs are those of checking every packet.
-Trajectories must not change after the network is built.
+`RadioNetwork.in_range(a, b)`, asked at `now` only, looks up each node's
+point and piece of motion once, tests dx*dx + dy*dy <= R*R and leaves the
+pair a certificate: its end, a whole microsecond, and its answer. It holds
+while both nodes stay on their current linear pieces of motion and the
+pair's offset stays clear of R by a margin (see in_range); a completion
+runs the exact check once `now` reaches its end. The margin far exceeds
+the rounding of the pieces' arithmetic, and the end is rounded down, so a
+certified answer equals the exact one and outputs are those of checking
+every packet. Trajectories must not change after the network is built.
 
 A packet is its `data` bytes plus an optional `payload` bytes object
 carried by reference: the datagram it stands for is `data + payload`,
@@ -259,9 +259,9 @@ class RadioNetwork:
             raise ValueError(f"node {node} is already attached")
         self._handlers[node] = handler
 
-    def in_range(self, a: int, b: int, t_us: int) -> bool:
-        """Whether nodes a and b are within radio range at t_us, which must
-        be now (else ValueError), by the exact check; renews their certificate.
+    def in_range(self, a: int, b: int) -> bool:
+        """Whether nodes a and b are within radio range now, by the exact
+        check; renews their certificate.
 
         It holds until either node's current linear piece of motion ends
         (Trajectory.piece_at) or their offset first reaches R - margin from
@@ -270,9 +270,13 @@ class RadioNetwork:
         the largest of 1, R and the two pieces' scales, millions of its
         ulps. Until the certificate ends both nodes stay on their pieces,
         where piece_at rounds by a few such ulps: it is exact however long.
+
+        Its end is now plus the reach in microseconds rounded down: any k it
+        answers is 1 us or more before the computed end. Below 2**31 s (68
+        years) the four roundings on the way (t, end - t, times 1e6, k / 1e6)
+        are 0.125 us each at most, so piece_at(k / 1e6) keeps both pieces.
         """
-        if t_us != self.sim.now:
-            raise ValueError(f"range asked at {t_us}, not now {self.sim.now}")
+        t_us = self.sim.now
         t = t_us / 1_000_000
         ax, ay, avx, avy, a_end, a_scale = self.trajectories[a].piece_at(t)
         bx, by, bvx, bvy, b_end, b_scale = self.trajectories[b].piece_at(t)
@@ -286,7 +290,7 @@ class RadioNetwork:
             r = self._range - margin if inside else self._range + margin
             crossing = crossing_time(dx, dy, avx - bvx, avy - bvy, r, inside)
             reach = min(crossing, a_end - t, b_end - t) * 1e6
-            cert = (t_us + math.ceil(min(reach, CERT_MAX_US)), inside)
+            cert = (t_us + math.floor(min(reach, CERT_MAX_US)), inside)
             n = self._n
             self._certs[a * n + b] = self._certs[b * n + a] = cert
         return inside
@@ -382,7 +386,7 @@ class RadioNetwork:
             if dst is not None:
                 until, inside = certs[base + dst]
                 if not now < until:
-                    inside = in_range(node, dst, now)
+                    inside = in_range(node, dst)
                 if not inside:
                     packet_event(kind, PKT_OUT_OF_RANGE, size, node, dst)
                 elif loss and draw() < loss:
@@ -394,7 +398,7 @@ class RadioNetwork:
                 for receiver in itertools.chain(below, above):
                     until, inside = certs[base + receiver]
                     if not now < until:
-                        inside = in_range(node, receiver, now)
+                        inside = in_range(node, receiver)
                     if not inside:
                         continue
                     if loss and draw() < loss:

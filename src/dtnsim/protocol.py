@@ -308,11 +308,11 @@ class EpidemicNode:
         message, if any; it is then stored at once if it is the message's
         only packet, and otherwise joins the neighbor's reception state,
         which holds one message at a time. A control packet is checked as
-        one unpack of its envelope and the dispatch on its code (checks
-        1-2), then, for an ACK, one unpack of the whole packet (check 3),
-        or, for a summary fragment, one unpack of its head and one
-        comparison (checks 4-6); the fragment's ids go to `on_summary` as
-        plain ints.
+        one unpack per header, the envelope and then the whole ACK or the
+        fragment head (checks 1, 3 and 4), and one dispatch on its code
+        and the fragment's frag_block and length (checks 2, 5 and 6); any
+        failure takes the one malformed exit. The handlers run outside the
+        unpacks' `try`, and a fragment's ids go to `on_summary` as ints.
         """
         if port == PORT_DATA:
             try:
@@ -356,33 +356,24 @@ class EpidemicNode:
             nb.rx_dst = msg_dst
             nb.rx_parts = {index: payload}
             return
-        try:
+        try:  # checks 1, 3 and 4: a header cut short
             code, node_id = _MESSAGE_TYPE.unpack_from(data)
-        except struct.error:  # check 1: fewer than 3 bytes
-            self._malformed(KIND_CONTROL, len(data), sender_addr)
-            return
+            if code == _ACK:
+                _, _, message_id, ack_node, _status = _ACK_PACKET.unpack_from(data)
+            elif code == _REPLY or code == _REPLY_BACK:
+                frag_block, length = _SUMMARY_HEAD.unpack_from(data, MESSAGE_TYPE_SIZE)
+        except struct.error:
+            code = None
         if code == _BEACON:
             self.on_beacon(node_id, sender_addr, now)
         elif code == _ACK:
-            try:
-                _, _, message_id, ack_node, _status = _ACK_PACKET.unpack_from(data)
-            except struct.error:  # check 3: fewer than 15 bytes
-                self._malformed(KIND_CONTROL, len(data), sender_addr)
-                return
             self.on_ack(ack_node, message_id, sender_addr, now)
-        elif code == _REPLY or code == _REPLY_BACK:
-            try:
-                frag_block, length = _SUMMARY_HEAD.unpack_from(data, MESSAGE_TYPE_SIZE)
-            except struct.error:  # check 4: fewer than 7 bytes
-                self._malformed(KIND_CONTROL, len(data), sender_addr)
-                return
-            # checks 5 and 6: the envelope and the fragment head are 7 bytes
-            if frag_block > 1 or len(data) != 7 + 8 * length:
-                self._malformed(KIND_CONTROL, len(data), sender_addr)
-                return
+        # checks 5 and 6: the envelope and the fragment head are 7 bytes
+        elif ((code == _REPLY or code == _REPLY_BACK)
+              and frag_block <= 1 and len(data) == 7 + 8 * length):
             ids = _summary_ids(length).unpack_from(data, 7)
             self.on_summary(code, node_id, sender_addr, frag_block, ids, now)
-        else:  # check 2: an unknown code
+        else:  # check 2 (an unknown code), or any check above failed
             self._malformed(KIND_CONTROL, len(data), sender_addr)
 
     def _malformed(self, kind: str, size: int, sender_addr: int) -> None:

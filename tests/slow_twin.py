@@ -47,8 +47,8 @@ class ExactRadio(RadioNetwork):
     """A radio whose range certificates are off: every range decision of a
     completing transmission is the exact check."""
 
-    def in_range(self, a, b, t_us):
-        inside = super().in_range(a, b, t_us)
+    def in_range(self, a, b):
+        inside = super().in_range(a, b)
         # Clear the certificate the check may have written: one that ends
         # at 0 holds at no time.
         n = self._n

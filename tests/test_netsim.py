@@ -1,6 +1,7 @@
 """Event kernel, device queues, and the unit-disk radio."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -194,22 +195,9 @@ class TestServiceTime:
 class TestRange:
     def test_closed_ball(self):
         _, net, _ = make_net([(0, 0), (100, 0), (100.5, 0)], radio_range=100)
-        assert net.in_range(0, 0, 0)  # distance zero
-        assert net.in_range(0, 1, 0)  # distance exactly the radius
-        assert not net.in_range(0, 2, 0)
-
-    def test_asked_at_any_time_but_now_raises_and_writes_no_certificate(self):
-        # A certificate holds from when it is written; the clock never goes
-        # back, so it may be written only at `now`.
-        sim, net, _ = make_net([(0, 0), (50, 0)], radio_range=100)
-        sim.run(5 * SEC)
-        certs = list(net._certs)
-        for t_us in (0, 5 * SEC - 1, 5 * SEC + 1):
-            with pytest.raises(ValueError, match="not now"):
-                net.in_range(0, 1, t_us)
-        assert net._certs == certs
-        assert net.in_range(0, 1, 5 * SEC)
-        assert net._certs != certs
+        assert net.in_range(0, 0)  # distance zero
+        assert net.in_range(0, 1)  # distance exactly the radius
+        assert not net.in_range(0, 2)
 
 
 def exact_in_range(trajectories, radio_range, a, b, t_us):
@@ -368,6 +356,34 @@ def _jump_as_a_certificate_ends(t_us):
     return nodes, 10.0, [1, t_us]
 
 
+def _jump_past_a_rounded_up_end():
+    # Node 1 jumps into range at 123.456789 s. The first query's unicasts
+    # complete at 199,987 us, where (123.456789 - 0.199987) * 1e6 rounds to
+    # just above a whole number: rounded up, the certificate would end at
+    # 123,456,790 us and answer "out" at the jump's own microsecond, where
+    # the second query's unicasts complete.
+    nodes = [(0.0, 0.0, []), (100.0, 0.0, [(123.456789, 5.0, 0.0, _JUMP)])]
+    return nodes, 10.0, [199_986, 123_456_788]
+
+
+def _first_us_at_or_after(seconds):
+    """The first whole microsecond k with k / 1e6 >= seconds."""
+    k = math.ceil(seconds * 1e6)
+    while (k - 1) / 1e6 >= seconds:
+        k -= 1
+    while k / 1e6 < seconds:
+        k += 1
+    return k
+
+
+@st.composite
+def jumps_and_write_times(draw):
+    """A jump time J in seconds below 2**31 s, and a write time in whole
+    microseconds before it."""
+    jump_s = draw(st.one_of(st.sampled_from([1.0, 123.456789]), st.floats(1e-6, 2.0**31)))
+    return jump_s, draw(st.integers(0, _first_us_at_or_after(jump_s) - 1))
+
+
 class TestRangeCertificate:
     """Completing transmissions decide range as the exact check does, whether
     a certificate or the check answers, for unicast and broadcast."""
@@ -383,6 +399,7 @@ class TestRangeCertificate:
     @example(_leaves_between_queries())
     @example(_jump_as_a_certificate_ends(999_999))
     @example(_jump_as_a_certificate_ends(999_998))
+    @example(_jump_past_a_rounded_up_end())
     @tier1_or_deep(200)
     def test_matches_brute_force(self, scene):
         nodes, radio_range, times = scene
@@ -435,6 +452,23 @@ class TestRangeCertificate:
                 mismatches.append(("broadcast", src, now, got, expected))
         assert mismatches == []
 
+    @given(jumps_and_write_times())
+    @example((1.0, 31_275))
+    @example((123.456789, 199_987))
+    @tier1_or_deep(200)
+    def test_a_certificate_ends_by_a_jump(self, jump):
+        # Node 1 is parked out of range until it jumps into range at J s. A
+        # certificate written at any w before the jump answers no whole
+        # microsecond k with k / 1e6 >= J, where piece_at has node 1 jumped.
+        jump_s, w = jump
+        nodes = [(0.0, 0.0, []), (100.0, 0.0, [(jump_s, 5.0, 0.0, _JUMP)])]
+        sim, net, _ = make_net(radio_range=10.0, trajectories=build_trajectories(nodes))
+        sim.run(w)
+        assert not net.in_range(0, 1)
+        until, inside = net._certs[1]
+        assert not inside
+        assert until <= _first_us_at_or_after(jump_s)
+
 
 class CountingRadio(RadioNetwork):
     """A radio that counts its exact range checks."""
@@ -443,9 +477,9 @@ class CountingRadio(RadioNetwork):
         super().__init__(*args, **kwargs)
         self.checks = 0
 
-    def in_range(self, a, b, t_us):
+    def in_range(self, a, b):
         self.checks += 1
-        return super().in_range(a, b, t_us)
+        return super().in_range(a, b)
 
 
 @pytest.mark.parametrize(

@@ -758,6 +758,27 @@ class TestControlReceiveChecks:
         assert contact_state(node) == before
         assert transport.sent == sent
 
+    @pytest.mark.parametrize("handler", ["on_ack", "on_summary"])
+    def test_a_struct_error_raised_by_a_handler_propagates(self, handler):
+        # Only the unpacks of checks 1, 3 and 4 are inside the malformed
+        # exit's `try`: an error raised while handling a well-formed packet
+        # is a fault of the node, not of the packet, and is not counted.
+        node, _, trace = make_node(node_id=9)
+
+        def broken(*args):
+            raise struct.error(f"raised by {handler}")
+
+        setattr(node, handler, broken)
+        data = {
+            "on_ack": MessageTypeHeader(MsgType.ACK, 1).encode()
+            + AckHeader(make_message_id(9, 10), 1).encode(),
+            "on_summary": MessageTypeHeader(MsgType.REPLY, 1).encode()
+            + SummaryVectorHeader(0, (make_message_id(1, 1),)).encode(),
+        }[handler]
+        with pytest.raises(struct.error, match=f"raised by {handler}"):
+            node.handle_packet(1, PORT_CONTROL, data, None, 500)
+        assert trace.count(KIND_CONTROL, PKT_MALFORMED) == 0
+
     @given(CONTROL_PACKETS)
     @example(_control_packet("ack_short"))
     @example(MessageTypeHeader(MsgType.ACK, 1).encode()
