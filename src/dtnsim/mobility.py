@@ -99,11 +99,14 @@ class Trajectory:
         """(x, y, vx, vy, end_s, scale): the point at t, then the linear piece
         of motion holding t: its velocity; its end (the segment's end while
         moving, the next start while parked, inf after the last); and a
-        magnitude whose epsilon bounds the point's rounding. A jump is no piece."""
+        magnitude whose epsilon bounds the point's rounding. A jump is no
+        piece. A nan time is a ValueError."""
         piece = self._pieces[bisect.bisect_right(self._starts, t) - 1]
         t0, x0, y0, t1, x1, y1, vx, vy, end, scale = piece
         if t >= t1:
             return (x1, y1, vx, vy, end, scale)
+        if t != t:  # nan compares false to every start and end
+            raise ValueError("the time is nan")
         frac = (t - t0) / (t1 - t0)
         return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac, vx, vy, end, scale)
 

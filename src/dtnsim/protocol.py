@@ -388,8 +388,7 @@ class EpidemicNode:
             return
         if existing is not None:
             self._end_contact(existing, now)
-        nb = NeighborRecord(node_id, sender_addr, last_heard=now)
-        self.neighbors[node_id] = nb
+        nb = self._touch_neighbor(node_id, sender_addr, now)
         if self._leads(sender_addr, node_id):
             self._send_summary(self._reply, KIND_REPLY, nb, now)
 

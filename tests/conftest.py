@@ -1,9 +1,12 @@
-"""Shared test helpers: fake transport, message factories, and small
-simulated worlds whose trace and transports record what happens.
+"""Shared test helpers: fake transport, message factories, small
+simulated worlds whose trace and transports record what happens, the
+laws every run keeps (`assert_run_laws`), and the two scripted worlds
+that both the integration and the acceptance tests run.
 
 A world is `runner.build_run` on a traffic-free `Scenario`
 (`build_world`), so the tests run the runner's own wiring."""
 
+import math
 import random
 
 import pytest
@@ -11,12 +14,26 @@ from hypothesis import settings
 
 import dtnsim.runner
 from dtnsim.buffer import QueueEntry
+from dtnsim.metrics import compute
 from dtnsim.mobility import parse_ns2_trace
-from dtnsim.netsim import EVENT_TRAFFIC, NodeTransport
+from dtnsim.netsim import EVENT_TRAFFIC, LinkModel, NodeTransport
 from dtnsim.protocol import PORT_CONTROL, PORT_DATA, EpidemicNode, ProtocolConfig
-from dtnsim.records import ReplayTrace
+from dtnsim.records import (
+    KIND_BEACON,
+    PKT_DELIVERED,
+    PKT_IN_FLIGHT_AT_END,
+    PKT_LOSS,
+    PKT_OUT_OF_RANGE,
+    PKT_OVERFLOW,
+    PKT_RESIDENCY,
+    PKT_SUBMITTED,
+    PKT_TRANSMITTED,
+    PKT_UNSENT_AT_END,
+    ReplayTrace,
+)
 from dtnsim.runner import build_run
 from dtnsim.scenario import Scenario, TrafficParams
+from dtnsim.traffic import MessageSpec, generate_message, message_payloads
 from dtnsim.wire import (
     DATA_HEADERS_SIZE,
     DataPacketHeader,
@@ -27,6 +44,7 @@ from dtnsim.wire import (
     make_message_id,
 )
 
+SEC = 1_000_000
 
 # Example budgets of the whole-run twins (tests/test_slow_twin.py). Tier-1
 # runs them under "twins" and leaves every other test's settings alone.
@@ -233,3 +251,113 @@ def static_trace(*positions):
         lines.append(f"$node_({i}) set X_ {x}")
         lines.append(f"$node_({i}) set Y_ {y}")
     return "\n".join(lines)
+
+
+def assert_run_laws(trace, protocol=None):
+    """The laws of every finished run, each stated once.
+
+    Per (src, dst, kind) row: every packet handed to a device queue is
+    transmitted or dropped by overflow, residency or the run's end; every
+    transmitted unicast packet is delivered, lost, out of range or in
+    flight at the end; a broadcast reaches each receiver at most once, and
+    is never out of range. No message is delivered twice, or more often
+    than messages were generated. Under `protocol` every delivery is within
+    its TTL after 1 to hop-limit hops; a radio-only world (None) delivers
+    no message."""
+    counts = trace.pair_counts
+
+    def n(key, *outcomes):
+        return sum(counts[(*key, outcome)] for outcome in outcomes)
+
+    for key in {key[:3] for key in counts}:
+        src, dst, kind = key
+        assert n(key, PKT_SUBMITTED) == n(
+            key, PKT_TRANSMITTED, PKT_OVERFLOW, PKT_RESIDENCY, PKT_UNSENT_AT_END
+        ), key
+        if dst is None:
+            continue
+        if kind == KIND_BEACON:
+            assert n(key, PKT_DELIVERED, PKT_LOSS, PKT_IN_FLIGHT_AT_END) <= n(
+                (src, None, kind), PKT_TRANSMITTED
+            ), key
+            assert n(key, PKT_OUT_OF_RANGE) == 0, key
+        else:
+            assert n(key, PKT_TRANSMITTED) == n(
+                key, PKT_DELIVERED, PKT_LOSS, PKT_OUT_OF_RANGE, PKT_IN_FLIGHT_AT_END
+            ), key
+    delivered = [d.message_id for d in trace.deliveries]
+    assert len(set(delivered)) == len(delivered) <= trace.n_generated
+    if protocol is None:
+        assert not delivered
+    for delivery in trace.deliveries:
+        assert delivery.latency_us <= protocol.message_ttl * SEC, delivery
+        assert 1 <= delivery.hops <= protocol.hop_limit, delivery
+
+
+# The two-node transfer: node 0 sends node 1, 50 m away, one message of
+# 100 packets, beacons coming each second on the dot.
+TRANSFER_RATE = 12e6
+TRANSFER_PAYLOAD = 1000
+TRANSFER_SIZE = 100_000
+
+
+def two_node_world(config, **world):
+    """`build_world` with `world`'s options on nodes 0 and 1, standing 50 m
+    apart on a 12 Mbit/s radio of 100 m range."""
+    return build_world(
+        static_trace((0, 0), (50, 0)), config, LinkModel(TRANSFER_RATE, 100.0), **world
+    )
+
+
+def run_two_node_transfer(duration_s):
+    """The trace of the two-node transfer, run for `duration_s`."""
+    config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
+    sim, net, nodes, trace = two_node_world(config)
+    packets = message_payloads(TRANSFER_SIZE, TRANSFER_PAYLOAD)
+    nodes[0].originate(generate_message(MessageSpec(0, 1, 0), packets, config.hop_limit), 0)
+    sim.run(duration_s * SEC)
+    net.finalize()
+    assert_run_laws(trace, config)
+    return trace
+
+
+def two_node_latency_s():
+    """The two-node transfer's latency from link arithmetic, independent of
+    the simulator: the first beacon comes after one interval, then REPLY
+    (1 id), REPLY_BACK (empty) and the 100 data packets go back to back,
+    each packet in a 28-byte IPv4/UDP datagram."""
+    packets = math.ceil(TRANSFER_SIZE / TRANSFER_PAYLOAD)
+    ip = 28
+    bits = 8 * ((3 + ip) + (15 + ip) + (7 + ip) + packets * (30 + TRANSFER_PAYLOAD + ip))
+    return 1.0 + bits / TRANSFER_RATE
+
+
+# The store-and-haul relay: node 1 hauls from node 0 toward node 2 at
+# 10 m/s, leaving node 0's range (100 m) long before entering node 2's.
+RELAY_TRACE = static_trace((0.0, 0.0), (50.0, 0.0), (1000.0, 0.0)) + (
+    '\n$ns_ at 20.0 "$node_(1) setdest 950.0 0.0 10.0"'
+)
+
+
+def run_relay(hop_limit):
+    """The report of 150 s of the relay, node 0 sending node 2 one message."""
+    config = ProtocolConfig(
+        beacon_interval=1.0, beacon_randomness=0.1, hop_limit=hop_limit, message_ttl=300.0
+    )
+    sim, net, nodes, trace = build_world(RELAY_TRACE, config, LinkModel(12e6, 100.0))
+    packets = message_payloads(10_000, 1000)
+    nodes[0].originate(generate_message(MessageSpec(0, 2, 0), packets, hop_limit), 0)
+    sim.run(150 * SEC)
+    net.finalize()
+    assert_run_laws(trace, config)
+    return compute(trace)
+
+
+def relay_contact_seconds(a, b):
+    """The whole seconds of the relay's first 150 at which nodes a and b
+    are within 100 m of each other."""
+    trajectories = parse_ns2_trace(RELAY_TRACE)
+    return [
+        t for t in range(150)
+        if math.dist(trajectories[a].position_at(t), trajectories[b].position_at(t)) <= 100.0
+    ]

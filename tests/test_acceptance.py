@@ -7,12 +7,20 @@ takes a few minutes; everything else is fast.
 
 import filecmp
 import hashlib
-import math
 import random
 import time
 
 import pytest
-from conftest import build_world, static_trace
+from conftest import (
+    SEC,
+    assert_run_laws,
+    build_world,
+    relay_contact_seconds,
+    run_relay,
+    run_two_node_transfer,
+    two_node_latency_s,
+    two_node_world,
+)
 
 from dtnsim.cli import main as cli_main
 from dtnsim.metrics import compute, mean_ci95
@@ -25,12 +33,9 @@ from dtnsim.records import (
     KIND_REPLY,
     KIND_REPLY_BACK,
     PKT_DELIVERED,
-    PKT_OUT_OF_RANGE,
-    PKT_OVERFLOW,
-    PKT_RESIDENCY,
+    PKT_IN_FLIGHT_AT_END,
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
-    PKT_UNSENT_AT_END,
     ReplayTrace,
 )
 from dtnsim.runner import run_once
@@ -47,7 +52,6 @@ from dtnsim.wire import (
     make_message_id,
 )
 
-SEC = 1_000_000
 N = 100_000
 
 
@@ -116,40 +120,17 @@ class TestCriterion02MessageIdLaw:
 
 
 class TestCriterion03TwoNodeOracle:
-    RATE = 12e6
-    PAYLOAD = 1000
-    SIZE = 100_000
-
     def test_scripted_permanent_contact(self):
-        config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
-        link = LinkModel(self.RATE, 100.0)
-        sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
-        entry = generate_message(
-            MessageSpec(0, 1, 0), message_payloads(self.SIZE, self.PAYLOAD), config.hop_limit
-        )
-        nodes[0].originate(entry, 0)
         # 8 s span two more summary exchanges on the idle contact (at 4 s
         # and 7 s); the message must not travel again.
-        sim.run(8 * SEC)
-        net.finalize()
+        trace = run_two_node_transfer(8)
         rep = compute(trace)
-
-        packets = math.ceil(self.SIZE / self.PAYLOAD)
-        assert packets == 100
         assert trace.count(KIND_REPLY, PKT_TRANSMITTED) >= 2
         assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 100
         assert trace.count(KIND_ACK, PKT_TRANSMITTED) == 1
         assert rep.mdr == 1.0
         assert rep.avg_hop_count == 1.0
-
-        # Closed-form transfer time from link arithmetic: first beacon at
-        # one interval, REPLY (1 id), REPLY_BACK (empty), 100 data
-        # packets, each packet in a 28-byte IPv4/UDP datagram.
-        bit = 1 / self.RATE
-        ip = 28
-        oracle = 1.0 + 8 * bit * (
-            (3 + ip) + (15 + ip) + (7 + ip) + packets * (30 + self.PAYLOAD + ip)
-        )
+        oracle = two_node_latency_s()
         assert rep.avg_latency_s == pytest.approx(oracle, abs=1e-3)
         report(3, f"100 data + 1 ack, latency {rep.avg_latency_s:.6f}s vs oracle {oracle:.6f}s")
 
@@ -160,11 +141,8 @@ class TestCriterion04AntiEntropyUnion:
         trials = 30
         for trial in range(trials):
             config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
-            link = LinkModel(12e6, 100.0)
             handed = []
-            sim, net, nodes, trace = build_world(
-                static_trace((0, 0), (50, 0)), config, link, seed=trial, handed=handed
-            )
+            sim, net, nodes, trace = two_node_world(config, seed=trial, handed=handed)
             n_a, n_b = rng.randrange(9), rng.randrange(9)
             n_shared = rng.randrange(3)
             initial = [set(), set()]
@@ -204,10 +182,7 @@ class TestCriterion05FragmentationTransparency:
         config = ProtocolConfig(
             beacon_interval=1.0, beacon_randomness=0.1, max_control_payload=payload_cap
         )
-        link = LinkModel(12e6, 100.0)
-        sim, net, nodes, _ = build_world(
-            static_trace((0, 0), (50, 0)), config, link, seed=rng_seed
-        )
+        sim, net, nodes, _ = two_node_world(config, seed=rng_seed)
         rng = random.Random(f"frag:{rng_seed}")
         source = 0
         for owner in (0, 1):
@@ -232,48 +207,16 @@ class TestCriterion05FragmentationTransparency:
 
 
 class TestCriterion06StoreAndHaulRelay:
-    TRACE = "\n".join(
-        [
-            "$node_(0) set X_ 0.0",
-            "$node_(0) set Y_ 0.0",
-            "$node_(1) set X_ 50.0",
-            "$node_(1) set Y_ 0.0",
-            "$node_(2) set X_ 1000.0",
-            "$node_(2) set Y_ 0.0",
-            '$ns_ at 20.0 "$node_(1) setdest 950.0 0.0 10.0"',
-        ]
-    )
-
-    def run_relay(self, hop_limit):
-        config = ProtocolConfig(
-            beacon_interval=1.0, beacon_randomness=0.1, hop_limit=hop_limit, message_ttl=300.0
-        )
-        sim, net, nodes, trace = build_world(self.TRACE, config, LinkModel(12e6, 100.0))
-        entry = generate_message(MessageSpec(0, 2, 0), message_payloads(10_000, 1000), hop_limit)
-        nodes[0].originate(entry, 0)
-        sim.run(150 * SEC)
-        net.finalize()
-        return compute(trace)
-
     def test_relay_delivery_and_hop_limit(self):
         # The A-B contact ends at t = 25 s, before the B-C contact begins
         # at t = 105 s; only store-and-haul through B can deliver.
-        trajectories = parse_ns2_trace(self.TRACE)
-
-        def contact_seconds(a, b):
-            return [
-                t for t in range(150)
-                if math.dist(trajectories[a].position_at(t), trajectories[b].position_at(t))
-                <= 100.0
-            ]
-
-        assert (contact_seconds(0, 1)[-1], contact_seconds(1, 2)[0]) == (25, 105)
-        assert contact_seconds(0, 2) == []
-        rep = self.run_relay(hop_limit=8)
+        assert (relay_contact_seconds(0, 1)[-1], relay_contact_seconds(1, 2)[0]) == (25, 105)
+        assert relay_contact_seconds(0, 2) == []
+        rep = run_relay(hop_limit=8)
         assert rep.delivered == 1
         assert rep.mdr == 1.0
         assert rep.avg_hop_count == 2.0
-        rep1 = self.run_relay(hop_limit=1)
+        rep1 = run_relay(hop_limit=1)
         assert rep1.delivered == 0
         # The relay never stores the message, so idle-contact re-exchanges
         # re-send it; every copy dies with its hop budget exhausted.
@@ -282,27 +225,22 @@ class TestCriterion06StoreAndHaulRelay:
 
 
 class TestCriterion07TtlSafety:
-    def test_no_delivery_exceeds_ttl(self, tmp_path):
-        ttl = 15.0
-        trace_file = tmp_path / "ttl.ns"
+    def test_no_delivery_exceeds_ttl(self):
         total_deliveries = 0
         for seed in range(1, 11):
-            trace_file.write_text(
-                generate_random_waypoint_trace(10, 250, 250, 5, 15, 60, seed=f"ttl{seed}")
-            )
+            text = generate_random_waypoint_trace(10, 250, 250, 5, 15, 60, seed=f"ttl{seed}")
             scenario = Scenario(
-                trajectories=tuple(parse_ns2_trace(trace_file.read_text())),
+                trajectories=tuple(parse_ns2_trace(text)),
                 duration_s=60.0,
                 seeds=(seed,),
-                protocol=ProtocolConfig(1.0, 0.1, 2_000_000, ttl, 8, 1400),
+                protocol=ProtocolConfig(1.0, 0.1, 2_000_000, 15.0, 8, 1400),
                 link=LinkModel(12e6, 60.0),
                 traffic=TrafficParams(20, 20_000, 1460, 2.0, 30.0),
                 queue_capacity=2_000_000,
                 queue_residency_s=2.0,
             )
             _, run_trace = run_once(scenario, seed)
-            for delivery in run_trace.deliveries:
-                assert delivery.latency_us <= ttl * SEC
+            assert_run_laws(run_trace, scenario.protocol)  # the TTL law among them
             total_deliveries += len(run_trace.deliveries)
         assert total_deliveries > 0
         report(7, f"{total_deliveries} deliveries across 10 seeds, all within ttl")
@@ -358,26 +296,15 @@ class TestCriterion08PartialMessageDiscipline:
         assert trace.pair_counts[(1, 2, KIND_REPLY, PKT_TRANSMITTED)] > 0
         assert trace.pair_counts[(2, 1, KIND_REPLY_BACK, PKT_DELIVERED)] > 0
 
-        # Conservation audit for the cut transfer: every data packet
-        # submitted on the 0->1 link is accounted by exactly one outcome.
-        # (Submissions can exceed one message's worth: a mute receiver
-        # goes stale after two beacon intervals and its next beacon
-        # restarts the exchange, so the sender may start over.)
+        # Every packet has one fate, and nothing is in flight at the end (no
+        # propagation delay). Submissions can exceed one message's worth: a
+        # mute receiver goes stale after two beacon intervals and its next
+        # beacon restarts the exchange, so the sender may start over.
+        assert_run_laws(trace, config)
+        assert trace.count(KIND_DATA, PKT_IN_FLIGHT_AT_END) == 0
         submitted = trace.pair_counts[(0, 1, KIND_DATA, PKT_SUBMITTED)]
-        accounted = sum(
-            trace.pair_counts[(0, 1, KIND_DATA, outcome)]
-            for outcome in (
-                PKT_DELIVERED,
-                "loss",
-                PKT_OUT_OF_RANGE,
-                PKT_OVERFLOW,
-                PKT_RESIDENCY,
-                PKT_UNSENT_AT_END,
-            )
-        )
-        assert submitted >= entry.packet_total
-        assert accounted == submitted
         delivered = trace.pair_counts[(0, 1, KIND_DATA, PKT_DELIVERED)]
+        assert submitted >= entry.packet_total
         assert 0 < delivered < submitted  # genuinely cut mid-transfer
         report(
             8,

@@ -2,15 +2,25 @@
 
 import gc
 import hashlib
-import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import build_world, make_entry, originate_at, static_trace
+from conftest import (
+    SEC,
+    assert_run_laws,
+    build_world,
+    make_entry,
+    originate_at,
+    relay_contact_seconds,
+    run_relay,
+    run_two_node_transfer,
+    static_trace,
+    two_node_latency_s,
+    two_node_world,
+)
 
 from dtnsim.metrics import compute
 from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
@@ -23,15 +33,10 @@ from dtnsim.records import (
     MSG_HOP_EXHAUSTED,
     PKT_DELIVERED,
     PKT_DROP_OUTCOMES,
-    PKT_IN_FLIGHT_AT_END,
-    PKT_LOSS,
     PKT_MALFORMED,
-    PKT_OUT_OF_RANGE,
-    PKT_OVERFLOW,
     PKT_RESIDENCY,
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
-    PKT_UNSENT_AT_END,
     ReplayTrace,
 )
 from dtnsim.runner import build_run, run_once
@@ -39,55 +44,21 @@ from dtnsim.scenario import Scenario, TrafficParams, load_scenario
 from dtnsim.traffic import MessageSpec, generate_message, message_payloads
 from dtnsim.wire import EpidemicHeader, MessageId
 
-SEC = 1_000_000
-
 
 class TestTwoNodeTransfer:
-    RATE = 12e6
-    PAYLOAD = 1000
-    SIZE = 100_000
-
-    def run_scenario(self, duration_s=5):
-        config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
-        link = LinkModel(self.RATE, 100.0)
-        sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
-        entry = generate_message(
-            MessageSpec(0, 1, 0), message_payloads(self.SIZE, self.PAYLOAD), config.hop_limit
-        )
-        nodes[0].originate(entry, 0)
-        sim.run(duration_s * SEC)
-        net.finalize()
-        return trace
-
-    def closed_form_latency_s(self):
-        # Link arithmetic, independent of the simulator: the exchange
-        # starts at the first beacon (one interval), then REPLY (1 id),
-        # REPLY_BACK (empty), then 100 data packets back to back. Every
-        # packet rides in one IPv4/UDP datagram (28 bytes).
-        packets = math.ceil(self.SIZE / self.PAYLOAD)
-        bit = 1 / self.RATE
-        ip = 28
-        beacon = (3 + ip) * 8 * bit
-        reply = (3 + 4 + 8 + ip) * 8 * bit
-        reply_back = (3 + 4 + ip) * 8 * bit
-        data = packets * (30 + self.PAYLOAD + ip) * 8 * bit
-        return 1.0 + beacon + reply + reply_back + data
-
     def test_exact_packet_counts_and_latency(self):
-        trace = self.run_scenario()
+        trace = run_two_node_transfer(5)
         report = compute(trace)
         assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 100
         assert trace.count(KIND_ACK, PKT_TRANSMITTED) == 1
         assert report.mdr == 1.0
-        assert report.avg_latency_s == pytest.approx(
-            self.closed_form_latency_s(), abs=1e-3
-        )
+        assert report.avg_latency_s == pytest.approx(two_node_latency_s(), abs=1e-3)
         assert report.avg_hop_count == 1.0
 
     def test_no_retransfer_after_reexchange(self):
         # 8 seconds spans a second summary exchange on the idle contact;
         # the message must not travel again.
-        trace = self.run_scenario(duration_s=8)
+        trace = run_two_node_transfer(8)
         assert trace.count(KIND_DATA, PKT_TRANSMITTED) == 100
         assert trace.count(KIND_ACK, PKT_TRANSMITTED) == 1
 
@@ -98,9 +69,7 @@ class TestReceivedIds:
         # there. The receiver stores the id it unpacked, an exact int; every
         # record of the two holds a MessageId, which prints as before.
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
-        sim, net, nodes, trace = build_world(
-            static_trace((0, 0), (50, 0)), config, LinkModel(12e6, 100.0), trace=ReplayTrace()
-        )
+        sim, net, nodes, trace = two_node_world(config, trace=ReplayTrace())
         kept = make_entry(0, 0, destination=1)
         spent = make_entry(0, 1, destination=9, hop_budget=1)
         nodes[0].originate(kept, 0)
@@ -122,55 +91,19 @@ class TestReceivedIds:
 
 
 class TestStoreAndHaulRelay:
-    TRACE = "\n".join(
-        [
-            "$node_(0) set X_ 0.0",
-            "$node_(0) set Y_ 0.0",
-            "$node_(1) set X_ 50.0",
-            "$node_(1) set Y_ 0.0",
-            "$node_(2) set X_ 1000.0",
-            "$node_(2) set Y_ 0.0",
-            # Node 1 hauls from node 0 toward node 2, leaving range of 0
-            # long before entering range of 2.
-            '$ns_ at 20.0 "$node_(1) setdest 950.0 0.0 10.0"',
-        ]
-    )
-
-    def run_scenario(self, hop_limit):
-        config = ProtocolConfig(
-            beacon_interval=1.0,
-            beacon_randomness=0.1,
-            hop_limit=hop_limit,
-            message_ttl=300.0,
-        )
-        link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(self.TRACE, config, link)
-        entry = generate_message(MessageSpec(0, 2, 0), message_payloads(10_000, 1000), hop_limit)
-        nodes[0].originate(entry, 0)
-        sim.run(150 * SEC)
-        net.finalize()
-        return compute(trace), trace
-
     def test_contact_windows_do_not_overlap(self):
-        trajs = parse_ns2_trace(self.TRACE)
-        # Each second: is node 1 within range (100 m) of node 0, of node 2?
-        in_range = set()
-        for t in range(0, 150):
-            p0, p1, p2 = (trajs[i].position_at(float(t)) for i in range(3))
-            in_range.add((math.dist(p0, p1) <= 100.0, math.dist(p1, p2) <= 100.0))
         # Both contacts happen, and never at the same time.
-        assert (True, False) in in_range
-        assert (False, True) in in_range
-        assert (True, True) not in in_range
+        near_0, near_2 = relay_contact_seconds(0, 1), relay_contact_seconds(1, 2)
+        assert near_0 and near_2 and not set(near_0) & set(near_2)
 
     def test_delivered_via_relay_with_two_hops(self):
-        report, trace = self.run_scenario(hop_limit=8)
+        report = run_relay(hop_limit=8)
         assert report.delivered == 1
         assert report.avg_hop_count == 2.0
         assert report.mdr == 1.0
 
     def test_hop_limit_one_blocks_relay(self):
-        report, _ = self.run_scenario(hop_limit=1)
+        report = run_relay(hop_limit=1)
         assert report.delivered == 0
         # The relay never stores the message, so idle-contact re-exchanges
         # re-send it; every copy dies with its hop budget exhausted.
@@ -191,8 +124,7 @@ class TestAntiEntropyUnion:
 
     def test_buffers_converge_to_union(self):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
-        link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link, seed=3)
+        sim, net, nodes, trace = two_node_world(config, seed=3)
         union = self.prefill(
             nodes, config, [((0,), (1, t)) for t in range(4)] + [((1,), (2, t)) for t in range(3)]
         )
@@ -203,11 +135,8 @@ class TestAntiEntropyUnion:
 
     def test_no_data_sent_for_shared_ids(self):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
-        link = LinkModel(12e6, 100.0)
         handed = []
-        sim, net, nodes, trace = build_world(
-            static_trace((0, 0), (50, 0)), config, link, handed=handed
-        )
+        sim, net, nodes, trace = two_node_world(config, handed=handed)
         shared_ids = self.prefill(nodes, config, [((0, 1), (3, t)) for t in range(3)])
         self.prefill(nodes, config, [((0,), (1, t)) for t in range(3)])
         sim.run(20 * SEC)
@@ -266,11 +195,8 @@ class TestSharedPayloads:
 class TestAckGating:
     def test_one_message_in_flight_and_no_interleaving(self):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
-        link = LinkModel(12e6, 100.0)
         handed = []
-        sim, net, nodes, trace = build_world(
-            static_trace((0, 0), (50, 0)), config, link, handed=handed
-        )
+        sim, net, nodes, trace = two_node_world(config, handed=handed)
         packets = message_payloads(20_000, 1000)
         entries = [
             generate_message(MessageSpec(0, 1, t), packets, config.hop_limit) for t in (0, 1, 2)
@@ -315,8 +241,7 @@ class TestAckGating:
 
     def test_zero_traffic_zero_activity(self):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.1)
-        link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(static_trace((0, 0), (50, 0)), config, link)
+        sim, net, nodes, trace = two_node_world(config)
         sim.run(10 * SEC)
         net.finalize()
         report = compute(trace)
@@ -327,57 +252,25 @@ class TestAckGating:
 
 
 class TestChaosInvariants:
-    def test_protocol_laws_hold_under_loss_and_mobility(self, tmp_path):
-        trace_file = tmp_path / "chaos.ns"
+    def test_protocol_laws_hold_under_loss_and_mobility(self):
         for seed in (1, 2, 3):
-            trace_file.write_text(
-                generate_random_waypoint_trace(6, 200, 200, 5, 15, 60, seed=f"chaos{seed}")
-            )
-            ttl = 25.0
-            hop_limit = 3
+            text = generate_random_waypoint_trace(6, 200, 200, 5, 15, 60, seed=f"chaos{seed}")
             scenario = Scenario(
-                trajectories=tuple(parse_ns2_trace(trace_file.read_text())),
+                trajectories=tuple(parse_ns2_trace(text)),
                 duration_s=60.0,
                 seeds=(seed,),
-                protocol=ProtocolConfig(1.0, 0.1, 500_000, ttl, hop_limit, 60),
+                protocol=ProtocolConfig(1.0, 0.1, 500_000, 25.0, 3, 60),
                 link=LinkModel(6e6, 60.0, loss_probability=0.05),
                 traffic=TrafficParams(15, 15_000, 1200, 2.0, 30.0),
                 queue_capacity=500_000,
                 queue_residency_s=2.0,
             )
             report, trace = run_once(scenario, seed, ReplayTrace())
-
+            assert_run_laws(trace, scenario.protocol)
             generated_ids = {g.message_id for g in trace.generated}
-            delivered_ids = [d.message_id for d in trace.deliveries]
-            assert len(set(delivered_ids)) == len(delivered_ids)
-            for delivery in trace.deliveries:
-                assert delivery.message_id in generated_ids
-                assert delivery.latency_us <= ttl * SEC
-                assert 1 <= delivery.hops <= hop_limit
+            assert all(d.message_id in generated_ids for d in trace.deliveries)
             if report.delivered:
                 assert report.replication_overhead >= 0
-
-            # Packet conservation across the whole run, per (src, dst) pair.
-            outcomes = {}
-            for (src, dst, kind, outcome), n in trace.pair_counts.items():
-                if kind != KIND_DATA:
-                    continue
-                outcomes.setdefault((src, dst), {})[outcome] = n
-            for pair, by_outcome in outcomes.items():
-                submitted = by_outcome.get("submitted", 0)
-                accounted = sum(
-                    by_outcome.get(o, 0)
-                    for o in (
-                        "delivered",
-                        "loss",
-                        "out_of_range",
-                        "overflow",
-                        "residency",
-                        "unsent_at_end",
-                        "in_flight_at_end",
-                    )
-                )
-                assert submitted == accounted, (pair, by_outcome)
 
 
 class TestPacketConservation:
@@ -408,37 +301,10 @@ class TestPacketConservation:
 
     def test_every_key_balances(self):
         _, trace = run_once(self.SCENARIO, 1)
-        counts = trace.pair_counts
-        by_outcome = Counter()
-        for (_, _, _, outcome), n in counts.items():
-            by_outcome[outcome] += n
-        assert by_outcome[PKT_MALFORMED] == 0
-        for outcome in set(PKT_DROP_OUTCOMES) - {PKT_MALFORMED}:
-            assert by_outcome[outcome] > 0, outcome
-
-        def n(src, dst, kind, *outcomes):
-            return sum(counts[(src, dst, kind, o)] for o in outcomes)
-
-        keys = {(src, dst, kind) for src, dst, kind, _ in counts}
-        for src, dst, kind in keys:
-            # Every packet handed to a device queue leaves it exactly once.
-            assert n(src, dst, kind, PKT_SUBMITTED) == n(
-                src, dst, kind, PKT_TRANSMITTED, PKT_OVERFLOW, PKT_RESIDENCY, PKT_UNSENT_AT_END
-            ), (src, dst, kind)
-            if dst is None:
-                continue
-            if kind == KIND_BEACON:
-                # A broadcast reaches each receiver at most once.
-                assert n(src, dst, kind, PKT_DELIVERED, PKT_LOSS, PKT_IN_FLIGHT_AT_END) <= n(
-                    src, None, kind, PKT_TRANSMITTED
-                ), (src, dst, kind)
-                assert n(src, dst, kind, PKT_OUT_OF_RANGE) == 0
-            else:
-                # Every transmitted unicast packet has exactly one fate.
-                assert n(src, dst, kind, PKT_TRANSMITTED) == n(
-                    src, dst, kind, PKT_DELIVERED, PKT_LOSS, PKT_OUT_OF_RANGE,
-                    PKT_IN_FLIGHT_AT_END,
-                ), (src, dst, kind)
+        assert_run_laws(trace, self.SCENARIO.protocol)
+        occurred = {outcome for *_, outcome in trace.pair_counts}
+        assert occurred >= set(PKT_DROP_OUTCOMES) - {PKT_MALFORMED}
+        assert PKT_MALFORMED not in occurred
 
 
 class TestWorldResidency:
@@ -510,10 +376,7 @@ class TestFullPipelineReplay:
 class TestWrappedRawPacketDifferential:
     def run_one(self, use_wrap):
         config = ProtocolConfig(beacon_interval=1.0, beacon_randomness=0.0)
-        link = LinkModel(12e6, 100.0)
-        sim, net, nodes, trace = build_world(
-            static_trace((0, 0), (50, 0)), config, link, trace=ReplayTrace()
-        )
+        sim, net, nodes, trace = two_node_world(config, trace=ReplayTrace())
         payload = bytes(range(200)) + bytes(56)
         if use_wrap:
             nodes[0].wrap_raw_packet(payload, destination=1, now=0)

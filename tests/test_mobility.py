@@ -231,6 +231,17 @@ class TestPieceAt:
         assert traj.piece_at(19.0) == (100.0, 50.0, 0.0, 0.0, 20.0, 100.0)
         assert traj.piece_at(20.0) == (0.0, 50.0, 0.0, 0.0, math.inf, 50.0)
 
+    @pytest.mark.parametrize("waypoints", [[], [(1.0, 10.0, 0.0, 2.0)]])
+    def test_a_nan_time_is_a_value_error_and_infinite_times_the_ends(self, waypoints):
+        # A nan time raised ZeroDivisionError with waypoints (the last piece
+        # is parked) and was (nan, nan) without them.
+        traj = Trajectory(0.0, 0.0, waypoints)
+        for ask in (traj.piece_at, traj.position_at):
+            with pytest.raises(ValueError, match="nan"):
+                ask(math.nan)
+        assert traj.position_at(-math.inf) == (0.0, 0.0)
+        assert traj.position_at(math.inf) == ((10.0, 0.0) if waypoints else (0.0, 0.0))
+
     @given(pieces())
     @tier1_or_deep(200)
     def test_linear_until_the_next_breakpoint(self, scene):

@@ -22,17 +22,18 @@ from dtnsim.scenario import Scenario, TrafficParams
 
 
 @st.composite
-def small_worlds(draw):
-    """3-8 random-waypoint nodes that meet often, with loss, an optional
-    propagation delay, a device queue that overflows and hits residency,
-    and a TTL short enough to expire messages. Messages are of one packet
-    or of 13 (600 or 15,000 bytes at 1,200 per packet), so that both
-    receive paths run: stored on arrival, and reassembled."""
+def small_world_traces(draw):
+    """A world's trace text and its Scenario: 3-8 random-waypoint nodes that
+    meet often, with loss, an optional propagation delay, a device queue
+    that overflows and hits residency, and a TTL short enough to expire
+    messages. Messages are of one packet or of 13 (600 or 15,000 bytes at
+    1,200 per packet), so that both receive paths run: stored on arrival,
+    and reassembled."""
     nodes = draw(st.integers(3, 8))
     text = generate_random_waypoint_trace(
         nodes, 150, 150, 5, 15, 20, seed=draw(st.integers(0, 2**32 - 1))
     )
-    return Scenario(
+    return text, Scenario(
         trajectories=tuple(parse_ns2_trace(text)),
         duration_s=20.0,
         protocol=ProtocolConfig(1.0, 0.1, 100_000, draw(st.floats(2.0, 8.0)), 3, 60),
@@ -48,6 +49,11 @@ def small_worlds(draw):
         queue_capacity=30_000,
         queue_residency_s=0.1,
     )
+
+
+def small_worlds():
+    """The Scenario of a `small_world_traces` world."""
+    return small_world_traces().map(lambda world: world[1])
 
 
 # The "twins" profile of conftest.py, or "deep" when it is the loaded one.
