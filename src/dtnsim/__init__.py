@@ -9,28 +9,15 @@ from .protocol import EpidemicNode, ProtocolConfig, build_summary_fragments
 from .records import RunTrace
 from .runner import run_once, run_seeds
 from .scenario import Scenario, ScenarioError, load_scenario
-from .wire import (
-    AckHeader,
-    DataPacketHeader,
-    EpidemicHeader,
-    MessageId,
-    MessageTypeHeader,
-    MsgType,
-    SummaryVectorHeader,
-    make_message_id,
-)
+from .wire import MessageId, MsgType, make_message_id
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AckHeader",
-    "DataPacketHeader",
-    "EpidemicHeader",
     "EpidemicNode",
     "LinkModel",
     "MessageBuffer",
     "MessageId",
-    "MessageTypeHeader",
     "MsgType",
     "ProtocolConfig",
     "QueueEntry",
@@ -40,7 +27,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "Simulator",
-    "SummaryVectorHeader",
     "build_summary_fragments",
     "compute",
     "load_scenario",

@@ -6,11 +6,11 @@
 Both commands write runs.csv (one row per run) and aggregate.csv (mean
 and 95% CI across seeds) into the output directory; a sweep prefixes
 both with one column per axis. `--seeds N` is the override seeds = 1..N.
-Input that is wrong for every cell (an unknown or repeated key, `--seeds`
-given with `--set seeds` or `--axis seeds`, an unusable `--out`) is one
-`error:` line and exit 2 before anything runs. A cell that fails prints
-one `error:` line and the other cells still run: the exit code is 1 if
-some cell failed, and 2 if none ran, in which case nothing is written.
+Input that is wrong for every cell (an unknown key, a key named twice by
+`--seeds`, `--set` or `--axis`, an unusable `--out`) is one `error:` line
+and exit 2 before anything runs. A cell that fails prints one `error:`
+line and the other cells still run: the exit code is 1 if some cell
+failed, and 2 if none ran, in which case nothing is written.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def _parse_axis(text: str) -> tuple[str, list[str]]:
 def _add_common(parser) -> None:
     parser.add_argument("scenario", help="scenario file path")
     parser.add_argument(
-        "--seeds", type=int, metavar="N", help="run seeds 1..N (overrides the scenario)"
+        "--seeds", type=int, action="append", default=[], metavar="N",
+        help="run seeds 1..N (overrides the scenario)",
     )
     parser.add_argument(
         "--set",
@@ -97,26 +98,22 @@ def _make_out_dir(path: str) -> tuple[Path, list[Path]]:
 
 def _cmd(args) -> int:
     """Run each cell of the sweep over its seeds; `run` is one empty cell."""
-    overrides: dict[str, str] = {}
-    for text in args.overrides:
-        key, value = _parse_assignment(text, "--set")
-        if key in overrides:
-            raise ScenarioError(f"--set {key} is given more than once")
-        overrides[key] = value
+    if any(n < 1 for n in args.seeds):
+        raise ScenarioError("--seeds must be at least 1")
+    named = [("--seeds", "seeds", " ".join(map(str, range(1, n + 1)))) for n in args.seeds]
+    named += [("--set", *_parse_assignment(text, "--set")) for text in args.overrides]
     axes = [_parse_axis(a) for a in args.axis]
+    named += [("--axis", key, values) for key, values in axes]
+    labels: dict[str, str] = {}  # each key's first label: `--seeds` or `<flag> <key>`
+    for flag, key, _ in named:
+        label = flag if flag == "--seeds" else f"{flag} {key}"
+        if labels.get(key) == label:
+            raise ScenarioError(f"{label} is given more than once")
+        if key in labels:
+            raise ScenarioError(f"{labels[key]} conflicts with {label}")
+        labels[key] = label
+    overrides = {key: value for flag, key, value in named if flag != "--axis"}
     axis_keys = [key for key, _ in axes]
-    for i, key in enumerate(axis_keys):
-        if key in axis_keys[:i]:
-            raise ScenarioError(f"--axis {key} is given more than once")
-        if key in overrides:
-            raise ScenarioError(f"--set {key} conflicts with --axis {key}")
-    if args.seeds is not None:
-        if args.seeds < 1:
-            raise ScenarioError("--seeds must be at least 1")
-        for flag, keys in (("--set", overrides), ("--axis", axis_keys)):
-            if "seeds" in keys:
-                raise ScenarioError(f"--seeds conflicts with {flag} seeds")
-        overrides["seeds"] = " ".join(map(str, range(1, args.seeds + 1)))
     out, created = _make_out_dir(args.out)
 
     run_rows: list[dict[str, str]] = []

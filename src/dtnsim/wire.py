@@ -28,8 +28,9 @@ makes the receive checks itself, with plain ints out.
 The five header classes are the independent reference for that code: no
 other module of `src/` calls them, each encodes and decodes by its own
 code, written from docs/wire-format.md, and the tests check the node's
-bytes and receive checks against them; `dtnsim` re-exports them. A
-header object is a frozen, hashable value that compares by its fields.
+bytes and receive checks against them. They are not exported from
+`dtnsim`: import them from `dtnsim.wire`. A header object is a frozen,
+hashable value that compares by its fields.
 """
 
 from __future__ import annotations

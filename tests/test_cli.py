@@ -37,6 +37,34 @@ def workdir(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def rejects(workdir, capsys, monkeypatch):
+    """Check that `main` rejects a command line as every rejection must.
+
+    `rejects(argv, message)` runs `argv` (a command and its flags) on
+    `scenario` in workdir, with an `--out` there. It must exit 2 with one
+    `error:` line, its stderr must `match` `message` (equal it, by
+    default), and no file or directory may be left behind. Unless the
+    rejection `simulates`, `run_seeds` must not be called.
+    """
+
+    def no_simulation(scenario):
+        pytest.fail("simulated although the command line is rejected")
+
+    def check(argv, message, match=str.__eq__, *, simulates=False, scenario="two_node.cfg",
+              out="rejected"):
+        if not simulates:
+            monkeypatch.setattr(cli, "run_seeds", no_simulation)
+        before = set(workdir.rglob("*"))
+        code = main([argv[0], str(workdir / scenario), *argv[1:], "--out", str(workdir / out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert match(err, message), err
+        assert set(workdir.rglob("*")) == before
+
+    return check
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -99,45 +127,46 @@ class TestRunCommand:
             assert row["replication_overhead"] == "0"
             assert abs(float(row["avg_latency_s"]) - oracle) < 1e-3
 
-    def test_missing_trace_mentions_path(self, workdir, capsys):
+    def test_missing_trace_mentions_path(self, workdir, rejects):
         (workdir / "broken.cfg").write_text("trace = gone.ns_movements\nduration = 5\n")
-        code = main(["run", str(workdir / "broken.cfg")])
-        assert code != 0
-        assert "gone.ns_movements" in capsys.readouterr().err
+        rejects(["run"], "gone.ns_movements", str.__contains__, scenario="broken.cfg")
 
-    def test_unknown_scenario_file(self, workdir, capsys):
-        code = main(["run", str(workdir / "missing.cfg")])
-        assert code != 0
-        assert "missing.cfg" in capsys.readouterr().err
+    def test_unknown_scenario_file(self, rejects):
+        rejects(["run"], "missing.cfg", str.__contains__, scenario="missing.cfg")
 
     @pytest.mark.parametrize(
-        "override, message",
+        "flags, message",
         [
-            ("message_size=1e12", "exceeds buffer_capacity"),
-            ("seeds=2 2 2", "seeds must be distinct"),
-            ("hop_limit=5000000000", "hop_limit must be in"),
+            (["--set", "message_size=1e12"], "exceeds buffer_capacity"),
+            (["--set", "seeds=2 2 2"], "seeds must be distinct"),
+            (["--set", "hop_limit=5000000000"], "hop_limit must be in"),
+            (["--set", "queue_residency=1e-7"], "queue_residency must be at least 1 µs"),
+            (
+                "--set duration=1e9 --set traffic_start=3e8 --set traffic_end=3.1e8".split(),
+                "traffic_end must be at most 281474976.710655 s",
+            ),
+            (
+                "--set duration=1e-7 --set traffic_end=0 --set message_count=1".split(),
+                "duration must be at least 1 µs",
+            ),
         ],
-        ids=["oversize_message", "repeated_seed", "hop_limit_beyond_u32"],
+        ids=[
+            "oversize_message",
+            "repeated_seed",
+            "hop_limit_beyond_u32",
+            "residency_below_1us",
+            "traffic_end_beyond_48_bits",
+            "zero_us_run_with_traffic",
+        ],
     )
-    def test_rejected_at_load_exits_2(self, workdir, capsys, override, message):
-        out = workdir / "rejected"
-        code = main(["run", str(workdir / "two_node.cfg"), "--set", override, "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert not out.exists()
+    def test_rejected_at_load_exits_2(self, rejects, flags, message):
+        rejects(["run", *flags], message, str.__contains__)
 
-    def test_traffic_window_too_narrow_for_distinct_ids_exits_2(self, workdir, capsys):
+    def test_traffic_window_too_narrow_for_distinct_ids_exits_2(self, rejects):
         # Three messages from two sources in one microsecond: two of them
         # share a source and so a message id, for every seed.
-        out = workdir / "collided"
-        argv = ["run", str(workdir / "two_node.cfg"), "--out", str(out)]
-        code = main(argv + ["--set", "message_count=3", "--set", "traffic_end=0"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "window too small" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+        flags = ["--set", "message_count=3", "--set", "traffic_end=0"]
+        rejects(["run", *flags], "window too small", str.__contains__, simulates=True)
 
 
 class TestSweepCommand:
@@ -262,48 +291,29 @@ class TestSweepCommand:
         assert [row["traffic_end"] for row in read_csv(out / "aggregate.csv")] == ["3"]
         assert "window too small" in capsys.readouterr().err
 
-    def test_repeated_axis_key_exits_2_before_any_cell(self, workdir, capsys):
+    def test_repeated_axis_key_exits_2_before_any_cell(self, rejects):
         # A later --axis of the same key would overwrite the earlier one
         # in every cell: the cells would repeat, under duplicate columns.
-        out = workdir / "repeated"
-        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
-        code = main(argv + ["--axis", "hop_limit=4,8", "--axis", "hop_limit=2"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: --axis hop_limit is given more than once\n"
-        assert not out.exists()
+        rejects(
+            ["sweep", "--axis", "hop_limit=4,8", "--axis", "hop_limit=2"],
+            "error: --axis hop_limit is given more than once\n",
+        )
 
-    def test_repeated_axis_value_exits_2_before_any_cell(self, workdir, capsys, monkeypatch):
+    def test_repeated_axis_value_exits_2_before_any_cell(self, rejects):
         # A repeated value would run the same cell twice and aggregate it
         # as two cells. Values are compared as the key's parser reads them.
-        def no_simulation(scenario):
-            pytest.fail("simulated although an axis repeats a value")
-
-        monkeypatch.setattr(cli, "run_seeds", no_simulation)
-        out = workdir / "repeated"
-        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
         for values in ("4, 8,4 ", "4,4.0"):
-            code = main(argv + ["--axis", "data_rate=6e6,12e6", "--axis", f"hop_limit={values}"])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err == "error: --axis hop_limit repeats a value\n"
-            assert not out.exists()
+            rejects(
+                ["sweep", "--axis", "data_rate=6e6,12e6", "--axis", f"hop_limit={values}"],
+                "error: --axis hop_limit repeats a value\n",
+            )
 
-    def test_set_key_that_is_an_axis_key_exits_2_before_any_cell(
-        self, workdir, capsys, monkeypatch
-    ):
+    def test_set_key_that_is_an_axis_key_exits_2_before_any_cell(self, rejects):
         # Each cell's axis value would silently replace the --set value.
-        def no_simulation(scenario):
-            pytest.fail("simulated although --set and --axis name the same key")
-
-        monkeypatch.setattr(cli, "run_seeds", no_simulation)
-        out = workdir / "conflict"
-        argv = ["sweep", str(workdir / "two_node.cfg"), "--out", str(out)]
-        code = main(argv + ["--set", "hop_limit=3", "--axis", "hop_limit=4,8"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: --set hop_limit conflicts with --axis hop_limit\n"
-        assert not out.exists()
+        rejects(
+            ["sweep", "--set", "hop_limit=3", "--axis", "hop_limit=4,8"],
+            "error: --set hop_limit conflicts with --axis hop_limit\n",
+        )
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -316,19 +326,9 @@ class TestSweepCommand:
         ],
         ids=["axis", "set"],
     )
-    def test_unknown_key_exits_2_before_any_cell(
-        self, workdir, capsys, monkeypatch, flags, message
-    ):
+    def test_unknown_key_exits_2_before_any_cell(self, rejects, flags, message):
         # Every cell would load the scenario and fail on the same key.
-        def no_simulation(scenario):
-            pytest.fail("simulated although a key is unknown")
-
-        monkeypatch.setattr(cli, "run_seeds", no_simulation)
-        out = workdir / "unknown"
-        code = main(["sweep", str(workdir / "two_node.cfg"), *flags, "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == message
-        assert not out.exists()
+        rejects(["sweep", *flags], message)
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -338,60 +338,35 @@ class TestSweepCommand:
                 "error: --set expects KEY=VALUE, got 'hop_limit'\n",
             ),
             (["--axis", "hop_limit=,"], "error: --axis hop_limit has no values\n"),
-            (
-                ["--seeds", "0", "--axis", "hop_limit=4,8"],
-                "error: --seeds must be at least 1\n",
-            ),
+            (["--seeds", "0", "--axis", "hop_limit=4,8"], "error: --seeds must be at least 1\n"),
         ],
         ids=["set_without_equals", "axis_without_values", "zero_seeds"],
     )
-    def test_malformed_flag_exits_2_before_any_cell(
-        self, workdir, capsys, monkeypatch, flags, message
-    ):
-        def no_simulation(scenario):
-            pytest.fail("simulated although a flag is malformed")
-
-        monkeypatch.setattr(cli, "run_seeds", no_simulation)
-        out = workdir / "malformed"
-        code = main(["sweep", str(workdir / "two_node.cfg"), *flags, "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == message
-        assert not out.exists()
+    def test_malformed_flag_exits_2_before_any_cell(self, rejects, flags, message):
+        rejects(["sweep", *flags], message)
 
 
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]
 )
-def test_out_path_that_is_a_file_exits_2_before_simulating(workdir, capsys, monkeypatch, command):
-    def no_simulation(scenario):
-        pytest.fail("simulated although the report directory cannot be made")
-
-    monkeypatch.setattr(cli, "run_seeds", no_simulation)
+def test_out_path_that_is_a_file_exits_2_before_simulating(workdir, rejects, command):
     taken = workdir / "taken"
     taken.write_text("keep")
-    for out in (taken, taken / "sub"):
-        argv = [command[0], str(workdir / "two_node.cfg"), *command[1:], "--out", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot create report directory {out}: ")
-        assert err.count("\n") == 1
+    for out in ("taken", "taken/sub"):
+        message = f"error: cannot create report directory {workdir / out}: "
+        rejects(command, message, str.startswith, out=out)
     assert taken.read_text() == "keep"
 
 
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]
 )
-def test_repeated_set_key_exits_2_before_any_cell(workdir, capsys, monkeypatch, command):
+def test_repeated_set_key_exits_2_before_any_cell(rejects, command):
     # A later --set of the same key would silently replace the earlier one.
-    def no_simulation(scenario):
-        pytest.fail("simulated although a --set key repeats")
-
-    monkeypatch.setattr(cli, "run_seeds", no_simulation)
-    out = workdir / "repeated"
-    argv = [command[0], str(workdir / "two_node.cfg"), *command[1:], "--out", str(out)]
-    assert main(argv + ["--set", "message_count=1", "--set", "message_count = 2"]) == 2
-    assert capsys.readouterr().err == "error: --set message_count is given more than once\n"
-    assert not out.exists()
+    rejects(
+        [*command, "--set", "message_count=1", "--set", "message_count = 2"],
+        "error: --set message_count is given more than once\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -399,26 +374,19 @@ def test_repeated_set_key_exits_2_before_any_cell(workdir, capsys, monkeypatch, 
     [
         (["run", "--set", "seeds=3"], "error: --seeds conflicts with --set seeds\n"),
         (["sweep", "--axis", "seeds=1,2"], "error: --seeds conflicts with --axis seeds\n"),
+        (["run", "--seeds", "3"], "error: --seeds is given more than once\n"),
     ],
-    ids=["set", "axis"],
+    ids=["set", "axis", "seeds"],
 )
-def test_seeds_flag_with_a_seeds_key_exits_2_before_any_cell(
-    workdir, capsys, monkeypatch, flags, message
-):
+def test_seeds_flag_with_a_seeds_key_exits_2_before_any_cell(rejects, flags, message):
     # --seeds would silently replace the seeds of every cell: a seeds axis
-    # would run identical cells under different labels.
-    def no_simulation(scenario):
-        pytest.fail("simulated although --seeds conflicts with a seeds key")
-
-    monkeypatch.setattr(cli, "run_seeds", no_simulation)
-    out = workdir / "conflict"
-    argv = [flags[0], str(workdir / "two_node.cfg"), *flags[1:], "--seeds", "2"]
-    assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == message
-    assert not out.exists()
+    # would run identical cells under different labels, and a second
+    # --seeds the first.
+    rejects([*flags, "--seeds", "2"], message)
 
 
-def _modules_after_fresh_import():
+@pytest.fixture(scope="module")
+def fresh_modules():
     """The names in sys.modules of a fresh interpreter that imported dtnsim.cli."""
     root = Path(__file__).resolve().parents[1]
     code = "import sys, dtnsim.cli\nprint('\\n'.join(sorted(sys.modules)))\n"
@@ -430,22 +398,19 @@ def _modules_after_fresh_import():
     return result.stdout.split()
 
 
-def test_cli_import_loads_no_scipy_or_numpy():
-    modules = _modules_after_fresh_import()
-    assert "dtnsim.cli" in modules
-    assert [m for m in modules if m.split(".")[0] in ("scipy", "numpy")] == []
+def test_cli_import_loads_no_scipy_or_numpy(fresh_modules):
+    assert "dtnsim.cli" in fresh_modules
+    assert [m for m in fresh_modules if m.split(".")[0] in ("scipy", "numpy")] == []
 
 
-def test_cli_import_loads_no_dataclasses_argparse_or_csv():
+def test_cli_import_loads_no_dataclasses_argparse_or_csv(fresh_modules):
     # Each is start-up time a simulation does not need: dataclasses also
     # loads inspect, argparse is imported by main, csv by write_csv.
-    modules = _modules_after_fresh_import()
-    assert "dtnsim.cli" in modules
-    assert [m for m in ("dataclasses", "inspect", "argparse", "csv") if m in modules] == []
+    assert "dtnsim.cli" in fresh_modules
+    assert [m for m in ("dataclasses", "inspect", "argparse", "csv") if m in fresh_modules] == []
 
 
-def test_cli_import_loads_no_openssl():
+def test_cli_import_loads_no_openssl(fresh_modules):
     # hashlib, and with it OpenSSL, is imported only to dump a ReplayTrace.
-    modules = _modules_after_fresh_import()
-    assert "dtnsim.cli" in modules
-    assert "_hashlib" not in modules
+    assert "dtnsim.cli" in fresh_modules
+    assert "_hashlib" not in fresh_modules

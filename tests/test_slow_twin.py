@@ -66,15 +66,19 @@ def replay(scenario):
     return trace.dump()
 
 
+def twin_replay(scenario, module, name, twin):
+    """The replay dump of `scenario` with `module.name` swapped for `twin`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, twin)
+        return replay(scenario)
+
+
 class TestExactRadioTwin:
     @given(small_worlds())
     @twin
     def test_certificates_off_give_the_same_run(self, scenario):
         fast = replay(scenario)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dtnsim.runner, "RadioNetwork", ExactRadio)
-            exact = replay(scenario)
-        assert exact == fast
+        assert twin_replay(scenario, dtnsim.runner, "RadioNetwork", ExactRadio) == fast
 
 
 class TestPerPacketTransportTwin:
@@ -82,10 +86,7 @@ class TestPerPacketTransportTwin:
     @twin
     def test_one_unicast_per_packet_gives_the_same_run(self, scenario):
         fast = replay(scenario)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dtnsim.runner, "NodeTransport", PerPacketTransport)
-            per_packet = replay(scenario)
-        assert per_packet == fast
+        assert twin_replay(scenario, dtnsim.runner, "NodeTransport", PerPacketTransport) == fast
 
 
 class TestScanningBufferTwin:
@@ -93,10 +94,7 @@ class TestScanningBufferTwin:
     @twin
     def test_a_buffer_that_scans_and_sorts_gives_the_same_run(self, scenario):
         fast = replay(scenario)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dtnsim.protocol, "MessageBuffer", ScanningBuffer)
-            scanning = replay(scenario)
-        assert scanning == fast
+        assert twin_replay(scenario, dtnsim.protocol, "MessageBuffer", ScanningBuffer) == fast
 
 
 class TestSummaryRebuildTwin:
@@ -104,10 +102,7 @@ class TestSummaryRebuildTwin:
     @twin
     def test_summaries_built_per_send_give_the_same_run(self, scenario):
         fast = replay(scenario)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dtnsim.runner, "EpidemicNode", RebuildingNode)
-            rebuilt = replay(scenario)
-        assert rebuilt == fast
+        assert twin_replay(scenario, dtnsim.runner, "EpidemicNode", RebuildingNode) == fast
 
 
 class TestHeapKernelTwin:
@@ -115,10 +110,7 @@ class TestHeapKernelTwin:
     @twin
     def test_one_heap_for_every_event_gives_the_same_run(self, scenario):
         fast = replay(scenario)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dtnsim.runner, "Simulator", HeapKernel)
-            heap_only = replay(scenario)
-        assert heap_only == fast
+        assert twin_replay(scenario, dtnsim.runner, "Simulator", HeapKernel) == fast
 
 
 class TestCopiedPayloadTwin:
@@ -126,7 +118,4 @@ class TestCopiedPayloadTwin:
     @twin
     def test_a_payload_copy_per_hand_over_gives_the_same_run(self, scenario):
         fast = replay(scenario)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dtnsim.runner, "NodeTransport", CopyingTransport)
-            copied = replay(scenario)
-        assert copied == fast
+        assert twin_replay(scenario, dtnsim.runner, "NodeTransport", CopyingTransport) == fast

@@ -284,6 +284,17 @@ def test_fixed_header_decode_tolerates_trailing_payload():
     assert DataPacketHeader.decode(hdr.encode() + b"payload") == hdr
 
 
+def test_package_exports_no_header_class():
+    # The header classes are the tests' reference codec, not the package's
+    # API: they are imported from dtnsim.wire.
+    import dtnsim
+
+    headers = (AckHeader, DataPacketHeader, EpidemicHeader, MessageTypeHeader, SummaryVectorHeader)
+    names = {cls.__name__ for cls in headers}
+    assert names.isdisjoint(dtnsim.__all__)
+    assert not [name for name in names if hasattr(dtnsim, name)]
+
+
 class TestNodeSends:
     """The bytes a node hands to its transport, which it packs with the
     layout Structs, against the header classes' own encoders; the
