@@ -3,9 +3,9 @@
 Expiry removes entries older than the configured ttl; when space runs out
 the oldest-generated entries are purged first. Summaries and disjoint sets
 drive the anti-entropy exchange. The stored ids are kept ascending by raw
-id as entries come and go, so a summary is a copy, not a sort; `version`
-changes on every store and removal, so a caller can reuse what it built
-from an unchanged buffer. A purge and a disjoint set take ids oldest first
+id, so a summary is a copy, not a sort, and as a set, which a disjoint
+set copies; `version` changes on every store and removal, so a caller
+can reuse what it built from an unchanged buffer. A purge and a disjoint set take ids oldest first
 by one rule, `_oldest_first`: by generation time, then by source.
 
 Each drop the buffer decides (expired, evicted, or a rejected duplicate,
@@ -86,8 +86,9 @@ class MessageBuffer:
         self._trace = trace
         self._node = node
         self._entries: dict[MessageId, QueueEntry] = {}
-        # The keys of _entries, ascending by raw id.
+        # The keys of _entries, ascending by raw id, and as a set.
         self._ids: list[MessageId] = []
+        self._id_set: set[MessageId] = set()
         self._used = 0
         # Bumped on every store and every removal.
         self.version = 0
@@ -147,6 +148,7 @@ class MessageBuffer:
                 self._purge_for(size, now)
             self._entries[mid] = entry
             insort(self._ids, mid)
+            self._id_set.add(mid)
             self.version += 1
             self._used += size
             if generated_at < self._oldest:
@@ -160,7 +162,7 @@ class MessageBuffer:
 
     def find_disjoint(self, remote: Iterable[int]) -> list[MessageId]:
         """Stored ids absent from `remote`, oldest generation first."""
-        return _oldest_first(sorted(self._entries.keys() - remote))
+        return _oldest_first(sorted(self._id_set.difference(remote)))
 
     def _purge_for(self, needed: int, now: int) -> None:
         """Evict oldest first until `needed` bytes are free; they are not yet."""
@@ -176,6 +178,7 @@ class MessageBuffer:
         entry = self._entries.pop(message_id)
         ids = self._ids
         del ids[bisect_left(ids, message_id)]
+        self._id_set.remove(message_id)
         self.version += 1
         self._used -= entry.byte_size
 

@@ -6,11 +6,12 @@
 Both commands write runs.csv (one row per run) and aggregate.csv (mean
 and 95% CI across seeds) into the output directory; a sweep prefixes
 both with one column per axis. `--seeds N` is the override seeds = 1..N.
-Input that is wrong for every cell (an unknown key, a key named twice by
-`--seeds`, `--set` or `--axis`, an unusable `--out`) is one `error:` line
-and exit 2 before anything runs. A cell that fails prints one `error:`
-line and the other cells still run: the exit code is 1 if some cell
-failed, and 2 if none ran, in which case nothing is written.
+Input that is wrong for every cell (a flag argparse rejects, an unknown
+key, a key named twice by `--seeds`, `--set` or `--axis`, an unusable
+`--out`) is one `error:` line and exit 2 before anything runs. A cell
+that fails prints one `error:` line and the other cells still run: the
+exit code is 1 if some cell failed, and 2 if none ran, in which case
+nothing is written.
 """
 
 from __future__ import annotations
@@ -152,7 +153,11 @@ def _cmd(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     import argparse  # here, not at the top: a simulation that parses no flags skips it
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # one `error:` line, as every rejection
+            raise ScenarioError(message)
+
+    parser = Parser(
         prog="dtnsim",
         description="Epidemic DTN routing simulator over an IP-style convergence layer",
     )
@@ -172,9 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         help="sweep axis over a scenario key (repeatable)",
     )
 
-    args = parser.parse_args(argv)
     try:
-        return _cmd(args)
+        return _cmd(parser.parse_args(argv))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,10 @@ an idle queue's head at once, and each completion serves the next head
 that is within residency (see RadioNetwork._service). A unicast reaches
 its destination if in range, a broadcast every other node in range, each
 subject to an optional per-receiver Bernoulli loss draw. A node hands
-every unicast to its queue through `NodeTransport.unicast_message`, k
-packets in one call (a message's data packets, a summary's fragments, or
-one ACK), which queues, drops and reports them exactly as k `unicast`
-calls would.
+every unicast to its queue through `NodeTransport.unicast_message`, the
+queue's own enqueue, k packets in one call (a message's data packets, a
+summary's fragments, or one ACK), which queues, drops and reports them
+exactly as k `unicast` calls would.
 
 Range is decided when a transmission completes. The exact check,
 `RadioNetwork.in_range(a, b)`, asked at `now` only, looks up each node's
@@ -42,9 +42,10 @@ and a delivery in flight is (entry, receiver).
 
 The RunTrace passed into `runner.build_run` or `run_once` is the radio's
 only observer. Each hand-over looks up its counter row of (src, dst,
-kind) with `trace.row`: the radio counts a packet's submission,
-transmission and unicast delivery there in place, and reports every
-other outcome (a drop, or a broadcast's delivery to one receiver) as one
+kind) with `trace.row`, where the radio counts a packet's submission and
+transmission in place. It counts every delivery in place too, in the row
+of (src, receiver, kind): a unicast's is its hand-over's row, a
+broadcast's is looked up per receiver. Only a drop is a
 `trace.packet_event` call. A trace whose `observe` is set also sees
 every outcome, in order (see records). Tests observe a run by passing a
 RunTrace subclass, such as a ReplayTrace for the packet stream digest,
@@ -419,12 +420,13 @@ class RadioNetwork:
 
     def _delivery(self) -> Callable[[], None]:
         """The delivery event, one closure made once for all nodes: it ends
-        the oldest scheduled delivery at its receiver's handler. A unicast
-        delivery is counted in its row (slots 4-5, as in _service); a
-        broadcast's, whose row has no receiver, is a packet_event."""
+        the oldest scheduled delivery at its receiver's handler. Every
+        delivery is counted in place in the row of (src, receiver, kind),
+        slots 4-5 as in _service: a unicast's is its hand-over's row, and a
+        broadcast's, whose hand-over row has no receiver, is looked up."""
         in_flight = self._in_flight
         handlers = self._handlers
-        packet_event = self.trace.packet_event
+        row_of = self.trace.row
         observe = self.trace.observe
         sim = self.sim
 
@@ -432,12 +434,11 @@ class RadioNetwork:
             (size, data, payload, meta, _), receiver = in_flight.popleft()
             src, dst, port, kind, msg_dst, row = meta
             if dst is None:
-                packet_event(kind, PKT_DELIVERED, size, src, receiver)
-            else:
-                row[4] += 1
-                row[5] += size
-                if observe is not None:
-                    observe(kind, PKT_DELIVERED, size, src, receiver)
+                row = row_of(src, receiver, kind)
+            row[4] += 1
+            row[5] += size
+            if observe is not None:
+                observe(kind, PKT_DELIVERED, size, src, receiver)
             handlers[receiver](src, port, data, msg_dst, sim.now, payload)
 
         return deliver
@@ -470,7 +471,6 @@ class NodeTransport:
     def __init__(self, network: RadioNetwork, node_id: int) -> None:
         self._network = network
         self._node_id = node_id
-        self._enqueue = network._enqueues[node_id]
 
     def broadcast(self, port: int, data: bytes, kind: str) -> None:
         self._network.submit(self._node_id, None, port, data, kind)
@@ -486,17 +486,12 @@ class NodeTransport:
     ) -> None:
         self._network.submit(self._node_id, dst, port, data, kind, msg_dst, payload)
 
-    def unicast_message(
-        self,
-        dst: int,
-        port: int,
-        headers: Sequence[bytes],
-        kind: str,
-        msg_dst: int | None,
-        payloads: Sequence[bytes],
-    ) -> None:
-        """One `unicast` per (header, payload) pair, in order, in one call."""
-        self._enqueue(dst, port, headers, kind, msg_dst, payloads)
+    @property
+    def unicast_message(self) -> Callable[..., None]:
+        """unicast_message(dst, port, headers, kind, msg_dst, payloads): one
+        `unicast` per (header, payload) pair, in order, in one call, made by
+        the device queue's own enqueue, not through a forwarding method."""
+        return self._network._enqueues[self._node_id]
 
     def schedule(self, time_us: int, fn: Callable[[], None]) -> None:
         self._network.sim.schedule(time_us, EVENT_TIMER, fn)

@@ -208,15 +208,8 @@ class Transport(Protocol):
 
     def broadcast(self, port: int, data: bytes, kind: str) -> None: ...
 
-    def unicast_message(
-        self,
-        dst: int,
-        port: int,
-        headers: Sequence[bytes],
-        kind: str,
-        msg_dst: int | None,
-        payloads: Sequence[bytes],
-    ) -> None: ...
+    def unicast_message(self, dst: int, port: int, headers: Sequence[bytes], kind: str,
+                        msg_dst: int | None, payloads: Sequence[bytes]) -> None: ...
 
     def schedule(self, time_us: int, fn) -> None: ...
 
@@ -450,12 +443,15 @@ class EpidemicNode:
             )
             self._summary_version = buffer.version
         frags = self._summary_fragments
-        self._unicast(nb.address, PORT_CONTROL, [envelope + frag for frag in frags],
-                      kind, None, _NO_PAYLOAD * len(frags))
+        # A one-element list, a one-fragment summary's, needs no comprehension's frame.
+        datagrams = [envelope + frags[0]] if len(frags) == 1 else [envelope + f for f in frags]
+        self._unicast(nb.address, PORT_CONTROL, datagrams, kind, None, _NO_PAYLOAD * len(frags))
 
     def _load_pipeline(self, nb: NeighborRecord, remote: list[tuple[int, ...]], now: int) -> None:
-        # The fragments' ids are read once, by find_disjoint: no set of them is made.
-        nb.pending = deque(self.buffer.find_disjoint(chain.from_iterable(remote)))
+        # The fragments' ids are read once, by find_disjoint: no set of them is
+        # made, and one fragment's tuple goes as it is, without `chain`.
+        ids = remote[0] if len(remote) == 1 else chain.from_iterable(remote)
+        nb.pending = deque(self.buffer.find_disjoint(ids))
         self._advance_pipeline(nb, now)
 
     # -- message transfer ---------------------------------------------------
@@ -473,7 +469,8 @@ class EpidemicNode:
             packets = entry.packets
             hops, node_id, total = entry.hop_budget, self.node_id, len(packets)
             pack = _DATA_HEADERS.pack
-            headers = [pack(mid, hops, mid, node_id, total, index) for index in range(total)]
+            headers = ([pack(mid, hops, mid, node_id, 1, 0)] if total == 1 else
+                       [pack(mid, hops, mid, node_id, total, index) for index in range(total)])
             self._unicast(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
             nb.in_flight = mid
             return

@@ -11,10 +11,10 @@ record holds its id as a MessageId, where the trace was given a plain int.
 Packet outcomes are counted in rows, one flat list of ints per (src, dst,
 kind) that occurs, holding a packet count and a byte total per outcome of
 PKT_OUTCOMES. The radio updates the submitted, transmitted and delivered
-slots of a row in place; every other outcome is one `packet_event` call.
-A trace whose `observe` is not None also sees every outcome, in the order
-they happen, as one `observe(kind, outcome, size, src, dst)` call each:
-that is how a ReplayTrace folds the packet stream.
+slots in place (a broadcast's delivery in its receiver's row); each drop
+is one `packet_event` call. A trace whose `observe` is not None also sees
+every outcome, in order, as one `observe(kind, outcome, size, src, dst)`
+call each: that is how a ReplayTrace folds the packet stream.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class RunTrace:
     def packet_event(
         self, kind: str, outcome: str, size: int, src: int, dst: int | None
     ) -> None:
-        """Count one packet outcome that the radio does not count in place."""
+        """Count one packet drop; the radio counts the other outcomes in place."""
         row = self.row(src, dst, kind)
         slot = _SLOT[outcome]
         row[slot] += 1

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import tier1_or_deep
 from hypothesis import example, given, settings, strategies as st
 
 from dtnsim.buffer import MessageBuffer, QueueEntry
@@ -389,6 +390,48 @@ def test_expiry_and_eviction_match_brute_force(op_list):
         assert buf.find_disjoint(remote) == sorted(
             set(ref.entries) - remote, key=lambda r: (ref.entries[r][0], r)
         )
+
+
+disjoint_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["new", "duplicate", "arrival_expired", "too_large", "expire", "purge"]),
+        st.integers(0, 5),  # source of an enqueued id, or which stored id a duplicate repeats
+        st.integers(0, 30),  # time step before the operation
+        st.integers(0, 255),  # bit i set: the remote holds the i-th id of the summary
+        st.booleans(),  # the remote also holds an id never stored
+    ),
+    max_size=30,
+)
+
+
+@tier1_or_deep(200)
+@given(disjoint_steps)
+@example([("new", 1, 0, 0, False), ("new", 2, 5, 1, True), ("purge", 3, 5, 0, False),
+          ("expire", 0, 60, 0, False), ("duplicate", 0, 0, 0, False)])
+def test_find_disjoint_matches_the_summary_after_every_step(steps):
+    # The buffer keeps its ids as a set beside the sorted list: after any
+    # store, rejection, expiry or purge the disjoint set must be what the
+    # summary says is stored, less the remote's ids, oldest first.
+    buf, _ = make_buffer(40, ttl=50)
+    now = 100
+    for op, n, step, mask, foreign in steps:
+        now += step
+        stored = buf.summary()
+        if op == "expire":
+            buf.drop_expired(now)
+        elif op == "duplicate" and stored:
+            buf.enqueue(QueueEntry(stored[n % len(stored)], 99, (bytes(10),), 5), now)
+        else:
+            age = 51 + n if op == "arrival_expired" else n
+            size = {"too_large": 41, "purge": 30}.get(op, 10)
+            buf.enqueue(entry(n, now - age, size=size), now)
+        summary = buf.summary()
+        assert summary == sorted(e.message_id for e in buf.entries())
+        remote = [mid for i, mid in enumerate(summary) if mask >> i & 1]
+        if foreign:
+            remote.append(make_message_id(6, now))
+        expected = sorted(set(summary) - set(remote), key=lambda mid: (mid & TIMESTAMP_MAX, mid))
+        assert buf.find_disjoint(tuple(remote)) == expected
 
 
 ops = st.lists(

@@ -385,6 +385,26 @@ def test_seeds_flag_with_a_seeds_key_exits_2_before_any_cell(rejects, flags, mes
     rejects([*flags, "--seeds", "2"], message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--seeds", "x"], "error: argument --seeds: invalid int value: 'x'\n"),
+        (["sweep"], "error: the following arguments are required: --axis\n"),
+    ],
+    ids=["unreadable_value", "missing_axis"],
+)
+def test_argparse_rejection_is_one_error_line(rejects, argv, message):
+    # argparse's own rejections print no usage lines and no `dtnsim run:` prefix.
+    rejects(argv, message)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dtnsim run ")
+
+
 @pytest.fixture(scope="module")
 def fresh_modules():
     """The names in sys.modules of a fresh interpreter that imported dtnsim.cli."""

@@ -561,6 +561,23 @@ class TestAttach:
             net.attach(1, lambda *a: None)
 
 
+class CountingTrace(RunTrace):
+    """A RunTrace that counts its packet_event calls and logs every outcome
+    it observes, as (kind, outcome, size, src, dst)."""
+
+    def __init__(self):
+        super().__init__()
+        self.packet_events = 0
+        self.observed = []
+
+    def packet_event(self, *event):
+        self.packet_events += 1
+        super().packet_event(*event)
+
+    def observe(self, *event):
+        self.observed.append(event)
+
+
 class TestTransmission:
     def test_unicast_zero_loss_delivers_everything(self):
         sim, net, trace = make_net([(0, 0), (10, 0)])
@@ -609,6 +626,22 @@ class TestTransmission:
         net.submit(0, None, 1, b"abc", "beacon")
         sim.run(SEC)
         assert sorted(got) == [1, 2]  # node 3 out of range, sender excluded
+
+    def test_broadcast_deliveries_counted_in_place_per_receiver(self):
+        # Sender 2 reaches nodes 0 and 1 below it and 3 above it; 4 is out of range.
+        sim, net, trace = make_net(
+            [(10, 0), (20, 0), (0, 0), (30, 0), (500, 0)], trace=CountingTrace()
+        )
+        net.submit(2, None, 1, b"abc", "beacon")
+        sim.run(SEC)
+        receivers = (0, 1, 3)
+        delivered = {key: n for key, n in trace.pair_counts.items() if key[3] == PKT_DELIVERED}
+        assert delivered == {(2, r, "beacon", PKT_DELIVERED): 1 for r in receivers}
+        assert trace.bytes_of("beacon", PKT_DELIVERED) == 3 * (3 + 28)
+        assert trace.packet_events == 0
+        assert [event for event in trace.observed if event[1] == PKT_DELIVERED] == [
+            ("beacon", PKT_DELIVERED, 3 + 28, 2, r) for r in receivers
+        ]
 
     def test_out_of_range_unicast_counted(self):
         sim, net, trace = make_net([(0, 0), (500, 0)])
