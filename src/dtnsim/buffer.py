@@ -3,10 +3,11 @@
 Expiry removes entries older than the configured ttl; when space runs out
 the oldest-generated entries are purged first. Summaries and disjoint sets
 drive the anti-entropy exchange. The stored ids are kept ascending by raw
-id, so a summary is a copy, not a sort, and as a set, which a disjoint
-set copies; `version` changes on every store and removal, so a caller
-can reuse what it built from an unchanged buffer. A purge and a disjoint set take ids oldest first
-by one rule, `_oldest_first`: by generation time, then by source.
+id, so a summary is a copy, not a sort, and as a set, which a disjoint set
+copies; `version` changes on every store and removal, so a caller can
+reuse what it built from an unchanged buffer. A purge and a disjoint set
+take ids oldest first by one rule, `_oldest_first`: by generation time,
+then by source.
 
 Each drop the buffer decides (expired, evicted, or a rejected duplicate,
 arrival_expired or too_large message) is recorded in the run's trace.
@@ -160,9 +161,9 @@ class MessageBuffer:
         """All stored ids, ascending by raw id."""
         return self._ids.copy()
 
-    def find_disjoint(self, remote: Iterable[int]) -> list[MessageId]:
-        """Stored ids absent from `remote`, oldest generation first."""
-        return _oldest_first(sorted(self._id_set.difference(remote)))
+    def find_disjoint(self, *remote: Iterable[int]) -> list[MessageId]:
+        """Stored ids absent from every iterable of `remote`, oldest generation first."""
+        return _oldest_first(sorted(self._id_set.difference(*remote)))
 
     def _purge_for(self, needed: int, now: int) -> None:
         """Evict oldest first until `needed` bytes are free; they are not yet."""

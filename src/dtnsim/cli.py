@@ -8,10 +8,9 @@ and 95% CI across seeds) into the output directory; a sweep prefixes
 both with one column per axis. `--seeds N` is the override seeds = 1..N.
 Input that is wrong for every cell (a flag argparse rejects, an unknown
 key, a key named twice by `--seeds`, `--set` or `--axis`, an unusable
-`--out`) is one `error:` line and exit 2 before anything runs. A cell
-that fails prints one `error:` line and the other cells still run: the
-exit code is 1 if some cell failed, and 2 if none ran, in which case
-nothing is written.
+`--out`) is one `error:` line and exit 2 before anything runs. A failing
+cell prints one `error:` line and the other cells still run: the exit
+code is 1 if some cell failed, and 2 if none ran (nothing is written).
 """
 
 from __future__ import annotations

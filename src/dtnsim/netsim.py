@@ -42,10 +42,9 @@ and a delivery in flight is (entry, receiver).
 
 The RunTrace passed into `runner.build_run` or `run_once` is the radio's
 only observer. Each hand-over looks up its counter row of (src, dst,
-kind) with `trace.row`, where the radio counts a packet's submission and
-transmission in place. It counts every delivery in place too, in the row
-of (src, receiver, kind): a unicast's is its hand-over's row, a
-broadcast's is looked up per receiver. Only a drop is a
+kind) with `trace.row`: the radio counts a packet's submission,
+transmission and delivery there in place (a broadcast's delivery in the
+row of its receiver), and reports only a drop, as one
 `trace.packet_event` call. A trace whose `observe` is set also sees
 every outcome, in order (see records). Tests observe a run by passing a
 RunTrace subclass, such as a ReplayTrace for the packet stream digest,
@@ -420,10 +419,9 @@ class RadioNetwork:
 
     def _delivery(self) -> Callable[[], None]:
         """The delivery event, one closure made once for all nodes: it ends
-        the oldest scheduled delivery at its receiver's handler. Every
-        delivery is counted in place in the row of (src, receiver, kind),
-        slots 4-5 as in _service: a unicast's is its hand-over's row, and a
-        broadcast's, whose hand-over row has no receiver, is looked up."""
+        the oldest scheduled delivery at its receiver's handler. It counts
+        every delivery in place (slots 4-5, as in _service): a unicast's in
+        its row, a broadcast's, whose row has no receiver, in the receiver's."""
         in_flight = self._in_flight
         handlers = self._handlers
         row_of = self.trace.row

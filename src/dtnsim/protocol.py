@@ -38,7 +38,6 @@ from __future__ import annotations
 import random
 import struct
 from collections import deque
-from itertools import chain
 from typing import Protocol, Sequence
 
 from ._value import Frozen
@@ -208,8 +207,15 @@ class Transport(Protocol):
 
     def broadcast(self, port: int, data: bytes, kind: str) -> None: ...
 
-    def unicast_message(self, dst: int, port: int, headers: Sequence[bytes], kind: str,
-                        msg_dst: int | None, payloads: Sequence[bytes]) -> None: ...
+    def unicast_message(
+        self,
+        dst: int,
+        port: int,
+        headers: Sequence[bytes],
+        kind: str,
+        msg_dst: int | None,
+        payloads: Sequence[bytes],
+    ) -> None: ...
 
     def schedule(self, time_us: int, fn) -> None: ...
 
@@ -448,10 +454,7 @@ class EpidemicNode:
         self._unicast(nb.address, PORT_CONTROL, datagrams, kind, None, _NO_PAYLOAD * len(frags))
 
     def _load_pipeline(self, nb: NeighborRecord, remote: list[tuple[int, ...]], now: int) -> None:
-        # The fragments' ids are read once, by find_disjoint: no set of them is
-        # made, and one fragment's tuple goes as it is, without `chain`.
-        ids = remote[0] if len(remote) == 1 else chain.from_iterable(remote)
-        nb.pending = deque(self.buffer.find_disjoint(ids))
+        nb.pending = deque(self.buffer.find_disjoint(*remote))
         self._advance_pipeline(nb, now)
 
     # -- message transfer ---------------------------------------------------

@@ -102,8 +102,8 @@ class ScanningBuffer(MessageBuffer):
     def summary(self):
         return sorted(self._entries)
 
-    def find_disjoint(self, remote):
-        remote = set(remote)
+    def find_disjoint(self, *remote):
+        remote = set().union(*remote)
         return sorted((mid for mid in self._entries if mid not in remote), key=_age_order)
 
     def _purge_for(self, needed, now):

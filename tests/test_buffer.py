@@ -345,35 +345,38 @@ class ReferenceBuffer:
 
 buffer_ops = st.lists(
     st.tuples(
-        # "evict" enqueues an entry large enough to purge older ones.
-        st.sampled_from(["enqueue", "evict", "expire"]),
+        # "evict" enqueues an entry large enough to purge older ones,
+        # "too_large" one larger than the whole buffer.
+        st.sampled_from(["enqueue", "evict", "too_large", "expire"]),
         st.integers(0, 5),  # source
         st.integers(0, 80),  # age at arrival (ttl is 50)
         st.integers(0, 30),  # time step before the operation
         st.integers(0, 15),  # bit i set: the remote holds the i-th stored id
+        st.booleans(),  # the remote also holds an id never stored
     ),
     max_size=40,
 )
 
 
-@settings(max_examples=300)
+@tier1_or_deep(300)
 @given(buffer_ops)
-@example([("enqueue", 1, 0, 0, 0), ("enqueue", 2, 0, 20, 1), ("evict", 3, 0, 10, 2),
-          ("expire", 0, 0, 41, 3), ("expire", 0, 0, 10, 0)])
+@example([("enqueue", 1, 0, 0, 0, False), ("enqueue", 2, 0, 20, 1, True),
+          ("evict", 3, 0, 10, 2, False), ("too_large", 4, 0, 0, 0, True),
+          ("expire", 0, 0, 41, 3, False), ("expire", 0, 0, 10, 0, False)])
 def test_expiry_and_eviction_match_brute_force(op_list):
     # Compares the drops each operation records with the oracle's, and the
     # summary and disjoint set with the oracle's contents.
     buf, trace = make_buffer(40, ttl=50)
     ref = ReferenceBuffer(40, 50)
     now = 0
-    for op, source, age, step, remote_mask in op_list:
+    for op, source, age, step, remote_mask, foreign in op_list:
         now += step
         if op == "expire":
             buf.drop_expired(now)
             expected = [(r, MSG_EXPIRED, now) for r in ref.drop_expired(now)]
         else:
             gen = max(now - age, 0)
-            size = 25 if op == "evict" else 10
+            size = {"evict": 25, "too_large": 41}.get(op, 10)
             buf.enqueue(entry(source, gen, size=size), now)
             raw = make_message_id(source, gen)
             rejected, expired, evicted = ref.enqueue(raw, gen, size, now)
@@ -386,52 +389,13 @@ def test_expiry_and_eviction_match_brute_force(op_list):
             (e.message_id, e.message_id.timestamp_us, e.byte_size) for e in buf.entries()
         ] == [(MessageId(r), gen, size) for r, (gen, size) in ref.entries.items()]
         assert buf.summary() == sorted(ref.entries)
-        remote = {r for i, r in enumerate(ref.entries) if remote_mask >> i & 1}
-        assert buf.find_disjoint(remote) == sorted(
-            set(ref.entries) - remote, key=lambda r: (ref.entries[r][0], r)
-        )
-
-
-disjoint_steps = st.lists(
-    st.tuples(
-        st.sampled_from(["new", "duplicate", "arrival_expired", "too_large", "expire", "purge"]),
-        st.integers(0, 5),  # source of an enqueued id, or which stored id a duplicate repeats
-        st.integers(0, 30),  # time step before the operation
-        st.integers(0, 255),  # bit i set: the remote holds the i-th id of the summary
-        st.booleans(),  # the remote also holds an id never stored
-    ),
-    max_size=30,
-)
-
-
-@tier1_or_deep(200)
-@given(disjoint_steps)
-@example([("new", 1, 0, 0, False), ("new", 2, 5, 1, True), ("purge", 3, 5, 0, False),
-          ("expire", 0, 60, 0, False), ("duplicate", 0, 0, 0, False)])
-def test_find_disjoint_matches_the_summary_after_every_step(steps):
-    # The buffer keeps its ids as a set beside the sorted list: after any
-    # store, rejection, expiry or purge the disjoint set must be what the
-    # summary says is stored, less the remote's ids, oldest first.
-    buf, _ = make_buffer(40, ttl=50)
-    now = 100
-    for op, n, step, mask, foreign in steps:
-        now += step
-        stored = buf.summary()
-        if op == "expire":
-            buf.drop_expired(now)
-        elif op == "duplicate" and stored:
-            buf.enqueue(QueueEntry(stored[n % len(stored)], 99, (bytes(10),), 5), now)
-        else:
-            age = 51 + n if op == "arrival_expired" else n
-            size = {"too_large": 41, "purge": 30}.get(op, 10)
-            buf.enqueue(entry(n, now - age, size=size), now)
-        summary = buf.summary()
-        assert summary == sorted(e.message_id for e in buf.entries())
-        remote = [mid for i, mid in enumerate(summary) if mask >> i & 1]
+        remote = [r for i, r in enumerate(ref.entries) if remote_mask >> i & 1]
         if foreign:
             remote.append(make_message_id(6, now))
-        expected = sorted(set(summary) - set(remote), key=lambda mid: (mid & TIMESTAMP_MAX, mid))
-        assert buf.find_disjoint(tuple(remote)) == expected
+        # As a summary's fragments: the remote's ids in two tuples.
+        assert buf.find_disjoint(tuple(remote[::2]), tuple(remote[1::2])) == sorted(
+            set(ref.entries) - set(remote), key=lambda r: (ref.entries[r][0], r)
+        )
 
 
 ops = st.lists(
