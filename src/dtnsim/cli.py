@@ -114,6 +114,10 @@ def _cmd(args) -> int:
         labels[key] = label
     overrides = {key: value for flag, key, value in named if flag != "--axis"}
     axis_keys = [key for key, _ in axes]
+    for name in ("runs.csv", "aggregate.csv"):
+        report = Path(args.out) / name
+        if report.exists() and not report.is_file():
+            raise ScenarioError(f"report path {report} is not a regular file")
     out, created = _make_out_dir(args.out)
 
     run_rows: list[dict[str, str]] = []

@@ -46,13 +46,10 @@ from dtnsim.wire import (
 
 SEC = 1_000_000
 
-# Example budgets of the whole-run twins (tests/test_slow_twin.py). Tier-1
-# runs them under "twins" and leaves every other test's settings alone.
-# `--hypothesis-profile=deep` runs ten times as many, and makes 400 the
-# default of every test it selects: run it on the twin file alone, or on
-# a test class whose budget is `tier1_or_deep(200)`, such as
-# tests/test_netsim.py::TestRangeCertificate, which it makes 2,000.
-settings.register_profile("twins", max_examples=40, deadline=None)
+# The one budget rule of every test that CI searches deeply: a test states
+# its tier-1 budget once, as `@tier1_or_deep(n)`, and gets n examples with
+# no deadline in tier-1 and 10n under `--hypothesis-profile=deep`. That
+# profile also makes 400 the budget of every test that states none.
 settings.register_profile("deep", max_examples=400, deadline=None)
 
 

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The desk-scale trend
 scenario (criteria 9 and 10) is computed once in a module fixture and
-takes a few minutes; everything else is fast.
+takes about 20 s; everything else is fast.
 """
 
 import filecmp

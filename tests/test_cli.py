@@ -358,6 +358,20 @@ def test_out_path_that_is_a_file_exits_2_before_simulating(workdir, rejects, com
     assert taken.read_text() == "keep"
 
 
+@pytest.mark.parametrize("name", ["runs.csv", "aggregate.csv"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]
+)
+def test_report_path_that_is_not_a_file_exits_2_before_simulating(
+    workdir, rejects, command, name
+):
+    # Found only when the report is written, it would cost every cell's run
+    # and leave runs.csv without aggregate.csv.
+    (workdir / "busy" / name).mkdir(parents=True)
+    message = f"error: report path {workdir / 'busy' / name} is not a regular file\n"
+    rejects(command, message, out="busy")
+
+
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]
 )

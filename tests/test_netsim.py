@@ -15,7 +15,7 @@ from conftest import (
     static_trace,
     tier1_or_deep,
 )
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from slow_twin import HeapKernel
 
 from dtnsim.mobility import Trajectory, parse_ns2_trace
@@ -176,7 +176,7 @@ class TestKernelMatchesHeapReference:
     @example(([[0], [], []], [("schedule", 1), ("schedule", 1)]))
     # Events scheduled at now between runs, before and after a run.
     @example(([[0, 2], [0], []], [("schedule", 0), ("run", 0), ("schedule", 0), ("run", 2)]))
-    @settings(max_examples=300, deadline=None)
+    @tier1_or_deep(300)
     def test_same_log_as_heap_only_kernel(self, program):
         plan, steps = program
         assert run_program(Simulator(), plan, steps) == run_program(HeapKernel(), plan, steps)

@@ -6,9 +6,9 @@ import hashlib
 import re
 
 import pytest
-from conftest import SEC, assert_run_laws
+from conftest import SEC, assert_run_laws, tier1_or_deep
 from hypothesis import given
-from test_slow_twin import small_world_traces, small_worlds, twin
+from test_slow_twin import small_world_traces, small_worlds
 
 import dtnsim.mobility
 from dtnsim.mobility import Trajectory, parse_ns2_trace
@@ -72,7 +72,7 @@ def records_before(trace, t_us):
 
 class TestSymmetriesOfTheSquare:
     @given(small_world_traces())
-    @twin
+    @tier1_or_deep(40)
     def test_each_symmetry_gives_the_same_run(self, world):
         # Distances, crossing times and the pieces' scales combine the
         # coordinates by sums of products, absolute values and maxima, so
@@ -88,7 +88,7 @@ class TestSymmetriesOfTheSquare:
 
 class TestCausality:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_a_run_of_half_the_duration_is_the_first_half_of_the_run(self, scenario):
         # The traffic window ends at half the duration, so both runs make
         # the same messages; nothing before then may depend on the run's end.
@@ -100,7 +100,7 @@ class TestCausality:
 
 class TestHopLimitOne:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_every_copy_leaves_the_source_and_arrives_in_one_hop(self, scenario):
         world = scenario._replace(protocol=scenario.protocol._replace(hop_limit=1))
         trace = run(world)

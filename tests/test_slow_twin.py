@@ -1,6 +1,7 @@
 """Whole runs through the plain path of a fast path match the fast run."""
 
 import pytest
+from conftest import tier1_or_deep
 from hypothesis import given, settings, strategies as st
 from slow_twin import (
     CopyingTransport,
@@ -56,9 +57,20 @@ def small_worlds():
     return small_world_traces().map(lambda world: world[1])
 
 
-# The "twins" profile of conftest.py, or "deep" when it is the loaded one.
-deep = settings.get_profile("deep")
-twin = deep if settings.default is deep else settings.get_profile("twins")
+def test_a_budget_is_n_examples_in_tier1_and_ten_times_n_under_deep():
+    # The twins' 40 worlds in tier-1 and 400 in CI's deep run, and every
+    # other `tier1_or_deep` budget, come from this one rule. Hypothesis
+    # loads "ci" by itself on a CI runner, so tier-1 there runs under it.
+    previous = settings.get_current_profile_name()
+    try:
+        budgets = []
+        for profile in ("default", "ci", "deep"):
+            settings.load_profile(profile)
+            budget = tier1_or_deep(40)
+            budgets.append((profile, budget.max_examples, budget.deadline))
+    finally:
+        settings.load_profile(previous)
+    assert budgets == [("default", 40, None), ("ci", 40, None), ("deep", 400, None)]
 
 
 def replay(scenario):
@@ -75,7 +87,7 @@ def twin_replay(scenario, module, name, twin):
 
 class TestExactRadioTwin:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_certificates_off_give_the_same_run(self, scenario):
         fast = replay(scenario)
         assert twin_replay(scenario, dtnsim.runner, "RadioNetwork", ExactRadio) == fast
@@ -83,7 +95,7 @@ class TestExactRadioTwin:
 
 class TestPerPacketTransportTwin:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_one_unicast_per_packet_gives_the_same_run(self, scenario):
         fast = replay(scenario)
         assert twin_replay(scenario, dtnsim.runner, "NodeTransport", PerPacketTransport) == fast
@@ -91,7 +103,7 @@ class TestPerPacketTransportTwin:
 
 class TestScanningBufferTwin:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_a_buffer_that_scans_and_sorts_gives_the_same_run(self, scenario):
         fast = replay(scenario)
         assert twin_replay(scenario, dtnsim.protocol, "MessageBuffer", ScanningBuffer) == fast
@@ -99,7 +111,7 @@ class TestScanningBufferTwin:
 
 class TestSummaryRebuildTwin:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_summaries_built_per_send_give_the_same_run(self, scenario):
         fast = replay(scenario)
         assert twin_replay(scenario, dtnsim.runner, "EpidemicNode", RebuildingNode) == fast
@@ -107,7 +119,7 @@ class TestSummaryRebuildTwin:
 
 class TestHeapKernelTwin:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_one_heap_for_every_event_gives_the_same_run(self, scenario):
         fast = replay(scenario)
         assert twin_replay(scenario, dtnsim.runner, "Simulator", HeapKernel) == fast
@@ -115,7 +127,7 @@ class TestHeapKernelTwin:
 
 class TestCopiedPayloadTwin:
     @given(small_worlds())
-    @twin
+    @tier1_or_deep(40)
     def test_a_payload_copy_per_hand_over_gives_the_same_run(self, scenario):
         fast = replay(scenario)
         assert twin_replay(scenario, dtnsim.runner, "NodeTransport", CopyingTransport) == fast
