@@ -8,9 +8,10 @@ and 95% CI across seeds) into the output directory; a sweep prefixes
 both with one column per axis. `--seeds N` is the override seeds = 1..N.
 Input that is wrong for every cell (a flag argparse rejects, an unknown
 key, a key named twice by `--seeds`, `--set` or `--axis`, an unusable
-`--out`) is one `error:` line and exit 2 before anything runs. A failing
-cell prints one `error:` line and the other cells still run: the exit
-code is 1 if some cell failed, and 2 if none ran (nothing is written).
+`--out`, a scenario file that cannot be read or parsed) is one `error:`
+line and exit 2 before anything runs. A failing cell prints one `error:`
+line and the other cells still run: the exit code is 1 if some cell
+failed, and 2 if none ran (nothing is written).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .metrics import (
     write_csv,
 )
 from .runner import run_seeds
-from .scenario import _SCHEMA, ScenarioError, load_scenario
+from .scenario import _SCHEMA, ScenarioError, build_scenario, read_scenario
 
 
 def _parse_assignment(text: str, flag: str) -> tuple[str, str]:
@@ -118,6 +119,8 @@ def _cmd(args) -> int:
         report = Path(args.out) / name
         if report.exists() and not report.is_file():
             raise ScenarioError(f"report path {report} is not a regular file")
+    path = Path(args.scenario)
+    raw = read_scenario(path)
     out, created = _make_out_dir(args.out)
 
     run_rows: list[dict[str, str]] = []
@@ -128,7 +131,7 @@ def _cmd(args) -> int:
             cell = dict(zip(axis_keys, combo))
             prefix = "".join(f"[{key}={value}] " for key, value in cell.items())
             try:
-                reports = run_seeds(load_scenario(args.scenario, {**overrides, **cell}))
+                reports = run_seeds(build_scenario({**raw, **overrides, **cell}, path.parent))
             except ValueError as exc:  # ScenarioError, TraceParseError, IdCollisionError too
                 failed += 1
                 print(f"error: {prefix}{exc}", file=sys.stderr)

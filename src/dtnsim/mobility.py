@@ -1,4 +1,4 @@
-"""ns-2 mobility traces: parsing, piecewise-linear trajectories, generation.
+"""ns-2 mobility traces: parsing, and the piecewise-linear trajectories they describe.
 
 Accepted lines:
 
@@ -12,7 +12,8 @@ destination; a waypoint mid-flight cuts the current move short. Node
 indices must be contiguous from 0, every node needs an initial X_ and Y_,
 every time, coordinate and speed must be finite, and no time or speed may
 be negative. A Trajectory keeps its motion as one table of linear pieces,
-which `position_at` and `piece_at` both look up.
+which `position_at` and `piece_at` both look up. The module reads traces
+and makes none.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-import random
 from typing import Iterable
 
 
@@ -206,40 +206,3 @@ def parse_ns2_trace(text: str) -> list[Trajectory]:
         Trajectory(initials[node]["X"], initials[node]["Y"], per_node[node])
         for node in range(count)
     ]
-
-
-def generate_random_waypoint_trace(
-    n_nodes: int,
-    width: float,
-    height: float,
-    speed_min: float,
-    speed_max: float,
-    duration: float,
-    seed: int | str,
-) -> str:
-    """Emit ns-2 trace text for a random-waypoint scenario (no pauses)."""
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be positive")
-    if not 0 < speed_min <= speed_max:
-        raise ValueError("need 0 < speed_min <= speed_max")
-    rng = random.Random(f"rwp:{seed}")
-    lines = []
-    walks: list[list[str]] = []
-    for node in range(n_nodes):
-        x, y = rng.uniform(0, width), rng.uniform(0, height)
-        lines.append(f"$node_({node}) set X_ {x:.4f}")
-        lines.append(f"$node_({node}) set Y_ {y:.4f}")
-        t = 0.0
-        node_lines = []
-        while t < duration:
-            nx, ny = rng.uniform(0, width), rng.uniform(0, height)
-            speed = rng.uniform(speed_min, speed_max)
-            node_lines.append(
-                f'$ns_ at {t:.4f} "$node_({node}) setdest {nx:.4f} {ny:.4f} {speed:.4f}"'
-            )
-            t += math.hypot(nx - x, ny - y) / speed
-            x, y = nx, ny
-        walks.append(node_lines)
-    for node_lines in walks:
-        lines.extend(node_lines)
-    return "\n".join(lines) + "\n"

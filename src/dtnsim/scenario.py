@@ -10,8 +10,9 @@ timestamp, and a message fits a node's buffer. It also defaults the device
 queue to the buffer capacity and two beacon intervals. The loader only
 parses, rejecting unknown or repeated keys and non-finite numbers. The trace
 path is resolved relative to the scenario file, and the trace is read and
-parsed once per load: every seed run of a loaded scenario shares its
-trajectories, while each sweep cell loads and parses its own.
+parsed once per build: every seed run of a built scenario shares its
+trajectories. A command reads and parses its scenario file once, and
+each sweep cell builds its own scenario, trace included, from that.
 Example:
 
     trace = mini_trace.ns_movements
@@ -240,16 +241,17 @@ def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
 
-def load_scenario(path: str | Path, overrides: dict[str, str] | None = None) -> Scenario:
-    path = Path(path)
+def read_scenario(path: Path) -> dict[str, str]:
+    """The raw mapping of the scenario file at `path`."""
     try:
-        text = path.read_text()
+        return parse_scenario_text(path.read_text())
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    raw = parse_scenario_text(text)
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    return build_scenario(raw, path.parent)
+
+
+def load_scenario(path: str | Path, overrides: dict[str, str] | None = None) -> Scenario:
+    path = Path(path)
+    return build_scenario(apply_overrides(read_scenario(path), overrides or {}), path.parent)
 
 
 def with_seeds(scenario: Scenario, seeds: tuple[int, ...]) -> Scenario:

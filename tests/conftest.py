@@ -8,6 +8,7 @@ A world is `runner.build_run` on a traffic-free `Scenario`
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -45,6 +46,15 @@ from dtnsim.wire import (
 )
 
 SEC = 1_000_000
+
+# Every random-waypoint world comes from `workloads.random_waypoint_trace`,
+# the benchmark's generator (bench/ is on the tests' import path). It is
+# imported here, before any test module, so that nothing is written under
+# bench/.
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+import workloads  # noqa: E402, F401
+
+sys.dont_write_bytecode = _write_bytecode
 
 # The one budget rule of every test that CI searches deeply: a test states
 # its tier-1 budget once, as `@tier1_or_deep(n)`, and gets n examples with

@@ -21,10 +21,11 @@ from conftest import (
     two_node_latency_s,
     two_node_world,
 )
+from workloads import DESK, random_waypoint_trace, write_inputs
 
 from dtnsim.cli import main as cli_main
 from dtnsim.metrics import compute, mean_ci95
-from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
+from dtnsim.mobility import parse_ns2_trace
 from dtnsim.netsim import LinkModel
 from dtnsim.protocol import MAX_CONTROL_PAYLOAD, ProtocolConfig
 from dtnsim.records import (
@@ -39,7 +40,7 @@ from dtnsim.records import (
     ReplayTrace,
 )
 from dtnsim.runner import run_once
-from dtnsim.scenario import Scenario, TrafficParams
+from dtnsim.scenario import Scenario, TrafficParams, load_scenario
 from dtnsim.traffic import MessageSpec, generate_message, message_payloads
 from dtnsim.wire import (
     AckHeader,
@@ -228,7 +229,7 @@ class TestCriterion07TtlSafety:
     def test_no_delivery_exceeds_ttl(self):
         total_deliveries = 0
         for seed in range(1, 11):
-            text = generate_random_waypoint_trace(10, 250, 250, 5, 15, 60, seed=f"ttl{seed}")
+            text = random_waypoint_trace(10, 250, (5, 15), 60, f"ttl{seed}")
             scenario = Scenario(
                 trajectories=tuple(parse_ns2_trace(text)),
                 duration_s=60.0,
@@ -314,45 +315,31 @@ class TestCriterion08PartialMessageDiscipline:
 
 
 DESK_SEEDS = tuple(range(1, 11))
-DESK_BUFFERS = (1_000_000, 5_000_000, 25_000_000)
-DESK_RATES = (6e6, 24e6, 54e6)
-DESK_FIXED_RATE = 24e6
-DESK_FIXED_BUFFER = 25_000_000
+# Each axis varies one of the desk workload's values (25 MB, 24 Mbps).
+DESK_FIXED_BUFFER = int(DESK.scenario["buffer_capacity"])
+DESK_FIXED_RATE = float(DESK.scenario["data_rate"])
+DESK_BUFFERS = (1_000_000, 5_000_000, DESK_FIXED_BUFFER)
+DESK_RATES = (6e6, DESK_FIXED_RATE, 54e6)
 
 
 @pytest.fixture(scope="module")
 def desk_results(tmp_path_factory):
-    """MDR trend scenario: 20-node random waypoint, 10 seeds per cell.
+    """MDR trend scenario: the benchmark's desk workload (20-node random
+    waypoint), 10 seeds per cell, each seed's inputs written as the
+    benchmark writes them.
 
     The (25 MB, 24 Mbps) cell is shared between the two sweep axes.
     """
     tmp = tmp_path_factory.mktemp("desk")
-    traces = {}
-
-    def trace_for(seed):
-        if seed not in traces:
-            path = tmp / f"rwp{seed}.ns"
-            path.write_text(
-                generate_random_waypoint_trace(20, 500, 500, 15, 25, 90, seed=seed)
-            )
-            traces[seed] = path
-        return traces[seed]
+    paths = {seed: write_inputs(DESK, seed, tmp / str(seed)) for seed in DESK_SEEDS}
 
     def cell(buffer_bytes, rate):
-        reports = []
-        for seed in DESK_SEEDS:
-            scenario = Scenario(
-                trajectories=tuple(parse_ns2_trace(trace_for(seed).read_text())),
-                duration_s=90.0,
-                seeds=(seed,),
-                protocol=ProtocolConfig(0.5, 0.05, buffer_bytes, 30.0, 4, 1400),
-                link=LinkModel(rate, 40.0),
-                traffic=TrafficParams(200, 60_000, 1460, 5.0, 40.0),
-                queue_capacity=buffer_bytes,
-                queue_residency_s=1.0,
-            )
-            reports.append(run_once(scenario, seed)[0])
-        return reports
+        overrides = {
+            "buffer_capacity": str(buffer_bytes),
+            "queue_capacity": str(buffer_bytes),
+            "data_rate": str(rate),
+        }
+        return [run_once(load_scenario(paths[seed], overrides), seed)[0] for seed in DESK_SEEDS]
 
     started = time.monotonic()
     results = {}
@@ -430,7 +417,7 @@ class TestGoldenOutputs:
         # Many one-packet messages in small long-lived buffers: summaries of
         # up to 62 ids in fragments of 12, expiry and eviction, 2% loss.
         path = tmp_path / "gossip.ns"
-        path.write_text(generate_random_waypoint_trace(12, 150, 150, 1, 5, 30, seed="gossip"))
+        path.write_text(random_waypoint_trace(12, 150, (1, 5), 30, "gossip"))
         scenario = Scenario(
             trajectories=tuple(parse_ns2_trace(path.read_text())),
             duration_s=30.0,

@@ -345,6 +345,32 @@ class TestSweepCommand:
     def test_malformed_flag_exits_2_before_any_cell(self, rejects, flags, message):
         rejects(["sweep", *flags], message)
 
+    @pytest.mark.parametrize(
+        "text, message, match",
+        [
+            (None, "error: cannot read scenario file ", str.startswith),
+            (
+                "trace = trace.ns_movements\nduration = 8\nbogus = 1\n",
+                "error: line 3: unknown key 'bogus'\n",
+                str.__eq__,
+            ),
+            (
+                "trace = trace.ns_movements\nduration 8\n",
+                "error: line 2: expected `key = value`, got 'duration 8'\n",
+                str.__eq__,
+            ),
+        ],
+        ids=["missing_file", "unknown_key", "line_without_equals"],
+    )
+    def test_unusable_scenario_file_exits_2_before_any_cell(
+        self, workdir, rejects, text, message, match
+    ):
+        # The file is read and parsed once, not once per cell: one line,
+        # with no cell prefix.
+        if text is not None:
+            (workdir / "bad.cfg").write_text(text)
+        rejects(["sweep", "--axis", "data_rate=1e6,2e6"], message, match, scenario="bad.cfg")
+
 
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--axis", "data_rate=6e6,12e6"]], ids=["run", "sweep"]

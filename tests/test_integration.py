@@ -21,9 +21,10 @@ from conftest import (
     two_node_latency_s,
     two_node_world,
 )
+from workloads import random_waypoint_trace
 
 from dtnsim.metrics import compute
-from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
+from dtnsim.mobility import parse_ns2_trace
 from dtnsim.netsim import IP_UDP_HEADER_BYTES, LinkModel, RadioNetwork, Simulator
 from dtnsim.protocol import PORT_CONTROL, EpidemicNode, ProtocolConfig
 from dtnsim.records import (
@@ -254,7 +255,7 @@ class TestAckGating:
 class TestChaosInvariants:
     def test_protocol_laws_hold_under_loss_and_mobility(self):
         for seed in (1, 2, 3):
-            text = generate_random_waypoint_trace(6, 200, 200, 5, 15, 60, seed=f"chaos{seed}")
+            text = random_waypoint_trace(6, 200, (5, 15), 60, f"chaos{seed}")
             scenario = Scenario(
                 trajectories=tuple(parse_ns2_trace(text)),
                 duration_s=60.0,
@@ -279,7 +280,7 @@ class TestPacketConservation:
     # end: every drop outcome but malformed occurs.
     SCENARIO = Scenario(
         trajectories=tuple(parse_ns2_trace(
-            generate_random_waypoint_trace(6, 150, 150, 5, 15, 40, seed="conservation")
+            random_waypoint_trace(6, 150, (5, 15), 40, "conservation")
         )),
         duration_s=40.0,
         seeds=(1,),

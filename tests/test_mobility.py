@@ -6,13 +6,9 @@ import pytest
 from conftest import tier1_or_deep
 from hypothesis import assume, example, given, strategies as st
 from slow_twin import SegmentWalk
+from workloads import random_waypoint_trace
 
-from dtnsim.mobility import (
-    TraceParseError,
-    Trajectory,
-    generate_random_waypoint_trace,
-    parse_ns2_trace,
-)
+from dtnsim.mobility import TraceParseError, Trajectory, parse_ns2_trace
 
 BASIC = """\
 $node_(0) set X_ 0.0
@@ -372,8 +368,8 @@ def test_trajectories_compare_and_hash_by_value():
 
 class TestGenerator:
     def test_deterministic_and_parseable(self):
-        a = generate_random_waypoint_trace(5, 100, 100, 1, 3, 60, seed=7)
-        b = generate_random_waypoint_trace(5, 100, 100, 1, 3, 60, seed=7)
+        a = random_waypoint_trace(5, 100, (1, 3), 60, 7)
+        b = random_waypoint_trace(5, 100, (1, 3), 60, 7)
         assert a == b
         trajs = parse_ns2_trace(a)
         assert len(trajs) == 5
@@ -384,18 +380,6 @@ class TestGenerator:
                 assert -1e-6 <= y <= 100 + 1e-6
 
     def test_different_seeds_differ(self):
-        assert generate_random_waypoint_trace(3, 50, 50, 1, 2, 30, seed=1) != (
-            generate_random_waypoint_trace(3, 50, 50, 1, 2, 30, seed=2)
+        assert random_waypoint_trace(3, 50, (1, 2), 30, 1) != (
+            random_waypoint_trace(3, 50, (1, 2), 30, 2)
         )
-
-    @pytest.mark.parametrize(
-        "n_nodes, speed_min, speed_max, message",
-        [
-            (0, 1, 2, "n_nodes must be positive"),
-            (3, 0, 2, "need 0 < speed_min <= speed_max"),
-            (3, 3, 2, "need 0 < speed_min <= speed_max"),
-        ],
-    )
-    def test_rejects_bad_arguments(self, n_nodes, speed_min, speed_max, message):
-        with pytest.raises(ValueError, match=message):
-            generate_random_waypoint_trace(n_nodes, 50, 50, speed_min, speed_max, 30, seed=1)

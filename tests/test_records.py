@@ -5,9 +5,10 @@ packet stream fold on top."""
 from collections import Counter
 
 import pytest
+from workloads import random_waypoint_trace
 
 from dtnsim import runner
-from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
+from dtnsim.mobility import parse_ns2_trace
 from dtnsim.netsim import LinkModel
 from dtnsim.protocol import ProtocolConfig
 from dtnsim.records import (
@@ -143,7 +144,7 @@ def lossy_scenario():
     # partial_disconnect) both report drops.
     return Scenario(
         trajectories=tuple(
-            parse_ns2_trace(generate_random_waypoint_trace(6, 150, 150, 5, 15, 40, seed="drops"))
+            parse_ns2_trace(random_waypoint_trace(6, 150, (5, 15), 40, "drops"))
         ),
         duration_s=40.0,
         seeds=(1,),

@@ -11,10 +11,11 @@ from slow_twin import (
     RebuildingNode,
     ScanningBuffer,
 )
+from workloads import random_waypoint_trace
 
 import dtnsim.protocol
 import dtnsim.runner
-from dtnsim.mobility import generate_random_waypoint_trace, parse_ns2_trace
+from dtnsim.mobility import parse_ns2_trace
 from dtnsim.netsim import LinkModel
 from dtnsim.protocol import ProtocolConfig
 from dtnsim.records import ReplayTrace
@@ -31,9 +32,7 @@ def small_world_traces(draw):
     1,200 per packet), so that both receive paths run: stored on arrival,
     and reassembled."""
     nodes = draw(st.integers(3, 8))
-    text = generate_random_waypoint_trace(
-        nodes, 150, 150, 5, 15, 20, seed=draw(st.integers(0, 2**32 - 1))
-    )
+    text = random_waypoint_trace(nodes, 150, (5, 15), 20, draw(st.integers(0, 2**32 - 1)))
     return text, Scenario(
         trajectories=tuple(parse_ns2_trace(text)),
         duration_s=20.0,
