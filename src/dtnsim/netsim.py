@@ -13,10 +13,10 @@ an idle queue's head at once, and each completion serves the next head
 that is within residency (see RadioNetwork._service). A unicast reaches
 its destination if in range, a broadcast every other node in range, each
 subject to an optional per-receiver Bernoulli loss draw. A node hands
-every unicast to its queue through `NodeTransport.unicast_message`, the
-queue's own enqueue, k packets in one call (a message's data packets, a
+every packet to its queue through `NodeTransport.hand_over`, the queue's
+own enqueue, k packets in one call (a beacon, a message's data packets, a
 summary's fragments, or one ACK), which queues, drops and reports them
-exactly as k `unicast` calls would.
+exactly as k one-packet hand-overs would.
 
 Range is decided when a transmission completes. The exact check,
 `RadioNetwork.in_range(a, b)`, asked at `now` only, looks up each node's
@@ -298,7 +298,8 @@ class RadioNetwork:
     def submit(self, src: int, dst: int | None, port: int, data: bytes, kind: str,
                msg_dst: int | None = None, payload: bytes = b"") -> None:
         """Place one packet on src's device queue (tail-drop on overflow);
-        dst None = broadcast."""
+        dst None = broadcast. The program no longer calls it: it is kept for
+        bench/tracer.py and the radio tests until ROADMAP item 7."""
         self._enqueues[src](dst, port, (data,), kind, msg_dst, (payload,))
 
     def _service(self, node: int) -> tuple[Callable[..., None], Callable[[], None]]:
@@ -471,24 +472,22 @@ class NodeTransport:
         self._node_id = node_id
 
     def broadcast(self, port: int, data: bytes, kind: str) -> None:
+        """One packet to every node in range. The program no longer calls
+        it: it is kept for bench/tracer.py until ROADMAP item 7."""
         self._network.submit(self._node_id, None, port, data, kind)
 
-    def unicast(
-        self,
-        dst: int,
-        port: int,
-        data: bytes,
-        kind: str,
-        msg_dst: int | None = None,
-        payload: bytes = b"",
-    ) -> None:
+    def unicast(self, dst: int, port: int, data: bytes, kind: str,
+                msg_dst: int | None = None, payload: bytes = b"") -> None:
+        """One packet to `dst`. The program no longer calls it: it is kept
+        for bench/tracer.py until ROADMAP item 7."""
         self._network.submit(self._node_id, dst, port, data, kind, msg_dst, payload)
 
     @property
-    def unicast_message(self) -> Callable[..., None]:
-        """unicast_message(dst, port, headers, kind, msg_dst, payloads): one
-        `unicast` per (header, payload) pair, in order, in one call, made by
-        the device queue's own enqueue, not through a forwarding method."""
+    def hand_over(self) -> Callable[..., None]:
+        """hand_over(dst, port, headers, kind, msg_dst, payloads): one packet
+        per (header, payload) pair, in order, in one call, to `dst` or, if
+        it is None, broadcast; it is the device queue's own enqueue, not a
+        forwarding method."""
         return self._network._enqueues[self._node_id]
 
     def schedule(self, time_us: int, fn: Callable[[], None]) -> None:

@@ -25,12 +25,13 @@ decremented, is dropped when expired or out of hops, and is otherwise
 stored (and counted as delivered at its destination).
 
 Control and data packets travel on distinct logical channels, standing in
-for the two UDP ports of an IP convergence layer. Every unicast goes to the
-radio through one hand-over, `Transport.unicast_message`: an ACK as one
-packet, a summary as all its fragments in one call, and a message as its
-data packets in one call, each as its header block plus a reference to the
-stored payload bytes, which the receiver stores as they are: every copy of
-a message shares the originator's payload objects.
+for the two UDP ports of an IP convergence layer. Every packet goes to the
+radio through one hand-over, `Transport.hand_over`: a beacon as one
+broadcast packet (no destination), an ACK as one packet, a summary as all
+its fragments in one call, and a message as its data packets in one call,
+each as its header block plus a reference to the stored payload bytes,
+which the receiver stores as they are: every copy of a message shares the
+originator's payload objects.
 """
 
 from __future__ import annotations
@@ -205,17 +206,8 @@ class Transport(Protocol):
     @property
     def now(self) -> int: ...
 
-    def broadcast(self, port: int, data: bytes, kind: str) -> None: ...
-
-    def unicast_message(
-        self,
-        dst: int,
-        port: int,
-        headers: Sequence[bytes],
-        kind: str,
-        msg_dst: int | None,
-        payloads: Sequence[bytes],
-    ) -> None: ...
+    def hand_over(self, dst: int | None, port: int, headers: Sequence[bytes], kind: str,
+                  msg_dst: int | None, payloads: Sequence[bytes]) -> None: ...
 
     def schedule(self, time_us: int, fn) -> None: ...
 
@@ -236,7 +228,7 @@ class EpidemicNode:
         self.address = address
         self.config = config
         self.transport = transport
-        self._unicast = transport.unicast_message
+        self._hand_over = transport.hand_over
         self.trace = trace
         self._rng = beacon_rng
         self.buffer = MessageBuffer(
@@ -248,9 +240,10 @@ class EpidemicNode:
         self._liveness_us = 2 * config.beacon_interval_us
         self._randomness_us = config.beacon_randomness_us
         # Every packet this node sends carries its id in a u16 field; the
-        # envelopes of its beacons and summaries are packed once.
+        # envelopes of its beacons and summaries are packed once, a beacon
+        # as the one-packet hand-over it is.
         _check_node(node_id, "node_id")
-        self._beacon = _MESSAGE_TYPE.pack(_BEACON, node_id)
+        self._beacon = (_MESSAGE_TYPE.pack(_BEACON, node_id),)
         self._reply = _MESSAGE_TYPE.pack(_REPLY, node_id)
         self._reply_back = _MESSAGE_TYPE.pack(_REPLY_BACK, node_id)
         # This node's summary fragments, as built from buffer version
@@ -272,7 +265,7 @@ class EpidemicNode:
         now = self.transport.now
         self.check_connections(now)
         self.buffer.drop_expired(now)
-        self.transport.broadcast(PORT_CONTROL, self._beacon, KIND_BEACON)
+        self._hand_over(None, PORT_CONTROL, self._beacon, KIND_BEACON, None, _NO_PAYLOAD)
         self.transport.schedule(now + self._interval_us + self._jitter_us(), self._beacon_tick)
 
     def check_connections(self, now: int) -> None:
@@ -451,7 +444,7 @@ class EpidemicNode:
         frags = self._summary_fragments
         # A one-element list, a one-fragment summary's, needs no comprehension's frame.
         datagrams = [envelope + frags[0]] if len(frags) == 1 else [envelope + f for f in frags]
-        self._unicast(nb.address, PORT_CONTROL, datagrams, kind, None, _NO_PAYLOAD * len(frags))
+        self._hand_over(nb.address, PORT_CONTROL, datagrams, kind, None, _NO_PAYLOAD * len(frags))
 
     def _load_pipeline(self, nb: NeighborRecord, remote: list[tuple[int, ...]], now: int) -> None:
         nb.pending = deque(self.buffer.find_disjoint(*remote))
@@ -474,7 +467,7 @@ class EpidemicNode:
             pack = _DATA_HEADERS.pack
             headers = ([pack(mid, hops, mid, node_id, 1, 0)] if total == 1 else
                        [pack(mid, hops, mid, node_id, total, index) for index in range(total)])
-            self._unicast(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
+            self._hand_over(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
             nb.in_flight = mid
             return
 
@@ -511,7 +504,7 @@ class EpidemicNode:
                 self.buffer.enqueue(QueueEntry(mid, destination, packets, budget), now)
         node_id = self.node_id
         ack = _ACK_PACKET.pack(_ACK, node_id, mid, node_id, ACK_STATUS_SUCCESS)
-        self._unicast(nb.address, PORT_CONTROL, (ack,), KIND_ACK, None, _NO_PAYLOAD)
+        self._hand_over(nb.address, PORT_CONTROL, (ack,), KIND_ACK, None, _NO_PAYLOAD)
 
     # -- local message injection -----------------------------------------------
 

@@ -81,15 +81,9 @@ class FakeTransport:
         self.timers = []  # (time_us, fn)
         self.now = 0
 
-    def broadcast(self, port, data, kind):
-        self.sent.append((None, port, data, kind, None))
-
-    def unicast(self, dst, port, data, kind, msg_dst=None, payload=b""):
-        self.sent.append((dst, port, data + payload, kind, msg_dst))
-
-    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+    def hand_over(self, dst, port, headers, kind, msg_dst, payloads):
         for data, payload in zip(headers, payloads):
-            self.unicast(dst, port, data, kind, msg_dst, payload)
+            self.sent.append((dst, port, data + payload, kind, msg_dst))
 
     def schedule(self, time_us, fn):
         self.timers.append((time_us, fn))
@@ -198,18 +192,10 @@ class RecordingTransport(NodeTransport):
         super().__init__(network, node_id)
         self._log = log
 
-    def broadcast(self, port, data, kind):
-        self._log.append((self._node_id, None, kind, data, self.now))
-        super().broadcast(port, data, kind)
-
-    def unicast(self, dst, port, data, kind, msg_dst=None, payload=b""):
-        self._log.append((self._node_id, dst, kind, data + payload, self.now))
-        super().unicast(dst, port, data, kind, msg_dst, payload)
-
-    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+    def hand_over(self, dst, port, headers, kind, msg_dst, payloads):
         for data, payload in zip(headers, payloads):
             self._log.append((self._node_id, dst, kind, data + payload, self.now))
-        super().unicast_message(dst, port, headers, kind, msg_dst, payloads)
+        super().hand_over(dst, port, headers, kind, msg_dst, payloads)
 
 
 def build_world(

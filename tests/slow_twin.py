@@ -4,14 +4,17 @@ Each twin computes what the fast path it replaces computes, the slow way.
 A test swaps one in by monkeypatching the name that `dtnsim.runner` or
 `dtnsim.protocol` builds runs with, so `src/` needs no hook for it.
 `SegmentWalk` is not swapped in: tests compare `Trajectory` with it.
+`ShuffledTies` is no plain form: it runs an instant's heap entries in
+another order, and tests check which laws hold under any such order.
 """
 
 import bisect
 import heapq
 import math
+import random
 
 from dtnsim.buffer import _NONE_STORED, MessageBuffer
-from dtnsim.netsim import NodeTransport, RadioNetwork
+from dtnsim.netsim import NodeTransport, RadioNetwork, Simulator
 from dtnsim.protocol import EpidemicNode
 from dtnsim.records import MSG_EVICTED, MSG_EXPIRED
 from dtnsim.wire import TIMESTAMP_MAX
@@ -43,6 +46,24 @@ class HeapKernel:
         self._heap.clear()
 
 
+class ShuffledTies(Simulator):
+    """A kernel that breaks the ties of an instant's heap entries by draws
+    from a stream seeded with `order`, not by scheduling order. Its lane
+    stays FIFO, and an instant's heap entries still run before its lane.
+    The sequence number after the draw keeps every key distinct."""
+
+    def __init__(self, order):
+        super().__init__()
+        self._draw = random.Random(order).random
+
+    def schedule(self, time_us, kind, fn):
+        if time_us > self.now:
+            heapq.heappush(self._heap, (time_us, (self._draw(), self._seq), fn))
+            self._seq += 1
+        else:
+            super().schedule(time_us, kind, fn)
+
+
 class ExactRadio(RadioNetwork):
     """A radio whose range certificates are off: every range decision of a
     completing transmission is the exact check."""
@@ -58,22 +79,23 @@ class ExactRadio(RadioNetwork):
 
 class PerPacketTransport(NodeTransport):
     """A transport that hands the packets of every hand-over (a message's
-    data packets, a summary's fragments, an ACK) to the radio one
-    `unicast` at a time, each its own hand-over."""
+    data packets, a summary's fragments, an ACK, a beacon) to the radio one
+    at a time, each its own hand-over."""
 
-    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+    def hand_over(self, dst, port, headers, kind, msg_dst, payloads):
+        enqueue = super().hand_over
         for data, payload in zip(headers, payloads):
-            self.unicast(dst, port, data, kind, msg_dst, payload)
+            enqueue(dst, port, (data,), kind, msg_dst, (payload,))
 
 
 class CopyingTransport(NodeTransport):
     """A transport that hands the radio a fresh copy of every payload of a
-    hand-over (a node's only unicast path), so no receiver holds the
-    payload object its sender stores."""
+    hand-over (a node's only send path), so no receiver holds the payload
+    object its sender stores."""
 
-    def unicast_message(self, dst, port, headers, kind, msg_dst, payloads):
+    def hand_over(self, dst, port, headers, kind, msg_dst, payloads):
         copies = [bytes(bytearray(p)) for p in payloads]
-        super().unicast_message(dst, port, headers, kind, msg_dst, copies)
+        super().hand_over(dst, port, headers, kind, msg_dst, copies)
 
 
 def _age_order(mid):

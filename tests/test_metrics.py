@@ -1,6 +1,7 @@
 """Metric computation from run traces."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -114,11 +115,13 @@ class TestAggregate:
         assert t_critical_95(df) == pytest.approx(expected, rel=1e-13)
 
     def test_t_critical_95_matches_scipy(self):
-        stats = pytest.importorskip("scipy.stats")
-        for df in range(1, 501):
-            assert t_critical_95(df) == pytest.approx(
-                float(stats.t.ppf(0.975, df)), rel=1e-12
-            ), df
+        # scipy 1.17.1's stats.t.ppf(0.975, df) for df 1-500, one
+        # "df value" line each, as committed in t_critical_95.txt.
+        text = (Path(__file__).parent / "t_critical_95.txt").read_text()
+        rows = [line.split() for line in text.splitlines()]
+        assert [int(df) for df, _ in rows] == list(range(1, 501))
+        for df, value in rows:
+            assert t_critical_95(int(df)) == pytest.approx(float(value), rel=1e-12), df
 
     def test_single_value_zero_halfwidth(self):
         assert mean_ci95([5.0]) == (5.0, 0.0)

@@ -643,6 +643,22 @@ class TestTransmission:
             ("beacon", PKT_DELIVERED, 3 + 28, 2, r) for r in receivers
         ]
 
+    def test_a_broadcast_hand_over_is_a_broadcast_submit(self):
+        # A node's beacon tick hands its beacon over with dst None: the same
+        # outcomes at the same times, counted in the (node, None, beacon) row.
+        def run(send):
+            positions = [(10, 0), (20, 0), (0, 0), (500, 0)]
+            sim, net, trace = make_net(positions, trace=RecordingTrace())
+            send(net)
+            sim.run(SEC)
+            net.finalize()
+            return trace.events, trace.pair_counts
+
+        submitted = run(lambda net: net.submit(2, None, 1, b"abc", "beacon"))
+        assert run(lambda net: NodeTransport(net, 2).hand_over(
+            None, 1, (b"abc",), "beacon", None, (b"",))) == submitted
+        assert submitted[1][(2, None, "beacon", PKT_SUBMITTED)] == 1
+
     def test_out_of_range_unicast_counted(self):
         sim, net, trace = make_net([(0, 0), (500, 0)])
         net.submit(0, 1, 1, b"abc", "data")
@@ -697,8 +713,8 @@ class TestDeviceQueue:
         for _ in range(2):
             net.submit(0, 1, PORT_DATA, bytes(1472), "data")
         transport = NodeTransport(net, 0)
-        transport.unicast_message(1, PORT_CONTROL, (bytes(15),), "ack", None, (b"",))
-        transport.unicast_message(
+        transport.hand_over(1, PORT_CONTROL, (bytes(15),), "ack", None, (b"",))
+        transport.hand_over(
             1, PORT_CONTROL, (bytes(15), bytes(7)), "reply", None, (b"", b"")
         )
         sim.run(SEC)
@@ -836,7 +852,7 @@ class TestDeviceQueue:
 
 class TestMessageHandOver:
     """A message handed over in one call is queued, served and delivered
-    exactly as its packets unicast one at a time."""
+    exactly as its packets submitted one at a time."""
 
     # Four 1500-byte packets on air (30 + 1442 + 28) and a short last one
     # of 158 bytes (30 + 100 + 28).
@@ -860,10 +876,10 @@ class TestMessageHandOver:
 
         def hand_over():
             if as_message:
-                transport.unicast_message(1, PORT_DATA, self.HEADERS, "data", 1, self.PAYLOADS)
+                transport.hand_over(1, PORT_DATA, self.HEADERS, "data", 1, self.PAYLOADS)
             else:
                 for header, payload in zip(self.HEADERS, self.PAYLOADS):
-                    transport.unicast(1, PORT_DATA, header, "data", 1, payload)
+                    net.submit(0, 1, PORT_DATA, header, "data", 1, payload)
 
         if busy:
             net.submit(0, 1, PORT_DATA, bytes(1472), "data", 1)  # on air 0..1000 µs
