@@ -15,6 +15,7 @@ slots in place (a broadcast's delivery in its receiver's row); each drop
 is one `packet_event` call. A trace whose `observe` is not None also sees
 every outcome, in order, as one `observe(kind, outcome, size, src, dst)`
 call each: that is how a ReplayTrace folds the packet stream.
+`runner.run_once` checks every run it makes with `RunTrace.audit`.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ class MessageDropped(NamedTuple):
     cause: str
 
 
+class RunLawError(ValueError):
+    """A finished run broke a law of `RunTrace.audit`."""
+
+
 class RunTrace:
     """Counts one run's messages, transfers and drops, keeps its deliveries,
     and counts its packet outcomes in rows."""
@@ -177,6 +182,39 @@ class RunTrace:
         row[slot + 1] += size
         if self.observe is not None:
             self.observe(kind, outcome, size, src, dst)
+
+    def audit(self, protocol=None) -> None:
+        """Raise RunLawError unless the finished run keeps the laws of every run.
+
+        Per (src, dst, kind) row: each packet handed to a device queue is
+        transmitted or dropped before service or at the end; each transmitted
+        unicast has one outcome; a broadcast reaches a receiver at most once,
+        never out of range; no packet is malformed. No message is delivered
+        twice, nor more often than messages were generated; each delivery is
+        within the TTL of `protocol` after 1 to hop-limit hops (None: none)."""
+        sub, sent, got, over, res, out, loss, bad, unsent, flying = _SLOT.values()
+        for key, row in self._rows.items():
+            src, dst, kind = key
+            if row[sub] != row[sent] + row[over] + row[res] + row[unsent]:
+                raise RunLawError(f"{key}: submitted packets without one fate each")
+            if row[bad]:
+                raise RunLawError(f"{key}: malformed packets")
+            if dst is not None and kind == KIND_BEACON:
+                beacons = (self._rows.get((src, None, kind)) or [0] * _ROW_LEN)[sent]
+                if row[out] or row[got] + row[loss] + row[flying] > beacons:
+                    raise RunLawError(f"{key}: a broadcast heard twice or out of range")
+            elif dst is not None and row[sent] != row[got] + row[loss] + row[out] + row[flying]:
+                raise RunLawError(f"{key}: transmitted packets without one outcome each")
+        n, ids = len(self.deliveries), {d.message_id for d in self.deliveries}
+        if len(ids) < n or n > self.n_generated:
+            raise RunLawError(f"{n} deliveries of {len(ids)} ids, {self.n_generated} generated")
+        if protocol is None and n:
+            raise RunLawError("a radio-only run delivered a message")
+        for d in self.deliveries:
+            if d.latency_us > protocol.message_ttl * 1_000_000 or not (
+                1 <= d.hops <= protocol.hop_limit
+            ):
+                raise RunLawError(f"{d}: past the TTL or beyond 1 to {protocol.hop_limit} hops")
 
     @property
     def pair_counts(self) -> Counter[tuple[int, int | None, str, str]]:

@@ -73,9 +73,11 @@ def build_run(
 def run_once(
     scenario: Scenario, seed: int, trace: RunTrace | None = None
 ) -> tuple[RunReport, RunTrace]:
+    """Run `scenario` at `seed`; a run that breaks a law raises RunLawError."""
     sim, network, _, trace = build_run(scenario, seed, trace)
     sim.run(scenario.duration_us)
     network.finalize()
+    trace.audit(scenario.protocol)
     return compute(trace, seed), trace
 
 

@@ -1,7 +1,8 @@
 """Shared test helpers: fake transport, message factories, small
-simulated worlds whose trace and transports record what happens, the
-laws every run keeps (`assert_run_laws`), and the two scripted worlds
-that both the integration and the acceptance tests run.
+simulated worlds whose trace and transports record what happens, and
+the two scripted worlds that both the integration and the acceptance
+tests run. `runner.run_once` audits every run it makes; a world built
+here is run by hand, so what finishes it calls `trace.audit(protocol)`.
 
 A world is `runner.build_run` on a traffic-free `Scenario`
 (`build_world`), so the tests run the runner's own wiring."""
@@ -19,19 +20,7 @@ from dtnsim.metrics import compute
 from dtnsim.mobility import parse_ns2_trace
 from dtnsim.netsim import EVENT_TRAFFIC, LinkModel, NodeTransport
 from dtnsim.protocol import PORT_CONTROL, PORT_DATA, EpidemicNode, ProtocolConfig
-from dtnsim.records import (
-    KIND_BEACON,
-    PKT_DELIVERED,
-    PKT_IN_FLIGHT_AT_END,
-    PKT_LOSS,
-    PKT_OUT_OF_RANGE,
-    PKT_OVERFLOW,
-    PKT_RESIDENCY,
-    PKT_SUBMITTED,
-    PKT_TRANSMITTED,
-    PKT_UNSENT_AT_END,
-    ReplayTrace,
-)
+from dtnsim.records import ReplayTrace
 from dtnsim.runner import build_run
 from dtnsim.scenario import Scenario, TrafficParams
 from dtnsim.traffic import MessageSpec, generate_message, message_payloads
@@ -246,47 +235,6 @@ def static_trace(*positions):
     return "\n".join(lines)
 
 
-def assert_run_laws(trace, protocol=None):
-    """The laws of every finished run, each stated once.
-
-    Per (src, dst, kind) row: every packet handed to a device queue is
-    transmitted or dropped by overflow, residency or the run's end; every
-    transmitted unicast packet is delivered, lost, out of range or in
-    flight at the end; a broadcast reaches each receiver at most once, and
-    is never out of range. No message is delivered twice, or more often
-    than messages were generated. Under `protocol` every delivery is within
-    its TTL after 1 to hop-limit hops; a radio-only world (None) delivers
-    no message."""
-    counts = trace.pair_counts
-
-    def n(key, *outcomes):
-        return sum(counts[(*key, outcome)] for outcome in outcomes)
-
-    for key in {key[:3] for key in counts}:
-        src, dst, kind = key
-        assert n(key, PKT_SUBMITTED) == n(
-            key, PKT_TRANSMITTED, PKT_OVERFLOW, PKT_RESIDENCY, PKT_UNSENT_AT_END
-        ), key
-        if dst is None:
-            continue
-        if kind == KIND_BEACON:
-            assert n(key, PKT_DELIVERED, PKT_LOSS, PKT_IN_FLIGHT_AT_END) <= n(
-                (src, None, kind), PKT_TRANSMITTED
-            ), key
-            assert n(key, PKT_OUT_OF_RANGE) == 0, key
-        else:
-            assert n(key, PKT_TRANSMITTED) == n(
-                key, PKT_DELIVERED, PKT_LOSS, PKT_OUT_OF_RANGE, PKT_IN_FLIGHT_AT_END
-            ), key
-    delivered = [d.message_id for d in trace.deliveries]
-    assert len(set(delivered)) == len(delivered) <= trace.n_generated
-    if protocol is None:
-        assert not delivered
-    for delivery in trace.deliveries:
-        assert delivery.latency_us <= protocol.message_ttl * SEC, delivery
-        assert 1 <= delivery.hops <= protocol.hop_limit, delivery
-
-
 # The two-node transfer: node 0 sends node 1, 50 m away, one message of
 # 100 packets, beacons coming each second on the dot.
 TRANSFER_RATE = 12e6
@@ -310,7 +258,7 @@ def run_two_node_transfer(duration_s):
     nodes[0].originate(generate_message(MessageSpec(0, 1, 0), packets, config.hop_limit), 0)
     sim.run(duration_s * SEC)
     net.finalize()
-    assert_run_laws(trace, config)
+    trace.audit(config)
     return trace
 
 
@@ -342,7 +290,7 @@ def run_relay(hop_limit):
     nodes[0].originate(generate_message(MessageSpec(0, 2, 0), packets, hop_limit), 0)
     sim.run(150 * SEC)
     net.finalize()
-    assert_run_laws(trace, config)
+    trace.audit(config)
     return compute(trace)
 
 

@@ -13,7 +13,6 @@ import time
 import pytest
 from conftest import (
     SEC,
-    assert_run_laws,
     build_world,
     relay_contact_seconds,
     run_relay,
@@ -240,8 +239,7 @@ class TestCriterion07TtlSafety:
                 queue_capacity=2_000_000,
                 queue_residency_s=2.0,
             )
-            _, run_trace = run_once(scenario, seed)
-            assert_run_laws(run_trace, scenario.protocol)  # the TTL law among them
+            _, run_trace = run_once(scenario, seed)  # which audits the TTL law
             total_deliveries += len(run_trace.deliveries)
         assert total_deliveries > 0
         report(7, f"{total_deliveries} deliveries across 10 seeds, all within ttl")
@@ -301,7 +299,7 @@ class TestCriterion08PartialMessageDiscipline:
         # propagation delay). Submissions can exceed one message's worth: a
         # mute receiver goes stale after two beacon intervals and its next
         # beacon restarts the exchange, so the sender may start over.
-        assert_run_laws(trace, config)
+        trace.audit(config)
         assert trace.count(KIND_DATA, PKT_IN_FLIGHT_AT_END) == 0
         submitted = trace.pair_counts[(0, 1, KIND_DATA, PKT_SUBMITTED)]
         delivered = trace.pair_counts[(0, 1, KIND_DATA, PKT_DELIVERED)]

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from dtnsim import cli
+from dtnsim import cli, runner
 from dtnsim.cli import main
+from dtnsim.records import PKT_LOSS, RunTrace
 
 TRACE = """\
 $node_(0) set X_ 0.0
@@ -290,6 +291,20 @@ class TestSweepCommand:
         assert code == 1
         assert [row["traffic_end"] for row in read_csv(out / "aggregate.csv")] == ["3"]
         assert "window too small" in capsys.readouterr().err
+
+    def test_a_cell_that_breaks_a_run_law_fails_alone(self, workdir, capsys, monkeypatch):
+        class LosesLosses(RunTrace):  # a loss drop goes uncounted
+            def packet_event(self, kind, outcome, size, src, dst):
+                if outcome != PKT_LOSS:
+                    super().packet_event(kind, outcome, size, src, dst)
+
+        monkeypatch.setattr(runner, "RunTrace", LosesLosses)
+        mini = Path(__file__).parents[1] / "scenarios" / "mini.cfg"
+        argv = ["sweep", str(mini), "--axis", "loss_probability=0,0.3", "--seeds", "1"]
+        assert main(argv + ["--out", str(workdir)]) == 1
+        err = capsys.readouterr().err  # one line, and no traceback
+        assert err.startswith("error: [loss_probability=0.3] ") and err.count("\n") == 1
+        assert [row["loss_probability"] for row in read_csv(workdir / "aggregate.csv")] == ["0"]
 
     def test_repeated_axis_key_exits_2_before_any_cell(self, rejects):
         # A later --axis of the same key would overwrite the earlier one

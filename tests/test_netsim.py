@@ -8,7 +8,6 @@ import tracemalloc
 import pytest
 from conftest import (
     RecordingTrace,
-    assert_run_laws,
     build_world,
     make_entry,
     originate_at,
@@ -719,7 +718,7 @@ class TestDeviceQueue:
         )
         sim.run(SEC)
         net.finalize()
-        assert_run_laws(trace)
+        trace.audit()
         assert (trace.count("ack", PKT_OVERFLOW), trace.count("reply", PKT_OVERFLOW)) == (1, 2)
 
     def test_residency_expiry_drops_before_service(self):
@@ -846,7 +845,7 @@ class TestDeviceQueue:
         sim.run(2000)  # cut the run off mid-queue
         net.finalize()
         assert trace.count("data", PKT_SUBMITTED) == 50
-        assert_run_laws(trace)
+        trace.audit()
         assert trace.count("data", PKT_IN_FLIGHT_AT_END) == 0  # no propagation delay
 
 

@@ -1,8 +1,9 @@
-"""RunTrace: message counters, deliveries and packet counters; ReplayTrace:
-every message record, built from reported fields, and the order-sensitive
-packet stream fold on top."""
+"""RunTrace: message and packet counters, deliveries, and the audit of the
+run laws, each law broken once; ReplayTrace: every message record, built
+from reported fields, and the order-sensitive packet stream fold on top."""
 
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 from workloads import random_waypoint_trace
@@ -13,6 +14,7 @@ from dtnsim.netsim import LinkModel
 from dtnsim.protocol import ProtocolConfig
 from dtnsim.records import (
     KIND_BEACON,
+    KIND_CONTROL,
     KIND_DATA,
     MSG_DROP_CAUSES,
     MSG_EVICTED,
@@ -20,12 +22,15 @@ from dtnsim.records import (
     MSG_HOP_EXHAUSTED,
     MSG_PARTIAL_DISCONNECT,
     PKT_DELIVERED,
+    PKT_MALFORMED,
+    PKT_OUT_OF_RANGE,
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
     MessageDelivered,
     MessageDropped,
     MessageGenerated,
     ReplayTrace,
+    RunLawError,
     RunTrace,
     TransferCompleted,
 )
@@ -206,3 +211,40 @@ def test_plain_trace_keeps_no_per_transfer_state(make_scenario):
     assert all(type(n) is int for n in trace.drop_counts.values())
     assert 0 < len(trace.deliveries) <= trace.n_generated
     assert all(type(d) is MessageDelivered for d in trace.deliveries)
+
+
+# A clean run: node 0's data packet reaches node 1, node 1's beacon reaches
+# node 0, and node 2 gets message 0 of the two generated, 1 s old, in 1 hop.
+SENT = [(KIND_DATA, o, 0, 1) for o in (PKT_SUBMITTED, PKT_TRANSMITTED, PKT_DELIVERED)]
+SENT += [(KIND_BEACON, PKT_SUBMITTED, 1, None), (KIND_BEACON, PKT_TRANSMITTED, 1, None),
+         (KIND_BEACON, PKT_DELIVERED, 1, 0)]
+LAWS = ProtocolConfig(message_ttl=10.0, hop_limit=3)
+
+
+@pytest.mark.parametrize("packets, deliveries, protocol", [
+    ([], [], LAWS),
+    ([(KIND_DATA, PKT_SUBMITTED, 0, 1)], [], LAWS),
+    ([(KIND_DATA, PKT_SUBMITTED, 0, 1), (KIND_DATA, PKT_TRANSMITTED, 0, 1)], [], LAWS),
+    ([(KIND_BEACON, PKT_OUT_OF_RANGE, 1, 0)], [], LAWS),
+    ([(KIND_BEACON, PKT_DELIVERED, 1, 0)], [], LAWS),
+    ([(KIND_CONTROL, PKT_MALFORMED, 1, 0)], [], LAWS),
+    ([], [(0, 1.0, 1)], LAWS),
+    ([], [(1, 1.0, 1), (2, 1.0, 1)], LAWS),
+    ([], [(1, 10.000001, 1)], LAWS),
+    ([], [(1, 1.0, 0)], LAWS),
+    ([], [(1, 1.0, 4)], LAWS),
+    ([], [], None),
+], ids=["clean", "submitted_unsent", "transmitted_unicast_unheard", "broadcast_out_of_range",
+        "broadcast_heard_twice", "malformed", "delivered_twice", "more_deliveries_than_messages",
+        "past_ttl", "zero_hops", "beyond_hop_limit", "delivery_without_protocol"])
+def test_audit_breaks_on_each_law(request, packets, deliveries, protocol):
+    trace = RunTrace()
+    for source in (0, 1):
+        trace.message_generated(0, make_message_id(source, 0), source, 2, 1000, 1)
+    for kind, outcome, src, dst in SENT + packets:
+        trace.packet_event(kind, outcome, 100, src, dst)
+    for source, age_s, hops in [(0, 1.0, 1), *deliveries]:
+        age_us = round(age_s * 1_000_000)
+        trace.message_delivered(age_us, make_message_id(source, 0), 2, age_us, hops)
+    with nullcontext() if request.node.callspec.id == "clean" else pytest.raises(RunLawError):
+        trace.audit(protocol)

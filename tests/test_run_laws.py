@@ -1,13 +1,14 @@
 """Whole-run metamorphic laws: input changes whose effect on a run is known
 exactly, checked over the small worlds of the twins. Every run made here
-also keeps the laws of every run (`conftest.assert_run_laws`), under the
-kernel's tie order and under any other (`slow_twin.ShuffledTies`)."""
+also keeps the laws of every run (`RunTrace.audit`, which `run_once`
+calls), under the kernel's tie order and under any other
+(`slow_twin.ShuffledTies`)."""
 
 import hashlib
 import re
 
 import pytest
-from conftest import SEC, assert_run_laws, build_world, originate_at, tier1_or_deep
+from conftest import SEC, build_world, originate_at, tier1_or_deep
 from hypothesis import given, strategies as st
 from slow_twin import ShuffledTies
 from test_slow_twin import small_world_traces, small_worlds
@@ -38,14 +39,12 @@ SYMMETRIES = (
 
 
 def run(scenario, order=None):
-    """The ReplayTrace of a run of `scenario`, which keeps the run laws. With
+    """The ReplayTrace of a run of `scenario`, which `run_once` audits. With
     an `order`, the run's kernel is a ShuffledTies that breaks ties by it."""
     with pytest.MonkeyPatch.context() as patch:
         if order is not None:
             patch.setattr(dtnsim.runner, "Simulator", lambda: ShuffledTies(order))
-        _, trace = run_once(scenario, 1, ReplayTrace())
-    assert_run_laws(trace, scenario.protocol)
-    return trace
+        return run_once(scenario, 1, ReplayTrace())[1]
 
 
 def digest(scenario, order=None):
@@ -170,7 +169,7 @@ def assert_a_parked_node_changes_nothing(text, scenario, specs):
             originate_at(sim, nodes[spec.source], entry)
         sim.run(scenario.duration_us)
         net.finalize()
-        assert_run_laws(trace, protocol)
+        trace.audit(protocol)
         traces.append(trace)
     alone, with_parked = traces
     for records in ("generated", "deliveries", "transfers", "message_drops"):

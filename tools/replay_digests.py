@@ -11,9 +11,9 @@ of 4 cells and 2 seeds each, 88 simulations. It prints one line each,
 
 `cell` being the sweep cell's axis values and the run's seed. Two commits
 that simulate the same thing print the same lines: `diff` their outputs.
-Each simulation must also keep the laws of every run: it imports the
-tests' `assert_run_laws` from `tests/conftest.py`, so it needs pytest and
-hypothesis, and an AssertionError stops it at the first run that breaks one.
+`run_once` audits each simulation (`RunTrace.audit`): a RunLawError stops
+the tool at the first run that breaks a law of every run. It needs no test
+extra: neither pytest nor hypothesis.
 `tools/replay_digests.expected` holds the full-size lines; CI diffs a
 fresh run against it.
 `--tiny` uses `workloads.TINY`, which runs in about a second.
@@ -29,11 +29,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
-sys.dont_write_bytecode = True  # leave bench/ and tests/ as they are
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.dont_write_bytecode = True  # leave bench/ as it is
 
 import workloads  # noqa: E402
-from conftest import assert_run_laws  # noqa: E402
 from run import SUBSEED_STRIDE  # noqa: E402
 
 from dtnsim.records import ReplayTrace  # noqa: E402
@@ -60,7 +59,6 @@ def main() -> None:
                         scenario = load_scenario(path, cell or None)
                         for run_seed in scenario.seeds:
                             trace = run_once(scenario, run_seed, ReplayTrace())[1]
-                            assert_run_laws(trace, scenario.protocol)
                             dump = trace.dump()
                             label = ",".join([*(f"{k}={v}" for k, v in cell.items()),
                                               f"seed={run_seed}"])
