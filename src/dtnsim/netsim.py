@@ -16,7 +16,9 @@ subject to an optional per-receiver Bernoulli loss draw. A node hands
 every packet to its queue through `NodeTransport.hand_over`, the queue's
 own enqueue, k packets in one call (a beacon, a message's data packets, a
 summary's fragments, or one ACK), which queues, drops and reports them
-exactly as k one-packet hand-overs would.
+exactly as k one-packet hand-overs would. A lone packet, most of the
+hand-overs of a run, takes no packet loop: it is queued, dropped and
+reported as the loop would.
 
 Range is decided when a transmission completes. The exact check,
 `RadioNetwork.in_range(a, b)`, asked at `now` only, looks up each node's
@@ -311,7 +313,10 @@ class RadioNetwork:
         completion, as handing the packets over one at a time would: the
         first that fits starts service at `now`. That head was enqueued at
         `now`, so it is within any residency >= 0. Nothing enqueues during
-        a completion, so an idle queue is an empty one.
+        a completion, so an idle queue is an empty one. A hand-over of one
+        packet (a beacon, an ACK, a one-fragment summary or a one-packet
+        message) takes the same steps without the loop: it is queued,
+        dropped and reported as the loop would.
 
         complete() ends the head's transmission. A unicast reaches its
         destination if the pair is in range (a certificate that holds, else
@@ -352,8 +357,24 @@ class RadioNetwork:
             nonlocal queued
             idle = not fifo
             now = sim.now
-            total = queued
             row = row_of(node, dst, kind)
+            if len(headers) == 1:
+                # A lone packet: the loop's steps, without the loop.
+                (data,), (payload,) = headers, payloads
+                size = len(data) + len(payload) + encapsulation
+                if observe is not None:
+                    observe(kind, PKT_SUBMITTED, size, node, dst)
+                row[0] += 1
+                row[1] += size
+                if queued + size > capacity:
+                    packet_event(kind, PKT_OVERFLOW, size, node, dst)
+                    return
+                fifo.append((size, data, payload, (node, dst, port, kind, msg_dst, row), now))
+                queued += size
+                if idle:
+                    sim.schedule(now + service_us[size], EVENT_TIMER, completions[node])
+                return
+            total = queued
             meta = (node, dst, port, kind, msg_dst, row)
             handed = 0
             for data, payload in zip(headers, payloads):

@@ -191,7 +191,8 @@ class RunTrace:
         unicast has one outcome; a broadcast reaches a receiver at most once,
         never out of range; no packet is malformed. No message is delivered
         twice, nor more often than messages were generated; each delivery is
-        within the TTL of `protocol` after 1 to hop-limit hops (None: none)."""
+        at most `protocol.message_ttl_us` old, the TTL as the node rounds it,
+        after 1 to hop-limit hops (None: no delivery)."""
         sub, sent, got, over, res, out, loss, bad, unsent, flying = _SLOT.values()
         for key, row in self._rows.items():
             src, dst, kind = key
@@ -211,7 +212,7 @@ class RunTrace:
         if protocol is None and n:
             raise RunLawError("a radio-only run delivered a message")
         for d in self.deliveries:
-            if d.latency_us > protocol.message_ttl * 1_000_000 or not (
+            if d.latency_us > protocol.message_ttl_us or not (
                 1 <= d.hops <= protocol.hop_limit
             ):
                 raise RunLawError(f"{d}: past the TTL or beyond 1 to {protocol.hop_limit} hops")

@@ -30,10 +30,13 @@ from dtnsim.records import (
     KIND_ACK,
     KIND_BEACON,
     KIND_DATA,
+    KIND_REPLY,
+    KIND_REPLY_BACK,
     MSG_HOP_EXHAUSTED,
     PKT_DELIVERED,
     PKT_DROP_OUTCOMES,
     PKT_MALFORMED,
+    PKT_OVERFLOW,
     PKT_RESIDENCY,
     PKT_SUBMITTED,
     PKT_TRANSMITTED,
@@ -303,6 +306,27 @@ class TestPacketConservation:
         occurred = {outcome for *_, outcome in trace.pair_counts}
         assert occurred >= set(PKT_DROP_OUTCOMES) - {PKT_MALFORMED}
         assert PKT_MALFORMED not in occurred
+
+    # Four nodes standing in range of each other, a queue of 2,200 bytes
+    # (one 2,000-byte message is 2,116 bytes on air) and two ids per summary
+    # fragment: summaries handed over as one fragment and as several
+    # overflow behind data, and run_once audits their conservation.
+    TIGHT_QUEUE = Scenario(
+        trajectories=tuple(parse_ns2_trace(static_trace((0, 0), (30, 0), (0, 30), (30, 30)))),
+        duration_s=20.0,
+        seeds=(1,),
+        protocol=ProtocolConfig(1.0, 0.1, 200_000, 60.0, 4, 20),
+        link=LinkModel(2e5, 100.0),
+        traffic=TrafficParams(16, 2000, 1000, 0.5, 5.0),
+        queue_capacity=2200,
+        queue_residency_s=2.0,
+    )
+
+    def test_control_packets_overflow_behind_data(self):
+        _, trace = run_once(self.TIGHT_QUEUE, 1)
+        overflowed = {kind for kind, outcome in trace.packet_counts if outcome == PKT_OVERFLOW}
+        assert overflowed == {KIND_DATA, KIND_REPLY, KIND_REPLY_BACK}
+        assert len(trace.deliveries) == 11
 
 
 class TestWorldResidency:

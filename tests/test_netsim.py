@@ -851,20 +851,39 @@ class TestDeviceQueue:
 
 class TestMessageHandOver:
     """A message handed over in one call is queued, served and delivered
-    exactly as its packets submitted one at a time."""
+    exactly as its packets submitted one at a time, each a one-packet
+    hand-over. Each case runs with a RecordingTrace, whose `observe` is set,
+    and with a plain RunTrace, whose `observe` is None, as in a bench run."""
 
     # Four 1500-byte packets on air (30 + 1442 + 28) and a short last one
     # of 158 bytes (30 + 100 + 28).
     HEADERS = [bytes([i]) * 30 for i in range(5)]
     PAYLOADS = [bytes([i]) * 1442 for i in range(4)] + [bytes(100)]
 
-    def _run(self, as_message, rate=12e6, capacity=1_000_000, residency_us=10 * SEC, busy=False):
+    @pytest.fixture(params=[RecordingTrace, RunTrace], ids=["observed", "plain"])
+    def same_either_way(self, request):
+        """same_either_way(**world): the trace and deliveries of `world`'s
+        message handed over in one call, checked against one packet at a time."""
+
+        def check(**world):
+            one_call, got_one_call = self._run(True, request.param(), **world)
+            per_packet, got_per_packet = self._run(False, request.param(), **world)
+            if request.param is RecordingTrace:
+                assert one_call.events == per_packet.events
+            assert one_call.pair_counts == per_packet.pair_counts
+            assert got_one_call == got_per_packet
+            return one_call, got_one_call
+
+        return check
+
+    def _run(self, as_message, trace, rate=12e6, capacity=1_000_000, residency_us=10 * SEC,
+             busy=False):
         sim, net, trace = make_net(
             [(0, 0), (10, 0)],
             rate=rate,
             queue_capacity=capacity,
             residency_us=residency_us,
-            trace=RecordingTrace(),
+            trace=trace,
         )
         got = []
         net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
@@ -887,29 +906,22 @@ class TestMessageHandOver:
         net.finalize()
         return trace, got
 
-    def _same_either_way(self, **world):
-        one_call, got_one_call = self._run(True, **world)
-        per_packet, got_per_packet = self._run(False, **world)
-        assert one_call.events == per_packet.events
-        assert got_one_call == got_per_packet
-        return one_call, got_one_call
-
-    def test_overflow_mid_message_while_the_short_last_packet_fits(self):
-        trace, got = self._same_either_way(capacity=4000)
+    def test_overflow_mid_message_while_the_short_last_packet_fits(self, same_either_way):
+        trace, got = same_either_way(capacity=4000)
         assert trace.count("data", PKT_OVERFLOW) == 2
         assert [payload for _, _, payload, _, _ in got] == [
             self.PAYLOADS[0], self.PAYLOADS[1], self.PAYLOADS[4]
         ]
 
-    def test_later_packets_past_residency(self):
+    def test_later_packets_past_residency(self, same_either_way):
         # 1500 bytes at 10 kbps: 1.2 s of service, so packets 3 to 5 reach
         # the head 2.4 s after the hand-over, past the 2 s residency.
-        trace, got = self._same_either_way(rate=1e4, residency_us=2 * SEC)
+        trace, got = same_either_way(rate=1e4, residency_us=2 * SEC)
         assert trace.count("data", PKT_RESIDENCY) == 3
         assert [now for *_, now in got] == [1_200_100, 2_400_100]
 
-    def test_queue_busy_at_hand_over(self):
-        trace, got = self._same_either_way(busy=True)
+    def test_queue_busy_at_hand_over(self, same_either_way):
+        trace, got = same_either_way(busy=True)
         # The busy packet is delivered at 1,000 µs; then each 1500-byte
         # packet takes 1,000 µs at 12 Mbps and the 158-byte one 106 µs.
         assert [now for *_, now in got] == [1_000, 2_000, 3_000, 4_000, 5_000, 5_106]

@@ -1,6 +1,6 @@
 """Lockstep CPU-time pairs: the simulator of a git revision against the working tree.
 
-    python3 tools/lockstep_ab.py --base REV --workload W [--seed S] [--reps N] [--tiny]
+    python3 tools/lockstep_ab.py --base REV --workload W [--seed S] [--reps N] [--tiny] [--json]
 
 It extracts `src/dtnsim` of REV with `git archive` into a temporary
 directory and imports it as the package `dtnsim_base`, next to the working
@@ -14,10 +14,14 @@ Both sides run in one process at once, so drift of the machine's speed
 falls on both.
 
 It exits 1 unless both worlds end every rep with equal `events_run` and
-an equal `metrics.run_row`. It prints each rep's ratio (base CPU seconds
-over working-tree CPU seconds, so above 1 means the working tree is
-faster), then the median, the quartiles and the number of reps the working
-tree won. It writes nothing into the checkout.
+an equal `metrics.run_row`; it stops at the first rep where they differ.
+It prints each rep's ratio (base CPU seconds over working-tree CPU
+seconds, so above 1 means the working tree is faster), then the median,
+the quartiles and the number of reps the working tree won. With `--json`
+it prints one JSON object instead: the base as given and its commit, the
+workload, the seed, each finished rep's CPU seconds per side and ratio,
+the median, the quartiles, the wins and `equal_outputs`. It writes
+nothing into the checkout.
 
 This is a development aid, not the benchmark: a claimed gain is measured
 with `bench/run.py`. `--tiny` uses `workloads.TINY`, which runs in about a
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
+import json
 import statistics
 import subprocess
 import sys
@@ -72,8 +77,9 @@ def scenario_of(package: str, workload: workloads.Workload, path: Path):
 
 def one_rep(
     packages: dict[str, str], workload: workloads.Workload, path: Path, first: int
-) -> dict[str, float]:
-    """CPU seconds per side of one lockstep pass; raises if the results differ.
+) -> tuple[dict[str, float], dict[str, tuple]]:
+    """CPU seconds and the (events_run, run_row) result per side of one
+    lockstep pass.
 
     Side `first` (0 or 1 in SIDES) builds its world first and runs the
     odd-numbered slices first."""
@@ -99,9 +105,18 @@ def one_rep(
         network.finalize()
         metrics = importlib.import_module(f"{package}.metrics")
         results[side] = (sim.events_run, metrics.run_row(metrics.compute(trace, seed)))
-    if results["base"] != results["tree"]:
-        raise SystemExit(f"the two sides simulated different results:\n{results}")
-    return cpu
+    return cpu, results
+
+
+def commit_of(rev: str) -> str:
+    """The full hash of the commit that `rev` names."""
+    git = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    if git.returncode:
+        raise SystemExit(f"{rev} is not a commit: {git.stderr.strip()}")
+    return git.stdout.strip()
 
 
 def main() -> None:
@@ -111,27 +126,49 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     parser.add_argument("--reps", type=int, default=10, help="lockstep passes (default 10)")
     parser.add_argument("--tiny", action="store_true", help="the smoke-test sizes")
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     workload = (workloads.TINY if args.tiny else workloads.WORKLOADS)[args.workload]
+    base_commit = commit_of(args.base)
+    cpus, ratios, equal = {side: [] for side in SIDES}, [], True
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
-        extract_base(args.base, tmp_path)
+        extract_base(base_commit, tmp_path)
         sys.path.insert(0, tmp)
         path = workloads.write_inputs(workload, args.seed, tmp_path / "inputs")
         packages = {"base": "dtnsim_base", "tree": "dtnsim"}
-        ratios = []
         for rep in range(args.reps):
-            cpu = one_rep(packages, workload, path, rep % 2)
+            cpu, results = one_rep(packages, workload, path, rep % 2)
+            if results["base"] != results["tree"]:
+                equal = False
+                if not args.json:
+                    print(f"the two sides simulated different results:\n{results}", file=sys.stderr)
+                break
+            for side in SIDES:
+                cpus[side].append(cpu[side])
             ratios.append(cpu["base"] / cpu["tree"])
-            print(f"rep {rep}: base {cpu['base']:.3f} s, tree {cpu['tree']:.3f} s, "
-                  f"ratio {ratios[-1]:.3f}", flush=True)
-    quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+            if not args.json:
+                print(f"rep {rep}: base {cpu['base']:.3f} s, tree {cpu['tree']:.3f} s, "
+                      f"ratio {ratios[-1]:.3f}", flush=True)
+    median = statistics.median(ratios) if ratios else None
+    quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else [median] * 3
     wins = sum(r > 1 for r in ratios)
-    print(f"{args.workload} seed {args.seed}: median ratio {statistics.median(ratios):.3f}, "
-          f"quartiles {quartiles[0]:.3f}-{quartiles[2]:.3f}, tree faster in {wins} of "
-          f"{len(ratios)}")
+    if args.json:
+        print(json.dumps({
+            "base": args.base, "base_commit": base_commit,
+            "workload": args.workload, "seed": args.seed, "tiny": args.tiny,
+            "base_cpu_s": cpus["base"], "tree_cpu_s": cpus["tree"], "ratios": ratios,
+            "median": median, "quartiles": [quartiles[0], quartiles[2]],
+            "wins": wins, "equal_outputs": equal,
+        }))
+    elif ratios:
+        print(f"{args.workload} seed {args.seed}: median ratio {median:.3f}, "
+              f"quartiles {quartiles[0]:.3f}-{quartiles[2]:.3f}, tree faster in {wins} of "
+              f"{len(ratios)}")
+    if not equal:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
