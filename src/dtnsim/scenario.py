@@ -6,9 +6,11 @@ and rules, and check them however they are built; they compare by value,
 and a Scenario is frozen. `Scenario` checks the rules that span fields: node
 ids fit their 16-bit wire field, and with traffic, the trace has two nodes
 or more, the traffic window lies within the duration and the 48-bit message
-timestamp, and a message fits a node's buffer. It also defaults the device
-queue to the buffer capacity and two beacon intervals. The loader only
-parses, rejecting unknown or repeated keys and non-finite numbers. The trace
+timestamp, a message fits a node's buffer, and its packets fit the device
+queue in one hand-over. It also defaults the device queue to the buffer
+capacity and two beacon intervals. The file parser rejects unknown or
+repeated keys and non-finite numbers, `build_scenario` an unknown key of
+any mapping (a file's keys with overrides laid over them). The trace
 path is resolved relative to the scenario file, and the trace is read and
 parsed once per build: every seed run of a built scenario shares its
 trajectories. A command reads and parses its scenario file once, and
@@ -31,9 +33,9 @@ from pathlib import Path
 
 from ._value import Frozen, require_int
 from .mobility import Trajectory, parse_ns2_trace
-from .netsim import LinkModel, to_us
+from .netsim import IP_UDP_HEADER_BYTES, LinkModel, to_us
 from .protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
-from .wire import NODE_ID_MAX, TIMESTAMP_MAX
+from .wire import DATA_HEADERS_SIZE, NODE_ID_MAX, TIMESTAMP_MAX
 
 
 class ScenarioError(ValueError):
@@ -114,6 +116,14 @@ class Scenario(Frozen):
                 raise ValueError(
                     f"message_size {traffic.message_size} exceeds buffer_capacity "
                     f"{protocol.buffer_capacity}: no node could store a message"
+                )
+            # A message's packets enter the queue in one hand-over, which drops any that do not fit.
+            packets = -(-traffic.message_size // traffic.packet_payload)
+            on_air = traffic.message_size + packets * (DATA_HEADERS_SIZE + IP_UDP_HEADER_BYTES)
+            if self.queue_capacity < on_air:
+                raise ValueError(
+                    f"queue_capacity {self.queue_capacity} is below a message's {on_air} "
+                    "bytes on the air: no node could send a message whole"
                 )
 
     @property
@@ -199,16 +209,6 @@ def parse_scenario_text(text: str) -> dict[str, str]:
     return raw
 
 
-def apply_overrides(raw: dict[str, str], overrides: dict[str, str]) -> dict[str, str]:
-    """Overlay key=value overrides, validating key names."""
-    merged = dict(raw)
-    for key, value in overrides.items():
-        if key not in _SCHEMA:
-            raise ScenarioError(f"unknown scenario key {key!r}")
-        merged[key] = value
-    return merged
-
-
 def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
     """Parse raw values, read and parse the trace, and assemble a Scenario."""
     for key in _REQUIRED:
@@ -216,6 +216,8 @@ def build_scenario(raw: dict[str, str], base_dir: Path) -> Scenario:
             raise ScenarioError(f"missing required key {key!r}")
     kwargs: dict[str, dict] = {"scenario": {}, "protocol": {}, "link": {}, "traffic": {}}
     for key, value in raw.items():
+        if key not in _SCHEMA:
+            raise ScenarioError(f"unknown scenario key {key!r}")
         parser, target, name = _SCHEMA[key]
         try:
             kwargs[target][name] = parser(value)
@@ -251,7 +253,7 @@ def read_scenario(path: Path) -> dict[str, str]:
 
 def load_scenario(path: str | Path, overrides: dict[str, str] | None = None) -> Scenario:
     path = Path(path)
-    return build_scenario(apply_overrides(read_scenario(path), overrides or {}), path.parent)
+    return build_scenario({**read_scenario(path), **(overrides or {})}, path.parent)
 
 
 def with_seeds(scenario: Scenario, seeds: tuple[int, ...]) -> Scenario:

@@ -306,6 +306,16 @@ class TestSweepCommand:
         assert err.startswith("error: [loss_probability=0.3] ") and err.count("\n") == 1
         assert [row["loss_probability"] for row in read_csv(workdir / "aggregate.csv")] == ["0"]
 
+    def test_queue_smaller_than_a_message_fails_its_cell_alone(self, capsys, tmp_path):
+        # mini.cfg's messages are 20,812 bytes on the air.
+        mini = Path(__file__).parents[1] / "scenarios" / "mini.cfg"
+        argv = ["sweep", str(mini), "--axis", "queue_capacity=20000,1e6", "--seeds", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [queue_capacity=20000] queue_capacity 20000 is below")
+        assert err.count("\n") == 1
+        assert [row["queue_capacity"] for row in read_csv(tmp_path / "aggregate.csv")] == ["1e6"]
+
     def test_repeated_axis_key_exits_2_before_any_cell(self, rejects):
         # A later --axis of the same key would overwrite the earlier one
         # in every cell: the cells would repeat, under duplicate columns.
@@ -460,17 +470,28 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: dtnsim run ")
 
 
-@pytest.fixture(scope="module")
-def fresh_modules():
-    """The names in sys.modules of a fresh interpreter that imported dtnsim.cli."""
+def modules_after_import(module):
+    """The names in sys.modules of a fresh interpreter that imported `module`."""
     root = Path(__file__).resolve().parents[1]
-    code = "import sys, dtnsim.cli\nprint('\\n'.join(sorted(sys.modules)))\n"
+    code = f"import sys, {module}\nprint('\\n'.join(sorted(sys.modules)))\n"
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
     return result.stdout.split()
+
+
+@pytest.fixture(scope="module")
+def fresh_modules():
+    return modules_after_import("dtnsim.cli")
+
+
+def test_package_import_loads_no_submodule():
+    # Each name is imported from its module; the package re-exports none.
+    modules = modules_after_import("dtnsim")
+    assert "dtnsim" in modules
+    assert [m for m in modules if m.startswith("dtnsim.")] == []
 
 
 def test_cli_import_loads_no_scipy_or_numpy(fresh_modules):

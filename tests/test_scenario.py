@@ -5,9 +5,10 @@ import pickle
 import sys
 
 import pytest
+from conftest import static_trace
 
 from dtnsim import mobility
-from dtnsim.netsim import MAX_DATAGRAM_PAYLOAD, LinkModel, to_us
+from dtnsim.netsim import IP_UDP_HEADER_BYTES, MAX_DATAGRAM_PAYLOAD, LinkModel, to_us
 from dtnsim.protocol import MAX_PACKET_PAYLOAD, ProtocolConfig
 from dtnsim.records import ReplayTrace
 from dtnsim.runner import run_once, run_seeds
@@ -15,7 +16,7 @@ from dtnsim.scenario import (
     Scenario,
     ScenarioError,
     TrafficParams,
-    apply_overrides,
+    build_scenario,
     load_scenario,
     parse_scenario_text,
     with_seeds,
@@ -128,12 +129,31 @@ class TestParsing:
             load_scenario(scenario_dir / "scenario.cfg", overrides)
 
     def test_message_filling_the_buffer_accepted(self, scenario_dir):
-        overrides = {"message_count": "1", "buffer_capacity": "1e6", "message_size": "1e6"}
+        overrides = {
+            "message_count": "1", "buffer_capacity": "1e6", "message_size": "1e6",
+            "queue_capacity": "2e6",
+        }
         s = load_scenario(scenario_dir / "scenario.cfg", overrides)
         assert s.traffic.message_size == s.protocol.buffer_capacity == 1_000_000
         # Without traffic no message is built, so the sizes need not fit.
         s = load_scenario(scenario_dir / "scenario.cfg", {"buffer_capacity": "1000"})
         assert s.traffic.message_size > s.protocol.buffer_capacity
+
+    def test_message_filling_the_buffer_rejected_by_the_default_queue(self, scenario_dir):
+        # The default queue is the buffer capacity, but a message's headers
+        # make it larger on the air than in the buffer.
+        overrides = {"message_count": "1", "buffer_capacity": "1e6", "message_size": "1e6"}
+        with pytest.raises(ScenarioError, match="queue_capacity 1000000 is below a message's"):
+            load_scenario(scenario_dir / "scenario.cfg", overrides)
+
+    def test_queue_must_hold_one_message_on_the_air(self):
+        # mini.cfg's 20,000-byte message is 14 packets of at most 1,460
+        # bytes, each with 30 bytes of data headers and 28 of IPv4/UDP.
+        assert 20_000 + 14 * (DATA_HEADERS_SIZE + IP_UDP_HEADER_BYTES) == 20_812
+        with pytest.raises(ScenarioError, match="queue_capacity 20811 is below a message's 20812"):
+            load_scenario("scenarios/mini.cfg", {"queue_capacity": "20811"})
+        s = load_scenario("scenarios/mini.cfg", {"queue_capacity": "20812"})
+        assert s.queue_capacity == 20_812
 
     @pytest.mark.parametrize("value", ["4294967296", "5e9"])
     def test_hop_limit_beyond_the_u32_field_rejected_at_load(self, scenario_dir, value):
@@ -417,7 +437,8 @@ def test_trace_with_more_nodes_than_16_bit_ids_rejected():
 
 # Changes to the mini scenario that its run could not honour as written,
 # each with its loader message: the traffic would fall after the run, fit
-# no buffer, have no destination, or get no valid creation time.
+# no buffer or device queue, have no destination, or get no valid
+# creation time.
 UNRUNNABLE_WITH_TRAFFIC = {
     "window_past_the_run": (
         lambda mini: {"traffic": TrafficParams(4, 20_000, end_s=1e6)},
@@ -426,6 +447,20 @@ UNRUNNABLE_WITH_TRAFFIC = {
     "message_larger_than_the_buffer": (
         lambda mini: {"protocol": ProtocolConfig(buffer_capacity=1000)},
         "message_size 20000 exceeds buffer_capacity 1000",
+    ),
+    # Four static nodes whose 8,000-byte messages (6 packets) could never be
+    # sent whole through a 6,000-byte queue: none would be delivered.
+    "message_larger_than_the_queue": (
+        lambda mini: {
+            "trajectories": tuple(mobility.parse_ns2_trace(
+                static_trace((0, 0), (30, 0), (0, 30), (30, 30))
+            )),
+            "duration_s": 20.0,
+            "link": LinkModel(1e5),
+            "traffic": TrafficParams(12, 8000),
+            "queue_capacity": 6000,
+        },
+        "queue_capacity 6000 is below a message's 8348 bytes on the air",
     ),
     "one_node": (
         lambda mini: {"trajectories": mini.trajectories[:1]},
@@ -493,9 +528,18 @@ class TestOverrides:
         s = load_scenario(scenario_dir / "scenario.cfg", {"hop_limit": "3"})
         assert s.protocol.hop_limit == 3
 
-    def test_unknown_override_key(self):
-        with pytest.raises(ScenarioError, match="unknown"):
-            apply_overrides({}, {"bogus": "1"})
+    def test_unknown_override_key(self, scenario_dir):
+        with pytest.raises(ScenarioError, match="^unknown scenario key 'bogus'$"):
+            load_scenario(scenario_dir / "scenario.cfg", {"bogus": "1"})
+
+    def test_override_of_a_key_the_file_sets_wins(self, scenario_dir):
+        s = load_scenario(scenario_dir / "scenario.cfg", {"duration": "7"})
+        assert s.duration_s == 7
+
+    def test_unknown_key_rejected_before_the_trace_is_read(self, tmp_path):
+        raw = {"trace": "nowhere.ns_movements", "duration": "5", "bogus": "1"}
+        with pytest.raises(ScenarioError, match="^unknown scenario key 'bogus'$"):
+            build_scenario(raw, tmp_path)
 
     def test_bundled_mini_scenario_loads(self):
         s = load_scenario("scenarios/mini.cfg")

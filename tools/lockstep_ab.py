@@ -1,6 +1,6 @@
 """Lockstep CPU-time pairs: the simulator of a git revision against the working tree.
 
-    python3 tools/lockstep_ab.py --base REV --workload W [--seed S] [--reps N] [--tiny] [--json]
+    python3 tools/lockstep_ab.py --base REV --workload W [--seed S] [--reps N] [--tiny]
 
 It extracts `src/dtnsim` of REV with `git archive` into a temporary
 directory and imports it as the package `dtnsim_base`, next to the working
@@ -15,13 +15,12 @@ falls on both.
 
 It exits 1 unless both worlds end every rep with equal `events_run` and
 an equal `metrics.run_row`; it stops at the first rep where they differ.
-It prints each rep's ratio (base CPU seconds over working-tree CPU
-seconds, so above 1 means the working tree is faster), then the median,
-the quartiles and the number of reps the working tree won. With `--json`
-it prints one JSON object instead: the base as given and its commit, the
-workload, the seed, each finished rep's CPU seconds per side and ratio,
-the median, the quartiles, the wins and `equal_outputs`. It writes
-nothing into the checkout.
+Its stdout is one JSON object: the base as given and its commit, the
+workload, the seed, each finished rep's CPU seconds per side and ratio
+(base CPU seconds over working-tree CPU seconds, so above 1 means the
+working tree is faster), the median, the quartiles, the number of reps
+the working tree won and `equal_outputs`. Each rep's line and a
+difference in outputs go to stderr. It writes nothing into the checkout.
 
 This is a development aid, not the benchmark: a claimed gain is measured
 with `bench/run.py`. `--tiny` uses `workloads.TINY`, which runs in about a
@@ -126,7 +125,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     parser.add_argument("--reps", type=int, default=10, help="lockstep passes (default 10)")
     parser.add_argument("--tiny", action="store_true", help="the smoke-test sizes")
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -143,30 +141,22 @@ def main() -> None:
             cpu, results = one_rep(packages, workload, path, rep % 2)
             if results["base"] != results["tree"]:
                 equal = False
-                if not args.json:
-                    print(f"the two sides simulated different results:\n{results}", file=sys.stderr)
+                print(f"the two sides simulated different results:\n{results}", file=sys.stderr)
                 break
             for side in SIDES:
                 cpus[side].append(cpu[side])
             ratios.append(cpu["base"] / cpu["tree"])
-            if not args.json:
-                print(f"rep {rep}: base {cpu['base']:.3f} s, tree {cpu['tree']:.3f} s, "
-                      f"ratio {ratios[-1]:.3f}", flush=True)
+            print(f"rep {rep}: base {cpu['base']:.3f} s, tree {cpu['tree']:.3f} s, "
+                  f"ratio {ratios[-1]:.3f}", file=sys.stderr, flush=True)
     median = statistics.median(ratios) if ratios else None
     quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else [median] * 3
-    wins = sum(r > 1 for r in ratios)
-    if args.json:
-        print(json.dumps({
-            "base": args.base, "base_commit": base_commit,
-            "workload": args.workload, "seed": args.seed, "tiny": args.tiny,
-            "base_cpu_s": cpus["base"], "tree_cpu_s": cpus["tree"], "ratios": ratios,
-            "median": median, "quartiles": [quartiles[0], quartiles[2]],
-            "wins": wins, "equal_outputs": equal,
-        }))
-    elif ratios:
-        print(f"{args.workload} seed {args.seed}: median ratio {median:.3f}, "
-              f"quartiles {quartiles[0]:.3f}-{quartiles[2]:.3f}, tree faster in {wins} of "
-              f"{len(ratios)}")
+    print(json.dumps({
+        "base": args.base, "base_commit": base_commit,
+        "workload": args.workload, "seed": args.seed, "tiny": args.tiny,
+        "base_cpu_s": cpus["base"], "tree_cpu_s": cpus["tree"], "ratios": ratios,
+        "median": median, "quartiles": [quartiles[0], quartiles[2]],
+        "wins": sum(r > 1 for r in ratios), "equal_outputs": equal,
+    }))
     if not equal:
         raise SystemExit(1)
 
