@@ -506,9 +506,9 @@ class NodeTransport:
     @property
     def hand_over(self) -> Callable[..., None]:
         """hand_over(dst, port, headers, kind, msg_dst, payloads): one packet
-        per (header, payload) pair, in order, in one call, to `dst` or, if
-        it is None, broadcast; it is the device queue's own enqueue, not a
-        forwarding method."""
+        per (header, payload) pair, in order, in one call, to node id `dst`
+        (its radio index) or, if it is None, broadcast; it is the device
+        queue's own enqueue, not a forwarding method."""
         return self._network._enqueues[self._node_id]
 
     def schedule(self, time_us: int, fn: Callable[[], None]) -> None:

@@ -14,7 +14,7 @@ first packet heard from the neighbor; removing it (liveness timeout, or a
 beacon on a stale record) ends the contact, and a partly received message
 goes with it.
 
-Anti-entropy: on a new contact the side with the lower address sends its
+Anti-entropy: on a new contact the side with the lower node id sends its
 buffer summary (REPLY, fragmented); the higher side answers with its own
 summary (REPLY_BACK) and both sides then send the messages the peer
 lacks, one complete message per neighbor at a time, gated by hop-by-hop
@@ -25,13 +25,14 @@ decremented, is dropped when expired or out of hops, and is otherwise
 stored (and counted as delivered at its destination).
 
 Control and data packets travel on distinct logical channels, standing in
-for the two UDP ports of an IP convergence layer. Every packet goes to the
-radio through one hand-over, `Transport.hand_over`: a beacon as one
-broadcast packet (no destination), an ACK as one packet, a summary as all
-its fragments in one call, and a message as its data packets in one call,
-each as its header block plus a reference to the stored payload bytes,
-which the receiver stores as they are: every copy of a message shares the
-originator's payload objects.
+for the two UDP ports of an IP convergence layer. A node's one identity is
+its node id, which is its radio index: a node sends to a neighbor's id.
+Every packet goes to the radio through one hand-over, `Transport.hand_over`:
+a beacon as one broadcast packet (no destination), an ACK as one packet, a
+summary as all its fragments in one call, and a message as its data
+packets in one call, each as its header block plus a reference to the
+stored payload bytes, which the receiver stores as they are: every copy of
+a message shares the originator's payload objects.
 """
 
 from __future__ import annotations
@@ -185,12 +186,11 @@ class NeighborRecord:
     one-packet message never enters it.
     """
 
-    __slots__ = ("node_id", "address", "last_heard", "summary_accum", "pending", "in_flight",
+    __slots__ = ("node_id", "last_heard", "summary_accum", "pending", "in_flight",
                  "rx_id", "rx_total", "rx_hop_count", "rx_dst", "rx_parts")
 
-    def __init__(self, node_id: int, address: int, last_heard: int) -> None:
+    def __init__(self, node_id: int, last_heard: int) -> None:
         self.node_id = node_id
-        self.address = address
         self.last_heard = last_heard
         self.summary_accum: list[tuple[int, ...]] = []
         self.pending: deque[MessageId] = deque()
@@ -218,14 +218,12 @@ class EpidemicNode:
     def __init__(
         self,
         node_id: int,
-        address: int,
         config: ProtocolConfig,
         transport: Transport,
         trace: RunTrace,
         beacon_rng: random.Random,
     ) -> None:
         self.node_id = node_id
-        self.address = address
         self.config = config
         self.transport = transport
         self._hand_over = transport.hand_over
@@ -305,7 +303,8 @@ class EpidemicNode:
         and the fragment's frag_block and length (checks 2, 5 and 6); any
         failure takes the one malformed exit. The handlers run outside the
         unpacks' `try`, and a fragment's ids go to `on_summary` as ints.
-        """
+        `sender_addr`, the radio source, only names a malformed packet's
+        sender; the neighbor is the node id in the packet's header."""
         if port == PORT_DATA:
             try:
                 epi_raw, hops, raw, last_hop, total, index = _DATA_HEADERS.unpack_from(data)
@@ -320,10 +319,9 @@ class EpidemicNode:
                 return
             nb = self.neighbors.get(last_hop)
             if nb is None:
-                nb = self.neighbors[last_hop] = NeighborRecord(last_hop, sender_addr, now)
+                nb = self.neighbors[last_hop] = NeighborRecord(last_hop, now)
             else:
                 nb.last_heard = now
-                nb.address = sender_addr
             rx_id = nb.rx_id
             if rx_id == raw:
                 if nb.rx_total != total:  # check 6
@@ -357,14 +355,14 @@ class EpidemicNode:
         except struct.error:
             code = None
         if code == _BEACON:
-            self.on_beacon(node_id, sender_addr, now)
+            self.on_beacon(node_id, now)
         elif code == _ACK:
-            self.on_ack(ack_node, message_id, sender_addr, now)
+            self.on_ack(ack_node, message_id, now)
         # checks 5 and 6: the envelope and the fragment head are 7 bytes
         elif ((code == _REPLY or code == _REPLY_BACK)
               and frag_block <= 1 and len(data) == 7 + 8 * length):
             ids = _summary_ids(length).unpack_from(data, 7)
-            self.on_summary(code, node_id, sender_addr, frag_block, ids, now)
+            self.on_summary(code, node_id, frag_block, ids, now)
         else:  # check 2 (an unknown code), or any check above failed
             self._malformed(KIND_CONTROL, len(data), sender_addr)
 
@@ -373,29 +371,23 @@ class EpidemicNode:
 
     # -- discovery --------------------------------------------------------
 
-    def on_beacon(self, node_id: int, sender_addr: int, now: int) -> None:
-        """A beacon starts an exchange only on new or stale connections."""
+    def on_beacon(self, node_id: int, now: int) -> None:
+        """A beacon opens an exchange, led by the lower node id, only on a new or stale contact."""
         existing = self.neighbors.get(node_id)
         if existing is not None and now - existing.last_heard < self._liveness_us:
             return
         if existing is not None:
             self._end_contact(existing, now)
-        nb = self._touch_neighbor(node_id, sender_addr, now)
-        if self._leads(sender_addr, node_id):
+        nb = self._touch_neighbor(node_id, now)
+        if self.node_id < node_id:
             self._send_summary(self._reply, KIND_REPLY, nb, now)
 
-    def _leads(self, other_addr: int, other_node: int) -> bool:
-        # Lower address leads the exchange; node id breaks address ties.
-        return (self.address, self.node_id) < (other_addr, other_node)
-
-    def _touch_neighbor(self, node_id: int, sender_addr: int, now: int) -> NeighborRecord:
+    def _touch_neighbor(self, node_id: int, now: int) -> NeighborRecord:
         nb = self.neighbors.get(node_id)
         if nb is None:
-            nb = NeighborRecord(node_id, sender_addr, last_heard=now)
-            self.neighbors[node_id] = nb
+            nb = self.neighbors[node_id] = NeighborRecord(node_id, now)
         else:
             nb.last_heard = now
-            nb.address = sender_addr
         return nb
 
     def _end_contact(self, nb: NeighborRecord, now: int) -> None:
@@ -410,7 +402,6 @@ class EpidemicNode:
         self,
         msg_type: int,
         sender_node: int,
-        sender_addr: int,
         frag_block: int,
         ids: tuple[int, ...],
         now: int,
@@ -422,9 +413,9 @@ class EpidemicNode:
         pipeline toward the peer; a complete REPLY is first answered with
         this node's REPLY_BACK.
         """
-        nb = self._touch_neighbor(sender_node, sender_addr, now)
+        nb = self._touch_neighbor(sender_node, now)
         is_reply = msg_type == _REPLY
-        if self._leads(sender_addr, sender_node) is is_reply:
+        if (self.node_id < sender_node) is is_reply:
             return  # only the leading side sends REPLY; ignore on violation
         nb.summary_accum.append(ids)
         if frag_block == 0:
@@ -444,7 +435,7 @@ class EpidemicNode:
         frags = self._summary_fragments
         # A one-element list, a one-fragment summary's, needs no comprehension's frame.
         datagrams = [envelope + frags[0]] if len(frags) == 1 else [envelope + f for f in frags]
-        self._hand_over(nb.address, PORT_CONTROL, datagrams, kind, None, _NO_PAYLOAD * len(frags))
+        self._hand_over(nb.node_id, PORT_CONTROL, datagrams, kind, None, _NO_PAYLOAD * len(frags))
 
     def _load_pipeline(self, nb: NeighborRecord, remote: list[tuple[int, ...]], now: int) -> None:
         nb.pending = deque(self.buffer.find_disjoint(*remote))
@@ -467,12 +458,12 @@ class EpidemicNode:
             pack = _DATA_HEADERS.pack
             headers = ([pack(mid, hops, mid, node_id, 1, 0)] if total == 1 else
                        [pack(mid, hops, mid, node_id, total, index) for index in range(total)])
-            self._hand_over(nb.address, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
+            self._hand_over(nb.node_id, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
             nb.in_flight = mid
             return
 
-    def on_ack(self, node_id: int, message_id: int, sender_addr: int, now: int) -> None:
-        nb = self._touch_neighbor(node_id, sender_addr, now)
+    def on_ack(self, node_id: int, message_id: int, now: int) -> None:
+        nb = self._touch_neighbor(node_id, now)
         if nb.in_flight != message_id:
             return  # stale or unknown ACK
         nb.in_flight = None
@@ -504,7 +495,7 @@ class EpidemicNode:
                 self.buffer.enqueue(QueueEntry(mid, destination, packets, budget), now)
         node_id = self.node_id
         ack = _ACK_PACKET.pack(_ACK, node_id, mid, node_id, ACK_STATUS_SUCCESS)
-        self._hand_over(nb.address, PORT_CONTROL, (ack,), KIND_ACK, None, _NO_PAYLOAD)
+        self._hand_over(nb.node_id, PORT_CONTROL, (ack,), KIND_ACK, None, _NO_PAYLOAD)
 
     # -- local message injection -----------------------------------------------
 

@@ -40,7 +40,6 @@ def build_run(
     for i in range(node_count):
         node = EpidemicNode(
             node_id=i,
-            address=i,
             config=scenario.protocol,
             transport=NodeTransport(network, i),
             trace=trace,

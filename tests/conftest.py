@@ -88,12 +88,11 @@ class FakeTransport:
         return [s for s in self.sent if s[3] == kind]
 
 
-def make_node(node_id=0, address=None, config=None, seed="test", trace=None):
+def make_node(node_id=0, config=None, seed="test", trace=None):
     transport = FakeTransport()
     trace = ReplayTrace() if trace is None else trace
     node = EpidemicNode(
         node_id=node_id,
-        address=node_id if address is None else address,
         config=config or ProtocolConfig(),
         transport=transport,
         trace=trace,

@@ -658,6 +658,35 @@ class TestTransmission:
             None, 1, (b"abc",), "beacon", None, (b"",))) == submitted
         assert submitted[1][(2, None, "beacon", PKT_SUBMITTED)] == 1
 
+    def test_full_duplex_without_contention(self):
+        # Nodes 0 and 1 hand each other a packet and node 2, in range of
+        # both, a broadcast, all at one instant. Each node's queue sends at
+        # the full rate whatever its neighbours send, and a node receives
+        # while it transmits: every packet arrives one service time of its
+        # own after the hand-over, and none is dropped.
+        sim, net, trace = make_net([(0, 0), (10, 0), (20, 0)], trace=RecordingTrace())
+        got = []
+        for i in range(3):
+            net.attach(i, lambda src, port, data, msg_dst, now, payload, i=i: got.append(
+                (src, i, len(data), now)
+            ))
+        sizes = {0: 1000, 1: 400, 2: 50}
+        for src, dst, port, kind in [(0, 1, PORT_DATA, "data"), (1, 0, PORT_DATA, "data"),
+                                     (2, None, PORT_CONTROL, "beacon")]:
+            NodeTransport(net, src).hand_over(dst, port, (bytes(sizes[src]),), kind, dst, (b"",))
+        sim.run(SEC)
+        net.finalize()
+        arrival = {src: service_time_us(size + 28, 12_000_000) for src, size in sizes.items()}
+        assert len(set(arrival.values())) == 3
+        assert sorted(got) == [
+            (0, 1, sizes[0], arrival[0]),
+            (1, 0, sizes[1], arrival[1]),
+            (2, 0, sizes[2], arrival[2]),
+            (2, 1, sizes[2], arrival[2]),
+        ]
+        outcomes = {outcome for _, outcome, *_ in trace.events}
+        assert outcomes == {PKT_SUBMITTED, PKT_TRANSMITTED, PKT_DELIVERED}
+
     def test_out_of_range_unicast_counted(self):
         sim, net, trace = make_net([(0, 0), (500, 0)])
         net.submit(0, 1, 1, b"abc", "data")

@@ -70,9 +70,8 @@ def decoded_data_packets(transport):
 def contact_state(node):
     """Every field of every neighbor record, reception state included."""
     return {
-        nid: (nb.address, nb.last_heard, list(nb.summary_accum),
-              list(nb.pending), nb.in_flight, nb.rx_id, nb.rx_total,
-              nb.rx_hop_count, nb.rx_dst, dict(nb.rx_parts))
+        nid: (nb.last_heard, list(nb.summary_accum), list(nb.pending), nb.in_flight,
+              nb.rx_id, nb.rx_total, nb.rx_hop_count, nb.rx_dst, dict(nb.rx_parts))
         for nid, nb in node.neighbors.items()
     }
 
@@ -220,13 +219,35 @@ class TestOnBeacon:
         assert list(node.neighbors) == [3]
         assert node.neighbors[3].last_heard == 0  # still live, not restarted
 
-    def test_equal_addresses_lower_node_id_leads(self):
-        lower, lower_transport, _ = make_node(node_id=1, address=5)
-        higher, higher_transport, _ = make_node(node_id=2, address=5)
-        feed_beacon(lower, sender_node=2, sender_addr=5, now=0)
-        feed_beacon(higher, sender_node=1, sender_addr=5, now=0)
-        assert len(lower_transport.sent_of_kind(KIND_REPLY)) == 1
-        assert higher_transport.sent_of_kind(KIND_REPLY) == []
+    @given(st.lists(st.integers(0, 0xFFFF), min_size=2, max_size=2, unique=True))
+    @example([0, 0xFFFF])
+    @example([0xFFFF, 0])
+    @tier1_or_deep(100)
+    def test_exactly_one_side_of_a_contact_leads(self, node_ids):
+        # Each node holds a message, so an exchange it joins would send.
+        sides = [make_node(node_id=i) for i in node_ids]
+        for node, _, _ in sides:
+            node.buffer.enqueue(make_entry(node.node_id, 100), 100)
+        (a, _, _), (b, _, _) = sides
+        feed_beacon(a, b.node_id, b.node_id, now=200)
+        feed_beacon(b, a.node_id, a.node_id, now=200)
+        replies = [t.sent_of_kind(KIND_REPLY) for _, t, _ in sides]
+        assert sorted(map(len, replies)) == [0, 1], node_ids
+        (leader, leader_transport, _), (follower, follower_transport, _) = (
+            sides if replies[0] else sides[::-1]
+        )
+        [(dst, port, reply, _, _)] = leader_transport.sent
+        assert (dst, port) == (follower.node_id, PORT_CONTROL)
+
+        follower.handle_packet(leader.node_id, PORT_CONTROL, reply, None, 200)
+        reply_backs = follower_transport.sent_of_kind(KIND_REPLY_BACK)
+        assert [dst for dst, *_ in reply_backs] == [leader.node_id], node_ids
+
+        # A REPLY from the follower is ignored: nothing sent, nothing loaded.
+        before = contact_state(leader)
+        feed_summary(leader, MsgType.REPLY, follower.node_id, follower.node_id, [(0, [])], 200)
+        assert leader_transport.sent == [(follower.node_id, PORT_CONTROL, reply, KIND_REPLY, None)]
+        assert contact_state(leader) == before
 
 
 def decoded_fragments(ids, max_control_payload):

@@ -306,13 +306,16 @@ class TestNodeSends:
         st.lists(st.binary(max_size=8), min_size=1, max_size=5),
     )
     def test_data_packets_match_header_classes(self, raw, hops, node_id, payloads):
-        # The node at address 1 holds the message; its neighbor at address
-        # 0 leads with an empty summary, so the node sends it whole.
+        # The node holds the message; its neighbor sends an empty summary,
+        # a REPLY if its lower id leads and else the REPLY_BACK that
+        # answers the node's, so the node sends the message whole to it.
         mid = MessageId(raw)
         now = mid.timestamp_us
-        node, transport, _ = make_node(node_id=node_id, address=1)
+        node, transport, _ = make_node(node_id=node_id)
         node.buffer.enqueue(QueueEntry(mid, 7, tuple(payloads), hops), now)
-        feed_summary(node, MsgType.REPLY, (node_id + 1) & 0xFFFF, 0, [(0, [])], now)
+        peer = node_id - 1 if node_id else 1
+        msg_type = MsgType.REPLY if peer < node_id else MsgType.REPLY_BACK
+        feed_summary(node, msg_type, peer, peer, [(0, [])], now)
         total = len(payloads)
         expected = [
             EpidemicHeader(mid, hops).encode()
@@ -320,16 +323,20 @@ class TestNodeSends:
             + payload
             for index, payload in enumerate(payloads)
         ]
-        assert transport.sent_of_kind(KIND_DATA) == [(0, PORT_DATA, packet, KIND_DATA, 7) for packet in expected]
+        assert transport.sent_of_kind(KIND_DATA) == [
+            (peer, PORT_DATA, packet, KIND_DATA, 7) for packet in expected
+        ]
 
     @given(st.integers(0, (1 << 64) - 1), st.integers(0, 0xFFFF))
     def test_ack_matches_header_classes(self, raw, node_id):
         mid = MessageId(raw)
         node, transport, _ = make_node(node_id=node_id)
         entry = QueueEntry(mid, 7, (b"payload",), 3)
-        feed_message(node, entry, (node_id + 1) & 0xFFFF, 5, mid.timestamp_us)
+        # The ACK goes to the node id in the data header, not to the radio source.
+        peer = (node_id + 1) & 0xFFFF
+        feed_message(node, entry, peer, 5, mid.timestamp_us)
         [(dst, port, data, kind, msg_dst)] = transport.sent
-        assert (dst, port, kind, msg_dst) == (5, PORT_CONTROL, KIND_ACK, None)
+        assert (dst, port, kind, msg_dst) == (peer, PORT_CONTROL, KIND_ACK, None)
         assert data == (
             MessageTypeHeader(MsgType.ACK, node_id).encode() + AckHeader(mid, node_id).encode()
         )
@@ -343,7 +350,7 @@ class TestNodeSends:
         rng = random.Random(300)
         node, _, _ = make_node(node_id=9)
         seen = []
-        node.on_summary = lambda code, sender, addr, frag_block, ids, now: seen.append(
+        node.on_summary = lambda code, sender, frag_block, ids, now: seen.append(
             (frag_block, ids)
         )
         envelope = MessageTypeHeader(MsgType.REPLY, 1).encode()
