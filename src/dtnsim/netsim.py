@@ -16,9 +16,11 @@ subject to an optional per-receiver Bernoulli loss draw. A node hands
 every packet to its queue through `NodeTransport.hand_over`, the queue's
 own enqueue, k packets in one call (a beacon, a message's data packets, a
 summary's fragments, or one ACK), which queues, drops and reports them
-exactly as k one-packet hand-overs would. A lone packet, most of the
-hand-overs of a run, takes no packet loop: it is queued, dropped and
-reported as the loop would.
+exactly as k one-packet hand-overs would. A hand-over that fits the
+queue whole is queued in one extend; the packet loop runs only when some
+packet would not fit. A lone packet, most of the hand-overs of a run,
+takes no loop either: it is queued, dropped and reported as the loop
+would.
 
 Range is decided when a transmission completes. The exact check,
 `RadioNetwork.in_range(a, b)`, asked at `now` only, looks up each node's
@@ -309,14 +311,16 @@ class RadioNetwork:
 
         enqueue(dst, port, headers, kind, msg_dst, payloads) appends one
         packet per (header, payload) pair in order, tail-dropping each that
-        does not fit. If the queue was idle it then schedules the head's
-        completion, as handing the packets over one at a time would: the
-        first that fits starts service at `now`. That head was enqueued at
-        `now`, so it is within any residency >= 0. Nothing enqueues during
-        a completion, so an idle queue is an empty one. A hand-over of one
-        packet (a beacon, an ACK, a one-fragment summary or a one-packet
-        message) takes the same steps without the loop: it is queued,
-        dropped and reported as the loop would.
+        does not fit. When all fit, it takes them in one extend and
+        reports their submissions in order; the per-packet loop runs only
+        when some packet would not fit. If the queue was idle it then
+        schedules the head's completion, as handing the packets over one at
+        a time would: the first that fits starts service at `now`. That
+        head was enqueued at `now`, so it is within any residency >= 0.
+        Nothing enqueues during a completion, so an idle queue is an empty
+        one. A hand-over of one packet (a beacon, an ACK, a one-fragment
+        summary or a one-packet message) takes the same steps without the
+        loop: it is queued, dropped and reported as the loop would.
 
         complete() ends the head's transmission. A unicast reaches its
         destination if the pair is in range (a certificate that holds, else
@@ -374,23 +378,32 @@ class RadioNetwork:
                 if idle:
                     sim.schedule(now + service_us[size], EVENT_TIMER, completions[node])
                 return
-            total = queued
             meta = (node, dst, port, kind, msg_dst, row)
-            handed = 0
-            for data, payload in zip(headers, payloads):
-                # On-air bytes: data, payload and the IPv4/UDP encapsulation.
-                size = len(data) + len(payload) + encapsulation
-                handed += size
+            # On-air bytes: data, payload and the IPv4/UDP encapsulation.
+            sizes = [len(data) + len(payload) + encapsulation
+                     for data, payload in zip(headers, payloads)]
+            handed = sum(sizes)
+            if queued + handed <= capacity:
+                # Every packet fits: the loop's steps, in one extend.
                 if observe is not None:
-                    observe(kind, PKT_SUBMITTED, size, node, dst)
-                if total + size > capacity:
-                    packet_event(kind, PKT_OVERFLOW, size, node, dst)
-                else:
-                    fifo.append((size, data, payload, meta, now))
-                    total += size
-            row[0] += len(headers)
+                    for size in sizes:
+                        observe(kind, PKT_SUBMITTED, size, node, dst)
+                fifo.extend(zip(sizes, headers, payloads,
+                                itertools.repeat(meta), itertools.repeat(now)))
+                queued += handed
+            else:
+                total = queued
+                for size, data, payload in zip(sizes, headers, payloads):
+                    if observe is not None:
+                        observe(kind, PKT_SUBMITTED, size, node, dst)
+                    if total + size > capacity:
+                        packet_event(kind, PKT_OVERFLOW, size, node, dst)
+                    else:
+                        fifo.append((size, data, payload, meta, now))
+                        total += size
+                queued = total
+            row[0] += len(sizes)
             row[1] += handed
-            queued = total
             if idle and fifo:
                 sim.schedule(now + service_us[fifo[0][0]], EVENT_TIMER, completions[node])
 

@@ -68,11 +68,13 @@ from .wire import (
     TIMESTAMP_MAX,
     _ACK_PACKET,
     _DATA_HEADERS,
+    _DATA_HEADERS_HEAD,
     _MESSAGE_TYPE,
     _SUMMARY_HEAD,
     MessageId,
     MsgType,
     _check_node,
+    _index_blocks,
     _summary_ids,
     make_message_id,
 )
@@ -332,7 +334,7 @@ class EpidemicNode:
                 if len(parts) == total:
                     nb.rx_id = None
                     self._complete_message(nb, raw, nb.rx_hop_count, nb.rx_dst,
-                                           tuple(parts[i] for i in range(total)), now)
+                                           tuple(map(parts.__getitem__, range(total))), now)
                 return
             if rx_id is not None:
                 self._drop_msg(now, rx_id, MSG_PARTIAL_RESET)
@@ -452,12 +454,16 @@ class EpidemicNode:
             if entry is None:
                 continue  # evicted or expired since the pipeline was built
             # Header block i is EpidemicHeader then DataPacketHeader of
-            # packet i; packet i on the wire is block i then payload i.
+            # packet i; packet i on the wire is block i then payload i. The
+            # blocks of a k-packet message differ only in their last field:
+            # its head is packed once and each cached index block appended.
             packets = entry.packets
             hops, node_id, total = entry.hop_budget, self.node_id, len(packets)
-            pack = _DATA_HEADERS.pack
-            headers = ([pack(mid, hops, mid, node_id, 1, 0)] if total == 1 else
-                       [pack(mid, hops, mid, node_id, total, index) for index in range(total)])
+            if total == 1:
+                headers = [_DATA_HEADERS.pack(mid, hops, mid, node_id, 1, 0)]
+            else:
+                head = _DATA_HEADERS_HEAD.pack(mid, hops, mid, node_id, total)
+                headers = [head + block for block in _index_blocks(total)]
             self._hand_over(nb.node_id, PORT_DATA, headers, KIND_DATA, entry.destination, packets)
             nb.in_flight = mid
             return

@@ -20,10 +20,12 @@ packet); a summary vector must match its declared length exactly.
 
 This module keeps the layouts, as Structs, and the message ids.
 `EpidemicNode` packs and parses every packet itself with the layout
-Structs: `_DATA_HEADERS` for a data packet's header block,
-`_MESSAGE_TYPE` for a control envelope, `_ACK_PACKET` for a whole ACK,
-and `_SUMMARY_HEAD` then `_summary_ids(n)` for a summary fragment. It
-makes the receive checks itself, with plain ints out.
+Structs: `_DATA_HEADERS` for a data packet's header block (a message
+of k > 1 packets packs its `_DATA_HEADERS_HEAD` once and appends each of
+`_index_blocks(k)` to it), `_MESSAGE_TYPE` for a control envelope,
+`_ACK_PACKET` for a whole ACK, and `_SUMMARY_HEAD` then `_summary_ids(n)`
+for a summary fragment. It makes the receive checks itself, with plain
+ints out.
 
 The five header classes are the independent reference for that code: no
 other module of `src/` calls them, each encodes and decodes by its own
@@ -125,6 +127,10 @@ _SUMMARY_HEAD = struct.Struct(">HH")
 _SUMMARY_ID = struct.Struct(">Q")
 # EpidemicHeader then DataPacketHeader: the two headers of every data packet.
 _DATA_HEADERS = struct.Struct(">QIQHII")
+# _DATA_HEADERS without packet_index, and the u32 index blocks 0..n-1 per
+# packet count: a message's header block i is its head plus index block i.
+_DATA_HEADERS_HEAD = struct.Struct(">QIQHI")
+_index_blocks = cache(lambda n: tuple(struct.pack(">I", i) for i in range(n)))
 # MessageTypeHeader then AckHeader: a whole ACK packet.
 _ACK_PACKET = struct.Struct(">BHQHH")
 # Struct(">{n}Q") per id count: struct's own cache holds only 100 formats.

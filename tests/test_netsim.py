@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from conftest import (
@@ -878,6 +879,24 @@ class TestDeviceQueue:
         assert trace.count("data", PKT_IN_FLIGHT_AT_END) == 0  # no propagation delay
 
 
+class ExtendCountingDeque(deque):
+    """A deque that counts its `extend` calls."""
+
+    extends = 0
+
+    def extend(self, items):
+        self.extends += 1
+        super().extend(items)
+
+
+class ExtendCountingRadio(RadioNetwork):
+    """A radio whose device queues count their `extend` calls."""
+
+    def _service(self, node):
+        self._fifos[node] = ExtendCountingDeque()
+        return super()._service(node)
+
+
 class TestMessageHandOver:
     """A message handed over in one call is queued, served and delivered
     exactly as its packets submitted one at a time, each a one-packet
@@ -888,31 +907,37 @@ class TestMessageHandOver:
     # of 158 bytes (30 + 100 + 28).
     HEADERS = [bytes([i]) * 30 for i in range(5)]
     PAYLOADS = [bytes([i]) * 1442 for i in range(4)] + [bytes(100)]
+    MESSAGE_BYTES = 4 * 1500 + 158
 
     @pytest.fixture(params=[RecordingTrace, RunTrace], ids=["observed", "plain"])
     def same_either_way(self, request):
         """same_either_way(**world): the trace and deliveries of `world`'s
-        message handed over in one call, checked against one packet at a time."""
+        message handed over in one call, checked against one packet at a
+        time. The call queues the message in one extend exactly when none
+        of its packets overflows."""
 
         def check(**world):
-            one_call, got_one_call = self._run(True, request.param(), **world)
-            per_packet, got_per_packet = self._run(False, request.param(), **world)
+            one_call, got_one_call, extends = self._run(True, request.param(), **world)
+            per_packet, got_per_packet, _ = self._run(False, request.param(), **world)
             if request.param is RecordingTrace:
                 assert one_call.events == per_packet.events
             assert one_call.pair_counts == per_packet.pair_counts
             assert got_one_call == got_per_packet
+            assert extends == (one_call.count("data", PKT_OVERFLOW) == 0)
             return one_call, got_one_call
 
         return check
 
     def _run(self, as_message, trace, rate=12e6, capacity=1_000_000, residency_us=10 * SEC,
              busy=False):
+        """The trace, the deliveries and node 0's extend calls of one run."""
         sim, net, trace = make_net(
             [(0, 0), (10, 0)],
             rate=rate,
             queue_capacity=capacity,
             residency_us=residency_us,
             trace=trace,
+            network=ExtendCountingRadio,
         )
         got = []
         net.attach(1, lambda src, port, data, msg_dst, now, payload: got.append(
@@ -932,8 +957,9 @@ class TestMessageHandOver:
             net.submit(0, 1, PORT_DATA, bytes(1472), "data", 1)  # on air 0..1000 µs
         sim.schedule(100, EVENT_TRAFFIC, hand_over)
         sim.run(60 * SEC)
+        extends = net._fifos[0].extends
         net.finalize()
-        return trace, got
+        return trace, got, extends
 
     def test_overflow_mid_message_while_the_short_last_packet_fits(self, same_either_way):
         trace, got = same_either_way(capacity=4000)
@@ -954,6 +980,23 @@ class TestMessageHandOver:
         # The busy packet is delivered at 1,000 µs; then each 1500-byte
         # packet takes 1,000 µs at 12 Mbps and the 158-byte one 106 µs.
         assert [now for *_, now in got] == [1_000, 2_000, 3_000, 4_000, 5_000, 5_106]
+
+    def test_capacity_of_exactly_the_message(self, same_either_way):
+        trace, got = same_either_way(capacity=self.MESSAGE_BYTES)
+        assert trace.count("data", PKT_OVERFLOW) == 0
+        assert [payload for _, _, payload, _, _ in got] == self.PAYLOADS
+
+    def test_one_byte_short_drops_only_the_short_last_packet(self, same_either_way):
+        trace, got = same_either_way(capacity=self.MESSAGE_BYTES - 1)
+        assert trace.count("data", PKT_OVERFLOW) == 1
+        assert trace.bytes_of("data", PKT_OVERFLOW) == 158
+        assert [payload for _, _, payload, _, _ in got] == self.PAYLOADS[:4]
+
+    def test_exact_fit_behind_the_busy_packet(self, same_either_way):
+        # The busy packet holds 1500 bytes of the queue until 1,000 µs.
+        trace, got = same_either_way(capacity=1500 + self.MESSAGE_BYTES, busy=True)
+        assert trace.count("data", PKT_OVERFLOW) == 0
+        assert [payload for _, _, payload, _, _ in got][1:] == self.PAYLOADS
 
 
 def test_recording_transport_logs_in_submitted_order():

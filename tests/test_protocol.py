@@ -496,6 +496,18 @@ class TestOnDataPacket:
         assert y.message_id not in node.buffer
         assert transport.sent_of_kind(KIND_ACK) == []
 
+    def test_packets_out_of_order_stored_in_index_order(self):
+        # The radio delivers a neighbor's packets in order, but reassembly
+        # does not rely on it: packets 2, 0 and 1 store payloads 0, 1, 2.
+        node, _, _ = make_node(node_id=2)
+        mid = make_message_id(1, 10)
+        payloads = (b"a" * 10, b"b" * 10, b"c" * 10)
+        epi = EpidemicHeader(mid, 5).encode()
+        for i in (2, 0, 1):
+            dph = DataPacketHeader(mid, 1, 3, i).encode()
+            feed_datagram(node, 1, epi + dph + payloads[i], 99, 1000)
+        assert node.buffer.get(mid).packets == payloads
+
     def test_hop_budget_one_at_relay_not_forwarded(self):
         node, transport, trace = make_node(node_id=2)
         e = make_entry(1, 10, destination=50, hop_budget=1)

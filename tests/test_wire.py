@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from conftest import feed_message, feed_summary, make_node
 
 from dtnsim.buffer import QueueEntry
@@ -305,6 +305,10 @@ class TestNodeSends:
         st.integers(0, 0xFFFF),
         st.lists(st.binary(max_size=8), min_size=1, max_size=5),
     )
+    # 300 packets: index blocks 256 to 299 use two bytes of their u32.
+    @example(raw=(5 << 48) | 1234, hops=3, node_id=9,
+             payloads=[i.to_bytes(2, "big") for i in range(300)])
+    @example(raw=(1 << 64) - 1, hops=0xFFFFFFFF, node_id=0, payloads=[b""] * 300)
     def test_data_packets_match_header_classes(self, raw, hops, node_id, payloads):
         # The node holds the message; its neighbor sends an empty summary,
         # a REPLY if its lower id leads and else the REPLY_BACK that
